@@ -6,11 +6,17 @@
 //! models the small L1 instruction cache.
 //!
 //! All resource-acquisition failures surface as [`BlockReason`] so the
-//! owning pipeline can retry next cycle and attribute the stall.
+//! owning pipeline can attribute the stall. An access is two steps —
+//! [`Cache::admit_read`]/[`Cache::admit_write`] decide from the line alone,
+//! [`Cache::commit_read`]/[`Cache::commit_write`] take the fetch — so an
+//! owner whose fetch waits at the head of a queue pops it only once the
+//! access is admitted. A refusal stands until the cache next changes: the
+//! cache keeps it as a *standing block* and a repeated attempt replays it
+//! in O(1) instead of walking the tags and MSHRs again.
 
 use crate::mshr::{Mshr, MshrReject};
-use crate::tag::{ProbeResult, TagArray};
-use gmh_types::{BoundedQueue, LineAddr, MemFetch, OccupancyHistogram, Picos};
+use crate::tag::{LineState, TagArray};
+use gmh_types::{BoundedQueue, LineAddr, MemFetch, OccupancyHistogram, Picos, Scratch};
 
 /// Write-handling policy (Table I: L1 is write-evict, L2 is write-back).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -163,6 +169,43 @@ impl CacheStats {
     }
 }
 
+/// What an admitted access will do to the cache.
+#[derive(Clone, Copy, Debug)]
+enum Plan {
+    /// The line is resident in `way`.
+    Hit { way: usize },
+    /// The line is reserved by an outstanding miss: a read merges into its
+    /// MSHR entry, a write is absorbed by the inbound fill.
+    Inbound,
+    /// `way` is evicted for the line, writing `dirty_victim` back first.
+    Allocate {
+        way: usize,
+        dirty_victim: Option<LineAddr>,
+    },
+    /// Write-evict: the write goes downstream and any resident copy goes.
+    Forward,
+}
+
+/// An access the cache has agreed to perform: the proof
+/// [`Cache::commit_read`]/[`Cache::commit_write`] take that the access
+/// cannot block. It must be committed (or dropped) before anything else
+/// changes the cache.
+#[derive(Clone, Copy, Debug)]
+pub struct Admission {
+    line: LineAddr,
+    set: usize,
+    write: bool,
+    plan: Plan,
+}
+
+impl Admission {
+    /// Whether the line is resident, so committing completes the access in
+    /// this cache (a read hands its fetch back as [`AccessResult::Hit`]).
+    pub fn is_hit(&self) -> bool {
+        matches!(self.plan, Plan::Hit { .. })
+    }
+}
+
 /// A cycle-level cache with finite MSHRs and miss queue.
 ///
 /// See the crate-level docs for an end-to-end example.
@@ -173,6 +216,10 @@ pub struct Cache {
     mshr: Mshr<MemFetch>,
     miss_queue: BoundedQueue<MemFetch>,
     stats: CacheStats,
+    /// The last refusal, `(line, is_write, reason)`. A refusal is a pure
+    /// function of the tags, MSHRs and miss queue, so it stands until one
+    /// of them changes: every mutating method drops it.
+    standing: Scratch<Option<(LineAddr, bool, BlockReason)>>,
 }
 
 impl Cache {
@@ -188,6 +235,7 @@ impl Cache {
             miss_queue: BoundedQueue::new(cfg.miss_queue_len),
             cfg,
             stats: CacheStats::default(),
+            standing: Scratch(None),
         }
     }
 
@@ -227,172 +275,229 @@ impl Cache {
         self.miss_queue.len()
     }
 
-    /// Performs a read (load or instruction fetch) lookup.
-    ///
-    /// On [`AccessResult::Hit`] and `Blocked` the fetch is returned in the
-    /// second tuple slot; on `MissMerged`/`MissIssued` it is retained by the
-    /// cache (parked in the MSHR or traveling via the miss queue).
-    pub fn access_read(
-        &mut self,
-        fetch: MemFetch,
-        _now: Picos,
-    ) -> (AccessResult, Option<MemFetch>) {
-        match self.tags.probe(fetch.line) {
-            ProbeResult::Hit => {
-                self.tags.touch(fetch.line, false);
-                self.stats.reads += 1;
-                self.stats.read_hits += 1;
-                (AccessResult::Hit, Some(fetch))
-            }
-            ProbeResult::HitReserved => {
+    /// The refusal an access to `line` is known to still meet, without
+    /// touching the tags, MSHRs or miss queue: `Some` if the same access
+    /// was refused and the cache has not changed since.
+    pub fn standing_block(&self, line: LineAddr, write: bool) -> Option<BlockReason> {
+        match self.standing.0 {
+            Some((l, w, reason)) if l == line && w == write => Some(reason),
+            _ => None,
+        }
+    }
+
+    /// Drops the standing block, so the next attempt recomputes its verdict.
+    /// Results never depend on it; the fork-and-compare suites call it
+    /// before every cycle of one copy to prove that.
+    #[doc(hidden)]
+    pub fn forget_standing_block(&mut self) {
+        self.standing.0 = None;
+    }
+
+    /// Counts a refused attempt and keeps the refusal standing.
+    fn refuse(&mut self, line: LineAddr, write: bool, reason: BlockReason) -> BlockReason {
+        self.stats.blocked += 1;
+        self.standing.0 = Some((line, write, reason));
+        reason
+    }
+
+    /// Decides a read (load or instruction fetch) of `line`. `Err` is a
+    /// counted, refused attempt that left the cache as it was; `Ok` is
+    /// handed to [`Cache::commit_read`] with the fetch.
+    pub fn admit_read(&mut self, line: LineAddr) -> Result<Admission, BlockReason> {
+        if let Some(reason) = self.standing_block(line, false) {
+            return Err(self.refuse(line, false, reason));
+        }
+        let set = self.tags.set_of(line);
+        let plan = match self.tags.way_in(set, line) {
+            Some(way) if self.tags.state_at(set, way) != LineState::Reserved => Plan::Hit { way },
+            Some(_) => {
                 // An outstanding miss to the same line: merge.
-                debug_assert!(self.mshr.contains(fetch.line));
-                match self.mshr.can_accept(fetch.line) {
-                    Ok(()) => {
-                        // INVARIANT: can_accept just confirmed merge capacity.
-                        self.mshr
-                            .merge(fetch.line, fetch)
-                            .expect("can_accept verified merge capacity");
-                        self.stats.reads += 1;
-                        self.stats.read_merges += 1;
-                        (AccessResult::MissMerged, None)
-                    }
+                match self.mshr.can_accept(line) {
+                    Ok(()) => Plan::Inbound,
                     Err(MshrReject::MergeFull) => {
-                        self.stats.blocked += 1;
-                        (
-                            AccessResult::Blocked(BlockReason::MshrMergeFull),
-                            Some(fetch),
-                        )
+                        return Err(self.refuse(line, false, BlockReason::MshrMergeFull))
                     }
-                    Err(MshrReject::Full) => unreachable!("entry exists"),
+                    Err(MshrReject::Full) => unreachable!("a reserved line has an MSHR entry"),
                 }
             }
-            probe @ (ProbeResult::MissReplaceable | ProbeResult::MissNoVictim) => {
+            None => {
                 // New miss. Resource checks in attribution order: MSHR,
                 // replaceable line, miss-queue space.
                 if self.mshr.is_full() {
-                    self.stats.blocked += 1;
-                    return (AccessResult::Blocked(BlockReason::MshrFull), Some(fetch));
+                    return Err(self.refuse(line, false, BlockReason::MshrFull));
                 }
-                if probe == ProbeResult::MissNoVictim {
-                    self.stats.blocked += 1;
-                    return (
-                        AccessResult::Blocked(BlockReason::NoReplaceableLine),
-                        Some(fetch),
-                    );
+                let Some((way, dirty_victim)) = self.tags.victim_in(set) else {
+                    return Err(self.refuse(line, false, BlockReason::NoReplaceableLine));
+                };
+                if self.miss_queue.free() < 1 + usize::from(dirty_victim.is_some()) {
+                    return Err(self.refuse(line, false, BlockReason::MissQueueFull));
                 }
-                // INVARIANT: MissReplaceable guarantees a victim way.
-                let dirty_victim = self.tags.peek_victim(fetch.line).expect("victim exists");
-                let slots_needed = 1 + usize::from(dirty_victim.is_some());
-                if self.miss_queue.free() < slots_needed {
-                    self.stats.blocked += 1;
-                    return (
-                        AccessResult::Blocked(BlockReason::MissQueueFull),
-                        Some(fetch),
-                    );
-                }
-                // INVARIANT: the probe found a replaceable way.
-                let evicted = self
-                    .tags
-                    .reserve(fetch.line)
-                    .expect("probe said replaceable");
-                debug_assert_eq!(evicted, dirty_victim);
-                if let Some(victim) = evicted {
+                Plan::Allocate { way, dirty_victim }
+            }
+        };
+        Ok(Admission {
+            line,
+            set,
+            write: false,
+            plan,
+        })
+    }
+
+    /// Performs the read `admitted` for `fetch`: never `Blocked`.
+    ///
+    /// On [`AccessResult::Hit`] the fetch is returned in the second tuple
+    /// slot; on `MissMerged`/`MissIssued` it is retained by the cache
+    /// (parked in the MSHR or traveling via the miss queue).
+    pub fn commit_read(
+        &mut self,
+        admitted: Admission,
+        fetch: MemFetch,
+        _now: Picos,
+    ) -> (AccessResult, Option<MemFetch>) {
+        debug_assert!(!admitted.write && admitted.line == fetch.line);
+        self.standing.0 = None;
+        self.stats.reads += 1;
+        match admitted.plan {
+            Plan::Hit { way } => {
+                self.tags.touch_at(admitted.set, way, false);
+                self.stats.read_hits += 1;
+                (AccessResult::Hit, Some(fetch))
+            }
+            Plan::Inbound => {
+                // INVARIANT: admit_read confirmed merge capacity.
+                self.mshr
+                    .merge(fetch.line, fetch)
+                    .expect("admission verified merge capacity");
+                self.stats.read_merges += 1;
+                (AccessResult::MissMerged, None)
+            }
+            Plan::Allocate { way, dirty_victim } => {
+                self.tags.reserve_at(admitted.set, way, fetch.line);
+                if let Some(victim) = dirty_victim {
                     self.stats.writebacks += 1;
-                    // INVARIANT: free() >= slots_needed was checked above.
+                    // INVARIANT: admit_read counted a slot for the victim.
                     self.miss_queue
                         .push(MemFetch::write_back(victim, fetch.time.created))
                         .expect("slot count verified");
                 }
-                // INVARIANT: mshr.is_full() was checked above.
+                // INVARIANT: admit_read checked mshr.is_full().
                 self.mshr.allocate(fetch.line).expect("fullness checked");
-                self.stats.reads += 1;
-                // INVARIANT: free() >= slots_needed reserved this slot.
+                // INVARIANT: admit_read counted a slot for the fetch.
                 self.miss_queue.push(fetch).expect("slot count verified");
                 (AccessResult::MissIssued, None)
             }
+            Plan::Forward => unreachable!("reads are never forwarded"),
         }
     }
 
-    /// Performs a write lookup.
+    /// Performs a read (load or instruction fetch) lookup for a fetch the
+    /// caller already holds: [`Cache::admit_read`] then
+    /// [`Cache::commit_read`].
+    ///
+    /// On [`AccessResult::Hit`] and `Blocked` the fetch is returned in the
+    /// second tuple slot; on `MissMerged`/`MissIssued` it is retained by the
+    /// cache (parked in the MSHR or traveling via the miss queue).
+    pub fn access_read(&mut self, fetch: MemFetch, now: Picos) -> (AccessResult, Option<MemFetch>) {
+        match self.admit_read(fetch.line) {
+            Ok(admitted) => self.commit_read(admitted, fetch, now),
+            Err(reason) => (AccessResult::Blocked(reason), Some(fetch)),
+        }
+    }
+
+    /// Decides a write of `line`; see [`Cache::admit_read`].
+    pub fn admit_write(&mut self, line: LineAddr) -> Result<Admission, BlockReason> {
+        if let Some(reason) = self.standing_block(line, true) {
+            return Err(self.refuse(line, true, reason));
+        }
+        if self.cfg.write_policy == WritePolicy::WriteEvict && self.miss_queue.is_full() {
+            return Err(self.refuse(line, true, BlockReason::MissQueueFull));
+        }
+        let set = self.tags.set_of(line);
+        let plan = match self.cfg.write_policy {
+            WritePolicy::WriteEvict => Plan::Forward,
+            WritePolicy::WriteBack => match self.tags.way_in(set, line) {
+                Some(way) if self.tags.state_at(set, way) != LineState::Reserved => {
+                    Plan::Hit { way }
+                }
+                // The line is inbound; the write is conceptually merged
+                // into the arriving fill. Data values are not modeled.
+                Some(_) => Plan::Inbound,
+                None => {
+                    let Some((way, dirty_victim)) = self.tags.victim_in(set) else {
+                        return Err(self.refuse(line, true, BlockReason::NoReplaceableLine));
+                    };
+                    if dirty_victim.is_some() && self.miss_queue.is_full() {
+                        return Err(self.refuse(line, true, BlockReason::MissQueueFull));
+                    }
+                    Plan::Allocate { way, dirty_victim }
+                }
+            },
+        };
+        Ok(Admission {
+            line,
+            set,
+            write: true,
+            plan,
+        })
+    }
+
+    /// Performs the write `admitted` for `fetch`: never `Blocked`.
     ///
     /// Write-evict caches forward the write downstream (consuming a miss
     /// queue slot) and invalidate any resident copy. Write-back caches
     /// absorb the write, allocating on a miss without fetching
     /// (write-validate) and emitting a write-back if a dirty victim is
     /// evicted.
+    pub fn commit_write(
+        &mut self,
+        admitted: Admission,
+        fetch: MemFetch,
+        now: Picos,
+    ) -> WriteOutcome {
+        debug_assert!(admitted.write && admitted.line == fetch.line);
+        self.standing.0 = None;
+        self.stats.writes += 1;
+        match admitted.plan {
+            Plan::Forward => {
+                self.tags.invalidate_in(admitted.set, fetch.line);
+                // INVARIANT: admit_write checked miss_queue.is_full().
+                self.miss_queue.push(fetch).expect("fullness checked");
+                return WriteOutcome::Forwarded;
+            }
+            Plan::Hit { way } => {
+                self.tags.touch_at(admitted.set, way, true);
+                self.stats.write_hits += 1;
+            }
+            Plan::Inbound => self.stats.write_hits += 1,
+            Plan::Allocate { way, dirty_victim } => {
+                self.tags.reserve_at(admitted.set, way, fetch.line);
+                if let Some(victim) = dirty_victim {
+                    self.stats.writebacks += 1;
+                    // INVARIANT: admit_write checked is_full() for the
+                    // dirty-victim case.
+                    self.miss_queue
+                        .push(MemFetch::write_back(victim, now))
+                        .expect("fullness checked");
+                }
+                // Write-validate: the whole line is written, so no fetch
+                // from below is needed; complete the allocation dirty.
+                self.tags.fill_at(admitted.set, way, true);
+            }
+        }
+        WriteOutcome::Absorbed
+    }
+
+    /// Performs a write lookup for a fetch the caller already holds:
+    /// [`Cache::admit_write`] then [`Cache::commit_write`]. On `Blocked` the
+    /// fetch is handed back.
     pub fn access_write(
         &mut self,
         fetch: MemFetch,
         now: Picos,
     ) -> (WriteOutcome, Option<MemFetch>) {
-        match self.cfg.write_policy {
-            WritePolicy::WriteEvict => {
-                if self.miss_queue.is_full() {
-                    self.stats.blocked += 1;
-                    return (
-                        WriteOutcome::Blocked(BlockReason::MissQueueFull),
-                        Some(fetch),
-                    );
-                }
-                self.tags.invalidate(fetch.line);
-                self.stats.writes += 1;
-                // INVARIANT: miss_queue.is_full() was checked above.
-                self.miss_queue.push(fetch).expect("fullness checked");
-                (WriteOutcome::Forwarded, None)
-            }
-            WritePolicy::WriteBack => match self.tags.probe(fetch.line) {
-                ProbeResult::Hit => {
-                    self.tags.touch(fetch.line, true);
-                    self.stats.writes += 1;
-                    self.stats.write_hits += 1;
-                    (WriteOutcome::Absorbed, None)
-                }
-                ProbeResult::HitReserved => {
-                    // The line is inbound; the write is conceptually merged
-                    // into the arriving fill. Data values are not modeled.
-                    self.stats.writes += 1;
-                    self.stats.write_hits += 1;
-                    (WriteOutcome::Absorbed, None)
-                }
-                ProbeResult::MissNoVictim => {
-                    self.stats.blocked += 1;
-                    (
-                        WriteOutcome::Blocked(BlockReason::NoReplaceableLine),
-                        Some(fetch),
-                    )
-                }
-                ProbeResult::MissReplaceable => {
-                    // INVARIANT: MissReplaceable guarantees a victim way.
-                    let dirty_victim = self.tags.peek_victim(fetch.line).expect("victim exists");
-                    if dirty_victim.is_some() && self.miss_queue.is_full() {
-                        self.stats.blocked += 1;
-                        return (
-                            WriteOutcome::Blocked(BlockReason::MissQueueFull),
-                            Some(fetch),
-                        );
-                    }
-                    // INVARIANT: the probe found a replaceable way.
-                    let evicted = self
-                        .tags
-                        .reserve(fetch.line)
-                        .expect("probe said replaceable");
-                    debug_assert_eq!(evicted, dirty_victim);
-                    if let Some(victim) = evicted {
-                        self.stats.writebacks += 1;
-                        // INVARIANT: is_full() was checked above for the
-                        // dirty-victim case.
-                        self.miss_queue
-                            .push(MemFetch::write_back(victim, now))
-                            .expect("fullness checked");
-                    }
-                    // Write-validate: the whole line is written, so no fetch
-                    // from below is needed; complete the allocation dirty.
-                    self.tags.fill(fetch.line, true, 0);
-                    self.stats.writes += 1;
-                    (WriteOutcome::Absorbed, None)
-                }
-            },
+        match self.admit_write(fetch.line) {
+            Ok(admitted) => (self.commit_write(admitted, fetch, now), None),
+            Err(reason) => (WriteOutcome::Blocked(reason), Some(fetch)),
         }
     }
 
@@ -400,6 +505,7 @@ impl Cache {
     /// line becomes valid and all merged waiters are returned for response
     /// routing.
     pub fn fill(&mut self, line: LineAddr, _now: Picos) -> Vec<MemFetch> {
+        self.standing.0 = None;
         self.stats.fills += 1;
         self.tags.fill(line, false, 0);
         self.mshr.release(line)
@@ -412,7 +518,11 @@ impl Cache {
 
     /// Removes the head of the miss queue, once downstream accepted it.
     pub fn pop_miss(&mut self) -> Option<MemFetch> {
-        self.miss_queue.pop()
+        let popped = self.miss_queue.pop();
+        if popped.is_some() {
+            self.standing.0 = None;
+        }
+        popped
     }
 
     /// Samples queue occupancy; call once per owning-domain cycle.
@@ -635,6 +745,139 @@ mod tests {
         assert_eq!(c.mshr_used(), before_mshr);
         assert_eq!(c.miss_queue_len(), before_q);
         assert_eq!(kept.unwrap().id, 2);
+    }
+
+    /// A cache with both MSHRs taken (lines 0 and 1 outstanding), so a
+    /// read of line 2 is refused, attempted `n` more times.
+    fn refused_read_of_line_2(n: u64) -> Cache {
+        let mut c = tiny(WritePolicy::WriteEvict);
+        c.access_read(load(0, 0), 0);
+        c.access_read(load(1, 1), 0);
+        for id in 0..=n {
+            let (r, _) = c.access_read(load(2 + id, 2), 0);
+            assert_eq!(r, AccessResult::Blocked(BlockReason::MshrFull));
+        }
+        c
+    }
+
+    #[test]
+    fn standing_block_survives_retries_and_counts_each() {
+        let c = refused_read_of_line_2(9);
+        let line = LineAddr::new(2);
+        assert_eq!(c.standing_block(line, false), Some(BlockReason::MshrFull));
+        assert_eq!(c.stats().blocked, 10, "one first refusal + nine replays");
+        assert_eq!(c.stats().reads, 2, "a refusal is not a lookup");
+    }
+
+    #[test]
+    fn standing_block_is_keyed_on_line_and_direction() {
+        let mut c = refused_read_of_line_2(0);
+        assert_eq!(c.standing_block(LineAddr::new(3), false), None);
+        assert_eq!(c.standing_block(LineAddr::new(2), true), None);
+        // A different refused access replaces it.
+        let (r, _) = c.access_read(load(9, 3), 0);
+        assert_eq!(r, AccessResult::Blocked(BlockReason::MshrFull));
+        assert_eq!(c.standing_block(LineAddr::new(2), false), None);
+        assert!(c.standing_block(LineAddr::new(3), false).is_some());
+    }
+
+    #[test]
+    fn fill_drops_the_standing_block() {
+        let mut c = refused_read_of_line_2(0);
+        c.fill(LineAddr::new(0), 0);
+        assert_eq!(c.standing_block(LineAddr::new(2), false), None);
+        // Recomputed: an MSHR is free now, the two-entry miss queue is not.
+        let (r, _) = c.access_read(load(9, 2), 0);
+        assert_eq!(r, AccessResult::Blocked(BlockReason::MissQueueFull));
+    }
+
+    #[test]
+    fn pop_miss_drops_the_standing_block() {
+        // Full miss queue: a third miss is refused until the head leaves.
+        let mut c = tiny(WritePolicy::WriteEvict);
+        c.access_write(store(0, 0), 0);
+        c.access_write(store(1, 1), 0);
+        let (w, _) = c.access_write(store(2, 2), 0);
+        assert_eq!(w, WriteOutcome::Blocked(BlockReason::MissQueueFull));
+        assert!(c.standing_block(LineAddr::new(2), true).is_some());
+        c.pop_miss();
+        assert_eq!(c.standing_block(LineAddr::new(2), true), None);
+        let (w, _) = c.access_write(store(3, 2), 0);
+        assert_eq!(w, WriteOutcome::Forwarded);
+    }
+
+    #[test]
+    fn a_hit_drops_the_standing_block() {
+        let mut c = tiny(WritePolicy::WriteEvict);
+        c.access_read(load(0, 4), 0);
+        c.fill(LineAddr::new(4), 0); // line 4 resident
+        c.access_read(load(1, 0), 0);
+        c.access_read(load(2, 1), 0);
+        c.access_read(load(3, 2), 0); // refused: both MSHRs taken
+        assert!(c.standing_block(LineAddr::new(2), false).is_some());
+        let (r, _) = c.access_read(load(4, 4), 0);
+        assert_eq!(r, AccessResult::Hit);
+        assert_eq!(c.standing_block(LineAddr::new(2), false), None);
+    }
+
+    #[test]
+    fn a_merged_miss_drops_the_standing_block() {
+        let mut c = refused_read_of_line_2(0);
+        let (r, _) = c.access_read(load(9, 0), 0);
+        assert_eq!(r, AccessResult::MissMerged);
+        assert_eq!(c.standing_block(LineAddr::new(2), false), None);
+    }
+
+    #[test]
+    fn an_issued_miss_drops_the_standing_block() {
+        // Set 0 fully reserved refuses a third miss to it; a miss to set 1
+        // then takes the last MSHR, and the same access is now refused for
+        // the MSHRs, which rank first — a refusal left standing would have
+        // charged the wrong cause.
+        let mut c = Cache::new(CacheConfig {
+            size_bytes: 4 * 128,
+            assoc: 2,
+            mshr_entries: 3,
+            mshr_merge: 2,
+            miss_queue_len: 4,
+            write_policy: WritePolicy::WriteEvict,
+            set_stride: 1,
+        });
+        c.access_read(load(0, 0), 0);
+        c.access_read(load(1, 2), 0);
+        let (r, _) = c.access_read(load(2, 4), 0);
+        assert_eq!(r, AccessResult::Blocked(BlockReason::NoReplaceableLine));
+        let (r, _) = c.access_read(load(3, 1), 0);
+        assert_eq!(r, AccessResult::MissIssued);
+        assert_eq!(c.standing_block(LineAddr::new(4), false), None);
+        let (r, _) = c.access_read(load(4, 4), 0);
+        assert_eq!(r, AccessResult::Blocked(BlockReason::MshrFull));
+    }
+
+    #[test]
+    fn an_absorbed_write_drops_the_standing_block() {
+        // Write-back: set 0 fully reserved refuses a write miss to it; a
+        // write to set 1 is absorbed.
+        let mut c = tiny(WritePolicy::WriteBack);
+        c.access_read(load(0, 0), 0);
+        c.access_read(load(1, 2), 0);
+        let (w, _) = c.access_write(store(2, 4), 0);
+        assert_eq!(w, WriteOutcome::Blocked(BlockReason::NoReplaceableLine));
+        assert!(c.standing_block(LineAddr::new(4), true).is_some());
+        let (w, _) = c.access_write(store(3, 1), 0);
+        assert_eq!(w, WriteOutcome::Absorbed);
+        assert_eq!(c.standing_block(LineAddr::new(4), true), None);
+    }
+
+    #[test]
+    fn an_admission_left_uncommitted_changes_nothing() {
+        // The L2 drops a hit's admission when its data port is busy.
+        let mut c = tiny(WritePolicy::WriteEvict);
+        c.access_read(load(0, 0), 0);
+        c.fill(LineAddr::new(0), 0);
+        let before = format!("{c:?}");
+        assert!(c.admit_read(LineAddr::new(0)).unwrap().is_hit());
+        assert_eq!(format!("{c:?}"), before);
     }
 
     #[test]

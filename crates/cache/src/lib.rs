@@ -40,7 +40,7 @@ pub mod stall;
 pub mod tag;
 
 pub use cache::{
-    AccessResult, BlockReason, Cache, CacheConfig, CacheStats, WriteOutcome, WritePolicy,
+    AccessResult, Admission, BlockReason, Cache, CacheConfig, CacheStats, WriteOutcome, WritePolicy,
 };
 pub use mshr::Mshr;
 pub use port::DataPort;

@@ -118,33 +118,41 @@ impl TagArray {
         self.assoc
     }
 
+    /// The set `line` maps to. The cache computes it once per access and
+    /// hands it to the `*_at`/`*_in` methods below.
     #[allow(clippy::cast_possible_truncation)]
-    fn set_of(&self, line: LineAddr) -> usize {
+    pub(crate) fn set_of(&self, line: LineAddr) -> usize {
         // lint: allow(R3): the modulus bounds the value below sets.len().
         ((line.index() / self.set_stride) % self.sets.len() as u64) as usize
     }
 
-    fn find(&self, line: LineAddr) -> Option<(usize, usize)> {
-        let s = self.set_of(line);
-        self.sets[s]
+    /// The way of `set` holding `line` (Valid, Dirty or Reserved), if any.
+    pub(crate) fn way_in(&self, set: usize, line: LineAddr) -> Option<usize> {
+        self.sets[set]
             .iter()
             .position(|l| l.state != LineState::Invalid && l.tag == line.index())
-            .map(|w| (s, w))
+    }
+
+    /// State of one way.
+    pub(crate) fn state_at(&self, set: usize, way: usize) -> LineState {
+        self.sets[set][way].state
+    }
+
+    fn find(&self, line: LineAddr) -> Option<(usize, usize)> {
+        let s = self.set_of(line);
+        self.way_in(s, line).map(|w| (s, w))
     }
 
     /// Probes for `line` without modifying replacement state.
     pub fn probe(&self, line: LineAddr) -> ProbeResult {
-        if let Some((s, w)) = self.find(line) {
-            return match self.sets[s][w].state {
-                LineState::Reserved => ProbeResult::HitReserved,
-                _ => ProbeResult::Hit,
-            };
-        }
         let s = self.set_of(line);
-        if self.sets[s].iter().any(|l| l.state != LineState::Reserved) {
-            ProbeResult::MissReplaceable
-        } else {
-            ProbeResult::MissNoVictim
+        match self.way_in(s, line) {
+            Some(w) if self.sets[s][w].state == LineState::Reserved => ProbeResult::HitReserved,
+            Some(_) => ProbeResult::Hit,
+            None if self.sets[s].iter().any(|l| l.state != LineState::Reserved) => {
+                ProbeResult::MissReplaceable
+            }
+            None => ProbeResult::MissNoVictim,
         }
     }
 
@@ -152,30 +160,47 @@ impl TagArray {
     /// writes in a write-back cache, marks it dirty. Returns `false` if the
     /// line is not present.
     pub fn touch(&mut self, line: LineAddr, mark_dirty: bool) -> bool {
-        self.use_clock += 1;
-        let clock = self.use_clock;
-        if let Some((s, w)) = self.find(line) {
-            let l = &mut self.sets[s][w];
-            if l.state == LineState::Reserved {
-                return false;
+        match self.find(line) {
+            Some((s, w)) if self.sets[s][w].state != LineState::Reserved => {
+                self.touch_at(s, w, mark_dirty);
+                true
             }
-            l.last_use = clock;
-            if mark_dirty {
-                l.state = LineState::Dirty;
+            _ => {
+                self.use_clock += 1;
+                false
             }
-            true
-        } else {
-            false
         }
     }
 
-    fn select_victim(&self, set: usize) -> Option<usize> {
+    /// [`TagArray::touch`] for a way already known to hold a present
+    /// (non-reserved) line.
+    pub(crate) fn touch_at(&mut self, set: usize, way: usize, mark_dirty: bool) {
+        self.use_clock += 1;
+        let l = &mut self.sets[set][way];
+        debug_assert!(matches!(l.state, LineState::Valid | LineState::Dirty));
+        l.last_use = self.use_clock;
+        if mark_dirty {
+            l.state = LineState::Dirty;
+        }
+    }
+
+    /// The way a reservation in `set` would evict — the LRU non-reserved
+    /// way, invalid ways first — with the line to write back if it is
+    /// dirty; `None` if every way is reserved.
+    pub(crate) fn victim_in(&self, set: usize) -> Option<(usize, Option<LineAddr>)> {
         self.sets[set]
             .iter()
             .enumerate()
             .filter(|(_, l)| l.state != LineState::Reserved)
             .min_by_key(|(_, l)| (l.state != LineState::Invalid, l.last_use))
-            .map(|(w, _)| w)
+            // Tags store the full line index, so the victim's address is
+            // exact.
+            .map(|(w, l)| {
+                (
+                    w,
+                    (l.state == LineState::Dirty).then(|| LineAddr::new(l.tag)),
+                )
+            })
     }
 
     /// Previews the eviction a [`TagArray::reserve`] for `line` would
@@ -183,14 +208,7 @@ impl TagArray {
     /// back, `Some(None)` if the eviction is clean, `None` if every way is
     /// reserved.
     pub fn peek_victim(&self, line: LineAddr) -> Option<Option<LineAddr>> {
-        let s = self.set_of(line);
-        let w = self.select_victim(s)?;
-        let l = &self.sets[s][w];
-        Some(if l.state == LineState::Dirty {
-            Some(LineAddr::new(l.tag))
-        } else {
-            None
-        })
+        self.victim_in(self.set_of(line)).map(|(_, dirty)| dirty)
     }
 
     /// Reserves a victim way for an outstanding miss to `line`
@@ -201,25 +219,29 @@ impl TagArray {
     /// every way is reserved.
     #[allow(clippy::result_unit_err)]
     pub fn reserve(&mut self, line: LineAddr) -> Result<Option<LineAddr>, ()> {
-        self.use_clock += 1;
-        let clock = self.use_clock;
         let s = self.set_of(line);
-        let victim = self.select_victim(s);
-        let Some(w) = victim else { return Err(()) };
-        let n_sets = self.sets.len() as u64;
-        let l = &mut self.sets[s][w];
-        let evicted = if l.state == LineState::Dirty {
-            // Reconstruct the victim's line address from its tag. Tags store
-            // the full line index, so this is exact.
-            Some(LineAddr::new(l.tag))
-        } else {
-            None
-        };
-        debug_assert!(evicted.is_none_or(|e| (e.index() / self.set_stride) % n_sets == s as u64));
+        match self.victim_in(s) {
+            Some((w, evicted)) => {
+                self.reserve_at(s, w, line);
+                Ok(evicted)
+            }
+            None => {
+                self.use_clock += 1;
+                Err(())
+            }
+        }
+    }
+
+    /// Reserves `way` of `set` — the way [`TagArray::victim_in`] just chose
+    /// — for an outstanding miss to `line`.
+    pub(crate) fn reserve_at(&mut self, set: usize, way: usize, line: LineAddr) {
+        debug_assert_eq!(set, self.set_of(line));
+        self.use_clock += 1;
+        let l = &mut self.sets[set][way];
+        debug_assert_ne!(l.state, LineState::Reserved);
         l.tag = line.index();
         l.state = LineState::Reserved;
-        l.last_use = clock;
-        Ok(evicted)
+        l.last_use = self.use_clock;
     }
 
     /// Completes the fill for a previously reserved `line`, making it Valid
@@ -227,34 +249,44 @@ impl TagArray {
     /// by write-validate allocations). Returns `true` if a reservation was
     /// satisfied.
     pub fn fill(&mut self, line: LineAddr, dirty: bool, _now: u64) -> bool {
-        self.use_clock += 1;
-        let clock = self.use_clock;
-        if let Some((s, w)) = self.find(line) {
-            let l = &mut self.sets[s][w];
-            let was_reserved = l.state == LineState::Reserved;
-            l.state = if dirty {
-                LineState::Dirty
-            } else {
-                LineState::Valid
-            };
-            l.last_use = clock;
-            was_reserved
-        } else {
-            false
+        match self.find(line) {
+            Some((s, w)) => self.fill_at(s, w, dirty),
+            None => {
+                self.use_clock += 1;
+                false
+            }
         }
+    }
+
+    /// [`TagArray::fill`] for a way already known to hold the line.
+    pub(crate) fn fill_at(&mut self, set: usize, way: usize, dirty: bool) -> bool {
+        self.use_clock += 1;
+        let l = &mut self.sets[set][way];
+        let was_reserved = l.state == LineState::Reserved;
+        l.state = if dirty {
+            LineState::Dirty
+        } else {
+            LineState::Valid
+        };
+        l.last_use = self.use_clock;
+        was_reserved
     }
 
     /// Invalidates `line` if present (L1 write-evict policy). Returns whether
     /// it was present and valid.
     pub fn invalidate(&mut self, line: LineAddr) -> bool {
-        if let Some((s, w)) = self.find(line) {
-            if self.sets[s][w].state == LineState::Reserved {
-                return false;
+        let s = self.set_of(line);
+        self.invalidate_in(s, line)
+    }
+
+    /// [`TagArray::invalidate`] with the set already computed.
+    pub(crate) fn invalidate_in(&mut self, set: usize, line: LineAddr) -> bool {
+        match self.way_in(set, line) {
+            Some(w) if self.sets[set][w].state != LineState::Reserved => {
+                self.sets[set][w].state = LineState::Invalid;
+                true
             }
-            self.sets[s][w].state = LineState::Invalid;
-            true
-        } else {
-            false
+            _ => false,
         }
     }
 

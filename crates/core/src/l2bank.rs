@@ -4,7 +4,7 @@
 
 use gmh_cache::{
     AccessResult, BlockReason, Cache, CacheConfig, DataPort, L2StallCounters, L2StallKind,
-    ProbeResult, WriteOutcome,
+    WriteOutcome,
 };
 use gmh_types::trace::{Level, TraceEventKind, TraceSink};
 use gmh_types::{BoundedQueue, Cycle, EventBound, FetchId, MemFetch, OccupancyHistogram, Picos};
@@ -223,6 +223,13 @@ impl L2Bank {
         self.now += k;
     }
 
+    /// Drops the cache's standing block (see
+    /// [`Cache::forget_standing_block`]); results never depend on it.
+    #[doc(hidden)]
+    pub fn forget_standing_block(&mut self) {
+        self.cache.forget_standing_block();
+    }
+
     /// Whether all bank state has drained.
     pub fn is_idle(&self) -> bool {
         self.access_queue.is_empty()
@@ -263,47 +270,45 @@ impl L2Bank {
                 self.stalls.record(kind);
                 return;
             }
-            // INVARIANT: front() returned Some above.
-            let fetch = self.access_queue.pop().expect("head exists");
-            match self.cache.access_write(fetch, now_ps) {
-                (WriteOutcome::Absorbed, _) => {
+            match self.cache.admit_write(line) {
+                Ok(admitted) => {
+                    // INVARIANT: front() returned Some above.
+                    let fetch = self.access_queue.pop().expect("head exists");
+                    let done = self.cache.commit_write(admitted, fetch, now_ps);
+                    debug_assert_eq!(done, WriteOutcome::Absorbed, "L2 is write-back");
                     self.port.try_occupy(gmh_types::LINE_SIZE, self.now);
                 }
-                (WriteOutcome::Forwarded, _) => {
-                    unreachable!("L2 is write-back; writes are absorbed")
-                }
-                (WriteOutcome::Blocked(reason), Some(fetch)) => {
-                    self.record_block(reason, head_core, head_id, now_ps, trace);
-                    self.access_queue
-                        .push_front(fetch)
-                        .unwrap_or_else(|_| panic!("slot just vacated"));
-                }
-                (WriteOutcome::Blocked(_), None) => unreachable!("blocked returns the fetch"),
+                Err(reason) => self.record_block(reason, head_core, head_id, now_ps, trace),
             }
             return;
         }
 
-        // Read path. Pre-probe so hit-side resources (port, response queue)
-        // are checked before any state changes.
-        match self.cache.tags().probe(line) {
-            ProbeResult::Hit => {
-                if let Some(kind) = self.stall_cause(!self.port.is_free(self.now), true, None) {
-                    self.stalls.record(kind);
-                    self.record_stall(kind, head_core, head_id, now_ps, trace);
-                    return;
-                }
-                // INVARIANT: front() returned Some above.
-                let mut fetch = self.access_queue.pop().expect("head exists");
-                trace.record(
-                    head_core,
-                    head_id,
-                    now_ps,
-                    TraceEventKind::DequeuedAt(Level::L2),
-                );
-                let (r, back) = self.cache.access_read(fetch.clone(), now_ps);
-                debug_assert_eq!(r, AccessResult::Hit);
-                // INVARIANT: access_read on a hit always hands the fetch back.
-                fetch = back.expect("hit returns the fetch");
+        // Read path. The head leaves the access queue only once the cache
+        // admits it; a refusal (replayed from the cache's standing block
+        // while nothing changed) is charged and the queue stays as it is.
+        let admitted = match self.cache.admit_read(line) {
+            Ok(admitted) => admitted,
+            Err(reason) => return self.record_block(reason, head_core, head_id, now_ps, trace),
+        };
+        // Hit-side resources (port, response queue) are checked before any
+        // state changes.
+        if admitted.is_hit() {
+            if let Some(kind) = self.stall_cause(!self.port.is_free(self.now), true, None) {
+                self.stalls.record(kind);
+                self.record_stall(kind, head_core, head_id, now_ps, trace);
+                return;
+            }
+        }
+        // INVARIANT: front() returned Some above.
+        let fetch = self.access_queue.pop().expect("head exists");
+        trace.record(
+            head_core,
+            head_id,
+            now_ps,
+            TraceEventKind::DequeuedAt(Level::L2),
+        );
+        match self.cache.commit_read(admitted, fetch, now_ps) {
+            (AccessResult::Hit, Some(mut fetch)) => {
                 fetch.serviced_by = gmh_types::fetch::ServicedBy::L2;
                 fetch.time.l2_done = now_ps;
                 self.port.try_occupy(gmh_types::LINE_SIZE, self.now);
@@ -312,48 +317,23 @@ impl L2Bank {
                     .push((self.now + self.latency, fetch))
                     .expect("fullness checked");
             }
-            _ => {
-                // INVARIANT: front() returned Some above.
-                let fetch = self.access_queue.pop().expect("head exists");
-                match self.cache.access_read(fetch, now_ps) {
-                    (AccessResult::MissIssued, _) => {
-                        trace.record(
-                            head_core,
-                            head_id,
-                            now_ps,
-                            TraceEventKind::DequeuedAt(Level::L2),
-                        );
-                        trace.record(
-                            head_core,
-                            head_id,
-                            now_ps,
-                            TraceEventKind::EnqueuedAt(Level::Dram),
-                        );
-                    }
-                    (AccessResult::MissMerged, _) => {
-                        trace.record(
-                            head_core,
-                            head_id,
-                            now_ps,
-                            TraceEventKind::DequeuedAt(Level::L2),
-                        );
-                        trace.record(
-                            head_core,
-                            head_id,
-                            now_ps,
-                            TraceEventKind::MshrMerged(Level::L2),
-                        );
-                    }
-                    (AccessResult::Hit, _) => unreachable!("probe said miss"),
-                    (AccessResult::Blocked(reason), Some(fetch)) => {
-                        self.record_block(reason, head_core, head_id, now_ps, trace);
-                        self.access_queue
-                            .push_front(fetch)
-                            .unwrap_or_else(|_| panic!("slot just vacated"));
-                    }
-                    (AccessResult::Blocked(_), None) => unreachable!("blocked returns the fetch"),
-                }
+            (AccessResult::MissIssued, _) => {
+                trace.record(
+                    head_core,
+                    head_id,
+                    now_ps,
+                    TraceEventKind::EnqueuedAt(Level::Dram),
+                );
             }
+            (AccessResult::MissMerged, _) => {
+                trace.record(
+                    head_core,
+                    head_id,
+                    now_ps,
+                    TraceEventKind::MshrMerged(Level::L2),
+                );
+            }
+            other => unreachable!("unexpected L2 read outcome: {other:?}"),
         }
     }
 

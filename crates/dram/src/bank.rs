@@ -42,6 +42,21 @@ impl BankState {
         self.open_row.is_some() && now >= self.pre_ready
     }
 
+    /// Earliest cycle an ACT may issue once the bank is closed.
+    pub fn act_ready_at(&self) -> Cycle {
+        self.act_ready
+    }
+
+    /// Earliest cycle a CAS to the open row may issue.
+    pub fn cas_ready_at(&self) -> Cycle {
+        self.cas_ready
+    }
+
+    /// Earliest cycle a PRE of the open row may issue.
+    pub fn pre_ready_at(&self) -> Cycle {
+        self.pre_ready
+    }
+
     /// Issues an ACT for `row` at `now`.
     ///
     /// # Panics

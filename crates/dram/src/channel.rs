@@ -3,7 +3,7 @@
 use crate::bank::BankState;
 use crate::timing::DramTiming;
 use gmh_types::{
-    BoundedQueue, Cycle, EventBound, LineAddr, MemFetch, OccupancyHistogram, RatioStat,
+    BoundedQueue, Cycle, EventBound, LineAddr, MemFetch, OccupancyHistogram, RatioStat, Scratch,
 };
 
 /// Command-scheduling policy of the controller.
@@ -107,6 +107,22 @@ struct Pending {
     visible_at: Cycle,
 }
 
+/// The one command a cycle issues.
+enum Command {
+    /// CAS for the queue entry at `idx`; its burst ends at `data_end`.
+    Cas {
+        idx: usize,
+        data_end: Cycle,
+    },
+    Activate {
+        bank: usize,
+        row: u64,
+    },
+    Precharge {
+        bank: usize,
+    },
+}
+
 /// One DRAM channel (memory partition).
 ///
 /// Drive it by calling [`DramChannel::cycle`] once per DRAM command-clock
@@ -126,6 +142,14 @@ pub struct DramChannel {
     last_cas: Cycle,
     act_allowed_at: Cycle,
     read_allowed_at: Cycle,
+    /// Data-bus cycles one cache line occupies.
+    transfer: Cycle,
+    /// No command can issue before this cycle: the verdict of the last
+    /// cycle whose scan chose nothing, standing until the queue or the
+    /// response slots change ([`DramChannel::push`], the response pops) —
+    /// the only inputs of the scan, besides the clock, that move while no
+    /// command issues.
+    next_cmd_at: Scratch<Cycle>,
     stats: DramStats,
 }
 
@@ -151,6 +175,8 @@ impl DramChannel {
             last_cas: 0,
             act_allowed_at: 0,
             read_allowed_at: 0,
+            transfer: (gmh_types::LINE_SIZE as Cycle).div_ceil(cfg.bus_bytes_per_cycle as Cycle),
+            next_cmd_at: Scratch(0),
             stats: DramStats::default(),
             id,
             cfg,
@@ -220,6 +246,7 @@ impl DramChannel {
                 visible_at: now + self.cfg.fixed_latency,
             })
             .map_err(|p| p.fetch)?;
+        self.next_cmd_at.0 = 0;
         Ok(())
     }
 
@@ -230,14 +257,27 @@ impl DramChannel {
 
     /// Pops a completed read response, if any.
     pub fn pop_response(&mut self) -> Option<MemFetch> {
-        self.response.pop().map(|(_, f)| f)
+        self.pop_response_cas().map(|(_, f)| f)
     }
 
     /// Pops a completed read response together with the DRAM cycle at which
     /// its data burst finished (the CAS completion time, before any
     /// response-queue residency).
     pub fn pop_response_cas(&mut self) -> Option<(Cycle, MemFetch)> {
-        self.response.pop()
+        let popped = self.response.pop();
+        if popped.is_some() {
+            // The freed slot may let a held-back read CAS issue.
+            self.next_cmd_at.0 = 0;
+        }
+        popped
+    }
+
+    /// Drops the standing no-command verdict, so the next cycle scans the
+    /// queue again. Results never depend on it; the fork-and-compare suite
+    /// calls it before every cycle of one copy to prove that.
+    #[doc(hidden)]
+    pub fn forget_standing_verdict(&mut self) {
+        self.next_cmd_at.0 = 0;
     }
 
     /// Peeks the oldest completed read response without removing it, so
@@ -249,10 +289,6 @@ impl DramChannel {
     /// Whether any work (queued, in flight, or buffered responses) remains.
     pub fn is_idle(&self) -> bool {
         self.queue.is_empty() && self.in_flight.is_empty() && self.response.is_empty()
-    }
-
-    fn transfer_cycles(&self) -> Cycle {
-        (gmh_types::LINE_SIZE as Cycle).div_ceil(self.cfg.bus_bytes_per_cycle as Cycle)
     }
 
     /// Conservative idle probe for the fast-forward scheduler. `now` is the
@@ -328,123 +364,132 @@ impl DramChannel {
             self.stats.efficiency.add(0, 1);
         }
 
-        // One command per cycle: CAS (first-ready) > ACT > PRE, each FCFS
-        // within its class.
-        if self.try_cas(now) {
+        // One command per cycle. While the last scan's verdict stands, no
+        // command can issue and the cycle is done.
+        if now < self.next_cmd_at.0 {
             return;
         }
-        if self.try_activate(now) {
-            return;
+        match self.choose(now) {
+            Ok(cmd) => self.issue(cmd, now),
+            Err(next_cmd_at) => self.next_cmd_at.0 = next_cmd_at,
         }
-        self.try_precharge(now);
     }
 
-    fn try_cas(&mut self, now: Cycle) -> bool {
-        if now < self.last_cas + self.cfg.timing.ccd && self.stats.reads + self.stats.writes > 0 {
-            return false;
-        }
-        let t = self.cfg.timing;
-        let transfer = self.transfer_cycles();
-        let mut chosen = None;
-        for (idx, p) in self.queue.iter().enumerate() {
-            if p.visible_at > now {
-                continue;
-            }
-            let bank = &self.banks[p.bank];
-            if bank.open_row() != Some(p.row) || !bank.can_cas(now) {
-                if self.cfg.policy == SchedPolicy::Fcfs {
-                    break; // strict order: nothing younger may pass
-                }
-                continue;
-            }
-            let lat = if p.is_write { t.wl } else { t.cl };
-            let data_start = now + lat;
-            if data_start < self.bus_free_at {
-                continue;
-            }
-            if !p.is_write {
-                if now < self.read_allowed_at {
-                    continue; // write-to-read turnaround (tCDLR)
-                }
-                // Reserve a response slot for the read.
-                if self.in_flight.len() + self.response.len() >= self.response.capacity() {
-                    continue;
-                }
-            }
-            chosen = Some((idx, data_start + transfer));
-            break;
-        }
-        let Some((idx, data_end)) = chosen else {
-            return false;
-        };
-        // INVARIANT: idx came from enumerating the queue this cycle.
-        let p = self.queue.remove(idx).expect("index valid");
-        self.banks[p.bank].cas(now, p.is_write, data_end, &t);
-        self.bus_free_at = data_end;
-        self.last_cas = now;
-        self.stats.efficiency.add(transfer, 0);
-        if p.is_write {
-            self.stats.writes += 1;
-            self.read_allowed_at = self.read_allowed_at.max(data_end + t.cdlr);
-            // Writes complete silently; the fetch is dropped.
+    /// Picks this cycle's command in one pass over the scheduler queue: CAS
+    /// (first-ready) > ACT > PRE, each FCFS within its class. `Err` is the
+    /// earliest cycle at which any command could issue if neither the queue
+    /// nor the response slots change before then.
+    ///
+    /// Every gate of every command is "`now` has reached some time" over
+    /// state that only an issued command, a push or a response pop moves,
+    /// so each entry has a fixed cycle from which it is ready — hidden
+    /// entry: not before `visible_at`; row hit: tCCD, the bank's tRCD, the
+    /// data bus and (reads) the write-to-read turnaround, never for a read
+    /// without a response slot; row conflict: the bank's PRE-ready time;
+    /// closed bank: its ACT-ready time and tRRD — and nothing issues before
+    /// the earliest of them. Strict FCFS only narrows the candidates, so
+    /// the same bound holds there, conservatively.
+    fn choose(&self, now: Cycle) -> Result<Command, Cycle> {
+        let t = &self.cfg.timing;
+        let fcfs = self.cfg.policy == SchedPolicy::Fcfs;
+        let cas_gate_at = if self.stats.reads + self.stats.writes > 0 {
+            self.last_cas + t.ccd
         } else {
-            self.stats.reads += 1;
-            self.in_flight.push((data_end, p.fetch));
-        }
-        true
-    }
-
-    fn try_activate(&mut self, now: Cycle) -> bool {
-        if now < self.act_allowed_at {
-            return false;
-        }
-        let mut chosen = None;
-        for p in self.queue.iter() {
-            if p.visible_at > now {
-                continue;
-            }
-            if self.banks[p.bank].can_activate(now) {
-                chosen = Some((p.bank, p.row));
-                break;
-            }
-            if self.cfg.policy == SchedPolicy::Fcfs {
-                break;
-            }
-        }
-        let Some((bank, row)) = chosen else {
-            return false;
+            0
         };
-        let t = self.cfg.timing;
-        self.banks[bank].activate(row, now, &t);
-        self.act_allowed_at = now + t.rrd;
-        self.stats.activates += 1;
-        true
-    }
-
-    fn try_precharge(&mut self, now: Cycle) -> bool {
-        let mut chosen = None;
-        for p in self.queue.iter() {
-            if p.visible_at > now {
-                continue;
-            }
+        // Space was reserved at CAS issue for every burst in flight.
+        let read_slot_free = self.in_flight.len() + self.response.len() < self.response.capacity();
+        let (mut cas_open, mut act_open, mut pre_open) = (true, true, true);
+        let (mut act, mut pre) = (None, None);
+        let mut next_cmd_at = Cycle::MAX;
+        for (idx, p) in self.queue.iter().enumerate() {
             let bank = &self.banks[p.bank];
-            if bank.open_row().is_some()
-                && bank.open_row() != Some(p.row)
-                && bank.can_precharge(now)
-            {
-                chosen = Some(p.bank);
-                break;
+            // The one command this entry can ask for in the bank's present
+            // state, and the cycle from which that state allows it.
+            let (candidate, state_ready_at) = match bank.open_row() {
+                Some(row) if row == p.row => {
+                    let lat = if p.is_write { t.wl } else { t.cl };
+                    let at = cas_gate_at
+                        .max(bank.cas_ready_at())
+                        .max(self.bus_free_at.saturating_sub(lat));
+                    let at = if p.is_write {
+                        at
+                    } else if read_slot_free {
+                        at.max(self.read_allowed_at) // write-to-read turnaround (tCDLR)
+                    } else {
+                        Cycle::MAX
+                    };
+                    let data_end = now + lat + self.transfer;
+                    (Command::Cas { idx, data_end }, at)
+                }
+                Some(_) => (Command::Precharge { bank: p.bank }, bank.pre_ready_at()),
+                None => (
+                    Command::Activate {
+                        bank: p.bank,
+                        row: p.row,
+                    },
+                    bank.act_ready_at().max(self.act_allowed_at),
+                ),
+            };
+            let ready_at = state_ready_at.max(p.visible_at);
+            next_cmd_at = next_cmd_at.min(ready_at);
+            if p.visible_at > now {
+                continue;
             }
-            if self.cfg.policy == SchedPolicy::Fcfs {
-                break;
+            let row_hit = matches!(candidate, Command::Cas { .. });
+            if ready_at <= now {
+                match candidate {
+                    Command::Cas { .. } if cas_open => return Ok(candidate),
+                    Command::Activate { .. } if act_open => {
+                        act.get_or_insert(candidate);
+                    }
+                    Command::Precharge { .. } if pre_open => {
+                        pre.get_or_insert(candidate);
+                    }
+                    _ => {}
+                }
+            }
+            if fcfs {
+                // Strict order: only the oldest visible request may open or
+                // close a row, and no CAS passes an older request whose row
+                // is not open and past tRCD.
+                act_open = false;
+                pre_open = false;
+                cas_open &= row_hit && bank.can_cas(now);
             }
         }
-        let Some(bank) = chosen else {
-            return false;
-        };
-        self.banks[bank].precharge(now, &self.cfg.timing);
-        self.stats.precharges += 1;
-        true
+        act.or(pre).ok_or(next_cmd_at)
+    }
+
+    fn issue(&mut self, cmd: Command, now: Cycle) {
+        let t = self.cfg.timing;
+        match cmd {
+            Command::Cas { idx, data_end } => {
+                // INVARIANT: idx came from enumerating the queue this cycle.
+                let p = self.queue.remove(idx).expect("index valid");
+                self.banks[p.bank].cas(now, p.is_write, data_end, &t);
+                self.bus_free_at = data_end;
+                self.last_cas = now;
+                self.stats.efficiency.add(self.transfer, 0);
+                if p.is_write {
+                    self.stats.writes += 1;
+                    self.read_allowed_at = self.read_allowed_at.max(data_end + t.cdlr);
+                    // Writes complete silently; the fetch is dropped.
+                } else {
+                    self.stats.reads += 1;
+                    self.in_flight.push((data_end, p.fetch));
+                }
+            }
+            Command::Activate { bank, row } => {
+                self.banks[bank].activate(row, now, &t);
+                self.act_allowed_at = now + t.rrd;
+                self.stats.activates += 1;
+            }
+            Command::Precharge { bank } => {
+                self.banks[bank].precharge(now, &t);
+                self.stats.precharges += 1;
+            }
+        }
     }
 }
 

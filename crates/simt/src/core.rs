@@ -218,6 +218,14 @@ impl SimtCore {
         &self.l1i
     }
 
+    /// Drops both L1s' standing blocks (see
+    /// [`Cache::forget_standing_block`]); results never depend on it.
+    #[doc(hidden)]
+    pub fn forget_standing_blocks(&mut self) {
+        self.l1d.forget_standing_block();
+        self.l1i.forget_standing_block();
+    }
+
     /// Whether every warp has issued its whole stream and all memory
     /// activity visible to the core has drained. O(1): warps are counted
     /// into `n_drained` as they drain, and every queue length is cached.
@@ -545,32 +553,41 @@ impl SimtCore {
             debug_assert!(self.warps.iter().all(|w| !w.needs_fetch()));
             return;
         }
-        let n = self.warps.len();
-        let Some(offset) = (0..n).find(|k| self.warps[(self.fetch_rr + k) % n].needs_fetch())
+        // Round-robin from `fetch_rr` over the needs-fetch mirror.
+        let (wrapped, ahead) = self.need_fetch.split_at(self.fetch_rr);
+        let Some(wid) = ahead
+            .iter()
+            .position(|&need| need)
+            .map(|k| self.fetch_rr + k)
+            .or_else(|| wrapped.iter().position(|&need| need))
         else {
             return;
         };
-        let wid = (self.fetch_rr + offset) % n;
-        self.fetch_rr = (wid + 1) % n;
+        debug_assert!(self.warps[wid].needs_fetch());
+        self.fetch_rr = if wid + 1 == self.warps.len() {
+            0
+        } else {
+            wid + 1
+        };
 
         let group = self.warps[wid].fetch_group();
         let line = LineAddr::new(CODE_SEGMENT_BASE + group % self.code_lines);
+        // A refused attempt still consumes an id: the warp retries the same
+        // group under a fresh one.
         let id = self.alloc_fetch_id();
+        let Ok(admitted) = self.l1i.admit_read(line) else {
+            // I-cache resources exhausted; the cycle shows up as a fetch
+            // hazard at issue.
+            return;
+        };
+        // Only an admitted fetch is sampled: tracing a refused attempt
+        // would leak half-traced fetches into the sink.
         let fetch = MemFetch::new(id, self.id, wid, AccessKind::InstFetch, line, now_ps);
-        // Sample the fetch only once the access succeeds: a blocked attempt
-        // retries under a fresh id next cycle, which would leak half-traced
-        // fetches into the sink.
-        let probe = fetch.clone();
-        match self.l1i.access_read(fetch, now_ps) {
+        trace.issued(&fetch, now_ps);
+        match self.l1i.commit_read(admitted, fetch, now_ps) {
             (AccessResult::Hit, _) => {
-                trace.issued(&probe, now_ps);
-                trace.record(
-                    self.id,
-                    probe.id,
-                    now_ps,
-                    TraceEventKind::ServicedAt(Level::L1),
-                );
-                trace.record(self.id, probe.id, now_ps, TraceEventKind::Returned);
+                trace.record(self.id, id, now_ps, TraceEventKind::ServicedAt(Level::L1));
+                trace.record(self.id, id, now_ps, TraceEventKind::Returned);
                 self.warps[wid].advance_fetch_group();
                 let src = &mut self.source;
                 let n_insts = self.cfg.ibuffer_size;
@@ -581,34 +598,18 @@ impl SimtCore {
                 self.issue_dirty = true;
             }
             (AccessResult::MissIssued, _) => {
-                trace.issued(&probe, now_ps);
-                trace.record(
-                    self.id,
-                    probe.id,
-                    now_ps,
-                    TraceEventKind::EnqueuedAt(Level::L1),
-                );
+                trace.record(self.id, id, now_ps, TraceEventKind::EnqueuedAt(Level::L1));
                 // The refill completes when the response arrives (see
                 // `fetch_returned`); the group advances there.
                 self.warps[wid].set_fetch_outstanding();
                 self.update_fetch_need(wid);
             }
             (AccessResult::MissMerged, _) => {
-                trace.issued(&probe, now_ps);
-                trace.record(
-                    self.id,
-                    probe.id,
-                    now_ps,
-                    TraceEventKind::MshrMerged(Level::L1),
-                );
+                trace.record(self.id, id, now_ps, TraceEventKind::MshrMerged(Level::L1));
                 self.warps[wid].set_fetch_outstanding();
                 self.update_fetch_need(wid);
             }
-            (AccessResult::Blocked(_), _) => {
-                // I-cache resources exhausted; the warp retries the same
-                // group next cycle and the cycle shows up as a fetch hazard
-                // at issue.
-            }
+            (AccessResult::Blocked(_), _) => unreachable!("admitted accesses never block"),
         }
     }
 
@@ -760,62 +761,53 @@ impl SimtCore {
         }
     }
 
-    /// One L1D access attempt per cycle from the memory pipeline head.
+    /// One L1D access attempt per cycle from the memory pipeline head. The
+    /// head leaves the pipeline only once the L1 admits it; a refusal
+    /// (replayed from the cache's standing block while nothing changed)
+    /// charges the stall and leaves the pipeline as it is.
     fn lsu_stage(&mut self, now_ps: Picos, trace: &mut TraceSink) {
         let Some(head) = self.lsu.head() else {
             return;
         };
-        let is_store = head.kind == AccessKind::Store;
-        if is_store {
-            // INVARIANT: head() returned Some above.
-            let fetch = self.lsu.pop().expect("head exists");
-            let fid = fetch.id;
-            match self.l1d.access_write(fetch, now_ps) {
-                (WriteOutcome::Absorbed, _) => {
-                    trace.record(self.id, fid, now_ps, TraceEventKind::Absorbed);
-                    // The LSU drained a slot; a str-MEM warp may now issue.
-                    self.issue_dirty = true;
-                }
-                (WriteOutcome::Forwarded, _) => {
-                    trace.record(self.id, fid, now_ps, TraceEventKind::EnqueuedAt(Level::L1));
-                    self.issue_dirty = true;
-                }
-                (WriteOutcome::Blocked(reason), Some(fetch)) => {
-                    self.record_l1_block(reason, fid, now_ps, trace);
-                    // Put the store back at the head position: the LSU is a
-                    // FIFO, so we re-push only if empty... instead, model the
-                    // retry by a dedicated slot.
-                    self.lsu.push_front(fetch);
-                }
-                (WriteOutcome::Blocked(_), None) => unreachable!("blocked returns the fetch"),
-            }
+        let (fid, line) = (head.id, head.line);
+        let admitted = if head.kind == AccessKind::Store {
+            self.l1d.admit_write(line)
         } else {
-            // INVARIANT: head() returned Some above.
-            let fetch = self.lsu.pop().expect("head exists");
-            let fid = fetch.id;
-            match self.l1d.access_read(fetch, now_ps) {
-                (AccessResult::Hit, Some(f)) => {
-                    trace.record(self.id, fid, now_ps, TraceEventKind::ServicedAt(Level::L1));
-                    trace.record(self.id, fid, now_ps, TraceEventKind::Returned);
-                    // L1 hits complete through the pipelined hit path.
-                    self.warps[f.warp_id].load_returned();
-                    self.update_drained(f.warp_id);
-                    self.issue_dirty = true;
-                }
-                (AccessResult::MissIssued, _) => {
-                    trace.record(self.id, fid, now_ps, TraceEventKind::EnqueuedAt(Level::L1));
-                    self.issue_dirty = true;
-                }
-                (AccessResult::MissMerged, _) => {
-                    trace.record(self.id, fid, now_ps, TraceEventKind::MshrMerged(Level::L1));
-                    self.issue_dirty = true;
-                }
-                (AccessResult::Blocked(reason), Some(fetch)) => {
-                    self.record_l1_block(reason, fid, now_ps, trace);
-                    self.lsu.push_front(fetch);
-                }
-                other => unreachable!("unexpected L1 read outcome: {other:?}"),
+            self.l1d.admit_read(line)
+        };
+        let admitted = match admitted {
+            Ok(admitted) => admitted,
+            Err(reason) => return self.record_l1_block(reason, fid, now_ps, trace),
+        };
+        // INVARIANT: head() returned Some above.
+        let fetch = self.lsu.pop().expect("head exists");
+        // The LSU drained a slot (a str-MEM warp may now issue), and a hit
+        // releases a pending load.
+        self.issue_dirty = true;
+        if fetch.kind == AccessKind::Store {
+            let done = match self.l1d.commit_write(admitted, fetch, now_ps) {
+                WriteOutcome::Absorbed => TraceEventKind::Absorbed,
+                WriteOutcome::Forwarded => TraceEventKind::EnqueuedAt(Level::L1),
+                WriteOutcome::Blocked(_) => unreachable!("admitted accesses never block"),
+            };
+            trace.record(self.id, fid, now_ps, done);
+            return;
+        }
+        match self.l1d.commit_read(admitted, fetch, now_ps) {
+            (AccessResult::Hit, Some(f)) => {
+                trace.record(self.id, fid, now_ps, TraceEventKind::ServicedAt(Level::L1));
+                trace.record(self.id, fid, now_ps, TraceEventKind::Returned);
+                // L1 hits complete through the pipelined hit path.
+                self.warps[f.warp_id].load_returned();
+                self.update_drained(f.warp_id);
             }
+            (AccessResult::MissIssued, _) => {
+                trace.record(self.id, fid, now_ps, TraceEventKind::EnqueuedAt(Level::L1));
+            }
+            (AccessResult::MissMerged, _) => {
+                trace.record(self.id, fid, now_ps, TraceEventKind::MshrMerged(Level::L1));
+            }
+            other => unreachable!("unexpected L1 read outcome: {other:?}"),
         }
     }
 

@@ -65,19 +65,6 @@ impl LoadStoreUnit {
     pub fn pop(&mut self) -> Option<MemFetch> {
         self.queue.pop()
     }
-
-    /// Restores a rejected access to the head of the pipeline (the L1
-    /// blocked it; it retries next cycle).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pipeline is full — impossible when restoring an access
-    /// popped this cycle.
-    pub fn push_front(&mut self, fetch: MemFetch) {
-        self.queue
-            .push_front(fetch)
-            .unwrap_or_else(|_| panic!("LSU push_front on full pipeline"));
-    }
 }
 
 #[cfg(test)]

@@ -31,6 +31,7 @@ pub mod hash;
 pub mod prof;
 pub mod queue;
 pub mod rng;
+pub mod scratch;
 pub mod stats;
 pub mod telemetry;
 pub mod timeq;
@@ -43,6 +44,7 @@ pub use hash::{stable_hash_str, StableHasher};
 pub use prof::{HostPhase, HostProfiler, HostReport, LaneData, LaneProf, SpanEvent};
 pub use queue::{BoundedQueue, OccupancyHistogram};
 pub use rng::Xoshiro256;
+pub use scratch::Scratch;
 pub use stats::{Counter, Histogram, LatencyHistogram, MeanAccumulator, RatioStat};
 pub use telemetry::{AuditSummary, FetchAudit, SeriesId, Telemetry, TelemetrySnapshot};
 pub use timeq::TimeQ;

@@ -21,45 +21,31 @@ pub struct OccupancyHistogram {
 }
 
 impl OccupancyHistogram {
+    /// The bucket a sample of `len` of `cap` entries falls in; `None`
+    /// outside the usage lifetime (`len == 0`).
+    fn bucket(len: usize, cap: usize) -> Option<usize> {
+        if len == 0 || cap == 0 {
+            None
+        } else if len >= cap {
+            Some(4)
+        } else {
+            // Strictly-below-capacity entries fall in quartile buckets.
+            Some(((4 * len) / cap).min(3))
+        }
+    }
+
     /// Records one cycle with `len` of `cap` entries occupied.
     /// Cycles with `len == 0` are outside the usage lifetime and ignored.
     pub fn record(&mut self, len: usize, cap: usize) {
-        if len == 0 || cap == 0 {
-            return;
-        }
-        let idx = if len >= cap {
-            4
-        } else {
-            // Strictly-below-capacity entries fall in quartile buckets.
-            match (4 * len) / cap {
-                0 => 0,
-                1 => 1,
-                2 => 2,
-                _ => 3,
-            }
-        };
-        self.buckets[idx] += 1;
+        self.record_n(len, cap, 1);
     }
 
     /// Records `count` cycles with the same `len` of `cap` entries
-    /// occupied — the bulk form of [`OccupancyHistogram::record`], used
-    /// when the fast-forward scheduler replays skipped cycles over a
-    /// frozen queue.
+    /// occupied — the bulk form of [`OccupancyHistogram::record`].
     pub fn record_n(&mut self, len: usize, cap: usize, count: u64) {
-        if len == 0 || cap == 0 {
-            return;
+        if let Some(idx) = Self::bucket(len, cap) {
+            self.buckets[idx] += count;
         }
-        let idx = if len >= cap {
-            4
-        } else {
-            match (4 * len) / cap {
-                0 => 0,
-                1 => 1,
-                2 => 2,
-                _ => 3,
-            }
-        };
-        self.buckets[idx] += count;
     }
 
     /// Raw cycle counts per bucket.
@@ -121,6 +107,9 @@ impl OccupancyHistogram {
 pub struct BoundedQueue<T> {
     items: VecDeque<T>,
     capacity: usize,
+    /// Smallest length falling in occupancy buckets 1..=4, fixed at
+    /// construction so the per-cycle sample compares instead of dividing.
+    bucket_floor: [usize; OCCUPANCY_BUCKETS - 1],
     hist: OccupancyHistogram,
 }
 
@@ -135,6 +124,7 @@ impl<T> BoundedQueue<T> {
         BoundedQueue {
             items: VecDeque::with_capacity(capacity),
             capacity,
+            bucket_floor: [1, 2, 3, 4].map(|k| (k * capacity).div_ceil(4)),
             hist: OccupancyHistogram::default(),
         }
     }
@@ -179,17 +169,6 @@ impl<T> BoundedQueue<T> {
         self.items.pop_front()
     }
 
-    /// Reinserts an item at the *front* (it becomes the next pop). Used to
-    /// undo a speculative pop when the consumer rejected the item.
-    pub fn push_front(&mut self, item: T) -> Result<(), T> {
-        if self.is_full() {
-            Err(item)
-        } else {
-            self.items.push_front(item);
-            Ok(())
-        }
-    }
-
     /// Borrows the oldest item without removing it.
     pub fn front(&self) -> Option<&T> {
         self.items.front()
@@ -214,13 +193,17 @@ impl<T> BoundedQueue<T> {
     /// Records this cycle's occupancy into the histogram. Call once per
     /// cycle of the owning clock domain.
     pub fn sample_occupancy(&mut self) {
-        self.hist.record(self.items.len(), self.capacity);
+        self.sample_occupancy_n(1);
     }
 
     /// Records `count` cycles of the current (frozen) occupancy at once;
     /// the fast-forward counterpart of [`BoundedQueue::sample_occupancy`].
     pub fn sample_occupancy_n(&mut self, count: u64) {
-        self.hist.record_n(self.items.len(), self.capacity, count);
+        let len = self.items.len();
+        if len > 0 {
+            let idx = self.bucket_floor.iter().filter(|&&f| len >= f).count();
+            self.hist.buckets[idx] += count;
+        }
     }
 
     /// The accumulated occupancy histogram.
@@ -268,23 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn push_front_restores_order() {
-        let mut q = BoundedQueue::new(3);
-        q.push(2).unwrap();
-        q.push(3).unwrap();
-        q.push_front(1).unwrap();
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-    }
-
-    #[test]
-    fn push_front_full_rejects() {
-        let mut q = BoundedQueue::new(1);
-        q.push(1).unwrap();
-        assert_eq!(q.push_front(0), Err(0));
-    }
-
-    #[test]
     fn remove_by_index() {
         let mut q = BoundedQueue::new(4);
         for i in 0..4 {
@@ -312,6 +278,21 @@ mod tests {
         h.record(8, 8); // 100%  -> bucket 4
         assert_eq!(h.buckets(), [1, 1, 1, 1, 1]);
         assert!((h.full_fraction() - 0.2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn queue_samples_match_the_dividing_histogram() {
+        for cap in 1..=40usize {
+            let mut q = BoundedQueue::new(cap);
+            let mut want = OccupancyHistogram::default();
+            for len in 0..=cap {
+                q.sample_occupancy();
+                q.sample_occupancy_n(3);
+                want.record_n(len, cap, 4);
+                let _ = q.push(0u8);
+            }
+            assert_eq!(q.occupancy(), &want, "capacity {cap}");
+        }
     }
 
     #[test]

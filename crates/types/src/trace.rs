@@ -236,8 +236,10 @@ pub struct TraceSink {
     /// pure function of `(seed, sample_denom, core, fetch)` — all fixed at
     /// construction — so a hit is always valid and the memo never needs
     /// invalidation. Sized for the stalled-head pattern where the same
-    /// fetch is re-queried every cycle.
-    admit_memo: [(usize, FetchId, bool); ADMIT_MEMO_SLOTS],
+    /// fetch is re-queried every cycle. Empty unless the sink samples a
+    /// fraction (`sample_denom > 1`), the only case that consults it: a
+    /// disabled sink is built per call by the untraced `cycle()` wrappers.
+    admit_memo: Vec<(usize, FetchId, bool)>,
     tracked: BTreeMap<(usize, FetchId), Tracked>,
     events: Vec<TraceEvent>,
     sampled: u64,
@@ -268,7 +270,11 @@ impl TraceSink {
             admit_prefix,
             // `tracks()` rejects `usize::MAX` cores, so this key can never
             // collide with a real query — every slot starts as a miss.
-            admit_memo: [(usize::MAX, u64::MAX, false); ADMIT_MEMO_SLOTS],
+            admit_memo: if sample_denom > 1 {
+                vec![(usize::MAX, u64::MAX, false); ADMIT_MEMO_SLOTS]
+            } else {
+                Vec::new()
+            },
             tracked: BTreeMap::new(),
             events: Vec::new(),
             sampled: 0,

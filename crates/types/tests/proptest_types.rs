@@ -42,18 +42,8 @@ proptest! {
                     }
                     next += 1;
                 }
-                2 => {
-                    prop_assert_eq!(q.pop(), model.pop_front());
-                }
                 _ => {
-                    let r = q.push_front(next);
-                    if model.len() < cap {
-                        prop_assert!(r.is_ok());
-                        model.push_front(next);
-                    } else {
-                        prop_assert_eq!(r, Err(next));
-                    }
-                    next += 1;
+                    prop_assert_eq!(q.pop(), model.pop_front());
                 }
             }
             prop_assert_eq!(q.len(), model.len());
