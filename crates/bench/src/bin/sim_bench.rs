@@ -1,6 +1,6 @@
 //! `sim-bench`: simulator throughput with lifecycle tracing off vs on,
-//! plus a per-phase wall-time breakdown of the run loop and a host-side
-//! self-profile of the scheduler.
+//! the event core against the naive loop, and a host-side self-profile of
+//! the run loop.
 //!
 //! Runs a small batch of catalog workloads twice — once with tracing
 //! disabled (`trace_sample = 0`, the disabled sink costs one branch per
@@ -9,21 +9,16 @@
 //! percentage. The overhead is defined as *throughput loss*,
 //! `(1 - on_cps / off_cps) · 100`, so the headline number is directly
 //! comparable across machines and batch sizes (wall-seconds ratios are
-//! not: they inflate the same slowdown on a slower host). A third pass
-//! with `profile_phases` on attributes the wall time to core /
-//! interconnect / DRAM ticks, telemetry sampling and the fast-forward
-//! scheduler (probe cost and ticks skipped); a sweep runs the tracing-off
-//! batch at 1/2/4/8 scheduler threads and cross-checks that every thread
-//! count reproduces the serial IPCs bit-identically.
+//! not: they inflate the same slowdown on a slower host).
 //!
-//! Two further passes run the host span profiler (`profile_host`): a
-//! serial one whose throughput loss against the off pass is the honestly
-//! measured profiler overhead, and a pooled one (2 scheduler threads)
-//! that attributes coordinator and worker wall time to dispatch / region
-//! execution / barrier wait / trace merge. With `--profile-host` the
-//! pooled pass also prints the per-phase/per-worker utilization table and
-//! writes a Perfetto-loadable host-timeline trace. Every pass must
-//! reproduce the serial IPCs bit-identically — profiling is observation.
+//! A further pass runs the host span profiler (`profile_host`): its
+//! throughput loss against the off pass is the honestly measured profiler
+//! overhead, and its spans attribute the wall time to core / interconnect
+//! / L2 / DRAM ticks, telemetry sampling, scheduler wakes and fast-forward
+//! jumps. With `--profile-host` the pass also prints the per-phase
+//! utilization table and writes a Perfetto-loadable host-timeline trace.
+//! Every pass must reproduce the same IPCs bit-identically — tracing and
+//! profiling are observation, the event core an execution strategy.
 //!
 //! Writes `BENCH_sim.json` at the repo root (full mode; `--out PATH`
 //! overrides, and also enables the write in `--smoke`/`--quick` so CI can
@@ -34,7 +29,7 @@
 //!     [--quick | --smoke] [--profile-host] [--out PATH] [--trace-out PATH]
 //! ```
 
-use gmh_core::{FastForwardStats, GpuConfig, GpuSim, PhaseProfile};
+use gmh_core::{GpuConfig, GpuSim};
 use gmh_exp::{host_trace_json, utilization_table};
 use gmh_types::prof::{HostPhase, HostReport};
 use gmh_workloads::catalog;
@@ -53,17 +48,6 @@ const BURSTY_WORKLOADS: &[&str] = &["burst", "lull", "solo"];
 /// overhaul, kept for the speedup line in the report.
 const PRE_OVERHAUL_CPS: f64 = 86_849.3;
 
-/// Scheduler thread counts for the scaling sweep beyond the serial run
-/// (the 1-thread row reuses the tracing-off pass — it is the same
-/// configuration, so measuring it twice would only add noise between two
-/// numbers the gate expects to agree).
-const THREAD_SWEEP: &[usize] = &[2, 4, 8];
-
-/// Scheduler width of the pooled host-profile pass: the smallest width
-/// that exercises every coordinator/worker lane phase, cheap enough to
-/// run on every invocation so the JSON schema never depends on flags.
-const HOST_POOL_THREADS: usize = 2;
-
 /// Timing repetitions per measured pass. Every throughput number is the
 /// *fastest* of N runs: interference noise (scheduler preemption, page
 /// cache, a co-tenant burning the core) is strictly one-sided — it only
@@ -71,25 +55,15 @@ const HOST_POOL_THREADS: usize = 2;
 /// keeps the bench_diff gate from tripping on host noise. Simulation
 /// results are asserted identical across repetitions, so the choice of
 /// rep changes no reported cycle or IPC.
-fn timing_reps(smoke_or_quick: bool) -> usize {
-    if smoke_or_quick {
-        3
-    } else {
-        // Full rounds are minutes apart (the thread sweep runs inside each
-        // round), so two samples leave the min hostage to one bad window;
-        // three is where the min stops moving on the 1-vCPU host.
-        3
-    }
-}
+const TIMING_REPS: usize = 3;
 
-/// One pass over a workload batch at a given scheduler width; returns
-/// (elapsed seconds, total core cycles, per-workload IPC). `naive` pins
-/// the one-tick oracle loop (event scheduler off).
+/// One pass over a workload batch; returns (elapsed seconds, total core
+/// cycles, per-workload IPC). `naive` pins the one-tick oracle loop (event
+/// scheduler off).
 fn run_batch(
     workloads: &[&str],
     trace_sample: u64,
     max_cycles: u64,
-    threads: usize,
     naive: bool,
 ) -> (f64, u64, Vec<f64>) {
     let started = Instant::now();
@@ -99,7 +73,6 @@ fn run_batch(
         let mut cfg = GpuConfig::gtx480_baseline();
         cfg.max_core_cycles = max_cycles;
         cfg.trace_sample = trace_sample;
-        cfg.sim_threads = threads;
         cfg.force_naive_loop = naive;
         let wl = catalog::by_name(name).expect("catalog workload");
         let stats = GpuSim::new(cfg, &wl).run();
@@ -110,8 +83,8 @@ fn run_batch(
 }
 
 /// The standard saturated-trio pass (event core on).
-fn run_pass(trace_sample: u64, max_cycles: u64, threads: usize) -> (f64, u64, Vec<f64>) {
-    run_batch(WORKLOADS, trace_sample, max_cycles, threads, false)
+fn run_pass(trace_sample: u64, max_cycles: u64) -> (f64, u64, Vec<f64>) {
+    run_batch(WORKLOADS, trace_sample, max_cycles, false)
 }
 
 /// Folds one repetition of a timed pass into its best-of-N slot: keeps
@@ -128,104 +101,79 @@ fn fold_pass(slot: &mut Option<(f64, u64, Vec<f64>)>, next: (f64, u64, Vec<f64>)
     }
 }
 
-/// The profiled pass: tracing off, phase timers on. Returns the summed
-/// per-phase profile, fast-forward counters and per-workload IPC (which
-/// must match the unprofiled passes — the timers are pure observation).
-fn run_profiled(max_cycles: u64) -> (PhaseProfile, FastForwardStats, Vec<f64>) {
-    let mut profile = PhaseProfile::default();
-    let mut ff = FastForwardStats::default();
-    let mut ipcs = Vec::new();
-    for name in WORKLOADS {
-        let mut cfg = GpuConfig::gtx480_baseline();
-        cfg.max_core_cycles = max_cycles;
-        cfg.profile_phases = true;
-        let wl = catalog::by_name(name).expect("catalog workload");
-        let mut sim = GpuSim::new(cfg, &wl);
-        let stats = sim.run();
-        ipcs.push(stats.ipc);
-        let p = sim.phase_profile();
-        profile.core += p.core;
-        profile.icnt += p.icnt;
-        profile.dram += p.dram;
-        profile.telemetry += p.telemetry;
-        profile.fast_forward += p.fast_forward;
-        let f = sim.ff_stats();
-        ff.jumps += f.jumps;
-        ff.skipped_core += f.skipped_core;
-        ff.skipped_icnt += f.skipped_icnt;
-        ff.skipped_dram += f.skipped_dram;
-        ff.busy_core += f.busy_core;
-        ff.busy_icnt += f.busy_icnt;
-        ff.busy_bank += f.busy_bank;
-        ff.busy_dram += f.busy_dram;
-        ff.zero_window += f.zero_window;
-    }
-    (profile, ff, ipcs)
+/// A host-profiled pass (`profile_host` on, tracing off).
+struct HostPass {
+    seconds: f64,
+    cycles: u64,
+    ipcs: Vec<f64>,
+    /// One report per workload.
+    reports: Vec<HostReport>,
+    /// Fast-forward jumps and ticks skipped, summed over the batch.
+    ff_jumps: u64,
+    ff_skipped: u64,
 }
 
-/// A host-profiled pass (`profile_host` on, tracing off): returns elapsed
-/// seconds, total cycles, per-workload IPC and one [`HostReport`] per
-/// workload.
-fn run_host_pass(max_cycles: u64, threads: usize) -> (f64, u64, Vec<f64>, Vec<HostReport>) {
+fn run_host_pass(max_cycles: u64) -> HostPass {
     let started = Instant::now();
-    let mut cycles = 0u64;
-    let mut ipcs = Vec::new();
-    let mut reports = Vec::new();
+    let mut pass = HostPass {
+        seconds: 0.0,
+        cycles: 0,
+        ipcs: Vec::new(),
+        reports: Vec::new(),
+        ff_jumps: 0,
+        ff_skipped: 0,
+    };
     for name in WORKLOADS {
         let mut cfg = GpuConfig::gtx480_baseline();
         cfg.max_core_cycles = max_cycles;
         cfg.profile_host = true;
-        cfg.sim_threads = threads;
         let wl = catalog::by_name(name).expect("catalog workload");
         let mut sim = GpuSim::new(cfg, &wl);
         let stats = sim.run();
-        cycles += stats.core_cycles;
-        ipcs.push(stats.ipc);
-        reports.push(sim.take_host_report().expect("profile_host was on"));
+        pass.cycles += stats.core_cycles;
+        pass.ipcs.push(stats.ipc);
+        pass.ff_jumps += sim.ff_stats().jumps;
+        pass.ff_skipped += sim.ff_stats().skipped_total();
+        pass.reports
+            .push(sim.take_host_report().expect("profile_host was on"));
     }
-    (started.elapsed().as_secs_f64(), cycles, ipcs, reports)
+    pass.seconds = started.elapsed().as_secs_f64();
+    pass
 }
 
 /// As [`fold_pass`], for the host-profiled pass: the fastest repetition
 /// keeps its reports too — the undisturbed run is the one whose
-/// attribution reflects the scheduler, not the interference.
-fn fold_host_pass(
-    slot: &mut Option<(f64, u64, Vec<f64>, Vec<HostReport>)>,
-    next: (f64, u64, Vec<f64>, Vec<HostReport>),
-) {
+/// attribution reflects the run loop, not the interference.
+fn fold_host_pass(slot: &mut Option<HostPass>, next: HostPass) {
     match slot {
         None => *slot = Some(next),
         Some(best) => {
-            assert_eq!(best.1, next.1, "repetitions simulate identical work");
-            assert_eq!(best.2, next.2, "repetitions reproduce identical IPCs");
-            if next.0 < best.0 {
+            assert_eq!(
+                best.cycles, next.cycles,
+                "repetitions simulate identical work"
+            );
+            assert_eq!(best.ipcs, next.ipcs, "repetitions reproduce identical IPCs");
+            if next.seconds < best.seconds {
                 *best = next;
             }
         }
     }
 }
 
-/// Sums per-workload host reports into one batch-level report: wall times,
-/// phase totals/counts and occurrence counters add; the per-span timelines
-/// are dropped (each report has its own epoch, so concatenating events
-/// would interleave unrelated timelines).
+/// Sums per-workload host reports into one batch-level report: wall times
+/// and phase totals/counts add; the per-span timelines are dropped (each
+/// report has its own epoch, so concatenating events would interleave
+/// unrelated timelines).
 fn merge_reports(reports: &[HostReport]) -> HostReport {
     let mut out = reports[0].clone();
+    out.events.clear();
     for r in &reports[1..] {
         out.wall_ns += r.wall_ns;
-        out.dispatches += r.dispatches;
-        out.collects += r.collects;
-        out.merges += r.merges;
-        for (a, b) in out.lanes.iter_mut().zip(&r.lanes) {
-            for i in 0..a.totals_ns.len() {
-                a.totals_ns[i] += b.totals_ns[i];
-                a.counts[i] += b.counts[i];
-            }
-            a.dropped += b.dropped;
+        for i in 0..out.totals_ns.len() {
+            out.totals_ns[i] += r.totals_ns[i];
+            out.counts[i] += r.counts[i];
         }
-    }
-    for l in &mut out.lanes {
-        l.events.clear();
+        out.dropped += r.dropped;
     }
     out
 }
@@ -278,7 +226,7 @@ fn main() {
 
     // Warm-up pass so first-touch costs (page faults, lazy init) hit
     // neither measured pass.
-    run_pass(0, max_cycles / 10, 1);
+    run_pass(0, max_cycles / 10);
 
     // Interleaved best-of-N rounds: every timed configuration runs once
     // per round, so host drift (frequency scaling, cache settling, a
@@ -286,58 +234,41 @@ fn main() {
     // biasing whichever pass happened to run first. The gated numbers are
     // *ratios* between these passes; interleaving is what makes the
     // ratios honest.
-    let reps = timing_reps(args.smoke || args.quick);
     let mut off_slot = None;
     let mut on_slot = None;
     let mut host_slot = None;
     let mut naive_slot = None;
     let mut bursty_slot = None;
     let mut bursty_naive_slot = None;
-    let mut sweep_slots: Vec<Option<(f64, u64, Vec<f64>)>> = vec![None; THREAD_SWEEP.len()];
-    for _ in 0..reps {
-        fold_pass(&mut off_slot, run_pass(0, max_cycles, 1));
-        fold_pass(&mut on_slot, run_pass(16, max_cycles, 1));
-        fold_host_pass(&mut host_slot, run_host_pass(max_cycles, 1));
-        fold_pass(
-            &mut naive_slot,
-            run_batch(WORKLOADS, 0, max_cycles, 1, true),
-        );
+    for _ in 0..TIMING_REPS {
+        fold_pass(&mut off_slot, run_pass(0, max_cycles));
+        fold_pass(&mut on_slot, run_pass(16, max_cycles));
+        fold_host_pass(&mut host_slot, run_host_pass(max_cycles));
+        fold_pass(&mut naive_slot, run_batch(WORKLOADS, 0, max_cycles, true));
         fold_pass(
             &mut bursty_slot,
-            run_batch(BURSTY_WORKLOADS, 0, max_cycles, 1, false),
+            run_batch(BURSTY_WORKLOADS, 0, max_cycles, false),
         );
         fold_pass(
             &mut bursty_naive_slot,
-            run_batch(BURSTY_WORKLOADS, 0, max_cycles, 1, true),
+            run_batch(BURSTY_WORKLOADS, 0, max_cycles, true),
         );
-        for (slot, &threads) in sweep_slots.iter_mut().zip(THREAD_SWEEP) {
-            fold_pass(slot, run_pass(0, max_cycles, threads));
-        }
     }
     let (off_s, off_cycles, off_ipcs) = off_slot.expect("reps >= 1");
     let (on_s, on_cycles, on_ipcs) = on_slot.expect("reps >= 1");
     let (naive_s, naive_cycles, naive_ipcs) = naive_slot.expect("reps >= 1");
     let (bursty_s, bursty_cycles, bursty_ipcs) = bursty_slot.expect("reps >= 1");
     let (bn_s, bn_cycles, bn_ipcs) = bursty_naive_slot.expect("reps >= 1");
-    let (host_s, host_cycles, host_ipcs, host_reports) = host_slot.expect("reps >= 1");
-    let (profile, ff, prof_ipcs) = run_profiled(max_cycles);
-    let (_, _, pooled_ipcs, pooled_reports) = run_host_pass(max_cycles, HOST_POOL_THREADS);
+    let host = host_slot.expect("reps >= 1");
+    let (host_s, host_cycles) = (host.seconds, host.cycles);
 
     assert_eq!(
         off_ipcs, on_ipcs,
         "tracing must not change simulation results"
     );
     assert_eq!(
-        off_ipcs, prof_ipcs,
-        "phase timers must not change simulation results"
-    );
-    assert_eq!(
-        off_ipcs, host_ipcs,
+        off_ipcs, host.ipcs,
         "host profiler must not change simulation results"
-    );
-    assert_eq!(
-        off_ipcs, pooled_ipcs,
-        "pooled host profiler must not change simulation results"
     );
     assert_eq!(
         off_ipcs, naive_ipcs,
@@ -382,81 +313,20 @@ fn main() {
          {bursty_cps:.0} vs {bn_cps:.0} cycles/s = {bursty_speedup:.2}x \
          (results bit-identical)"
     );
-
-    // Scheduler-thread scaling sweep (tracing off). Every width must
-    // reproduce the serial IPCs bit-identically — the bench doubles as a
-    // coarse-grained equivalence check on the real catalog workloads. The
-    // 1-thread row *is* the tracing-off pass, so its speedup is 1.0 by
-    // construction.
-    let mut thread_points: Vec<(usize, f64, f64)> = vec![(1, off_s, off_cps)];
-    for (slot, &threads) in sweep_slots.into_iter().zip(THREAD_SWEEP) {
-        let (t_s, t_cycles, t_ipcs) = slot.expect("reps >= 1");
-        assert_eq!(
-            off_ipcs, t_ipcs,
-            "{threads}-thread scheduler must not change simulation results"
-        );
-        assert_eq!(off_cycles, t_cycles, "same work at every thread count");
-        thread_points.push((threads, t_s, t_cycles as f64 / t_s));
-    }
-    // A single-vCPU host cannot exhibit real scheduler scaling: every
-    // width beyond 1 only measures coordination overhead. Flag the sweep
-    // rows — and the host-profile rows, which attribute that same
-    // coordination — so downstream readers don't mistake overhead for a
-    // speedup ceiling.
-    let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let scaling_valid = host_cpus > 1;
-    println!("scheduler-thread sweep (tracing off):");
-    if !scaling_valid {
-        println!(
-            "  NOTE: host has 1 vCPU — multi-thread rows measure coordination \
-             overhead, not scaling (scaling_valid: false)"
-        );
-    }
-    for &(threads, t_s, t_cps) in &thread_points {
-        println!(
-            "  {threads} thread{} {t_s:>8.3}s = {t_cps:.0} cycles/s ({:.2}x serial)",
-            if threads == 1 { ": " } else { "s:" },
-            t_cps / off_cps
-        );
-    }
     println!(
         "speedup vs pre-overhaul baseline ({PRE_OVERHAUL_CPS:.1} cycles/s): {:.2}x",
         off_cps / PRE_OVERHAUL_CPS
     );
-
-    let phase_s = |d: std::time::Duration| d.as_secs_f64();
-    let phases = [
-        ("core", phase_s(profile.core)),
-        ("icnt", phase_s(profile.icnt)),
-        ("dram", phase_s(profile.dram)),
-        ("telemetry", phase_s(profile.telemetry)),
-        ("fast_forward", phase_s(profile.fast_forward)),
-    ];
-    let phase_total: f64 = phases.iter().map(|(_, s)| s).sum();
-    println!("per-phase wall time (profiled pass):");
-    for (name, s) in phases {
-        println!(
-            "  {name:<13} {s:>8.3}s  ({:5.1}%)",
-            100.0 * s / phase_total.max(f64::MIN_POSITIVE)
-        );
-    }
     println!(
-        "fast-forward: {} jumps, {} ticks skipped (core {}, icnt {}, dram {})",
-        ff.jumps,
-        ff.skipped_total(),
-        ff.skipped_core,
-        ff.skipped_icnt,
-        ff.skipped_dram
+        "fast-forward: {} jumps, {} ticks skipped",
+        host.ff_jumps, host.ff_skipped
     );
 
-    let host_merged = merge_reports(&host_reports);
-    let pooled_merged = merge_reports(&pooled_reports);
+    let host_merged = merge_reports(&host.reports);
     if args.profile_host {
         println!();
-        println!(
-            "host utilization, pooled pass ({HOST_POOL_THREADS} scheduler threads, batch totals):"
-        );
-        print!("{}", utilization_table(&pooled_merged));
+        println!("host utilization (batch totals):");
+        print!("{}", utilization_table(&host_merged));
         let root = repo_root();
         let trace_path = args
             .trace_out
@@ -467,15 +337,11 @@ fn main() {
         }
         // One workload's timeline (the first, `mm`): spans from separate
         // runs share no epoch, so a merged timeline would be misleading.
-        let trace = host_trace_json(WORKLOADS[0], &pooled_reports[0]);
+        let trace = host_trace_json(WORKLOADS[0], &host.reports[0]);
         std::fs::write(&trace_path, &trace).expect("write host trace");
         println!(
             "wrote host trace ({} spans, workload {}) to {}",
-            pooled_reports[0]
-                .lanes
-                .iter()
-                .map(|l| l.events.len())
-                .sum::<usize>(),
+            host.reports[0].events.len(),
             WORKLOADS[0],
             trace_path.display()
         );
@@ -493,87 +359,27 @@ fn main() {
         (None, false) => repo_root().join("BENCH_sim.json"),
     };
 
-    let threads_json = thread_points
-        .iter()
-        .map(|&(threads, t_s, t_cps)| {
-            format!(
-                "    {{\"threads\": {threads}, \"seconds\": {t_s:.6}, \
-                 \"sim_cycles_per_sec\": {t_cps:.1}, \"speedup_vs_serial\": {:.3}, \
-                 \"scaling_valid\": {scaling_valid}}}",
-                t_cps / off_cps
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    // Always emitted (empty when scaling is measurable) so the JSON schema
-    // is identical on every host — bench_diff treats key presence as
-    // schema, and a field that exists only on 1-vCPU machines would read
-    // as drift between baseline and candidate.
-    let scaling_note = if scaling_valid {
-        String::new()
-    } else {
-        format!(
-            "host has {host_cpus} vCPU; thread rows measure \
-             coordination overhead, not scaling"
-        )
-    };
-    // All 13 phases, in fixed order, zero or not: key sets must not depend
+    // Every phase, in fixed order, zero or not: key sets must not depend
     // on which phases happened to fire on this host.
-    let host_phase_rows = |r: &HostReport| {
-        HostPhase::ALL
-            .iter()
-            .map(|p| {
-                format!(
-                    "      {{\"phase\": \"{}\", \"total_ns\": {}, \"count\": {}}}",
-                    p.name(),
-                    r.phase_total_ns(*p),
-                    r.phase_count(*p)
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n")
-    };
-    let workers_json = pooled_merged
-        .lanes
+    let host_phase_rows = HostPhase::ALL
         .iter()
-        .skip(1)
-        .map(|l| {
+        .map(|p| {
             format!(
-                "      {{\"lane\": {}, \"busy_ns\": {}, \"recv_wait_ns\": {}, \
-                 \"dropped_spans\": {}}}",
-                l.lane,
-                l.busy_ns(),
-                l.total_ns(HostPhase::RecvWait),
-                l.dropped
+                "      {{\"phase\": \"{}\", \"total_ns\": {}, \"count\": {}}}",
+                p.name(),
+                host_merged.phase_total_ns(*p),
+                host_merged.phase_count(*p)
             )
         })
         .collect::<Vec<_>>()
         .join(",\n");
     let host_profile_json = format!(
         "  \"host_profile\": {{\n    \
-         \"host_cpus\": {host_cpus},\n    \
-         \"scaling_valid\": {scaling_valid},\n    \
          \"overhead_pct\": {host_overhead_pct:.2},\n    \
          \"overhead_definition\": \"throughput loss: (1 - host_cps/off_cps) * 100\",\n    \
-         \"serial\": {{\n      \"wall_ns\": {},\n      \"phases\": [\n{}\n    ]}},\n    \
-         \"pooled\": {{\n      \"threads\": {HOST_POOL_THREADS},\n      \
-         \"wall_ns\": {},\n      \
-         \"worker_busy_ratio\": {:.4},\n      \
-         \"barrier_wait_ns_total\": {},\n      \
-         \"dispatch_ns_per_region\": {:.1},\n      \
-         \"dispatches\": {},\n      \"collects\": {},\n      \"merges\": {},\n      \
-         \"workers\": [\n{workers_json}\n    ],\n      \
-         \"phases\": [\n{}\n    ]}}\n  }}",
+         \"serial\": {{\n      \"wall_ns\": {},\n      \
+         \"phases\": [\n{host_phase_rows}\n    ]}}\n  }}",
         host_merged.wall_ns,
-        host_phase_rows(&host_merged),
-        pooled_merged.wall_ns,
-        pooled_merged.worker_busy_ratio(),
-        pooled_merged.barrier_wait_ns_total(),
-        pooled_merged.dispatch_ns_per_region(),
-        pooled_merged.dispatches,
-        pooled_merged.collects,
-        pooled_merged.merges,
-        host_phase_rows(&pooled_merged),
     );
     // Event-core section. `speedup_vs_naive` (prefix) and `*_speedup`
     // (suffix) both land in bench_diff's Speedup class: same-host ratios
@@ -614,12 +420,8 @@ fn main() {
          \"sampling_overhead_definition\": \"throughput loss: (1 - on_cps/off_cps) * 100\",\n  \
          \"host_profile_overhead_pct\": {host_overhead_pct:.2},\n  \
          \"pre_overhaul_cps\": {PRE_OVERHAUL_CPS:.1},\n  \
-         \"vs_pre_overhaul\": {:.3},\n  \
-         \"host_cpus\": {host_cpus},\n  \
-         \"scaling_note\": \"{scaling_note}\",\n  \
-         \"threads\": [\n{threads_json}\n  ],\n{host_profile_json},\n{event_core_json},\n  \
-         \"phase_profile_seconds\": {{\n    \"core\": {:.6},\n    \"icnt\": {:.6},\n    \
-         \"dram\": {:.6},\n    \"telemetry\": {:.6},\n    \"fast_forward\": {:.6}\n  }},\n  \
+         \"vs_pre_overhaul\": {:.3},\n\
+         {host_profile_json},\n{event_core_json},\n  \
          \"fast_forward\": {{\n    \"jumps\": {},\n    \"ticks_skipped\": {}\n  }},\n  \
          \"results_identical\": true\n}}\n",
         WORKLOADS
@@ -628,13 +430,8 @@ fn main() {
             .collect::<Vec<_>>()
             .join(", "),
         off_cps / PRE_OVERHAUL_CPS,
-        phase_s(profile.core),
-        phase_s(profile.icnt),
-        phase_s(profile.dram),
-        phase_s(profile.telemetry),
-        phase_s(profile.fast_forward),
-        ff.jumps,
-        ff.skipped_total(),
+        host.ff_jumps,
+        host.ff_skipped,
     );
     if let Some(dir) = out_path.parent() {
         if !dir.as_os_str().is_empty() {

@@ -26,16 +26,6 @@
 //! blind spot: a perfectly uniform slowdown scales the headline too and
 //! passes; catching that requires a pinned host, which is what
 //! `--absolute` (plain value comparison) is for.
-//!
-//! ## `scaling_valid: false` subtrees
-//!
-//! `sim-bench` stamps `"scaling_valid": false` onto rows whose rates do
-//! not measure what their names claim — multi-thread sweep rows on a
-//! single-vCPU host measure coordination overhead, with run-to-run noise
-//! far beyond any useful tolerance. An object carrying that stamp (in
-//! either file) keeps its full schema check but exempts its numeric
-//! leaves from rate gating: a number the producer has declared invalid is
-//! not a number the gate may fail on.
 
 use gmh_serve::json::Json;
 
@@ -53,7 +43,7 @@ pub enum Verdict {
 /// One noteworthy difference, with the JSON path it was found at.
 #[derive(Clone, Debug)]
 pub struct Finding {
-    /// Dotted path (`threads[2].sim_cycles_per_sec`).
+    /// Dotted path (`host_profile.serial.phases[2].total_ns`).
     pub path: String,
     /// Whether this finding alone fails the gate.
     pub fatal: bool,
@@ -105,9 +95,8 @@ fn classify(key: &str) -> MetricClass {
     if key.ends_with("_per_sec") {
         MetricClass::Throughput
     } else if key.starts_with("speedup") || key.ends_with("_speedup") {
-        // Both spellings are live: `speedup_vs_serial` (prefix) from the
-        // thread sweep and `bursty_speedup` / `event_vs_naive_speedup`
-        // (suffix) from the event-core gate.
+        // Both spellings are live in the event-core gate:
+        // `speedup_vs_naive` (prefix) and `bursty_speedup` (suffix).
         MetricClass::Speedup
     } else if key.ends_with("_overhead_pct") {
         MetricClass::OverheadPct
@@ -135,7 +124,6 @@ pub fn diff(baseline: &Json, candidate: &Json, tolerance_pct: f64, absolute: boo
             tolerance_pct,
             norm_base,
             norm_cand,
-            gate_rates: true,
         },
         &mut findings,
     );
@@ -152,13 +140,10 @@ pub fn diff(baseline: &Json, candidate: &Json, tolerance_pct: f64, absolute: boo
     DiffReport { verdict, findings }
 }
 
-#[derive(Clone)]
 struct Ctx {
     tolerance_pct: f64,
     norm_base: Option<f64>,
     norm_cand: Option<f64>,
-    /// Cleared inside `scaling_valid: false` subtrees (see module docs).
-    gate_rates: bool,
 }
 
 fn type_name(v: &Json) -> &'static str {
@@ -189,22 +174,6 @@ fn push_path(path: &mut String, seg: &str) -> usize {
 fn walk(base: &Json, cand: &Json, path: &mut String, ctx: &Ctx, out: &mut Vec<Finding>) {
     match (base, cand) {
         (Json::Obj(b), Json::Obj(c)) => {
-            // A producer-declared invalid row exempts its rates, in both
-            // files: a baseline measured on 1 vCPU must not gate a
-            // candidate's real numbers against noise, nor vice versa.
-            let declared_invalid = [b.get("scaling_valid"), c.get("scaling_valid")]
-                .into_iter()
-                .any(|v| matches!(v, Some(Json::Bool(false))));
-            let ungated;
-            let ctx = if declared_invalid && ctx.gate_rates {
-                ungated = Ctx {
-                    gate_rates: false,
-                    ..ctx.clone()
-                };
-                &ungated
-            } else {
-                ctx
-            };
             for (k, bv) in b {
                 match c.get(k) {
                     Some(cv) => {
@@ -249,7 +218,7 @@ fn walk(base: &Json, cand: &Json, path: &mut String, ctx: &Ctx, out: &mut Vec<Fi
         (Json::Bool(b), Json::Bool(c)) => {
             // `results_identical` is the one bool with a monotone meaning:
             // bit-identity across passes must never be lost. Other bools
-            // (`scaling_valid`, …) are host facts and may differ.
+            // may differ.
             if leaf_key(path) == "results_identical" && *b && !*c {
                 out.push(Finding {
                     path: path.clone(),
@@ -268,9 +237,6 @@ fn walk(base: &Json, cand: &Json, path: &mut String, ctx: &Ctx, out: &mut Vec<Fi
 }
 
 fn compare_num(base: &Json, cand: &Json, path: &str, ctx: &Ctx, out: &mut Vec<Finding>) {
-    if !ctx.gate_rates {
-        return;
-    }
     let (Some(b), Some(c)) = (base.as_f64(), cand.as_f64()) else {
         return;
     };
@@ -366,47 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn scaling_invalid_rows_exempt_rates_but_not_schema() {
-        // The same 50% throughput collapse in a thread row: gated when the
-        // row claims to measure scaling, exempt when the producer stamped
-        // it `scaling_valid: false` (1-vCPU coordination noise).
-        let row = |valid: bool, cps: f64| {
-            doc(&format!(
-                r#"{{"bench":"sim-bench",
-                    "tracing_off":{{"sim_cycles_per_sec":100000.0,"seconds":4.0}},
-                    "threads":[{{"threads":2,"sim_cycles_per_sec":{cps},
-                                 "speedup_vs_serial":{},"scaling_valid":{valid}}}],
-                    "results_identical":true}}"#,
-                cps / 100000.0
-            ))
-        };
-        assert_eq!(
-            diff(&row(true, 80000.0), &row(true, 40000.0), 15.0, false).verdict,
-            Verdict::Regress,
-            "a valid scaling row still gates"
-        );
-        assert_eq!(
-            diff(&row(false, 80000.0), &row(false, 40000.0), 15.0, false).verdict,
-            Verdict::Pass,
-            "a producer-declared invalid row never gates on rates"
-        );
-        // Schema checks survive the exemption: a key vanishing from an
-        // invalid row is still drift.
-        let mut gutted = row(false, 40000.0);
-        if let Json::Obj(o) = &mut gutted {
-            if let Some(Json::Arr(rows)) = o.get_mut("threads") {
-                if let Some(Json::Obj(r0)) = rows.get_mut(0) {
-                    r0.remove("speedup_vs_serial");
-                }
-            }
-        }
-        assert_eq!(
-            diff(&row(false, 80000.0), &gutted, 15.0, false).verdict,
-            Verdict::SchemaDrift
-        );
-    }
-
-    #[test]
     fn small_regression_within_tolerance_passes() {
         let b = base_doc();
         let c = doc(r#"{"bench":"sim-bench",
@@ -496,9 +421,9 @@ mod tests {
 
     #[test]
     fn speedup_suffix_keys_gate_like_prefix_ones() {
-        // `bursty_speedup` (event-core gate) must gate exactly like the
-        // older `speedup_vs_serial` spelling: as a raw ratio, never
-        // normalized by the headline.
+        // `bursty_speedup` must gate exactly like the prefix spelling
+        // (`speedup_vs_naive`): as a raw ratio, never normalized by the
+        // headline.
         let mk = |ratio: f64| {
             doc(&format!(
                 r#"{{"bench":"sim-bench",
@@ -521,7 +446,7 @@ mod tests {
 
     #[test]
     fn classify_covers_both_speedup_spellings() {
-        assert_eq!(classify("speedup_vs_serial"), MetricClass::Speedup);
+        assert_eq!(classify("speedup_vs_naive"), MetricClass::Speedup);
         assert_eq!(classify("bursty_speedup"), MetricClass::Speedup);
         assert_eq!(classify("event_vs_naive_speedup"), MetricClass::Speedup);
         assert_eq!(classify("sim_cycles_per_sec"), MetricClass::Throughput);

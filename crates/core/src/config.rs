@@ -88,33 +88,16 @@ pub struct GpuConfig {
     /// construction; this switch exists so equivalence tests (and
     /// benchmark overhead measurements) can run the reference loop.
     pub force_naive_loop: bool,
-    /// Times every run-loop phase (core/icnt/dram/telemetry/fast-forward)
-    /// with wall-clock timers so `sim-bench` can report a per-phase
-    /// breakdown. Off by default: the timed dispatch adds two `Instant`
-    /// reads per tick, which would distort the headline throughput numbers.
-    /// Simulation results are identical either way.
-    pub profile_phases: bool,
     /// Host-side span profiler: records wall-clock spans for every run-loop
-    /// phase and every `ParPool` worker lane into a
-    /// [`gmh_types::prof::HostReport`] (fetch it with
+    /// phase into a [`gmh_types::prof::HostReport`] (fetch it with
     /// `GpuSim::take_host_report` after the run). Strictly observational —
     /// simulation results are byte-identical with this on or off, which the
-    /// determinism suite pins. Takes precedence over `profile_phases` when
-    /// both are set (the host profiler subsumes the per-phase breakdown).
-    /// Off by default; the cache key ignores it.
+    /// determinism suite pins. Off by default; the cache key ignores it.
     pub profile_host: bool,
-    /// Forces the single-shard serial scheduler regardless of
-    /// `sim_threads` / `GMH_THREADS`: the equivalence oracle for the
-    /// parallel path (the parallel scheduler is bit-identical by
-    /// construction; this switch pins the reference side of that claim in
-    /// tests and benchmarks).
-    pub force_serial: bool,
-    /// Worker threads for the parallel scheduler: the machine is sharded
-    /// into this many tick domains (SM clusters, L2-bank partitions, DRAM
-    /// channel groups) advancing in lock-step with deterministic merges.
-    /// `0` defers to the `GMH_SIM_THREADS` / `GMH_THREADS` environment
-    /// variables (in that order), defaulting to 1 (serial). Clamped to the
-    /// machine's shardable width at run time.
+    /// Retained only because the frozen `gmh-benchmark` package assigns
+    /// it: a simulation always runs on one thread, and `0` and `1` both
+    /// say so. [`GpuConfig::validate`] refuses any other value. Run many
+    /// simulations at once instead (`gmh_exp::run_jobs`, `GMH_THREADS`).
     pub sim_threads: usize,
 }
 
@@ -142,9 +125,7 @@ impl GpuConfig {
             trace_sample: 0,
             trace_event_cap: 65_536,
             force_naive_loop: false,
-            profile_phases: false,
             profile_host: false,
-            force_serial: false,
             sim_threads: 0,
         }
     }
@@ -175,6 +156,14 @@ impl GpuConfig {
         }
         if self.trace_sample > 0 && self.trace_event_cap == 0 {
             return Err("trace_event_cap must be non-zero when trace_sample is set".into());
+        }
+        if self.sim_threads > 1 {
+            return Err(format!(
+                "sim_threads = {}: a simulation runs on one thread (0 or 1); \
+                 parallelism is across simulations — run jobs side by side \
+                 (gmh_exp::run_jobs / Evaluator::eval_batch, GMH_THREADS workers)",
+                self.sim_threads
+            ));
         }
         self.dram.timing.validate()
     }
@@ -455,5 +444,18 @@ mod tests {
         assert!(c.validate().is_ok());
         c.trace_event_cap = 0;
         assert!(c.validate().is_err(), "sampling needs a non-zero cap");
+    }
+
+    #[test]
+    fn sim_threads_accepts_only_zero_and_one() {
+        let mut c = GpuConfig::gtx480_baseline();
+        for ok in [0, 1] {
+            c.sim_threads = ok;
+            assert!(c.validate().is_ok(), "sim_threads = {ok}");
+        }
+        c.sim_threads = 2;
+        let err = c.validate().expect_err("intra-simulation threads are gone");
+        assert!(err.contains("sim_threads = 2"), "{err}");
+        assert!(err.contains("across simulations"), "{err}");
     }
 }

@@ -21,8 +21,8 @@ pub struct L2Bank {
     latency: Cycle,
     stalls: L2StallCounters,
     now: Cycle,
-    /// Reply-network credit for this bank, set by the coordinator each
-    /// icnt tick before the bank region runs (pull model): `false` means
+    /// Reply-network credit for this bank, set by the run loop each icnt
+    /// tick before the bank sweep runs (pull model): `false` means
     /// the reply crossbar would refuse this bank's ready response this
     /// cycle. Consulted by `stall_cause` purely for *attribution* — a
     /// cycle that is already stalled for a reply-path-coupled reason is
@@ -120,8 +120,8 @@ impl L2Bank {
 
     /// The response that will be ready for injection on the *next* bank
     /// cycle (`ready <= now + 1`, matching the `now` increment at the top
-    /// of [`L2Bank::cycle_traced`]). The coordinator uses this to compute
-    /// the reply-network credit before dispatching the bank region.
+    /// of [`L2Bank::cycle_traced`]). The run loop uses this to compute the
+    /// reply-network credit before the bank sweep.
     pub fn response_ready_next(&self) -> Option<&MemFetch> {
         match self.response_queue.front() {
             Some((ready, f)) if *ready <= self.now + 1 => Some(f),
@@ -130,9 +130,8 @@ impl L2Bank {
     }
 
     /// Sets the reply-network credit consulted by `stall_cause` (pull
-    /// model, attribution only). Called by the coordinator every icnt
-    /// tick, before the bank region runs, so the value is identical at
-    /// every shard width.
+    /// model, attribution only). Called by the run loop every icnt tick,
+    /// before the bank sweep runs.
     pub fn set_reply_credit(&mut self, credit: bool) {
         self.reply_credit = credit;
     }
@@ -387,7 +386,7 @@ impl L2Bank {
         let reply_blocked = self.response_queue.is_full() || !self.reply_credit;
         // bp-ICNT: the reply network is not draining — either the response
         // queue is full, or the reply crossbar withheld this bank's
-        // injection credit this cycle (pull model, set by the coordinator).
+        // injection credit this cycle (pull model, set by the run loop).
         // On the hit path that is a missing response slot, or a busy port
         // while the crossbar is simultaneously refusing this bank (the
         // higher-priority cause wins, per the paper's chain); on the miss

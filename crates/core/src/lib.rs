@@ -35,7 +35,7 @@
 pub mod area;
 pub mod config;
 pub mod l2bank;
-mod par;
+mod machine;
 mod sched;
 pub mod sim;
 pub mod stats;
@@ -43,5 +43,5 @@ pub mod stats;
 pub use area::{AreaReport, A_STORAGE_MM2_PER_KB, BASELINE_DIE_MM2};
 pub use config::{GpuConfig, MemoryModel};
 pub use l2bank::L2Bank;
-pub use sim::{FastForwardStats, GpuSim, PhaseProfile};
+pub use sim::{FastForwardStats, GpuSim};
 pub use stats::SimStats;

@@ -1,12 +1,9 @@
-//! Per-shard event-scheduler state for the event-driven run loop.
+//! Event-scheduler state for the event-driven run loop.
 //!
-//! Each [`crate::par::Shard`] carries one [`ShardSched`]: awake flags, a
-//! shard-local [`TimeQ`] of scheduled wakes, and the lazy own-domain cycle
-//! ledger (`done`) that lets a sleeping component absorb its skipped ticks
-//! in one bulk `skip_cycles`/`skip_idle` call at wake time. The queue is
-//! shard-local so workers can park and schedule their own components
-//! between barriers without touching any cross-shard state — the property
-//! that keeps the sharded event core bit-identical to the serial sweep.
+//! The [`crate::machine::Machine`] carries one [`Sched`]: awake flags, a
+//! [`TimeQ`] of scheduled wakes, and the lazy own-domain cycle ledger
+//! (`done`) that lets a sleeping component absorb its skipped ticks in one
+//! bulk `skip_cycles`/`skip_idle` call at wake time.
 //!
 //! ## Awake-flag lifecycle
 //!
@@ -17,7 +14,7 @@
 //! scheduled at `(bound - 1) * period` (the wall-clock instant its own
 //! domain fires tick `bound`), or no entry at all when the component can
 //! only be woken by external input. Wakes are consumed either by the
-//! coordinator's per-instant `pop_ready` drain or by a cross-component
+//! run loop's per-instant `pop_ready` drain or by a cross-component
 //! activation, and both flush the owed quiet cycles *before* the first
 //! mutation so every component skip hook observes the frozen quiet state
 //! its own `debug_assert` demands.
@@ -25,7 +22,7 @@
 use gmh_simt::IssueStallKind;
 use gmh_types::{Picos, TimeQ};
 
-/// Component classes a shard schedules, in coordinator probe order.
+/// Component classes the scheduler tracks, in probe order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Class {
     /// SIMT cores (core clock domain).
@@ -38,17 +35,17 @@ pub(crate) enum Class {
     Net,
 }
 
-/// Event-scheduler state for one shard's components.
+/// Event-scheduler state for the machine's components.
 ///
-/// Local component ids are laid out `[cores | banks | channels | nets]`,
+/// Component ids are laid out `[cores | banks | channels | nets]`,
 /// each class contiguous in ascending global component order.
-pub(crate) struct ShardSched {
+pub(crate) struct Sched {
     /// `false` pins the naive oracle: every component stays awake, no
     /// probe runs, no wake is ever scheduled.
     pub enabled: bool,
-    /// Shard-local wake queue keyed by `(wake_ps, local id)`.
+    /// Wake queue keyed by `(wake_ps, component id)`.
     pub q: TimeQ,
-    /// Awake flag per local component id.
+    /// Awake flag per component id.
     pub awake: Vec<bool>,
     /// Own-domain ticks this component has actually absorbed (cycled or
     /// skip-replayed). `cycles() - done` is the flush debt at wake time.
@@ -60,7 +57,7 @@ pub(crate) struct ShardSched {
     n_banks: usize,
     n_chans: usize,
     /// Awake components per class, kept in lock-step with `awake` so the
-    /// coordinator's all-asleep check is O(shards), not O(components).
+    /// all-asleep check is O(1), not O(components).
     pub awake_cores: usize,
     pub awake_banks: usize,
     pub awake_chans: usize,
@@ -70,8 +67,8 @@ pub(crate) struct ShardSched {
     dram_ps: Picos,
 }
 
-impl ShardSched {
-    /// Builds the scheduler for a shard owning the given component counts.
+impl Sched {
+    /// Builds the scheduler for a machine with the given component counts.
     /// `cores_on`/`banks_on`/`chans_on`/`nets_on` say which classes the
     /// memory model actually ticks — classes it never ticks are born
     /// parked and are never woken or flushed, exactly like the naive loop
@@ -98,7 +95,7 @@ impl ShardSched {
                 awake[offsets[class] + slot] = true;
             }
         }
-        ShardSched {
+        Sched {
             enabled,
             q: TimeQ::new(total),
             awake,
@@ -117,36 +114,31 @@ impl ShardSched {
         }
     }
 
-    /// A hollow scheduler for [`crate::par::Shard::empty`] placeholders.
-    pub fn hollow() -> Self {
-        ShardSched::new(false, [0; 4], [false; 4], [1, 1, 1])
-    }
-
-    /// Local id of core `slot` (cores lead the layout, so it is `slot`).
+    /// Id of core `slot` (cores lead the layout, so it is `slot`).
     #[inline]
     pub fn core_id(&self, slot: usize) -> usize {
         slot
     }
 
-    /// Local id of bank `slot`.
+    /// Id of bank `slot`.
     #[inline]
     pub fn bank_id(&self, slot: usize) -> usize {
         self.n_cores + slot
     }
 
-    /// Local id of channel `slot`.
+    /// Id of channel `slot`.
     #[inline]
     pub fn chan_id(&self, slot: usize) -> usize {
         self.n_cores + self.n_banks + slot
     }
 
-    /// Local id of network `slot`.
+    /// Id of network `slot`.
     #[inline]
     pub fn net_id(&self, slot: usize) -> usize {
         self.n_cores + self.n_banks + self.n_chans + slot
     }
 
-    /// Maps a local id back to `(class, slot)`.
+    /// Maps an id back to `(class, slot)`.
     pub fn locate(&self, id: usize) -> (Class, usize) {
         if id < self.n_cores {
             (Class::Core, id)
@@ -194,7 +186,7 @@ impl ShardSched {
 
     /// Raises the awake flag for `id` (cancelling any scheduled wake) and
     /// returns `true` if it was asleep. The *caller* flushes the owed quiet
-    /// cycles before any mutation — see the shard-level wake helpers.
+    /// cycles before any mutation — see the machine-level wake helpers.
     pub fn wake(&mut self, id: usize, class: Class) -> bool {
         if self.awake[id] {
             return false;
@@ -218,7 +210,7 @@ mod tests {
 
     #[test]
     fn layout_maps_ids_both_ways() {
-        let s = ShardSched::new(true, [3, 2, 2, 1], [true; 4], [714, 1428, 1082]);
+        let s = Sched::new(true, [3, 2, 2, 1], [true; 4], [714, 1428, 1082]);
         assert_eq!(s.core_id(2), 2);
         assert_eq!(s.bank_id(0), 3);
         assert_eq!(s.chan_id(1), 6);
@@ -233,7 +225,7 @@ mod tests {
     #[test]
     fn non_participating_classes_are_born_parked() {
         // An ideal-memory model: banks, channels and nets never tick.
-        let s = ShardSched::new(
+        let s = Sched::new(
             true,
             [2, 2, 1, 2],
             [true, false, false, false],
@@ -248,7 +240,7 @@ mod tests {
 
     #[test]
     fn sleep_schedules_bounded_wakes_and_wake_cancels_them() {
-        let mut s = ShardSched::new(true, [1, 1, 0, 0], [true; 4], [10, 20, 30]);
+        let mut s = Sched::new(true, [1, 1, 0, 0], [true; 4], [10, 20, 30]);
         // Core 0 quiet until its own tick 5 -> wake at (5-1)*10 = 40 ps.
         s.sleep(0, Class::Core, Some(5));
         assert_eq!(s.q.peek(), Some((40, 0)));

@@ -2,12 +2,12 @@
 
 use crate::config::{GpuConfig, MemoryModel};
 use crate::l2bank::L2Bank;
-use crate::par::{ParPool, Region, Shard};
-use crate::sched::ShardSched;
+use crate::machine::{Machine, REP, REQ};
+use crate::sched::Sched;
 use crate::stats::SimStats;
 use gmh_cache::TagArray;
 use gmh_dram::DramChannel;
-use gmh_icnt::{Crossbar, Network};
+use gmh_icnt::Crossbar;
 use gmh_simt::SimtCore;
 use gmh_types::prof::{HostPhase, HostProfiler, HostReport};
 use gmh_types::trace::{Level, TraceEventKind, TraceSink};
@@ -17,43 +17,12 @@ use gmh_types::{
 };
 use gmh_workloads::WorkloadSpec;
 use std::collections::VecDeque;
+use std::time::Instant;
 
 /// Salt mixed into the trace sampler's seed so it never correlates with the
 /// workload's own address/instruction RNG streams (the sim results must be
 /// bit-identical with tracing on or off).
 const TRACE_SEED_SALT: u64 = 0x5452_4143_455F_5631;
-
-/// Upper bound on shards (and so worker threads). Far above the component
-/// counts where sharding still helps; a backstop against absurd
-/// `GMH_THREADS` values, not a tuning knob.
-const MAX_SHARDS: usize = 16;
-
-/// How the machine's components map onto shards: contiguous chunks of
-/// `chunk` components per shard, so global component order equals
-/// (shard order × within-shard order) — the property the deterministic
-/// merge relies on.
-#[derive(Clone, Copy, Debug)]
-struct Layout {
-    core_chunk: usize,
-    bank_chunk: usize,
-    chan_chunk: usize,
-}
-
-impl Layout {
-    fn new(cfg: &GpuConfig, n_shards: usize) -> Self {
-        Layout {
-            core_chunk: cfg.n_cores.div_ceil(n_shards),
-            bank_chunk: cfg.n_l2_banks.div_ceil(n_shards),
-            chan_chunk: cfg.n_channels.div_ceil(n_shards),
-        }
-    }
-}
-
-/// Moves the next contiguous chunk of up to `k` components out of `v`.
-fn take_chunk<T>(v: &mut Vec<T>, k: usize) -> Vec<T> {
-    let k = k.min(v.len());
-    v.drain(..k).collect()
-}
 
 /// Interned telemetry series handles, one per observed structure class
 /// (values aggregate across instances: all cores, all banks, all channels).
@@ -106,22 +75,6 @@ impl SeriesIds {
     }
 }
 
-/// Wall-clock time spent in each run-loop phase, collected only when
-/// [`GpuConfig::profile_phases`] is set (purely observational).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PhaseProfile {
-    /// Core-domain ticks (issue/fetch/LSU/ideal delivery).
-    pub core: std::time::Duration,
-    /// Interconnect ticks (crossbar, L2 banks, DRAM hand-off).
-    pub icnt: std::time::Duration,
-    /// DRAM-domain ticks.
-    pub dram: std::time::Duration,
-    /// Telemetry sampling (one sample per interconnect tick).
-    pub telemetry: std::time::Duration,
-    /// Fast-forward probes and bulk skips.
-    pub fast_forward: std::time::Duration,
-}
-
 /// Counters describing how often the fast-forward scheduler engaged and
 /// why it refused (purely observational — never fed back into simulation).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -160,11 +113,8 @@ impl FastForwardStats {
 pub struct GpuSim {
     cfg: GpuConfig,
     clocks: ClockDomains,
-    /// The machine, partitioned into parallel tick domains. One shard =
-    /// the serial machine; the coordinator owns every shard between
-    /// regions, so all cross-shard steps are plain field access.
-    shards: Vec<Shard>,
-    layout: Layout,
+    /// Every ticking component plus the event scheduler over them.
+    m: Machine,
     /// Ideal-memory in-flight queues; each holds `(ready_core_cycle,
     /// fetch)` in FIFO order (constant latency per queue).
     ideal_fast: VecDeque<(u64, MemFetch)>,
@@ -196,8 +146,6 @@ pub struct GpuSim {
     ev: bool,
     /// Observational fast-forward engagement counters.
     ff_stats: FastForwardStats,
-    /// Per-phase wall time (populated only under `cfg.profile_phases`).
-    profile: PhaseProfile,
     /// Host-side span profiler (present only under `cfg.profile_host`).
     /// Strictly observational: nothing it reads from the clock ever feeds
     /// back into simulation state.
@@ -244,10 +192,10 @@ impl GpuSim {
     ) -> Self {
         cfg.validate()
             .unwrap_or_else(|e| panic!("invalid config: {e}"));
-        let mut cores: Vec<SimtCore> = (0..cfg.n_cores)
+        let cores: Vec<SimtCore> = (0..cfg.n_cores)
             .map(|c| SimtCore::new(c, cfg.core.clone(), factory(c)))
             .collect();
-        let mut banks: Vec<L2Bank> = (0..cfg.n_l2_banks)
+        let banks: Vec<L2Bank> = (0..cfg.n_l2_banks)
             .map(|_| {
                 L2Bank::new(
                     cfg.l2_bank.clone(),
@@ -258,7 +206,7 @@ impl GpuSim {
                 )
             })
             .collect();
-        let mut channels: Vec<DramChannel> = (0..cfg.n_channels)
+        let channels: Vec<DramChannel> = (0..cfg.n_channels)
             .map(|ch| DramChannel::new(cfg.dram.clone(), ch))
             .collect();
         let (req_net, rep_net) =
@@ -279,28 +227,6 @@ impl GpuSim {
             usize::try_from(cfg.trace_event_cap).unwrap_or(usize::MAX),
             trace_seed,
         );
-        let n_shards = Self::resolved_threads(&cfg);
-        let layout = Layout::new(&cfg, n_shards);
-        let mut shards: Vec<Shard> = (0..n_shards)
-            .map(|id| Shard {
-                id,
-                cores: take_chunk(&mut cores, layout.core_chunk),
-                banks: take_chunk(&mut banks, layout.bank_chunk),
-                channels: take_chunk(&mut channels, layout.chan_chunk),
-                nets: Vec::new(),
-                sched: ShardSched::hollow(),
-                trace: TraceSink::shard(cfg.trace_sample, trace_seed),
-                active_regions: 0,
-            })
-            .collect();
-        debug_assert!(cores.is_empty() && banks.is_empty() && channels.is_empty());
-        if n_shards > 1 {
-            shards[0].nets.push(req_net);
-            shards[1].nets.push(rep_net);
-        } else {
-            shards[0].nets.push(req_net);
-            shards[0].nets.push(rep_net);
-        }
         let clocks = ClockDomains::new(cfg.core_mhz, cfg.icnt_mhz, cfg.dram_mhz);
         // Classes a memory model never ticks are born parked; the event
         // core then never probes, wakes or flushes them — mirroring the
@@ -316,18 +242,21 @@ impl GpuSim {
             clocks.domain(DomainId::Icnt).period_ps(),
             clocks.domain(DomainId::Dram).period_ps(),
         ];
-        for s in &mut shards {
-            s.sched = ShardSched::new(
-                ev,
-                [s.cores.len(), s.banks.len(), s.channels.len(), s.nets.len()],
-                [true, hier, full, hier],
-                periods,
-            );
-        }
+        let sched = Sched::new(
+            ev,
+            [cores.len(), banks.len(), channels.len(), 2],
+            [true, hier, full, hier],
+            periods,
+        );
         GpuSim {
             clocks,
-            shards,
-            layout,
+            m: Machine {
+                cores,
+                banks,
+                channels,
+                nets: [req_net, rep_net],
+                sched,
+            },
             ideal_fast: VecDeque::new(),
             ideal_slow: VecDeque::new(),
             ideal_dram: vec![VecDeque::new(); cfg.n_l2_banks],
@@ -343,153 +272,21 @@ impl GpuSim {
             ideal_scratch: VecDeque::new(),
             ev,
             ff_stats: FastForwardStats::default(),
-            profile: PhaseProfile::default(),
             host_prof: cfg.profile_host.then(HostProfiler::new),
             workload: name.to_string(),
             cfg,
         }
     }
 
-    /// Resolves the shard/worker count for `cfg`: the `sim_threads` knob
-    /// when set, else the `GMH_SIM_THREADS` / `GMH_THREADS` environment
-    /// variables (the former wins so job-level parallelism in the
-    /// experiment runner can cap per-sim threads independently), else 1.
-    /// `force_serial` and `force_naive_loop` pin the serial oracle. The
-    /// count only affects scheduling, never results.
-    fn resolved_threads(cfg: &GpuConfig) -> usize {
-        if cfg.force_serial || cfg.force_naive_loop {
-            return 1;
-        }
-        let n = if cfg.sim_threads > 0 {
-            cfg.sim_threads
-        } else {
-            std::env::var("GMH_SIM_THREADS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .or_else(|| {
-                    std::env::var("GMH_THREADS")
-                        .ok()
-                        .and_then(|v| v.parse().ok())
-                })
-                .unwrap_or(1)
-        };
-        n.clamp(1, MAX_SHARDS.min(cfg.n_cores))
-    }
-
-    // ---- component accessors -------------------------------------------------
-    //
-    // Global component indices map to (shard, slot) by the contiguous
-    // chunking in `Layout`; every serial step addresses components through
-    // these, so the sweep order is identical for any shard count.
-
-    fn core(&self, c: usize) -> &SimtCore {
-        &self.shards[c / self.layout.core_chunk].cores[c % self.layout.core_chunk]
-    }
-
-    fn core_mut(&mut self, c: usize) -> &mut SimtCore {
-        &mut self.shards[c / self.layout.core_chunk].cores[c % self.layout.core_chunk]
-    }
-
-    fn bank(&self, b: usize) -> &L2Bank {
-        &self.shards[b / self.layout.bank_chunk].banks[b % self.layout.bank_chunk]
-    }
-
-    fn bank_mut(&mut self, b: usize) -> &mut L2Bank {
-        &mut self.shards[b / self.layout.bank_chunk].banks[b % self.layout.bank_chunk]
-    }
-
-    fn channel(&self, ch: usize) -> &DramChannel {
-        &self.shards[ch / self.layout.chan_chunk].channels[ch % self.layout.chan_chunk]
-    }
-
-    fn channel_mut(&mut self, ch: usize) -> &mut DramChannel {
-        &mut self.shards[ch / self.layout.chan_chunk].channels[ch % self.layout.chan_chunk]
-    }
-
-    /// The request (core → L2) network: always shard 0's first net.
-    fn req(&self) -> &Network {
-        &self.shards[0].nets[0]
-    }
-
-    fn req_mut(&mut self) -> &mut Network {
-        &mut self.shards[0].nets[0]
-    }
-
-    /// The reply (L2 → core) network: shard 1's net when sharded (the two
-    /// networks switch independently), else shard 0's second net.
-    fn rep(&self) -> &Network {
-        if self.shards.len() > 1 {
-            &self.shards[1].nets[0]
-        } else {
-            &self.shards[0].nets[1]
-        }
-    }
-
-    fn rep_mut(&mut self) -> &mut Network {
-        if self.shards.len() > 1 {
-            &mut self.shards[1].nets[0]
-        } else {
-            &mut self.shards[0].nets[1]
-        }
-    }
-
-    /// Whether global core `c` is awake. Always true in naive mode, so the
-    /// gated coordinator loops degrade to their original ungated sweeps.
+    /// Whether core `c` is awake. Always true in naive mode, so the gated
+    /// run-loop steps degrade to their original ungated sweeps.
     fn core_awake(&self, c: usize) -> bool {
-        let s = &self.shards[c / self.layout.core_chunk];
-        s.sched.awake[s.sched.core_id(c % self.layout.core_chunk)]
+        self.m.sched.awake[self.m.sched.core_id(c)]
     }
 
-    /// Whether global L2 bank `b` is awake (see [`GpuSim::core_awake`]).
+    /// Whether L2 bank `b` is awake (see [`GpuSim::core_awake`]).
     fn bank_awake(&self, b: usize) -> bool {
-        let s = &self.shards[b / self.layout.bank_chunk];
-        s.sched.awake[s.sched.bank_id(b % self.layout.bank_chunk)]
-    }
-
-    // ---- cross-component wakes ----------------------------------------------
-    //
-    // Every coordinator step that hands work to a component first wakes it
-    // at the last own-domain tick the component has provably absorbed
-    // (flushing the owed quiet cycles through its bulk skip hook), so the
-    // mutation lands on exactly the state the naive loop would have.
-
-    fn wake_core_at(&mut self, c: usize, target: u64) {
-        let chunk = self.layout.core_chunk;
-        self.shards[c / chunk].wake_core(c % chunk, target);
-    }
-
-    fn wake_bank_at(&mut self, b: usize, target: u64) {
-        let chunk = self.layout.bank_chunk;
-        self.shards[b / chunk].wake_bank(b % chunk, target);
-    }
-
-    fn wake_channel_at(&mut self, ch: usize, target: u64) {
-        let chunk = self.layout.chan_chunk;
-        self.shards[ch / chunk].wake_channel(ch % chunk, target);
-    }
-
-    fn wake_req_net_at(&mut self, target: u64) {
-        self.shards[0].wake_net(0, target);
-    }
-
-    fn wake_rep_net_at(&mut self, target: u64) {
-        if self.shards.len() > 1 {
-            self.shards[1].wake_net(0, target);
-        } else {
-            self.shards[0].wake_net(1, target);
-        }
-    }
-
-    fn cores(&self) -> impl Iterator<Item = &SimtCore> {
-        self.shards.iter().flat_map(|s| s.cores.iter())
-    }
-
-    fn banks(&self) -> impl Iterator<Item = &L2Bank> {
-        self.shards.iter().flat_map(|s| s.banks.iter())
-    }
-
-    fn channels(&self) -> impl Iterator<Item = &DramChannel> {
-        self.shards.iter().flat_map(|s| s.channels.iter())
+        self.m.sched.awake[self.m.sched.bank_id(b)]
     }
 
     /// The workload name this sim runs.
@@ -497,29 +294,9 @@ impl GpuSim {
         &self.workload
     }
 
-    /// Number of parallel tick domains this sim was built with (1 =
-    /// serial).
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Per-shard count of regions actually executed (a shard is charged
-    /// only when it owned components of the region's class). Observational
-    /// — the shard-utilization tests pin that a saturated parallel run
-    /// really exercises multiple shards.
-    pub fn shard_activity(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| s.active_regions).collect()
-    }
-
     /// Fast-forward engagement counters for the run so far.
     pub fn ff_stats(&self) -> &FastForwardStats {
         &self.ff_stats
-    }
-
-    /// Per-phase wall-time breakdown (all zero unless the run was
-    /// configured with [`GpuConfig::profile_phases`]).
-    pub fn phase_profile(&self) -> &PhaseProfile {
-        &self.profile
     }
 
     /// Consumes the host profiler and freezes it into a
@@ -538,7 +315,7 @@ impl GpuSim {
     }
 
     fn done(&self) -> bool {
-        if !self.cores().all(|c| c.done()) {
+        if !self.m.cores.iter().all(|c| c.done()) {
             return false;
         }
         if !self.ideal_fast.is_empty()
@@ -548,13 +325,13 @@ impl GpuSim {
             return false;
         }
         if self.uses_hierarchy() {
-            if !self.req().is_idle() || !self.rep().is_idle() {
+            if !self.m.nets[REQ].is_idle() || !self.m.nets[REP].is_idle() {
                 return false;
             }
-            if !self.banks().all(|b| b.is_idle()) {
+            if !self.m.banks.iter().all(|b| b.is_idle()) {
                 return false;
             }
-            if !self.channels().all(|c| c.is_idle()) {
+            if !self.m.channels.iter().all(|c| c.is_idle()) {
                 return false;
             }
         }
@@ -570,23 +347,6 @@ impl GpuSim {
     /// naively by construction; `cfg.force_naive_loop` disables it so
     /// equivalence tests can compare both paths.
     pub fn run(&mut self) -> SimStats {
-        // One worker thread per non-coordinator shard; the coordinator
-        // always runs shard 0's regions itself. Serial runs (one shard)
-        // spawn nothing and never touch a channel.
-        let prof_epoch = self.host_prof.as_ref().map(HostProfiler::epoch);
-        let pool =
-            (self.shards.len() > 1).then(|| ParPool::spawn(self.shards.len() - 1, prof_epoch));
-        let stats = self.run_loop(pool.as_ref());
-        if let Some(p) = pool {
-            let lanes = p.shutdown();
-            if let Some(hp) = self.host_prof.as_mut() {
-                hp.adopt_workers(lanes);
-            }
-        }
-        stats
-    }
-
-    fn run_loop(&mut self, pool: Option<&ParPool>) -> SimStats {
         let mut hit_cap = false;
         loop {
             let core_cycles = self.clocks.domain(DomainId::Core).cycles();
@@ -610,11 +370,9 @@ impl GpuSim {
                 self.drain_due_wakes(fired, now_ps);
             }
             if self.host_prof.is_some() {
-                self.dispatch_ticks_host(fired, now_ps, pool);
-            } else if self.cfg.profile_phases {
-                self.dispatch_ticks_profiled(fired, now_ps, pool);
+                self.dispatch_ticks_host(fired, now_ps);
             } else {
-                self.dispatch_ticks(fired, now_ps, pool);
+                self.dispatch_ticks(fired, now_ps);
             }
         }
         self.flush_all();
@@ -640,44 +398,18 @@ impl GpuSim {
     }
 
     /// Runs every domain tick fired by one clock edge (the naive path).
-    fn dispatch_ticks(&mut self, fired: TickSet, now_ps: Picos, pool: Option<&ParPool>) {
+    fn dispatch_ticks(&mut self, fired: TickSet, now_ps: Picos) {
         if fired.icnt {
             if self.uses_hierarchy() {
-                self.icnt_tick(fired, now_ps, pool);
+                self.icnt_tick(fired, now_ps);
             }
             self.sample_telemetry();
         }
         if fired.dram {
-            self.dram_tick(pool);
+            self.dram_tick();
         }
         if fired.core {
-            self.core_tick(now_ps, pool);
-        }
-    }
-
-    /// [`GpuSim::dispatch_ticks`] with a wall-clock timer around each phase
-    /// (same calls in the same order; results are identical).
-    fn dispatch_ticks_profiled(&mut self, fired: TickSet, now_ps: Picos, pool: Option<&ParPool>) {
-        use std::time::Instant;
-        if fired.icnt {
-            if self.uses_hierarchy() {
-                let t0 = Instant::now();
-                self.icnt_tick(fired, now_ps, pool);
-                self.profile.icnt += t0.elapsed();
-            }
-            let t0 = Instant::now();
-            self.sample_telemetry();
-            self.profile.telemetry += t0.elapsed();
-        }
-        if fired.dram {
-            let t0 = Instant::now();
-            self.dram_tick(pool);
-            self.profile.dram += t0.elapsed();
-        }
-        if fired.core {
-            let t0 = Instant::now();
-            self.core_tick(now_ps, pool);
-            self.profile.core += t0.elapsed();
+            self.core_tick(now_ps);
         }
     }
 
@@ -685,114 +417,49 @@ impl GpuSim {
     /// phase (same calls in the same order; results are identical). Spans
     /// chain — the end of one phase is the start of the next — so a fully
     /// fired edge costs one clock read per phase boundary, not two.
-    fn dispatch_ticks_host(&mut self, fired: TickSet, now_ps: Picos, pool: Option<&ParPool>) {
-        let mut t = std::time::Instant::now();
+    fn dispatch_ticks_host(&mut self, fired: TickSet, now_ps: Picos) {
+        let mut t = Instant::now();
         if fired.icnt {
             if self.uses_hierarchy() {
-                self.icnt_tick(fired, now_ps, pool);
+                self.icnt_tick(fired, now_ps);
                 t = self.host_span_chain(HostPhase::IcntTick, t);
             }
             self.sample_telemetry();
             t = self.host_span_chain(HostPhase::Telemetry, t);
         }
         if fired.dram {
-            self.dram_tick(pool);
+            self.dram_tick();
             t = self.host_span_chain(HostPhase::DramTick, t);
         }
         if fired.core {
-            self.core_tick(now_ps, pool);
+            self.core_tick(now_ps);
             self.host_span_chain(HostPhase::CoreTick, t);
         }
     }
 
-    /// Closes a coordinator span that started at `t0` and returns its end
-    /// timestamp (pass-through when profiling is off, so chained call
+    /// Closes a host-profiler span that started at `t0` and returns its
+    /// end timestamp (pass-through when profiling is off, so chained call
     /// sites stay unconditional).
     #[inline]
-    fn host_span_chain(&mut self, phase: HostPhase, t0: std::time::Instant) -> std::time::Instant {
+    fn host_span_chain(&mut self, phase: HostPhase, t0: Instant) -> Instant {
         match self.host_prof.as_mut() {
-            Some(hp) => hp.coord.end_chain(phase, t0),
+            Some(hp) => hp.end_chain(phase, t0),
             None => t0,
         }
     }
 
-    /// Option-carrying variant of [`GpuSim::host_span_chain`] for call
-    /// sites that only open spans when profiling is on.
+    /// Opens a host-profiler span: reads the clock only when profiling is
+    /// on. Pass the token to [`GpuSim::host_span_end`].
     #[inline]
-    fn host_span_opt(
-        &mut self,
-        phase: HostPhase,
-        t0: Option<std::time::Instant>,
-    ) -> Option<std::time::Instant> {
-        match (self.host_prof.as_mut(), t0) {
-            (Some(hp), Some(t)) => Some(hp.coord.end_chain(phase, t)),
-            _ => None,
-        }
+    fn host_span_begin(&self) -> Option<Instant> {
+        self.host_prof.as_ref().map(|_| Instant::now())
     }
 
-    /// Executes one parallel region over every shard and then merges: the
-    /// coordinator ships each non-empty worker shard out (by moving it —
-    /// `Shard::empty` is an allocation-free placeholder), runs shard 0's
-    /// slice itself, blocks until every shard is home, and finally drains
-    /// the shard trace sinks in ascending shard order. The drain is the
-    /// deterministic merge point: with contiguous chunking, shard order ×
-    /// within-shard order is exactly the serial sweep order, so the global
-    /// event stream is byte-identical for any shard count.
-    fn run_region(&mut self, region: Region, pool: Option<&ParPool>) {
-        // The serial path records no per-region spans: its region work is
-        // already attributed by the enclosing top-level phase, and keeping
-        // the hot path at zero extra clock reads is what holds profiler
-        // overhead under budget. Pool mode records the coordinator's
-        // dispatch / inline-exec / barrier-wait split — the numbers the
-        // scaling ROADMAP item needs.
-        match pool {
-            None => {
-                for s in &mut self.shards {
-                    s.run_region(region);
-                }
-            }
-            Some(pool) => {
-                let t0 = self.host_prof.as_ref().and_then(|hp| hp.coord.begin());
-                let mut dispatched: u64 = 0;
-                for w in 1..self.shards.len() {
-                    if !self.shards[w].wants(region) {
-                        continue;
-                    }
-                    let sh = std::mem::replace(&mut self.shards[w], Shard::empty(w));
-                    pool.dispatch(w - 1, region, sh);
-                    dispatched += 1;
-                }
-                let t1 = self.host_span_opt(HostPhase::Dispatch, t0);
-                self.shards[0].run_region(region);
-                let t2 = self.host_span_opt(HostPhase::RegionExec, t1);
-                for _ in 0..dispatched {
-                    let sh = pool.collect();
-                    let id = sh.id;
-                    self.shards[id] = sh;
-                }
-                if let Some(hp) = self.host_prof.as_mut() {
-                    hp.coord.end(HostPhase::BarrierWait, t2);
-                    if dispatched > 0 {
-                        hp.count_dispatches(dispatched);
-                        hp.count_collect();
-                    }
-                }
-            }
-        }
-        let tm = if pool.is_some() {
-            self.host_prof.as_ref().and_then(|hp| hp.coord.begin())
-        } else {
-            None
-        };
-        for s in &mut self.shards {
-            self.trace.absorb(&mut s.trace);
-        }
-        if tm.is_some() {
-            let n_shards = self.shards.len() as u64;
-            if let Some(hp) = self.host_prof.as_mut() {
-                hp.coord.end(HostPhase::TraceMerge, tm);
-                hp.count_merges(n_shards);
-            }
+    /// Closes a span opened by [`GpuSim::host_span_begin`].
+    #[inline]
+    fn host_span_end(&mut self, phase: HostPhase, t0: Option<Instant>) {
+        if let Some(t0) = t0 {
+            self.host_span_chain(phase, t0);
         }
     }
 
@@ -813,16 +480,13 @@ impl GpuSim {
     /// interconnect tick, is replayed eagerly — every sampled value is
     /// frozen across the window, so repeating one sample is exact.
     fn try_jump(&mut self) -> bool {
-        let mut cores = 0;
-        let mut banks = 0;
-        let mut chans = 0;
-        let mut nets = 0;
-        for s in &self.shards {
-            cores += s.sched.awake_cores;
-            banks += s.sched.awake_banks;
-            chans += s.sched.awake_chans;
-            nets += s.sched.awake_nets;
-        }
+        let sched = &self.m.sched;
+        let (cores, banks, chans, nets) = (
+            sched.awake_cores,
+            sched.awake_banks,
+            sched.awake_chans,
+            sched.awake_nets,
+        );
         if cores + banks + chans + nets > 0 {
             // Mirror the pre-event probe's first-busy attribution order
             // (nets and their backlogs, then banks, channels, cores).
@@ -842,8 +506,7 @@ impl GpuSim {
         if self.done() {
             return false;
         }
-        let h0 = self.host_prof.as_ref().and_then(|hp| hp.coord.begin());
-        let t0 = self.cfg.profile_phases.then(std::time::Instant::now);
+        let h0 = self.host_span_begin();
         let counts = self.clocks.fast_forward(self.jump_target());
         let jumped = counts.total() > 0;
         if jumped {
@@ -857,19 +520,12 @@ impl GpuSim {
         } else {
             self.ff_stats.zero_window += 1;
         }
-        if let Some(t0) = t0 {
-            self.profile.fast_forward += t0.elapsed();
-        }
-        if h0.is_some() {
-            let phase = if jumped {
-                HostPhase::FfJump
-            } else {
-                HostPhase::FfProbe
-            };
-            if let Some(hp) = self.host_prof.as_mut() {
-                hp.coord.end(phase, h0);
-            }
-        }
+        let phase = if jumped {
+            HostPhase::FfJump
+        } else {
+            HostPhase::FfProbe
+        };
+        self.host_span_end(phase, h0);
         jumped
     }
 
@@ -884,10 +540,8 @@ impl GpuSim {
         // Seed with the cycle cap: naive execution fires nothing at any
         // instant after core tick max_core_cycles ((max-1)*core_period).
         let mut t: Picos = (self.cfg.max_core_cycles.saturating_sub(1)) * core_period + 1;
-        for s in &self.shards {
-            if let Some((wake_ps, _)) = s.sched.q.peek() {
-                t = t.min(wake_ps);
-            }
+        if let Some((wake_ps, _)) = self.m.sched.q.peek() {
+            t = t.min(wake_ps);
         }
         for q in [&self.ideal_fast, &self.ideal_slow] {
             if let Some((ready_cycle, _)) = q.front() {
@@ -904,30 +558,23 @@ impl GpuSim {
 
     /// Wakes every component whose scheduled time has arrived at this
     /// clock edge, flushing its owed quiet cycles first. Runs before the
-    /// tick dispatch so the woken component's own region (which provably
+    /// tick dispatch so the woken component's own sweep (which provably
     /// fires this instant — wake times are own-domain tick instants)
     /// executes its final, possibly-eventful tick.
     fn drain_due_wakes(&mut self, fired: TickSet, now_ps: Picos) {
-        // Common case: nothing due anywhere — one peek per shard.
-        if !self
-            .shards
-            .iter()
-            .any(|s| matches!(s.sched.q.peek(), Some((w, _)) if w <= now_ps))
-        {
+        // Common case: nothing due — one peek.
+        if !matches!(self.m.sched.q.peek(), Some((w, _)) if w <= now_ps) {
             return;
         }
         let core_cyc = self.clocks.domain(DomainId::Core).cycles();
         let icnt_cyc = self.clocks.domain(DomainId::Icnt).cycles();
         let dram_cyc = self.clocks.domain(DomainId::Dram).cycles();
-        let t0 = self.host_prof.as_ref().and_then(|hp| hp.coord.begin());
-        let mut woke = 0;
-        for s in &mut self.shards {
-            woke += s.drain_wakes(now_ps, fired, core_cyc, icnt_cyc, dram_cyc);
-        }
+        let t0 = self.host_span_begin();
+        let woke = self
+            .m
+            .drain_wakes(now_ps, fired, core_cyc, icnt_cyc, dram_cyc);
         debug_assert!(woke > 0, "a due peek must drain at least one wake");
-        if let Some(hp) = self.host_prof.as_mut() {
-            hp.coord.end(HostPhase::SchedPop, t0);
-        }
+        self.host_span_end(HostPhase::SchedPop, t0);
     }
 
     /// End-of-run settlement of the lazy skipped-cycle ledger: every
@@ -943,13 +590,9 @@ impl GpuSim {
         let dram_end = self.clocks.domain(DomainId::Dram).cycles();
         let hier = self.uses_hierarchy();
         let full = matches!(self.cfg.memory_model, MemoryModel::Full);
-        let t0 = self.host_prof.as_ref().and_then(|hp| hp.coord.begin());
-        for s in &mut self.shards {
-            s.flush_end(core_end, icnt_end, dram_end, hier, full);
-        }
-        if let Some(hp) = self.host_prof.as_mut() {
-            hp.coord.end(HostPhase::SchedResched, t0);
-        }
+        let t0 = self.host_span_begin();
+        self.m.flush_end(core_end, icnt_end, dram_end, hier, full);
+        self.host_span_end(HostPhase::SchedResched, t0);
     }
 
     /// Computes this interconnect cycle's sample for every telemetry series
@@ -959,19 +602,19 @@ impl GpuSim {
     /// them once and repeating the sample is exact.
     fn telemetry_values(&mut self) -> [(SeriesId, f64); 19] {
         let ids = self.ids;
-        let l1_miss: usize = self.cores().map(|c| c.miss_queue_len()).sum();
-        let resp_fifo: usize = self.cores().map(|c| c.response_fifo_len()).sum();
+        let l1_miss: usize = self.m.cores.iter().map(|c| c.miss_queue_len()).sum();
+        let resp_fifo: usize = self.m.cores.iter().map(|c| c.response_fifo_len()).sum();
 
         let (req_flits, rep_flits) = (
-            self.req().stats().flits.get(),
-            self.rep().stats().flits.get(),
+            self.m.nets[REQ].stats().flits.get(),
+            self.m.nets[REP].stats().flits.get(),
         );
         let req_rate = req_flits - self.prev_req_flits;
         let rep_rate = rep_flits - self.prev_rep_flits;
-        let req_buffered = self.req().buffered_flits();
-        let req_backlog = self.req().ejection_backlog();
-        let rep_buffered = self.rep().buffered_flits();
-        let rep_backlog = self.rep().ejection_backlog();
+        let req_buffered = self.m.nets[REQ].buffered_flits();
+        let req_backlog = self.m.nets[REQ].ejection_backlog();
+        let rep_buffered = self.m.nets[REP].buffered_flits();
+        let rep_backlog = self.m.nets[REP].ejection_backlog();
         self.prev_req_flits = req_flits;
         self.prev_rep_flits = rep_flits;
 
@@ -979,7 +622,7 @@ impl GpuSim {
         let mut miss_q = 0usize;
         let mut resp_q = 0usize;
         let mut stalls = [0u64; 5];
-        for b in self.banks() {
+        for b in self.m.banks.iter() {
             access_q += b.access_queue_len();
             miss_q += b.miss_queue_len();
             resp_q += b.response_queue_len();
@@ -996,8 +639,8 @@ impl GpuSim {
         }
         self.prev_l2_stalls = stalls;
 
-        let sched: usize = self.channels().map(|c| c.queue_len()).sum();
-        let dresp: usize = self.channels().map(|c| c.response_queue_len()).sum();
+        let sched: usize = self.m.channels.iter().map(|c| c.queue_len()).sum();
+        let dresp: usize = self.m.channels.iter().map(|c| c.response_queue_len()).sum();
 
         let ideal: usize = self.ideal_fast.len()
             + self.ideal_slow.len()
@@ -1056,9 +699,9 @@ impl GpuSim {
 
     // ---- core domain --------------------------------------------------------
 
-    fn core_tick(&mut self, now_ps: Picos, pool: Option<&ParPool>) {
+    fn core_tick(&mut self, now_ps: Picos) {
         let cyc = self.clocks.domain(DomainId::Core).cycles();
-        self.run_region(Region::Core { now_ps, cyc }, pool);
+        self.m.sweep_cores(now_ps, cyc, &mut self.trace);
         match self.cfg.memory_model {
             MemoryModel::Full | MemoryModel::InfiniteDram { .. } => {}
             MemoryModel::FixedL1MissLatency(lat) => {
@@ -1067,7 +710,7 @@ impl GpuSim {
                     if !self.core_awake(i) {
                         continue;
                     }
-                    while let Some(f) = self.core_mut(i).pop_outgoing() {
+                    while let Some(f) = self.m.cores[i].pop_outgoing() {
                         self.audit.emitted(&f);
                         self.trace
                             .record_fetch(&f, now_ps, TraceEventKind::DequeuedAt(Level::L1));
@@ -1088,7 +731,7 @@ impl GpuSim {
                     if !self.core_awake(i) {
                         continue;
                     }
-                    while let Some(f) = self.core_mut(i).pop_outgoing() {
+                    while let Some(f) = self.m.cores[i].pop_outgoing() {
                         self.audit.emitted(&f);
                         self.trace
                             .record_fetch(&f, now_ps, TraceEventKind::DequeuedAt(Level::L1));
@@ -1143,7 +786,7 @@ impl GpuSim {
                     break;
                 }
                 let core = f.core_id;
-                if self.ideal_blocked[core] || !self.core(core).can_accept_response() {
+                if self.ideal_blocked[core] || !self.m.cores[core].can_accept_response() {
                     self.ideal_blocked[core] = true;
                     kept.push_back((ready, f));
                     continue;
@@ -1154,11 +797,11 @@ impl GpuSim {
                 self.audit.returned(&f, now_ps);
                 self.trace
                     .record_fetch(&f, now_ps, TraceEventKind::Returned);
-                // The Core region already ran this tick: flush the sleeping
+                // The core sweep already ran this tick: flush the sleeping
                 // recipient through tick `cyc` before mutating it.
-                self.wake_core_at(core, cyc);
+                self.m.wake_core(core, cyc);
                 // INVARIANT: can_accept_response() held just above.
-                self.core_mut(core).push_response(f).expect("space checked");
+                self.m.cores[core].push_response(f).expect("space checked");
             }
             kept.append(&mut q);
             *if which == 0 {
@@ -1172,7 +815,7 @@ impl GpuSim {
 
     // ---- interconnect / L2 domain -------------------------------------------
 
-    fn icnt_tick(&mut self, fired: TickSet, now_ps: Picos, pool: Option<&ParPool>) {
+    fn icnt_tick(&mut self, fired: TickSet, now_ps: Picos) {
         let icnt_cyc = self.clocks.domain(DomainId::Icnt).cycles();
         // 1. Cores inject L1 miss traffic into the request network. A
         //    sleeping core has an empty L1 miss queue, so only awake cores
@@ -1181,16 +824,16 @@ impl GpuSim {
             if !self.core_awake(c) {
                 continue;
             }
-            if let Some(head) = self.core(c).peek_outgoing() {
+            if let Some(head) = self.m.cores[c].peek_outgoing() {
                 let bytes = head.request_bytes();
                 let dst = head.line.interleave(self.cfg.n_l2_banks);
-                if self.req().can_inject(c, bytes) {
-                    // The Net region runs *after* this step: flush the
+                if self.m.nets[REQ].can_inject(c, bytes) {
+                    // The net sweep runs *after* this step: flush the
                     // request switch through tick icnt_cyc - 1 so its
                     // router-latency stamp sees the current cycle.
-                    self.wake_req_net_at(icnt_cyc - 1);
+                    self.m.wake_net(REQ, icnt_cyc - 1);
                     // INVARIANT: peek_outgoing() returned Some above.
-                    let mut f = self.core_mut(c).pop_outgoing().expect("peeked");
+                    let mut f = self.m.cores[c].pop_outgoing().expect("peeked");
                     self.audit.emitted(&f);
                     self.trace
                         .record_fetch(&f, now_ps, TraceEventKind::DequeuedAt(Level::L1));
@@ -1198,32 +841,31 @@ impl GpuSim {
                         .record_fetch(&f, now_ps, TraceEventKind::EnqueuedAt(Level::Icnt));
                     f.time.icnt_inject = now_ps;
                     // INVARIANT: can_inject() held just above.
-                    self.req_mut()
+                    self.m.nets[REQ]
                         .inject(c, dst, f, bytes)
                         .expect("can_inject checked");
                 }
             }
         }
 
-        // 2. Switch both networks (independent — each in its own shard
-        //    when the machine is sharded).
-        self.run_region(Region::Net { cyc: icnt_cyc }, pool);
+        // 2. Switch both networks.
+        self.m.sweep_nets(icnt_cyc);
 
         // 3. Ejected requests enter L2 access queues (or stay in the
         //    crossbar's ejection buffers when a queue is full — that is the
         //    back-pressure path up toward the L1s). An empty backlog means
         //    every per-bank loop below would fall through its peek guard.
-        if self.req().ejection_backlog() > 0 {
+        if self.m.nets[REQ].ejection_backlog() > 0 {
             for b in 0..self.cfg.n_l2_banks {
-                while self.req().peek_eject(b).is_some() {
-                    if !self.bank(b).can_accept() {
+                while self.m.nets[REQ].peek_eject(b).is_some() {
+                    if !self.m.banks[b].can_accept() {
                         break;
                     }
-                    // The Bank region runs after this step: flush the
+                    // The bank sweep runs after this step: flush the
                     // sleeping bank through tick icnt_cyc - 1 only.
-                    self.wake_bank_at(b, icnt_cyc - 1);
+                    self.m.wake_bank(b, icnt_cyc - 1);
                     // INVARIANT: peek_eject() returned Some in the loop guard.
-                    let mut f = self.req_mut().pop_eject(b).expect("peeked");
+                    let mut f = self.m.nets[REQ].pop_eject(b).expect("peeked");
                     f.time.l2_arrive = now_ps;
                     self.trace
                         .record_fetch(&f, now_ps, TraceEventKind::DequeuedAt(Level::Icnt));
@@ -1239,7 +881,7 @@ impl GpuSim {
                             .record_fetch(&f, now_ps, TraceEventKind::Absorbed);
                     }
                     // INVARIANT: can_accept() held just above.
-                    self.bank_mut(b).push_access(f).expect("can_accept checked");
+                    self.m.banks[b].push_access(f).expect("can_accept checked");
                 }
             }
         }
@@ -1250,10 +892,8 @@ impl GpuSim {
         //    here and step 7 touches the reply network, so this credit is
         //    exactly the verdict injection will see, and `stall_cause`
         //    stays the single bp-ICNT attribution site (R5). The credit
-        //    only reclassifies stalled cycles — it never gates progress —
-        //    and is computed on the coordinator, so results are identical
-        //    at every shard width.
-        let l2_t0 = self.host_prof.as_ref().and_then(|hp| hp.coord.begin());
+        //    only reclassifies stalled cycles — it never gates progress.
+        let l2_t0 = self.host_span_begin();
         for b in 0..self.cfg.n_l2_banks {
             // A sleeping bank does not cycle this tick, so its credit is
             // never read; it always receives a fresh credit on the first
@@ -1261,24 +901,16 @@ impl GpuSim {
             if !self.bank_awake(b) {
                 continue;
             }
-            let credit = match self.bank(b).response_ready_next() {
-                Some(resp) => self.rep().can_inject(b, resp.response_bytes()),
+            let credit = match self.m.banks[b].response_ready_next() {
+                Some(resp) => self.m.nets[REP].can_inject(b, resp.response_bytes()),
                 None => true,
             };
-            self.bank_mut(b).set_reply_credit(credit);
+            self.m.banks[b].set_reply_credit(credit);
         }
-        self.run_region(
-            Region::Bank {
-                now_ps,
-                cyc: icnt_cyc,
-            },
-            pool,
-        );
+        self.m.sweep_banks(now_ps, icnt_cyc, &mut self.trace);
         // The "l2_tick" sub-phase (credits + bank pipelines) nests inside
         // this icnt span by time containment.
-        if let Some(hp) = self.host_prof.as_mut() {
-            hp.coord.end(HostPhase::L2Tick, l2_t0);
-        }
+        self.host_span_end(HostPhase::L2Tick, l2_t0);
 
         // 5. L2 miss queues drain toward DRAM (or the ideal-DRAM pipe).
         let dram_cyc = self.clocks.domain(DomainId::Dram).cycles();
@@ -1291,14 +923,14 @@ impl GpuSim {
             if !self.bank_awake(b) {
                 continue;
             }
-            let Some(head) = self.bank(b).miss_queue_front() else {
+            let Some(head) = self.m.banks[b].miss_queue_front() else {
                 continue;
             };
             let ch = head.line.interleave(self.cfg.n_channels);
             match ideal_dram_lat {
                 Some(lat) => {
                     // INVARIANT: miss_queue_front() returned Some above.
-                    let mut f = self.bank_mut(b).pop_miss().expect("peeked");
+                    let mut f = self.m.banks[b].pop_miss().expect("peeked");
                     f.time.dram_arrive = now_ps;
                     self.trace
                         .record_fetch(&f, now_ps, TraceEventKind::DequeuedAt(Level::Dram));
@@ -1309,18 +941,18 @@ impl GpuSim {
                     // Write-backs are absorbed instantly by the ideal DRAM.
                 }
                 None => {
-                    if self.channel(ch).can_accept() {
-                        // The Dram region does not run at pure-icnt
+                    if self.m.channels[ch].can_accept() {
+                        // The channel sweep does not run at pure-icnt
                         // instants; flush the channel through the last
                         // DRAM tick that already executed (one less when
                         // this edge fires DRAM too — that tick runs after
                         // this hand-off).
-                        self.wake_channel_at(ch, dram_cyc - u64::from(fired.dram));
+                        self.m.wake_channel(ch, dram_cyc - u64::from(fired.dram));
                         // INVARIANT: miss_queue_front() returned Some above.
-                        let mut f = self.bank_mut(b).pop_miss().expect("peeked");
+                        let mut f = self.m.banks[b].pop_miss().expect("peeked");
                         f.time.dram_arrive = now_ps;
                         // INVARIANT: can_accept() held just above.
-                        self.channel_mut(ch)
+                        self.m.channels[ch]
                             .push(f, dram_cyc)
                             .expect("can_accept checked");
                     }
@@ -1337,8 +969,8 @@ impl GpuSim {
                             break;
                         }
                         let line = f.line;
-                        if self.bank(bank).response_free()
-                            < self.bank(bank).fill_response_needs(line)
+                        if self.m.banks[bank].response_free()
+                            < self.m.banks[bank].fill_response_needs(line)
                         {
                             break;
                         }
@@ -1349,28 +981,28 @@ impl GpuSim {
                             now_ps,
                             TraceEventKind::ServicedAt(Level::Dram),
                         );
-                        // The Bank region already ran: flush the sleeping
+                        // The bank sweep already ran: flush the sleeping
                         // bank through tick icnt_cyc so the fill's ready
                         // stamp (bank.now + 1) lands on the next tick.
-                        self.wake_bank_at(bank, icnt_cyc);
-                        self.bank_mut(bank).deliver_fill(f, now_ps);
+                        self.m.wake_bank(bank, icnt_cyc);
+                        self.m.banks[bank].deliver_fill(f, now_ps);
                     }
                 }
             }
             None => {
                 let dram_period = self.clocks.domain(DomainId::Dram).period_ps();
                 for ch in 0..self.cfg.n_channels {
-                    while let Some(f) = self.channel(ch).peek_response() {
+                    while let Some(f) = self.m.channels[ch].peek_response() {
                         let bank = f.line.interleave(self.cfg.n_l2_banks);
                         let line = f.line;
-                        if self.bank(bank).response_free()
-                            < self.bank(bank).fill_response_needs(line)
+                        if self.m.banks[bank].response_free()
+                            < self.m.banks[bank].fill_response_needs(line)
                         {
                             break;
                         }
                         // INVARIANT: peek_response() returned Some in the
                         // loop guard.
-                        let (cas, f) = self.channel_mut(ch).pop_response_cas().expect("peeked");
+                        let (cas, f) = self.m.channels[ch].pop_response_cas().expect("peeked");
                         // DRAM cycle c fires at wall time (c-1)*period; the
                         // clamp keeps the event stream monotone even for
                         // degenerate clock configurations.
@@ -1387,8 +1019,8 @@ impl GpuSim {
                         );
                         // See the ideal branch above: flush through this
                         // tick before the fill stamps bank.now + 1.
-                        self.wake_bank_at(bank, icnt_cyc);
-                        self.bank_mut(bank).deliver_fill(f, now_ps);
+                        self.m.wake_bank(bank, icnt_cyc);
+                        self.m.banks[bank].deliver_fill(f, now_ps);
                     }
                 }
             }
@@ -1400,16 +1032,16 @@ impl GpuSim {
             if !self.bank_awake(b) {
                 continue;
             }
-            if let Some(resp) = self.bank(b).response_ready() {
+            if let Some(resp) = self.m.banks[b].response_ready() {
                 let bytes = resp.response_bytes();
                 let dst = resp.core_id;
-                if self.rep().can_inject(b, bytes) {
-                    // The Net region already ran this tick: flush the reply
+                if self.m.nets[REP].can_inject(b, bytes) {
+                    // The net sweep already ran this tick: flush the reply
                     // switch through tick icnt_cyc before it stamps
                     // router latency against its own clock.
-                    self.wake_rep_net_at(icnt_cyc);
+                    self.m.wake_net(REP, icnt_cyc);
                     // INVARIANT: response_ready() returned Some above.
-                    let f = self.bank_mut(b).pop_response().expect("ready");
+                    let f = self.m.banks[b].pop_response().expect("ready");
                     // An L2 hit is "serviced" when its response leaves the
                     // bank: lookup pipeline plus response-queue residency.
                     // DRAM-filled responses were serviced at the channel.
@@ -1420,7 +1052,7 @@ impl GpuSim {
                     self.trace
                         .record_fetch(&f, now_ps, TraceEventKind::EnqueuedAt(Level::Icnt));
                     // INVARIANT: can_inject() held just above.
-                    self.rep_mut()
+                    self.m.nets[REP]
                         .inject(b, dst, f, bytes)
                         .expect("can_inject checked");
                 }
@@ -1429,26 +1061,26 @@ impl GpuSim {
 
         // 8. Ejected replies enter core response FIFOs. Same early-out as
         //    step 3: no backlog, nothing to re-offer.
-        if self.rep().ejection_backlog() > 0 {
+        if self.m.nets[REP].ejection_backlog() > 0 {
             let core_cyc = self.clocks.domain(DomainId::Core).cycles();
             for c in 0..self.cfg.n_cores {
-                while self.rep().peek_eject(c).is_some() {
-                    if !self.core(c).can_accept_response() {
+                while self.m.nets[REP].peek_eject(c).is_some() {
+                    if !self.m.cores[c].can_accept_response() {
                         break;
                     }
-                    // The Core region runs after the icnt phase when this
+                    // The core sweep runs after the icnt phase when this
                     // edge fires it: flush the sleeping core through the
                     // last core tick that already executed.
-                    self.wake_core_at(c, core_cyc - u64::from(fired.core));
+                    self.m.wake_core(c, core_cyc - u64::from(fired.core));
                     // INVARIANT: peek_eject() returned Some in the loop guard.
-                    let f = self.rep_mut().pop_eject(c).expect("peeked");
+                    let f = self.m.nets[REP].pop_eject(c).expect("peeked");
                     self.audit.returned(&f, now_ps);
                     self.trace
                         .record_fetch(&f, now_ps, TraceEventKind::DequeuedAt(Level::Icnt));
                     self.trace
                         .record_fetch(&f, now_ps, TraceEventKind::Returned);
                     // INVARIANT: can_accept_response() held just above.
-                    self.core_mut(c).push_response(f).expect("space checked");
+                    self.m.cores[c].push_response(f).expect("space checked");
                 }
             }
         }
@@ -1456,12 +1088,12 @@ impl GpuSim {
 
     // ---- DRAM domain ---------------------------------------------------------
 
-    fn dram_tick(&mut self, pool: Option<&ParPool>) {
+    fn dram_tick(&mut self) {
         if !matches!(self.cfg.memory_model, MemoryModel::Full) {
             return;
         }
         let cyc = self.clocks.domain(DomainId::Dram).cycles();
-        self.run_region(Region::Dram { cyc }, pool);
+        self.m.sweep_channels(cyc);
     }
 
     // ---- statistics -----------------------------------------------------------
@@ -1480,7 +1112,7 @@ impl GpuSim {
         let mut ahl_n = 0u64;
         let mut l1_reads = 0u64;
         let mut l1_hits = 0u64;
-        for c in self.cores() {
+        for c in self.m.cores.iter() {
             let s = c.stats();
             stats.insts += s.insts_issued;
             stats.issue.merge(&s.issue);
@@ -1521,7 +1153,7 @@ impl GpuSim {
 
         let mut l2_reads = 0u64;
         let mut l2_hits = 0u64;
-        for b in self.banks() {
+        for b in self.m.banks.iter() {
             stats.l2_stalls.merge(b.stalls());
             stats.l2_access_occupancy.merge(b.access_occupancy());
             l2_reads += b.cache().stats().reads;
@@ -1535,7 +1167,7 @@ impl GpuSim {
 
         let mut eff_num = 0u64;
         let mut eff_den = 0u64;
-        for ch in self.channels() {
+        for ch in self.m.channels.iter() {
             stats.dram_queue_occupancy.merge(ch.queue_occupancy());
             eff_num += ch.stats().efficiency.numerator();
             eff_den += ch.stats().efficiency.denominator();
@@ -1716,9 +1348,9 @@ mod tests {
         let mut sim = GpuSim::new(cfg, &wl);
         // Saturate core 0's response FIFO.
         let mut id = 1000;
-        while sim.core(0).can_accept_response() {
+        while sim.m.cores[0].can_accept_response() {
             let f = MemFetch::new(id, 0, 0, AccessKind::Load, LineAddr::new(id), 0);
-            sim.core_mut(0).push_response(f).unwrap();
+            sim.m.cores[0].push_response(f).unwrap();
             id += 1;
         }
         // Ready responses in the shared queue: two for saturated core 0
@@ -1730,7 +1362,7 @@ mod tests {
         }
         sim.deliver_ideal(0, 0);
         assert_eq!(
-            sim.core(1).response_fifo_len(),
+            sim.m.cores[1].response_fifo_len(),
             2,
             "idle core's ready responses must not be blocked behind a \
              saturated core's"

@@ -44,13 +44,12 @@ use std::sync::Mutex;
 ///
 /// See the module docs for the canonical document this hashes. The config
 /// is canonicalized first: knobs that only choose *how* the run executes —
-/// scheduler selection (`force_naive_loop`, `force_serial`, `sim_threads`)
-/// and phase profiling (`profile_phases`) — are zeroed before hashing,
-/// because every such combination produces byte-identical reports (the
-/// determinism and parallel-equivalence suites pin this). Hashing them
-/// would fragment the cache into copies of the same bytes and turn a warm
-/// hit into a cold re-simulation whenever a client merely changes thread
-/// count.
+/// run-loop selection (`force_naive_loop`), host profiling
+/// (`profile_host`) and the vestigial `sim_threads` (0 and 1 mean the same
+/// thing) — are zeroed before hashing, because every such combination
+/// produces byte-identical reports (the determinism and event-core suites
+/// pin this). Hashing them would fragment the cache into copies of the
+/// same bytes and turn a warm hit into a cold re-simulation.
 pub fn job_key(config_label: &str, cfg: &GpuConfig, wl: &WorkloadSpec) -> u64 {
     let cfg = canonical_cfg(cfg);
     let mut h = StableHasher::new();
@@ -67,14 +66,12 @@ pub fn job_key(config_label: &str, cfg: &GpuConfig, wl: &WorkloadSpec) -> u64 {
     h.finish()
 }
 
-/// Strips execution-only knobs (scheduler choice, profiling) down to their
+/// Strips execution-only knobs (run-loop choice, profiling) down to their
 /// defaults so every equivalent execution strategy maps to one cache key.
 fn canonical_cfg(cfg: &GpuConfig) -> GpuConfig {
     let mut c = cfg.clone();
     c.force_naive_loop = false;
-    c.profile_phases = false;
     c.profile_host = false;
-    c.force_serial = false;
     c.sim_threads = 0;
     c
 }
@@ -287,7 +284,7 @@ mod tests {
 
     #[test]
     fn key_ignores_execution_only_knobs() {
-        // Scheduler selection and profiling change how a run executes, not
+        // Run-loop selection and profiling change how a run executes, not
         // what it produces — all combinations must share one cache entry.
         let (cfg, wl) = tiny();
         let base = job_key("base", &cfg, &wl);
@@ -295,13 +292,11 @@ mod tests {
         c.force_naive_loop = true;
         assert_eq!(base, job_key("base", &c, &wl));
         let mut c = cfg.clone();
-        c.force_serial = true;
+        c.profile_host = true;
         assert_eq!(base, job_key("base", &c, &wl));
+        // `sim_threads` 0 and 1 both mean one thread.
         let mut c = cfg.clone();
-        c.sim_threads = 8;
-        assert_eq!(base, job_key("base", &c, &wl));
-        let mut c = cfg.clone();
-        c.profile_phases = true;
+        c.sim_threads = 1;
         assert_eq!(base, job_key("base", &c, &wl));
     }
 

@@ -3,33 +3,17 @@
 //! Two views of the same report, mirroring [`crate::trace_export`] for the
 //! *simulated* machine:
 //!
-//! * [`host_trace_json`] — Chrome `trace_event` JSON of the host timeline,
-//!   one track per lane (coordinator + each `ParPool` worker), loadable in
-//!   Perfetto next to the simulated-time trace.
+//! * [`host_trace_json`] — Chrome `trace_event` JSON of the host timeline
+//!   (one track: a simulation runs on one thread), loadable in Perfetto
+//!   next to the simulated-time trace.
 //! * [`utilization_table`] — a fixed-width attribution table: per-phase
-//!   wall share, per-lane busy fraction, barrier-wait share and dispatch
-//!   cost per region — the numbers the parallel-scaling ROADMAP item
-//!   needs.
+//!   wall share and mean span cost.
 //!
 //! Both are deterministic functions of the report (the report itself is
 //! wall-clock data, so two runs differ; two exports of one report do not).
 
 use gmh_types::prof::{HostPhase, HostReport};
 use gmh_types::telemetry::{json_escape, json_num};
-
-/// Chrome `tid` of a lane (1-based; `tid` 0 carries process metadata).
-fn tid_of(lane: usize) -> usize {
-    lane + 1
-}
-
-/// Display name of a lane.
-fn lane_name(lane: usize) -> String {
-    if lane == 0 {
-        "coordinator".to_string()
-    } else {
-        format!("worker {lane}")
-    }
-}
 
 /// Nanoseconds to the microsecond `ts`/`dur` fields of the Chrome trace
 /// format (1 ns = 1e-3 µs, so three decimal places are exact).
@@ -39,11 +23,11 @@ fn micros(ns: u64) -> String {
 
 /// Serializes a host profile as single-line Chrome `trace_event` JSON.
 ///
-/// Layout: one process (`pid` 0) named `"gmh host: <label>"`, one thread
-/// per lane in lane order (coordinator first). Every recorded span becomes
-/// a complete (`"X"`) event named for its phase; nested phases (e.g.
-/// `l2_tick` inside `icnt_tick`) nest by time containment on the same
-/// track, which Perfetto renders as stacked slices.
+/// Layout: one process (`pid` 0) named `"gmh host: <label>"` with one
+/// thread (`tid` 1, `"run loop"`). Every recorded span becomes a complete
+/// (`"X"`) event named for its phase; nested phases (e.g. `l2_tick` inside
+/// `icnt_tick`) nest by time containment, which Perfetto renders as
+/// stacked slices.
 pub fn host_trace_json(label: &str, report: &HostReport) -> String {
     let mut events: Vec<String> = Vec::new();
     events.push(format!(
@@ -51,29 +35,19 @@ pub fn host_trace_json(label: &str, report: &HostReport) -> String {
          \"args\":{{\"name\":\"gmh host: {}\"}}}}",
         json_escape(label)
     ));
-    for lane in &report.lanes {
-        let tid = tid_of(lane.lane);
+    events.push(
+        "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":1,\
+         \"args\":{\"name\":\"run loop\"}}"
+            .to_string(),
+    );
+    for e in &report.events {
         events.push(format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            json_escape(&lane_name(lane.lane))
+            "{{\"name\":\"{}\",\"cat\":\"host\",\"ph\":\"X\",\"pid\":0,\
+             \"tid\":1,\"ts\":{},\"dur\":{}}}",
+            e.phase.name(),
+            micros(e.start_ns),
+            micros(e.dur_ns),
         ));
-        events.push(format!(
-            "{{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":0,\
-             \"tid\":{tid},\"args\":{{\"sort_index\":{tid}}}}}"
-        ));
-    }
-    for lane in &report.lanes {
-        let tid = tid_of(lane.lane);
-        for e in &lane.events {
-            events.push(format!(
-                "{{\"name\":\"{}\",\"cat\":\"host\",\"ph\":\"X\",\"pid\":0,\
-                 \"tid\":{tid},\"ts\":{},\"dur\":{}}}",
-                e.phase.name(),
-                micros(e.start_ns),
-                micros(e.dur_ns),
-            ));
-        }
     }
     format!(
         "{{\"displayTimeUnit\":\"ns\",\"traceEvents\":[{}]}}",
@@ -81,67 +55,34 @@ pub fn host_trace_json(label: &str, report: &HostReport) -> String {
     )
 }
 
-/// Renders the utilization/attribution table: a header with the headline
-/// ratios, one row per phase (aggregated across lanes; a phase's wall
-/// share can exceed 100% when several lanes run it concurrently), then one
-/// row per lane with its busy fraction.
+/// Renders the attribution table: a header with the wall time, the share
+/// of it attributed to any phase and the spans that did not fit the
+/// timeline cap, then one row per phase that occurred.
 pub fn utilization_table(report: &HostReport) -> String {
     let wall = report.wall_ns.max(1) as f64;
     let mut out = format!(
-        "# host profile: wall {} s, workers {}, worker busy {:.1}%, \
-         barrier wait {:.1}% of wall, dispatch {} us/region \
-         ({} dispatches, {} barriers, {} merges)\n",
+        "# host profile: wall {} s, attributed {:.1}% ({} spans beyond the timeline cap)\n",
         json_num(report.wall_ns as f64 / 1e9),
-        report.n_workers,
-        report.worker_busy_ratio() * 100.0,
-        report.barrier_wait_ns_total() as f64 / wall * 100.0,
-        json_num(report.dispatch_ns_per_region() / 1e3),
-        report.dispatches,
-        report.collects,
-        report.merges,
+        report.busy_ns() as f64 / wall * 100.0,
+        report.dropped,
     );
     out.push_str(&format!(
-        "{:<12} {:>10} {:>12} {:>9} {:>12}\n",
+        "{:<14} {:>10} {:>12} {:>9} {:>12}\n",
         "phase", "count", "total_s", "wall_pct", "mean_us"
     ));
-    for phase in HostPhase::ALL {
-        let total_ns = report.phase_total_ns(phase);
-        let count = report.phase_count(phase);
-        if count == 0 && total_ns == 0 {
-            continue;
-        }
+    for (name, total_ns, count) in phase_rows(report) {
         let mean_us = if count == 0 {
             0.0
         } else {
             total_ns as f64 / count as f64 / 1e3
         };
         out.push_str(&format!(
-            "{:<12} {:>10} {:>12} {:>8.1}% {:>12}\n",
-            phase.name(),
+            "{:<14} {:>10} {:>12} {:>8.1}% {:>12}\n",
+            name,
             count,
             json_num(total_ns as f64 / 1e9),
             total_ns as f64 / wall * 100.0,
             json_num(mean_us),
-        ));
-    }
-    out.push_str(&format!(
-        "{:<12} {:>9} {:>12} {:>12} {:>10} {:>8}\n",
-        "lane", "busy_pct", "busy_s", "wait_s", "spans", "dropped"
-    ));
-    for lane in &report.lanes {
-        let wait_ns = if lane.lane == 0 {
-            lane.total_ns(HostPhase::BarrierWait)
-        } else {
-            lane.total_ns(HostPhase::RecvWait)
-        };
-        out.push_str(&format!(
-            "{:<12} {:>8.1}% {:>12} {:>12} {:>10} {:>8}\n",
-            lane_name(lane.lane),
-            lane.busy_ns() as f64 / wall * 100.0,
-            json_num(lane.busy_ns() as f64 / 1e9),
-            json_num(wait_ns as f64 / 1e9),
-            lane.events.len(),
-            lane.dropped,
         ));
     }
     out
@@ -160,68 +101,45 @@ pub fn phase_rows(report: &HostReport) -> Vec<(&'static str, u64, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gmh_types::prof::{LaneData, SpanEvent, N_HOST_PHASES};
+    use gmh_types::prof::{SpanEvent, N_HOST_PHASES};
 
     fn synthetic_report() -> HostReport {
-        let mk = |lane: usize, spans: &[(HostPhase, u64, u64)]| {
-            let mut totals_ns = [0u64; N_HOST_PHASES];
-            let mut counts = [0u64; N_HOST_PHASES];
-            let mut events = Vec::new();
-            for &(phase, start_ns, dur_ns) in spans {
-                totals_ns[phase.index()] += dur_ns;
-                counts[phase.index()] += 1;
-                events.push(SpanEvent {
-                    phase,
-                    start_ns,
-                    dur_ns,
-                });
-            }
-            LaneData {
-                lane,
-                totals_ns,
-                counts,
-                events,
-                dropped: 0,
-            }
-        };
+        let mut totals_ns = [0u64; N_HOST_PHASES];
+        let mut counts = [0u64; N_HOST_PHASES];
+        let mut events = Vec::new();
+        for (phase, start_ns, dur_ns) in [
+            (HostPhase::IcntTick, 0, 400_000),
+            (HostPhase::L2Tick, 100_000, 200_000),
+            (HostPhase::CoreTick, 400_000, 300_000),
+        ] {
+            totals_ns[phase.index()] += dur_ns;
+            counts[phase.index()] += 1;
+            events.push(SpanEvent {
+                phase,
+                start_ns,
+                dur_ns,
+            });
+        }
         HostReport {
             wall_ns: 1_000_000,
-            n_workers: 1,
-            lanes: vec![
-                mk(
-                    0,
-                    &[
-                        (HostPhase::IcntTick, 0, 400_000),
-                        (HostPhase::L2Tick, 100_000, 200_000),
-                        (HostPhase::BarrierWait, 310_000, 50_000),
-                        (HostPhase::CoreTick, 400_000, 300_000),
-                    ],
-                ),
-                mk(
-                    1,
-                    &[
-                        (HostPhase::RecvWait, 0, 120_000),
-                        (HostPhase::RegionExec, 120_000, 500_000),
-                    ],
-                ),
-            ],
-            dispatches: 10,
-            collects: 5,
-            merges: 10,
+            totals_ns,
+            counts,
+            events,
+            dropped: 0,
         }
     }
 
     #[test]
-    fn trace_json_has_a_track_per_lane() {
+    fn trace_json_has_one_track_with_every_span() {
         let json = host_trace_json("mm", &synthetic_report());
         assert!(json.starts_with("{\"displayTimeUnit\":\"ns\",\"traceEvents\":["));
         assert!(json.ends_with("]}"));
         assert!(!json.contains('\n'), "single-line JSON");
         assert!(json.contains("\"name\":\"gmh host: mm\""));
-        assert!(json.contains("\"name\":\"coordinator\""));
-        assert!(json.contains("\"name\":\"worker 1\""));
+        assert!(json.contains("\"name\":\"run loop\""));
         assert!(json.contains("\"name\":\"icnt_tick\""));
-        assert!(json.contains("\"name\":\"region_exec\""));
+        assert!(json.contains("\"name\":\"l2_tick\""));
+        assert_eq!(json.matches("\"ph\":\"X\"").count(), 3);
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
@@ -232,19 +150,15 @@ mod tests {
     }
 
     #[test]
-    fn table_lists_phases_and_lanes() {
+    fn table_lists_phases_that_occurred() {
         let table = utilization_table(&synthetic_report());
-        assert!(table.contains("workers 1"));
         assert!(table.contains("icnt_tick"));
         assert!(table.contains("l2_tick"));
-        assert!(table.contains("region_exec"));
-        assert!(table.contains("coordinator"));
-        assert!(table.contains("worker 1"));
+        assert!(table.contains("core_tick"));
         assert!(!table.contains("ff_probe"), "absent phases are omitted");
-        // Worker busy: 500µs exec of 1ms wall = 50%.
-        assert!(table.contains("worker busy 50.0%"));
-        // Barrier wait: coord 50µs + worker recv 120µs = 17% of wall.
-        assert!(table.contains("barrier wait 17.0%"));
+        // Top-level spans: 400µs + 300µs of 1 ms wall; the nested l2_tick
+        // is not counted twice.
+        assert!(table.contains("attributed 70.0%"), "{table}");
     }
 
     #[test]
@@ -264,7 +178,6 @@ mod tests {
         cfg.n_cores = 2;
         cfg.max_core_cycles = 20_000;
         cfg.profile_host = true;
-        cfg.force_serial = true;
         let mut wl = catalog::by_name("nn").unwrap();
         wl.insts_per_warp = 40;
         wl.warps_per_core = 4;

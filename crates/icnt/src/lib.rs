@@ -147,10 +147,10 @@ impl Crossbar {
         self.reply.cycle();
     }
 
-    /// Splits the crossbar into its `(request, reply)` networks. The
-    /// parallel scheduler owns the two networks in separate tick domains
-    /// (they share no state; `cycle` above just steps both), so the
-    /// sharded simulator stores them independently.
+    /// Splits the crossbar into its `(request, reply)` networks. They
+    /// share no state (`cycle` above just steps both), and the simulator's
+    /// event scheduler parks and wakes each on its own, so it stores them
+    /// independently.
     pub fn into_parts(self) -> (Network, Network) {
         (self.request, self.reply)
     }

@@ -22,7 +22,7 @@ use crate::Finding;
 pub const RULE: &str = "AUDIT";
 
 /// Rule ids an inline directive may name.
-const KNOWN_RULES: &[&str] = &["R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8"];
+const KNOWN_RULES: &[&str] = &["R1", "R2", "R3", "R4", "R5", "R6", "R8"];
 
 /// Audits every suppression against the unfiltered findings `raw`.
 pub fn check(cfg: &LintConfig, files: &[SourceFile], raw: &[Finding], out: &mut Vec<Finding>) {

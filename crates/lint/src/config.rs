@@ -38,20 +38,6 @@ pub struct StallEnum {
     pub order: Vec<String>,
 }
 
-/// R7 shard-isolation configuration.
-#[derive(Clone, Debug, Default)]
-pub struct R7Config {
-    /// The model-state root type; everything reachable from it through
-    /// field types is shard state (e.g. `"Shard"`).
-    pub state_root: String,
-    /// The one sanctioned home of the worker pool (path suffix): the only
-    /// model file allowed to call `thread::spawn`.
-    pub pool_file: String,
-    /// Names of the shard-region entry functions; the call-graph walk
-    /// from these must stay free of sharing primitives.
-    pub region_fns: Vec<String>,
-}
-
 /// R8 time-unit-consistency configuration.
 #[derive(Clone, Debug, Default)]
 pub struct R8Config {
@@ -80,8 +66,6 @@ pub struct LintConfig {
     pub queue_impl: Vec<String>,
     /// Stall enums R5 cross-checks.
     pub stall_enums: Vec<StallEnum>,
-    /// R7 shard-isolation settings (rule skipped when absent).
-    pub r7: Option<R7Config>,
     /// R8 time-unit settings (rule skipped when absent).
     pub r8: Option<R8Config>,
     /// Allowlist entries.
@@ -102,7 +86,6 @@ impl LintConfig {
             None,
             Lint,
             Enum(usize),
-            R7,
             R8,
             Allow(usize),
         }
@@ -126,9 +109,6 @@ impl LintConfig {
                 let header = header.trim();
                 if header == "lint" {
                     ctx = Ctx::Lint;
-                } else if header == "r7" {
-                    cfg.r7 = Some(R7Config::default());
-                    ctx = Ctx::R7;
                 } else if header == "r8" {
                     cfg.r8 = Some(R8Config::default());
                     ctx = Ctx::R8;
@@ -156,17 +136,6 @@ impl LintConfig {
                         "order" => cfg.stall_enums[i].order = parse_str_array(value, &err)?,
                         _ => return Err(err("unknown [r5.enums.*] key")),
                     },
-                    Ctx::R7 => {
-                        // INVARIANT: Ctx::R7 is only entered after cfg.r7
-                        // is set to Some above.
-                        let r7 = cfg.r7.as_mut().expect("[r7] context set");
-                        match key {
-                            "state_root" => r7.state_root = parse_str(value, &err)?,
-                            "pool_file" => r7.pool_file = parse_str(value, &err)?,
-                            "region_fns" => r7.region_fns = parse_str_array(value, &err)?,
-                            _ => return Err(err("unknown [r7] key")),
-                        }
-                    }
                     Ctx::R8 => {
                         // INVARIANT: Ctx::R8 is only entered after cfg.r8
                         // is set to Some above.
@@ -227,11 +196,6 @@ impl LintConfig {
             }
             if seen.insert(e.name.clone(), ()).is_some() {
                 return Err(format!("lint.toml: duplicate enum {}", e.name));
-            }
-        }
-        if let Some(r7) = &self.r7 {
-            if r7.state_root.is_empty() || r7.region_fns.is_empty() {
-                return Err("lint.toml: [r7] needs both `state_root` and `region_fns`".to_string());
             }
         }
         Ok(())

@@ -1,51 +1,15 @@
 //! Per-function intraprocedural dataflow over the masked lexical view:
-//! local bindings, moves, borrows and channel-endpoint usage.
+//! local bindings.
 //!
-//! This is not a type checker — it recovers exactly the facts the
-//! cross-file rules need and nothing more:
-//!
-//! - `let` bindings with their ascribed type and initializer text
-//!   (multi-line initializers are collapsed up to the terminating `;`);
-//! - tuple destructures of `mpsc::channel()`, recording which binding is
-//!   the sender, which the receiver, and the declared payload type when
-//!   the call carries a turbofish;
-//! - per-binding use sites, classified as plain reads, `&`/`&mut`
-//!   borrows, method receivers (`x.clone()`, `x.send(..)`), call
-//!   arguments, or reassignments.
+//! This is not a type checker — it recovers exactly the facts R8 needs and
+//! nothing more: `let` bindings with their ascribed type and initializer
+//! text (multi-line initializers are collapsed up to the terminating `;`).
 //!
 //! The pass is line-based and conservative: shadowing rebinds a name at
 //! its `let` line, and a use is attributed to the latest binding of that
 //! name at or above the use line.
 
 use crate::source::{find_token, SourceFile};
-
-/// How a binding's name is used at one site.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum UseKind {
-    /// Plain read (any appearance not matching a more specific kind).
-    Read,
-    /// `&name` shared borrow.
-    Borrow,
-    /// `&mut name` exclusive borrow.
-    BorrowMut,
-    /// `name.method(..)` — the method name is carried alongside.
-    Method,
-    /// `name = ..` reassignment (not `==`).
-    Reassign,
-}
-
-/// One use site of a binding.
-#[derive(Clone, Debug)]
-pub struct Use {
-    /// 0-indexed line of the use.
-    pub line: usize,
-    /// Byte column of the identifier on that line.
-    pub col: usize,
-    /// Classification.
-    pub kind: UseKind,
-    /// Method name when `kind == Method`, else empty.
-    pub method: String,
-}
 
 /// One `let` binding in a function body.
 #[derive(Clone, Debug)]
@@ -60,26 +24,11 @@ pub struct Binding {
     pub init: String,
 }
 
-/// A destructured `mpsc::channel()` pair.
-#[derive(Clone, Debug)]
-pub struct ChannelPair {
-    /// The sender binding name.
-    pub sender: String,
-    /// The receiver binding name.
-    pub receiver: String,
-    /// Payload type text from a `channel::<T>()` turbofish, if declared.
-    pub payload: String,
-    /// 0-indexed line of the creation.
-    pub line: usize,
-}
-
 /// Dataflow facts for one function span.
 #[derive(Debug, Default)]
 pub struct FnFlow {
     /// All `let` bindings, in source order.
     pub bindings: Vec<Binding>,
-    /// All channel pairs created in the body.
-    pub channels: Vec<ChannelPair>,
     /// First line of the span.
     pub start: usize,
     /// Last line of the span (inclusive).
@@ -115,94 +64,6 @@ impl FnFlow {
             .iter()
             .rfind(|b| b.name == name && b.line <= line)
     }
-
-    /// All use sites of `name` within the span of `f`, excluding the
-    /// declaring `let` lines of that name.
-    pub fn uses_of(&self, f: &SourceFile, name: &str) -> Vec<Use> {
-        let decl_lines: Vec<usize> = self
-            .bindings
-            .iter()
-            .filter(|b| b.name == name)
-            .map(|b| b.line)
-            .collect();
-        let mut out = Vec::new();
-        for i in self.start..=self.end {
-            let line = &f.code[i];
-            let mut from = 0;
-            while let Some(pos) = find_token(&line[from..], name) {
-                let col = from + pos;
-                from = col + name.len();
-                if decl_lines.contains(&i) && declares_here(line, col, name) {
-                    continue;
-                }
-                out.push(Use {
-                    line: i,
-                    col,
-                    kind: classify_use(line, col, name),
-                    method: method_name(line, col + name.len()),
-                });
-            }
-        }
-        out
-    }
-}
-
-/// Whether the occurrence of `name` at `col` is the declaration site
-/// itself (inside a `let` pattern before any `=`).
-fn declares_here(line: &str, col: usize, _name: &str) -> bool {
-    let before = &line[..col];
-    match (find_token(before, "let"), before.rfind('=')) {
-        (Some(_), None) => true,
-        (Some(l), Some(e)) => e < l,
-        (None, _) => false,
-    }
-}
-
-/// Classification of a use from its immediate lexical context.
-fn classify_use(line: &str, col: usize, name: &str) -> UseKind {
-    let before = line[..col].trim_end();
-    let after = &line[col + name.len()..];
-    if before.ends_with("&mut") {
-        return UseKind::BorrowMut;
-    }
-    if before.ends_with('&') {
-        return UseKind::Borrow;
-    }
-    if after.starts_with('.') && method_follows(after) {
-        return UseKind::Method;
-    }
-    let after_t = after.trim_start();
-    if after_t.starts_with('=') && !after_t.starts_with("==") {
-        return UseKind::Reassign;
-    }
-    UseKind::Read
-}
-
-/// Whether `.ident(` immediately follows (a method call on the binding).
-fn method_follows(after: &str) -> bool {
-    let rest = &after[1..];
-    let ident_len = rest
-        .chars()
-        .take_while(|c| c.is_alphanumeric() || *c == '_')
-        .count();
-    ident_len > 0 && rest[ident_len..].starts_with('(')
-}
-
-/// The method name in `.ident(..` starting at byte `at` of `line`.
-fn method_name(line: &str, at: usize) -> String {
-    let rest = &line[at..];
-    if !rest.starts_with('.') {
-        return String::new();
-    }
-    let ident: String = rest[1..]
-        .chars()
-        .take_while(|c| c.is_alphanumeric() || *c == '_')
-        .collect();
-    if rest[1 + ident.len()..].starts_with('(') {
-        ident
-    } else {
-        String::new()
-    }
 }
 
 /// Collapses the statement starting at line `i` through its terminating
@@ -219,9 +80,8 @@ fn collapse_statement(code: &[String], i: usize, end: usize) -> (String, usize) 
     (out, end)
 }
 
-/// Parses one `let` statement (already collapsed) into bindings and,
-/// when the initializer is `mpsc::channel`, a channel pair. `from_let` is
-/// the statement text starting at the `let` keyword.
+/// Parses one `let` statement (already collapsed) into bindings.
+/// `from_let` is the statement text starting at the `let` keyword.
 fn parse_let(stmt: &str, from_let: &str, line: usize, flow: &mut FnFlow) {
     // Pattern and the rest: split at the first top-level `=` of the
     // statement (type ascriptions cannot contain `=`).
@@ -236,15 +96,6 @@ fn parse_let(stmt: &str, from_let: &str, line: usize, flow: &mut FnFlow) {
     let init = init[1..].trim().trim_end_matches(';').trim().to_string();
     let (pat, ty) = split_ascription(pat_and_ty);
     let names = pattern_names(&pat);
-    // Channel destructure: `let (tx, rx) = mpsc::channel..`.
-    if names.len() == 2 && init.contains("channel") && init.contains("mpsc") {
-        flow.channels.push(ChannelPair {
-            sender: names[0].clone(),
-            receiver: names[1].clone(),
-            payload: turbofish_payload(&init),
-            line,
-        });
-    }
     for name in names {
         flow.bindings.push(Binding {
             name,
@@ -326,28 +177,6 @@ fn pattern_names(pat: &str) -> Vec<String> {
         .collect()
 }
 
-/// The `T` of a `channel::<T>()` turbofish, or empty.
-fn turbofish_payload(init: &str) -> String {
-    let Some(p) = init.find("::<") else {
-        return String::new();
-    };
-    let rest = &init[p + 3..];
-    let mut depth = 1i64;
-    for (k, c) in rest.char_indices() {
-        match c {
-            '<' => depth += 1,
-            '>' => {
-                depth -= 1;
-                if depth == 0 {
-                    return rest[..k].trim().to_string();
-                }
-            }
-            _ => {}
-        }
-    }
-    String::new()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,41 +196,6 @@ mod tests {
         assert_eq!(flow.bindings[0].ty.as_deref(), Some("Picos"));
         assert!(flow.bindings[0].init.contains("base + 1"));
         assert_eq!(flow.bindings[1].init, "t");
-    }
-
-    #[test]
-    fn channel_destructure_records_endpoints_and_payload() {
-        let (flow, _) = flow_of(
-            "fn f() {\n    let (tx, rx) = mpsc::channel::<(Region, Shard)>();\n    \
-             let (ret_tx, from) = mpsc::channel();\n}\n",
-        );
-        assert_eq!(flow.channels.len(), 2);
-        assert_eq!(flow.channels[0].sender, "tx");
-        assert_eq!(flow.channels[0].receiver, "rx");
-        assert_eq!(flow.channels[0].payload, "(Region, Shard)");
-        assert_eq!(flow.channels[1].sender, "ret_tx");
-        assert_eq!(flow.channels[1].payload, "");
-    }
-
-    #[test]
-    fn uses_classify_borrows_methods_and_reassigns() {
-        let (flow, f) = flow_of(
-            "fn f() {\n    let mut sh = make();\n    take(&mut sh);\n    peek(&sh);\n    \
-             sh.clone();\n    sh = make();\n    use_it(sh);\n}\n",
-        );
-        let uses = flow.uses_of(&f, "sh");
-        let kinds: Vec<UseKind> = uses.iter().map(|u| u.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                UseKind::BorrowMut,
-                UseKind::Borrow,
-                UseKind::Method,
-                UseKind::Reassign,
-                UseKind::Read
-            ]
-        );
-        assert_eq!(uses[2].method, "clone");
     }
 
     #[test]

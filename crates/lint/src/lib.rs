@@ -6,10 +6,11 @@
 //! in a fixed priority order, and every fetch flowing through bounded
 //! queues that exert back-pressure. PR 1 added the *runtime* audit
 //! (fetch conservation); this crate is the *static* layer that catches
-//! violations at review time. Nine rules:
+//! violations at review time. Eight rules:
 //!
-//! - **R1 determinism** — no `HashMap`/`HashSet`, wall-clock time, or
-//!   unseeded RNG in model crates ([`rules::determinism`]);
+//! - **R1 determinism** — no `HashMap`/`HashSet`, wall-clock time,
+//!   unseeded RNG, locks, `thread::spawn` or `static mut` in model crates
+//!   ([`rules::determinism`]);
 //! - **R2 bounded queues** — no raw `VecDeque` outside
 //!   `gmh_types::queue` ([`rules::queues`]);
 //! - **R3 cast safety** — narrowing `as` casts need `try_from` or a
@@ -22,9 +23,6 @@
 //! - **R6 zero-allocation hot loops** — no `vec![..]`, `Vec::new()`,
 //!   `Box::new()` or `.collect()` inside the per-cycle functions of model
 //!   crates ([`rules::alloc`]);
-//! - **R7 shard isolation** — nothing reachable from the shard-state root
-//!   (through field types or the call graph) may share, spawn, or alias
-//!   across the `collect()` barrier ([`rules::shards`]);
 //! - **R8 time-unit consistency** — `_ps`/`_cycles`/`_ticks` unit classes
 //!   never mix without a sanctioned `ClockDomains` conversion, and magic
 //!   time literals stay in config files ([`rules::units`]);
@@ -32,11 +30,14 @@
 //!   `next_event_bound` idle probe must implement the matching
 //!   `skip_cycles`/`skip_idle` bulk-replay hook ([`rules::events`]).
 //!
-//! R7 and R8 are *symbol-resolved*: they run over a workspace-wide item
-//! index ([`index::ItemIndex`] — types with fields, functions with
-//! signatures, a conservative call graph) and a per-function dataflow
-//! pass ([`dataflow::FnFlow`] — bindings, channel endpoints, use sites),
-//! all still built on the masked lexical view.
+//! (There is no R7: it policed the intra-simulation worker pool, which
+//! is gone; its two pool-independent checks — no `thread::spawn`, no
+//! `static mut` — are R1 bans now. Rule ids are stable, so R8 and R9 keep
+//! theirs.)
+//!
+//! R8 resolves bindings: it runs a per-function dataflow pass
+//! ([`dataflow::FnFlow`] — `let` bindings with their ascribed types and
+//! initializers), still built on the masked lexical view.
 //!
 //! On top of the rules sits the suppression audit ([`audit`]): the rules
 //! run unfiltered first, and every `[[allow]]` entry or inline directive
@@ -53,7 +54,6 @@
 pub mod audit;
 pub mod config;
 pub mod dataflow;
-pub mod index;
 pub mod rules;
 pub mod source;
 
@@ -66,7 +66,7 @@ pub use source::SourceFile;
 /// One rule violation.
 #[derive(Clone, Debug)]
 pub struct Finding {
-    /// Rule id (`"R1"`..`"R6"`).
+    /// Rule id (`"R1"`..`"R9"`, or `"AUDIT"`).
     pub rule: &'static str,
     /// Repo-relative, `/`-separated path.
     pub path: String,
@@ -102,7 +102,6 @@ pub(crate) fn in_model_crate(cfg: &LintConfig, path: &str) -> bool {
 /// single-site and ordering checks.)
 pub fn run_raw(cfg: &LintConfig, files: &[SourceFile]) -> Vec<Finding> {
     let mut findings = Vec::new();
-    let idx = index::ItemIndex::build(files);
     for f in files {
         rules::determinism::check(cfg, f, &mut findings);
         rules::queues::check(cfg, f, &mut findings);
@@ -113,7 +112,6 @@ pub fn run_raw(cfg: &LintConfig, files: &[SourceFile]) -> Vec<Finding> {
         rules::events::check(cfg, f, &mut findings);
     }
     rules::stalls::check(cfg, files, &mut findings);
-    rules::shards::check(cfg, files, &idx, &mut findings);
     findings
 }
 
@@ -228,7 +226,7 @@ pub fn render(findings: &[Finding], files_scanned: usize) -> String {
     }
     if findings.is_empty() {
         out.push_str(&format!(
-            "gmh-lint: clean — {files_scanned} files, 9 rules + suppression audit, 0 findings\n"
+            "gmh-lint: clean — {files_scanned} files, 8 rules + suppression audit, 0 findings\n"
         ));
     } else {
         out.push_str(&format!(

@@ -1,8 +1,9 @@
 //! R1 — determinism: model crates may not reach for nondeterministic
-//! collections, wall-clock time, or unseeded randomness. A simulation run
-//! must be a pure function of (config, seed); `HashMap` iteration order and
-//! `Instant::now` both break byte-identical replay (the property the
-//! determinism regression test pins down).
+//! collections, wall-clock time, unseeded randomness, or anything that
+//! shares state between threads. A simulation run must be a pure function
+//! of (config, seed); `HashMap` iteration order and `Instant::now` both
+//! break byte-identical replay (the property the determinism regression
+//! test pins down), and so does any interleaving the OS scheduler picks.
 
 use crate::config::LintConfig;
 use crate::source::{contains_token, SourceFile};
@@ -50,28 +51,40 @@ const BANNED: &[(&str, &str, bool)] = &[
         "hasher randomization is per-process nondeterminism; use BTreeMap or a fixed hasher",
         false,
     ),
-    // Shared-mutable-state primitives. The parallel scheduler is
-    // ownership-passing by design (core/src/par.rs: shards move over
-    // channels, exclusively owned wherever they are mutated); a lock in
-    // model code means two threads can observe the same state under an
-    // OS-scheduled interleaving — exactly the nondeterminism R1 exists to
-    // keep out of the cycle accounting.
+    // A simulation never spawns and never shares: it runs on the one
+    // thread that owns its `GpuSim`, and parallelism lives a level up,
+    // across simulations (`gmh_exp::runner::run_jobs`). A lock, a spawned
+    // thread or a mutable static in model code means two threads can
+    // observe the same state under an OS-scheduled interleaving — exactly
+    // the nondeterminism R1 exists to keep out of the cycle accounting.
     (
         "Mutex",
-        "model state must be moved, not shared: pass ownership over channels (see \
-         core/src/par.rs); lock-protected state admits scheduler-dependent interleavings",
+        "a simulation is owned by one thread and shares nothing: keep the state in the \
+         owning struct; lock-protected state admits scheduler-dependent interleavings",
         false,
     ),
     (
         "RwLock",
-        "model state must be moved, not shared: pass ownership over channels (see \
-         core/src/par.rs); lock-protected state admits scheduler-dependent interleavings",
+        "a simulation is owned by one thread and shares nothing: keep the state in the \
+         owning struct; lock-protected state admits scheduler-dependent interleavings",
         false,
     ),
     (
         "Condvar",
-        "express barriers as channel receives (ParPool::collect blocks until every shard \
-         is home), never ad-hoc condition variables over shared state",
+        "a simulation runs on one thread and has nobody to wait for; run whole \
+         simulations side by side (gmh_exp::runner::run_jobs) instead",
+        false,
+    ),
+    (
+        "thread::spawn",
+        "a simulation runs on one thread; parallelism is across simulations \
+         (gmh_exp::runner::run_jobs, the gmh-serve worker pool), never inside one",
+        false,
+    ),
+    (
+        "static mut",
+        "a mutable static is shared state by definition; thread the state through the \
+         owning struct",
         false,
     ),
 ];

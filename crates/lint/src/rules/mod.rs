@@ -1,4 +1,4 @@
-//! The nine invariant rules. Each `check` pushes [`crate::Finding`]s
+//! The eight invariant rules. Each `check` pushes [`crate::Finding`]s
 //! *unfiltered*; suppression (inline directives and `lint.toml` entries)
 //! is applied centrally in [`crate::run`] so the audit can see what every
 //! allowlist entry actually covers. The one exception is R5, which honors
@@ -11,6 +11,5 @@ pub mod determinism;
 pub mod events;
 pub mod panics;
 pub mod queues;
-pub mod shards;
 pub mod stalls;
 pub mod units;

@@ -34,9 +34,9 @@ pub fn check(cfg: &LintConfig, f: &SourceFile, out: &mut Vec<Finding>) {
             });
         }
         // An mpsc channel is an unbounded queue the bandwidth model cannot
-        // see. Cross-thread boundary queues (the parallel scheduler's pool,
-        // the service layer's reply channels) must carry a written argument
-        // for why their occupancy is bounded by protocol.
+        // see. Cross-thread boundary queues (the service layer's reply
+        // channels) must carry a written argument for why their occupancy
+        // is bounded by protocol.
         if contains_token(code, "mpsc") {
             out.push(Finding {
                 rule: RULE,

@@ -1,5 +1,9 @@
-//! R1 fixture: a hash map in model code breaks replay determinism.
+//! R1 fixture: a hash map, a mutable static and a spawned thread in model code.
 
 use std::collections::HashMap;
 
-pub fn noop() {}
+static mut TICKS: u64 = 0;
+
+pub fn noop() {
+    std::thread::spawn(|| {});
+}

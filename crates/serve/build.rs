@@ -15,6 +15,14 @@ fn main() {
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".to_string());
     println!("cargo:rustc-env=GMH_GIT_SHA={sha}");
-    // Rebuild when HEAD moves so the exposed sha stays honest.
-    println!("cargo:rerun-if-changed=../../.git/HEAD");
+    // Rebuild when HEAD moves so the exposed sha stays honest. Outside a
+    // git checkout the file does not exist, and cargo treats a missing
+    // path as always changed — every build would recompile this crate and
+    // everything above it — so watch only this script there.
+    let head = "../../.git/HEAD";
+    if std::path::Path::new(head).exists() {
+        println!("cargo:rerun-if-changed={head}");
+    } else {
+        println!("cargo:rerun-if-changed=build.rs");
+    }
 }

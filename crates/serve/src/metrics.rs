@@ -18,11 +18,6 @@ use gmh_types::{Histogram, Level, LevelLatency};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Picoseconds per nanosecond: the host profiler accumulates `Instant`
-/// deltas in nanoseconds, the exposition follows the repo-wide picosecond
-/// convention for `_ps` series.
-const PS_PER_NS: u64 = 1_000;
-
 /// Monotonic service counters. All loads/stores are `Relaxed`: each counter
 /// is independently meaningful and nothing synchronizes *through* them.
 #[derive(Debug, Default)]
@@ -61,16 +56,9 @@ pub struct Metrics {
     sim_cps_ewma: AtomicU64,
     /// Monotonic job-id source for the per-job structured log line.
     job_ids: AtomicU64,
-    /// Host-scheduler wall picoseconds spent waiting at the cycle barrier
-    /// (coordinator collect wait plus worker recv wait), accumulated over
-    /// every completed fresh run.
-    host_barrier_wait_ps: AtomicU64,
     /// Host wall nanoseconds per [`HostPhase`] (indexed by
     /// [`HostPhase::index`]), accumulated over every completed fresh run.
     host_phase_ns: [AtomicU64; N_HOST_PHASES],
-    /// Worker-busy ratio of the most recent host-profiled run (f64 bits;
-    /// 0 until the first completion).
-    host_worker_busy: AtomicU64,
 }
 
 /// EWMA smoothing factor for [`Metrics::record_job_rate`]: each completed
@@ -149,23 +137,11 @@ impl Metrics {
     }
 
     /// Folds one completed fresh run's host self-profile into the
-    /// exposition: per-phase wall time and barrier wait accumulate, the
-    /// worker-busy gauge tracks the latest run.
+    /// exposition: per-phase wall time accumulates.
     pub fn record_host_profile(&self, r: &HostReport) {
         for phase in HostPhase::ALL {
             Self::add(&self.host_phase_ns[phase.index()], r.phase_total_ns(phase));
         }
-        Self::add(
-            &self.host_barrier_wait_ps,
-            r.barrier_wait_ns_total().saturating_mul(PS_PER_NS),
-        );
-        self.host_worker_busy
-            .store(r.worker_busy_ratio().to_bits(), Ordering::Relaxed);
-    }
-
-    /// Worker-busy ratio of the most recent host-profiled run.
-    pub fn host_worker_busy_ratio(&self) -> f64 {
-        f64::from_bits(self.host_worker_busy.load(Ordering::Relaxed))
     }
 
     /// Mean wall time of a completed fresh run, for the `BUSY` retry hint.
@@ -253,12 +229,6 @@ impl Metrics {
             "Search evaluations served from the result cache.",
             Self::get(&self.tune_cache_hits),
         );
-        counter(
-            "gmh_host_barrier_wait_ps_total",
-            "Host-scheduler picoseconds spent waiting at the cycle barrier \
-             (coordinator collect wait plus worker recv wait).",
-            Self::get(&self.host_barrier_wait_ps),
-        );
         // One TYPE for the family, one `phase`-labeled series per host
         // phase — zero or not, so the label set is stable.
         out.push_str(
@@ -299,13 +269,6 @@ impl Metrics {
              # TYPE gmh_sim_cycles_per_sec gauge\n\
              gmh_sim_cycles_per_sec {:.1}\n",
             self.sim_cycles_per_sec()
-        ));
-        out.push_str(&format!(
-            "# HELP gmh_host_worker_busy_ratio Worker-busy ratio of the most \
-             recent host-profiled run (0 before the first completion).\n\
-             # TYPE gmh_host_worker_busy_ratio gauge\n\
-             gmh_host_worker_busy_ratio {:.4}\n",
-            self.host_worker_busy_ratio()
         ));
         out
     }
@@ -415,34 +378,22 @@ mod tests {
         assert_eq!(sample(&text, "gmh_nonexistent"), None);
         assert_eq!(sample(&text, "gmh_tune_requests_total"), Some(0));
         // Exposition hygiene: HELP/TYPE precede every series.
-        assert_eq!(text.matches("# TYPE").count(), 20);
+        assert_eq!(text.matches("# TYPE").count(), 18);
     }
 
     #[test]
     fn host_profile_metrics_accumulate_and_render() {
-        use gmh_types::prof::{HostProfiler, LaneProf};
+        use gmh_types::prof::HostProfiler;
         use std::time::Duration;
 
         let m = Metrics::default();
         let text = m.render(Gauges::default());
-        assert!(text.contains("gmh_host_worker_busy_ratio 0.0000"));
         assert!(text.contains("gmh_host_phase_ns_total{phase=\"core_tick\"} 0"));
-        assert!(text.contains("gmh_host_barrier_wait_ps_total 0"));
 
-        // A synthetic profiled run: 1 ms of core tick, 0.2 ms of barrier
-        // wait on the coordinator, one worker with 0.3 ms of recv wait.
+        // A synthetic profiled run: 1 ms of core tick.
         let mut hp = HostProfiler::new();
         let e = hp.epoch();
-        hp.coord
-            .record_span(HostPhase::CoreTick, e, e + Duration::from_micros(1_000));
-        hp.coord.record_span(
-            HostPhase::BarrierWait,
-            e + Duration::from_micros(1_000),
-            e + Duration::from_micros(1_200),
-        );
-        let mut w = LaneProf::new(1, e);
-        w.record_span(HostPhase::RecvWait, e, e + Duration::from_micros(300));
-        hp.adopt_workers(vec![w]);
+        hp.record_span(HostPhase::CoreTick, e, e + Duration::from_micros(1_000));
         let report = hp.finish();
         m.record_host_profile(&report);
         let text = m.render(Gauges::default());
@@ -450,18 +401,10 @@ mod tests {
             text.contains("gmh_host_phase_ns_total{phase=\"core_tick\"} 1000000"),
             "core tick nanoseconds accumulate:\n{text}"
         );
-        // Barrier wait = coordinator BarrierWait + worker RecvWait, in ps.
-        assert_eq!(
-            sample(&text, "gmh_host_barrier_wait_ps_total"),
-            Some((200_000 + 300_000) * PS_PER_NS)
-        );
-        // A second run doubles the counters (they accumulate)…
+        // A second run doubles the counters (they accumulate).
         m.record_host_profile(&report);
         let text = m.render(Gauges::default());
         assert!(text.contains("gmh_host_phase_ns_total{phase=\"core_tick\"} 2000000"));
-        // …while the busy gauge tracks the latest run, staying in [0, 1].
-        let busy = m.host_worker_busy_ratio();
-        assert!((0.0..=1.0).contains(&busy), "ratio {busy} out of range");
     }
 
     #[test]

@@ -464,7 +464,6 @@ const OVERRIDE_KEYS: &[&str] = &[
     "l2_response_queue",
     "warps_per_core",
     "insts_per_warp",
-    "sim_threads",
 ];
 
 fn apply_override(
@@ -484,12 +483,6 @@ fn apply_override(
         "l2_response_queue" => cfg.l2_response_queue = as_count(v)?,
         "warps_per_core" => wl.warps_per_core = as_count(v)?,
         "insts_per_warp" => wl.insts_per_warp = v,
-        // Execution-only knob: results are byte-identical at any width
-        // (the parallel-equivalence suite pins this) and the cache key
-        // ignores it, so a job can request parallel simulation without
-        // fragmenting the result cache. Clamped to the machine's shardable
-        // width at run time.
-        "sim_threads" => cfg.sim_threads = as_count(v)?,
         _ => {
             return Err(format!(
                 "unknown override {key:?}; known: {}",
@@ -587,12 +580,12 @@ mod tests {
     }
 
     #[test]
-    fn sim_threads_override_requests_parallel_execution() {
+    fn sim_threads_is_no_longer_an_override() {
+        // A simulation runs on one thread; the key draws the standard
+        // unknown-override refusal, which names it.
         let line = job_line("mm", None, None, &[("sim_threads".into(), 4)], false);
-        let Ok(Request::Job(job)) = parse_request(&line) else {
-            panic!("job with sim_threads should parse: {line}");
-        };
-        assert_eq!(job.config.sim_threads, 4);
+        let e = parse_request(&line).unwrap_err();
+        assert!(e.contains("unknown override \"sim_threads\""), "{e}");
     }
 
     #[test]

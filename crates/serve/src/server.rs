@@ -99,12 +99,11 @@ fn job_log_line(
     cache: &str,
     queue_wait_ms: u64,
     run_ms: u64,
-    threads: usize,
 ) -> String {
     format!(
         "{{\"gmh_job\":{id},\"kind\":\"{kind}\",\"outcome\":\"{outcome}\",\
          \"cache\":\"{cache}\",\"queue_wait_ms\":{queue_wait_ms},\
-         \"run_ms\":{run_ms},\"threads\":{threads}}}"
+         \"run_ms\":{run_ms}}}"
     )
 }
 
@@ -368,7 +367,6 @@ fn submit_job(shared: &Arc<Shared>, job: Box<JobRequest>) -> Reply {
     Metrics::inc(&shared.metrics.accepted);
     let id = shared.metrics.next_job_id();
     let key = job_key(&job.label, &job.config, &job.workload);
-    let threads = job.config.sim_threads.max(1);
 
     // Cache first: a hit bypasses admission entirely — repeats are free and
     // byte-identical, even while the queue is saturated. Traced jobs skip
@@ -378,12 +376,12 @@ fn submit_job(shared: &Arc<Shared>, job: Box<JobRequest>) -> Reply {
         if let Some(json) = shared.cache.get(key) {
             Metrics::inc(&shared.metrics.cache_hits);
             Metrics::inc(&shared.metrics.completed);
-            eprintln!("{}", job_log_line(id, "sim", "ok", "hit", 0, 0, threads));
+            eprintln!("{}", job_log_line(id, "sim", "ok", "hit", 0, 0));
             return Reply::Ok(json);
         }
         Metrics::inc(&shared.metrics.cache_misses);
     }
-    enqueue(shared, id, "sim", cache, threads, Work::Sim { job, key })
+    enqueue(shared, id, "sim", cache, Work::Sim { job, key })
 }
 
 /// Admits (or refuses/sheds) one validated tune search. Searches go
@@ -394,20 +392,13 @@ fn submit_tune(shared: &Arc<Shared>, params: Box<TuneParams>) -> Reply {
     Metrics::inc(&shared.metrics.accepted);
     Metrics::inc(&shared.metrics.tune_requests);
     let id = shared.metrics.next_job_id();
-    enqueue(shared, id, "tune", "none", 1, Work::Tune(params))
+    enqueue(shared, id, "tune", "none", Work::Tune(params))
 }
 
 /// Pushes one unit of work through bounded admission and waits for its
-/// terminal reply. `kind`/`cache`/`threads` only feed the structured log
+/// terminal reply. `kind`/`cache` only feed the structured log
 /// line (refusals and sheds log here; admitted work logs from the worker).
-fn enqueue(
-    shared: &Arc<Shared>,
-    id: u64,
-    kind: &str,
-    cache: &str,
-    threads: usize,
-    work: Work,
-) -> Reply {
+fn enqueue(shared: &Arc<Shared>, id: u64, kind: &str, cache: &str, work: Work) -> Reply {
     let (reply_tx, reply_rx) = mpsc::channel();
     {
         // INVARIANT: admission-lock holders never panic, so the mutex is
@@ -415,7 +406,7 @@ fn enqueue(
         let mut st = shared.state.lock().expect("admission lock");
         if st.draining {
             Metrics::inc(&shared.metrics.errored);
-            eprintln!("{}", job_log_line(id, kind, "err", cache, 0, 0, threads));
+            eprintln!("{}", job_log_line(id, kind, "err", cache, 0, 0));
             return Reply::Err("server is shutting down".to_string());
         }
         let queued = QueuedJob {
@@ -427,7 +418,7 @@ fn enqueue(
         if st.queue.push(queued).is_err() {
             // Back-pressure: shed explicitly instead of buffering.
             Metrics::inc(&shared.metrics.shed);
-            eprintln!("{}", job_log_line(id, kind, "busy", cache, 0, 0, threads));
+            eprintln!("{}", job_log_line(id, kind, "busy", cache, 0, 0));
             return Reply::Busy {
                 retry_after_ms: shared.metrics.avg_job_ms(),
             };
@@ -509,7 +500,6 @@ fn execute_job(
         config.trace_sample = 16;
     }
     config.profile_host = true;
-    let threads = config.sim_threads.max(1);
     let cache = if job.trace { "bypass" } else { "miss" };
     let workload = job.workload.clone();
     let helper = std::thread::Builder::new()
@@ -523,7 +513,7 @@ fn execute_job(
         Metrics::inc(&shared.metrics.errored);
         eprintln!(
             "{}",
-            job_log_line(id, "sim", "err", cache, queue_wait_ms, 0, threads)
+            job_log_line(id, "sim", "err", cache, queue_wait_ms, 0)
         );
         return Reply::Err("cannot spawn simulation thread".to_string());
     }
@@ -549,7 +539,7 @@ fn execute_job(
             Metrics::inc(&shared.metrics.completed);
             eprintln!(
                 "{}",
-                job_log_line(id, "sim", "ok", cache, queue_wait_ms, wall_ms, threads)
+                job_log_line(id, "sim", "ok", cache, queue_wait_ms, wall_ms)
             );
             Reply::Ok(json)
         }
@@ -566,8 +556,7 @@ fn execute_job(
                     "timeout",
                     cache,
                     queue_wait_ms,
-                    millis(started.elapsed()),
-                    threads
+                    millis(started.elapsed())
                 )
             );
             Reply::Timeout {
@@ -589,7 +578,7 @@ fn execute_tune(shared: &Arc<Shared>, params: TuneParams, id: u64, queue_wait_ms
     let log = |outcome: &str, run_ms: u64| {
         eprintln!(
             "{}",
-            job_log_line(id, "tune", outcome, "none", queue_wait_ms, run_ms, 1)
+            job_log_line(id, "tune", outcome, "none", queue_wait_ms, run_ms)
         );
     };
     let timeout = Duration::from_millis(shared.cfg.job_timeout_ms);
@@ -742,7 +731,7 @@ mod tests {
 
     #[test]
     fn job_log_line_is_one_parseable_json_object() {
-        let line = job_log_line(42, "sim", "ok", "miss", 3, 128, 8);
+        let line = job_log_line(42, "sim", "ok", "miss", 3, 128);
         assert!(!line.contains('\n'), "must stay a single stderr line");
         let doc = crate::json::parse(&line).expect("log line parses");
         assert_eq!(
@@ -768,10 +757,6 @@ mod tests {
         assert_eq!(
             doc.get("run_ms").and_then(crate::json::Json::as_u64),
             Some(128)
-        );
-        assert_eq!(
-            doc.get("threads").and_then(crate::json::Json::as_u64),
-            Some(8)
         );
     }
 

@@ -20,9 +20,9 @@
 //!
 //! * the candidate pool is drawn by a seeded [`gmh_types::rng::Xoshiro256`]
 //!   shuffle of the exhaustively enumerated valid genomes;
-//! * every simulation is bit-identical at any thread width (the parallel
-//!   scheduler's guarantee), and batch evaluation returns results in job
-//!   order regardless of `GMH_THREADS`;
+//! * every simulation is a pure function of `(config, workload seed)`, and
+//!   batch evaluation returns results in job order regardless of
+//!   `GMH_THREADS`;
 //! * the budget counts evaluations *attempted* — cache hits included — so a
 //!   warm cache replays the identical trajectory instead of searching
 //!   further;

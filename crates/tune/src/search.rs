@@ -49,9 +49,6 @@ pub struct TuneParams {
     pub max_area_pct: f64,
     /// Shrink workloads (fewer warps, shorter kernels) for smoke tests.
     pub shrink: bool,
-    /// Intra-simulation shard width (0 = leave the config default). The
-    /// cache key canonicalizes this away, so any width shares entries.
-    pub sim_threads: usize,
 }
 
 impl TuneParams {
@@ -68,7 +65,6 @@ impl TuneParams {
             refine: 2,
             max_area_pct: 2.0,
             shrink: false,
-            sim_threads: 0,
         }
     }
 
@@ -86,7 +82,6 @@ impl TuneParams {
             refine: 1,
             max_area_pct: 2.0,
             shrink: true,
-            sim_threads: 0,
         }
     }
 
@@ -184,11 +179,8 @@ struct Scored {
 }
 
 /// Drops execution knobs onto a geometry config for one run length.
-fn runnable(mut cfg: GpuConfig, run_cycles: u64, sim_threads: usize) -> GpuConfig {
+fn runnable(mut cfg: GpuConfig, run_cycles: u64) -> GpuConfig {
     cfg.max_core_cycles = run_cycles;
-    if sim_threads > 0 {
-        cfg.sim_threads = sim_threads;
-    }
     cfg
 }
 
@@ -263,10 +255,7 @@ pub fn run_search(cache: &DiskCache, p: &TuneParams) -> io::Result<TuneOutcome> 
             }
             *evals += need;
             stage_evals += need;
-            let base = Candidate::new(
-                "base",
-                runnable(baseline_geom.clone(), run_cycles, p.sim_threads),
-            );
+            let base = Candidate::new("base", runnable(baseline_geom.clone(), run_cycles));
             let jobs: Vec<(&Candidate, &WorkloadSpec)> = mix.iter().map(|wl| (&base, wl)).collect();
             let runs = ev.eval_batch(&jobs)?;
             slot.insert(
@@ -285,12 +274,7 @@ pub fn run_search(cache: &DiskCache, p: &TuneParams) -> io::Result<TuneOutcome> 
         };
         let cands: Vec<Candidate> = cohort
             .iter()
-            .map(|g| {
-                Candidate::new(
-                    space.label(g),
-                    runnable(space.config(g), run_cycles, p.sim_threads),
-                )
-            })
+            .map(|g| Candidate::new(space.label(g), runnable(space.config(g), run_cycles)))
             .collect();
         let jobs: Vec<(&Candidate, &WorkloadSpec)> = cands
             .iter()

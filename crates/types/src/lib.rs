@@ -41,7 +41,7 @@ pub use addr::{Address, LineAddr, LINE_SIZE};
 pub use clock::{ClockDomain, ClockDomains, DomainId, EventBound, Picos, TickCounts, TickSet};
 pub use fetch::{AccessKind, FetchId, MemFetch, Timestamps};
 pub use hash::{stable_hash_str, StableHasher};
-pub use prof::{HostPhase, HostProfiler, HostReport, LaneData, LaneProf, SpanEvent};
+pub use prof::{HostPhase, HostProfiler, HostReport, SpanEvent};
 pub use queue::{BoundedQueue, OccupancyHistogram};
 pub use rng::Xoshiro256;
 pub use scratch::Scratch;

@@ -1,32 +1,30 @@
-//! Host-side self-profiler: hierarchical wall-clock spans and counters for
-//! the simulator *host* (the machine running the simulation), as opposed to
+//! Host-side self-profiler: hierarchical wall-clock spans for the
+//! simulator *host* (the machine running the simulation), as opposed to
 //! the simulated machine that [`crate::telemetry`] and [`crate::trace`]
 //! observe.
 //!
-//! The profiler answers the question the ROADMAP's scaling item keeps
-//! asking: where does `GpuSim::run` spend wall time — region execution,
-//! `ParPool` dispatch, barrier wait, or trace merge? It is strictly
-//! **observational**: nothing read from a clock ever feeds back into the
-//! simulation, so results are bit-identical with profiling on or off (the
-//! `host_prof` determinism suite pins this byte-for-byte).
+//! The profiler answers where `GpuSim::run` spends wall time — core,
+//! crossbar/L2 and DRAM ticks, telemetry, scheduler wakes, fast-forward
+//! jumps. It is strictly **observational**: nothing read from a clock ever
+//! feeds back into the simulation, so results are bit-identical with
+//! profiling on or off (the `host_prof` determinism suite pins this
+//! byte-for-byte).
 //!
 //! ## Span contract
 //!
-//! Every lane (one per OS thread: lane 0 is the coordinator, lanes 1..=N
-//! are `ParPool` workers) records closed spans `[start, end)` against a
-//! shared epoch taken when the profiler is created. Spans on one lane may
-//! nest by time containment (e.g. [`HostPhase::L2Tick`] inside
-//! [`HostPhase::IcntTick`]); they never overlap partially, because each
-//! lane is single-threaded and spans close in LIFO order. Per-phase totals
-//! and counts always accumulate; the per-span event list is bounded by a
-//! cap (overflow is counted in `dropped`, never silently).
+//! A simulation runs on one thread, so there is one timeline: closed spans
+//! `[start, end)` against an epoch taken when the profiler is created.
+//! Spans may nest by time containment (e.g. [`HostPhase::L2Tick`] inside
+//! [`HostPhase::IcntTick`]); they never overlap partially, because they
+//! close in LIFO order. Per-phase totals and counts always accumulate; the
+//! per-span event list is bounded by a cap (overflow is counted in
+//! `dropped`, never silently).
 //!
 //! Timing uses [`Instant`], which is monotonic — spans cannot go negative
 //! under NTP slew. The R1 lint ban on wall-clock in model crates carries an
 //! audited `[[allow]]` for this module: the clock is *read* here but never
 //! *used* by the model.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// One profiled phase of host work. Top-level phases partition the run
@@ -39,7 +37,7 @@ pub enum HostPhase {
     /// Crossbar + L2 + boundary queues (`icnt_tick`). Top-level.
     IcntTick,
     /// L2 bank service within `icnt_tick` (the "l2_tick" sub-phase:
-    /// reply-credit drain + bank regions). Nested inside `IcntTick`.
+    /// reply-credit drain + bank sweep). Nested inside `IcntTick`.
     L2Tick,
     /// DRAM channel service (`dram_tick`). Top-level.
     DramTick,
@@ -50,37 +48,16 @@ pub enum HostPhase {
     FfJump,
     /// Windowed telemetry sampling after an icnt edge. Top-level.
     Telemetry,
-    /// Trace admit/absorb: merging shard-local `TraceSink`s back into the
-    /// coordinator in shard order. Nested.
-    TraceMerge,
-    /// Coordinator: handing regions to `ParPool` workers (channel sends).
-    /// Nested.
-    Dispatch,
-    /// Coordinator: blocked in `collect()` waiting for workers to return
-    /// shards — the cycle barrier. Nested.
-    BarrierWait,
-    /// Executing a region's tick work (coordinator runs shard 0 inline;
-    /// workers run dispatched shards). Nested on the coordinator,
-    /// top-level on worker lanes.
-    RegionExec,
-    /// Worker: blocked in `recv()` waiting for the next region. Worker
-    /// lanes only.
-    RecvWait,
-    /// Worker: sending the finished shard back to the coordinator. Worker
-    /// lanes only.
-    SendReturn,
-    /// Event scheduler: draining due wakes from the per-shard time queues
-    /// at the top of an instant (`TimeQ::pop_ready` + owed-cycle flush).
-    /// Top-level.
+    /// Event scheduler: draining due wakes from the time queue at the top
+    /// of an instant (`TimeQ::pop_ready` + owed-cycle flush). Top-level.
     SchedPop,
-    /// Event scheduler: cross-component activation wakes (flush + awake
-    /// transitions outside the pop pass) and the end-of-run flush.
-    /// Top-level.
+    /// Event scheduler: the end-of-run flush of every sleeping component's
+    /// owed cycles. Top-level.
     SchedResched,
 }
 
 /// Number of [`HostPhase`] variants (array-index bound).
-pub const N_HOST_PHASES: usize = 15;
+pub const N_HOST_PHASES: usize = 9;
 
 impl HostPhase {
     /// Every phase, in fixed display/index order.
@@ -92,12 +69,6 @@ impl HostPhase {
         HostPhase::FfProbe,
         HostPhase::FfJump,
         HostPhase::Telemetry,
-        HostPhase::TraceMerge,
-        HostPhase::Dispatch,
-        HostPhase::BarrierWait,
-        HostPhase::RegionExec,
-        HostPhase::RecvWait,
-        HostPhase::SendReturn,
         HostPhase::SchedPop,
         HostPhase::SchedResched,
     ];
@@ -113,14 +84,8 @@ impl HostPhase {
             HostPhase::FfProbe => 4,
             HostPhase::FfJump => 5,
             HostPhase::Telemetry => 6,
-            HostPhase::TraceMerge => 7,
-            HostPhase::Dispatch => 8,
-            HostPhase::BarrierWait => 9,
-            HostPhase::RegionExec => 10,
-            HostPhase::RecvWait => 11,
-            HostPhase::SendReturn => 12,
-            HostPhase::SchedPop => 13,
-            HostPhase::SchedResched => 14,
+            HostPhase::SchedPop => 7,
+            HostPhase::SchedResched => 8,
         }
     }
 
@@ -135,41 +100,25 @@ impl HostPhase {
             HostPhase::FfProbe => "ff_probe",
             HostPhase::FfJump => "ff_jump",
             HostPhase::Telemetry => "telemetry",
-            HostPhase::TraceMerge => "trace_merge",
-            HostPhase::Dispatch => "dispatch",
-            HostPhase::BarrierWait => "barrier_wait",
-            HostPhase::RegionExec => "region_exec",
-            HostPhase::RecvWait => "recv_wait",
-            HostPhase::SendReturn => "send_return",
             HostPhase::SchedPop => "sched_pop",
             HostPhase::SchedResched => "sched_resched",
         }
     }
 
-    /// Whether the phase partitions run-loop wall time on the coordinator
-    /// lane (top-level), as opposed to attributing time *within* another
-    /// phase (nested). Summing top-level totals approximates the busy
-    /// portion of the coordinator's wall time without double counting.
+    /// Whether the phase partitions run-loop wall time (top-level), as
+    /// opposed to attributing time *within* another phase (nested).
+    /// Summing top-level totals approximates the busy portion of the run's
+    /// wall time without double counting.
     #[must_use]
     pub fn is_top_level(self) -> bool {
-        matches!(
-            self,
-            HostPhase::CoreTick
-                | HostPhase::IcntTick
-                | HostPhase::DramTick
-                | HostPhase::FfProbe
-                | HostPhase::FfJump
-                | HostPhase::Telemetry
-                | HostPhase::SchedPop
-                | HostPhase::SchedResched
-        )
+        !matches!(self, HostPhase::L2Tick)
     }
 }
 
-/// One closed span on one lane, relative to the profiler epoch.
+/// One closed span, relative to the profiler epoch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpanEvent {
-    /// What the lane was doing.
+    /// What the host was doing.
     pub phase: HostPhase,
     /// Span start, nanoseconds since the profiler epoch.
     pub start_ns: u64,
@@ -177,20 +126,16 @@ pub struct SpanEvent {
     pub dur_ns: u64,
 }
 
-/// Default per-lane cap on recorded [`SpanEvent`]s. Totals and counts keep
+/// Default cap on recorded [`SpanEvent`]s. Totals and counts keep
 /// accumulating past the cap; only the per-span timeline truncates (with
 /// the overflow counted), bounding profiler memory on long runs.
 pub const DEFAULT_EVENT_CAP: usize = 1 << 18;
 
-/// Per-thread span recorder. Lane 0 is the coordinator (the thread that
-/// owns `GpuSim`); lanes 1..=N are `ParPool` workers. Each lane is owned
-/// by exactly one thread, so recording is plain (non-atomic) and costs two
-/// monotonic clock reads per span at most — one when chaining.
+/// The host profiler: a span recorder owned by the thread that owns
+/// `GpuSim`. Recording is plain (non-atomic) and costs two monotonic clock
+/// reads per span at most — one when chaining.
 #[derive(Debug)]
-pub struct LaneProf {
-    /// Lane id (0 = coordinator, 1..=N = workers).
-    pub lane: usize,
-    enabled: bool,
+pub struct HostProfiler {
     epoch: Instant,
     totals_ns: [u64; N_HOST_PHASES],
     counts: [u64; N_HOST_PHASES],
@@ -199,14 +144,12 @@ pub struct LaneProf {
     dropped: u64,
 }
 
-impl LaneProf {
-    /// An enabled lane recording against `epoch`.
+impl HostProfiler {
+    /// A profiler whose epoch is "now".
     #[must_use]
-    pub fn new(lane: usize, epoch: Instant) -> Self {
-        LaneProf {
-            lane,
-            enabled: true,
-            epoch,
+    pub fn new() -> Self {
+        HostProfiler {
+            epoch: Instant::now(),
             totals_ns: [0; N_HOST_PHASES],
             counts: [0; N_HOST_PHASES],
             events: Vec::new(),
@@ -215,19 +158,10 @@ impl LaneProf {
         }
     }
 
-    /// A disabled lane: every recording call is a no-op branch. Used when
-    /// profiling is off so call sites stay unconditional.
+    /// The instant every span start is measured from.
     #[must_use]
-    pub fn disabled(lane: usize) -> Self {
-        let mut l = LaneProf::new(lane, Instant::now());
-        l.enabled = false;
-        l
-    }
-
-    /// Whether this lane records anything.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
+    pub fn epoch(&self) -> Instant {
+        self.epoch
     }
 
     /// Overrides the event cap (tests use small caps to exercise dropping).
@@ -235,26 +169,9 @@ impl LaneProf {
         self.cap = cap;
     }
 
-    /// Opens a span: reads the clock only when enabled. Pass the returned
-    /// token to [`LaneProf::end`].
-    #[inline]
-    #[must_use]
-    pub fn begin(&self) -> Option<Instant> {
-        self.enabled.then(Instant::now)
-    }
-
-    /// Closes a span opened by [`LaneProf::begin`]. No-op for `None`.
-    #[inline]
-    pub fn end(&mut self, phase: HostPhase, t0: Option<Instant>) {
-        if let Some(t0) = t0 {
-            let t1 = Instant::now();
-            self.record_span(phase, t0, t1);
-        }
-    }
-
-    /// Closes a span and returns its end timestamp so adjacent phases can
-    /// chain (end of one = start of the next) with a single clock read per
-    /// boundary.
+    /// Closes a span that started at `t0` and returns its end timestamp so
+    /// adjacent phases can chain (end of one = start of the next) with a
+    /// single clock read per boundary.
     #[inline]
     pub fn end_chain(&mut self, phase: HostPhase, t0: Instant) -> Instant {
         let t1 = Instant::now();
@@ -265,9 +182,6 @@ impl LaneProf {
     /// Records a closed span from explicit timestamps (testable without
     /// sleeping: `Instant + Duration` fabricates offsets).
     pub fn record_span(&mut self, phase: HostPhase, start: Instant, end: Instant) {
-        if !self.enabled {
-            return;
-        }
         let i = phase.index();
         let dur_ns = saturating_ns(end.saturating_duration_since(start).as_nanos());
         self.totals_ns[i] += dur_ns;
@@ -284,158 +198,15 @@ impl LaneProf {
         }
     }
 
-    /// Counts an occurrence of `phase` without timing it.
-    #[inline]
-    pub fn bump(&mut self, phase: HostPhase) {
-        if self.enabled {
-            self.counts[phase.index()] += 1;
-        }
-    }
-
-    /// Freezes the lane into plain data.
+    /// Freezes everything into a [`HostReport`]. Wall time is epoch→now.
     #[must_use]
-    pub fn into_data(self) -> LaneData {
-        LaneData {
-            lane: self.lane,
+    pub fn finish(self) -> HostReport {
+        HostReport {
+            wall_ns: saturating_ns(self.epoch.elapsed().as_nanos()),
             totals_ns: self.totals_ns,
             counts: self.counts,
             events: self.events,
             dropped: self.dropped,
-        }
-    }
-}
-
-/// Frozen per-lane profile: plain data, no clock handles.
-#[derive(Clone, Debug)]
-pub struct LaneData {
-    /// Lane id (0 = coordinator, 1..=N = workers).
-    pub lane: usize,
-    /// Accumulated nanoseconds per phase (indexed by [`HostPhase::index`]).
-    pub totals_ns: [u64; N_HOST_PHASES],
-    /// Span/occurrence counts per phase.
-    pub counts: [u64; N_HOST_PHASES],
-    /// Recorded spans, capped; see [`LaneData::dropped`].
-    pub events: Vec<SpanEvent>,
-    /// Spans past the event cap (totals above still include them).
-    pub dropped: u64,
-}
-
-impl LaneData {
-    /// Accumulated nanoseconds for one phase.
-    #[must_use]
-    pub fn total_ns(&self, phase: HostPhase) -> u64 {
-        self.totals_ns[phase.index()]
-    }
-
-    /// Span/occurrence count for one phase.
-    #[must_use]
-    pub fn count(&self, phase: HostPhase) -> u64 {
-        self.counts[phase.index()]
-    }
-
-    /// Nanoseconds this lane spent doing work (as opposed to waiting).
-    /// Workers: region execution plus the return send. Coordinator: the
-    /// top-level phases minus the barrier wait nested inside them.
-    #[must_use]
-    pub fn busy_ns(&self) -> u64 {
-        if self.lane == 0 {
-            let top: u64 = HostPhase::ALL
-                .iter()
-                .filter(|p| p.is_top_level())
-                .map(|p| self.total_ns(*p))
-                .sum();
-            top.saturating_sub(self.total_ns(HostPhase::BarrierWait))
-        } else {
-            self.total_ns(HostPhase::RegionExec) + self.total_ns(HostPhase::SendReturn)
-        }
-    }
-}
-
-/// Cross-thread occurrence counters. Atomic so any code holding a shared
-/// reference to the profiler can count without a lock; ordering is
-/// `Relaxed` throughout — these are statistics, not synchronization.
-#[derive(Debug, Default)]
-pub struct ProfCounters {
-    /// Regions handed to pool workers.
-    pub dispatches: AtomicU64,
-    /// Cycle barriers completed (`collect()` rounds).
-    pub collects: AtomicU64,
-    /// Shard trace sinks absorbed into the coordinator.
-    pub merges: AtomicU64,
-}
-
-/// The host profiler: a coordinator lane, adopted worker lanes, shared
-/// counters, and the common epoch every lane timestamps against.
-#[derive(Debug)]
-pub struct HostProfiler {
-    epoch: Instant,
-    /// The coordinator's lane (lane 0).
-    pub coord: LaneProf,
-    workers: Vec<LaneData>,
-    counters: ProfCounters,
-}
-
-impl HostProfiler {
-    /// A profiler whose epoch is "now"; all lanes timestamp against it.
-    #[must_use]
-    pub fn new() -> Self {
-        let epoch = Instant::now();
-        HostProfiler {
-            epoch,
-            coord: LaneProf::new(0, epoch),
-            workers: Vec::new(),
-            counters: ProfCounters::default(),
-        }
-    }
-
-    /// The shared epoch — hand this to worker lanes so tracks align.
-    #[must_use]
-    pub fn epoch(&self) -> Instant {
-        self.epoch
-    }
-
-    /// Adopts worker lanes returned by the pool at shutdown.
-    pub fn adopt_workers(&mut self, lanes: Vec<LaneProf>) {
-        for l in lanes {
-            self.workers.push(l.into_data());
-        }
-    }
-
-    /// Counts `n` region dispatches.
-    #[inline]
-    pub fn count_dispatches(&self, n: u64) {
-        self.counters.dispatches.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Counts one completed cycle barrier.
-    #[inline]
-    pub fn count_collect(&self) {
-        self.counters.collects.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts `n` shard trace merges.
-    #[inline]
-    pub fn count_merges(&self, n: u64) {
-        self.counters.merges.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Freezes everything into a [`HostReport`]. Wall time is epoch→now.
-    #[must_use]
-    pub fn finish(self) -> HostReport {
-        let wall_ns = saturating_ns(self.epoch.elapsed().as_nanos());
-        let mut workers = self.workers;
-        workers.sort_by_key(|l| l.lane);
-        let n_workers = workers.len();
-        let mut lanes = Vec::with_capacity(1 + n_workers);
-        lanes.push(self.coord.into_data());
-        lanes.extend(workers);
-        HostReport {
-            wall_ns,
-            n_workers,
-            lanes,
-            dispatches: self.counters.dispatches.load(Ordering::Relaxed),
-            collects: self.counters.collects.load(Ordering::Relaxed),
-            merges: self.counters.merges.load(Ordering::Relaxed),
         }
     }
 }
@@ -446,82 +217,44 @@ impl Default for HostProfiler {
     }
 }
 
-/// Frozen profile of one run: plain data, safe to ship across threads or
-/// serialize. Lane 0 is always the coordinator.
+/// Frozen profile of one run: plain data, no clock handles, safe to ship
+/// across threads or serialize.
 #[derive(Clone, Debug)]
 pub struct HostReport {
     /// Wall nanoseconds from profiler creation to [`HostProfiler::finish`].
     pub wall_ns: u64,
-    /// Worker lanes adopted (0 for a serial run).
-    pub n_workers: usize,
-    /// Coordinator first, then workers in lane order.
-    pub lanes: Vec<LaneData>,
-    /// Regions handed to pool workers.
-    pub dispatches: u64,
-    /// Cycle barriers completed.
-    pub collects: u64,
-    /// Shard trace sinks absorbed.
-    pub merges: u64,
+    /// Accumulated nanoseconds per phase (indexed by [`HostPhase::index`]).
+    pub totals_ns: [u64; N_HOST_PHASES],
+    /// Span counts per phase.
+    pub counts: [u64; N_HOST_PHASES],
+    /// Recorded spans, capped; see [`HostReport::dropped`].
+    pub events: Vec<SpanEvent>,
+    /// Spans past the event cap (totals above still include them).
+    pub dropped: u64,
 }
 
 impl HostReport {
-    /// Accumulated nanoseconds for `phase` across all lanes.
+    /// Accumulated nanoseconds for `phase`.
     #[must_use]
     pub fn phase_total_ns(&self, phase: HostPhase) -> u64 {
-        self.lanes.iter().map(|l| l.total_ns(phase)).sum()
+        self.totals_ns[phase.index()]
     }
 
-    /// Span/occurrence count for `phase` across all lanes.
+    /// Span count for `phase`.
     #[must_use]
     pub fn phase_count(&self, phase: HostPhase) -> u64 {
-        self.lanes.iter().map(|l| l.count(phase)).sum()
+        self.counts[phase.index()]
     }
 
-    /// Mean busy fraction of worker lanes over the run's wall time
-    /// (coordinator busy fraction when there are no workers). In `[0, 1]`
-    /// up to clock jitter.
+    /// Nanoseconds attributed to any phase: the top-level totals, which do
+    /// not double count the spans nested inside them.
     #[must_use]
-    pub fn worker_busy_ratio(&self) -> f64 {
-        if self.wall_ns == 0 {
-            return 0.0;
-        }
-        let wall = self.wall_ns as f64;
-        if self.n_workers == 0 {
-            return self
-                .lanes
-                .first()
-                .map_or(0.0, |c| c.busy_ns() as f64 / wall);
-        }
-        let busy: u64 = self.lanes.iter().skip(1).map(LaneData::busy_ns).sum();
-        busy as f64 / (wall * self.n_workers as f64)
-    }
-
-    /// Total synchronization wait: the coordinator's barrier wait plus
-    /// every worker's recv wait, in nanoseconds.
-    #[must_use]
-    pub fn barrier_wait_ns_total(&self) -> u64 {
-        self.lanes
+    pub fn busy_ns(&self) -> u64 {
+        HostPhase::ALL
             .iter()
-            .map(|l| {
-                if l.lane == 0 {
-                    l.total_ns(HostPhase::BarrierWait)
-                } else {
-                    l.total_ns(HostPhase::RecvWait)
-                }
-            })
+            .filter(|p| p.is_top_level())
+            .map(|p| self.phase_total_ns(*p))
             .sum()
-    }
-
-    /// Mean nanoseconds the coordinator pays to dispatch one region
-    /// (channel send cost), or 0 when nothing was dispatched.
-    #[must_use]
-    pub fn dispatch_ns_per_region(&self) -> f64 {
-        if self.dispatches == 0 {
-            return 0.0;
-        }
-        self.lanes.first().map_or(0.0, |c| {
-            c.total_ns(HostPhase::Dispatch) as f64 / self.dispatches as f64
-        })
     }
 }
 
@@ -541,127 +274,60 @@ mod tests {
 
     #[test]
     fn span_totals_and_counts_accumulate() {
-        let epoch = Instant::now();
-        let mut lane = LaneProf::new(0, epoch);
-        lane.record_span(HostPhase::IcntTick, at(epoch, 10), at(epoch, 40));
-        lane.record_span(HostPhase::IcntTick, at(epoch, 50), at(epoch, 55));
-        lane.record_span(HostPhase::DramTick, at(epoch, 55), at(epoch, 60));
-        let d = lane.into_data();
-        assert_eq!(d.total_ns(HostPhase::IcntTick), 35_000);
-        assert_eq!(d.count(HostPhase::IcntTick), 2);
-        assert_eq!(d.total_ns(HostPhase::DramTick), 5_000);
-        assert_eq!(d.events.len(), 3);
-        assert_eq!(d.dropped, 0);
+        let mut p = HostProfiler::new();
+        let epoch = p.epoch();
+        p.record_span(HostPhase::IcntTick, at(epoch, 10), at(epoch, 40));
+        p.record_span(HostPhase::IcntTick, at(epoch, 50), at(epoch, 55));
+        p.record_span(HostPhase::DramTick, at(epoch, 55), at(epoch, 60));
+        let r = p.finish();
+        assert_eq!(r.phase_total_ns(HostPhase::IcntTick), 35_000);
+        assert_eq!(r.phase_count(HostPhase::IcntTick), 2);
+        assert_eq!(r.phase_total_ns(HostPhase::DramTick), 5_000);
+        assert_eq!(r.events.len(), 3);
+        assert_eq!(r.dropped, 0);
+        assert!(r.wall_ns > 0);
     }
 
     #[test]
-    fn nested_spans_are_time_contained() {
+    fn nested_spans_are_time_contained_and_not_double_counted() {
         // L2Tick nests inside IcntTick by construction in the run loop;
         // the exporter relies on containment, so pin it here.
-        let epoch = Instant::now();
-        let mut lane = LaneProf::new(0, epoch);
-        let outer = (at(epoch, 100), at(epoch, 200));
-        let inner = (at(epoch, 120), at(epoch, 160));
-        lane.record_span(HostPhase::L2Tick, inner.0, inner.1);
-        lane.record_span(HostPhase::IcntTick, outer.0, outer.1);
-        let d = lane.into_data();
-        let icnt = d
-            .events
-            .iter()
-            .find(|e| e.phase == HostPhase::IcntTick)
-            .unwrap();
-        let l2 = d
-            .events
-            .iter()
-            .find(|e| e.phase == HostPhase::L2Tick)
-            .unwrap();
+        let mut p = HostProfiler::new();
+        let epoch = p.epoch();
+        p.record_span(HostPhase::L2Tick, at(epoch, 120), at(epoch, 160));
+        p.record_span(HostPhase::IcntTick, at(epoch, 100), at(epoch, 200));
+        let r = p.finish();
+        let span = |phase| *r.events.iter().find(|e| e.phase == phase).unwrap();
+        let (icnt, l2) = (span(HostPhase::IcntTick), span(HostPhase::L2Tick));
         assert!(l2.start_ns >= icnt.start_ns);
         assert!(l2.start_ns + l2.dur_ns <= icnt.start_ns + icnt.dur_ns);
-        assert!(d.total_ns(HostPhase::L2Tick) <= d.total_ns(HostPhase::IcntTick));
+        assert_eq!(r.busy_ns(), 100_000, "the nested span is not counted twice");
     }
 
     #[test]
     fn event_cap_drops_spans_but_keeps_totals() {
-        let epoch = Instant::now();
-        let mut lane = LaneProf::new(1, epoch);
-        lane.set_event_cap(2);
+        let mut p = HostProfiler::new();
+        let epoch = p.epoch();
+        p.set_event_cap(2);
         for k in 0..5 {
-            lane.record_span(
-                HostPhase::RegionExec,
+            p.record_span(
+                HostPhase::CoreTick,
                 at(epoch, k * 10),
                 at(epoch, k * 10 + 1),
             );
         }
-        let d = lane.into_data();
-        assert_eq!(d.events.len(), 2);
-        assert_eq!(d.dropped, 3);
-        assert_eq!(d.count(HostPhase::RegionExec), 5, "counts ignore the cap");
+        let r = p.finish();
+        assert_eq!(r.events.len(), 2);
+        assert_eq!(r.dropped, 3);
         assert_eq!(
-            d.total_ns(HostPhase::RegionExec),
+            r.phase_count(HostPhase::CoreTick),
+            5,
+            "counts ignore the cap"
+        );
+        assert_eq!(
+            r.phase_total_ns(HostPhase::CoreTick),
             5_000,
             "totals ignore the cap"
         );
-    }
-
-    #[test]
-    fn disabled_lane_records_nothing() {
-        let mut lane = LaneProf::disabled(0);
-        assert!(lane.begin().is_none());
-        lane.end(HostPhase::CoreTick, None);
-        let t = Instant::now();
-        lane.record_span(HostPhase::CoreTick, t, t + Duration::from_micros(5));
-        lane.bump(HostPhase::Dispatch);
-        let d = lane.into_data();
-        assert_eq!(d.total_ns(HostPhase::CoreTick), 0);
-        assert_eq!(d.count(HostPhase::Dispatch), 0);
-        assert!(d.events.is_empty());
-    }
-
-    #[test]
-    fn counter_funnel_flows_into_report() {
-        let mut p = HostProfiler::new();
-        let epoch = p.epoch();
-        p.count_dispatches(3);
-        p.count_collect();
-        p.count_collect();
-        p.count_merges(4);
-        p.coord
-            .record_span(HostPhase::Dispatch, at(epoch, 0), at(epoch, 6));
-        let mut w1 = LaneProf::new(1, epoch);
-        w1.record_span(HostPhase::RegionExec, at(epoch, 10), at(epoch, 20));
-        w1.record_span(HostPhase::RecvWait, at(epoch, 0), at(epoch, 10));
-        let mut w2 = LaneProf::new(2, epoch);
-        w2.record_span(HostPhase::RegionExec, at(epoch, 10), at(epoch, 15));
-        // Adoption order must not matter: lanes sort by id.
-        p.adopt_workers(vec![w2, w1]);
-        let r = p.finish();
-        assert_eq!((r.dispatches, r.collects, r.merges), (3, 2, 4));
-        assert_eq!(r.n_workers, 2);
-        assert_eq!(r.lanes.len(), 3);
-        assert_eq!(r.lanes[1].lane, 1);
-        assert_eq!(r.lanes[2].lane, 2);
-        assert_eq!(r.phase_total_ns(HostPhase::RegionExec), 15_000);
-        assert_eq!(r.phase_count(HostPhase::RegionExec), 2);
-        assert_eq!(r.barrier_wait_ns_total(), 10_000, "worker recv wait counts");
-        assert!((r.dispatch_ns_per_region() - 2_000.0).abs() < 1e-9);
-        assert!(r.wall_ns > 0);
-        // Fabricated spans can exceed the test's real elapsed wall time, so
-        // check the ratio against its definition rather than against [0,1]:
-        // worker busy = 10µs (w1 exec) + 5µs (w2 exec) over 2 × wall.
-        let expect = 15_000.0 / (2.0 * r.wall_ns as f64);
-        assert!((r.worker_busy_ratio() - expect).abs() < 1e-12);
-    }
-
-    #[test]
-    fn coordinator_busy_excludes_nested_barrier_wait() {
-        let epoch = Instant::now();
-        let mut c = LaneProf::new(0, epoch);
-        c.record_span(HostPhase::IcntTick, at(epoch, 0), at(epoch, 100));
-        c.record_span(HostPhase::BarrierWait, at(epoch, 40), at(epoch, 70));
-        c.record_span(HostPhase::L2Tick, at(epoch, 10), at(epoch, 30));
-        let d = c.into_data();
-        // Top-level total (100µs) minus nested barrier wait (30µs); the
-        // nested L2Tick must NOT be double counted.
-        assert_eq!(d.busy_ns(), 70_000);
     }
 }

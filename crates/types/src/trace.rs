@@ -10,13 +10,8 @@
 //!
 //! The admission decision is a pure function of `(seed, core, fetch id)`
 //! (a [`crate::hash::StableHasher`] draw, not a sequential RNG stream), so
-//! every sink constructed with the same seed agrees on which fetches are
-//! sampled *regardless of the order it observes them in*. That property is
-//! what lets the parallel simulator give each machine shard its own
-//! private sink: components record into their shard's sink with no shared
-//! state, and the coordinator drains the shard sinks into the global sink
-//! at fixed merge points in fixed shard order ([`TraceSink::absorb`]),
-//! reproducing the serial event stream byte for byte.
+//! which fetches are sampled does not depend on the order the sink
+//! observes them in.
 //!
 //! From the event stream the sink derives, per level, a queueing-delay
 //! histogram (time between entering and leaving a queue) and a service-time
@@ -159,13 +154,9 @@ pub struct FetchInfo {
 }
 
 /// Per-fetch sampling state.
-///
-/// `info` is `None` only in shard sinks that observed a fetch mid-flight
-/// (lazy admission) without seeing its `Issued`; the global sink always
-/// learns the info from the absorbed `Issued` event.
 #[derive(Clone, Debug)]
 struct Tracked {
-    info: Option<FetchInfo>,
+    info: FetchInfo,
     last_stall: Option<(Level, StallCause)>,
     done: bool,
 }
@@ -224,11 +215,6 @@ pub struct TraceData {
 pub struct TraceSink {
     sample_denom: u64,
     cap: usize,
-    /// Shard-sink mode: `record` for a locally-unknown fetch re-derives the
-    /// admission decision from the hash instead of requiring a prior
-    /// `issued` on *this* sink (the `Issued` event lives in the sink of the
-    /// core's shard). The global sink keeps the strict gate.
-    lazy_admit: bool,
     /// Hasher pre-seeded with the admission seed; cloned per query so the
     /// seed bytes are folded in once instead of on every decision.
     admit_prefix: StableHasher,
@@ -266,7 +252,6 @@ impl TraceSink {
         TraceSink {
             sample_denom,
             cap: event_cap,
-            lazy_admit: false,
             admit_prefix,
             // `tracks()` rejects `usize::MAX` cores, so this key can never
             // collide with a real query — every slot starts as a miss.
@@ -283,18 +268,6 @@ impl TraceSink {
         }
     }
 
-    /// A per-shard sink feeding a global sink via [`TraceSink::absorb`]:
-    /// same `(sample_denom, seed)` as the global sink so admission
-    /// decisions agree, no local event cap (the owner drains it at every
-    /// merge point, so its buffer holds at most one region's events), and
-    /// lazy admission for fetches whose `Issued` went through another
-    /// shard's sink.
-    pub fn shard(sample_denom: u64, seed: u64) -> Self {
-        let mut s = Self::new(sample_denom, usize::MAX, seed);
-        s.lazy_admit = true;
-        s
-    }
-
     /// Whether the sink records anything at all.
     pub fn is_enabled(&self) -> bool {
         self.sample_denom > 0
@@ -302,8 +275,8 @@ impl TraceSink {
 
     /// The pure admission decision: a stable hash of
     /// `(seed, core, fetch id)`, so every sink sharing a seed agrees and
-    /// no sequential RNG state is consumed (order-independence is what
-    /// makes sharded tracing bit-identical to inline tracing).
+    /// no sequential RNG state is consumed (the decision cannot depend on
+    /// the order fetches are observed in).
     fn admits(&mut self, core: usize, fetch: FetchId) -> bool {
         if self.sample_denom == 0 {
             return false;
@@ -358,11 +331,11 @@ impl TraceSink {
         self.tracked.insert(
             (fetch.core_id, fetch.id),
             Tracked {
-                info: Some(FetchInfo {
+                info: FetchInfo {
                     kind: fetch.kind,
                     line: fetch.line.index(),
                     warp: fetch.warp_id,
-                }),
+                },
                 last_stall: None,
                 done: false,
             },
@@ -392,26 +365,11 @@ impl TraceSink {
         if self.sample_denom > 1 && !self.admits(core, fetch) {
             return;
         }
-        if !self.tracked.contains_key(&(core, fetch)) {
-            // Shard sinks re-derive the admission decision: the fetch's
-            // `Issued` event went through the sink of the core's shard, so
-            // a locally-unknown fetch may still be sampled. (Admission is
-            // already established above; a non-lazy sink that admitted but
-            // never issued the fetch — cap full — stays silent.)
-            if !self.lazy_admit {
-                return;
-            }
-            self.tracked.insert(
-                (core, fetch),
-                Tracked {
-                    info: None,
-                    last_stall: None,
-                    done: false,
-                },
-            );
-        }
-        // INVARIANT: inserted above if absent.
-        let t = self.tracked.get_mut(&(core, fetch)).expect("tracked entry");
+        // A fetch the hash admits but `issued` refused (the cap was full)
+        // was never tracked and stays silent.
+        let Some(t) = self.tracked.get_mut(&(core, fetch)) else {
+            return;
+        };
         if t.done {
             return;
         }
@@ -446,84 +404,6 @@ impl TraceSink {
 
     fn push_event(&mut self, e: TraceEvent) {
         self.events.push(e);
-    }
-
-    /// Pushes an event unless the cap is reached (counting the drop).
-    fn push_capped(&mut self, e: TraceEvent) {
-        if self.events.len() >= self.cap {
-            self.dropped += 1;
-            return;
-        }
-        self.events.push(e);
-    }
-
-    /// Drains a shard sink's events into this (global) sink, replaying
-    /// them through the same admission/collapse/cap logic the serial path
-    /// applies inline. Called at every merge point in fixed shard order,
-    /// so the merged stream is byte-identical to the stream a single
-    /// shared sink would have recorded.
-    ///
-    /// The shard's `tracked` map deliberately persists across drains: a
-    /// stall episode can span many ticks, and the shard-local
-    /// `last_stall` is what keeps episode collapse identical to the
-    /// single-sink behavior (each stalled queue head is owned by exactly
-    /// one component, hence observed by exactly one shard sink).
-    pub fn absorb(&mut self, other: &mut TraceSink) {
-        if !other.is_enabled() {
-            return;
-        }
-        self.skipped += other.skipped;
-        self.dropped += other.dropped;
-        other.sampled = 0;
-        other.skipped = 0;
-        other.dropped = 0;
-        for i in 0..other.events.len() {
-            let e = other.events[i];
-            match e.kind {
-                TraceEventKind::Issued => {
-                    // Serial `issued` refuses *admission* once the cap is
-                    // hit (`skipped`, fetch never tracked); replay that
-                    // exactly rather than admit-then-drop.
-                    if self.events.len() >= self.cap {
-                        self.skipped += 1;
-                        continue;
-                    }
-                    self.sampled += 1;
-                    let info = other.tracked.get(&(e.core, e.fetch)).and_then(|t| t.info);
-                    self.tracked.insert(
-                        (e.core, e.fetch),
-                        Tracked {
-                            info,
-                            last_stall: None,
-                            done: false,
-                        },
-                    );
-                    self.push_event(e);
-                }
-                _ => {
-                    let Some(t) = self.tracked.get_mut(&(e.core, e.fetch)) else {
-                        continue;
-                    };
-                    if t.done {
-                        continue;
-                    }
-                    match e.kind {
-                        TraceEventKind::StalledAt(level, cause) => {
-                            if t.last_stall == Some((level, cause)) {
-                                continue;
-                            }
-                            t.last_stall = Some((level, cause));
-                        }
-                        _ => t.last_stall = None,
-                    }
-                    if e.kind.is_terminal() {
-                        t.done = true;
-                    }
-                    self.push_capped(e);
-                }
-            }
-        }
-        other.events.clear();
     }
 
     /// Events recorded so far, in record order.
@@ -620,11 +500,7 @@ impl TraceSink {
         let levels = self.decomposition();
         TraceData {
             sample_denom: self.sample_denom,
-            fetches: self
-                .tracked
-                .iter()
-                .filter_map(|(&k, t)| t.info.map(|i| (k, i)))
-                .collect(),
+            fetches: self.tracked.iter().map(|(&k, t)| (k, t.info)).collect(),
             levels,
             sampled: self.sampled,
             skipped: self.skipped,
@@ -834,11 +710,11 @@ mod tests {
         t.tracked.insert(
             (0, 2),
             Tracked {
-                info: Some(FetchInfo {
+                info: FetchInfo {
                     kind: AccessKind::Load,
                     line: 0,
                     warp: 0,
-                }),
+                },
                 last_stall: None,
                 done: false,
             },
@@ -888,8 +764,7 @@ mod tests {
     #[test]
     fn admission_is_order_independent() {
         // Two sinks with the same seed observing fetches in opposite
-        // orders agree on every decision — the property shard sinks rely
-        // on.
+        // orders agree on every decision.
         let ids: Vec<u64> = (0..64).collect();
         let mut fwd = TraceSink::new(4, 10_000, 7);
         let mut rev = TraceSink::new(4, 10_000, 7);
@@ -903,93 +778,6 @@ mod tests {
             .map(|&i| (i, rev.issued(&load(0, i), 10)))
             .collect();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn absorb_merges_shard_sink_byte_identically() {
-        // Serial oracle: one sink sees the whole lifecycle inline.
-        let mut serial = TraceSink::new(1, 10_000, 42);
-        let f = load(0, 1);
-        serial.issued(&f, 10);
-        serial.record_fetch(&f, 20, TraceEventKind::EnqueuedAt(Level::Icnt));
-        for c in 0..3 {
-            serial.record_fetch(
-                &f,
-                30 + c,
-                TraceEventKind::StalledAt(Level::L2, StallCause::BpDram),
-            );
-        }
-        serial.record_fetch(&f, 40, TraceEventKind::Returned);
-
-        // Sharded: the core's shard sees issue+enqueue, the bank's shard
-        // sees the stalls (lazy admission — no Issued went through it),
-        // the core's shard sees the return; the coordinator absorbs after
-        // every region.
-        let mut global = TraceSink::new(1, 10_000, 42);
-        let mut core_shard = TraceSink::shard(1, 42);
-        let mut bank_shard = TraceSink::shard(1, 42);
-        core_shard.issued(&f, 10);
-        core_shard.record_fetch(&f, 20, TraceEventKind::EnqueuedAt(Level::Icnt));
-        global.absorb(&mut core_shard);
-        global.absorb(&mut bank_shard);
-        for c in 0..2 {
-            bank_shard.record_fetch(
-                &f,
-                30 + c,
-                TraceEventKind::StalledAt(Level::L2, StallCause::BpDram),
-            );
-            global.absorb(&mut core_shard);
-            global.absorb(&mut bank_shard);
-        }
-        bank_shard.record_fetch(
-            &f,
-            32,
-            TraceEventKind::StalledAt(Level::L2, StallCause::BpDram),
-        );
-        core_shard.record_fetch(&f, 40, TraceEventKind::Returned);
-        global.absorb(&mut core_shard);
-        global.absorb(&mut bank_shard);
-
-        assert_eq!(global.events(), serial.events());
-        assert_eq!(global.sampled(), serial.sampled());
-        let (gd, sd) = (global.into_data(), serial.into_data());
-        assert_eq!(gd.fetches, sd.fetches);
-        assert_eq!(gd.skipped, sd.skipped);
-        assert_eq!(gd.dropped_events, sd.dropped_events);
-    }
-
-    #[test]
-    fn absorb_replays_cap_refusal_like_serial() {
-        // Serial: cap 3 refuses the second fetch's admission entirely.
-        let mut serial = TraceSink::new(1, 3, 9);
-        let f1 = load(0, 1);
-        let f2 = load(0, 2);
-        serial.issued(&f1, 10);
-        serial.record_fetch(&f1, 20, TraceEventKind::EnqueuedAt(Level::L1));
-        serial.record_fetch(&f1, 30, TraceEventKind::DequeuedAt(Level::L1));
-        assert!(!serial.issued(&f2, 40));
-        serial.record_fetch(&f2, 50, TraceEventKind::Returned);
-        serial.record_fetch(&f1, 60, TraceEventKind::Returned); // dropped
-
-        // Sharded: the shard sink is uncapped; the global cap applies in
-        // absorb order.
-        let mut global = TraceSink::new(1, 3, 9);
-        let mut shard = TraceSink::shard(1, 9);
-        shard.issued(&f1, 10);
-        shard.record_fetch(&f1, 20, TraceEventKind::EnqueuedAt(Level::L1));
-        shard.record_fetch(&f1, 30, TraceEventKind::DequeuedAt(Level::L1));
-        global.absorb(&mut shard);
-        shard.issued(&f2, 40);
-        shard.record_fetch(&f2, 50, TraceEventKind::Returned);
-        shard.record_fetch(&f1, 60, TraceEventKind::Returned);
-        global.absorb(&mut shard);
-
-        assert_eq!(global.events(), serial.events());
-        let (gd, sd) = (global.into_data(), serial.into_data());
-        assert_eq!(gd.sampled, sd.sampled);
-        assert_eq!(gd.skipped, sd.skipped);
-        assert_eq!(gd.dropped_events, sd.dropped_events);
-        assert_eq!(gd.fetches, sd.fetches);
     }
 
     #[test]

@@ -5,19 +5,13 @@
 //! conservative idle probe promises a quiet window and bulk-replays the
 //! skipped ticks at wake time. These tests pin it, byte-for-byte at the
 //! simulator's strictest observable boundaries (exported report, sampled
-//! Chrome trace, fetch-conservation audit), against BOTH oracles:
+//! Chrome trace, fetch-conservation audit), against the oracle:
+//! `force_naive_loop`, the one-tick-at-a-time loop with no probes, no
+//! skips and no fast-forward jumps.
 //!
-//! - `force_naive_loop` — the one-tick-at-a-time loop: no probes, no
-//!   skips, no fast-forward jumps;
-//! - `force_serial` — the single-shard sweep with the event scheduler on,
-//!   separating "sharding changed results" from "skipping changed
-//!   results".
-//!
-//! The matrix covers all four memory models at 1/2/8 scheduler threads,
-//! the bursty/idle-heavy catalog extras (where the event core actually
-//! jumps), and a property sweep over random phase structures. The CI
-//! perf-smoke job re-runs this file under `GMH_THREADS={1,2,8}`, which
-//! the env-deferring pass below picks up.
+//! The matrix covers all four memory models, the bursty/idle-heavy catalog
+//! extras (where the event core actually jumps), and a property sweep over
+//! random phase structures.
 
 use gmh::core::config::MemoryModel;
 use gmh::core::{GpuConfig, GpuSim};
@@ -38,8 +32,8 @@ fn all_models() -> [MemoryModel; 4] {
     ]
 }
 
-/// A 4-core machine: wide enough to shard, small enough that the full
-/// model × thread × workload matrix stays fast.
+/// A 4-core machine: small enough that the full model × workload matrix
+/// stays fast.
 fn small_gpu() -> GpuConfig {
     let mut c = GpuConfig::gtx480_baseline();
     c.n_cores = 4;
@@ -97,6 +91,8 @@ fn observe(cfg: GpuConfig, wl: &WorkloadSpec) -> (String, String, (u64, u64, u64
     )
 }
 
+// (The name dates from when a serial-sweep oracle existed beside the naive
+// loop; the test-floor list pins it.)
 #[test]
 fn event_core_matches_both_oracles_on_all_models() {
     let wl = bursty_workload();
@@ -105,24 +101,13 @@ fn event_core_matches_both_oracles_on_all_models() {
         naive_cfg.memory_model = model.clone();
         naive_cfg.force_naive_loop = true;
         let naive = observe(naive_cfg, &wl);
-        let mut serial_cfg = small_gpu();
-        serial_cfg.memory_model = model.clone();
-        serial_cfg.force_serial = true;
-        let serial = observe(serial_cfg, &wl);
+        let mut cfg = small_gpu();
+        cfg.memory_model = model.clone();
+        let got = observe(cfg, &wl);
         assert_eq!(
-            serial, naive,
-            "{model:?}: serial event core must match the naive loop"
+            got, naive,
+            "{model:?}: event core must match the naive loop"
         );
-        for threads in [1usize, 2, 8] {
-            let mut cfg = small_gpu();
-            cfg.memory_model = model.clone();
-            cfg.sim_threads = threads;
-            let got = observe(cfg, &wl);
-            assert_eq!(
-                got, naive,
-                "{model:?} @ {threads} threads: event core must match the naive loop"
-            );
-        }
     }
 }
 
@@ -147,21 +132,6 @@ fn catalog_bursty_extras_match_the_naive_loop() {
             wl.name
         );
     }
-}
-
-#[test]
-fn env_thread_count_matches_the_naive_loop() {
-    // `sim_threads = 0` defers to `GMH_SIM_THREADS` / `GMH_THREADS`: the
-    // CI perf-smoke matrix sets GMH_THREADS to 1, 2 and 8 and re-runs
-    // this test, so every matrix leg checks equivalence at its width.
-    let wl = bursty_workload();
-    let mut naive_cfg = small_gpu();
-    naive_cfg.force_naive_loop = true;
-    let naive = observe(naive_cfg, &wl);
-    let mut cfg = small_gpu();
-    cfg.sim_threads = 0;
-    let got = observe(cfg, &wl);
-    assert_eq!(got, naive, "env-width event core must match the naive loop");
 }
 
 /// A tiny machine for the property sweep.
@@ -230,8 +200,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// On arbitrary phased workloads under all four memory models, the
-    /// event core at 1, 2 and 8 threads reproduces the naive one-tick
-    /// loop byte-for-byte.
+    /// event core reproduces the naive one-tick loop byte-for-byte.
     #[test]
     fn event_core_matches_naive_on_arbitrary_phases(wl in arb_phased_workload()) {
         for model in all_models() {
@@ -239,16 +208,10 @@ proptest! {
             naive_cfg.memory_model = model.clone();
             naive_cfg.force_naive_loop = true;
             let naive = observe(naive_cfg, &wl);
-            for threads in [1usize, 2, 8] {
-                let mut cfg = tiny_gpu();
-                cfg.memory_model = model.clone();
-                cfg.sim_threads = threads;
-                let got = observe(cfg, &wl);
-                prop_assert_eq!(
-                    &got, &naive,
-                    "event core under {:?} @ {} threads", model, threads
-                );
-            }
+            let mut cfg = tiny_gpu();
+            cfg.memory_model = model.clone();
+            let got = observe(cfg, &wl);
+            prop_assert_eq!(&got, &naive, "event core under {:?}", model);
         }
     }
 }

@@ -1,14 +1,11 @@
 //! Tuner determinism at the workspace boundary: a search is a pure
 //! function of its parameters.
 //!
-//! Three pins:
+//! Two pins:
 //!   1. Re-running the same search against the same cache directory yields
 //!      byte-identical frontier JSON — and the second run performs zero
 //!      fresh simulations (pure cache replay).
-//!   2. The intra-simulation shard width (`sim_threads`) is an execution
-//!      strategy, not a search input: 1-thread and 2-thread searches on
-//!      *fresh* caches produce byte-identical frontier JSON.
-//!   3. The CSV rendering is equally stable.
+//!   2. The CSV rendering is equally stable.
 
 use gmh::exp::cache::DiskCache;
 use gmh_tune::{frontier_csv, frontier_json, run_search, TuneParams};
@@ -57,32 +54,4 @@ fn repeat_search_is_byte_identical_and_simulation_free() {
     );
     assert_eq!(frontier_csv(&p, &cold), frontier_csv(&p, &warm));
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn shard_width_does_not_change_the_frontier() {
-    // Fresh cache per width: nothing is shared, so agreement can only come
-    // from the simulator's bit-identical sharding (and the cache key
-    // canonicalizing `sim_threads` away would hide nothing here).
-    let mut serial = params();
-    serial.sim_threads = 1;
-    let mut sharded = params();
-    sharded.sim_threads = 2;
-
-    let (cache1, dir1) = fresh_cache("threads1");
-    let out1 = run_search(&cache1, &serial).expect("serial search");
-    let (cache2, dir2) = fresh_cache("threads2");
-    let out2 = run_search(&cache2, &sharded).expect("sharded search");
-
-    assert!(out1.fresh_sims > 0 && out2.fresh_sims > 0);
-    // Render through identical params (the shard width is not part of the
-    // report; only the model-visible knobs are).
-    let p = params();
-    assert_eq!(
-        frontier_json(&p, &out1),
-        frontier_json(&p, &out2),
-        "sim_threads is an execution strategy, not a search input"
-    );
-    let _ = std::fs::remove_dir_all(&dir1);
-    let _ = std::fs::remove_dir_all(&dir2);
 }
