@@ -10,7 +10,7 @@
 //! headline so cross-machine comparisons gate on profile *shape*, not
 //! machine speed; `--absolute` compares raw values for same-host A/B).
 
-use gmh_bench::diff::{diff, Verdict};
+use gmh_bench::diff::{diff, Verdict, OVERHEAD_ALLOWANCE_POINTS};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -65,7 +65,10 @@ fn main() -> ExitCode {
     };
     let report = diff(&base, &cand, tolerance_pct, absolute);
     let mode = if absolute { "absolute" } else { "relative" };
-    println!("bench_diff: {base_path} vs {cand_path} ({mode}, tolerance {tolerance_pct}%)");
+    println!(
+        "bench_diff: {base_path} vs {cand_path} ({mode}, tolerance {tolerance_pct}%, \
+         overheads +{OVERHEAD_ALLOWANCE_POINTS} points)"
+    );
     for f in &report.findings {
         let tag = if f.fatal { "FAIL" } else { "note" };
         println!("  [{tag}] {}: {}", f.path, f.detail);

@@ -18,7 +18,12 @@
 //! jumps. With `--profile-host` the pass also prints the per-phase
 //! utilization table and writes a Perfetto-loadable host-timeline trace.
 //! Every pass must reproduce the same IPCs bit-identically — tracing and
-//! profiling are observation, the event core an execution strategy.
+//! profiling are observation, the event core an execution strategy. Two
+//! more cross-checks are deterministic and run in every mode, outside the
+//! timed sections: the sampled pass's per-level latency histograms (kept
+//! as events arrive) must equal the reference derivation from the finished
+//! event stream, and the profiled pass's span counts must equal the ticks
+//! each clock domain fired (an untimed iteration must still count).
 //!
 //! Writes `BENCH_sim.json` at the repo root (full mode; `--out PATH`
 //! overrides, and also enables the write in `--smoke`/`--quick` so CI can
@@ -32,6 +37,8 @@
 use gmh_core::{GpuConfig, GpuSim};
 use gmh_exp::{host_trace_json, utilization_table};
 use gmh_types::prof::{HostPhase, HostReport};
+use gmh_types::trace::decomposition_of;
+use gmh_types::{ClockDomains, DomainId};
 use gmh_workloads::catalog;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -66,7 +73,7 @@ fn run_batch(
     max_cycles: u64,
     naive: bool,
 ) -> (f64, u64, Vec<f64>) {
-    let started = Instant::now();
+    let mut seconds = 0.0;
     let mut cycles = 0u64;
     let mut ipcs = Vec::new();
     for name in workloads {
@@ -75,11 +82,18 @@ fn run_batch(
         cfg.trace_sample = trace_sample;
         cfg.force_naive_loop = naive;
         let wl = catalog::by_name(name).expect("catalog workload");
+        let started = Instant::now();
         let stats = GpuSim::new(cfg, &wl).run();
+        seconds += started.elapsed().as_secs_f64();
         cycles += stats.core_cycles;
         ipcs.push(stats.ipc);
+        assert_eq!(
+            stats.trace.levels,
+            decomposition_of(&stats.trace.events),
+            "{name}: the latency ledger must equal the reference derivation"
+        );
     }
-    (started.elapsed().as_secs_f64(), cycles, ipcs)
+    (seconds, cycles, ipcs)
 }
 
 /// The standard saturated-trio pass (event core on).
@@ -114,7 +128,6 @@ struct HostPass {
 }
 
 fn run_host_pass(max_cycles: u64) -> HostPass {
-    let started = Instant::now();
     let mut pass = HostPass {
         seconds: 0.0,
         cycles: 0,
@@ -127,18 +140,51 @@ fn run_host_pass(max_cycles: u64) -> HostPass {
         let mut cfg = GpuConfig::gtx480_baseline();
         cfg.max_core_cycles = max_cycles;
         cfg.profile_host = true;
+        let clocks = ClockDomains::new(cfg.core_mhz, cfg.icnt_mhz, cfg.dram_mhz);
         let wl = catalog::by_name(name).expect("catalog workload");
+        let started = Instant::now();
         let mut sim = GpuSim::new(cfg, &wl);
         let stats = sim.run();
+        pass.seconds += started.elapsed().as_secs_f64();
         pass.cycles += stats.core_cycles;
         pass.ipcs.push(stats.ipc);
         pass.ff_jumps += sim.ff_stats().jumps;
         pass.ff_skipped += sim.ff_stats().skipped_total();
-        pass.reports
-            .push(sim.take_host_report().expect("profile_host was on"));
+        let report = sim.take_host_report().expect("profile_host was on");
+        assert_counts_are_ticks(name, &report, &sim, clocks, stats.core_cycles);
+        pass.reports.push(report);
     }
-    pass.seconds = started.elapsed().as_secs_f64();
     pass
+}
+
+/// Every tick a domain fired is one span of its phase, timed or only
+/// counted: the profiled run's exact counts must equal the ticks up to the
+/// run's last instant (core tick `core_cycles`) minus the ticks the loop
+/// jumped over.
+fn assert_counts_are_ticks(
+    name: &str,
+    report: &HostReport,
+    sim: &GpuSim,
+    mut clocks: ClockDomains,
+    core_cycles: u64,
+) {
+    let last_instant = (core_cycles - 1) * clocks.domain(DomainId::Core).period_ps();
+    let fired = clocks.fast_forward(last_instant + 1);
+    let ff = sim.ff_stats();
+    assert_eq!(fired.core, core_cycles);
+    for (phase, ticks) in [
+        (HostPhase::CoreTick, fired.core - ff.skipped_core),
+        (HostPhase::IcntTick, fired.icnt - ff.skipped_icnt),
+        (HostPhase::L2Tick, fired.icnt - ff.skipped_icnt),
+        (HostPhase::Telemetry, fired.icnt - ff.skipped_icnt),
+        (HostPhase::DramTick, fired.dram - ff.skipped_dram),
+    ] {
+        assert_eq!(
+            report.phase_count(phase),
+            ticks,
+            "{name}: one {phase:?} span per tick, timed or not"
+        );
+    }
 }
 
 /// As [`fold_pass`], for the host-profiled pass: the fastest repetition
@@ -160,18 +206,23 @@ fn fold_host_pass(slot: &mut Option<HostPass>, next: HostPass) {
     }
 }
 
-/// Sums per-workload host reports into one batch-level report: wall times
-/// and phase totals/counts add; the per-span timelines are dropped (each
-/// report has its own epoch, so concatenating events would interleave
-/// unrelated timelines).
+/// Sums per-workload host reports into one batch-level report: wall times,
+/// iteration counts and per-phase totals (each run's own estimate), counts
+/// and timed sums add; the per-span timelines are dropped (each report has
+/// its own epoch, so concatenating events would interleave unrelated
+/// timelines).
 fn merge_reports(reports: &[HostReport]) -> HostReport {
     let mut out = reports[0].clone();
     out.events.clear();
     for r in &reports[1..] {
         out.wall_ns += r.wall_ns;
+        out.iterations += r.iterations;
+        out.timed_iterations += r.timed_iterations;
         for i in 0..out.totals_ns.len() {
             out.totals_ns[i] += r.totals_ns[i];
             out.counts[i] += r.counts[i];
+            out.timed_counts[i] += r.timed_counts[i];
+            out.timed_ns[i] += r.timed_ns[i];
         }
         out.dropped += r.dropped;
     }

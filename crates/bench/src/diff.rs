@@ -10,7 +10,8 @@
 //!    parses these files), so drift is its own verdict, not a pass.
 //! 2. **Throughput regression** — numeric leaves are classified by key
 //!    shape: `*_per_sec`, `speedup*` and `*_speedup` are higher-better,
-//!    `*_overhead_pct` is lower-better (compared in percentage points).
+//!    `*_overhead_pct` is lower-better (compared in percentage points,
+//!    against a fixed allowance: [`OVERHEAD_ALLOWANCE_POINTS`]).
 //!    Everything else
 //!    (`seconds`, cycle counts, `host_cpus`, …) is host-dependent or
 //!    deterministic-by-construction and never gates.
@@ -91,6 +92,16 @@ enum MetricClass {
     Ignored,
 }
 
+/// How many percentage points a `*_overhead_pct` leaf may grow before the
+/// gate fails. Fixed, not the `--tolerance-pct` the ratio classes take:
+/// the instruments are budgeted at 5 % and 2 % of throughput (ROADMAP aim
+/// 4), so an allowance sized for run-to-run noise in throughput (15) would
+/// let an instrument slide from inside its budget to several times over
+/// it. Measured on the shared reference host on a disturbed day (17 pinned
+/// smoke runs, EXPERIMENTS.md "Simulator throughput"): two would have
+/// failed against the committed baseline, a re-run's worth.
+pub const OVERHEAD_ALLOWANCE_POINTS: f64 = 5.0;
+
 fn classify(key: &str) -> MetricClass {
     if key.ends_with("_per_sec") {
         MetricClass::Throughput
@@ -108,9 +119,9 @@ fn classify(key: &str) -> MetricClass {
 /// Compares `candidate` against `baseline`.
 ///
 /// `tolerance_pct` bounds the allowed relative drop for higher-better
-/// metrics (and the allowed increase, in percentage points, for
-/// `*_overhead_pct`). `absolute` disables headline normalization — use it
-/// only when both files came from the same host.
+/// metrics (`*_overhead_pct` leaves have their own fixed allowance,
+/// [`OVERHEAD_ALLOWANCE_POINTS`]). `absolute` disables headline
+/// normalization — use it only when both files came from the same host.
 #[must_use]
 pub fn diff(baseline: &Json, candidate: &Json, tolerance_pct: f64, absolute: bool) -> DiffReport {
     let mut findings = Vec::new();
@@ -276,11 +287,14 @@ fn compare_num(base: &Json, cand: &Json, path: &str, ctx: &Ctx, out: &mut Vec<Fi
             }
         }
         MetricClass::OverheadPct => {
-            if c > b + tol {
+            if c > b + OVERHEAD_ALLOWANCE_POINTS {
                 out.push(Finding {
                     path: path.to_string(),
                     fatal: true,
-                    detail: format!("overhead grew {b:.2} -> {c:.2} pct (tolerance +{tol} points)"),
+                    detail: format!(
+                        "overhead grew {b:.2} -> {c:.2} pct \
+                         (allowance +{OVERHEAD_ALLOWANCE_POINTS} points)"
+                    ),
                 });
             }
         }
@@ -408,15 +422,20 @@ mod tests {
         let b = base_doc();
         let mut c = base_doc();
         if let Json::Obj(o) = &mut c {
-            o.insert("sampling_overhead_pct".into(), Json::Num("25.0".into()));
+            o.insert("sampling_overhead_pct".into(), Json::Num("17.0".into()));
         }
-        // 5 -> 25 is +20 points > 15-point tolerance.
-        assert_eq!(diff(&b, &c, 15.0, false).verdict, Verdict::Regress);
-        // But a 15-point budget tolerates 5 -> 19.
-        if let Json::Obj(o) = &mut c {
-            o.insert("sampling_overhead_pct".into(), Json::Num("19.0".into()));
+        // 5 -> 17 is the slide back over budget the gate exists for: +12
+        // points fails whatever tolerance the ratio classes were given.
+        for tolerance_pct in [15.0, 50.0] {
+            assert_eq!(diff(&b, &c, tolerance_pct, false).verdict, Verdict::Regress);
         }
-        assert_eq!(diff(&b, &c, 15.0, false).verdict, Verdict::Pass);
+        // The fixed 5-point allowance tolerates 5 -> 9.9, not 5 -> 10.1.
+        for (value, verdict) in [("9.9", Verdict::Pass), ("10.1", Verdict::Regress)] {
+            if let Json::Obj(o) = &mut c {
+                o.insert("sampling_overhead_pct".into(), Json::Num(value.into()));
+            }
+            assert_eq!(diff(&b, &c, 15.0, false).verdict, verdict, "5 -> {value}");
+        }
     }
 
     #[test]

@@ -88,9 +88,12 @@ pub struct GpuConfig {
     /// construction; this switch exists so equivalence tests (and
     /// benchmark overhead measurements) can run the reference loop.
     pub force_naive_loop: bool,
-    /// Host-side span profiler: records wall-clock spans for every run-loop
-    /// phase into a [`gmh_types::prof::HostReport`] (fetch it with
-    /// `GpuSim::take_host_report` after the run). Strictly observational —
+    /// Host-side span profiler: counts the spans of every run-loop phase
+    /// and times those of one loop iteration in
+    /// [`gmh_types::prof::TIMED_STRIDE`] into a
+    /// [`gmh_types::prof::HostReport`] (fetch it with
+    /// `GpuSim::take_host_report` after the run), whose per-phase totals
+    /// are estimates scaled from the timed spans. Strictly observational —
     /// simulation results are byte-identical with this on or off, which the
     /// determinism suite pins. Off by default; the cache key ignores it.
     pub profile_host: bool,

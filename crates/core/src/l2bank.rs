@@ -261,7 +261,9 @@ impl L2Bank {
         };
         let is_write = head.kind.is_write();
         let line = head.line;
-        let (head_core, head_id) = (head.core_id, head.id);
+        // Captured before the head moves into the cache: who it is, and the
+        // trace sampler's verdict that travels with it.
+        let head_key = (head.traced.0, head.core_id, head.id);
 
         if is_write {
             // Write path: needs the data port to absorb the line.
@@ -277,7 +279,7 @@ impl L2Bank {
                     debug_assert_eq!(done, WriteOutcome::Absorbed, "L2 is write-back");
                     self.port.try_occupy(gmh_types::LINE_SIZE, self.now);
                 }
-                Err(reason) => self.record_block(reason, head_core, head_id, now_ps, trace),
+                Err(reason) => self.record_block(reason, head_key, now_ps, trace),
             }
             return;
         }
@@ -287,25 +289,22 @@ impl L2Bank {
         // while nothing changed) is charged and the queue stays as it is.
         let admitted = match self.cache.admit_read(line) {
             Ok(admitted) => admitted,
-            Err(reason) => return self.record_block(reason, head_core, head_id, now_ps, trace),
+            Err(reason) => return self.record_block(reason, head_key, now_ps, trace),
         };
         // Hit-side resources (port, response queue) are checked before any
         // state changes.
         if admitted.is_hit() {
             if let Some(kind) = self.stall_cause(!self.port.is_free(self.now), true, None) {
                 self.stalls.record(kind);
-                self.record_stall(kind, head_core, head_id, now_ps, trace);
+                self.record_stall(kind, head_key, now_ps, trace);
                 return;
             }
         }
         // INVARIANT: front() returned Some above.
         let fetch = self.access_queue.pop().expect("head exists");
-        trace.record(
-            head_core,
-            head_id,
-            now_ps,
-            TraceEventKind::DequeuedAt(Level::L2),
-        );
+        let (traced, head_core, head_id) = head_key;
+        let mut record = |kind| trace.record(traced, head_core, head_id, now_ps, kind);
+        record(TraceEventKind::DequeuedAt(Level::L2));
         match self.cache.commit_read(admitted, fetch, now_ps) {
             (AccessResult::Hit, Some(mut fetch)) => {
                 fetch.serviced_by = gmh_types::fetch::ServicedBy::L2;
@@ -316,22 +315,8 @@ impl L2Bank {
                     .push((self.now + self.latency, fetch))
                     .expect("fullness checked");
             }
-            (AccessResult::MissIssued, _) => {
-                trace.record(
-                    head_core,
-                    head_id,
-                    now_ps,
-                    TraceEventKind::EnqueuedAt(Level::Dram),
-                );
-            }
-            (AccessResult::MissMerged, _) => {
-                trace.record(
-                    head_core,
-                    head_id,
-                    now_ps,
-                    TraceEventKind::MshrMerged(Level::L2),
-                );
-            }
+            (AccessResult::MissIssued, _) => record(TraceEventKind::EnqueuedAt(Level::Dram)),
+            (AccessResult::MissMerged, _) => record(TraceEventKind::MshrMerged(Level::L2)),
             other => unreachable!("unexpected L2 read outcome: {other:?}"),
         }
     }
@@ -339,28 +324,28 @@ impl L2Bank {
     fn record_block(
         &mut self,
         reason: BlockReason,
-        core: usize,
-        fetch: FetchId,
+        head: (bool, usize, FetchId),
         now_ps: Picos,
         trace: &mut TraceSink,
     ) {
         if let Some(kind) = self.stall_cause(false, false, Some(reason)) {
             self.stalls.record(kind);
-            self.record_stall(kind, core, fetch, now_ps, trace);
+            self.record_stall(kind, head, now_ps, trace);
         }
     }
 
     /// Mirrors an attributed stall cycle into the trace for the blocked
-    /// head-of-queue fetch (no-op unless that fetch is sampled).
+    /// head-of-queue fetch `(traced, core, id)` (no-op unless that fetch
+    /// is sampled).
     fn record_stall(
         &self,
         kind: L2StallKind,
-        core: usize,
-        fetch: FetchId,
+        (traced, core, fetch): (bool, usize, FetchId),
         now_ps: Picos,
         trace: &mut TraceSink,
     ) {
         trace.record(
+            traced,
             core,
             fetch,
             now_ps,

@@ -106,6 +106,17 @@ impl FastForwardStats {
     }
 }
 
+/// What [`GpuSim::host_span_begin`] decided for one host-profiler span: no
+/// profiler, an iteration that is only counted, or a timed one (with the
+/// clock read that opens the span). Decided once, so closing a span on the
+/// unprofiled path costs a branch on a local.
+#[derive(Clone, Copy)]
+enum HostSpan {
+    Off,
+    Counted,
+    Timed(Instant),
+}
+
 /// The simulated GPU: cores, crossbar, L2 banks and DRAM channels advanced
 /// under three clock domains.
 ///
@@ -148,7 +159,8 @@ pub struct GpuSim {
     ff_stats: FastForwardStats,
     /// Host-side span profiler (present only under `cfg.profile_host`).
     /// Strictly observational: nothing it reads from the clock ever feeds
-    /// back into simulation state.
+    /// back into simulation state. It times one run-loop iteration in
+    /// `TIMED_STRIDE` and counts the spans of the rest.
     host_prof: Option<HostProfiler>,
     workload: String,
 }
@@ -361,6 +373,9 @@ impl GpuSim {
             if core_cycles.is_multiple_of(64) && self.done() {
                 break;
             }
+            // One pass through this loop is one iteration to the host
+            // profiler, which times some and only counts the rest.
+            let timed = self.host_prof.as_mut().map(HostProfiler::begin_iteration);
             if self.ev && self.try_jump() {
                 continue;
             }
@@ -369,13 +384,21 @@ impl GpuSim {
             if self.ev {
                 self.drain_due_wakes(fired, now_ps);
             }
-            if self.host_prof.is_some() {
+            if timed == Some(true) {
                 self.dispatch_ticks_host(fired, now_ps);
             } else {
                 self.dispatch_ticks(fired, now_ps);
+                if timed.is_some() {
+                    self.count_ticks(fired);
+                }
             }
         }
+        if let Some(hp) = self.host_prof.as_mut() {
+            hp.end_iterations();
+        }
         self.flush_all();
+        // Read before `collect` consumes the sink.
+        let trace_order = self.trace.check();
         let stats = self.collect(hit_cap);
         // Conservation must hold on every run: a fetch that vanished (or
         // returned twice, or traveled back in time) is a simulator bug.
@@ -386,9 +409,10 @@ impl GpuSim {
                 self.workload
             );
         }
-        // The trace is validated against the same invariants the audit
-        // enforces for counts: per-fetch event order and time monotonicity.
-        if let Err(e) = self.trace.validate() {
+        // The trace is held to the same invariants the audit enforces for
+        // counts — per-fetch event order and time monotonicity — checked
+        // as each event was recorded.
+        if let Err(e) = trace_order {
             panic!(
                 "trace validation failed on workload {:?}: {e}",
                 self.workload
@@ -397,7 +421,7 @@ impl GpuSim {
         stats
     }
 
-    /// Runs every domain tick fired by one clock edge (the naive path).
+    /// Runs every domain tick fired by one clock edge, untimed.
     fn dispatch_ticks(&mut self, fired: TickSet, now_ps: Picos) {
         if fired.icnt {
             if self.uses_hierarchy() {
@@ -413,10 +437,32 @@ impl GpuSim {
         }
     }
 
-    /// [`GpuSim::dispatch_ticks`] with host-profiler spans around each
-    /// phase (same calls in the same order; results are identical). Spans
-    /// chain — the end of one phase is the start of the next — so a fully
-    /// fired edge costs one clock read per phase boundary, not two.
+    /// After [`GpuSim::dispatch_ticks`] ran an iteration the host profiler
+    /// does not time: counts one span per phase
+    /// [`GpuSim::dispatch_ticks_host`] would have timed (the nested
+    /// `l2_tick` counts itself inside `icnt_tick`).
+    fn count_ticks(&mut self, fired: TickSet) {
+        let hier = self.uses_hierarchy();
+        let Some(hp) = self.host_prof.as_mut() else {
+            return;
+        };
+        for (phase, ran) in [
+            (HostPhase::IcntTick, fired.icnt && hier),
+            (HostPhase::Telemetry, fired.icnt),
+            (HostPhase::DramTick, fired.dram),
+            (HostPhase::CoreTick, fired.core),
+        ] {
+            if ran {
+                hp.count(phase);
+            }
+        }
+    }
+
+    /// [`GpuSim::dispatch_ticks`] on a timed iteration: host-profiler
+    /// spans around each phase (same calls in the same order; results are
+    /// identical). Spans chain — the end of one phase is the start of the
+    /// next — so a fully fired edge costs one clock read per phase
+    /// boundary, not two.
     fn dispatch_ticks_host(&mut self, fired: TickSet, now_ps: Picos) {
         let mut t = Instant::now();
         if fired.icnt {
@@ -449,17 +495,31 @@ impl GpuSim {
     }
 
     /// Opens a host-profiler span: reads the clock only when profiling is
-    /// on. Pass the token to [`GpuSim::host_span_end`].
+    /// on and this iteration is a timed one. Pass the token to
+    /// [`GpuSim::host_span_end`].
     #[inline]
-    fn host_span_begin(&self) -> Option<Instant> {
-        self.host_prof.as_ref().map(|_| Instant::now())
+    fn host_span_begin(&self) -> HostSpan {
+        match &self.host_prof {
+            None => HostSpan::Off,
+            Some(hp) if hp.is_timed() => HostSpan::Timed(Instant::now()),
+            Some(_) => HostSpan::Counted,
+        }
     }
 
-    /// Closes a span opened by [`GpuSim::host_span_begin`].
+    /// Closes a span opened by [`GpuSim::host_span_begin`]; the unprofiled
+    /// path leaves on the token alone.
     #[inline]
-    fn host_span_end(&mut self, phase: HostPhase, t0: Option<Instant>) {
-        if let Some(t0) = t0 {
-            self.host_span_chain(phase, t0);
+    fn host_span_end(&mut self, phase: HostPhase, span: HostSpan) {
+        match span {
+            HostSpan::Off => {}
+            HostSpan::Counted => {
+                if let Some(hp) = self.host_prof.as_mut() {
+                    hp.count(phase);
+                }
+            }
+            HostSpan::Timed(t0) => {
+                self.host_span_chain(phase, t0);
+            }
         }
     }
 
@@ -1098,7 +1158,7 @@ impl GpuSim {
 
     // ---- statistics -----------------------------------------------------------
 
-    fn collect(&self, hit_cap: bool) -> SimStats {
+    fn collect(&mut self, hit_cap: bool) -> SimStats {
         let mut stats = SimStats {
             hit_cycle_cap: hit_cap,
             ..SimStats::default()
@@ -1180,7 +1240,8 @@ impl GpuSim {
 
         stats.telemetry = self.telemetry.snapshot();
         stats.audit = self.audit.summary();
-        stats.trace = self.trace.clone().into_data();
+        // The sink is taken, not copied: a run is collected once.
+        stats.trace = std::mem::replace(&mut self.trace, TraceSink::disabled()).into_data();
         stats
     }
 }

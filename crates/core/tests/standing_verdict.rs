@@ -94,9 +94,9 @@ proptest! {
             if rng.below(2) == 0 && replay.can_accept() {
                 let kind = if rng.below(4) == 0 { AccessKind::Store } else { AccessKind::Load };
                 // Eight lines of bank 0, four per set.
-                let f = MemFetch::new(now, 0, 0, kind, LineAddr::new(rng.below(8) * 12), 0);
-                replay_trace.issued(&f, now);
-                forget_trace.issued(&f, now);
+                let mut f = MemFetch::new(now, 0, 0, kind, LineAddr::new(rng.below(8) * 12), 0);
+                replay_trace.issued(&mut f, now);
+                forget_trace.issued(&mut f, now);
                 replay.push_access(f.clone()).unwrap();
                 forget.push_access(f).unwrap();
             }

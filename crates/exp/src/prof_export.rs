@@ -11,8 +11,11 @@
 //!
 //! Both are deterministic functions of the report (the report itself is
 //! wall-clock data, so two runs differ; two exports of one report do not).
+//! The profiler times one run-loop iteration in [`TIMED_STRIDE`], so the
+//! timeline shows those iterations only and the table's totals are
+//! estimates scaled from them; both exports say so.
 
-use gmh_types::prof::{HostPhase, HostReport};
+use gmh_types::prof::{HostPhase, HostReport, TIMED_STRIDE};
 use gmh_types::telemetry::{json_escape, json_num};
 
 /// Nanoseconds to the microsecond `ts`/`dur` fields of the Chrome trace
@@ -23,17 +26,24 @@ fn micros(ns: u64) -> String {
 
 /// Serializes a host profile as single-line Chrome `trace_event` JSON.
 ///
-/// Layout: one process (`pid` 0) named `"gmh host: <label>"` with one
-/// thread (`tid` 1, `"run loop"`). Every recorded span becomes a complete
-/// (`"X"`) event named for its phase; nested phases (e.g. `l2_tick` inside
-/// `icnt_tick`) nest by time containment, which Perfetto renders as
-/// stacked slices.
+/// Layout: one process (`pid` 0) named `"gmh host: <label>"`, labelled
+/// with the timing stride, with one thread (`tid` 1, `"run loop"`). Every
+/// timed span becomes a complete (`"X"`) event named for its phase — the
+/// gaps between timed iterations are iterations that were only counted;
+/// nested phases (e.g. `l2_tick` inside `icnt_tick`) nest by time
+/// containment, which Perfetto renders as stacked slices.
 pub fn host_trace_json(label: &str, report: &HostReport) -> String {
     let mut events: Vec<String> = Vec::new();
     events.push(format!(
         "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
          \"args\":{{\"name\":\"gmh host: {}\"}}}}",
         json_escape(label)
+    ));
+    events.push(format!(
+        "{{\"name\":\"process_labels\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
+         \"args\":{{\"labels\":\"1 in {TIMED_STRIDE} run-loop iterations timed \
+         ({} of {}); {} timed spans beyond the timeline cap\"}}}}",
+        report.timed_iterations, report.iterations, report.dropped
     ));
     events.push(
         "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":1,\
@@ -56,19 +66,23 @@ pub fn host_trace_json(label: &str, report: &HostReport) -> String {
 }
 
 /// Renders the attribution table: a header with the wall time, the share
-/// of it attributed to any phase and the spans that did not fit the
-/// timeline cap, then one row per phase that occurred.
+/// of it attributed to any phase (an estimate, and the header says from
+/// what; it can pass 100 %, because a timed span carries a clock read the
+/// untimed majority did not pay — see [`gmh_types::prof`]) and the timed
+/// spans that did not fit the timeline cap, then one row per phase that
+/// occurred — exact counts, estimated totals.
 pub fn utilization_table(report: &HostReport) -> String {
     let wall = report.wall_ns.max(1) as f64;
     let mut out = format!(
-        "# host profile: wall {} s, attributed {:.1}% ({} spans beyond the timeline cap)\n",
+        "# host profile: wall {} s, attributed {:.1}%, estimated from 1 in {TIMED_STRIDE} \
+         iterations; {} timed spans beyond the timeline cap\n",
         json_num(report.wall_ns as f64 / 1e9),
         report.busy_ns() as f64 / wall * 100.0,
         report.dropped,
     );
     out.push_str(&format!(
         "{:<14} {:>10} {:>12} {:>9} {:>12}\n",
-        "phase", "count", "total_s", "wall_pct", "mean_us"
+        "phase", "count", "est_total_s", "wall_pct", "mean_us"
     ));
     for (name, total_ns, count) in phase_rows(report) {
         let mean_us = if count == 0 {
@@ -88,8 +102,9 @@ pub fn utilization_table(report: &HostReport) -> String {
     out
 }
 
-/// Convenience for JSON rows: per-phase `(name, total_ns, count)` triples
-/// for every phase that occurred, in fixed [`HostPhase::ALL`] order.
+/// Convenience for JSON rows: per-phase `(name, estimated total_ns, count)`
+/// triples for every phase that occurred, in fixed [`HostPhase::ALL`]
+/// order.
 pub fn phase_rows(report: &HostReport) -> Vec<(&'static str, u64, u64)> {
     HostPhase::ALL
         .iter()
@@ -101,32 +116,26 @@ pub fn phase_rows(report: &HostReport) -> Vec<(&'static str, u64, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gmh_types::prof::{SpanEvent, N_HOST_PHASES};
+    use gmh_types::prof::HostProfiler;
+    use std::time::Duration;
 
+    /// Three timed spans and three more that were only counted, so every
+    /// total is an estimate of twice its timed span; 1 ms of wall.
     fn synthetic_report() -> HostReport {
-        let mut totals_ns = [0u64; N_HOST_PHASES];
-        let mut counts = [0u64; N_HOST_PHASES];
-        let mut events = Vec::new();
-        for (phase, start_ns, dur_ns) in [
-            (HostPhase::IcntTick, 0, 400_000),
-            (HostPhase::L2Tick, 100_000, 200_000),
-            (HostPhase::CoreTick, 400_000, 300_000),
+        let mut p = HostProfiler::new();
+        let epoch = p.epoch();
+        for (phase, start_us, dur_us) in [
+            (HostPhase::IcntTick, 0, 200),
+            (HostPhase::L2Tick, 50, 100),
+            (HostPhase::CoreTick, 200, 150),
         ] {
-            totals_ns[phase.index()] += dur_ns;
-            counts[phase.index()] += 1;
-            events.push(SpanEvent {
-                phase,
-                start_ns,
-                dur_ns,
-            });
+            let start = epoch + Duration::from_micros(start_us);
+            p.record_span(phase, start, start + Duration::from_micros(dur_us));
+            p.count(phase);
         }
-        HostReport {
-            wall_ns: 1_000_000,
-            totals_ns,
-            counts,
-            events,
-            dropped: 0,
-        }
+        let mut r = p.finish();
+        r.wall_ns = 1_000_000;
+        r
     }
 
     #[test]
@@ -139,6 +148,10 @@ mod tests {
         assert!(json.contains("\"name\":\"run loop\""));
         assert!(json.contains("\"name\":\"icnt_tick\""));
         assert!(json.contains("\"name\":\"l2_tick\""));
+        assert!(
+            json.contains("\"labels\":\"1 in 17 run-loop iterations timed"),
+            "the timeline says what it leaves out: {json}"
+        );
         assert_eq!(json.matches("\"ph\":\"X\"").count(), 3);
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
@@ -156,9 +169,12 @@ mod tests {
         assert!(table.contains("l2_tick"));
         assert!(table.contains("core_tick"));
         assert!(!table.contains("ff_probe"), "absent phases are omitted");
-        // Top-level spans: 400µs + 300µs of 1 ms wall; the nested l2_tick
-        // is not counted twice.
-        assert!(table.contains("attributed 70.0%"), "{table}");
+        // Top-level estimates: 400µs + 300µs of 1 ms wall; the nested
+        // l2_tick is not counted twice.
+        assert!(
+            table.contains("attributed 70.0%, estimated from 1 in 17 iterations; 0 timed spans"),
+            "{table}"
+        );
     }
 
     #[test]
@@ -166,7 +182,7 @@ mod tests {
         let rows = phase_rows(&synthetic_report());
         assert!(rows
             .iter()
-            .any(|(n, t, c)| *n == "icnt_tick" && *t == 400_000 && *c == 1));
+            .any(|(n, t, c)| *n == "icnt_tick" && *t == 400_000 && *c == 2));
         assert!(rows.iter().all(|(n, _, _)| *n != "ff_jump"));
     }
 

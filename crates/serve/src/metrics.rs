@@ -13,7 +13,7 @@
 //! in-flight amount — the `gmh_jobs_inflight`/`gmh_queue_depth` gauges make
 //! that visible.
 
-use gmh_types::prof::{HostPhase, HostReport, N_HOST_PHASES};
+use gmh_types::prof::{HostPhase, HostReport, N_HOST_PHASES, TIMED_STRIDE};
 use gmh_types::{Histogram, Level, LevelLatency};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -137,7 +137,8 @@ impl Metrics {
     }
 
     /// Folds one completed fresh run's host self-profile into the
-    /// exposition: per-phase wall time accumulates.
+    /// exposition: per-phase wall time (the profiler's estimate)
+    /// accumulates.
     pub fn record_host_profile(&self, r: &HostReport) {
         for phase in HostPhase::ALL {
             Self::add(&self.host_phase_ns[phase.index()], r.phase_total_ns(phase));
@@ -231,11 +232,13 @@ impl Metrics {
         );
         // One TYPE for the family, one `phase`-labeled series per host
         // phase — zero or not, so the label set is stable.
-        out.push_str(
+        out.push_str(&format!(
             "# HELP gmh_host_phase_ns_total Host-scheduler wall nanoseconds \
-             per run-loop phase, accumulated over completed fresh runs.\n\
+             per run-loop phase, accumulated over completed fresh runs; an \
+             estimate: 1 in {TIMED_STRIDE} run-loop iterations is timed and scaled by \
+             the exact span count.\n\
              # TYPE gmh_host_phase_ns_total counter\n",
-        );
+        ));
         for phase in HostPhase::ALL {
             out.push_str(&format!(
                 "gmh_host_phase_ns_total{{phase=\"{}\"}} {}\n",
@@ -405,6 +408,10 @@ mod tests {
         m.record_host_profile(&report);
         let text = m.render(Gauges::default());
         assert!(text.contains("gmh_host_phase_ns_total{phase=\"core_tick\"} 2000000"));
+        assert!(
+            text.contains("an estimate: 1 in 17 run-loop iterations is timed"),
+            "the family says how it is measured:\n{text}"
+        );
     }
 
     #[test]

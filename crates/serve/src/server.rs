@@ -91,7 +91,12 @@ struct QueuedJob {
 /// every terminal outcome so operators can grep/parse the job history
 /// without scraping METRICS. `queue_wait_ms` is admission-queue residency
 /// (0 for jobs that never queue: cache hits, sheds, refusals); `run_ms` is
-/// worker wall time (0 for the same).
+/// worker wall time (0 for the same). `dropped` is what the always-on
+/// observers lost of a fresh run — `(trace events past trace_event_cap,
+/// timed host spans past the timeline cap)`, `(0, 0)` wherever nothing was
+/// observed — so a run whose live histograms cover only its head says so
+/// somewhere an operator reads; the daemon renders neither table that
+/// prints these counts.
 fn job_log_line(
     id: u64,
     kind: &str,
@@ -99,11 +104,13 @@ fn job_log_line(
     cache: &str,
     queue_wait_ms: u64,
     run_ms: u64,
+    (events_dropped, spans_dropped): (u64, u64),
 ) -> String {
     format!(
         "{{\"gmh_job\":{id},\"kind\":\"{kind}\",\"outcome\":\"{outcome}\",\
          \"cache\":\"{cache}\",\"queue_wait_ms\":{queue_wait_ms},\
-         \"run_ms\":{run_ms}}}"
+         \"run_ms\":{run_ms},\"events_dropped\":{events_dropped},\
+         \"spans_dropped\":{spans_dropped}}}"
     )
 }
 
@@ -376,7 +383,7 @@ fn submit_job(shared: &Arc<Shared>, job: Box<JobRequest>) -> Reply {
         if let Some(json) = shared.cache.get(key) {
             Metrics::inc(&shared.metrics.cache_hits);
             Metrics::inc(&shared.metrics.completed);
-            eprintln!("{}", job_log_line(id, "sim", "ok", "hit", 0, 0));
+            eprintln!("{}", job_log_line(id, "sim", "ok", "hit", 0, 0, (0, 0)));
             return Reply::Ok(json);
         }
         Metrics::inc(&shared.metrics.cache_misses);
@@ -406,7 +413,7 @@ fn enqueue(shared: &Arc<Shared>, id: u64, kind: &str, cache: &str, work: Work) -
         let mut st = shared.state.lock().expect("admission lock");
         if st.draining {
             Metrics::inc(&shared.metrics.errored);
-            eprintln!("{}", job_log_line(id, kind, "err", cache, 0, 0));
+            eprintln!("{}", job_log_line(id, kind, "err", cache, 0, 0, (0, 0)));
             return Reply::Err("server is shutting down".to_string());
         }
         let queued = QueuedJob {
@@ -418,7 +425,7 @@ fn enqueue(shared: &Arc<Shared>, id: u64, kind: &str, cache: &str, work: Work) -
         if st.queue.push(queued).is_err() {
             // Back-pressure: shed explicitly instead of buffering.
             Metrics::inc(&shared.metrics.shed);
-            eprintln!("{}", job_log_line(id, kind, "busy", cache, 0, 0));
+            eprintln!("{}", job_log_line(id, kind, "busy", cache, 0, 0, (0, 0)));
             return Reply::Busy {
                 retry_after_ms: shared.metrics.avg_job_ms(),
             };
@@ -513,7 +520,7 @@ fn execute_job(
         Metrics::inc(&shared.metrics.errored);
         eprintln!(
             "{}",
-            job_log_line(id, "sim", "err", cache, queue_wait_ms, 0)
+            job_log_line(id, "sim", "err", cache, queue_wait_ms, 0, (0, 0))
         );
         return Reply::Err("cannot spawn simulation thread".to_string());
     }
@@ -523,6 +530,10 @@ fn execute_job(
             if let Some(hr) = &host_report {
                 shared.metrics.record_host_profile(hr);
             }
+            let dropped = (
+                stats.trace.dropped_events,
+                host_report.as_ref().map_or(0, |hr| hr.dropped),
+            );
             let json = if job.trace {
                 chrome_trace_json(job.workload.name, &stats.trace)
             } else {
@@ -539,7 +550,7 @@ fn execute_job(
             Metrics::inc(&shared.metrics.completed);
             eprintln!(
                 "{}",
-                job_log_line(id, "sim", "ok", cache, queue_wait_ms, wall_ms)
+                job_log_line(id, "sim", "ok", cache, queue_wait_ms, wall_ms, dropped)
             );
             Reply::Ok(json)
         }
@@ -556,7 +567,8 @@ fn execute_job(
                     "timeout",
                     cache,
                     queue_wait_ms,
-                    millis(started.elapsed())
+                    millis(started.elapsed()),
+                    (0, 0)
                 )
             );
             Reply::Timeout {
@@ -578,7 +590,7 @@ fn execute_tune(shared: &Arc<Shared>, params: TuneParams, id: u64, queue_wait_ms
     let log = |outcome: &str, run_ms: u64| {
         eprintln!(
             "{}",
-            job_log_line(id, "tune", outcome, "none", queue_wait_ms, run_ms)
+            job_log_line(id, "tune", outcome, "none", queue_wait_ms, run_ms, (0, 0))
         );
     };
     let timeout = Duration::from_millis(shared.cfg.job_timeout_ms);
@@ -731,7 +743,7 @@ mod tests {
 
     #[test]
     fn job_log_line_is_one_parseable_json_object() {
-        let line = job_log_line(42, "sim", "ok", "miss", 3, 128);
+        let line = job_log_line(42, "sim", "ok", "miss", 3, 128, (7, 9));
         assert!(!line.contains('\n'), "must stay a single stderr line");
         let doc = crate::json::parse(&line).expect("log line parses");
         assert_eq!(
@@ -758,6 +770,18 @@ mod tests {
             doc.get("run_ms").and_then(crate::json::Json::as_u64),
             Some(128)
         );
+        assert_eq!(
+            doc.get("events_dropped")
+                .and_then(crate::json::Json::as_u64),
+            Some(7)
+        );
+        assert_eq!(
+            doc.get("spans_dropped").and_then(crate::json::Json::as_u64),
+            Some(9)
+        );
+        // Lines for work that was never observed carry explicit zeros.
+        let shed = job_log_line(43, "sim", "busy", "miss", 0, 0, (0, 0));
+        assert!(shed.ends_with("\"events_dropped\":0,\"spans_dropped\":0}"));
     }
 
     #[test]

@@ -494,7 +494,7 @@ impl SimtCore {
                 let waiters = self.l1i.fill(fetch.line, now_ps);
                 for w in waiters {
                     debug_assert_eq!(w.kind, AccessKind::InstFetch);
-                    trace.record(self.id, w.id, now_ps, TraceEventKind::Returned);
+                    trace.record_fetch(&w, now_ps, TraceEventKind::Returned);
                     self.fetch_returned(w.warp_id);
                 }
                 let wid = fetch.warp_id;
@@ -508,7 +508,7 @@ impl SimtCore {
                     // Merged requests were serviced wherever the traveling
                     // fetch was (L2 vs DRAM) — classify them the same way.
                     w.serviced_by = fetch.serviced_by;
-                    trace.record(self.id, w.id, now_ps, TraceEventKind::Returned);
+                    trace.record_fetch(&w, now_ps, TraceEventKind::Returned);
                     self.record_load_return(&w);
                     self.warps[w.warp_id].load_returned();
                     self.update_drained(w.warp_id);
@@ -582,12 +582,14 @@ impl SimtCore {
         };
         // Only an admitted fetch is sampled: tracing a refused attempt
         // would leak half-traced fetches into the sink.
-        let fetch = MemFetch::new(id, self.id, wid, AccessKind::InstFetch, line, now_ps);
-        trace.issued(&fetch, now_ps);
+        let mut fetch = MemFetch::new(id, self.id, wid, AccessKind::InstFetch, line, now_ps);
+        // The verdict is captured with the id: the fetch moves into the L1.
+        let traced = trace.issued(&mut fetch, now_ps);
+        let mut record = |kind| trace.record(traced, self.id, id, now_ps, kind);
         match self.l1i.commit_read(admitted, fetch, now_ps) {
             (AccessResult::Hit, _) => {
-                trace.record(self.id, id, now_ps, TraceEventKind::ServicedAt(Level::L1));
-                trace.record(self.id, id, now_ps, TraceEventKind::Returned);
+                record(TraceEventKind::ServicedAt(Level::L1));
+                record(TraceEventKind::Returned);
                 self.warps[wid].advance_fetch_group();
                 let src = &mut self.source;
                 let n_insts = self.cfg.ibuffer_size;
@@ -598,14 +600,14 @@ impl SimtCore {
                 self.issue_dirty = true;
             }
             (AccessResult::MissIssued, _) => {
-                trace.record(self.id, id, now_ps, TraceEventKind::EnqueuedAt(Level::L1));
+                record(TraceEventKind::EnqueuedAt(Level::L1));
                 // The refill completes when the response arrives (see
                 // `fetch_returned`); the group advances there.
                 self.warps[wid].set_fetch_outstanding();
                 self.update_fetch_need(wid);
             }
             (AccessResult::MissMerged, _) => {
-                trace.record(self.id, id, now_ps, TraceEventKind::MshrMerged(Level::L1));
+                record(TraceEventKind::MshrMerged(Level::L1));
                 self.warps[wid].set_fetch_outstanding();
                 self.update_fetch_need(wid);
             }
@@ -685,17 +687,18 @@ impl SimtCore {
                     self.warps[wid].add_pending_loads(n);
                     for line in lines {
                         let id = self.alloc_fetch_id();
-                        let fetch = MemFetch::new(id, self.id, wid, AccessKind::Load, line, now_ps);
-                        trace.issued(&fetch, now_ps);
+                        let mut fetch =
+                            MemFetch::new(id, self.id, wid, AccessKind::Load, line, now_ps);
+                        trace.issued(&mut fetch, now_ps);
                         self.lsu.push(fetch);
                     }
                 }
                 InstKind::Store { lines } => {
                     for line in lines {
                         let id = self.alloc_fetch_id();
-                        let fetch =
+                        let mut fetch =
                             MemFetch::new(id, self.id, wid, AccessKind::Store, line, now_ps);
-                        trace.issued(&fetch, now_ps);
+                        trace.issued(&mut fetch, now_ps);
                         self.lsu.push(fetch);
                     }
                 }
@@ -769,7 +772,9 @@ impl SimtCore {
         let Some(head) = self.lsu.head() else {
             return;
         };
-        let (fid, line) = (head.id, head.line);
+        // Captured before the head moves into the L1: its id, and the trace
+        // sampler's verdict that travels with it.
+        let (fid, traced, line) = (head.id, head.traced.0, head.line);
         let admitted = if head.kind == AccessKind::Store {
             self.l1d.admit_write(line)
         } else {
@@ -777,7 +782,7 @@ impl SimtCore {
         };
         let admitted = match admitted {
             Ok(admitted) => admitted,
-            Err(reason) => return self.record_l1_block(reason, fid, now_ps, trace),
+            Err(reason) => return self.record_l1_block(reason, traced, fid, now_ps, trace),
         };
         // INVARIANT: head() returned Some above.
         let fetch = self.lsu.pop().expect("head exists");
@@ -790,22 +795,24 @@ impl SimtCore {
                 WriteOutcome::Forwarded => TraceEventKind::EnqueuedAt(Level::L1),
                 WriteOutcome::Blocked(_) => unreachable!("admitted accesses never block"),
             };
-            trace.record(self.id, fid, now_ps, done);
+            trace.record(traced, self.id, fid, now_ps, done);
             return;
         }
         match self.l1d.commit_read(admitted, fetch, now_ps) {
             (AccessResult::Hit, Some(f)) => {
-                trace.record(self.id, fid, now_ps, TraceEventKind::ServicedAt(Level::L1));
-                trace.record(self.id, fid, now_ps, TraceEventKind::Returned);
+                trace.record_fetch(&f, now_ps, TraceEventKind::ServicedAt(Level::L1));
+                trace.record_fetch(&f, now_ps, TraceEventKind::Returned);
                 // L1 hits complete through the pipelined hit path.
                 self.warps[f.warp_id].load_returned();
                 self.update_drained(f.warp_id);
             }
             (AccessResult::MissIssued, _) => {
-                trace.record(self.id, fid, now_ps, TraceEventKind::EnqueuedAt(Level::L1));
+                let queued = TraceEventKind::EnqueuedAt(Level::L1);
+                trace.record(traced, self.id, fid, now_ps, queued);
             }
             (AccessResult::MissMerged, _) => {
-                trace.record(self.id, fid, now_ps, TraceEventKind::MshrMerged(Level::L1));
+                let merged = TraceEventKind::MshrMerged(Level::L1);
+                trace.record(traced, self.id, fid, now_ps, merged);
             }
             other => unreachable!("unexpected L1 read outcome: {other:?}"),
         }
@@ -818,6 +825,7 @@ impl SimtCore {
     fn record_l1_block(
         &mut self,
         reason: BlockReason,
+        traced: bool,
         fetch: FetchId,
         now_ps: Picos,
         trace: &mut TraceSink,
@@ -829,6 +837,7 @@ impl SimtCore {
         };
         self.stats.l1_stalls.record(kind);
         trace.record(
+            traced,
             self.id,
             fetch,
             now_ps,
@@ -1131,11 +1140,11 @@ mod tests {
             while let Some(f) = core.pop_outgoing() {
                 // The owner (GpuSim) normally records the icnt/L2/DRAM hops;
                 // close each story at the core boundary here.
-                trace.record(0, f.id, now, TraceEventKind::DequeuedAt(Level::L1));
+                trace.record_fetch(&f, now, TraceEventKind::DequeuedAt(Level::L1));
                 if f.kind.wants_response() {
                     inflight.push((t + 20, f));
                 } else {
-                    trace.record(0, f.id, now, TraceEventKind::Absorbed);
+                    trace.record_fetch(&f, now, TraceEventKind::Absorbed);
                 }
             }
             let mut i = 0;
@@ -1150,6 +1159,7 @@ mod tests {
         }
         assert!(core.done());
         trace.validate().expect("well-formed lifecycles");
+        trace.check().expect("well-formed lifecycles");
         assert!(trace.sampled() > 0, "denominator 1 samples everything");
         let kinds: Vec<TraceEventKind> = trace.events().iter().map(|e| e.kind).collect();
         assert!(kinds.contains(&TraceEventKind::Returned), "loads complete");

@@ -12,6 +12,7 @@
 
 use crate::addr::LineAddr;
 use crate::clock::Picos;
+use crate::scratch::Scratch;
 
 /// Unique identity of a fetch, assigned by the issuing core.
 pub type FetchId = u64;
@@ -107,6 +108,13 @@ pub struct MemFetch {
     /// Where the fetch was serviced (L2 hit vs DRAM), for L2-AHL vs AML
     /// classification.
     pub serviced_by: ServicedBy,
+    /// The trace sampler's verdict, left here by
+    /// [`crate::trace::TraceSink::issued`] so that no record site has to
+    /// ask for it again. Observation only: it is a pure function of
+    /// `(seed, core, id)` and the event cap, nothing in the model reads it,
+    /// and [`Scratch`] keeps it out of `Debug`, so state dumps of a traced
+    /// and an untraced run stay equal.
+    pub traced: Scratch<bool>,
 }
 
 impl MemFetch {
@@ -130,6 +138,7 @@ impl MemFetch {
                 ..Timestamps::default()
             },
             serviced_by: ServicedBy::Pending,
+            traced: Scratch(false),
         }
     }
 
@@ -211,6 +220,19 @@ mod tests {
     fn round_trip_saturates_if_unreturned() {
         let f = MemFetch::new(0, 0, 0, AccessKind::Load, LineAddr::new(1), 100);
         assert_eq!(f.round_trip_ps(), 0);
+    }
+
+    /// The sampler's verdict fits the padding after `kind` /
+    /// `serviced_by`: a fetch is copied at every hop, so it must not grow.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn fetch_stays_96_bytes_and_hides_the_verdict_from_debug() {
+        assert_eq!(std::mem::size_of::<MemFetch>(), 96);
+        let plain = MemFetch::new(0, 0, 0, AccessKind::Load, LineAddr::new(1), 0);
+        let mut traced = plain.clone();
+        traced.traced = Scratch(true);
+        assert_eq!(format!("{plain:?}"), format!("{traced:?}"));
+        assert!(!MemFetch::write_back(LineAddr::new(9), 5).traced.0);
     }
 
     #[test]

@@ -49,8 +49,8 @@ pub use stats::{Counter, Histogram, LatencyHistogram, MeanAccumulator, RatioStat
 pub use telemetry::{AuditSummary, FetchAudit, SeriesId, Telemetry, TelemetrySnapshot};
 pub use timeq::TimeQ;
 pub use trace::{
-    spans_of, Level, LevelLatency, Span, StallCause, TraceData, TraceEvent, TraceEventKind,
-    TraceSink,
+    decomposition_of, spans_of, Level, LevelLatency, Span, StallCause, TraceData, TraceEvent,
+    TraceEventKind, TraceSink,
 };
 
 /// A cycle count within a single clock domain.

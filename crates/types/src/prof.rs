@@ -16,9 +16,30 @@
 //! `[start, end)` against an epoch taken when the profiler is created.
 //! Spans may nest by time containment (e.g. [`HostPhase::L2Tick`] inside
 //! [`HostPhase::IcntTick`]); they never overlap partially, because they
-//! close in LIFO order. Per-phase totals and counts always accumulate; the
-//! per-span event list is bounded by a cap (overflow is counted in
-//! `dropped`, never silently).
+//! close in LIFO order.
+//!
+//! ## One iteration in 17 is timed
+//!
+//! A clock read costs as much as a cheap tick, so the profiler does not
+//! time every span: the run loop announces each of its iterations
+//! ([`HostProfiler::begin_iteration`]) and every [`TIMED_STRIDE`]-th one is
+//! timed — all of its spans, so nesting and chaining hold within it. The
+//! others only *count* their spans ([`HostProfiler::count`]). Counts are
+//! therefore exact and a function of the simulation alone; a phase's total
+//! is an estimate, `timed ns × count / timed count`
+//! ([`HostReport::totals_ns`]); the per-span event list holds the timed
+//! spans, bounded by a cap (overflow is counted in `dropped`, never
+//! silently).
+//!
+//! A timed span carries about one clock read of its own, and an untimed
+//! iteration carries none, so an estimate answers "what would this phase
+//! cost if every span of it were timed" — what the profiler reported when
+//! it did time every span. Against the wall of a run that mostly was *not*
+//! timed, the estimates of cheap phases run high and their sum can pass
+//! 100 % (about 107 % on the saturated trio, 120–135 % on two-core jobs
+//! whose whole iteration costs a few clock reads). Shares between phases
+//! of similar span cost, and one phase across runs, compare fairly; the
+//! raw timed sums are in the report for anything else.
 //!
 //! Timing uses [`Instant`], which is monotonic — spans cannot go negative
 //! under NTP slew. The R1 lint ban on wall-clock in model crates carries an
@@ -126,36 +147,87 @@ pub struct SpanEvent {
     pub dur_ns: u64,
 }
 
-/// Default cap on recorded [`SpanEvent`]s. Totals and counts keep
-/// accumulating past the cap; only the per-span timeline truncates (with
-/// the overflow counted), bounding profiler memory on long runs.
+/// Default cap on recorded [`SpanEvent`]s (timed spans only, so it covers
+/// [`TIMED_STRIDE`] times as many run-loop iterations). Totals and counts
+/// keep accumulating past the cap; only the per-span timeline truncates
+/// (with the overflow counted), bounding profiler memory on long runs.
 pub const DEFAULT_EVENT_CAP: usize = 1 << 18;
 
+/// One run-loop iteration in this many is timed. Not configurable: it is a
+/// property of the instrument, like a histogram's bucket layout. Prime, so
+/// it cannot lock onto the clock-edge pattern (1400 / 700 / 924 MHz repeat
+/// every 897 edges = 3 · 13 · 23): every kind of edge is timed in its
+/// proportion.
+pub const TIMED_STRIDE: u64 = 17;
+
 /// The host profiler: a span recorder owned by the thread that owns
-/// `GpuSim`. Recording is plain (non-atomic) and costs two monotonic clock
-/// reads per span at most — one when chaining.
+/// `GpuSim`. Recording is plain (non-atomic); a timed iteration costs two
+/// monotonic clock reads per span at most — one when chaining — and an
+/// untimed one an increment per span.
 #[derive(Debug)]
 pub struct HostProfiler {
     epoch: Instant,
-    totals_ns: [u64; N_HOST_PHASES],
+    /// Run-loop iterations announced so far, and whether the current one
+    /// is timed.
+    iterations: u64,
+    timed: bool,
+    timed_iterations: u64,
     counts: [u64; N_HOST_PHASES],
+    timed_counts: [u64; N_HOST_PHASES],
+    timed_ns: [u64; N_HOST_PHASES],
     events: Vec<SpanEvent>,
     cap: usize,
     dropped: u64,
 }
 
 impl HostProfiler {
-    /// A profiler whose epoch is "now".
+    /// A profiler whose epoch is "now". Spans recorded before the first
+    /// [`HostProfiler::begin_iteration`] are timed.
     #[must_use]
     pub fn new() -> Self {
         HostProfiler {
             epoch: Instant::now(),
-            totals_ns: [0; N_HOST_PHASES],
+            iterations: 0,
+            timed: true,
+            timed_iterations: 0,
             counts: [0; N_HOST_PHASES],
+            timed_counts: [0; N_HOST_PHASES],
+            timed_ns: [0; N_HOST_PHASES],
             events: Vec::new(),
             cap: DEFAULT_EVENT_CAP,
             dropped: 0,
         }
+    }
+
+    /// Opens the next run-loop iteration and returns whether it is a timed
+    /// one: the first, then every [`TIMED_STRIDE`]-th. The answer holds
+    /// (see [`HostProfiler::is_timed`]) until the next call.
+    #[inline]
+    pub fn begin_iteration(&mut self) -> bool {
+        self.timed = self.iterations.is_multiple_of(TIMED_STRIDE);
+        self.iterations += 1;
+        self.timed_iterations += u64::from(self.timed);
+        self.timed
+    }
+
+    /// Leaves the strided part of the run: what follows (the end-of-run
+    /// flush, which happens once) is always timed.
+    pub fn end_iterations(&mut self) {
+        self.timed = true;
+    }
+
+    /// Whether spans are being timed right now. When not, the caller skips
+    /// the clock and reports each span with [`HostProfiler::count`].
+    #[inline]
+    #[must_use]
+    pub fn is_timed(&self) -> bool {
+        self.timed
+    }
+
+    /// Counts one span of `phase` that was not timed.
+    #[inline]
+    pub fn count(&mut self, phase: HostPhase) {
+        self.counts[phase.index()] += 1;
     }
 
     /// The instant every span start is measured from.
@@ -179,12 +251,13 @@ impl HostProfiler {
         t1
     }
 
-    /// Records a closed span from explicit timestamps (testable without
-    /// sleeping: `Instant + Duration` fabricates offsets).
+    /// Records a closed, timed span from explicit timestamps (testable
+    /// without sleeping: `Instant + Duration` fabricates offsets).
     pub fn record_span(&mut self, phase: HostPhase, start: Instant, end: Instant) {
         let i = phase.index();
         let dur_ns = saturating_ns(end.saturating_duration_since(start).as_nanos());
-        self.totals_ns[i] += dur_ns;
+        self.timed_ns[i] += dur_ns;
+        self.timed_counts[i] += 1;
         self.counts[i] += 1;
         if self.events.len() < self.cap {
             let start_ns = saturating_ns(start.saturating_duration_since(self.epoch).as_nanos());
@@ -201,10 +274,22 @@ impl HostProfiler {
     /// Freezes everything into a [`HostReport`]. Wall time is epoch→now.
     #[must_use]
     pub fn finish(self) -> HostReport {
+        // Each timed span stands for `counts / timed_counts` spans of its
+        // phase; a phase that was counted but never timed estimates to 0.
+        let mut totals_ns = [0; N_HOST_PHASES];
+        for (i, total) in totals_ns.iter_mut().enumerate() {
+            let scaled = u128::from(self.timed_ns[i]) * u128::from(self.counts[i])
+                / u128::from(self.timed_counts[i].max(1));
+            *total = saturating_ns(scaled);
+        }
         HostReport {
             wall_ns: saturating_ns(self.epoch.elapsed().as_nanos()),
-            totals_ns: self.totals_ns,
+            totals_ns,
             counts: self.counts,
+            timed_counts: self.timed_counts,
+            timed_ns: self.timed_ns,
+            iterations: self.iterations,
+            timed_iterations: self.timed_iterations,
             events: self.events,
             dropped: self.dropped,
         }
@@ -223,31 +308,42 @@ impl Default for HostProfiler {
 pub struct HostReport {
     /// Wall nanoseconds from profiler creation to [`HostProfiler::finish`].
     pub wall_ns: u64,
-    /// Accumulated nanoseconds per phase (indexed by [`HostPhase::index`]).
+    /// *Estimated* nanoseconds per phase (indexed by [`HostPhase::index`]):
+    /// `timed_ns × counts / timed_counts`, 0 for a phase that was never
+    /// timed.
     pub totals_ns: [u64; N_HOST_PHASES],
-    /// Span counts per phase.
+    /// Span counts per phase, timed or not: exact, and a function of the
+    /// simulation alone.
     pub counts: [u64; N_HOST_PHASES],
-    /// Recorded spans, capped; see [`HostReport::dropped`].
+    /// How many of `counts` were timed (likewise deterministic).
+    pub timed_counts: [u64; N_HOST_PHASES],
+    /// Measured nanoseconds of the timed spans, per phase.
+    pub timed_ns: [u64; N_HOST_PHASES],
+    /// Run-loop iterations announced to the profiler.
+    pub iterations: u64,
+    /// How many of them were timed (one in [`TIMED_STRIDE`]).
+    pub timed_iterations: u64,
+    /// The timed spans, capped; see [`HostReport::dropped`].
     pub events: Vec<SpanEvent>,
-    /// Spans past the event cap (totals above still include them).
+    /// Timed spans past the event cap (the sums above still include them).
     pub dropped: u64,
 }
 
 impl HostReport {
-    /// Accumulated nanoseconds for `phase`.
+    /// Estimated nanoseconds for `phase`.
     #[must_use]
     pub fn phase_total_ns(&self, phase: HostPhase) -> u64 {
         self.totals_ns[phase.index()]
     }
 
-    /// Span count for `phase`.
+    /// Span count for `phase` (exact).
     #[must_use]
     pub fn phase_count(&self, phase: HostPhase) -> u64 {
         self.counts[phase.index()]
     }
 
-    /// Nanoseconds attributed to any phase: the top-level totals, which do
-    /// not double count the spans nested inside them.
+    /// Estimated nanoseconds attributed to any phase: the top-level totals,
+    /// which do not double count the spans nested inside them.
     #[must_use]
     pub fn busy_ns(&self) -> u64 {
         HostPhase::ALL
@@ -315,19 +411,75 @@ mod tests {
                 at(epoch, k * 10),
                 at(epoch, k * 10 + 1),
             );
+            // Spans that were only counted never reach the timeline, so
+            // they cannot overflow it.
+            p.count(HostPhase::CoreTick);
         }
         let r = p.finish();
         assert_eq!(r.events.len(), 2);
-        assert_eq!(r.dropped, 3);
+        assert_eq!(r.dropped, 3, "drops are counted among timed spans only");
         assert_eq!(
             r.phase_count(HostPhase::CoreTick),
-            5,
+            10,
             "counts ignore the cap"
         );
         assert_eq!(
             r.phase_total_ns(HostPhase::CoreTick),
-            5_000,
+            10_000,
             "totals ignore the cap"
         );
+    }
+
+    #[test]
+    fn one_iteration_in_seventeen_is_timed() {
+        let mut p = HostProfiler::new();
+        assert!(p.is_timed(), "before the loop starts");
+        let timed: Vec<bool> = (0..53).map(|_| p.begin_iteration()).collect();
+        for (i, &t) in timed.iter().enumerate() {
+            assert_eq!(t, [0, 17, 34, 51].contains(&i), "iteration {i}");
+        }
+        assert!(!p.is_timed(), "iteration 52 is not a timed one");
+        p.end_iterations();
+        assert!(p.is_timed(), "what follows the loop is always timed");
+        let r = p.finish();
+        assert_eq!((r.iterations, r.timed_iterations), (53, 4));
+    }
+
+    #[test]
+    fn totals_scale_the_timed_sum_by_the_exact_count() {
+        // 51 iterations with one core tick each: iterations 0, 17 and 34
+        // are timed (20 + 30 + 50 = 100 ns), the other 48 only counted.
+        let mut p = HostProfiler::new();
+        let epoch = p.epoch();
+        let mut durs = [20u64, 30, 50].into_iter();
+        for k in 0..51u64 {
+            if p.begin_iteration() {
+                let t0 = epoch + Duration::from_nanos(k * 1_000);
+                let dur = durs.next().expect("three timed iterations");
+                p.record_span(HostPhase::CoreTick, t0, t0 + Duration::from_nanos(dur));
+            } else {
+                p.count(HostPhase::CoreTick);
+                // A phase that only ever fires on untimed iterations.
+                p.count(HostPhase::SchedPop);
+            }
+        }
+        let r = p.finish();
+        assert_eq!(r.phase_count(HostPhase::CoreTick), 51);
+        assert_eq!(r.timed_counts[HostPhase::CoreTick.index()], 3);
+        assert_eq!(r.timed_ns[HostPhase::CoreTick.index()], 100);
+        assert_eq!(
+            r.phase_total_ns(HostPhase::CoreTick),
+            1_700,
+            "100 ns x 51 / 3"
+        );
+        assert_eq!(r.phase_count(HostPhase::SchedPop), 48);
+        assert_eq!(r.timed_counts[HostPhase::SchedPop.index()], 0);
+        assert_eq!(
+            r.phase_total_ns(HostPhase::SchedPop),
+            0,
+            "counted but never timed: no estimate"
+        );
+        assert_eq!(r.events.len(), 3, "the timeline holds the timed spans");
+        assert_eq!(r.busy_ns(), 1_700);
     }
 }

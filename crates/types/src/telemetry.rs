@@ -288,10 +288,87 @@ pub struct AuditSummary {
     pub in_flight: u64,
 }
 
+/// Ids past its base that a core's bit window can span (128 KiB of bits).
+/// A core allocates ids one after another and a fetch is in flight for
+/// thousands of cycles, so the ids a `SimtCore` has in flight span a few
+/// thousand; anything further out is hand-built and goes to the ordered set.
+const WINDOW_IDS: u64 = 1 << 20;
+
+/// Cores that get a bit window (the rest, likewise hand-built, use the set).
+const WINDOW_CORES: usize = 1 << 10;
+
+/// One core's in-flight fetch ids as bits over `id - base`: ids are
+/// allocated sequentially, so the set of them is dense and moves forward.
+#[derive(Clone, Debug, Default)]
+struct IdWindow {
+    /// The id of bit 0 of `words[0]`; a multiple of 64.
+    base: u64,
+    /// Never starts with a zero word, so it is as long as the span of ids
+    /// in flight (a few words), not as long as the run.
+    words: Vec<u64>,
+}
+
+impl IdWindow {
+    /// Word index and bit mask of `id`, if it lies in the window's span.
+    fn locate(&self, id: u64) -> Option<(usize, u64)> {
+        let off = id.checked_sub(self.base).filter(|&o| o < WINDOW_IDS)?;
+        Some((usize::try_from(off / 64).ok()?, 1 << (off % 64)))
+    }
+
+    /// Sets `id`'s bit and returns whether it was set already; `None` when
+    /// the window cannot hold `id`. An empty window re-anchors at `id`.
+    fn set(&mut self, id: u64) -> Option<bool> {
+        if self.words.is_empty() {
+            self.base = id & !63;
+        }
+        let (w, mask) = self.locate(id)?;
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+        }
+        let was_set = self.words[w] & mask != 0;
+        self.words[w] |= mask;
+        Some(was_set)
+    }
+
+    /// Clears `id`'s bit if it is set (and says so), then advances the
+    /// base over the prefix that has fully cleared.
+    fn clear(&mut self, id: u64) -> bool {
+        let Some((w, mask)) = self.locate(id) else {
+            return false;
+        };
+        match self.words.get_mut(w) {
+            Some(word) if *word & mask != 0 => *word &= !mask,
+            _ => return false,
+        }
+        if w == 0 && self.words[0] == 0 {
+            let cleared = self.words.iter().take_while(|&&word| word == 0).count();
+            self.words.drain(..cleared);
+            // Wraps only once the window is empty, when the next `set`
+            // re-anchors it.
+            self.base = self.base.wrapping_add(cleared as u64 * 64);
+        }
+        true
+    }
+
+    /// The ids whose bits are set, ascending.
+    fn ids(&self) -> impl Iterator<Item = u64> + '_ {
+        self.words.iter().zip(0u64..).flat_map(move |(&word, w)| {
+            (0..64)
+                .filter(move |bit| word >> bit & 1 == 1)
+                .map(move |bit| self.base + w * 64 + bit)
+        })
+    }
+}
+
 /// Conservation ledger over core-emitted fetches (see module docs).
 #[derive(Clone, Debug, Default)]
 pub struct FetchAudit {
-    in_flight: BTreeSet<(usize, u64)>,
+    /// The in-flight fetches: one bit window per core, indexed by core id…
+    windows: Vec<IdWindow>,
+    /// …and an ordered set for the `(core, id)` pairs no window can hold.
+    /// A pair is in one or the other, never both.
+    overflow: BTreeSet<(usize, u64)>,
+    in_flight: u64,
     emitted: u64,
     returned: u64,
     absorbed: u64,
@@ -312,13 +389,58 @@ impl FetchAudit {
         }
     }
 
+    /// Puts `fetch` in flight; `false` if it already was.
+    fn mark(&mut self, fetch: &MemFetch) -> bool {
+        let (core, id) = (fetch.core_id, fetch.id);
+        // Only a pair that fell outside its window earlier can sit here.
+        if self.overflow.contains(&(core, id)) {
+            return false;
+        }
+        if core >= self.windows.len() && core < WINDOW_CORES {
+            self.windows.resize_with(core + 1, IdWindow::default);
+        }
+        let fresh = match self.windows.get_mut(core).and_then(|w| w.set(id)) {
+            Some(was_set) => !was_set,
+            None => self.overflow.insert((core, id)),
+        };
+        self.in_flight += u64::from(fresh);
+        fresh
+    }
+
+    /// Takes `fetch` out of flight; `false` if it was not in flight.
+    fn unmark(&mut self, fetch: &MemFetch) -> bool {
+        let (core, id) = (fetch.core_id, fetch.id);
+        let found = self.windows.get_mut(core).is_some_and(|w| w.clear(id))
+            || self.overflow.remove(&(core, id));
+        self.in_flight -= u64::from(found);
+        found
+    }
+
+    /// The first few in-flight fetches in ascending `(core, id)` order.
+    fn in_flight_sample(&self) -> Vec<(usize, u64)> {
+        const SAMPLE: usize = 8;
+        let windowed = self
+            .windows
+            .iter()
+            .enumerate()
+            .flat_map(|(core, w)| w.ids().map(move |id| (core, id)));
+        // The smallest of the union are among the smallest of each part.
+        let mut sample: Vec<(usize, u64)> = windowed
+            .take(SAMPLE)
+            .chain(self.overflow.iter().copied().take(SAMPLE))
+            .collect();
+        sample.sort_unstable();
+        sample.truncate(SAMPLE);
+        sample
+    }
+
     /// Records a fetch leaving its core toward the memory system.
     pub fn emitted(&mut self, fetch: &MemFetch) {
         if !Self::tracks(fetch) {
             return;
         }
         self.emitted += 1;
-        if !self.in_flight.insert((fetch.core_id, fetch.id)) {
+        if !self.mark(fetch) {
             self.violate(format!(
                 "fetch core={} id={} emitted twice",
                 fetch.core_id, fetch.id
@@ -339,7 +461,7 @@ impl FetchAudit {
                 fetch.core_id, fetch.id, fetch.kind
             ));
         }
-        if !self.in_flight.remove(&(fetch.core_id, fetch.id)) {
+        if !self.unmark(fetch) {
             self.violate(format!(
                 "fetch core={} id={} absorbed without being emitted",
                 fetch.core_id, fetch.id
@@ -363,7 +485,7 @@ impl FetchAudit {
                 fetch.core_id, fetch.id, fetch.kind
             ));
         }
-        if !self.in_flight.remove(&(fetch.core_id, fetch.id)) {
+        if !self.unmark(fetch) {
             self.violate(format!(
                 "fetch core={} id={} returned without being emitted",
                 fetch.core_id, fetch.id
@@ -402,7 +524,7 @@ impl FetchAudit {
             emitted: self.emitted,
             returned: self.returned,
             absorbed: self.absorbed,
-            in_flight: self.in_flight.len() as u64,
+            in_flight: self.in_flight,
         }
     }
 
@@ -416,21 +538,19 @@ impl FetchAudit {
     /// fetches when `drained`.
     pub fn finish(&self, drained: bool) -> Result<AuditSummary, String> {
         let mut problems = self.violations.clone();
-        if drained && !self.in_flight.is_empty() {
-            // BTreeSet iterates in key order, so the sample is stable.
+        if drained && self.in_flight > 0 {
             let sample: Vec<String> = self
-                .in_flight
+                .in_flight_sample()
                 .iter()
-                .take(8)
                 .map(|(c, i)| format!("core={c} id={i}"))
                 .collect();
             problems.push(format!(
                 "{} fetch(es) emitted but never returned/absorbed: {}",
-                self.in_flight.len(),
+                self.in_flight,
                 sample.join(", ")
             ));
         }
-        if drained && self.emitted != self.returned + self.absorbed + self.in_flight.len() as u64 {
+        if drained && self.emitted != self.returned + self.absorbed + self.in_flight {
             problems.push(format!(
                 "ledger imbalance: emitted {} != returned {} + absorbed {}",
                 self.emitted, self.returned, self.absorbed
@@ -641,6 +761,81 @@ mod tests {
         l.time.created = 10;
         a.returned(&l, 500);
         assert!(a.finish(true).is_ok());
+    }
+
+    #[test]
+    fn audit_holds_ids_no_core_would_produce() {
+        // A hand-built id far beyond any window sits next to an ordinary
+        // one; both are tracked, reported in order, and terminate cleanly.
+        let mut a = FetchAudit::default();
+        let (near, far) = (load(0, 3), load(0, u64::MAX - 1));
+        let (far_core, top) = (load(usize::MAX - 1, 5), load(2, u64::MAX));
+        for f in [&far, &near, &far_core, &top] {
+            a.emitted(f);
+        }
+        assert_eq!(a.summary().in_flight, 4);
+        a.emitted(&far);
+        let err = a.finish(true).expect_err("four leaks and a duplicate");
+        assert!(
+            err.contains("id=18446744073709551614 emitted twice"),
+            "{err}"
+        );
+        assert!(
+            err.contains(&format!(
+                "4 fetch(es) emitted but never returned/absorbed: core=0 id=3, \
+                 core=0 id={}, core=2 id={}, core={} id=5",
+                u64::MAX - 1,
+                u64::MAX,
+                usize::MAX - 1
+            )),
+            "{err}"
+        );
+        for f in [&near, &far, &far_core, &top] {
+            a.returned(f, 50);
+        }
+        assert_eq!(a.summary().in_flight, 0);
+        a.returned(&far, 60);
+        assert!(a
+            .finish(false)
+            .unwrap_err()
+            .ends_with("id=18446744073709551614 returned without being emitted"));
+    }
+
+    #[test]
+    fn audit_window_slides_with_the_ids() {
+        // Sequential ids with a bounded number in flight, as a core makes
+        // them: the window's base follows, its length stays bounded.
+        let mut a = FetchAudit::default();
+        for id in 0..10_000u64 {
+            a.emitted(&load(1, id));
+            if id >= 100 {
+                a.returned(&load(1, id - 100), 50);
+            }
+        }
+        assert_eq!(a.summary().in_flight, 100);
+        let w = &a.windows[1];
+        assert!(w.base >= 9_900 - 64 && w.words.len() <= 3, "{w:?}");
+        assert!(a.overflow.is_empty());
+        assert_eq!(
+            w.ids().collect::<Vec<_>>(),
+            (9_900..10_000).collect::<Vec<_>>()
+        );
+        // An id the base has passed cannot use the window any more; it is
+        // still tracked, and a repeat of it is still caught.
+        let late = load(1, 7);
+        a.emitted(&late);
+        assert_eq!(a.overflow.len(), 1);
+        a.emitted(&late);
+        a.returned(&late, 50);
+        assert_eq!(a.summary().in_flight, 100);
+        let err = a.finish(false).unwrap_err();
+        assert_eq!(err, "fetch core=1 id=7 emitted twice");
+        // Draining the window lets it re-anchor anywhere.
+        for id in 9_900..10_000u64 {
+            a.returned(&load(1, id), 60);
+        }
+        a.emitted(&load(1, 5));
+        assert!(a.overflow.is_empty() && a.windows[1].base == 0);
     }
 
     #[test]

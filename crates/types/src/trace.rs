@@ -11,26 +11,37 @@
 //! The admission decision is a pure function of `(seed, core, fetch id)`
 //! (a [`crate::hash::StableHasher`] draw, not a sequential RNG stream), so
 //! which fetches are sampled does not depend on the order the sink
-//! observes them in.
+//! observes them in. It is taken once, in [`TraceSink::issued`], and
+//! travels with the fetch ([`MemFetch::traced`]): every record site tests
+//! that bit and nothing else, so the fetches that were passed over cost a
+//! branch per site however long they stall.
 //!
-//! From the event stream the sink derives, per level, a queueing-delay
+//! From the events it keeps the sink derives, per level, a queueing-delay
 //! histogram (time between entering and leaving a queue) and a service-time
 //! histogram (time between being dequeued and serviced). Comparing the two
 //! is exactly the decomposition Dublish et al. use to argue that
 //! *congestion, not raw latency*, dominates GPU memory latency: under
 //! memory-intensive load the queueing component at the L2 and DRAM dwarfs
-//! the service component.
+//! the service component. The histograms are fed as the events arrive,
+//! from a per-fetch ledger that holds in-flight sampled fetches only; the
+//! same ledger checks each fetch's timestamps on the spot
+//! ([`TraceSink::check`]). [`spans_of`], [`decomposition_of`] and
+//! [`TraceSink::validate`] derive the same answers from the finished event
+//! stream: the reference the tests compare the ledger against, and what
+//! the Chrome-trace exporter draws.
 //!
 //! Memory is bounded twice: sampling admits only 1-in-N fetches, and a hard
 //! event cap stops recording (counting what was dropped) if a pathological
 //! run exceeds it. The disabled sink (`sample_denom == 0`) allocates
-//! nothing and early-returns from every call, so an untraced run pays only
-//! a branch per call site.
+//! nothing and admits nothing, so an untraced run pays only a branch per
+//! call site.
 
 use crate::clock::Picos;
 use crate::fetch::{AccessKind, FetchId, MemFetch};
 use crate::hash::StableHasher;
+use crate::scratch::Scratch;
 use crate::stats::Histogram;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// A level of the memory hierarchy a traced fetch passes through.
@@ -47,9 +58,12 @@ pub enum Level {
     Dram,
 }
 
+/// Number of [`Level`]s (bound of per-level arrays).
+const N_LEVELS: usize = 4;
+
 impl Level {
     /// All levels, in hierarchy order.
-    pub const ALL: [Level; 4] = [Level::L1, Level::Icnt, Level::L2, Level::Dram];
+    pub const ALL: [Level; N_LEVELS] = [Level::L1, Level::Icnt, Level::L2, Level::Dram];
 
     /// Lowercase stable name (used in exports and metric labels).
     pub fn name(self) -> &'static str {
@@ -58,6 +72,16 @@ impl Level {
             Level::Icnt => "icnt",
             Level::L2 => "l2",
             Level::Dram => "dram",
+        }
+    }
+
+    /// Position in [`Level::ALL`] (dense index for per-level arrays).
+    fn index(self) -> usize {
+        match self {
+            Level::L1 => 0,
+            Level::Icnt => 1,
+            Level::L2 => 2,
+            Level::Dram => 3,
         }
     }
 }
@@ -153,12 +177,29 @@ pub struct FetchInfo {
     pub warp: usize,
 }
 
-/// Per-fetch sampling state.
+/// The ledger entry of one in-flight sampled fetch.
 #[derive(Clone, Debug)]
 struct Tracked {
     info: FetchInfo,
     last_stall: Option<(Level, StallCause)>,
-    done: bool,
+    /// Timestamp of the last event kept for this fetch.
+    last_ps: Picos,
+    /// Per level, the enqueue (dequeue) stamp still waiting for its
+    /// dequeue (service) event — [`spans_of`]'s pairing, kept as it goes.
+    enq: [Option<Picos>; N_LEVELS],
+    deq: [Option<Picos>; N_LEVELS],
+}
+
+impl Tracked {
+    fn new(info: FetchInfo, issued_ps: Picos) -> Self {
+        Tracked {
+            info,
+            last_stall: None,
+            last_ps: issued_ps,
+            enq: [None; N_LEVELS],
+            deq: [None; N_LEVELS],
+        }
+    }
 }
 
 /// A derived `[start, end]` interval at one level (queue residency or
@@ -215,30 +256,41 @@ pub struct TraceData {
 pub struct TraceSink {
     sample_denom: u64,
     cap: usize,
-    /// Hasher pre-seeded with the admission seed; cloned per query so the
-    /// seed bytes are folded in once instead of on every decision.
+    /// Hasher pre-seeded with the admission seed; cloned per decision so
+    /// the seed bytes are folded in once instead of on every fetch.
     admit_prefix: StableHasher,
-    /// Direct-mapped memo of recent admission decisions. The decision is a
-    /// pure function of `(seed, sample_denom, core, fetch)` — all fixed at
-    /// construction — so a hit is always valid and the memo never needs
-    /// invalidation. Sized for the stalled-head pattern where the same
-    /// fetch is re-queried every cycle. Empty unless the sink samples a
-    /// fraction (`sample_denom > 1`), the only case that consults it: a
-    /// disabled sink is built per call by the untraced `cycle()` wrappers.
-    admit_memo: Vec<(usize, FetchId, bool)>,
-    tracked: BTreeMap<(usize, FetchId), Tracked>,
+    /// Everything recorded. A disabled sink has none, which keeps it a few
+    /// words to build and drop: the untraced `cycle()` wrappers make one
+    /// per call.
+    book: Option<Box<Book>>,
+}
+
+/// What an enabled [`TraceSink`] has recorded so far.
+#[derive(Clone, Debug, Default)]
+struct Book {
+    /// Sampled fetches that have not reached their terminal event yet.
+    live: BTreeMap<(usize, FetchId), Tracked>,
+    /// Sampled fetches past their terminal event, in retirement order.
+    retired: Vec<((usize, FetchId), FetchInfo)>,
     events: Vec<TraceEvent>,
+    /// Per-level histograms fed by every kept event, indexed by
+    /// `Level::index`.
+    levels: [LevelLatency; N_LEVELS],
+    /// Per-fetch ordering violations seen at record time, bounded like
+    /// [`TraceSink::validate`]'s report.
+    violations: Vec<String>,
     sampled: u64,
     skipped: u64,
     dropped: u64,
 }
 
-/// Slots in the direct-mapped admission memo (power of two for masking).
-const ADMIT_MEMO_SLOTS: usize = 64;
+/// Violations kept in a report; the first few identify the bug.
+const MAX_VIOLATIONS: usize = 16;
 
 impl TraceSink {
-    /// A sink that records nothing and allocates nothing. Every call
-    /// early-returns; this is what untraced runs pass around.
+    /// A sink that records nothing and allocates nothing: it admits no
+    /// fetch, so no record site gets past its first branch. This is what
+    /// untraced runs pass around.
     pub fn disabled() -> Self {
         Self::new(0, 0, 0)
     }
@@ -253,18 +305,7 @@ impl TraceSink {
             sample_denom,
             cap: event_cap,
             admit_prefix,
-            // `tracks()` rejects `usize::MAX` cores, so this key can never
-            // collide with a real query — every slot starts as a miss.
-            admit_memo: if sample_denom > 1 {
-                vec![(usize::MAX, u64::MAX, false); ADMIT_MEMO_SLOTS]
-            } else {
-                Vec::new()
-            },
-            tracked: BTreeMap::new(),
-            events: Vec::new(),
-            sampled: 0,
-            skipped: 0,
-            dropped: 0,
+            book: (sample_denom > 0).then(Box::default),
         }
     }
 
@@ -277,30 +318,14 @@ impl TraceSink {
     /// `(seed, core, fetch id)`, so every sink sharing a seed agrees and
     /// no sequential RNG state is consumed (the decision cannot depend on
     /// the order fetches are observed in).
-    fn admits(&mut self, core: usize, fetch: FetchId) -> bool {
-        if self.sample_denom == 0 {
-            return false;
-        }
-        if self.sample_denom == 1 {
+    fn admits(seeded: &StableHasher, denom: u64, core: usize, fetch: FetchId) -> bool {
+        if denom == 1 {
             return true;
         }
-        // Direct-mapped memo: a stalled fetch re-queries its (identical)
-        // decision every cycle, which previously re-hashed the full key
-        // each time on the cheap-tick path.
-        let masked = (core as u64 ^ fetch) & (ADMIT_MEMO_SLOTS as u64 - 1);
-        // INVARIANT: masked < ADMIT_MEMO_SLOTS (a usize constant), so the
-        // narrowing conversion cannot fail on any platform.
-        let slot = usize::try_from(masked).expect("masked below ADMIT_MEMO_SLOTS");
-        let (c, f, hit) = self.admit_memo[slot];
-        if c == core && f == fetch {
-            return hit;
-        }
-        let mut h = self.admit_prefix.clone();
+        let mut h = seeded.clone();
         h.write_u64(core as u64);
         h.write_u64(fetch);
-        let admitted = h.finish().is_multiple_of(self.sample_denom);
-        self.admit_memo[slot] = (core, fetch, admitted);
-        admitted
+        h.finish().is_multiple_of(denom)
     }
 
     /// Whether write-back pseudo-fetches and other non-core traffic are
@@ -310,37 +335,40 @@ impl TraceSink {
         core != usize::MAX && fetch != u64::MAX
     }
 
-    /// Sampling decision point: call once when a core creates `fetch`.
-    /// Returns whether the fetch was admitted; admitted fetches get an
-    /// `Issued` event and all their later [`TraceSink::record`] calls are
-    /// kept.
-    pub fn issued(&mut self, fetch: &MemFetch, now_ps: Picos) -> bool {
-        if !self.is_enabled() || !Self::tracks(fetch.core_id, fetch.id) {
+    /// The one sampling decision point: call once when a core creates
+    /// `fetch`. The verdict is returned and left on the fetch
+    /// ([`MemFetch::traced`]), where every later record call reads it; an
+    /// admitted fetch gets an `Issued` event. A fetch refused because the
+    /// event cap is full carries `false` like any other refusal.
+    pub fn issued(&mut self, fetch: &mut MemFetch, now_ps: Picos) -> bool {
+        let admitted = self.admit(fetch, now_ps);
+        fetch.traced = Scratch(admitted);
+        admitted
+    }
+
+    fn admit(&mut self, fetch: &MemFetch, now_ps: Picos) -> bool {
+        let Some(book) = self.book.as_deref_mut() else {
+            return false; // disabled
+        };
+        if !Self::tracks(fetch.core_id, fetch.id) {
             return false;
         }
-        if self.events.len() >= self.cap {
-            // Full: stop admitting new fetches (existing ones count drops).
-            self.skipped += 1;
+        // Full: stop admitting new fetches (existing ones count drops).
+        let full = book.events.len() >= self.cap;
+        let (prefix, denom) = (&self.admit_prefix, self.sample_denom);
+        if full || !Self::admits(prefix, denom, fetch.core_id, fetch.id) {
+            book.skipped += 1;
             return false;
         }
-        if !self.admits(fetch.core_id, fetch.id) {
-            self.skipped += 1;
-            return false;
-        }
-        self.sampled += 1;
-        self.tracked.insert(
-            (fetch.core_id, fetch.id),
-            Tracked {
-                info: FetchInfo {
-                    kind: fetch.kind,
-                    line: fetch.line.index(),
-                    warp: fetch.warp_id,
-                },
-                last_stall: None,
-                done: false,
-            },
-        );
-        self.push_event(TraceEvent {
+        book.sampled += 1;
+        let info = FetchInfo {
+            kind: fetch.kind,
+            line: fetch.line.index(),
+            warp: fetch.warp_id,
+        };
+        book.live
+            .insert((fetch.core_id, fetch.id), Tracked::new(info, now_ps));
+        book.events.push(TraceEvent {
             core: fetch.core_id,
             fetch: fetch.id,
             at_ps: now_ps,
@@ -350,29 +378,49 @@ impl TraceSink {
     }
 
     /// Records one lifecycle event for the fetch identified by
-    /// `(core, fetch)`; a no-op unless that fetch was admitted by
-    /// [`TraceSink::issued`]. Consecutive identical stalls collapse into
-    /// one event per episode.
-    pub fn record(&mut self, core: usize, fetch: FetchId, now_ps: Picos, kind: TraceEventKind) {
-        if !self.is_enabled() || !Self::tracks(core, fetch) {
-            return;
+    /// `(core, fetch)`. `admitted` is the verdict [`TraceSink::issued`]
+    /// left on that fetch ([`MemFetch::traced`]), captured with the id by
+    /// sites that have handed the fetch itself on; a passed-over fetch
+    /// costs this one test. Consecutive identical stalls collapse into one
+    /// event per episode.
+    pub fn record(
+        &mut self,
+        admitted: bool,
+        core: usize,
+        fetch: FetchId,
+        now_ps: Picos,
+        kind: TraceEventKind,
+    ) {
+        if admitted {
+            self.record_admitted(core, fetch, now_ps, kind);
         }
-        // Reject unsampled fetches before any map traffic: an unadmitted
-        // fetch can never be tracked (`issued` filters on the same
-        // decision), and the admission memo answers from a direct-mapped
-        // slot — the overwhelmingly common exit on a sampling run, where
-        // `denom - 1` of every `denom` fetches take it each record call.
-        if self.sample_denom > 1 && !self.admits(core, fetch) {
-            return;
-        }
-        // A fetch the hash admits but `issued` refused (the cap was full)
-        // was never tracked and stays silent.
-        let Some(t) = self.tracked.get_mut(&(core, fetch)) else {
+    }
+
+    /// [`TraceSink::record`] keyed by the fetch itself.
+    pub fn record_fetch(&mut self, fetch: &MemFetch, now_ps: Picos, kind: TraceEventKind) {
+        self.record(fetch.traced.0, fetch.core_id, fetch.id, now_ps, kind);
+    }
+
+    /// The admitted minority's path: one lookup among the in-flight
+    /// sampled fetches, then the ledger does on this event what the
+    /// end-of-run passes would do on the whole stream.
+    fn record_admitted(
+        &mut self,
+        core: usize,
+        fetch: FetchId,
+        now_ps: Picos,
+        kind: TraceEventKind,
+    ) {
+        // A sink that admitted nothing has nothing to add to.
+        let Some(book) = self.book.as_deref_mut() else {
             return;
         };
-        if t.done {
+        // Not live: past its terminal event (a store absorbed at the L2's
+        // door still stalls inside the bank), or admitted by another sink.
+        let Entry::Occupied(mut slot) = book.live.entry((core, fetch)) else {
             return;
-        }
+        };
+        let t = slot.get_mut();
         match kind {
             TraceEventKind::StalledAt(level, cause) => {
                 if t.last_stall == Some((level, cause)) {
@@ -382,46 +430,82 @@ impl TraceSink {
             }
             _ => t.last_stall = None,
         }
+        if book.events.len() >= self.cap {
+            book.dropped += 1;
+        } else {
+            // Only a kept event moves the ledger, so a run that hits the
+            // cap derives what the reference derives from its events.
+            if now_ps < t.last_ps && book.violations.len() < MAX_VIOLATIONS {
+                book.violations
+                    .push(travels_back(core, fetch, kind, now_ps, t.last_ps));
+            }
+            t.last_ps = now_ps;
+            match kind {
+                TraceEventKind::EnqueuedAt(l) => t.enq[l.index()] = Some(now_ps),
+                TraceEventKind::DequeuedAt(l) => {
+                    if let Some(start) = t.enq[l.index()].take() {
+                        book.levels[l.index()]
+                            .queueing
+                            .record(now_ps.saturating_sub(start));
+                    }
+                    t.deq[l.index()] = Some(now_ps);
+                }
+                TraceEventKind::ServicedAt(l) => {
+                    if let Some(start) = t.deq[l.index()].take() {
+                        book.levels[l.index()]
+                            .service
+                            .record(now_ps.saturating_sub(start));
+                    }
+                }
+                _ => {}
+            }
+            book.events.push(TraceEvent {
+                core,
+                fetch,
+                at_ps: now_ps,
+                kind,
+            });
+        }
         if kind.is_terminal() {
-            t.done = true;
+            let (key, t) = slot.remove_entry();
+            book.retired.push((key, t.info));
         }
-        if self.events.len() >= self.cap {
-            self.dropped += 1;
-            return;
-        }
-        self.push_event(TraceEvent {
-            core,
-            fetch,
-            at_ps: now_ps,
-            kind,
-        });
-    }
-
-    /// [`TraceSink::record`] keyed by the fetch itself.
-    pub fn record_fetch(&mut self, fetch: &MemFetch, now_ps: Picos, kind: TraceEventKind) {
-        self.record(fetch.core_id, fetch.id, now_ps, kind);
-    }
-
-    fn push_event(&mut self, e: TraceEvent) {
-        self.events.push(e);
     }
 
     /// Events recorded so far, in record order.
     pub fn events(&self) -> &[TraceEvent] {
-        &self.events
+        self.book.as_deref().map_or(&[], |book| &book.events)
     }
 
     /// Fetches admitted so far.
     pub fn sampled(&self) -> u64 {
-        self.sampled
+        self.book.as_deref().map_or(0, |book| book.sampled)
     }
 
-    /// Checks structural invariants of the event stream, the tracing
-    /// counterpart of `FetchAudit::finish`: per fetch, the first event is
-    /// `Issued`, timestamps never decrease in record order, and nothing
-    /// follows a terminal event. (Cross-hop timestamp monotonicity of the
+    /// The per-fetch ordering check, as kept at record time: every event
+    /// the sink kept was compared with the previous one kept for its fetch
+    /// when it arrived. Equal to [`TraceSink::validate`] on any stream this
+    /// sink recorded — `issued` puts `Issued` first and a fetch leaves the
+    /// ledger at its terminal event, so time reversal is the one rule a
+    /// record call can break. (Cross-hop timestamp monotonicity of the
     /// fetch itself is checked independently by the audit; a trace that
     /// fails here is a simulator bug, not a modeling choice.)
+    ///
+    /// # Errors
+    ///
+    /// Returns a bounded description of the violations seen.
+    pub fn check(&self) -> Result<(), String> {
+        match self.book.as_deref() {
+            Some(book) if !book.violations.is_empty() => Err(book.violations.join("; ")),
+            _ => Ok(()),
+        }
+    }
+
+    /// The reference for [`TraceSink::check`]: re-derives the structural
+    /// invariants from the finished event stream — per fetch, the first
+    /// event is `Issued`, timestamps never decrease in record order, and
+    /// nothing follows a terminal event. The tracing counterpart of
+    /// `FetchAudit::finish`.
     ///
     /// # Errors
     ///
@@ -430,11 +514,11 @@ impl TraceSink {
         let mut last: BTreeMap<(usize, FetchId), (Picos, bool)> = BTreeMap::new();
         let mut problems: Vec<String> = Vec::new();
         let mut violate = |msg: String| {
-            if problems.len() < 16 {
+            if problems.len() < MAX_VIOLATIONS {
                 problems.push(msg);
             }
         };
-        for e in &self.events {
+        for e in self.events() {
             let key = (e.core, e.fetch);
             match last.get(&key) {
                 None => {
@@ -453,10 +537,7 @@ impl TraceSink {
                         ));
                     }
                     if e.at_ps < prev_ps {
-                        violate(format!(
-                            "fetch core={} id={}: {:?}@{} travels back before {}",
-                            e.core, e.fetch, e.kind, e.at_ps, prev_ps
-                        ));
+                        violate(travels_back(e.core, e.fetch, e.kind, e.at_ps, prev_ps));
                     }
                 }
             }
@@ -473,41 +554,39 @@ impl TraceSink {
     /// Derives `[start, end]` intervals from the event stream (see
     /// [`spans_of`]).
     pub fn spans(&self) -> Vec<Span> {
-        spans_of(&self.events)
+        spans_of(self.events())
     }
 
-    /// Rolls the spans up into per-level queueing/service histograms.
-    pub fn decomposition(&self) -> BTreeMap<Level, LevelLatency> {
-        let mut levels: BTreeMap<Level, LevelLatency> = BTreeMap::new();
-        for level in Level::ALL {
-            levels.insert(level, LevelLatency::default());
-        }
-        for s in self.spans() {
-            // INVARIANT: every Level::ALL entry was inserted above.
-            let l = levels.get_mut(&s.level).expect("level pre-inserted");
-            let dur = s.end_ps.saturating_sub(s.start_ps);
-            if s.is_queue {
-                l.queueing.record(dur);
-            } else {
-                l.service.record(dur);
-            }
-        }
-        levels
-    }
-
-    /// Consumes the sink into its exportable form.
+    /// Consumes the sink into its exportable form. `levels` is what the
+    /// ledger accumulated; [`decomposition_of`] over `events` is equal.
     pub fn into_data(self) -> TraceData {
-        let levels = self.decomposition();
+        // A disabled sink exports what an enabled one that saw nothing
+        // would: no events, empty histograms.
+        let book = self.book.map_or_else(Book::default, |book| *book);
         TraceData {
             sample_denom: self.sample_denom,
-            fetches: self.tracked.iter().map(|(&k, t)| (k, t.info)).collect(),
-            levels,
-            sampled: self.sampled,
-            skipped: self.skipped,
-            dropped_events: self.dropped,
-            events: self.events,
+            fetches: book
+                .retired
+                .into_iter()
+                .chain(book.live.into_iter().map(|(k, t)| (k, t.info)))
+                .collect(),
+            levels: Level::ALL.into_iter().zip(book.levels).collect(),
+            sampled: book.sampled,
+            skipped: book.skipped,
+            dropped_events: book.dropped,
+            events: book.events,
         }
     }
+}
+
+fn travels_back(
+    core: usize,
+    fetch: FetchId,
+    kind: TraceEventKind,
+    at_ps: Picos,
+    prev_ps: Picos,
+) -> String {
+    format!("fetch core={core} id={fetch}: {kind:?}@{at_ps} travels back before {prev_ps}")
 }
 
 impl TraceData {
@@ -569,11 +648,34 @@ pub fn spans_of(events: &[TraceEvent]) -> Vec<Span> {
     out
 }
 
+/// Rolls the spans of an event stream ([`spans_of`]) up into per-level
+/// queueing/service histograms: the reference derivation of
+/// [`TraceData::levels`], which the sink keeps as the events arrive.
+pub fn decomposition_of(events: &[TraceEvent]) -> BTreeMap<Level, LevelLatency> {
+    let mut levels: BTreeMap<Level, LevelLatency> = Level::ALL
+        .into_iter()
+        .map(|l| (l, LevelLatency::default()))
+        .collect();
+    for s in spans_of(events) {
+        // INVARIANT: every Level::ALL entry was inserted above.
+        let l = levels.get_mut(&s.level).expect("level pre-inserted");
+        let dur = s.end_ps.saturating_sub(s.start_ps);
+        if s.is_queue {
+            l.queueing.record(dur);
+        } else {
+            l.service.record(dur);
+        }
+    }
+    levels
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::addr::LineAddr;
+    use crate::rng::Xoshiro256;
 
+    /// A fetch no sink has seen: its verdict bit is still `false`.
     fn load(core: usize, id: u64) -> MemFetch {
         MemFetch::new(id, core, 3, AccessKind::Load, LineAddr::new(id * 2), 10)
     }
@@ -583,12 +685,27 @@ mod tests {
         TraceSink::new(1, 10_000, 42)
     }
 
+    fn book(t: &TraceSink) -> &Book {
+        t.book.as_deref().expect("an enabled sink")
+    }
+
+    /// `load(core, id)` issued into `t` at `now_ps`.
+    fn issue(t: &mut TraceSink, core: usize, id: u64, now_ps: Picos) -> MemFetch {
+        let mut f = load(core, id);
+        t.issued(&mut f, now_ps);
+        f
+    }
+
     #[test]
     fn disabled_sink_records_nothing() {
         let mut t = TraceSink::disabled();
         assert!(!t.is_enabled());
-        assert!(!t.issued(&load(0, 1), 10));
-        t.record(0, 1, 20, TraceEventKind::Returned);
+        let mut f = load(0, 1);
+        assert!(!t.issued(&mut f, 10));
+        assert!(!f.traced.0);
+        t.record_fetch(&f, 20, TraceEventKind::Returned);
+        // Even a fetch another sink admitted finds nothing to join.
+        t.record(true, 0, 1, 20, TraceEventKind::Returned);
         assert!(t.events().is_empty());
         assert_eq!(t.sampled(), 0);
     }
@@ -596,13 +713,15 @@ mod tests {
     #[test]
     fn sample_all_traces_full_lifecycle() {
         let mut t = full_sink();
-        let f = load(0, 1);
-        assert!(t.issued(&f, 10));
+        let mut f = load(0, 1);
+        assert!(t.issued(&mut f, 10));
+        assert!(f.traced.0);
         t.record_fetch(&f, 20, TraceEventKind::EnqueuedAt(Level::L1));
         t.record_fetch(&f, 50, TraceEventKind::DequeuedAt(Level::L1));
         t.record_fetch(&f, 90, TraceEventKind::Returned);
         assert_eq!(t.events().len(), 4);
         t.validate().expect("well-formed lifecycle");
+        t.check().expect("well-formed lifecycle");
         let spans = t.spans();
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].level, Level::L1);
@@ -612,11 +731,18 @@ mod tests {
 
     #[test]
     fn unsampled_fetch_is_ignored() {
-        // Denominator large enough that (with this seed) the first draw
-        // rejects; regardless of the draw, recording an unadmitted fetch
-        // must be a no-op.
+        // A test-built fetch and a write-back carry `false`; a site that
+        // claims admission for an id the sink never saw finds no ledger
+        // entry. None of them records.
         let mut t = full_sink();
-        t.record(0, 99, 20, TraceEventKind::Returned);
+        t.record_fetch(&load(0, 99), 20, TraceEventKind::Returned);
+        t.record_fetch(
+            &MemFetch::write_back(LineAddr::new(9), 5),
+            20,
+            TraceEventKind::Returned,
+        );
+        t.record(false, 0, 99, 20, TraceEventKind::Returned);
+        t.record(true, 0, 99, 20, TraceEventKind::Returned);
         assert!(t.events().is_empty());
     }
 
@@ -624,7 +750,7 @@ mod tests {
     fn sampling_is_deterministic_and_partial() {
         let decide = |seed: u64| -> Vec<bool> {
             let mut t = TraceSink::new(4, 10_000, seed);
-            (0..64).map(|i| t.issued(&load(0, i), 10)).collect()
+            (0..64).map(|i| t.issued(&mut load(0, i), 10)).collect()
         };
         let a = decide(7);
         assert_eq!(a, decide(7), "same seed, same decisions");
@@ -635,34 +761,68 @@ mod tests {
         );
     }
 
+    /// The sampled set is pinned to the hash: the bit `issued` leaves on a
+    /// fetch is `StableHasher(seed, core, id) % denom == 0`, whatever else
+    /// changes about how the verdict is stored or carried.
+    #[test]
+    fn the_bit_on_the_fetch_is_the_hash_verdict() {
+        for seed in [0u64, 7] {
+            for denom in [1u64, 2, 16] {
+                let mut t = TraceSink::new(denom, usize::MAX, seed);
+                let mut admitted = 0u64;
+                for core in 0..4usize {
+                    for id in 0..4096u64 {
+                        let mut h = StableHasher::new();
+                        h.write_u64(seed);
+                        h.write_u64(core as u64);
+                        h.write_u64(id);
+                        let remainder = h.finish() % denom;
+                        let expect = remainder == 0;
+                        let mut f = load(core, id);
+                        assert_eq!(t.issued(&mut f, 10), expect);
+                        assert_eq!(f.traced.0, expect, "seed {seed} 1/{denom} {core}:{id}");
+                        admitted += u64::from(expect);
+                    }
+                }
+                assert_eq!(t.sampled(), admitted);
+                assert_eq!(t.events().len() as u64, admitted);
+            }
+        }
+    }
+
     #[test]
     fn write_backs_are_never_sampled() {
         let mut t = full_sink();
-        let wb = MemFetch::write_back(LineAddr::new(9), 5);
-        assert!(!t.issued(&wb, 10));
+        let mut wb = MemFetch::write_back(LineAddr::new(9), 5);
+        assert!(!t.issued(&mut wb, 10));
+        assert!(!wb.traced.0);
         assert!(t.events().is_empty());
     }
 
     #[test]
     fn event_cap_bounds_memory() {
         let mut t = TraceSink::new(1, 3, 1);
-        let f = load(0, 1);
-        assert!(t.issued(&f, 10));
+        let f = issue(&mut t, 0, 1, 10);
+        assert!(f.traced.0);
         t.record_fetch(&f, 20, TraceEventKind::EnqueuedAt(Level::L1));
         t.record_fetch(&f, 30, TraceEventKind::DequeuedAt(Level::L1));
         t.record_fetch(&f, 40, TraceEventKind::Returned); // dropped: cap hit
         assert_eq!(t.events().len(), 3);
-        assert!(!t.issued(&load(0, 2), 50), "cap also stops admissions");
+        // The cap also stops admissions: the refused fetch carries `false`
+        // and records nothing, and counts no drop either.
+        let refused = issue(&mut t, 0, 2, 50);
+        assert!(!refused.traced.0);
+        t.record_fetch(&refused, 60, TraceEventKind::Returned);
         let data = t.into_data();
         assert_eq!(data.dropped_events, 1);
         assert_eq!(data.skipped, 1);
+        assert_eq!(data.fetches.len(), 1);
     }
 
     #[test]
     fn stall_episodes_collapse() {
         let mut t = full_sink();
-        let f = load(0, 1);
-        t.issued(&f, 10);
+        let f = issue(&mut t, 0, 1, 10);
         for c in 0..5 {
             t.record_fetch(
                 &f,
@@ -683,57 +843,71 @@ mod tests {
     #[test]
     fn terminal_event_freezes_the_fetch() {
         let mut t = full_sink();
-        let f = load(0, 1);
-        t.issued(&f, 10);
+        let f = issue(&mut t, 0, 1, 10);
         t.record_fetch(&f, 20, TraceEventKind::Returned);
+        assert!(
+            book(&t).live.is_empty(),
+            "lookups see in-flight fetches only"
+        );
         t.record_fetch(&f, 30, TraceEventKind::ServicedAt(Level::L2));
         assert_eq!(t.events().len(), 2, "post-terminal events are dropped");
-        t.validate().expect("frozen fetch stays valid");
+        t.validate().expect("retired fetch stays valid");
+        t.check().expect("retired fetch stays valid");
     }
 
     #[test]
     fn validate_catches_time_travel() {
         let mut t = full_sink();
-        let f = load(0, 1);
-        t.issued(&f, 100);
+        let f = issue(&mut t, 0, 1, 100);
         t.record_fetch(&f, 40, TraceEventKind::Returned);
-        let err = t.validate().expect_err("must flag reversal");
-        assert!(err.contains("travels back"), "{err}");
+        let err = t.check().expect_err("must flag reversal");
+        assert_eq!(
+            err,
+            "fetch core=0 id=1: Returned@40 travels back before 100"
+        );
+        assert_eq!(t.validate(), Err(err), "the reference agrees word for word");
     }
 
     #[test]
-    fn validate_catches_missing_issue() {
+    fn validate_catches_what_only_a_forged_stream_can_hold() {
+        // `issued` puts `Issued` first and a terminal event retires the
+        // fetch, so neither rule can be broken through the sink's calls;
+        // the reference still checks them for streams built elsewhere.
         let mut t = full_sink();
-        let f = load(0, 1);
-        t.issued(&f, 10);
-        // Forge an event for a different fetch id directly.
-        t.tracked.insert(
-            (0, 2),
-            Tracked {
-                info: FetchInfo {
-                    kind: AccessKind::Load,
-                    line: 0,
-                    warp: 0,
-                },
-                last_stall: None,
-                done: false,
-            },
+        let f = issue(&mut t, 0, 1, 10);
+        t.record_fetch(&f, 20, TraceEventKind::Returned);
+        let forge = |t: &mut TraceSink, fetch: u64| {
+            t.book.as_mut().expect("enabled").events.push(TraceEvent {
+                core: 0,
+                fetch,
+                at_ps: 30,
+                kind: TraceEventKind::ServicedAt(Level::L2),
+            });
+        };
+        forge(&mut t, 1);
+        forge(&mut t, 2);
+        let err = t.validate().expect_err("must flag both");
+        assert!(
+            err.contains("id=1: ServicedAt(L2) after a terminal event"),
+            "{err}"
         );
-        t.record(0, 2, 20, TraceEventKind::Returned);
-        let err = t.validate().expect_err("must flag missing Issued");
-        assert!(err.contains("not Issued"), "{err}");
+        assert!(
+            err.contains("id=2: first event is ServicedAt(L2), not Issued"),
+            "{err}"
+        );
     }
 
     #[test]
     fn decomposition_separates_queueing_from_service() {
         let mut t = full_sink();
-        let f = load(0, 1);
-        t.issued(&f, 0);
+        let f = issue(&mut t, 0, 1, 0);
         t.record_fetch(&f, 100, TraceEventKind::EnqueuedAt(Level::L2));
         t.record_fetch(&f, 900, TraceEventKind::DequeuedAt(Level::L2));
         t.record_fetch(&f, 1000, TraceEventKind::ServicedAt(Level::L2));
         t.record_fetch(&f, 1100, TraceEventKind::Returned);
-        let levels = t.decomposition();
+        let reference = decomposition_of(t.events());
+        let levels = t.into_data().levels;
+        assert_eq!(levels, reference);
         let l2 = &levels[&Level::L2];
         assert_eq!(l2.queueing.count(), 1);
         assert_eq!(l2.queueing.sum(), 800);
@@ -745,8 +919,7 @@ mod tests {
     #[test]
     fn sequential_pairing_handles_two_icnt_legs() {
         let mut t = full_sink();
-        let f = load(0, 1);
-        t.issued(&f, 0);
+        let f = issue(&mut t, 0, 1, 0);
         // Request leg.
         t.record_fetch(&f, 10, TraceEventKind::EnqueuedAt(Level::Icnt));
         t.record_fetch(&f, 40, TraceEventKind::DequeuedAt(Level::Icnt));
@@ -759,6 +932,8 @@ mod tests {
         assert_eq!(icnt.len(), 2);
         assert_eq!(icnt[0].end_ps - icnt[0].start_ps, 30);
         assert_eq!(icnt[1].end_ps - icnt[1].start_ps, 60);
+        let icnt = &t.into_data().levels[&Level::Icnt];
+        assert_eq!((icnt.queueing.count(), icnt.queueing.sum()), (2, 90));
     }
 
     #[test]
@@ -770,12 +945,12 @@ mod tests {
         let mut rev = TraceSink::new(4, 10_000, 7);
         let a: BTreeMap<u64, bool> = ids
             .iter()
-            .map(|&i| (i, fwd.issued(&load(0, i), 10)))
+            .map(|&i| (i, fwd.issued(&mut load(0, i), 10)))
             .collect();
         let b: BTreeMap<u64, bool> = ids
             .iter()
             .rev()
-            .map(|&i| (i, rev.issued(&load(0, i), 10)))
+            .map(|&i| (i, rev.issued(&mut load(0, i), 10)))
             .collect();
         assert_eq!(a, b);
     }
@@ -783,16 +958,116 @@ mod tests {
     #[test]
     fn into_data_carries_fetch_info() {
         let mut t = full_sink();
-        let f = load(2, 7);
-        t.issued(&f, 10);
-        t.record_fetch(&f, 20, TraceEventKind::Returned);
+        let done = issue(&mut t, 2, 7, 10);
+        t.record_fetch(&done, 20, TraceEventKind::Returned);
+        issue(&mut t, 1, 9, 30); // still in flight at the end
         let data = t.into_data();
-        assert_eq!(data.sampled, 1);
+        assert_eq!(data.sampled, 2);
         assert_eq!(data.sample_denom, 1);
+        assert_eq!(
+            data.fetches.keys().copied().collect::<Vec<_>>(),
+            [(1, 9), (2, 7)],
+            "retired and in-flight fetches, in key order"
+        );
         let info = data.fetches.get(&(2, 7)).expect("info kept");
         assert_eq!(info.kind, AccessKind::Load);
         assert_eq!(info.warp, 3);
-        assert_eq!(data.events.len(), 2);
+        assert_eq!(data.events.len(), 3);
         assert!(data.levels.contains_key(&Level::Dram));
+    }
+
+    /// Drives a sink with a seeded random event stream: a pool of fetches
+    /// in flight, each event drawn at random — queue entries and exits at
+    /// random levels in no particular pairing, merges, repeated stalls,
+    /// terminal events (and, with `misbehave`, time-reversed stamps and
+    /// events for fetches already retired). Some fetches are left in
+    /// flight.
+    fn random_stream(seed: u64, denom: u64, cap: usize, misbehave: bool) -> TraceSink {
+        fn pick(rng: &mut Xoshiro256, n: usize) -> usize {
+            usize::try_from(rng.below(n as u64)).expect("below a usize")
+        }
+        let mut rng = Xoshiro256::seeded(seed);
+        let mut t = TraceSink::new(denom, cap, seed);
+        let mut pool: Vec<MemFetch> = Vec::new();
+        let mut gone: Vec<MemFetch> = Vec::new();
+        let mut now: Picos = 1_000;
+        let mut next_id = 0u64;
+        for _ in 0..4_000 {
+            now += rng.below(50);
+            if pool.len() < 24 && rng.below(3) == 0 {
+                let core = pick(&mut rng, 3);
+                pool.push(issue(&mut t, core, next_id, now));
+                next_id += 1;
+                continue;
+            }
+            if pool.is_empty() {
+                continue;
+            }
+            let i = pick(&mut rng, pool.len());
+            let level = Level::ALL[pick(&mut rng, N_LEVELS)];
+            let at = if misbehave && rng.below(40) == 0 {
+                now - rng.below(900)
+            } else {
+                now
+            };
+            let kind = match rng.below(12) {
+                0..=2 => TraceEventKind::EnqueuedAt(level),
+                3..=5 => TraceEventKind::DequeuedAt(level),
+                6 | 7 => TraceEventKind::ServicedAt(level),
+                8 => TraceEventKind::MshrMerged(level),
+                9 | 10 => TraceEventKind::StalledAt(level, StallCause::Mshr),
+                _ if rng.below(2) == 0 => TraceEventKind::Returned,
+                _ => TraceEventKind::Absorbed,
+            };
+            t.record_fetch(&pool[i], at, kind);
+            if kind.is_terminal() {
+                gone.push(pool.swap_remove(i));
+            } else if misbehave && !gone.is_empty() && rng.below(20) == 0 {
+                let j = pick(&mut rng, gone.len());
+                t.record_fetch(&gone[j], at, TraceEventKind::ServicedAt(level));
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn ledger_equals_the_reference_on_random_streams() {
+        for seed in 0..24u64 {
+            // Every third stream hits its cap a third of the way in.
+            let cap = if seed % 3 == 0 { 700 } else { usize::MAX };
+            let denom = 1 + seed % 2;
+            let t = random_stream(seed, denom, cap, false);
+            assert!(t.events().len() > 500 || cap == 700, "seed {seed}");
+            t.validate().expect("an orderly stream");
+            t.check().expect("an orderly stream");
+            let reference = decomposition_of(t.events());
+            let queued: u64 = reference.values().map(|l| l.queueing.count()).sum();
+            assert!(queued > 20, "seed {seed}: the stream pairs spans");
+            // (A full sink admits nothing new, so its ledger drains.)
+            let hit = book(&t).dropped > 0;
+            assert_eq!(hit, cap == 700, "seed {seed}: cap hit");
+            assert!(
+                hit || !book(&t).live.is_empty(),
+                "seed {seed}: fetches in flight"
+            );
+            assert_eq!(t.into_data().levels, reference, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn ledger_flags_exactly_what_the_reference_flags() {
+        let mut flagged = 0;
+        for seed in 100..124u64 {
+            let cap = if seed % 3 == 0 { 700 } else { usize::MAX };
+            let t = random_stream(seed, 1, cap, true);
+            assert_eq!(t.check(), t.validate(), "seed {seed}");
+            flagged += u32::from(t.check().is_err());
+            // A reversed stamp still pairs (saturating to 0) the same way.
+            assert_eq!(t.clone().into_data().levels, decomposition_of(t.events()));
+        }
+        assert!(
+            flagged >= 12,
+            "the streams are meant to misbehave: {flagged}"
+        );
     }
 }

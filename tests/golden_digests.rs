@@ -22,7 +22,7 @@ use gmh::core::config::MemoryModel;
 use gmh::core::{GpuConfig, GpuSim};
 use gmh::exp::{chrome_trace_json, report_json};
 use gmh::types::hash::StableHasher;
-use gmh::types::trace::TraceData;
+use gmh::types::trace::{decomposition_of, TraceData};
 use gmh::workloads::spec::{AddressMix, PhaseSpec, Suite, WorkloadSpec};
 
 const GOLDEN: &str = include_str!("golden/digests.txt");
@@ -148,6 +148,16 @@ fn run_case(model: &(&str, MemoryModel), wl: &WorkloadSpec, sample: u64, cap: u6
             wl.name
         );
     }
+    // The digests pin the events; the per-level histograms are kept as the
+    // events arrive, so hold them to the reference derivation here, on
+    // every case (the cap-hitting ones included).
+    assert_eq!(
+        stats.trace.levels,
+        decomposition_of(&stats.trace.events),
+        "{} {} sample={sample} cap={cap}: latency ledger != reference",
+        model.0,
+        wl.name
+    );
     let mut audit = StableHasher::new();
     let a = &stats.audit;
     for n in [a.emitted, a.returned, a.absorbed, a.in_flight] {

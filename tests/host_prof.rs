@@ -10,7 +10,7 @@
 
 use gmh::core::{GpuConfig, GpuSim};
 use gmh::exp::{chrome_trace_json, report_json, utilization_table};
-use gmh::types::prof::HostPhase;
+use gmh::types::prof::{HostPhase, TIMED_STRIDE};
 use gmh::workloads::spec::{AddressMix, PhaseSpec, Suite, WorkloadSpec};
 
 /// A small machine (4 cores, 4 banks, 2 channels) that stays fast.
@@ -85,5 +85,65 @@ fn profiling_leaves_reports_and_traces_byte_identical() {
         assert!(r.phase_count(phase) > 0, "no {phase:?} spans recorded");
         assert!(table.contains(phase.name()), "{table}");
     }
-    assert!(r.busy_ns() <= r.wall_ns, "attributed time fits in the wall");
+    // What was measured fits in the wall; `busy_ns()` is that scaled up by
+    // count / timed count per phase, an estimate that can pass it (a timed
+    // span carries a clock read the untimed ones did not pay).
+    let timed_busy: u64 = HostPhase::ALL
+        .iter()
+        .filter(|p| p.is_top_level())
+        .map(|p| r.timed_ns[p.index()])
+        .sum();
+    assert!(timed_busy <= r.wall_ns, "measured time fits in the wall");
+    assert!(r.busy_ns() >= timed_busy);
+}
+
+/// Which spans exist and which of them are timed is decided by the
+/// simulation and the stride, never by the clock; and the stride does not
+/// lock onto the 1400 / 700 / 924 MHz edge pattern.
+#[test]
+fn counts_are_exact_and_the_stride_samples_every_phase_evenly() {
+    let wl = workload();
+    let mut cfg = small_gpu();
+    cfg.profile_host = true;
+    let run = || {
+        let mut sim = GpuSim::new(cfg.clone(), &wl);
+        let stats = sim.run();
+        let ticked = stats.core_cycles - sim.ff_stats().skipped_core;
+        (ticked, sim.take_host_report().expect("profile_host was on"))
+    };
+    let ((core_ticks, a), (_, b)) = (run(), run());
+    assert_eq!(a.counts, b.counts);
+    assert_eq!(a.timed_counts, b.timed_counts);
+    assert_eq!(
+        (a.iterations, a.timed_iterations),
+        (b.iterations, b.timed_iterations)
+    );
+
+    assert!(a.iterations > 10_000, "{} iterations", a.iterations);
+    assert!(
+        a.timed_iterations.abs_diff(a.iterations / TIMED_STRIDE) <= 1,
+        "{} of {} iterations timed",
+        a.timed_iterations,
+        a.iterations
+    );
+    // Every core cycle the loop did not jump over is one span, timed or not.
+    assert_eq!(a.phase_count(HostPhase::CoreTick), core_ticks);
+    for phase in [
+        HostPhase::CoreTick,
+        HostPhase::IcntTick,
+        HostPhase::L2Tick,
+        HostPhase::DramTick,
+        HostPhase::Telemetry,
+    ] {
+        let (count, timed) = (a.phase_count(phase), a.timed_counts[phase.index()]);
+        assert!(count >= 1_000, "{phase:?}: {count} spans");
+        let expect = count as f64 / TIMED_STRIDE as f64;
+        assert!(
+            (timed as f64 - expect).abs() <= 0.2 * expect,
+            "{phase:?}: {timed} of {count} spans timed, expected about {expect:.0}"
+        );
+    }
+    // The end-of-run flush happens once and is always timed.
+    assert_eq!(a.phase_count(HostPhase::SchedResched), 1);
+    assert_eq!(a.timed_counts[HostPhase::SchedResched.index()], 1);
 }
