@@ -52,9 +52,9 @@ fn main() -> ExitCode {
     let [base_path, cand_path] = files.as_slice() else {
         return usage();
     };
-    let load = |path: &str| -> Result<gmh_serve::json::Json, String> {
+    let load = |path: &str| -> Result<gmh_types::json::Json, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-        gmh_serve::json::parse(&text).map_err(|e| format!("parse {path}: {e}"))
+        gmh_types::json::parse(&text).map_err(|e| format!("parse {path}: {e}"))
     };
     let (base, cand) = match (load(base_path), load(cand_path)) {
         (Ok(b), Ok(c)) => (b, c),

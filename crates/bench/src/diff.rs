@@ -28,7 +28,7 @@
 //! passes; catching that requires a pinned host, which is what
 //! `--absolute` (plain value comparison) is for.
 
-use gmh_serve::json::Json;
+use gmh_types::json::Json;
 
 /// Outcome of a comparison, ordered by severity.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -305,7 +305,7 @@ fn compare_num(base: &Json, cand: &Json, path: &str, ctx: &Ctx, out: &mut Vec<Fi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gmh_serve::json::parse;
+    use gmh_types::json::parse;
 
     fn base_doc() -> Json {
         parse(

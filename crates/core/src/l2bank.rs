@@ -7,7 +7,9 @@ use gmh_cache::{
     WriteOutcome,
 };
 use gmh_types::trace::{Level, TraceEventKind, TraceSink};
-use gmh_types::{BoundedQueue, Cycle, EventBound, FetchId, MemFetch, OccupancyHistogram, Picos};
+use gmh_types::{
+    BoundedQueue, Component, Cycle, EventBound, FetchId, MemFetch, OccupancyHistogram, Picos, Tick,
+};
 
 /// One L2 bank: cache slice + queues + port + stall attribution.
 #[derive(Clone, Debug)]
@@ -212,16 +214,6 @@ impl L2Bank {
         }
     }
 
-    /// Applies `k` quiescent cycles in one step: exactly what `k` calls of
-    /// [`L2Bank::cycle`] would do from a state where
-    /// [`L2Bank::next_event_bound`] returned quiet — advance the clock.
-    /// (The per-cycle occupancy sample is a no-op: the access queue is
-    /// empty, outside the histogram's usage lifetime.)
-    pub fn skip_cycles(&mut self, k: u64) {
-        debug_assert!(!matches!(self.next_event_bound(), EventBound::Busy));
-        self.now += k;
-    }
-
     /// Drops the cache's standing block (see
     /// [`Cache::forget_standing_block`]); results never depend on it.
     #[doc(hidden)]
@@ -398,6 +390,27 @@ impl L2Bank {
             Some(BlockReason::MissQueueFull) => Some(L2StallKind::BpDram),
             None => None,
         }
+    }
+}
+
+impl Component for L2Bank {
+    /// Never active: the probe is three O(1) queue checks, no dearer than
+    /// an activity check.
+    #[inline]
+    fn tick(&mut self, cx: &mut Tick<'_>) -> bool {
+        self.cycle_traced(cx.now_ps, cx.trace);
+        false
+    }
+
+    fn next_event_bound(&self) -> EventBound {
+        L2Bank::next_event_bound(self)
+    }
+
+    /// Advances the clock. (The per-cycle occupancy sample is a no-op: the
+    /// access queue is empty, outside the histogram's usage lifetime.)
+    fn skip_cycles(&mut self, n: u64) {
+        debug_assert!(!matches!(self.next_event_bound(), EventBound::Busy));
+        self.now += n;
     }
 }
 

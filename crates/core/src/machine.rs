@@ -1,23 +1,20 @@
-//! The machine's components and their per-tick sweeps.
+//! The machine's components and the event protocol that advances them.
 //!
 //! [`Machine`] owns every ticking component — SIMT cores, L2 banks, DRAM
 //! channels and the two crossbar networks — plus the [`Sched`] that says
-//! which of them are awake. Each run-loop phase that advances one class of
-//! components is a *sweep* over that class; everything that moves a fetch
-//! from one component to another (injection, ejection, miss hand-off,
-//! fills) is a serial step in [`crate::sim`], which wakes the receiving
-//! component through the helpers here before mutating it.
-//!
-//! A simulation runs on one thread (DESIGN.md §6 records why); parallelism
-//! lives one level up, across simulations.
+//! which of them are awake. The protocol is written once against
+//! [`Component`]: [`sweep`] ticks a class, probes what did nothing and lets
+//! it sleep; [`wake`] settles a sleeper's owed ticks before anything touches
+//! it. Everything that moves a fetch between components is a serial step in
+//! [`crate::sim`], which calls [`Machine::wake`] on the receiver first. A
+//! simulation runs on one thread (DESIGN.md §6 records why).
 
 use crate::l2bank::L2Bank;
 use crate::sched::{Class, Sched};
 use gmh_dram::DramChannel;
 use gmh_icnt::Network;
-use gmh_simt::{CoreIdleProbe, SimtCore};
-use gmh_types::trace::TraceSink;
-use gmh_types::{EventBound, Picos, TickSet};
+use gmh_simt::SimtCore;
+use gmh_types::{Component, EventBound, Picos, Tick};
 
 /// Slot of the request (core → L2) network in [`Machine::nets`].
 pub(crate) const REQ: usize = 0;
@@ -25,298 +22,254 @@ pub(crate) const REQ: usize = 0;
 pub(crate) const REP: usize = 1;
 
 /// Every ticking component of the simulated GPU, indexed by its global id.
-pub(crate) struct Machine {
-    /// SIMT cores.
-    pub cores: Vec<SimtCore>,
-    /// L2 banks.
-    pub banks: Vec<L2Bank>,
-    /// DRAM channels.
-    pub channels: Vec<DramChannel>,
+/// (The type parameters exist so the unit tests can drive the protocol
+/// with a recording fake.)
+pub(crate) struct Machine<Co = SimtCore, Ba = L2Bank, Ch = DramChannel, Ne = Network> {
+    pub cores: Vec<Co>,
+    pub banks: Vec<Ba>,
+    pub channels: Vec<Ch>,
     /// Crossbar networks at [`REQ`] and [`REP`] (they switch
     /// independently; the run loop serializes all inject/eject).
-    pub nets: [Network; 2],
+    pub nets: [Ne; 2],
     /// Event scheduler: awake flags, wake queue and the lazy skipped-cycle
     /// ledger for the components above.
     pub sched: Sched,
 }
 
-impl Machine {
-    // ---- sweeps ----------------------------------------------------------------
-    //
-    // Each sweep advances the *awake* components of one class by one
-    // own-domain tick, in ascending component order (sleeping components
-    // are provably inert this tick, so skipping them is exact). After its
-    // cycle each component is re-probed: a quiet probe parks it in the
-    // scheduler, a busy one keeps it hot with zero queue traffic. With the
-    // scheduler off (the naive-loop oracle) every component cycles and
-    // nothing is probed.
-
-    /// Switches both crossbar networks one interconnect cycle.
-    pub fn sweep_nets(&mut self, cyc: u64) {
-        let Machine { nets, sched, .. } = self;
-        if sched.enabled && sched.awake_nets == 0 {
-            return;
-        }
-        for (i, n) in nets.iter_mut().enumerate() {
-            let id = sched.net_id(i);
-            if sched.enabled && !sched.awake[id] {
-                continue;
-            }
-            let moved = n.cycle();
-            if !sched.enabled {
-                continue;
-            }
-            sched.done[id] = cyc;
-            // A moving switch is trivially busy: probe only on a
-            // do-nothing cycle, keeping the saturated path free of
-            // per-cycle head scans. A parked ejection backlog is
-            // re-offered by the run loop every tick; the network's own
-            // bound does not cover it, so a backlogged switch stays awake.
-            if moved || n.ejection_backlog() > 0 {
-                continue;
-            }
-            match n.next_event_bound() {
-                EventBound::Busy => {}
-                EventBound::QuietUntil { bound } => sched.sleep(id, Class::Net, bound),
-            }
+impl<Co: Component, Ba: Component, Ch: Component, Ne: Component> Machine<Co, Ba, Ch, Ne> {
+    /// [`sweep`] over `class`'s components, for own-domain tick `cx.cyc`.
+    /// (Always inlined, like `wake`: a caller's constant class folds the
+    /// match down to one monomorphized call.)
+    #[inline(always)]
+    pub fn sweep(&mut self, class: Class, cx: &mut Tick<'_>) {
+        match class {
+            Class::Core => sweep(&mut self.sched, class, &mut self.cores, cx),
+            Class::Bank => sweep(&mut self.sched, class, &mut self.banks, cx),
+            Class::Chan => sweep(&mut self.sched, class, &mut self.channels, cx),
+            Class::Net => sweep(&mut self.sched, class, &mut self.nets, cx),
         }
     }
 
-    /// Advances every L2 bank pipeline one interconnect cycle.
-    pub fn sweep_banks(&mut self, now_ps: Picos, cyc: u64, trace: &mut TraceSink) {
-        let Machine { banks, sched, .. } = self;
-        if sched.enabled && sched.awake_banks == 0 {
-            return;
+    /// Wakes `class`'s component `slot` ahead of a mutation (see [`wake`]).
+    /// `target` is the own-domain tick count it must have absorbed *before*
+    /// the caller's mutation — one less than the current count when its own
+    /// sweep still runs later this instant.
+    #[inline(always)]
+    pub fn wake(&mut self, class: Class, slot: usize, target: u64) {
+        match class {
+            Class::Core => wake(&mut self.sched, class, &mut self.cores, slot, target),
+            Class::Bank => wake(&mut self.sched, class, &mut self.banks, slot, target),
+            Class::Chan => wake(&mut self.sched, class, &mut self.channels, slot, target),
+            Class::Net => wake(&mut self.sched, class, &mut self.nets, slot, target),
         }
-        for (i, b) in banks.iter_mut().enumerate() {
-            let id = sched.bank_id(i);
-            if sched.enabled && !sched.awake[id] {
-                continue;
-            }
-            b.cycle_traced(now_ps, trace);
-            if !sched.enabled {
-                continue;
-            }
-            sched.done[id] = cyc;
-            // The bank probe is three O(1) queue checks — probing
-            // every cycle costs no more than an activity check.
-            match b.next_event_bound() {
-                EventBound::Busy => {}
-                EventBound::QuietUntil { bound } => sched.sleep(id, Class::Bank, bound),
-            }
-        }
-    }
-
-    /// Advances every SIMT core one core cycle.
-    pub fn sweep_cores(&mut self, now_ps: Picos, cyc: u64, trace: &mut TraceSink) {
-        let Machine { cores, sched, .. } = self;
-        if sched.enabled && sched.awake_cores == 0 {
-            return;
-        }
-        for (i, c) in cores.iter_mut().enumerate() {
-            let id = sched.core_id(i);
-            if sched.enabled && !sched.awake[id] {
-                continue;
-            }
-            let active = c.cycle_traced(now_ps, trace);
-            if !sched.enabled {
-                continue;
-            }
-            sched.done[id] = cyc;
-            // An active cycle (pipeline inputs to chew on, or an
-            // instruction issued) implies the probe would answer
-            // `Busy` or the core is one cycle from quiescing —
-            // skip the O(warps) probe scan and re-check next tick.
-            if active {
-                continue;
-            }
-            match c.next_event_bound() {
-                CoreIdleProbe::Busy => {}
-                CoreIdleProbe::Quiet { bound, stall } => {
-                    sched.core_stall[i] = stall;
-                    sched.sleep(id, Class::Core, bound);
-                }
-            }
-        }
-    }
-
-    /// Advances every DRAM channel one DRAM cycle.
-    pub fn sweep_channels(&mut self, cyc: u64) {
-        let Machine {
-            channels, sched, ..
-        } = self;
-        if sched.enabled && sched.awake_chans == 0 {
-            return;
-        }
-        for (i, ch) in channels.iter_mut().enumerate() {
-            let id = sched.chan_id(i);
-            if sched.enabled && !sched.awake[id] {
-                continue;
-            }
-            ch.cycle(cyc);
-            if !sched.enabled {
-                continue;
-            }
-            sched.done[id] = cyc;
-            // The channel probe early-outs `Busy` on the first
-            // visible queue entry, so per-cycle probing is cheap
-            // on the saturated path.
-            match ch.next_event_bound(cyc) {
-                EventBound::Busy => {}
-                EventBound::QuietUntil { bound } => sched.sleep(id, Class::Chan, bound),
-            }
-        }
-    }
-
-    // ---- wake helpers --------------------------------------------------------
-    //
-    // Every helper follows the flush-before-mutate discipline: the owed
-    // quiet cycles are replayed through the component's bulk skip hook
-    // while its state is still the frozen quiet state the hook's
-    // debug_assert demands, and only then does the caller mutate it.
-    // `target` is the own-domain tick count the component must have
-    // absorbed *before* the caller's mutation (callers subtract one when
-    // the component's own sweep still runs later this instant).
-
-    /// Wakes core `slot`, flushing its owed quiet cycles (with the stall
-    /// class captured when it went to sleep) up to core tick `target`.
-    pub fn wake_core(&mut self, slot: usize, target: u64) {
-        if !self.sched.enabled {
-            return;
-        }
-        let id = self.sched.core_id(slot);
-        if !self.sched.wake(id, Class::Core) {
-            return;
-        }
-        let owed = target - self.sched.done[id];
-        if owed > 0 {
-            self.cores[slot].skip_idle(owed, self.sched.core_stall[slot]);
-        }
-        self.sched.done[id] = target;
-    }
-
-    /// Wakes bank `slot`, flushing up to interconnect tick `target`.
-    pub fn wake_bank(&mut self, slot: usize, target: u64) {
-        if !self.sched.enabled {
-            return;
-        }
-        let id = self.sched.bank_id(slot);
-        if !self.sched.wake(id, Class::Bank) {
-            return;
-        }
-        let owed = target - self.sched.done[id];
-        if owed > 0 {
-            self.banks[slot].skip_cycles(owed);
-        }
-        self.sched.done[id] = target;
-    }
-
-    /// Wakes channel `slot`, flushing up to DRAM tick `target`. The skip
-    /// hook receives the channel's *pre-skip* cycle count — the `now` its
-    /// most recent real cycle saw — so its quiet assertion evaluates the
-    /// frozen state.
-    pub fn wake_channel(&mut self, slot: usize, target: u64) {
-        if !self.sched.enabled {
-            return;
-        }
-        let id = self.sched.chan_id(slot);
-        if !self.sched.wake(id, Class::Chan) {
-            return;
-        }
-        let done = self.sched.done[id];
-        let owed = target - done;
-        if owed > 0 {
-            self.channels[slot].skip_cycles(owed, done);
-        }
-        self.sched.done[id] = target;
-    }
-
-    /// Wakes network `slot`, flushing up to interconnect tick `target`.
-    pub fn wake_net(&mut self, slot: usize, target: u64) {
-        if !self.sched.enabled {
-            return;
-        }
-        let id = self.sched.net_id(slot);
-        if !self.sched.wake(id, Class::Net) {
-            return;
-        }
-        let owed = target - self.sched.done[id];
-        if owed > 0 {
-            self.nets[slot].skip_cycles(owed);
-        }
-        self.sched.done[id] = target;
     }
 
     /// Drains the due wakes at one clock instant: every queued component
-    /// whose wake time has arrived is flushed to `cycles - 1` of its own
-    /// domain (its domain provably fires at its wake instant, so the sweep
-    /// running later this instant executes the final tick) and marked
-    /// awake. Returns the number of components woken.
-    pub fn drain_wakes(
-        &mut self,
-        now_ps: Picos,
-        fired: TickSet,
-        core_cyc: u64,
-        icnt_cyc: u64,
-        dram_cyc: u64,
-    ) -> u64 {
-        if !self.sched.enabled {
-            return 0;
-        }
+    /// whose wake time has arrived is woken, flushed to `cycles[class] - 1`
+    /// (its domain provably fires at its wake instant, so the sweep running
+    /// later this instant executes the final tick). Returns how many woke.
+    pub fn drain_wakes(&mut self, now_ps: Picos, cycles: [u64; 4]) -> u64 {
         let mut woke = 0;
         while let Some(id) = self.sched.q.pop_ready(now_ps) {
             let (class, slot) = self.sched.locate(id);
             debug_assert!(
-                match class {
-                    Class::Core => fired.core,
-                    Class::Bank | Class::Net => fired.icnt,
-                    Class::Chan => fired.dram,
-                },
+                now_ps.is_multiple_of(self.sched.period[class.idx()]),
                 "a wake instant must be a tick instant of its own domain"
             );
-            match class {
-                Class::Core => self.wake_core(slot, core_cyc - 1),
-                Class::Bank => self.wake_bank(slot, icnt_cyc - 1),
-                Class::Chan => self.wake_channel(slot, dram_cyc - 1),
-                Class::Net => self.wake_net(slot, icnt_cyc - 1),
-            }
+            self.wake(class, slot, cycles[class.idx()] - 1);
             woke += 1;
         }
         woke
     }
 
-    /// End-of-run flush: replays every sleeping component's owed quiet
-    /// cycles up to the final domain tick counts, so the collected stats
-    /// (stall attribution, occupancy samples, blocked-cycle counts) are
-    /// exactly what the naive loop would have accumulated. Classes the
-    /// memory model never ticks are left untouched, like the naive loop
-    /// leaves them.
-    pub fn flush_end(
-        &mut self,
-        core_end: u64,
-        icnt_end: u64,
-        dram_end: u64,
-        hierarchy: bool,
-        full_dram: bool,
-    ) {
-        if !self.sched.enabled {
-            return;
-        }
-        for slot in 0..self.cores.len() {
-            self.wake_core(slot, core_end);
-        }
-        if hierarchy {
-            for slot in 0..self.banks.len() {
-                self.wake_bank(slot, icnt_end);
-            }
-            for slot in 0..self.nets.len() {
-                self.wake_net(slot, icnt_end);
+    /// End-of-run flush: replays every sleeper's owed quiet cycles up to
+    /// the final tick count of its class, so the collected stats (stall
+    /// attribution, occupancy samples, blocked-cycle counts) are exactly
+    /// what the naive loop would have accumulated. Classes the memory model
+    /// never ticks are left untouched, like the naive loop leaves them.
+    pub fn flush_end(&mut self, ends: [u64; 4]) {
+        for class in Class::ALL {
+            for slot in 0..self.sched.live[class.idx()] {
+                self.wake(class, slot, ends[class.idx()]);
             }
         }
-        if full_dram {
-            for slot in 0..self.channels.len() {
-                self.wake_channel(slot, dram_end);
+    }
+}
+
+/// Tick → probe → sleep, for one class: advances its *awake* components by
+/// one own-domain tick in ascending order (a sleeping component is provably
+/// inert this tick, so skipping it is exact). A component whose tick was
+/// not active is probed: a busy probe keeps it hot with zero queue traffic,
+/// a quiet one parks it ([`crate::sched`] has the lifecycle). With the
+/// scheduler off (the naive-loop oracle) nothing ever sleeps, so every
+/// component of a class the memory model ticks cycles, unprobed.
+fn sweep<C: Component>(sched: &mut Sched, class: Class, comps: &mut [C], cx: &mut Tick<'_>) {
+    let k = class.idx();
+    if sched.awake_n[k] == 0 {
+        return;
+    }
+    for (c, id) in comps.iter_mut().zip(sched.id(class, 0)..) {
+        if !sched.awake[id] {
+            continue;
+        }
+        if c.tick(cx) || !sched.enabled {
+            continue;
+        }
+        if let EventBound::QuietUntil { bound } = c.next_event_bound() {
+            debug_assert!(!sched.q.contains(id), "awake component still queued");
+            sched.done[id] = cx.cyc;
+            sched.awake[id] = false;
+            sched.awake_n[k] -= 1;
+            if let Some(b) = bound {
+                sched.q.schedule(id, (b - 1) * sched.period[k]);
             }
+        }
+    }
+}
+
+/// Flush → wake: raises a sleeper's flag (cancelling its queued wake) and
+/// replays its owed quiet ticks up to `target` through its bulk skip hook
+/// while its state is still the frozen quiet state the hook's
+/// `debug_assert` demands; only then may the caller mutate it. No-op on an
+/// awake component.
+fn wake<C: Component>(sched: &mut Sched, class: Class, comps: &mut [C], slot: usize, target: u64) {
+    let id = sched.id(class, slot);
+    if sched.awake[id] {
+        return;
+    }
+    sched.q.cancel(id);
+    sched.awake[id] = true;
+    sched.awake_n[class.idx()] += 1;
+    let owed = target - sched.done[id];
+    if owed > 0 {
+        comps[slot].skip_cycles(owed);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gmh_types::trace::TraceSink;
+    use std::cell::Cell;
+
+    /// Records what the protocol asked of it; answers as configured.
+    #[derive(Clone)]
+    struct Fake {
+        active: bool,
+        answer: EventBound,
+        ticks: Vec<u64>,
+        probes: Cell<u32>,
+        skipped: u64,
+    }
+
+    impl Component for Fake {
+        fn tick(&mut self, cx: &mut Tick<'_>) -> bool {
+            self.ticks.push(cx.cyc);
+            self.active
+        }
+        fn next_event_bound(&self) -> EventBound {
+            self.probes.set(self.probes.get() + 1);
+            self.answer
+        }
+        fn skip_cycles(&mut self, n: u64) {
+            self.skipped += n;
+        }
+    }
+
+    type FakeMachine = Machine<Fake, Fake, Fake, Fake>;
+    const CORES_ONLY: [bool; 4] = [true, false, false, false];
+
+    /// One inactive fake per class (two nets) answering `answer`; periods
+    /// are 10 ps (core), 20 ps (bank, net) and 30 ps (channel).
+    fn machine(enabled: bool, ticked: [bool; 4], answer: EventBound) -> FakeMachine {
+        let f = Fake {
+            active: false,
+            answer,
+            ticks: vec![],
+            probes: Cell::new(0),
+            skipped: 0,
+        };
+        Machine {
+            cores: vec![f.clone()],
+            banks: vec![f.clone()],
+            channels: vec![f.clone()],
+            nets: [f.clone(), f],
+            sched: Sched::new(enabled, [1, 1, 1, 2], ticked, [10, 20, 30, 20]),
+        }
+    }
+
+    fn sweeps(m: &mut FakeMachine, cyc: u64) {
+        let (now_ps, trace) = (0, &mut TraceSink::disabled());
+        for class in Class::ALL {
+            m.sweep(class, &mut Tick { now_ps, cyc, trace });
+        }
+    }
+
+    fn beyond_cores(m: &FakeMachine) -> impl Iterator<Item = &Fake> {
+        m.banks.iter().chain(&m.channels).chain(&m.nets)
+    }
+
+    #[test]
+    fn quiet_probe_parks_and_a_wake_flushes_the_debt_first() {
+        let mut m = machine(true, [true; 4], EventBound::quiet_until(5));
+        m.cores[0].answer = EventBound::quiet_external();
+        sweeps(&mut m, 1);
+        sweeps(&mut m, 2);
+        // Parked after tick 1 by one probe each, and not ticked again. The
+        // bank's tick 5 fires at (5 - 1) * 20 ps; the core waits for input.
+        let id = m.sched.id(Class::Bank, 0);
+        assert_eq!((&m.banks[0].ticks, m.banks[0].probes.get()), (&vec![1], 1));
+        assert_eq!((m.sched.awake_n, m.sched.q.len()), ([0; 4], 4));
+        assert_eq!(m.sched.q.peek(), Some((80, id)));
+        // An external wake at tick 4 settles ticks 2..=4 before returning.
+        m.wake(Class::Bank, 0, 4);
+        assert_eq!((m.banks[0].skipped, m.sched.done[id]), (3, 1));
+        assert!(m.sched.awake[id] && !m.sched.q.contains(id));
+        // Waking the awake is a no-op.
+        m.wake(Class::Bank, 0, 9);
+        assert_eq!(m.banks[0].skipped, 3);
+    }
+
+    #[test]
+    fn due_wakes_drain_to_the_tick_before_the_one_about_to_run() {
+        let mut m = machine(true, CORES_ONLY, EventBound::quiet_until(5));
+        sweeps(&mut m, 1);
+        assert_eq!(m.drain_wakes(39, [4, 2, 2, 2]), 0);
+        // At 40 ps the core domain fires tick 5: ticks 2..=4 are owed.
+        assert_eq!(m.drain_wakes(40, [5, 3, 2, 3]), 1);
+        assert_eq!((m.cores[0].skipped, m.sched.awake_n), (3, [1, 0, 0, 0]));
+    }
+
+    #[test]
+    fn an_active_tick_is_never_probed() {
+        let mut m = machine(true, [true; 4], EventBound::quiet_external());
+        m.channels[0].active = true;
+        sweeps(&mut m, 1);
+        assert_eq!(m.channels[0].probes.get(), 0);
+        assert_eq!(m.sched.awake_n, [0, 0, 1, 0]);
+    }
+
+    #[test]
+    fn disabled_scheduler_ticks_everything_and_never_probes() {
+        let mut m = machine(false, [true; 4], EventBound::quiet_external());
+        sweeps(&mut m, 1);
+        sweeps(&mut m, 2);
+        for f in m.cores.iter().chain(beyond_cores(&m)) {
+            assert_eq!((&f.ticks, f.probes.get()), (&vec![1, 2], 0));
+        }
+        assert_eq!(m.sched.awake_n, [1, 1, 1, 2]);
+    }
+
+    #[test]
+    fn a_non_participating_class_is_neither_swept_nor_flushed() {
+        for enabled in [true, false] {
+            let mut m = machine(enabled, CORES_ONLY, EventBound::quiet_external());
+            sweeps(&mut m, 1);
+            m.flush_end([9; 4]);
+            // The core ticked once; asleep, it is owed ticks 2..=9.
+            assert_eq!(m.cores[0].ticks, [1]);
+            assert_eq!(m.cores[0].skipped, if enabled { 8 } else { 0 });
+            assert!(beyond_cores(&m).all(|f| f.ticks.is_empty() && f.skipped == 0));
         }
     }
 }

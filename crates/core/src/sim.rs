@@ -3,7 +3,7 @@
 use crate::config::{GpuConfig, MemoryModel};
 use crate::l2bank::L2Bank;
 use crate::machine::{Machine, REP, REQ};
-use crate::sched::Sched;
+use crate::sched::{Class, Sched};
 use crate::stats::SimStats;
 use gmh_cache::TagArray;
 use gmh_dram::DramChannel;
@@ -13,7 +13,7 @@ use gmh_types::prof::{HostPhase, HostProfiler, HostReport};
 use gmh_types::trace::{Level, TraceEventKind, TraceSink};
 use gmh_types::{
     stable_hash_str, ClockDomains, DomainId, FetchAudit, MemFetch, Picos, SeriesId, Telemetry,
-    TickSet,
+    Tick, TickSet,
 };
 use gmh_workloads::WorkloadSpec;
 use std::collections::VecDeque;
@@ -152,9 +152,6 @@ pub struct GpuSim {
     ideal_blocked: Vec<bool>,
     /// Reusable holding deque for the ideal-delivery compaction pass.
     ideal_scratch: VecDeque<(u64, MemFetch)>,
-    /// Event core enabled (`!force_naive_loop`): components sleep through
-    /// provably-quiet windows and the loop jumps when everything sleeps.
-    ev: bool,
     /// Observational fast-forward engagement counters.
     ff_stats: FastForwardStats,
     /// Host-side span profiler (present only under `cfg.profile_host`).
@@ -243,22 +240,16 @@ impl GpuSim {
         // Classes a memory model never ticks are born parked; the event
         // core then never probes, wakes or flushes them — mirroring the
         // naive loop, which never touches them either.
-        let ev = !cfg.force_naive_loop;
         let hier = matches!(
             cfg.memory_model,
             MemoryModel::Full | MemoryModel::InfiniteDram { .. }
         );
         let full = matches!(cfg.memory_model, MemoryModel::Full);
-        let periods = [
-            clocks.domain(DomainId::Core).period_ps(),
-            clocks.domain(DomainId::Icnt).period_ps(),
-            clocks.domain(DomainId::Dram).period_ps(),
-        ];
         let sched = Sched::new(
-            ev,
+            !cfg.force_naive_loop,
             [cores.len(), banks.len(), channels.len(), 2],
             [true, hier, full, hier],
-            periods,
+            Self::per_class(&clocks, |d| d.period_ps()),
         );
         GpuSim {
             clocks,
@@ -282,7 +273,6 @@ impl GpuSim {
             prev_l2_stalls: [0; 5],
             ideal_blocked: vec![false; cfg.n_cores],
             ideal_scratch: VecDeque::new(),
-            ev,
             ff_stats: FastForwardStats::default(),
             host_prof: cfg.profile_host.then(HostProfiler::new),
             workload: name.to_string(),
@@ -290,15 +280,11 @@ impl GpuSim {
         }
     }
 
-    /// Whether core `c` is awake. Always true in naive mode, so the gated
-    /// run-loop steps degrade to their original ungated sweeps.
-    fn core_awake(&self, c: usize) -> bool {
-        self.m.sched.awake[self.m.sched.core_id(c)]
-    }
-
-    /// Whether L2 bank `b` is awake (see [`GpuSim::core_awake`]).
-    fn bank_awake(&self, b: usize) -> bool {
-        self.m.sched.awake[self.m.sched.bank_id(b)]
+    /// One value per [`Class`], read off the clock domain each class ticks
+    /// in (banks and networks share the interconnect's).
+    fn per_class<T>(clocks: &ClockDomains, f: impl Fn(&gmh_types::ClockDomain) -> T) -> [T; 4] {
+        use DomainId::{Core, Dram, Icnt};
+        [Core, Icnt, Dram, Icnt].map(|d| f(clocks.domain(d)))
     }
 
     /// The workload name this sim runs.
@@ -352,12 +338,13 @@ impl GpuSim {
 
     /// Runs to completion (or the cycle cap) and returns the statistics.
     ///
-    /// The loop is event-aware: when every component proves itself inert
-    /// (the internal `try_fast_forward` probe) the clocks jump to the earliest
-    /// possible next event in one step, with each component replaying its
-    /// per-cycle bookkeeping in bulk. The jump is bit-identical to stepping
-    /// naively by construction; `cfg.force_naive_loop` disables it so
-    /// equivalence tests can compare both paths.
+    /// The loop is event-aware: a component whose probe proves it inert
+    /// sleeps through the window, and when every component sleeps the
+    /// clocks jump to the earliest scheduled wake in one step; a woken
+    /// component replays the per-cycle bookkeeping it slept through in
+    /// bulk. Both are bit-identical to stepping naively by construction;
+    /// `cfg.force_naive_loop` disables them so equivalence tests can
+    /// compare both paths.
     pub fn run(&mut self) -> SimStats {
         let mut hit_cap = false;
         loop {
@@ -376,14 +363,12 @@ impl GpuSim {
             // One pass through this loop is one iteration to the host
             // profiler, which times some and only counts the rest.
             let timed = self.host_prof.as_mut().map(HostProfiler::begin_iteration);
-            if self.ev && self.try_jump() {
+            if self.m.sched.enabled && self.try_jump() {
                 continue;
             }
             let fired = self.clocks.advance();
             let now_ps = self.clocks.now();
-            if self.ev {
-                self.drain_due_wakes(fired, now_ps);
-            }
+            self.drain_due_wakes(now_ps);
             if timed == Some(true) {
                 self.dispatch_ticks_host(fired, now_ps);
             } else {
@@ -430,7 +415,7 @@ impl GpuSim {
             self.sample_telemetry();
         }
         if fired.dram {
-            self.dram_tick();
+            self.dram_tick(now_ps);
         }
         if fired.core {
             self.core_tick(now_ps);
@@ -474,7 +459,7 @@ impl GpuSim {
             t = self.host_span_chain(HostPhase::Telemetry, t);
         }
         if fired.dram {
-            self.dram_tick();
+            self.dram_tick(now_ps);
             t = self.host_span_chain(HostPhase::DramTick, t);
         }
         if fired.core {
@@ -540,13 +525,7 @@ impl GpuSim {
     /// interconnect tick, is replayed eagerly — every sampled value is
     /// frozen across the window, so repeating one sample is exact.
     fn try_jump(&mut self) -> bool {
-        let sched = &self.m.sched;
-        let (cores, banks, chans, nets) = (
-            sched.awake_cores,
-            sched.awake_banks,
-            sched.awake_chans,
-            sched.awake_nets,
-        );
+        let [cores, banks, chans, nets] = self.m.sched.awake_n;
         if cores + banks + chans + nets > 0 {
             // Mirror the pre-event probe's first-busy attribution order
             // (nets and their backlogs, then banks, channels, cores).
@@ -621,18 +600,14 @@ impl GpuSim {
     /// tick dispatch so the woken component's own sweep (which provably
     /// fires this instant — wake times are own-domain tick instants)
     /// executes its final, possibly-eventful tick.
-    fn drain_due_wakes(&mut self, fired: TickSet, now_ps: Picos) {
-        // Common case: nothing due — one peek.
+    fn drain_due_wakes(&mut self, now_ps: Picos) {
+        // Common case: nothing due (never, with the scheduler off) — one peek.
         if !matches!(self.m.sched.q.peek(), Some((w, _)) if w <= now_ps) {
             return;
         }
-        let core_cyc = self.clocks.domain(DomainId::Core).cycles();
-        let icnt_cyc = self.clocks.domain(DomainId::Icnt).cycles();
-        let dram_cyc = self.clocks.domain(DomainId::Dram).cycles();
+        let cycles = Self::per_class(&self.clocks, |d| d.cycles());
         let t0 = self.host_span_begin();
-        let woke = self
-            .m
-            .drain_wakes(now_ps, fired, core_cyc, icnt_cyc, dram_cyc);
+        let woke = self.m.drain_wakes(now_ps, cycles);
         debug_assert!(woke > 0, "a due peek must drain at least one wake");
         self.host_span_end(HostPhase::SchedPop, t0);
     }
@@ -642,16 +617,12 @@ impl GpuSim {
     /// domain tick counts, so collected stats match the naive loop's
     /// exactly. No-op for awake components and in naive mode.
     fn flush_all(&mut self) {
-        if !self.ev {
+        if !self.m.sched.enabled {
             return;
         }
-        let core_end = self.clocks.domain(DomainId::Core).cycles();
-        let icnt_end = self.clocks.domain(DomainId::Icnt).cycles();
-        let dram_end = self.clocks.domain(DomainId::Dram).cycles();
-        let hier = self.uses_hierarchy();
-        let full = matches!(self.cfg.memory_model, MemoryModel::Full);
+        let ends = Self::per_class(&self.clocks, |d| d.cycles());
         let t0 = self.host_span_begin();
-        self.m.flush_end(core_end, icnt_end, dram_end, hier, full);
+        self.m.flush_end(ends);
         self.host_span_end(HostPhase::SchedResched, t0);
     }
 
@@ -761,13 +732,14 @@ impl GpuSim {
 
     fn core_tick(&mut self, now_ps: Picos) {
         let cyc = self.clocks.domain(DomainId::Core).cycles();
-        self.m.sweep_cores(now_ps, cyc, &mut self.trace);
+        let trace = &mut self.trace;
+        self.m.sweep(Class::Core, &mut Tick { now_ps, cyc, trace });
         match self.cfg.memory_model {
             MemoryModel::Full | MemoryModel::InfiniteDram { .. } => {}
             MemoryModel::FixedL1MissLatency(lat) => {
                 for i in 0..self.cfg.n_cores {
                     // A sleeping core has an empty L1 miss queue.
-                    if !self.core_awake(i) {
+                    if !self.m.sched.is_awake(Class::Core, i) {
                         continue;
                     }
                     while let Some(f) = self.m.cores[i].pop_outgoing() {
@@ -788,7 +760,7 @@ impl GpuSim {
             }
             MemoryModel::InfiniteBw { l2_hit, dram } => {
                 for i in 0..self.cfg.n_cores {
-                    if !self.core_awake(i) {
+                    if !self.m.sched.is_awake(Class::Core, i) {
                         continue;
                     }
                     while let Some(f) = self.m.cores[i].pop_outgoing() {
@@ -859,7 +831,7 @@ impl GpuSim {
                     .record_fetch(&f, now_ps, TraceEventKind::Returned);
                 // The core sweep already ran this tick: flush the sleeping
                 // recipient through tick `cyc` before mutating it.
-                self.m.wake_core(core, cyc);
+                self.m.wake(Class::Core, core, cyc);
                 // INVARIANT: can_accept_response() held just above.
                 self.m.cores[core].push_response(f).expect("space checked");
             }
@@ -881,7 +853,7 @@ impl GpuSim {
         //    sleeping core has an empty L1 miss queue, so only awake cores
         //    can have a head to peek.
         for c in 0..self.cfg.n_cores {
-            if !self.core_awake(c) {
+            if !self.m.sched.is_awake(Class::Core, c) {
                 continue;
             }
             if let Some(head) = self.m.cores[c].peek_outgoing() {
@@ -891,7 +863,7 @@ impl GpuSim {
                     // The net sweep runs *after* this step: flush the
                     // request switch through tick icnt_cyc - 1 so its
                     // router-latency stamp sees the current cycle.
-                    self.m.wake_net(REQ, icnt_cyc - 1);
+                    self.m.wake(Class::Net, REQ, icnt_cyc - 1);
                     // INVARIANT: peek_outgoing() returned Some above.
                     let mut f = self.m.cores[c].pop_outgoing().expect("peeked");
                     self.audit.emitted(&f);
@@ -909,7 +881,8 @@ impl GpuSim {
         }
 
         // 2. Switch both networks.
-        self.m.sweep_nets(icnt_cyc);
+        let (cyc, trace) = (icnt_cyc, &mut self.trace);
+        self.m.sweep(Class::Net, &mut Tick { now_ps, cyc, trace });
 
         // 3. Ejected requests enter L2 access queues (or stay in the
         //    crossbar's ejection buffers when a queue is full — that is the
@@ -923,7 +896,7 @@ impl GpuSim {
                     }
                     // The bank sweep runs after this step: flush the
                     // sleeping bank through tick icnt_cyc - 1 only.
-                    self.m.wake_bank(b, icnt_cyc - 1);
+                    self.m.wake(Class::Bank, b, icnt_cyc - 1);
                     // INVARIANT: peek_eject() returned Some in the loop guard.
                     let mut f = self.m.nets[REQ].pop_eject(b).expect("peeked");
                     f.time.l2_arrive = now_ps;
@@ -958,7 +931,7 @@ impl GpuSim {
             // A sleeping bank does not cycle this tick, so its credit is
             // never read; it always receives a fresh credit on the first
             // tick it is awake for (wakes drain before this step).
-            if !self.bank_awake(b) {
+            if !self.m.sched.is_awake(Class::Bank, b) {
                 continue;
             }
             let credit = match self.m.banks[b].response_ready_next() {
@@ -967,7 +940,8 @@ impl GpuSim {
             };
             self.m.banks[b].set_reply_credit(credit);
         }
-        self.m.sweep_banks(now_ps, icnt_cyc, &mut self.trace);
+        let (cyc, trace) = (icnt_cyc, &mut self.trace);
+        self.m.sweep(Class::Bank, &mut Tick { now_ps, cyc, trace });
         // The "l2_tick" sub-phase (credits + bank pipelines) nests inside
         // this icnt span by time containment.
         self.host_span_end(HostPhase::L2Tick, l2_t0);
@@ -980,7 +954,7 @@ impl GpuSim {
         };
         for b in 0..self.cfg.n_l2_banks {
             // A sleeping bank has an empty miss queue.
-            if !self.bank_awake(b) {
+            if !self.m.sched.is_awake(Class::Bank, b) {
                 continue;
             }
             let Some(head) = self.m.banks[b].miss_queue_front() else {
@@ -1007,7 +981,8 @@ impl GpuSim {
                         // DRAM tick that already executed (one less when
                         // this edge fires DRAM too — that tick runs after
                         // this hand-off).
-                        self.m.wake_channel(ch, dram_cyc - u64::from(fired.dram));
+                        self.m
+                            .wake(Class::Chan, ch, dram_cyc - u64::from(fired.dram));
                         // INVARIANT: miss_queue_front() returned Some above.
                         let mut f = self.m.banks[b].pop_miss().expect("peeked");
                         f.time.dram_arrive = now_ps;
@@ -1044,7 +1019,7 @@ impl GpuSim {
                         // The bank sweep already ran: flush the sleeping
                         // bank through tick icnt_cyc so the fill's ready
                         // stamp (bank.now + 1) lands on the next tick.
-                        self.m.wake_bank(bank, icnt_cyc);
+                        self.m.wake(Class::Bank, bank, icnt_cyc);
                         self.m.banks[bank].deliver_fill(f, now_ps);
                     }
                 }
@@ -1079,7 +1054,7 @@ impl GpuSim {
                         );
                         // See the ideal branch above: flush through this
                         // tick before the fill stamps bank.now + 1.
-                        self.m.wake_bank(bank, icnt_cyc);
+                        self.m.wake(Class::Bank, bank, icnt_cyc);
                         self.m.banks[bank].deliver_fill(f, now_ps);
                     }
                 }
@@ -1089,7 +1064,7 @@ impl GpuSim {
         // 7. L2 responses inject into the reply network. A sleeping bank
         //    never has a ready response (that would have kept it awake).
         for b in 0..self.cfg.n_l2_banks {
-            if !self.bank_awake(b) {
+            if !self.m.sched.is_awake(Class::Bank, b) {
                 continue;
             }
             if let Some(resp) = self.m.banks[b].response_ready() {
@@ -1099,7 +1074,7 @@ impl GpuSim {
                     // The net sweep already ran this tick: flush the reply
                     // switch through tick icnt_cyc before it stamps
                     // router latency against its own clock.
-                    self.m.wake_net(REP, icnt_cyc);
+                    self.m.wake(Class::Net, REP, icnt_cyc);
                     // INVARIANT: response_ready() returned Some above.
                     let f = self.m.banks[b].pop_response().expect("ready");
                     // An L2 hit is "serviced" when its response leaves the
@@ -1131,7 +1106,8 @@ impl GpuSim {
                     // The core sweep runs after the icnt phase when this
                     // edge fires it: flush the sleeping core through the
                     // last core tick that already executed.
-                    self.m.wake_core(c, core_cyc - u64::from(fired.core));
+                    self.m
+                        .wake(Class::Core, c, core_cyc - u64::from(fired.core));
                     // INVARIANT: peek_eject() returned Some in the loop guard.
                     let f = self.m.nets[REP].pop_eject(c).expect("peeked");
                     self.audit.returned(&f, now_ps);
@@ -1148,12 +1124,11 @@ impl GpuSim {
 
     // ---- DRAM domain ---------------------------------------------------------
 
-    fn dram_tick(&mut self) {
-        if !matches!(self.cfg.memory_model, MemoryModel::Full) {
-            return;
-        }
+    /// (A sweep of a class the memory model never ticks is a no-op.)
+    fn dram_tick(&mut self, now_ps: Picos) {
         let cyc = self.clocks.domain(DomainId::Dram).cycles();
-        self.m.sweep_channels(cyc);
+        let trace = &mut self.trace;
+        self.m.sweep(Class::Chan, &mut Tick { now_ps, cyc, trace });
     }
 
     // ---- statistics -----------------------------------------------------------

@@ -1,34 +1,69 @@
-//! Conservativeness proptests for every `next_event_bound` implementor.
+//! Conservativeness proptests for every [`Component`] implementor.
 //!
 //! The contract ([`gmh_types::EventBound`]): a component answering
 //! `QuietUntil { bound }` is *inert* on every own-domain tick strictly
 //! below `bound` — apart from the constant per-cycle bookkeeping its bulk
 //! skip hook reproduces. These tests drive each component with random
 //! traffic, and whenever a probe promises a quiet window they fork the
-//! component: one copy lives through the window cycle by cycle, the other
-//! takes the `skip_cycles`/`skip_idle` shortcut. The two must end in
-//! equal observable state (`Debug` covers every field on the derived
-//! impls), which is exactly the property that makes the event-driven run
-//! loop bit-identical to the one-tick oracle.
+//! component: one copy lives through the window tick by tick, the other
+//! takes the `skip_cycles` shortcut. The two must end in equal observable
+//! state (`Debug` covers every field on the derived impls), which is
+//! exactly the property that makes the event-driven run loop bit-identical
+//! to the one-tick oracle.
 
 use gmh_cache::CacheConfig;
 use gmh_core::L2Bank;
 use gmh_dram::{DramChannel, DramConfig};
 use gmh_icnt::Network;
 use gmh_simt::inst::{Inst, InstSource};
-use gmh_simt::{CoreConfig, CoreIdleProbe, SimtCore};
-use gmh_types::{AccessKind, EventBound, LineAddr, MemFetch};
+use gmh_simt::{CoreConfig, SimtCore};
+use gmh_types::trace::TraceSink;
+use gmh_types::{AccessKind, Component, EventBound, LineAddr, MemFetch, Tick};
 use proptest::prelude::*;
+use std::fmt::Debug;
 
 fn load(id: u64, line: u64) -> MemFetch {
     MemFetch::new(id, 0, 0, AccessKind::Load, LineAddr::new(line), 0)
 }
 
-/// The widest in-window skip the probe licenses from tick count `done`:
-/// ticks `done + 1 ..= bound - 1` are promised inert.
-fn window(done: u64, bound: Option<u64>) -> Option<u64> {
-    let b = bound?;
-    (b > done + 1).then(|| b - 1 - done)
+/// Own-domain tick `cyc` (1-based) of a component clocked at 1 GHz.
+fn tick<C: Component>(c: &mut C, cyc: u64) {
+    let (now_ps, trace) = ((cyc - 1) * 1000, &mut TraceSink::disabled());
+    c.tick(&mut Tick { now_ps, cyc, trace });
+}
+
+/// The fork-and-compare step, for two copies of one component in the same
+/// state after `done` ticks (clones of it, or — a core owns a boxed
+/// instruction source and is not `Clone` — twins driven in lock-step).
+/// When the probe promises a window, `lived` ticks through the widest skip
+/// it licenses (ticks `done + 1 ..= bound - 1`), `skipped` takes it in one
+/// `skip_cycles`, and the two must be indistinguishable after it, and
+/// again after the real tick at `bound`. Returns the ticks both advanced.
+fn assert_skip_matches_cycling<C: Component + Debug>(
+    lived: &mut C,
+    skipped: &mut C,
+    done: u64,
+) -> u64 {
+    let probe = lived.next_event_bound();
+    assert_eq!(probe, skipped.next_event_bound(), "twins agree");
+    let EventBound::QuietUntil { bound } = probe else {
+        return 0;
+    };
+    // Waiting on external input alone licenses a window of any width.
+    let bound = bound.unwrap_or(done + 6);
+    if bound <= done + 1 {
+        return 0;
+    }
+    for cyc in done + 1..bound {
+        tick(lived, cyc);
+    }
+    skipped.skip_cycles(bound - 1 - done);
+    assert_eq!(format!("{lived:?}"), format!("{skipped:?}"));
+    // The wake tick: both copies must act identically on it.
+    tick(lived, bound);
+    tick(skipped, bound);
+    assert_eq!(format!("{lived:?}"), format!("{skipped:?}"));
+    bound - done
 }
 
 proptest! {
@@ -46,26 +81,10 @@ proptest! {
         for (i, (src, dst, bytes)) in pkts.iter().enumerate() {
             let _ = net.inject(*src, *dst, load(i as u64, i as u64), *bytes);
             for _ in 0..pre {
-                net.cycle();
                 now += 1;
+                tick(&mut net, now);
             }
-            let EventBound::QuietUntil { bound } = net.next_event_bound() else {
-                continue;
-            };
-            let Some(k) = window(now, bound) else { continue };
-            let mut lived = net.clone();
-            let mut skipped = net.clone();
-            for _ in 0..k {
-                lived.cycle();
-            }
-            skipped.skip_cycles(k);
-            // One real cycle at tick `bound` normalizes the per-cycle
-            // arbitration scratch (overwritten before use, so it carries
-            // no state across cycles) and checks both copies act
-            // identically at the wake tick.
-            lived.cycle();
-            skipped.cycle();
-            prop_assert_eq!(format!("{lived:?}"), format!("{skipped:?}"));
+            assert_skip_matches_cycling(&mut net.clone(), &mut net.clone(), now);
             // Drain the ejection side so buffers keep turning over.
             for d in 0..3 {
                 let _ = net.pop_eject(d);
@@ -90,26 +109,17 @@ proptest! {
                 ch.push(f, now).unwrap();
             }
             for _ in 0..pre {
-                ch.cycle(now);
                 now += 1;
+                tick(&mut ch, now);
                 let _ = ch.pop_response();
             }
-            let EventBound::QuietUntil { bound } = ch.next_event_bound(now) else {
-                continue;
-            };
-            let Some(k) = window(now, bound) else { continue };
-            let mut lived = ch.clone();
-            let mut skipped = ch.clone();
-            for j in 0..k {
-                lived.cycle(now + j);
-            }
-            skipped.skip_cycles(k, now);
-            prop_assert_eq!(format!("{lived:?}"), format!("{skipped:?}"));
+            assert_skip_matches_cycling(&mut ch.clone(), &mut ch.clone(), now);
         }
     }
 
     /// L2 bank: quiet windows open while a parked response waits for its
-    /// pipeline-release cycle.
+    /// pipeline-release cycle, and while the bank waits for input. An ideal
+    /// DRAM fills every miss at once, so repeated lines hit.
     #[test]
     fn l2bank_quiet_window_matches_cycling(
         lines in prop::collection::vec(0u64..64, 1..12),
@@ -121,20 +131,17 @@ proptest! {
         for (i, l) in lines.iter().enumerate() {
             let _ = bank.push_access(load(i as u64, *l));
             for _ in 0..(pre + 1) {
-                bank.cycle(now * 1000);
                 now += 1;
+                tick(&mut bank, now);
             }
-            let EventBound::QuietUntil { bound } = bank.next_event_bound() else {
-                continue;
-            };
-            let Some(k) = window(now, bound) else { continue };
-            let mut lived = bank.clone();
-            let mut skipped = bank.clone();
-            for j in 0..k {
-                lived.cycle((now + j) * 1000);
+            while let Some(line) = bank.miss_queue_front().map(|f| f.line) {
+                if bank.response_free() < bank.fill_response_needs(line) {
+                    break;
+                }
+                let f = bank.pop_miss().expect("peeked");
+                bank.deliver_fill(f, now * 1000);
             }
-            skipped.skip_cycles(k);
-            prop_assert_eq!(format!("{lived:?}"), format!("{skipped:?}"));
+            assert_skip_matches_cycling(&mut bank.clone(), &mut bank.clone(), now);
             let _ = bank.pop_response();
         }
     }
@@ -173,14 +180,11 @@ fn serve_imisses(core: &mut SimtCore) {
 }
 
 proptest! {
-    /// SIMT core: living through an ALU-dependence window equals
-    /// `skip_idle` over it — clock, issue counts, and the per-cycle stall
-    /// attribution all match (`skip_idle` replays the stall class the
-    /// probe captured). Cores are not `Clone` (they own a boxed
-    /// instruction source), so two identically-constructed cores are
-    /// driven in lock-step instead of forked.
+    /// SIMT core: living through an ALU-dependence window equals skipping
+    /// it — clock, issue counts, and the per-cycle stall attribution all
+    /// match (the skip hook replays the window's own stall class).
     #[test]
-    fn core_quiet_window_matches_skip_idle(
+    fn core_quiet_window_matches_cycling(
         latency in 2u32..120,
         insts in 2u64..12,
         drive in 1u64..5,
@@ -204,28 +208,19 @@ proptest! {
                 break;
             }
             for _ in 0..drive {
-                lived.cycle(now * 714);
-                skipped.cycle(now * 714);
                 now += 1;
+                tick(&mut lived, now);
+                tick(&mut skipped, now);
                 serve_imisses(&mut lived);
                 serve_imisses(&mut skipped);
             }
-            let probe = lived.next_event_bound();
-            let CoreIdleProbe::Quiet { bound, stall } = probe else {
-                continue;
-            };
-            prop_assert_eq!(probe, skipped.next_event_bound(), "lock-step cores agree");
-            let Some(k) = window(now, bound) else { continue };
-            for j in 0..k {
-                lived.cycle((now + j) * 714);
-            }
-            skipped.skip_idle(k, stall);
-            now += k;
-            prop_assert_eq!(format!("{lived:?}"), format!("{skipped:?}"));
+            now += assert_skip_matches_cycling(&mut lived, &mut skipped, now);
             prop_assert_eq!(
                 format!("{:?}", lived.stats()),
                 format!("{:?}", skipped.stats())
             );
+            serve_imisses(&mut lived);
+            serve_imisses(&mut skipped);
         }
     }
 }

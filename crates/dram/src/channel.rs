@@ -3,7 +3,8 @@
 use crate::bank::BankState;
 use crate::timing::DramTiming;
 use gmh_types::{
-    BoundedQueue, Cycle, EventBound, LineAddr, MemFetch, OccupancyHistogram, RatioStat, Scratch,
+    BoundedQueue, Component, Cycle, EventBound, LineAddr, MemFetch, OccupancyHistogram, RatioStat,
+    Scratch, Tick,
 };
 
 /// Command-scheduling policy of the controller.
@@ -150,6 +151,9 @@ pub struct DramChannel {
     /// the only inputs of the scan, besides the clock, that move while no
     /// command issues.
     next_cmd_at: Scratch<Cycle>,
+    /// The cycle the most recent [`DramChannel::cycle`] call saw (the next
+    /// one sees `now + 1`); what the [`Component`] probe measures against.
+    now: Cycle,
     stats: DramStats,
 }
 
@@ -177,6 +181,7 @@ impl DramChannel {
             read_allowed_at: 0,
             transfer: (gmh_types::LINE_SIZE as Cycle).div_ceil(cfg.bus_bytes_per_cycle as Cycle),
             next_cmd_at: Scratch(0),
+            now: 0,
             stats: DramStats::default(),
             id,
             cfg,
@@ -303,7 +308,7 @@ impl DramChannel {
     /// behind the fixed off-chip latency (and every burst unfinished), the
     /// command chooser deterministically picks nothing — only the constant
     /// per-cycle occupancy sample and efficiency denominator advance, which
-    /// [`DramChannel::skip_cycles`] replays in bulk.
+    /// the [`Component::skip_cycles`] hook replays in bulk.
     pub fn next_event_bound(&self, now: Cycle) -> EventBound {
         if !self.response.is_empty() {
             return EventBound::Busy;
@@ -324,21 +329,9 @@ impl DramChannel {
         EventBound::quiet_until(earliest)
     }
 
-    /// Applies `k` quiescent cycles in one step: exactly what `k` calls of
-    /// [`DramChannel::cycle`] would do from a state where
-    /// [`DramChannel::next_event_bound`] returned quiet — sample the frozen
-    /// scheduler-queue occupancy and count the pending-work cycles into the
-    /// bandwidth-efficiency denominator.
-    pub fn skip_cycles(&mut self, k: u64, now: Cycle) {
-        debug_assert!(!matches!(self.next_event_bound(now), EventBound::Busy));
-        self.queue.sample_occupancy_n(k);
-        if !self.queue.is_empty() || !self.in_flight.is_empty() {
-            self.stats.efficiency.add(0, k);
-        }
-    }
-
     /// Advances the channel by one command-clock cycle.
     pub fn cycle(&mut self, now: Cycle) {
+        self.now = now;
         self.queue.sample_occupancy();
 
         // Deliver finished reads to the response queue (space was reserved
@@ -489,6 +482,31 @@ impl DramChannel {
                 self.banks[bank].precharge(now, &t);
                 self.stats.precharges += 1;
             }
+        }
+    }
+}
+
+impl Component for DramChannel {
+    /// Never active: the probe early-outs `Busy` on the first visible queue
+    /// entry, so asking every cycle is cheap on the saturated path.
+    #[inline]
+    fn tick(&mut self, cx: &mut Tick<'_>) -> bool {
+        self.cycle(cx.cyc);
+        false
+    }
+
+    fn next_event_bound(&self) -> EventBound {
+        DramChannel::next_event_bound(self, self.now)
+    }
+
+    /// Samples the frozen scheduler-queue occupancy and counts the
+    /// pending-work cycles into the bandwidth-efficiency denominator.
+    fn skip_cycles(&mut self, n: u64) {
+        debug_assert!(!matches!(self.next_event_bound(self.now), EventBound::Busy));
+        self.now += n;
+        self.queue.sample_occupancy_n(n);
+        if !self.queue.is_empty() || !self.in_flight.is_empty() {
+            self.stats.efficiency.add(0, n);
         }
     }
 }

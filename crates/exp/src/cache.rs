@@ -28,14 +28,16 @@
 //!
 //! One file per entry, `<dir>/<016x key>.json`, written via a temp file and
 //! atomic rename so a crashed writer can never leave a torn entry. A
-//! human-readable `index.tsv` (`key \t workload \t label \t seed`) is
-//! rebuilt from an in-memory ledger by [`DiskCache::flush_index`]; the
+//! human-readable `index.tsv` (`key \t workload \t label \t seed`, ascending
+//! by key) is brought up to date by [`DiskCache::flush_index`], which merges
+//! this handle's in-memory ledger into the rows earlier processes left; the
 //! daemon flushes it on graceful shutdown.
 
 use crate::export::report_json;
 use gmh_core::{GpuConfig, GpuSim, SimStats};
 use gmh_types::hash::StableHasher;
 use gmh_workloads::WorkloadSpec;
+use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -76,20 +78,12 @@ fn canonical_cfg(cfg: &GpuConfig) -> GpuConfig {
     c
 }
 
-/// One remembered entry, for the human-readable index.
-#[derive(Clone, Debug)]
-struct IndexEntry {
-    key: u64,
-    workload: String,
-    label: String,
-    seed: u64,
-}
-
 /// A content-addressed result cache rooted at one directory.
 #[derive(Debug)]
 pub struct DiskCache {
     dir: PathBuf,
-    ledger: Mutex<Vec<IndexEntry>>,
+    /// `(key, index row)` of every entry stored through this handle.
+    ledger: Mutex<Vec<(u64, String)>>,
 }
 
 impl DiskCache {
@@ -139,37 +133,39 @@ impl DiskCache {
         let tmp = self.dir.join(format!("{key:016x}.tmp"));
         std::fs::write(&tmp, json)?;
         std::fs::rename(&tmp, self.entry_path(key))?;
-        // INVARIANT: the ledger mutex is only held for push/clone below and
+        let row = format!("{key:016x}\t{}\t{label}\t{:#x}", wl.name, wl.seed);
+        // INVARIANT: the ledger mutex is only held for push/extend/len and
         // no panic can occur while it is held, so it is never poisoned.
-        self.ledger.lock().expect("ledger lock").push(IndexEntry {
-            key,
-            workload: wl.name.to_string(),
-            label: label.to_string(),
-            seed: wl.seed,
-        });
+        self.ledger.lock().expect("ledger lock").push((key, row));
         Ok(())
     }
 
-    /// Writes `index.tsv` (one `key \t workload \t label \t seed` row per
-    /// entry stored through this handle). Called by the daemon on graceful
+    /// Merges the entries stored through this handle into `index.tsv` (one
+    /// `key \t workload \t label \t seed` row per entry, ascending by key):
+    /// the rows already on disk — other processes share the directory — are
+    /// kept, except malformed ones. Called by the daemon on graceful
     /// shutdown.
     ///
     /// # Errors
     ///
     /// Propagates the filesystem error from writing the index.
     pub fn flush_index(&self) -> io::Result<()> {
+        let path = self.dir.join("index.tsv");
+        let mut rows: BTreeMap<u64, String> = std::fs::read_to_string(&path)
+            .unwrap_or_default()
+            .lines()
+            .filter_map(|row| Some((parse_index_row(row)?, row.to_string())))
+            .collect();
         // INVARIANT: see `put` — the ledger mutex cannot be poisoned.
-        let entries = self.ledger.lock().expect("ledger lock").clone();
+        rows.extend(self.ledger.lock().expect("ledger lock").iter().cloned());
         let mut out = String::from("key\tworkload\tlabel\tseed\n");
-        for e in &entries {
-            out.push_str(&format!(
-                "{:016x}\t{}\t{}\t{:#x}\n",
-                e.key, e.workload, e.label, e.seed
-            ));
+        for row in rows.values() {
+            out.push_str(row);
+            out.push('\n');
         }
         let tmp = self.dir.join("index.tsv.tmp");
         std::fs::write(&tmp, out)?;
-        std::fs::rename(tmp, self.dir.join("index.tsv"))
+        std::fs::rename(tmp, path)
     }
 
     /// Number of entries stored through this handle (not the on-disk total).
@@ -177,6 +173,21 @@ impl DiskCache {
         // INVARIANT: see `put` — the ledger mutex cannot be poisoned.
         self.ledger.lock().expect("ledger lock").len()
     }
+}
+
+/// The key of a well-formed `index.tsv` row: four tab-separated fields, a
+/// 16-digit hex key first and a `0x` hex seed last. The header, and anything
+/// a crashed or foreign writer left, is `None`.
+fn parse_index_row(row: &str) -> Option<u64> {
+    let fields: Vec<&str> = row.split('\t').collect();
+    let [key, _workload, _label, seed] = fields[..] else {
+        return None;
+    };
+    u64::from_str_radix(seed.strip_prefix("0x")?, 16).ok()?;
+    if key.len() != 16 || !key.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return None;
+    }
+    u64::from_str_radix(key, 16).ok()
 }
 
 /// The result of a cache-aware run: the report JSON always, the in-memory
@@ -340,6 +351,34 @@ mod tests {
         let idx = std::fs::read_to_string(cache.dir().join("index.tsv")).unwrap();
         assert!(idx.contains("nn\tbase"), "index:\n{idx}");
         std::fs::remove_dir_all(cache.dir()).ok();
+    }
+
+    #[test]
+    fn index_flush_keeps_what_other_handles_wrote() {
+        // Two processes sharing one directory (`fig10` then `fig12`, or a
+        // restarted daemon): the second flush must not forget the first.
+        let first = tmp_cache("index_merge");
+        let second = DiskCache::open(first.dir()).unwrap();
+        let (cfg, wl) = tiny();
+        run_cached(&first, "base", &cfg, &wl).unwrap();
+        first.flush_index().unwrap();
+        run_cached(&second, "l2x4", &cfg, &wl).unwrap();
+        let index = first.dir().join("index.tsv");
+        let torn = std::fs::read_to_string(&index).unwrap() + "not-a-key\tnn\tx\t0x1\ngarbage\n";
+        std::fs::write(&index, torn).unwrap();
+        second.flush_index().unwrap();
+        // Re-flushing the first handle's (already listed) entry adds nothing.
+        first.flush_index().unwrap();
+        let idx = std::fs::read_to_string(&index).unwrap();
+        let mut keys = [job_key("base", &cfg, &wl), job_key("l2x4", &cfg, &wl)];
+        keys.sort_unstable();
+        let rows: Vec<&str> = idx.lines().collect();
+        assert_eq!(rows.len(), 3, "header + one row per entry:\n{idx}");
+        assert_eq!(rows[0], "key\tworkload\tlabel\tseed");
+        for (row, key) in rows[1..].iter().zip(keys) {
+            assert!(row.starts_with(&format!("{key:016x}\tnn\t")), "{idx}");
+        }
+        std::fs::remove_dir_all(first.dir()).ok();
     }
 
     #[test]

@@ -10,12 +10,11 @@
 //! simulations.
 
 use crate::cache::{run_cached, CachedRun, DiskCache};
-use crate::runner::threads;
+use crate::runner::par_map;
 use gmh_core::GpuConfig;
 use gmh_workloads::WorkloadSpec;
 use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
 
 /// One labeled point of the design space.
 ///
@@ -109,38 +108,10 @@ impl<'a> Evaluator<'a> {
     /// Returns the first evaluation error in job order, after all workers
     /// have drained.
     pub fn eval_batch(&self, jobs: &[(&Candidate, &WorkloadSpec)]) -> io::Result<Vec<CachedRun>> {
-        let n = jobs.len();
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        let queue = Mutex::new(jobs.iter().enumerate());
-        let (tx, rx) = mpsc::channel::<(usize, io::Result<CachedRun>)>();
-        std::thread::scope(|s| {
-            for _ in 0..threads().min(n) {
-                let tx = tx.clone();
-                let queue = &queue;
-                s.spawn(move || loop {
-                    // INVARIANT: worker closures never panic while holding
-                    // the lock (next() on an enumerate iterator is total).
-                    let Some((idx, (cand, wl))) = queue.lock().expect("job queue lock").next()
-                    else {
-                        break;
-                    };
-                    let run = self.eval(cand, wl);
-                    tx.send((idx, run)).expect("receiver outlives workers");
-                });
-            }
-            drop(tx); // workers hold the remaining senders
-            let mut results: Vec<Option<io::Result<CachedRun>>> = (0..n).map(|_| None).collect();
-            for (idx, run) in rx {
-                results[idx] = Some(run);
-            }
-            results
-                .into_iter()
-                // INVARIANT: every index was sent exactly once above.
-                .map(|r| r.expect("every job ran"))
-                .collect()
-        })
+        // Collecting stops at the first error in job order; by then every
+        // worker has drained.
+        let runs = par_map(jobs.to_vec(), |(cand, wl)| self.eval(cand, wl));
+        runs.into_iter().collect()
     }
 }
 

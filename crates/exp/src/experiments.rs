@@ -632,13 +632,61 @@ pub fn fig10_configs() -> Vec<(&'static str, GpuConfig)> {
     ]
 }
 
+const FIG10_TITLE: &str = "== Fig. 10: IPC with 4x bandwidth scaling (normalized to baseline) ==";
+const FIG10_PAPER: &str = "(paper AVG: 1.04 / 1.59 / 1.11 / 1.69 / 1.76 / 1.90)";
+
 /// Fig. 10: IPC (normalized to baseline) under 4× scaling of L1 / L2 /
 /// DRAM and their combinations.
 ///
 /// Paper averages: L1 +4%, L2 +59%, DRAM +11%, L1+L2 +69%, L2+DRAM +76%,
 /// All +90%.
 pub fn fig10(baselines: &Baselines) -> String {
-    let configs = fig10_configs();
+    fig_table(baselines, FIG10_TITLE, &fig10_configs(), FIG10_PAPER)
+}
+
+/// Renders a Fig. 10/12-style speedup table: one row per workload of
+/// `specs`, one column per config holding `ratio(workload_idx,
+/// config_idx)`, and the column means beside the paper's.
+fn speedup_table(
+    title: &str,
+    specs: &[WorkloadSpec],
+    configs: &[(&'static str, GpuConfig)],
+    paper_footer: &str,
+    ratio: impl Fn(usize, usize) -> f64,
+) -> String {
+    let mut s = String::new();
+    writeln!(s, "{title}").unwrap();
+    write!(s, "{:<11}", "bench").unwrap();
+    for (label, _) in configs {
+        write!(s, " {label:>8}").unwrap();
+    }
+    writeln!(s).unwrap();
+    let mut sums = vec![0.0; configs.len()];
+    for (wi, w) in specs.iter().enumerate() {
+        write!(s, "{:<11}", w.name).unwrap();
+        for (ci, sum) in sums.iter_mut().enumerate() {
+            let sp = ratio(wi, ci);
+            *sum += sp;
+            write!(s, " {sp:>8.2}").unwrap();
+        }
+        writeln!(s).unwrap();
+    }
+    write!(s, "{:<11}", "AVG").unwrap();
+    for sum in &sums {
+        write!(s, " {:>8.2}", sum / specs.len() as f64).unwrap();
+    }
+    writeln!(s, "   {paper_footer}").unwrap();
+    s
+}
+
+/// Simulates every workload under every config (uncached) and tabulates
+/// the speedups over `baselines`.
+fn fig_table(
+    baselines: &Baselines,
+    title: &str,
+    configs: &[(&'static str, GpuConfig)],
+    paper_footer: &str,
+) -> String {
     let specs = specs_in_fig_order();
     let jobs: Vec<Job> = specs
         .iter()
@@ -649,34 +697,10 @@ pub fn fig10(baselines: &Baselines) -> String {
         })
         .collect();
     let out = run_jobs(jobs);
-    let mut s = String::new();
-    writeln!(
-        s,
-        "== Fig. 10: IPC with 4x bandwidth scaling (normalized to baseline) =="
-    )
-    .unwrap();
-    write!(s, "{:<11}", "bench").unwrap();
-    for (label, _) in &configs {
-        write!(s, " {label:>8}").unwrap();
-    }
-    writeln!(s).unwrap();
-    let mut sums = vec![0.0; configs.len()];
-    for (wi, w) in specs.iter().enumerate() {
-        let base = baselines.get(w.name).expect("baseline ran");
-        write!(s, "{:<11}", w.name).unwrap();
-        for (ci, _) in configs.iter().enumerate() {
-            let sp = out[wi * configs.len() + ci].stats.speedup_over(base);
-            sums[ci] += sp;
-            write!(s, " {sp:>8.2}").unwrap();
-        }
-        writeln!(s).unwrap();
-    }
-    write!(s, "{:<11}", "AVG").unwrap();
-    for sum in &sums {
-        write!(s, " {:>8.2}", sum / specs.len() as f64).unwrap();
-    }
-    writeln!(s, "   (paper AVG: 1.04 / 1.59 / 1.11 / 1.69 / 1.76 / 1.90)").unwrap();
-    s
+    speedup_table(title, &specs, configs, paper_footer, |wi, ci| {
+        let base = baselines.get(specs[wi].name).expect("baseline ran");
+        out[wi * configs.len() + ci].stats.speedup_over(base)
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -747,49 +771,14 @@ pub fn fig12_configs() -> Vec<(&'static str, GpuConfig)> {
     ]
 }
 
+const FIG12_TITLE: &str = "== Fig. 12: Cost-effective configurations (normalized to baseline) ==";
+const FIG12_PAPER: &str = "(paper AVG: 1.234 / 1.29 / 1.257 / 1.11)";
+
 /// Fig. 12: the cost-effective configurations vs. HBM.
 ///
 /// Paper averages: 16+48 +23.4%, 16+68 +29%, 32+52 +25.7%, HBM +11%.
 pub fn fig12(baselines: &Baselines) -> String {
-    let configs = fig12_configs();
-    let specs = specs_in_fig_order();
-    let jobs: Vec<Job> = specs
-        .iter()
-        .flat_map(|w| {
-            configs
-                .iter()
-                .map(|(label, cfg)| Job::new(w.clone(), *label, cfg.clone()))
-        })
-        .collect();
-    let out = run_jobs(jobs);
-    let mut s = String::new();
-    writeln!(
-        s,
-        "== Fig. 12: Cost-effective configurations (normalized to baseline) =="
-    )
-    .unwrap();
-    write!(s, "{:<11}", "bench").unwrap();
-    for (label, _) in &configs {
-        write!(s, " {label:>8}").unwrap();
-    }
-    writeln!(s).unwrap();
-    let mut sums = vec![0.0; configs.len()];
-    for (wi, w) in specs.iter().enumerate() {
-        let base = baselines.get(w.name).expect("baseline ran");
-        write!(s, "{:<11}", w.name).unwrap();
-        for (ci, _) in configs.iter().enumerate() {
-            let sp = out[wi * configs.len() + ci].stats.speedup_over(base);
-            sums[ci] += sp;
-            write!(s, " {sp:>8.2}").unwrap();
-        }
-        writeln!(s).unwrap();
-    }
-    write!(s, "{:<11}", "AVG").unwrap();
-    for sum in &sums {
-        write!(s, " {:>8.2}", sum / specs.len() as f64).unwrap();
-    }
-    writeln!(s, "   (paper AVG: 1.234 / 1.29 / 1.257 / 1.11)").unwrap();
-    s
+    fig_table(baselines, FIG12_TITLE, &fig12_configs(), FIG12_PAPER)
 }
 
 /// Renders a Fig. 10/12-style speedup table through the shared result
@@ -825,29 +814,9 @@ pub fn fig_table_cached(
         .collect();
     let runs = ev.eval_batch(&jobs)?;
     let ipc = |i: usize| runs[i].metric("ipc").unwrap_or(f64::NAN);
-    let mut s = String::new();
-    writeln!(s, "{title}").unwrap();
-    write!(s, "{:<11}", "bench").unwrap();
-    for (label, _) in configs {
-        write!(s, " {label:>8}").unwrap();
-    }
-    writeln!(s).unwrap();
-    let mut sums = vec![0.0; configs.len()];
-    for (wi, w) in specs.iter().enumerate() {
-        let base_ipc = ipc(wi * row);
-        write!(s, "{:<11}", w.name).unwrap();
-        for (ci, sum) in sums.iter_mut().enumerate() {
-            let sp = ipc(wi * row + 1 + ci) / base_ipc;
-            *sum += sp;
-            write!(s, " {sp:>8.2}").unwrap();
-        }
-        writeln!(s).unwrap();
-    }
-    write!(s, "{:<11}", "AVG").unwrap();
-    for sum in &sums {
-        write!(s, " {:>8.2}", sum / specs.len() as f64).unwrap();
-    }
-    writeln!(s, "   {paper_footer}").unwrap();
+    let s = speedup_table(title, &specs, configs, paper_footer, |wi, ci| {
+        ipc(wi * row + 1 + ci) / ipc(wi * row)
+    });
     cache.flush_index()?;
     Ok((s, ev.sims()))
 }
@@ -858,12 +827,7 @@ pub fn fig_table_cached(
 ///
 /// Propagates cache I/O errors from candidate evaluation.
 pub fn fig10_cached(cache: &crate::cache::DiskCache) -> std::io::Result<(String, usize)> {
-    fig_table_cached(
-        cache,
-        "== Fig. 10: IPC with 4x bandwidth scaling (normalized to baseline) ==",
-        &fig10_configs(),
-        "(paper AVG: 1.04 / 1.59 / 1.11 / 1.69 / 1.76 / 1.90)",
-    )
+    fig_table_cached(cache, FIG10_TITLE, &fig10_configs(), FIG10_PAPER)
 }
 
 /// Cache-backed Fig. 12 (see [`fig_table_cached`]).
@@ -872,12 +836,7 @@ pub fn fig10_cached(cache: &crate::cache::DiskCache) -> std::io::Result<(String,
 ///
 /// Propagates cache I/O errors from candidate evaluation.
 pub fn fig12_cached(cache: &crate::cache::DiskCache) -> std::io::Result<(String, usize)> {
-    fig_table_cached(
-        cache,
-        "== Fig. 12: Cost-effective configurations (normalized to baseline) ==",
-        &fig12_configs(),
-        "(paper AVG: 1.234 / 1.29 / 1.257 / 1.11)",
-    )
+    fig_table_cached(cache, FIG12_TITLE, &fig12_configs(), FIG12_PAPER)
 }
 
 /// Table III: baseline, 4×-scaled and cost-effective parameter values,

@@ -60,44 +60,45 @@ fn threads_from(var: Option<&str>) -> usize {
         })
 }
 
-/// Runs all jobs across worker threads; results come back in job order.
+/// Maps `f` over `items` on up to [`threads`] scoped workers; results come
+/// back in item order.
 ///
-/// Work distribution stays dynamic (a shared job iterator), but completions
+/// Work distribution is dynamic (a shared item iterator), and completions
 /// flow back over a per-worker channel sender instead of a shared results
-/// mutex, so finishing a job never contends with other workers.
-pub fn run_jobs(jobs: Vec<Job>) -> Vec<RunOutcome> {
-    let n = jobs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let queue = Mutex::new(jobs.into_iter().enumerate());
-    let (tx, rx) = mpsc::channel::<(usize, RunOutcome)>();
+/// mutex, so finishing an item never contends with other workers.
+pub(crate) fn par_map<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+    let n = items.len();
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let (tx, rx) = mpsc::channel::<(usize, R)>();
     std::thread::scope(|s| {
         for _ in 0..threads().min(n) {
-            let tx = tx.clone();
-            let queue = &queue;
+            let (tx, queue, f) = (tx.clone(), &queue, &f);
             s.spawn(move || loop {
-                let Some((idx, job)) = queue.lock().expect("queue lock").next() else {
+                // INVARIANT: no worker panics while holding the lock
+                // (next() on an enumerate iterator is total).
+                let Some((idx, item)) = queue.lock().expect("queue lock").next() else {
                     break;
                 };
-                let stats = GpuSim::new(job.config, &job.workload).run();
-                let outcome = RunOutcome {
-                    workload: job.workload.name.to_string(),
-                    label: job.label,
-                    stats,
-                };
-                tx.send((idx, outcome)).expect("receiver outlives workers");
+                tx.send((idx, f(item))).expect("receiver outlives workers");
             });
         }
         drop(tx); // workers hold the remaining senders
-        let mut results: Vec<Option<RunOutcome>> = (0..n).map(|_| None).collect();
-        for (idx, outcome) in rx {
-            results[idx] = Some(outcome);
+        let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
+        for (idx, r) in rx {
+            results[idx] = Some(r);
         }
-        results
-            .into_iter()
-            .map(|r| r.expect("every job ran"))
-            .collect()
+        // INVARIANT: every index was sent exactly once above.
+        let ran = |r: Option<R>| r.expect("every item ran");
+        results.into_iter().map(ran).collect()
+    })
+}
+
+/// Runs all jobs across worker threads; results come back in job order.
+pub fn run_jobs(jobs: Vec<Job>) -> Vec<RunOutcome> {
+    par_map(jobs, |job| RunOutcome {
+        workload: job.workload.name.to_string(),
+        stats: GpuSim::new(job.config, &job.workload).run(),
+        label: job.label,
     })
 }
 

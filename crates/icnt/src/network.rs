@@ -9,7 +9,7 @@
 //! buffers — and from there to the L1 miss queues / L2 response queues.
 
 use gmh_types::queue::BoundedQueue;
-use gmh_types::{Counter, Cycle, EventBound, MemFetch};
+use gmh_types::{Component, Counter, Cycle, EventBound, MemFetch, Scratch, Tick};
 
 #[derive(Clone, Debug)]
 struct Packet {
@@ -57,8 +57,9 @@ pub struct Network {
     now: Cycle,
     stats: NetworkStats,
     /// Per-cycle "input already sent a flit" scratch, hoisted out of
-    /// [`Network::cycle`] so the hot loop never allocates.
-    input_used: Vec<bool>,
+    /// [`Network::cycle`] so the hot loop never allocates. Overwritten
+    /// before use, so it carries no state across cycles.
+    input_used: Scratch<Vec<bool>>,
     /// Per-destination scratch lists of sources whose head packet is
     /// eligible this cycle, in ascending source order (reused; only the
     /// destinations in `active_dsts` are populated and cleared).
@@ -142,7 +143,7 @@ impl Network {
             output_speedup,
             now: 0,
             stats: NetworkStats::default(),
-            input_used: vec![false; n_src],
+            input_used: Scratch(vec![false; n_src]),
             dst_members: vec![Vec::new(); n_dst],
             active_dsts: Vec::with_capacity(n_dst),
             buffered_total: 0,
@@ -274,7 +275,7 @@ impl Network {
             // no head, move nothing and charge nothing. Exact early-out.
             return false;
         }
-        self.input_used.fill(false);
+        self.input_used.0.fill(false);
         let mut any_moved = false;
 
         // Index this cycle's eligible heads (past their router latency) by
@@ -310,7 +311,7 @@ impl Network {
                         if (src >= start) != (round == 0) {
                             continue;
                         }
-                        if self.input_used[src] {
+                        if self.input_used.0[src] {
                             continue;
                         }
                         // INVARIANT: bucket membership implies a present head
@@ -326,7 +327,7 @@ impl Network {
                     }
                 }
                 let Some(src) = granted else { break };
-                self.input_used[src] = true;
+                self.input_used.0[src] = true;
                 any_moved = true;
                 self.rr[dst] = (src + 1) % self.n_src;
                 // INVARIANT: the grant loop selected src from non-empty inputs.
@@ -379,9 +380,9 @@ impl Network {
     /// head still sits in its router pipeline (`ready_at >= now`), and a
     /// head becomes eligible only on the cycle *after* `ready_at`.
     ///
-    /// Ejection backlogs do not factor in here: draining them is the
-    /// caller's per-cycle work, so the caller must treat a non-empty
-    /// backlog as busy on its own.
+    /// Ejection backlogs do not factor in here: draining them is the run
+    /// loop's per-cycle work, which the [`Component::tick`] activity answer
+    /// accounts for.
     pub fn next_event_bound(&self) -> EventBound {
         if self.buffered_total == 0 {
             return EventBound::quiet_external();
@@ -397,17 +398,28 @@ impl Network {
         }
         EventBound::quiet_until(earliest)
     }
+}
 
-    /// Applies `k` quiescent cycles in one step: exactly what `k` calls of
-    /// [`Network::cycle`] would do from a state where
-    /// [`Network::next_event_bound`] promised no movement — advance the
-    /// clock, and charge a blocked cycle per tick while packets wait in
-    /// the router pipeline.
-    pub fn skip_cycles(&mut self, k: u64) {
+impl Component for Network {
+    /// A moving switch is active, and so is one with a parked ejection
+    /// backlog: the run loop re-offers the backlog every tick, which the
+    /// switch's own bound does not cover.
+    #[inline]
+    fn tick(&mut self, _cx: &mut Tick<'_>) -> bool {
+        self.cycle() || self.backlog_total > 0
+    }
+
+    fn next_event_bound(&self) -> EventBound {
+        Network::next_event_bound(self)
+    }
+
+    /// Advances the clock, and charges a blocked cycle per tick while
+    /// packets wait in the router pipeline.
+    fn skip_cycles(&mut self, n: u64) {
         debug_assert!(!matches!(self.next_event_bound(), EventBound::Busy));
-        self.now += k;
+        self.now += n;
         if self.buffered_total > 0 {
-            self.stats.blocked_cycles.add(k);
+            self.stats.blocked_cycles.add(n);
         }
     }
 }

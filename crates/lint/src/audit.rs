@@ -16,13 +16,11 @@
 //! registered stall variant or bumps a stall counter.
 
 use crate::config::LintConfig;
+use crate::rules;
 use crate::source::SourceFile;
 use crate::Finding;
 
 pub const RULE: &str = "AUDIT";
-
-/// Rule ids an inline directive may name.
-const KNOWN_RULES: &[&str] = &["R1", "R2", "R3", "R4", "R5", "R6", "R8"];
 
 /// Audits every suppression against the unfiltered findings `raw`.
 pub fn check(cfg: &LintConfig, files: &[SourceFile], raw: &[Finding], out: &mut Vec<Finding>) {
@@ -104,13 +102,13 @@ fn audit_inline_directives(
             {
                 continue;
             }
-            if !KNOWN_RULES.contains(&rule.as_str()) {
+            if !rules::IDS.contains(&rule.as_str()) {
                 out.push(Finding {
                     rule: RULE,
                     path: f.path.clone(),
                     line: d + 1,
                     message: format!("inline directive names unknown rule `{rule}`"),
-                    hint: format!("known rules are {}", KNOWN_RULES.join(", ")),
+                    hint: format!("known rules are {}", rules::IDS.join(", ")),
                 });
                 continue;
             }

@@ -6,7 +6,7 @@
 //! in a fixed priority order, and every fetch flowing through bounded
 //! queues that exert back-pressure. PR 1 added the *runtime* audit
 //! (fetch conservation); this crate is the *static* layer that catches
-//! violations at review time. Eight rules:
+//! violations at review time. Seven rules:
 //!
 //! - **R1 determinism** — no `HashMap`/`HashSet`, wall-clock time,
 //!   unseeded RNG, locks, `thread::spawn` or `static mut` in model crates
@@ -25,15 +25,14 @@
 //!   crates ([`rules::alloc`]);
 //! - **R8 time-unit consistency** — `_ps`/`_cycles`/`_ticks` unit classes
 //!   never mix without a sanctioned `ClockDomains` conversion, and magic
-//!   time literals stay in config files ([`rules::units`]);
-//! - **R9 event-bound completeness** — a model file exposing a
-//!   `next_event_bound` idle probe must implement the matching
-//!   `skip_cycles`/`skip_idle` bulk-replay hook ([`rules::events`]).
+//!   time literals stay in config files ([`rules::units`]).
 //!
 //! (There is no R7: it policed the intra-simulation worker pool, which
 //! is gone; its two pool-independent checks — no `thread::spawn`, no
-//! `static mut` — are R1 bans now. Rule ids are stable, so R8 and R9 keep
-//! theirs.)
+//! `static mut` — are R1 bans now. There is no R9 either: it matched text
+//! to check that a file with a `next_event_bound` probe also had a skip
+//! hook, which `gmh_types::Component` now makes a compile error. Rule ids
+//! are stable, so R8 keeps its.)
 //!
 //! R8 resolves bindings: it runs a per-function dataflow pass
 //! ([`dataflow::FnFlow`] — `let` bindings with their ascribed types and
@@ -66,7 +65,7 @@ pub use source::SourceFile;
 /// One rule violation.
 #[derive(Clone, Debug)]
 pub struct Finding {
-    /// Rule id (`"R1"`..`"R9"`, or `"AUDIT"`).
+    /// Rule id (one of [`rules::IDS`], or `"AUDIT"`).
     pub rule: &'static str,
     /// Repo-relative, `/`-separated path.
     pub path: String,
@@ -109,7 +108,6 @@ pub fn run_raw(cfg: &LintConfig, files: &[SourceFile]) -> Vec<Finding> {
         rules::panics::check(cfg, f, &mut findings);
         rules::alloc::check(cfg, f, &mut findings);
         rules::units::check(cfg, f, &mut findings);
-        rules::events::check(cfg, f, &mut findings);
     }
     rules::stalls::check(cfg, files, &mut findings);
     findings
@@ -226,7 +224,8 @@ pub fn render(findings: &[Finding], files_scanned: usize) -> String {
     }
     if findings.is_empty() {
         out.push_str(&format!(
-            "gmh-lint: clean — {files_scanned} files, 8 rules + suppression audit, 0 findings\n"
+            "gmh-lint: clean — {files_scanned} files, {} rules + suppression audit, 0 findings\n",
+            rules::IDS.len()
         ));
     } else {
         out.push_str(&format!(
@@ -243,7 +242,7 @@ pub fn render(findings: &[Finding], files_scanned: usize) -> String {
 /// a file that has vanished since the scan yields an empty snippet.
 #[must_use]
 pub fn render_json(root: &Path, findings: &[Finding]) -> String {
-    use gmh_serve::json::Json;
+    use gmh_types::json::Json;
     use std::collections::BTreeMap;
 
     let mut cache: BTreeMap<&str, Vec<String>> = BTreeMap::new();

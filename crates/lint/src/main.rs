@@ -2,7 +2,7 @@
 //!
 //! Usage: `cargo run -p gmh-lint -- --workspace [--root PATH] [--json]`
 //!
-//! `--workspace` runs the eight rules plus the suppression audit (the
+//! `--workspace` runs the rules plus the suppression audit (the
 //! audit is the default; `--audit-allows` names it explicitly). `--json`
 //! streams one JSON object per finding to stdout (line-delimited) while
 //! the human rendering goes to stderr, so CI can archive the machine

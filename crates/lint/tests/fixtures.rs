@@ -132,13 +132,15 @@ fn r6_flags_allocation_in_hot_loop_only() {
         include_str!("fixtures/r6_alloc.rs"),
     );
     let findings = run(&base_cfg(), &[f]);
-    // The vec![..] and .collect() inside `cycle` (the justified site and
-    // everything in the cold `reset` stays silent).
+    // The vec![..] and .collect() inside `cycle` and the Vec::new() inside
+    // `tick` (the justified site and everything in the cold `reset` stays
+    // silent).
     assert_eq!(
         rule_lines(&findings),
-        vec![("R6", 11), ("R6", 13)],
+        vec![("R6", 12), ("R6", 14), ("R6", 22)],
         "{findings:#?}"
     );
+    assert!(findings[2].message.contains("`tick`"));
     assert!(findings[0].message.contains("vec![..]"));
     assert!(findings[0].message.contains("`cycle`"));
     assert!(findings[1].message.contains(".collect()"));

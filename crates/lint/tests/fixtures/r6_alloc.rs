@@ -1,6 +1,7 @@
-//! R6 fixture: allocation inside a hot-loop function (a `vec![..]` and a
-//! `.collect()`), an inline-justified site, and the same patterns legal in
-//! a cold function.
+//! R6 fixture: allocation inside hot-loop functions (a `vec![..]` and a
+//! `.collect()` in `cycle`, a `Vec::new()` in a `Component`-style `tick`),
+//! an inline-justified site, and the same patterns legal in a cold
+//! function.
 
 pub struct Switch {
     grants: Vec<bool>,
@@ -15,6 +16,11 @@ impl Switch {
         // lint: allow(R6): one-shot drain path, runs at most once per run.
         let justified = vec![0u8; 4];
         let _ = justified;
+    }
+
+    pub fn tick(&mut self) -> bool {
+        self.grants = Vec::new();
+        false
     }
 
     pub fn reset(&mut self) {

@@ -33,12 +33,14 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod json;
 pub mod metrics;
 pub mod protocol;
 pub mod server;
 
 pub use client::Client;
+/// The strict JSON parser the wire protocol reads requests with (it lives
+/// in `gmh-types`, where the tools that only parse JSON find it too).
+pub use gmh_types::json;
 pub use metrics::Metrics;
 pub use protocol::{JobRequest, Reply, Request, MAX_LINE_BYTES};
 pub use server::{spawn, ServerConfig, ServerHandle};

@@ -10,32 +10,13 @@ use gmh_cache::{
 };
 use gmh_types::trace::{Level, TraceEventKind, TraceSink};
 use gmh_types::{
-    AccessKind, BoundedQueue, Cycle, FetchId, LatencyHistogram, LineAddr, MeanAccumulator,
-    MemFetch, Picos,
+    AccessKind, BoundedQueue, Component, Cycle, EventBound, FetchId, LatencyHistogram, LineAddr,
+    MeanAccumulator, MemFetch, Picos, Tick,
 };
 
 /// Line-index base of the kernel code segment. All cores share it (they run
 /// the same kernel), so instruction misses hit the same L2 lines.
 pub const CODE_SEGMENT_BASE: u64 = 1 << 40;
-
-/// Result of [`SimtCore::next_event_bound`]: whether the core is provably
-/// quiescent, and if so until when and with what constant stall class.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CoreIdleProbe {
-    /// The core may act on the next cycle; the window must not be skipped.
-    Busy,
-    /// The core provably does nothing but count one stall cycle per tick
-    /// strictly before core cycle `bound` (or until external input arrives,
-    /// when `bound` is `None`).
-    Quiet {
-        /// First core-cycle index at which the core could act on its own —
-        /// the earliest ALU scoreboard release among blocked warps.
-        bound: Option<Cycle>,
-        /// The issue-stall classification every skipped cycle records
-        /// (`None` = idle); constant across the window by construction.
-        stall: Option<IssueStallKind>,
-    },
-}
 
 /// Static configuration of a [`SimtCore`].
 #[derive(Clone, Debug)]
@@ -289,19 +270,30 @@ impl SimtCore {
     ///
     /// Answers `Busy` unless the core provably does nothing but count one
     /// stall cycle per tick until either an external input arrives (a fill
-    /// response or I-miss return) or the returned `bound` cycle, whichever
+    /// response or I-miss return) or the returned `bound` cycle — the
+    /// earliest ALU scoreboard release among blocked warps — whichever
     /// comes first: the response FIFO, LSU and both miss queues are empty,
     /// no warp can fetch, and every live warp is pinned by a hazard whose
-    /// clearing the window excludes. The stall classification is computed
-    /// once — it is constant across the window because every input to the
-    /// naive per-cycle classification is frozen inside it.
-    pub fn next_event_bound(&self) -> CoreIdleProbe {
+    /// clearing the window excludes.
+    pub fn next_event_bound(&self) -> EventBound {
+        match self.quiet_window() {
+            Some((bound, _)) => EventBound::QuietUntil { bound },
+            None => EventBound::Busy,
+        }
+    }
+
+    /// The scan behind the probe and the skip hook: `None` when the core
+    /// may act on its next cycle, else the window's bound and the
+    /// issue-stall class every cycle inside it records (`None` = idle) —
+    /// constant across the window because every input to the naive
+    /// per-cycle classification is frozen inside it.
+    fn quiet_window(&self) -> Option<(Option<Cycle>, Option<IssueStallKind>)> {
         if !self.response_fifo.is_empty()
             || !self.lsu.is_empty()
             || self.l1d.miss_queue_len() != 0
             || self.l1i.miss_queue_len() != 0
         {
-            return CoreIdleProbe::Busy;
+            return None;
         }
         let mut saw_fetch_blocked = false;
         let mut saw_mem_dep = false;
@@ -315,7 +307,7 @@ impl SimtCore {
             }
             any_live = true;
             if w.needs_fetch() {
-                return CoreIdleProbe::Busy;
+                return None;
             }
             let Some(head) = w.head() else {
                 // Buffer empty, not finished, no fetch needed: an I-miss is
@@ -341,7 +333,7 @@ impl SimtCore {
                 continue;
             }
             // The warp could issue next cycle.
-            return CoreIdleProbe::Busy;
+            return None;
         }
         // Precedence as in the issue stage's end-of-cycle classification.
         let stall = Self::classify_issue_stall(
@@ -351,27 +343,7 @@ impl SimtCore {
             saw_alu_dep,
             saw_fetch_blocked,
         );
-        CoreIdleProbe::Quiet {
-            bound: (wake != Cycle::MAX).then_some(wake),
-            stall,
-        }
-    }
-
-    /// Applies `k` quiescent cycles in one step: exactly what `k` calls of
-    /// [`SimtCore::cycle`] would do from a state where
-    /// [`SimtCore::next_event_bound`] returned `Quiet` — advance the clock
-    /// and record `k` cycles of the window's constant stall class. (The
-    /// per-cycle L1 occupancy samples are no-ops in such a state: both
-    /// miss queues are empty, and empty queues are outside the occupancy
-    /// histograms' usage lifetime.)
-    pub fn skip_idle(&mut self, k: u64, stall: Option<IssueStallKind>) {
-        debug_assert!(matches!(
-            self.next_event_bound(),
-            CoreIdleProbe::Quiet { .. }
-        ));
-        self.now += k;
-        self.stats.cycles += k;
-        self.stats.issue.record_n(stall, k);
+        Some(((wake != Cycle::MAX).then_some(wake), stall))
     }
 
     fn alloc_fetch_id(&mut self) -> u64 {
@@ -399,18 +371,17 @@ impl SimtCore {
 
     /// Removes the request returned by [`SimtCore::peek_outgoing`].
     pub fn pop_outgoing(&mut self) -> Option<MemFetch> {
-        let (use_first_i, out) = if self.outgoing_rr {
+        let out = if self.outgoing_rr {
             match self.l1i.pop_miss() {
-                Some(f) => (true, Some(f)),
-                None => (false, self.l1d.pop_miss()),
+                Some(f) => Some(f),
+                None => self.l1d.pop_miss(),
             }
         } else {
             match self.l1d.pop_miss() {
-                Some(f) => (false, Some(f)),
-                None => (true, self.l1i.pop_miss()),
+                Some(f) => Some(f),
+                None => self.l1i.pop_miss(),
             }
         };
-        let _ = use_first_i;
         if out.is_some() {
             self.outgoing_rr = !self.outgoing_rr;
         }
@@ -843,6 +814,41 @@ impl SimtCore {
             now_ps,
             TraceEventKind::StalledAt(Level::L1, kind.into()),
         );
+    }
+}
+
+impl Component for SimtCore {
+    #[inline]
+    fn tick(&mut self, cx: &mut Tick<'_>) -> bool {
+        self.cycle_traced(cx.now_ps, cx.trace)
+    }
+
+    fn next_event_bound(&self) -> EventBound {
+        SimtCore::next_event_bound(self)
+    }
+
+    /// Advances the clock and records `n` cycles of the window's constant
+    /// stall class. (The per-cycle L1 occupancy samples are no-ops in the
+    /// quiet state: both miss queues are empty, and empty queues are
+    /// outside the occupancy histograms' usage lifetime.)
+    fn skip_cycles(&mut self, n: u64) {
+        // What the issue stage would record on every skipped cycle. While
+        // its standing no-issue verdict holds through the window (see the
+        // `issue_memo` field docs) it would replay that — always the case
+        // after an idle tick, which keeps the scheduler's flushes O(1);
+        // from any other quiet state the scan recomputes the class.
+        let stall = match self.issue_memo {
+            Some((stall, wake)) if !self.issue_dirty && self.now + n < wake => {
+                debug_assert_eq!(Some(stall), self.quiet_window().map(|w| w.1));
+                stall
+            }
+            // INVARIANT: the scheduler skips only from the frozen state in
+            // which the probe answered quiet.
+            _ => self.quiet_window().expect("skip from a quiet core").1,
+        };
+        self.now += n;
+        self.stats.cycles += n;
+        self.stats.issue.record_n(stall, n);
     }
 }
 

@@ -34,7 +34,7 @@ pub mod scheduler;
 pub mod stall;
 pub mod warp;
 
-pub use crate::core::{CoreConfig, CoreIdleProbe, CoreStats, SimtCore};
+pub use crate::core::{CoreConfig, CoreStats, SimtCore};
 pub use inst::{Inst, InstKind, InstSource};
 pub use lsu::LoadStoreUnit;
 pub use scheduler::GtoScheduler;

@@ -9,6 +9,8 @@
 //!
 //! Time is kept in integer picoseconds for bit-exact determinism.
 
+use crate::trace::TraceSink;
+
 /// Simulated time in picoseconds.
 pub type Picos = u64;
 
@@ -49,6 +51,39 @@ impl EventBound {
             bound: if bound == u64::MAX { None } else { Some(bound) },
         }
     }
+}
+
+/// What one tick of a [`Component`] sees of the machine around it.
+pub struct Tick<'a> {
+    /// Wall-clock instant of the tick.
+    pub now_ps: Picos,
+    /// 1-based index of the tick in the component's own clock domain.
+    pub cyc: u64,
+    /// Sink for the lifecycle events of sampled fetches.
+    pub trace: &'a mut TraceSink,
+}
+
+/// What the event scheduler asks of a ticking component: it ticks it,
+/// probes it after a tick that did nothing, lets it sleep through the
+/// window the probe promised, and settles the slept ticks in one call
+/// before anything touches it again. The scheduler is written against this
+/// trait alone, so a probe cannot ship without its replay.
+pub trait Component {
+    /// Advances one own-domain tick. `true` says the tick was *active* —
+    /// the probe would answer `Busy`, or is not worth asking yet — and the
+    /// scheduler skips it; a component whose probe is O(1) may always
+    /// answer `false`.
+    fn tick(&mut self, cx: &mut Tick<'_>) -> bool;
+
+    /// Conservative idle probe over the component's own tick index (see
+    /// [`EventBound`] for the contract).
+    fn next_event_bound(&self) -> EventBound;
+
+    /// Applies `n` quiescent ticks in one step: exactly what `n` calls of
+    /// [`Component::tick`] would do from the state in which the probe
+    /// answered quiet with a bound beyond them. The scheduler calls it
+    /// before the first mutation that ends the window.
+    fn skip_cycles(&mut self, n: u64);
 }
 
 /// Identifies one of the three clock domains of the simulated GPU.

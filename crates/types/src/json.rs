@@ -1,6 +1,8 @@
-//! Minimal strict JSON parser for the wire protocol.
+//! Minimal strict JSON: the parser behind the daemon's wire protocol and
+//! every in-tree reader of exported JSON, and the number/string formatting
+//! every hand-rolled writer shares.
 //!
-//! The build environment is offline, so the daemon cannot use `serde`; this
+//! The build environment is offline, so nothing can use `serde`; this
 //! hand-rolled recursive-descent parser covers exactly RFC 8259 — objects,
 //! arrays, strings (with escapes and surrogate pairs), numbers, booleans,
 //! null — and nothing more. It is strict on purpose: trailing garbage,
@@ -127,10 +129,33 @@ impl Json {
     }
 }
 
-/// Escapes `s` per RFC 8259: quote, backslash, and all control characters
-/// (the common ones short-form, the rest as `\u00XX`).
 fn encode_str(s: &str, out: &mut String) {
     out.push('"');
+    out.push_str(&json_escape(s));
+    out.push('"');
+}
+
+/// Formats a float as a JSON-safe number (non-finite values become 0).
+pub fn json_num(v: f64) -> String {
+    if v.is_finite() {
+        let s = format!("{v:.6}");
+        // Trim trailing zeros but keep at least one decimal digit off.
+        let t = s.trim_end_matches('0').trim_end_matches('.');
+        if t.is_empty() || t == "-" {
+            "0".to_string()
+        } else {
+            t.to_string()
+        }
+    } else {
+        "0".to_string()
+    }
+}
+
+/// Escapes a string for inclusion in a JSON string literal, per RFC 8259:
+/// quote, backslash, and all control characters (the common ones
+/// short-form, the rest as `\u00XX`).
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -138,14 +163,11 @@ fn encode_str(s: &str, out: &mut String) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if c < '\u{20}' => {
-                // lint: allow(R3): char widens losslessly to u32 (21-bit scalar)
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
+            c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
             c => out.push(c),
         }
     }
-    out.push('"');
+    out
 }
 
 /// Parses one complete JSON document; trailing non-whitespace is an error.

@@ -28,6 +28,7 @@ pub mod addr;
 pub mod clock;
 pub mod fetch;
 pub mod hash;
+pub mod json;
 pub mod prof;
 pub mod queue;
 pub mod rng;
@@ -38,7 +39,9 @@ pub mod timeq;
 pub mod trace;
 
 pub use addr::{Address, LineAddr, LINE_SIZE};
-pub use clock::{ClockDomain, ClockDomains, DomainId, EventBound, Picos, TickCounts, TickSet};
+pub use clock::{
+    ClockDomain, ClockDomains, Component, DomainId, EventBound, Picos, Tick, TickCounts, TickSet,
+};
 pub use fetch::{AccessKind, FetchId, MemFetch, Timestamps};
 pub use hash::{stable_hash_str, StableHasher};
 pub use prof::{HostPhase, HostProfiler, HostReport, SpanEvent};

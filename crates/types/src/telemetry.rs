@@ -18,6 +18,7 @@
 
 use crate::clock::Picos;
 use crate::fetch::MemFetch;
+pub use crate::json::{json_escape, json_num};
 // BTreeMap/BTreeSet, not HashMap: the simulator must be a pure function of
 // (config, seed), and hash iteration order varies per process (R1).
 use std::collections::{BTreeMap, BTreeSet};
@@ -184,39 +185,6 @@ pub struct TelemetrySnapshot {
     pub window_cycles: u64,
     /// All registered series.
     pub series: Vec<SeriesData>,
-}
-
-/// Formats a float as a JSON-safe number (non-finite values become 0).
-pub fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v:.6}");
-        // Trim trailing zeros but keep at least one decimal digit off.
-        let t = s.trim_end_matches('0').trim_end_matches('.');
-        if t.is_empty() || t == "-" {
-            "0".to_string()
-        } else {
-            t.to_string()
-        }
-    } else {
-        "0".to_string()
-    }
-}
-
-/// Escapes a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl TelemetrySnapshot {
