@@ -2,14 +2,66 @@
 //!
 //! Every function returns a plain-text report whose rows mirror the paper's
 //! artifact, annotated with the paper's reference numbers where Table II or
-//! the text provides them. Binaries print these; `all_experiments`
-//! concatenates them into a full evaluation report.
+//! the text provides them. [`ARTIFACTS`] lists them in report order; the
+//! `gmh-exp` CLI ([`crate::cli`]) prints any subset, or all of them as a
+//! full evaluation report.
 
 use crate::runner::{run_jobs, Baselines, Job};
 use gmh_core::{area, GpuConfig, SimStats};
-use gmh_types::OccupancyHistogram;
 use gmh_workloads::{catalog, WorkloadSpec};
 use std::fmt::Write as _;
+
+/// How an [`Artifact`] is regenerated.
+#[derive(Clone, Copy, Debug)]
+pub enum Render {
+    /// Needs no baseline runs (it may still simulate, as Fig. 11 does).
+    Static(fn() -> String),
+    /// Reads the 19 baseline runs, which are collected once and shared.
+    Baseline(fn(&Baselines) -> String),
+}
+
+/// One table or figure of the paper's evaluation.
+#[derive(Clone, Copy, Debug)]
+pub struct Artifact {
+    /// The name the CLI takes (`fig8`).
+    pub name: &'static str,
+    /// One-line description: the text between the `==` of the section title.
+    pub about: &'static str,
+    /// The generator.
+    pub render: Render,
+}
+
+const fn row(name: &'static str, about: &'static str, render: Render) -> Artifact {
+    Artifact {
+        name,
+        about,
+        render,
+    }
+}
+
+/// Every artifact, in the order of the full report.
+#[rustfmt::skip]
+pub const ARTIFACTS: [Artifact; 16] = {
+    use Render::{Baseline, Static};
+    [
+        row("table1", "Table I: Baseline architecture parameters", Static(table1)),
+        row("fig1", "Fig. 1: Issue stalls, L2-AHL and AML (baseline)", Baseline(fig1)),
+        row("table2", "Table II: P∞ and P_DRAM speedups", Baseline(table2)),
+        row("fig3", "Fig. 3: IPC vs fixed L1 miss latency (normalized to baseline)", Baseline(fig3)),
+        row("fig4", "Fig. 4: L2 access queue occupancy (usage lifetime)", Baseline(fig4)),
+        row("fig5", "Fig. 5: DRAM access queue occupancy (usage lifetime)", Baseline(fig5)),
+        row("fig6", "Fig. 6: Structural hazard illustration", Static(fig6)),
+        row("fig7", "Fig. 7: Issue-stall distribution", Baseline(fig7)),
+        row("fig8", "Fig. 8: L2 stall distribution", Baseline(fig8)),
+        row("fig9", "Fig. 9: L1 stall distribution", Baseline(fig9)),
+        row("fig10", "Fig. 10: IPC with 4x bandwidth scaling (normalized to baseline)", Baseline(fig10)),
+        row("fig11", "Fig. 11: Performance vs core frequency (wall-clock, normalized to 1.4 GHz)", Static(fig11)),
+        row("fig12", "Fig. 12: Cost-effective configurations (normalized to baseline)", Baseline(fig12)),
+        row("table3", "Table III: Consolidated design space", Static(table3)),
+        row("overhead", "Overhead (paper §VII-C)", Static(overhead)),
+        row("ablation", "Ablation: single-knob scaling (speedup over baseline)", Baseline(ablation)),
+    ]
+};
 
 /// Benchmarks in the paper's Fig. 1/4/5/7/8/9 x-axis order.
 pub const FIG_ORDER: [&str; 19] = [
@@ -48,11 +100,105 @@ pub const FIG11_FREQS: [u32; 5] = [1200, 1300, 1400, 1500, 1600];
 /// Benchmarks shown in Fig. 11.
 pub const FIG11_BENCHMARKS: [&str; 6] = ["nn", "hybridsort", "sradv2", "bfs", "cfd", "leukocyte"];
 
-fn specs_in_fig_order() -> Vec<WorkloadSpec> {
-    FIG_ORDER
+fn specs(names: &[&str]) -> Vec<WorkloadSpec> {
+    let spec = |n: &&str| catalog::by_name(n).expect("catalog has every figure workload");
+    names.iter().map(spec).collect()
+}
+
+fn base<'a>(baselines: &'a Baselines, name: &str) -> &'a SimStats {
+    baselines.get(name).expect("baseline ran")
+}
+
+/// Simulates every workload under every labelled config; `grid[w][c]` is
+/// workload `w` under config `c`. Jobs run workload-major.
+fn grid<L: ToString>(workloads: &[WorkloadSpec], configs: &[(L, GpuConfig)]) -> Vec<Vec<SimStats>> {
+    let jobs = workloads
         .iter()
-        .map(|n| catalog::by_name(n).expect("catalog has all fig workloads"))
+        .flat_map(|w| {
+            configs
+                .iter()
+                .map(move |(label, cfg)| Job::new(w.clone(), label.to_string(), cfg.clone()))
+        })
+        .collect();
+    let mut stats = run_jobs(jobs).into_iter().map(|o| o.stats);
+    workloads
+        .iter()
+        .map(|_| stats.by_ref().take(configs.len()).collect())
         .collect()
+}
+
+/// [`grid`] over the named workloads, as speedups over their baseline runs.
+fn speedups<L: ToString>(
+    baselines: &Baselines,
+    names: &[&str],
+    configs: &[(L, GpuConfig)],
+) -> Vec<Vec<f64>> {
+    let rows = names.iter().zip(grid(&specs(names), configs));
+    rows.map(|(name, row)| {
+        let b = base(baselines, name);
+        row.iter().map(|st| st.speedup_over(b)).collect()
+    })
+    .collect()
+}
+
+/// How a column of a per-workload table prints its values.
+#[derive(Clone, Copy)]
+enum Unit {
+    /// `100 × value` to one decimal with a trailing `%` (inside the width).
+    Percent,
+    /// The value to this many decimals.
+    Fixed(usize),
+}
+use Unit::{Fixed, Percent};
+
+/// A column of a per-workload table: heading, width, unit.
+#[derive(Clone, Copy)]
+struct Col(&'static str, usize, Unit);
+
+impl Col {
+    /// Appends `sum / over` (a row passes its value over 1).
+    fn cell(&self, s: &mut String, sum: f64, over: f64) {
+        let w = self.1;
+        match self.2 {
+            Percent => write!(s, " {:>w$.1}%", 100.0 * sum / over, w = w - 1),
+            Fixed(d) => write!(s, " {:>w$.d$}", sum / over),
+        }
+        .unwrap();
+    }
+}
+
+/// The one per-workload table: a row of `values(row index, baseline stats)`
+/// per benchmark of [`FIG_ORDER`], then the column means beside the paper's.
+fn baseline_table(
+    baselines: &Baselines,
+    title: &str,
+    columns: &[Col],
+    paper_footer: &str,
+    values: impl Fn(usize, &SimStats) -> Vec<f64>,
+) -> String {
+    let mut s = String::new();
+    writeln!(s, "== {title} ==").unwrap();
+    write!(s, "{:<11}", "bench").unwrap();
+    for c in columns {
+        write!(s, " {:>w$}", c.0, w = c.1).unwrap();
+    }
+    writeln!(s).unwrap();
+    let mut sums = vec![0.0; columns.len()];
+    for (i, name) in FIG_ORDER.iter().enumerate() {
+        write!(s, "{name:<11}").unwrap();
+        let row = values(i, base(baselines, name));
+        for ((c, sum), v) in columns.iter().zip(&mut sums).zip(row) {
+            c.cell(&mut s, v, 1.0);
+            *sum += v;
+        }
+        writeln!(s).unwrap();
+    }
+    write!(s, "{:<11}", "AVG").unwrap();
+    for (c, sum) in columns.iter().zip(&sums) {
+        c.cell(&mut s, *sum, FIG_ORDER.len() as f64);
+    }
+    writeln!(s, "   {paper_footer}").unwrap();
+    s
 }
 
 // ---------------------------------------------------------------------------
@@ -138,59 +284,42 @@ pub fn table1() -> String {
 ///
 /// Paper averages: 62% stall, 303-cycle L2-AHL, 452-cycle AML.
 pub fn fig1(baselines: &Baselines) -> String {
-    let mut s = String::new();
-    writeln!(s, "== Fig. 1: Issue stalls, L2-AHL and AML (baseline) ==").unwrap();
-    writeln!(
-        s,
-        "{:<11} {:>8} {:>8} {:>8}",
-        "bench", "stall%", "L2-AHL", "AML"
+    baseline_table(
+        baselines,
+        "Fig. 1: Issue stalls, L2-AHL and AML (baseline)",
+        &[
+            Col("stall%", 8, Percent),
+            Col("L2-AHL", 8, Fixed(0)),
+            Col("AML", 8, Fixed(0)),
+        ],
+        "(paper AVG: 62%, 303, 452)",
+        |_, b| vec![b.stall_fraction, b.l2_ahl_core_cycles, b.aml_core_cycles],
     )
-    .unwrap();
-    let (mut st, mut ahl, mut aml) = (0.0, 0.0, 0.0);
-    for name in FIG_ORDER {
-        let b = baselines.get(name).expect("baseline ran");
-        writeln!(
-            s,
-            "{:<11} {:>7.1}% {:>8.0} {:>8.0}",
-            name,
-            100.0 * b.stall_fraction,
-            b.l2_ahl_core_cycles,
-            b.aml_core_cycles
-        )
-        .unwrap();
-        st += b.stall_fraction;
-        ahl += b.l2_ahl_core_cycles;
-        aml += b.aml_core_cycles;
-    }
-    writeln!(
-        s,
-        "{:<11} {:>7.1}% {:>8.0} {:>8.0}   (paper AVG: 62%, 303, 452)",
-        "AVG",
-        100.0 * st / 19.0,
-        ahl / 19.0,
-        aml / 19.0
-    )
-    .unwrap();
-    s
 }
 
 // ---------------------------------------------------------------------------
 // Table II
 // ---------------------------------------------------------------------------
 
+/// Every catalog workload (Table II order) with `[P∞, paper's, P_DRAM,
+/// paper's]`, the measured two as speedups over the baseline.
+fn ideal_memory_speedups(baselines: &Baselines) -> Vec<(&'static str, [f64; 4])> {
+    let names = catalog::names();
+    let ideal = [
+        ("pinf", GpuConfig::infinite_bw()),
+        ("pdram", GpuConfig::infinite_dram()),
+    ];
+    let rows = names.iter().zip(speedups(baselines, &names, &ideal));
+    rows.map(|(name, sp)| {
+        let (ri, rd) = catalog::paper_reference(name).expect("reference exists");
+        (*name, [sp[0], ri, sp[1], rd])
+    })
+    .collect()
+}
+
 /// Table II: P∞ and P_DRAM speedups, measured vs. paper.
 pub fn table2(baselines: &Baselines) -> String {
-    let specs = catalog::all();
-    let jobs: Vec<Job> = specs
-        .iter()
-        .flat_map(|w| {
-            [
-                Job::new(w.clone(), "pinf", GpuConfig::infinite_bw()),
-                Job::new(w.clone(), "pdram", GpuConfig::infinite_dram()),
-            ]
-        })
-        .collect();
-    let out = run_jobs(jobs);
+    let rows = ideal_memory_speedups(baselines);
     let mut s = String::new();
     writeln!(s, "== Table II: P∞ and P_DRAM speedups ==").unwrap();
     writeln!(
@@ -199,37 +328,71 @@ pub fn table2(baselines: &Baselines) -> String {
         "#", "bench", "P∞", "paper", "P_DRAM", "paper"
     )
     .unwrap();
-    let (mut si, mut sd, mut ri_s, mut rd_s) = (0.0, 0.0, 0.0, 0.0);
-    for (i, w) in specs.iter().enumerate() {
-        let base = baselines.get(w.name).expect("baseline ran");
-        let pinf = out[2 * i].stats.speedup_over(base);
-        let pdram = out[2 * i + 1].stats.speedup_over(base);
-        let (ri, rd) = catalog::paper_reference(w.name).expect("reference exists");
+    let mut sums = [0.0; 4];
+    for (i, (name, row)) in rows.iter().enumerate() {
         writeln!(
             s,
             "{:<4} {:<11} {:>6.2} {:>6.2} | {:>6.2} {:>6.2}",
             i + 1,
-            w.name,
+            name,
+            row[0],
+            row[1],
+            row[2],
+            row[3]
+        )
+        .unwrap();
+        for (sum, v) in sums.iter_mut().zip(row) {
+            *sum += v;
+        }
+    }
+    let avg = sums.map(|sum| sum / rows.len() as f64);
+    writeln!(
+        s,
+        "{:<4} {:<11} {:>6.2} {:>6.2} | {:>6.2} {:>6.2}",
+        "", "Average", avg[0], avg[1], avg[2], avg[3]
+    )
+    .unwrap();
+    s
+}
+
+/// Calibration scorecard: Table II's two speedups beside the baseline
+/// statistics the workload models were tuned against.
+pub fn calibrate(baselines: &Baselines) -> String {
+    let rows = ideal_memory_speedups(baselines);
+    let mut s = String::new();
+    writeln!(
+        s,
+        "{:<11} {:>5} {:>5} | {:>5} {:>5} | {:>5} {:>5} {:>5} {:>5} {:>5} {:>4}",
+        "name", "Pinf", "ref", "Pdrm", "ref", "stall", "aml", "ahl", "l1mr", "l2mr", "eff"
+    )
+    .unwrap();
+    let (mut si, mut sd) = (0.0, 0.0);
+    for (name, [pinf, ri, pdram, rd]) in &rows {
+        let b = base(baselines, name);
+        writeln!(
+            s,
+            "{:<11} {:>5.2} {:>5.2} | {:>5.2} {:>5.2} | {:>4.0}% {:>5.0} {:>5.0} {:>5.2} {:>5.2} {:>4.2}",
+            name,
             pinf,
             ri,
             pdram,
-            rd
+            rd,
+            b.stall_fraction * 100.0,
+            b.aml_core_cycles,
+            b.l2_ahl_core_cycles,
+            b.l1_miss_rate,
+            b.l2_miss_rate,
+            b.dram_efficiency
         )
         .unwrap();
         si += pinf;
         sd += pdram;
-        ri_s += ri;
-        rd_s += rd;
     }
     writeln!(
         s,
-        "{:<4} {:<11} {:>6.2} {:>6.2} | {:>6.2} {:>6.2}",
-        "",
-        "Average",
-        si / 19.0,
-        ri_s / 19.0,
-        sd / 19.0,
-        rd_s / 19.0
+        "AVG Pinf={:.2} (paper 2.37)  Pdram={:.2} (paper 1.15)",
+        si / rows.len() as f64,
+        sd / rows.len() as f64
     )
     .unwrap();
     s
@@ -241,20 +404,9 @@ pub fn table2(baselines: &Baselines) -> String {
 
 /// Fig. 3: IPC (normalized to baseline) vs. fixed L1 miss latency.
 pub fn fig3(baselines: &Baselines) -> String {
-    let jobs: Vec<Job> = FIG3_BENCHMARKS
-        .iter()
-        .flat_map(|name| {
-            let w = catalog::by_name(name).expect("fig3 workload");
-            FIG3_LATENCIES.map(move |lat| {
-                Job::new(
-                    w.clone(),
-                    format!("{lat}"),
-                    GpuConfig::fixed_l1_miss_latency(lat),
-                )
-            })
-        })
-        .collect();
-    let out = run_jobs(jobs);
+    let sweep = FIG3_LATENCIES.map(|lat| (lat, GpuConfig::fixed_l1_miss_latency(lat)));
+    // One normalized-IPC series per benchmark.
+    let series = speedups(baselines, &FIG3_BENCHMARKS, &sweep);
     let mut s = String::new();
     writeln!(
         s,
@@ -266,12 +418,10 @@ pub fn fig3(baselines: &Baselines) -> String {
         write!(s, " {lat:>5}").unwrap();
     }
     writeln!(s).unwrap();
-    for (bi, name) in FIG3_BENCHMARKS.iter().enumerate() {
-        let base = baselines.get(name).expect("baseline ran");
+    for (name, series) in FIG3_BENCHMARKS.iter().zip(&series) {
         write!(s, "{name:<11}").unwrap();
-        for (li, _) in FIG3_LATENCIES.iter().enumerate() {
-            let st = &out[bi * FIG3_LATENCIES.len() + li].stats;
-            write!(s, " {:>5.2}", st.speedup_over(base)).unwrap();
+        for sp in series {
+            write!(s, " {sp:>5.2}").unwrap();
         }
         writeln!(s).unwrap();
     }
@@ -286,11 +436,8 @@ pub fn fig3(baselines: &Baselines) -> String {
         "bench", "crossing", "AML"
     )
     .unwrap();
-    for (bi, name) in FIG3_BENCHMARKS.iter().enumerate() {
-        let base = baselines.get(name).expect("baseline ran");
-        let series: Vec<f64> = (0..FIG3_LATENCIES.len())
-            .map(|li| out[bi * FIG3_LATENCIES.len() + li].stats.speedup_over(base))
-            .collect();
+    for (name, series) in FIG3_BENCHMARKS.iter().zip(&series) {
+        let aml = base(baselines, name).aml_core_cycles;
         let crossing = FIG3_LATENCIES
             .windows(2)
             .zip(series.windows(2))
@@ -301,12 +448,8 @@ pub fn fig3(baselines: &Baselines) -> String {
                 l[0] as f64 + f * (l[1] - l[0]) as f64
             });
         match crossing {
-            Some(c) => writeln!(s, "{:<11} {:>12.0} {:>12.0}", name, c, base.aml_core_cycles),
-            None => writeln!(
-                s,
-                "{:<11} {:>12} {:>12.0}",
-                name, ">800", base.aml_core_cycles
-            ),
+            Some(c) => writeln!(s, "{name:<11} {c:>12.0} {aml:>12.0}"),
+            None => writeln!(s, "{:<11} {:>12} {:>12.0}", name, ">800", aml),
         }
         .unwrap();
     }
@@ -323,68 +466,31 @@ pub fn fig3(baselines: &Baselines) -> String {
 // Figs. 4 and 5
 // ---------------------------------------------------------------------------
 
-fn occupancy_report(
-    title: &str,
-    paper_avg_full: f64,
-    pick: impl Fn(&SimStats) -> &OccupancyHistogram,
-    baselines: &Baselines,
-) -> String {
-    let mut s = String::new();
-    writeln!(s, "== {title} ==").unwrap();
-    writeln!(
-        s,
-        "{:<11} {:>8} {:>8} {:>8} {:>8} {:>8}",
-        "bench", "(0-25%)", "[25-50)", "[50-75)", "[75-100)", "100%"
-    )
-    .unwrap();
-    let mut avg = [0.0; 5];
-    for name in FIG_ORDER {
-        let b = baselines.get(name).expect("baseline ran");
-        let f = pick(b).fractions();
-        writeln!(
-            s,
-            "{:<11} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
-            name, f[0], f[1], f[2], f[3], f[4]
-        )
-        .unwrap();
-        for (a, v) in avg.iter_mut().zip(f.iter()) {
-            *a += v;
-        }
-    }
-    writeln!(
-        s,
-        "{:<11} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2}   (paper AVG full: {:.2})",
-        "AVG",
-        avg[0] / 19.0,
-        avg[1] / 19.0,
-        avg[2] / 19.0,
-        avg[3] / 19.0,
-        avg[4] / 19.0,
-        paper_avg_full
-    )
-    .unwrap();
-    s
+fn occupancy_bins() -> [Col; 5] {
+    ["(0-25%)", "[25-50)", "[50-75)", "[75-100)", "100%"].map(|h| Col(h, 8, Fixed(2)))
 }
 
 /// Fig. 4: occupancy of the L2 access queues over their usage lifetime.
 /// Paper: full 46% of usage lifetime on average.
 pub fn fig4(baselines: &Baselines) -> String {
-    occupancy_report(
-        "Fig. 4: L2 access queue occupancy (usage lifetime)",
-        0.46,
-        |s| &s.l2_access_occupancy,
+    baseline_table(
         baselines,
+        "Fig. 4: L2 access queue occupancy (usage lifetime)",
+        &occupancy_bins(),
+        "(paper AVG full: 0.46)",
+        |_, b| b.l2_access_occupancy.fractions().to_vec(),
     )
 }
 
 /// Fig. 5: occupancy of the DRAM scheduler queues over their usage
 /// lifetime. Paper: full 39% of usage lifetime on average.
 pub fn fig5(baselines: &Baselines) -> String {
-    occupancy_report(
-        "Fig. 5: DRAM access queue occupancy (usage lifetime)",
-        0.39,
-        |s| &s.dram_queue_occupancy,
+    baseline_table(
         baselines,
+        "Fig. 5: DRAM access queue occupancy (usage lifetime)",
+        &occupancy_bins(),
+        "(paper AVG full: 0.39)",
+        |_, b| b.dram_queue_occupancy.fractions().to_vec(),
     )
 }
 
@@ -481,138 +587,40 @@ pub fn fig6() -> String {
 /// Paper averages: str-MEM 71%, data-MEM 15%, fetch 8%, data-ALU 5.5%,
 /// str-ALU 0.5%.
 pub fn fig7(baselines: &Baselines) -> String {
-    let mut s = String::new();
-    writeln!(s, "== Fig. 7: Issue-stall distribution ==").unwrap();
-    writeln!(
-        s,
-        "{:<11} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "bench", "data-MEM", "data-ALU", "str-MEM", "str-ALU", "fetch"
+    baseline_table(
+        baselines,
+        "Fig. 7: Issue-stall distribution",
+        &["data-MEM", "data-ALU", "str-MEM", "str-ALU", "fetch"].map(|h| Col(h, 9, Percent)),
+        "(paper AVG: 15 / 5.5 / 71 / 0.5 / 8)",
+        |_, b| b.issue.distribution().to_vec(),
     )
-    .unwrap();
-    let mut avg = [0.0; 5];
-    for name in FIG_ORDER {
-        let d = baselines
-            .get(name)
-            .expect("baseline ran")
-            .issue
-            .distribution();
-        writeln!(
-            s,
-            "{:<11} {:>8.1}% {:>8.1}% {:>8.1}% {:>8.1}% {:>8.1}%",
-            name,
-            100.0 * d[0],
-            100.0 * d[1],
-            100.0 * d[2],
-            100.0 * d[3],
-            100.0 * d[4]
-        )
-        .unwrap();
-        for (a, v) in avg.iter_mut().zip(d.iter()) {
-            *a += v;
-        }
-    }
-    writeln!(
-        s,
-        "{:<11} {:>8.1}% {:>8.1}% {:>8.1}% {:>8.1}% {:>8.1}%   (paper AVG: 15 / 5.5 / 71 / 0.5 / 8)",
-        "AVG",
-        100.0 * avg[0] / 19.0,
-        100.0 * avg[1] / 19.0,
-        100.0 * avg[2] / 19.0,
-        100.0 * avg[3] / 19.0,
-        100.0 * avg[4] / 19.0
-    )
-    .unwrap();
-    s
 }
 
 /// Fig. 8: L2 stall distribution.
 /// Paper averages: bp-ICNT 42%, port 12%, cache 8%, MSHR 3%, bp-DRAM 35%.
 pub fn fig8(baselines: &Baselines) -> String {
-    let mut s = String::new();
-    writeln!(s, "== Fig. 8: L2 stall distribution ==").unwrap();
-    writeln!(
-        s,
-        "{:<11} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "bench", "bp-ICNT", "port", "cache", "mshr", "bp-DRAM"
+    baseline_table(
+        baselines,
+        "Fig. 8: L2 stall distribution",
+        &["bp-ICNT", "port", "cache", "mshr", "bp-DRAM"].map(|h| Col(h, 9, Percent)),
+        "(paper AVG: 42 / 12 / 8 / 3 / 35)",
+        |_, b| b.l2_stalls.fractions().to_vec(),
     )
-    .unwrap();
-    let mut avg = [0.0; 5];
-    for name in FIG_ORDER {
-        let f = baselines
-            .get(name)
-            .expect("baseline ran")
-            .l2_stalls
-            .fractions();
-        writeln!(
-            s,
-            "{:<11} {:>8.1}% {:>8.1}% {:>8.1}% {:>8.1}% {:>8.1}%",
-            name,
-            100.0 * f[0],
-            100.0 * f[1],
-            100.0 * f[2],
-            100.0 * f[3],
-            100.0 * f[4]
-        )
-        .unwrap();
-        for (a, v) in avg.iter_mut().zip(f.iter()) {
-            *a += v;
-        }
-    }
-    writeln!(
-        s,
-        "{:<11} {:>8.1}% {:>8.1}% {:>8.1}% {:>8.1}% {:>8.1}%   (paper AVG: 42 / 12 / 8 / 3 / 35)",
-        "AVG",
-        100.0 * avg[0] / 19.0,
-        100.0 * avg[1] / 19.0,
-        100.0 * avg[2] / 19.0,
-        100.0 * avg[3] / 19.0,
-        100.0 * avg[4] / 19.0
-    )
-    .unwrap();
-    s
 }
 
 /// Fig. 9: L1 stall distribution.
 /// Paper averages: cache 11%, MSHR 41%, bp-L2 48%.
 pub fn fig9(baselines: &Baselines) -> String {
-    let mut s = String::new();
-    writeln!(s, "== Fig. 9: L1 stall distribution ==").unwrap();
-    writeln!(
-        s,
-        "{:<11} {:>9} {:>9} {:>9}",
-        "bench", "cache", "mshr", "bp-L2"
+    baseline_table(
+        baselines,
+        "Fig. 9: L1 stall distribution",
+        &["cache", "mshr", "bp-L2"].map(|h| Col(h, 9, Percent)),
+        "(paper AVG: 11 / 41 / 48)",
+        |_, b| {
+            let (cache, mshr, bp_l2) = b.l1_stalls.fractions();
+            vec![cache, mshr, bp_l2]
+        },
     )
-    .unwrap();
-    let mut avg = [0.0; 3];
-    for name in FIG_ORDER {
-        let (c, m, bp) = baselines
-            .get(name)
-            .expect("baseline ran")
-            .l1_stalls
-            .fractions();
-        writeln!(
-            s,
-            "{:<11} {:>8.1}% {:>8.1}% {:>8.1}%",
-            name,
-            100.0 * c,
-            100.0 * m,
-            100.0 * bp
-        )
-        .unwrap();
-        avg[0] += c;
-        avg[1] += m;
-        avg[2] += bp;
-    }
-    writeln!(
-        s,
-        "{:<11} {:>8.1}% {:>8.1}% {:>8.1}%   (paper AVG: 11 / 41 / 48)",
-        "AVG",
-        100.0 * avg[0] / 19.0,
-        100.0 * avg[1] / 19.0,
-        100.0 * avg[2] / 19.0
-    )
-    .unwrap();
-    s
 }
 
 // ---------------------------------------------------------------------------
@@ -632,74 +640,36 @@ pub fn fig10_configs() -> Vec<(&'static str, GpuConfig)> {
     ]
 }
 
-const FIG10_TITLE: &str = "== Fig. 10: IPC with 4x bandwidth scaling (normalized to baseline) ==";
-const FIG10_PAPER: &str = "(paper AVG: 1.04 / 1.59 / 1.11 / 1.69 / 1.76 / 1.90)";
-
 /// Fig. 10: IPC (normalized to baseline) under 4× scaling of L1 / L2 /
 /// DRAM and their combinations.
 ///
 /// Paper averages: L1 +4%, L2 +59%, DRAM +11%, L1+L2 +69%, L2+DRAM +76%,
 /// All +90%.
 pub fn fig10(baselines: &Baselines) -> String {
-    fig_table(baselines, FIG10_TITLE, &fig10_configs(), FIG10_PAPER)
+    speedup_table(
+        baselines,
+        "Fig. 10: IPC with 4x bandwidth scaling (normalized to baseline)",
+        &fig10_configs(),
+        "(paper AVG: 1.04 / 1.59 / 1.11 / 1.69 / 1.76 / 1.90)",
+    )
 }
 
-/// Renders a Fig. 10/12-style speedup table: one row per workload of
-/// `specs`, one column per config holding `ratio(workload_idx,
-/// config_idx)`, and the column means beside the paper's.
+/// A Fig. 10/12-style table: every workload simulated afresh under every
+/// config, as speedups over `baselines`. Never read from the result cache —
+/// its key covers label, config and workload but not the model.
 fn speedup_table(
-    title: &str,
-    specs: &[WorkloadSpec],
-    configs: &[(&'static str, GpuConfig)],
-    paper_footer: &str,
-    ratio: impl Fn(usize, usize) -> f64,
-) -> String {
-    let mut s = String::new();
-    writeln!(s, "{title}").unwrap();
-    write!(s, "{:<11}", "bench").unwrap();
-    for (label, _) in configs {
-        write!(s, " {label:>8}").unwrap();
-    }
-    writeln!(s).unwrap();
-    let mut sums = vec![0.0; configs.len()];
-    for (wi, w) in specs.iter().enumerate() {
-        write!(s, "{:<11}", w.name).unwrap();
-        for (ci, sum) in sums.iter_mut().enumerate() {
-            let sp = ratio(wi, ci);
-            *sum += sp;
-            write!(s, " {sp:>8.2}").unwrap();
-        }
-        writeln!(s).unwrap();
-    }
-    write!(s, "{:<11}", "AVG").unwrap();
-    for sum in &sums {
-        write!(s, " {:>8.2}", sum / specs.len() as f64).unwrap();
-    }
-    writeln!(s, "   {paper_footer}").unwrap();
-    s
-}
-
-/// Simulates every workload under every config (uncached) and tabulates
-/// the speedups over `baselines`.
-fn fig_table(
     baselines: &Baselines,
     title: &str,
     configs: &[(&'static str, GpuConfig)],
     paper_footer: &str,
 ) -> String {
-    let specs = specs_in_fig_order();
-    let jobs: Vec<Job> = specs
+    let out = speedups(baselines, &FIG_ORDER, configs);
+    let columns: Vec<Col> = configs
         .iter()
-        .flat_map(|w| {
-            configs
-                .iter()
-                .map(|(label, cfg)| Job::new(w.clone(), *label, cfg.clone()))
-        })
+        .map(|(label, _)| Col(label, 8, Fixed(2)))
         .collect();
-    let out = run_jobs(jobs);
-    speedup_table(title, &specs, configs, paper_footer, |wi, ci| {
-        let base = baselines.get(specs[wi].name).expect("baseline ran");
-        out[wi * configs.len() + ci].stats.speedup_over(base)
+    baseline_table(baselines, title, &columns, paper_footer, |wi, _| {
+        out[wi].clone()
     })
 }
 
@@ -710,20 +680,8 @@ fn fig_table(
 /// Fig. 11: core-frequency sweep (the paper's real-GTX 480 verification of
 /// the "L1 request rate vs. L2 bandwidth" mismatch, here on the simulator).
 pub fn fig11() -> String {
-    let jobs: Vec<Job> = FIG11_BENCHMARKS
-        .iter()
-        .flat_map(|name| {
-            let w = catalog::by_name(name).expect("fig11 workload");
-            FIG11_FREQS.map(move |mhz| {
-                Job::new(
-                    w.clone(),
-                    format!("{mhz}"),
-                    GpuConfig::gtx480_baseline().with_core_mhz(mhz),
-                )
-            })
-        })
-        .collect();
-    let out = run_jobs(jobs);
+    let sweep = FIG11_FREQS.map(|mhz| (mhz, GpuConfig::gtx480_baseline().with_core_mhz(mhz)));
+    let out = grid(&specs(&FIG11_BENCHMARKS), &sweep);
     let mut s = String::new();
     writeln!(
         s,
@@ -735,12 +693,9 @@ pub fn fig11() -> String {
         write!(s, " {:>7.1}", mhz as f64 / 1000.0).unwrap();
     }
     writeln!(s, "  GHz").unwrap();
-    for (bi, name) in FIG11_BENCHMARKS.iter().enumerate() {
+    for (name, row) in FIG11_BENCHMARKS.iter().zip(&out) {
         // Wall-clock performance: instructions per second, i.e. IPC x freq.
-        let perf = |i: usize| {
-            let st = &out[bi * FIG11_FREQS.len() + i].stats;
-            st.ipc * FIG11_FREQS[i] as f64
-        };
+        let perf = |i: usize| row[i].ipc * FIG11_FREQS[i] as f64;
         let base = perf(2); // 1400 MHz is index 2
         write!(s, "{name:<11}").unwrap();
         for i in 0..FIG11_FREQS.len() {
@@ -771,174 +726,47 @@ pub fn fig12_configs() -> Vec<(&'static str, GpuConfig)> {
     ]
 }
 
-const FIG12_TITLE: &str = "== Fig. 12: Cost-effective configurations (normalized to baseline) ==";
-const FIG12_PAPER: &str = "(paper AVG: 1.234 / 1.29 / 1.257 / 1.11)";
-
 /// Fig. 12: the cost-effective configurations vs. HBM.
 ///
 /// Paper averages: 16+48 +23.4%, 16+68 +29%, 32+52 +25.7%, HBM +11%.
 pub fn fig12(baselines: &Baselines) -> String {
-    fig_table(baselines, FIG12_TITLE, &fig12_configs(), FIG12_PAPER)
-}
-
-/// Renders a Fig. 10/12-style speedup table through the shared result
-/// cache: same rows, columns and footer as the uncached generators, but
-/// every run goes through [`crate::Evaluator`] with the established
-/// figure labels, so the cache entries are the ones `gmh-serve`, the
-/// `design_space` example and the tuner already share — and a warm cache
-/// prints the whole table with zero simulations.
-///
-/// Returns the rendered table and the number of fresh simulations.
-///
-/// # Errors
-///
-/// Propagates cache I/O errors from candidate evaluation.
-pub fn fig_table_cached(
-    cache: &crate::cache::DiskCache,
-    title: &str,
-    configs: &[(&'static str, GpuConfig)],
-    paper_footer: &str,
-) -> std::io::Result<(String, usize)> {
-    let specs = specs_in_fig_order();
-    let ev = crate::Evaluator::new(cache);
-    let base = crate::Candidate::new("base", GpuConfig::gtx480_baseline());
-    let cands: Vec<crate::Candidate> = configs
-        .iter()
-        .map(|(label, cfg)| crate::Candidate::new(*label, cfg.clone()))
-        .collect();
-    // Per workload: the baseline first, then each config, flattened.
-    let row = 1 + cands.len();
-    let jobs: Vec<(&crate::Candidate, &WorkloadSpec)> = specs
-        .iter()
-        .flat_map(|w| std::iter::once((&base, w)).chain(cands.iter().map(move |c| (c, w))))
-        .collect();
-    let runs = ev.eval_batch(&jobs)?;
-    let ipc = |i: usize| runs[i].metric("ipc").unwrap_or(f64::NAN);
-    let s = speedup_table(title, &specs, configs, paper_footer, |wi, ci| {
-        ipc(wi * row + 1 + ci) / ipc(wi * row)
-    });
-    cache.flush_index()?;
-    Ok((s, ev.sims()))
-}
-
-/// Cache-backed Fig. 10 (see [`fig_table_cached`]).
-///
-/// # Errors
-///
-/// Propagates cache I/O errors from candidate evaluation.
-pub fn fig10_cached(cache: &crate::cache::DiskCache) -> std::io::Result<(String, usize)> {
-    fig_table_cached(cache, FIG10_TITLE, &fig10_configs(), FIG10_PAPER)
-}
-
-/// Cache-backed Fig. 12 (see [`fig_table_cached`]).
-///
-/// # Errors
-///
-/// Propagates cache I/O errors from candidate evaluation.
-pub fn fig12_cached(cache: &crate::cache::DiskCache) -> std::io::Result<(String, usize)> {
-    fig_table_cached(cache, FIG12_TITLE, &fig12_configs(), FIG12_PAPER)
+    speedup_table(
+        baselines,
+        "Fig. 12: Cost-effective configurations (normalized to baseline)",
+        &fig12_configs(),
+        "(paper AVG: 1.234 / 1.29 / 1.257 / 1.11)",
+    )
 }
 
 /// Table III: baseline, 4×-scaled and cost-effective parameter values,
 /// read back from the live configurations.
+#[rustfmt::skip] // one row per parameter
 pub fn table3() -> String {
     let b = GpuConfig::gtx480_baseline();
-    let s4_l1 = GpuConfig::gtx480_baseline().scale_l1(4);
-    let s4_l2 = GpuConfig::gtx480_baseline().scale_l2(4);
-    let s4_d = GpuConfig::gtx480_baseline().scale_dram(4);
+    let (l1, l2, dram) = (b.clone().scale_l1(4), b.clone().scale_l2(4), b.clone().scale_dram(4));
     let ce = GpuConfig::cost_effective_16_48();
     let mut s = String::new();
     writeln!(s, "== Table III: Consolidated design space ==").unwrap();
-    writeln!(
-        s,
-        "{:<28} {:>10} {:>12} {:>14}",
-        "parameter", "baseline", "scaled(4x)", "cost-effective"
-    )
-    .unwrap();
-    let mut row = |name: &str, base: String, scaled: String, cost: String| {
-        writeln!(s, "{name:<28} {base:>10} {scaled:>12} {cost:>14}").unwrap();
+    writeln!(s, "{:<28} {:>10} {:>12} {:>14}", "parameter", "baseline", "scaled(4x)", "cost-effective")
+        .unwrap();
+    // Each parameter is read from the baseline, from the 4x scaling of the
+    // level that owns it, and from the cost-effective configuration.
+    let mut row = |name: &str, scaled: &GpuConfig, read: fn(&GpuConfig) -> String| {
+        writeln!(s, "{name:<28} {:>10} {:>12} {:>14}", read(&b), read(scaled), read(&ce)).unwrap();
     };
-    row(
-        "DRAM scheduler queue",
-        b.dram.sched_queue.to_string(),
-        s4_d.dram.sched_queue.to_string(),
-        ce.dram.sched_queue.to_string(),
-    );
-    row(
-        "DRAM banks/channel",
-        b.dram.n_banks.to_string(),
-        s4_d.dram.n_banks.to_string(),
-        ce.dram.n_banks.to_string(),
-    );
-    row(
-        "DRAM bus B/cmd-clock",
-        b.dram.bus_bytes_per_cycle.to_string(),
-        s4_d.dram.bus_bytes_per_cycle.to_string(),
-        ce.dram.bus_bytes_per_cycle.to_string(),
-    );
-    row(
-        "L2 miss queue",
-        b.l2_bank.miss_queue_len.to_string(),
-        s4_l2.l2_bank.miss_queue_len.to_string(),
-        ce.l2_bank.miss_queue_len.to_string(),
-    );
-    row(
-        "L2 response queue",
-        b.l2_response_queue.to_string(),
-        s4_l2.l2_response_queue.to_string(),
-        ce.l2_response_queue.to_string(),
-    );
-    row(
-        "L2 MSHRs",
-        b.l2_bank.mshr_entries.to_string(),
-        s4_l2.l2_bank.mshr_entries.to_string(),
-        ce.l2_bank.mshr_entries.to_string(),
-    );
-    row(
-        "L2 access queue",
-        b.l2_access_queue.to_string(),
-        s4_l2.l2_access_queue.to_string(),
-        ce.l2_access_queue.to_string(),
-    );
-    row(
-        "L2 data port (B)",
-        b.l2_data_port_bytes.to_string(),
-        s4_l2.l2_data_port_bytes.to_string(),
-        ce.l2_data_port_bytes.to_string(),
-    );
-    row(
-        "Crossbar flits (req+rep B)",
-        format!("{}+{}", b.icnt.req_flit_bytes, b.icnt.rep_flit_bytes),
-        format!(
-            "{}+{}",
-            s4_l2.icnt.req_flit_bytes, s4_l2.icnt.rep_flit_bytes
-        ),
-        format!("{}+{}", ce.icnt.req_flit_bytes, ce.icnt.rep_flit_bytes),
-    );
-    row(
-        "L2 banks",
-        b.n_l2_banks.to_string(),
-        s4_l2.n_l2_banks.to_string(),
-        ce.n_l2_banks.to_string(),
-    );
-    row(
-        "L1 miss queue",
-        b.core.l1d.miss_queue_len.to_string(),
-        s4_l1.core.l1d.miss_queue_len.to_string(),
-        ce.core.l1d.miss_queue_len.to_string(),
-    );
-    row(
-        "L1D MSHRs",
-        b.core.l1d.mshr_entries.to_string(),
-        s4_l1.core.l1d.mshr_entries.to_string(),
-        ce.core.l1d.mshr_entries.to_string(),
-    );
-    row(
-        "Memory pipeline width",
-        b.core.mem_pipeline_width.to_string(),
-        s4_l1.core.mem_pipeline_width.to_string(),
-        ce.core.mem_pipeline_width.to_string(),
-    );
+    row("DRAM scheduler queue", &dram, |c| c.dram.sched_queue.to_string());
+    row("DRAM banks/channel", &dram, |c| c.dram.n_banks.to_string());
+    row("DRAM bus B/cmd-clock", &dram, |c| c.dram.bus_bytes_per_cycle.to_string());
+    row("L2 miss queue", &l2, |c| c.l2_bank.miss_queue_len.to_string());
+    row("L2 response queue", &l2, |c| c.l2_response_queue.to_string());
+    row("L2 MSHRs", &l2, |c| c.l2_bank.mshr_entries.to_string());
+    row("L2 access queue", &l2, |c| c.l2_access_queue.to_string());
+    row("L2 data port (B)", &l2, |c| c.l2_data_port_bytes.to_string());
+    row("Crossbar flits (req+rep B)", &l2, |c| format!("{}+{}", c.icnt.req_flit_bytes, c.icnt.rep_flit_bytes));
+    row("L2 banks", &l2, |c| c.n_l2_banks.to_string());
+    row("L1 miss queue", &l1, |c| c.core.l1d.miss_queue_len.to_string());
+    row("L1D MSHRs", &l1, |c| c.core.l1d.mshr_entries.to_string());
+    row("Memory pipeline width", &l1, |c| c.core.mem_pipeline_width.to_string());
     s
 }
 
@@ -986,96 +814,41 @@ pub fn overhead() -> String {
 pub fn ablation_configs() -> Vec<(&'static str, GpuConfig)> {
     use gmh_dram::SchedPolicy;
     use gmh_simt::scheduler::WarpSchedPolicy;
-    let b = GpuConfig::gtx480_baseline;
-    let mut v: Vec<(&'static str, GpuConfig)> = Vec::new();
-    // DRAM knobs.
-    v.push(("dram-schedq x4", {
-        let mut c = b();
-        c.dram.sched_queue *= 4;
-        c
-    }));
-    v.push(("dram-banks x4", {
-        let mut c = b();
-        c.dram.n_banks *= 4;
-        c
-    }));
-    v.push(("dram-bus x4", {
-        let mut c = b();
-        c.dram.bus_bytes_per_cycle *= 4;
-        c
-    }));
-    v.push(("dram-fcfs", {
-        let mut c = b();
-        c.dram.policy = SchedPolicy::Fcfs;
-        c
-    }));
-    // L2 knobs.
-    v.push(("l2-missq x4", {
-        let mut c = b();
-        c.l2_bank.miss_queue_len *= 4;
-        c
-    }));
-    v.push(("l2-respq x4", {
-        let mut c = b();
-        c.l2_response_queue *= 4;
-        c
-    }));
-    v.push(("l2-mshr x4", {
-        let mut c = b();
-        c.l2_bank.mshr_entries *= 4;
-        c
-    }));
-    v.push(("l2-accessq x4", {
-        let mut c = b();
-        c.l2_access_queue *= 4;
-        c
-    }));
-    v.push(("l2-port x4", {
-        let mut c = b();
-        c.l2_data_port_bytes *= 4;
-        c
-    }));
-    v.push(("icnt-flits x4", {
-        let mut c = b();
-        c.icnt.req_flit_bytes *= 4;
-        c.icnt.rep_flit_bytes *= 4;
-        c
-    }));
-    v.push(("l2-banks x4", {
-        let mut c = b();
-        c.l2_bank.size_bytes /= 4;
-        c.n_l2_banks *= 4;
-        c.l2_bank.set_stride = c.n_l2_banks;
-        c
-    }));
-    // L1 knobs.
-    v.push(("l1-missq x4", {
-        let mut c = b();
-        c.core.l1d.miss_queue_len *= 4;
-        c
-    }));
-    v.push(("l1-mshr x4", {
-        let mut c = b();
-        c.core.l1d.mshr_entries *= 4;
-        c
-    }));
-    v.push(("l1-pipe x4", {
-        let mut c = b();
-        c.core.mem_pipeline_width *= 4;
-        c
-    }));
-    // Policies.
-    v.push(("warp-lrr", {
-        let mut c = b();
-        c.core.sched_policy = WarpSchedPolicy::Lrr;
-        c
-    }));
-    v.push(("icnt-speedup2", {
-        let mut c = b();
-        c.icnt.output_speedup = 2;
-        c
-    }));
-    v
+    // The baseline with one knob turned.
+    let knob = |label, turn: fn(&mut GpuConfig)| {
+        let mut c = GpuConfig::gtx480_baseline();
+        turn(&mut c);
+        (label, c)
+    };
+    vec![
+        // DRAM knobs.
+        knob("dram-schedq x4", |c| c.dram.sched_queue *= 4),
+        knob("dram-banks x4", |c| c.dram.n_banks *= 4),
+        knob("dram-bus x4", |c| c.dram.bus_bytes_per_cycle *= 4),
+        knob("dram-fcfs", |c| c.dram.policy = SchedPolicy::Fcfs),
+        // L2 knobs.
+        knob("l2-missq x4", |c| c.l2_bank.miss_queue_len *= 4),
+        knob("l2-respq x4", |c| c.l2_response_queue *= 4),
+        knob("l2-mshr x4", |c| c.l2_bank.mshr_entries *= 4),
+        knob("l2-accessq x4", |c| c.l2_access_queue *= 4),
+        knob("l2-port x4", |c| c.l2_data_port_bytes *= 4),
+        knob("icnt-flits x4", |c| {
+            c.icnt.req_flit_bytes *= 4;
+            c.icnt.rep_flit_bytes *= 4;
+        }),
+        knob("l2-banks x4", |c| {
+            c.l2_bank.size_bytes /= 4;
+            c.n_l2_banks *= 4;
+            c.l2_bank.set_stride = c.n_l2_banks;
+        }),
+        // L1 knobs.
+        knob("l1-missq x4", |c| c.core.l1d.miss_queue_len *= 4),
+        knob("l1-mshr x4", |c| c.core.l1d.mshr_entries *= 4),
+        knob("l1-pipe x4", |c| c.core.mem_pipeline_width *= 4),
+        // Policies.
+        knob("warp-lrr", |c| c.core.sched_policy = WarpSchedPolicy::Lrr),
+        knob("icnt-speedup2", |c| c.icnt.output_speedup = 2),
+    ]
 }
 
 /// Single-knob ablation on an L2-bandwidth-bound workload (`mm`) and a
@@ -1087,16 +860,7 @@ pub fn ablation_configs() -> Vec<(&'static str, GpuConfig)> {
 pub fn ablation(baselines: &Baselines) -> String {
     let workloads = ["mm", "lbm"];
     let configs = ablation_configs();
-    let jobs: Vec<Job> = workloads
-        .iter()
-        .flat_map(|name| {
-            let w = catalog::by_name(name).expect("ablation workload");
-            configs
-                .iter()
-                .map(move |(label, cfg)| Job::new(w.clone(), *label, cfg.clone()))
-        })
-        .collect();
-    let out = run_jobs(jobs);
+    let out = speedups(baselines, &workloads, &configs);
     let mut s = String::new();
     writeln!(
         s,
@@ -1106,10 +870,8 @@ pub fn ablation(baselines: &Baselines) -> String {
     writeln!(s, "{:<16} {:>8} {:>8}", "knob", "mm", "lbm").unwrap();
     for (ci, (label, _)) in configs.iter().enumerate() {
         write!(s, "{label:<16}").unwrap();
-        for (wi, name) in workloads.iter().enumerate() {
-            let base = baselines.get(name).expect("baseline ran");
-            let sp = out[wi * configs.len() + ci].stats.speedup_over(base);
-            write!(s, " {sp:>8.2}").unwrap();
+        for row in &out {
+            write!(s, " {:>8.2}", row[ci]).unwrap();
         }
         writeln!(s).unwrap();
     }
@@ -1138,6 +900,39 @@ mod tests {
         labels.sort_unstable();
         labels.dedup();
         assert_eq!(labels.len(), configs.len());
+    }
+
+    #[test]
+    fn grid_is_rows_of_workloads_by_columns_of_configs() {
+        let small = |name: &str| {
+            let mut w = catalog::by_name(name).unwrap();
+            w.warps_per_core = 2;
+            w.insts_per_warp = 40;
+            w
+        };
+        let cores = |n: usize| {
+            let mut c = GpuConfig::gtx480_baseline();
+            c.n_cores = n;
+            (n, c)
+        };
+        let workloads = [small("leukocyte"), small("mm"), small("mm")];
+        let configs = [cores(1), cores(2)];
+        let out = grid(&workloads, &configs);
+        assert_eq!(out.len(), workloads.len());
+        let key = |st: &SimStats| (st.insts, st.core_cycles);
+        for (w, row) in workloads.iter().zip(&out) {
+            assert_eq!(row.len(), configs.len());
+            // Cell [w][c] is workload w under config c, whatever order ran.
+            for ((_, cfg), st) in configs.iter().zip(row) {
+                let direct = gmh_core::GpuSim::new(cfg.clone(), w).run();
+                assert_eq!(key(st), key(&direct), "{} on {} cores", w.name, cfg.n_cores);
+            }
+        }
+        // The cells differ along both axes, so a transposed or shifted grid
+        // would have failed above; identical jobs give identical stats.
+        assert_ne!(key(&out[0][0]), key(&out[0][1]));
+        assert_ne!(key(&out[0][0]), key(&out[1][0]));
+        assert_eq!(key(&out[1][1]), key(&out[2][1]));
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! evaluation, built on [`gmh_core::GpuSim`] and the calibrated workload
 //! catalog in [`gmh_workloads`].
 //!
-//! Each artifact has a binary (`cargo run --release -p gmh-exp --bin
-//! fig10`) that prints the same rows/series the paper reports, with the
-//! paper's reference values alongside where available. The
-//! `all_experiments` binary runs everything and emits a complete
-//! EXPERIMENTS.md-style report.
+//! Each artifact is a row of [`experiments::ARTIFACTS`]; the one binary
+//! prints any of them (`cargo run --release -p gmh-exp -- fig8 fig9`) as
+//! the rows/series the paper reports, with the paper's reference values
+//! alongside where available. `gmh-exp all` is the complete
+//! EXPERIMENTS.md-style report, `gmh-exp list` names the artifacts and the
+//! diagnostics (`probe`, `sweep`, `calibrate`, `trace`, `record`, `replay`).
 //!
 //! Heavy sweeps run jobs in parallel across `GMH_THREADS` threads
 //! (default: available parallelism).
@@ -18,6 +19,7 @@
 
 pub mod cache;
 pub mod candidate;
+pub mod cli;
 pub mod experiments;
 pub mod export;
 pub mod prof_export;

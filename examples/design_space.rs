@@ -7,8 +7,8 @@
 //! the stalls went.
 //!
 //! Every run goes through the tuner's candidate/evaluator layer and the
-//! content-addressed result cache shared with `gmh-serve`, the figure
-//! binaries and `gmh-tune`: a warm cache re-prints the whole table without
+//! content-addressed result cache shared with `gmh-serve`, `gmh-exp sweep`
+//! and `gmh-tune`: a warm cache re-prints the whole table without
 //! running a single simulation.
 //!
 //! ```text

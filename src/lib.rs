@@ -31,8 +31,8 @@
 //! println!("L2 scaling speedup: {:.2}x", scaled.speedup_over(&base));
 //! ```
 //!
-//! See `examples/` for runnable scenarios and `crates/exp/src/bin/` for the
-//! per-figure experiment runners.
+//! See `examples/` for runnable scenarios and `gmh-exp list`
+//! ([`exp::experiments::ARTIFACTS`]) for the per-figure experiment runners.
 
 #![forbid(unsafe_code)]
 

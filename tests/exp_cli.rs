@@ -1,0 +1,137 @@
+//! The `gmh-exp` command line, driven in-process through
+//! `gmh::exp::cli::run` with in-memory writers, and the freshness of the
+//! committed `experiments_report.txt`.
+//!
+//! Nothing here runs a full-size simulation: refused input is refused before
+//! any work starts, and only the simulation-free artifacts are rendered.
+
+use gmh::exp::cli;
+use gmh::exp::experiments::{self, ARTIFACTS};
+
+/// Runs one command line; returns (exit code, stdout, stderr).
+fn gmh_exp(args: &[&str]) -> (u8, String, String) {
+    let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+    let (mut out, mut err) = (Vec::new(), Vec::new());
+    let code = cli::run(&args, &mut out, &mut err);
+    let text = |bytes| String::from_utf8(bytes).expect("utf-8 output");
+    (code, text(out), text(err))
+}
+
+/// Asserts the one refusal path: exit 2, nothing on stdout, the reason on
+/// stderr behind the program name. (A panic would fail the test by itself.)
+fn refused(args: &[&str]) -> String {
+    let (code, out, err) = gmh_exp(args);
+    assert_eq!(code, 2, "{args:?} was not refused: {err}");
+    assert_eq!(out, "", "{args:?} printed despite the refusal");
+    assert!(err.starts_with("gmh-exp: "), "{args:?}: {err}");
+    err
+}
+
+fn temp_path(tag: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("gmh-exp-cli-{}-{tag}", std::process::id()))
+}
+
+#[test]
+fn list_names_every_artifact_and_diagnostic() {
+    let (code, out, _) = gmh_exp(&["list"]);
+    assert_eq!(code, 0);
+    assert_eq!(ARTIFACTS.len(), 16);
+    for a in &ARTIFACTS {
+        let line = format!("  {:<10} {}", a.name, a.about);
+        assert!(out.contains(&line), "list lacks {line:?}:\n{out}");
+    }
+    for diagnostic in ["probe", "sweep", "calibrate", "trace", "record", "replay"] {
+        let listed = out.lines().any(|l| l.trim_start().starts_with(diagnostic));
+        assert!(listed, "list lacks {diagnostic}:\n{out}");
+    }
+}
+
+#[test]
+fn named_artifacts_print_in_argument_order() {
+    let (code, out, _) = gmh_exp(&["table3", "table1"]);
+    assert_eq!(code, 0);
+    let expected = format!("{}\n{}", experiments::table3(), experiments::table1());
+    assert_eq!(out, expected);
+}
+
+#[test]
+fn artifact_names_are_unique_and_in_report_order() {
+    let names: Vec<&str> = ARTIFACTS.iter().map(|a| a.name).collect();
+    let report_order = [
+        "table1", "fig1", "table2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
+        "fig10", "fig11", "fig12", "table3", "overhead", "ablation",
+    ];
+    assert_eq!(names, report_order);
+    let mut unique = names.clone();
+    unique.sort_unstable();
+    unique.dedup();
+    assert_eq!(unique.len(), names.len());
+}
+
+#[test]
+fn unknown_names_are_refused_with_the_valid_ones() {
+    let err = refused(&["nope"]);
+    for a in &ARTIFACTS {
+        assert!(err.contains(a.name), "refusal lacks {}: {err}", a.name);
+    }
+    // One bad name refuses the whole line before anything is rendered.
+    refused(&["table1", "nope"]);
+    for diagnostic in ["probe", "sweep", "trace", "record"] {
+        let err = refused(&[diagnostic, "nope"]);
+        assert!(err.contains("lbm") && err.contains("leukocyte"), "{err}");
+    }
+}
+
+#[test]
+fn unparsable_arguments_are_refused_not_defaulted() {
+    let trace = temp_path("refused.trace");
+    let err = refused(&["record", "mm", trace.to_str().unwrap(), "abc"]);
+    assert!(err.contains("\"abc\""), "{err}");
+    assert!(!trace.exists(), "a refused record still wrote {trace:?}");
+    refused(&["trace", "mm", "x"]);
+    refused(&["trace", "mm", "0", "-4"]);
+    // `--write-md` belongs to `all` alone, and takes a path.
+    refused(&["table1", "--write-md", "x"]);
+    refused(&["all", "--write-md"]);
+    refused(&["probe", "mm", "lbm"]);
+    refused(&[]);
+}
+
+#[test]
+fn unreadable_and_malformed_traces_are_refused() {
+    refused(&["replay"]);
+    let missing = temp_path("missing.trace");
+    let err = refused(&["replay", missing.to_str().unwrap()]);
+    assert!(err.contains("cannot open"), "{err}");
+
+    let garbage = temp_path("garbage.trace");
+    std::fs::write(&garbage, "#gmh-trace v1\nname mm\nthis is not a trace\n").unwrap();
+    let err = refused(&["replay", garbage.to_str().unwrap()]);
+    std::fs::remove_file(&garbage).unwrap();
+    assert!(err.contains("cannot parse"), "{err}");
+}
+
+/// `experiments_report.txt` is the committed output of `gmh-exp all
+/// --write-md`. This catches drift of its *format* and *order*: every
+/// simulation-free artifact, rendered live, appears in it verbatim, and its
+/// section titles are the artifact table's, in table order. Drift of the
+/// simulated *numbers* is what `tests/golden_digests.rs` is for.
+#[test]
+fn committed_report_has_the_current_format_and_order() {
+    let report = include_str!("../experiments_report.txt");
+    for name in ["table1", "fig6", "table3", "overhead"] {
+        let (code, section, _) = gmh_exp(&[name]);
+        assert_eq!(code, 0);
+        assert!(
+            report.contains(&section),
+            "{name} is stale in experiments_report.txt; regenerate it with \
+             `gmh-exp all --write-md experiments_report.txt`. Live:\n{section}"
+        );
+    }
+    let committed: Vec<&str> = report.lines().filter(|l| l.starts_with("== ")).collect();
+    let table: Vec<String> = ARTIFACTS
+        .iter()
+        .map(|a| format!("== {} ==", a.about))
+        .collect();
+    assert_eq!(committed, table);
+}
