@@ -51,24 +51,21 @@ impl<Co: Component, Ba: Component, Ch: Component, Ne: Component> Machine<Co, Ba,
     }
 
     /// Wakes `class`'s component `slot` ahead of a mutation (see [`wake`]).
-    /// `target` is the own-domain tick count it must have absorbed *before*
-    /// the caller's mutation — one less than the current count when its own
-    /// sweep still runs later this instant.
     #[inline(always)]
-    pub fn wake(&mut self, class: Class, slot: usize, target: u64) {
+    pub fn wake(&mut self, class: Class, slot: usize) {
         match class {
-            Class::Core => wake(&mut self.sched, class, &mut self.cores, slot, target),
-            Class::Bank => wake(&mut self.sched, class, &mut self.banks, slot, target),
-            Class::Chan => wake(&mut self.sched, class, &mut self.channels, slot, target),
-            Class::Net => wake(&mut self.sched, class, &mut self.nets, slot, target),
+            Class::Core => wake(&mut self.sched, class, &mut self.cores, slot),
+            Class::Bank => wake(&mut self.sched, class, &mut self.banks, slot),
+            Class::Chan => wake(&mut self.sched, class, &mut self.channels, slot),
+            Class::Net => wake(&mut self.sched, class, &mut self.nets, slot),
         }
     }
 
     /// Drains the due wakes at one clock instant: every queued component
-    /// whose wake time has arrived is woken, flushed to `cycles[class] - 1`
-    /// (its domain provably fires at its wake instant, so the sweep running
-    /// later this instant executes the final tick). Returns how many woke.
-    pub fn drain_wakes(&mut self, now_ps: Picos, cycles: [u64; 4]) -> u64 {
+    /// whose wake time has arrived is woken and flushed (its domain provably
+    /// fires at its wake instant, so the sweep running later this instant
+    /// executes the final tick). Returns how many woke.
+    pub fn drain_wakes(&mut self, now_ps: Picos) -> u64 {
         let mut woke = 0;
         while let Some(id) = self.sched.q.pop_ready(now_ps) {
             let (class, slot) = self.sched.locate(id);
@@ -76,7 +73,7 @@ impl<Co: Component, Ba: Component, Ch: Component, Ne: Component> Machine<Co, Ba,
                 now_ps.is_multiple_of(self.sched.period[class.idx()]),
                 "a wake instant must be a tick instant of its own domain"
             );
-            self.wake(class, slot, cycles[class.idx()] - 1);
+            self.wake(class, slot);
             woke += 1;
         }
         woke
@@ -87,10 +84,10 @@ impl<Co: Component, Ba: Component, Ch: Component, Ne: Component> Machine<Co, Ba,
     /// attribution, occupancy samples, blocked-cycle counts) are exactly
     /// what the naive loop would have accumulated. Classes the memory model
     /// never ticks are left untouched, like the naive loop leaves them.
-    pub fn flush_end(&mut self, ends: [u64; 4]) {
+    pub fn flush_end(&mut self) {
         for class in Class::ALL {
             for slot in 0..self.sched.live[class.idx()] {
-                self.wake(class, slot, ends[class.idx()]);
+                self.wake(class, slot);
             }
         }
     }
@@ -105,6 +102,7 @@ impl<Co: Component, Ba: Component, Ch: Component, Ne: Component> Machine<Co, Ba,
 /// component of a class the memory model ticks cycles, unprobed.
 fn sweep<C: Component>(sched: &mut Sched, class: Class, comps: &mut [C], cx: &mut Tick<'_>) {
     let k = class.idx();
+    sched.swept[k] = cx.cyc;
     if sched.awake_n[k] == 0 {
         return;
     }
@@ -128,11 +126,11 @@ fn sweep<C: Component>(sched: &mut Sched, class: Class, comps: &mut [C], cx: &mu
 }
 
 /// Flush → wake: raises a sleeper's flag (cancelling its queued wake) and
-/// replays its owed quiet ticks up to `target` through its bulk skip hook
-/// while its state is still the frozen quiet state the hook's
-/// `debug_assert` demands; only then may the caller mutate it. No-op on an
-/// awake component.
-fn wake<C: Component>(sched: &mut Sched, class: Class, comps: &mut [C], slot: usize, target: u64) {
+/// replays its owed quiet ticks — through the last tick its class's sweep
+/// completed — through its bulk skip hook while its state is still the
+/// frozen quiet state the hook's `debug_assert` demands; only then may the
+/// caller mutate it. No-op on an awake component.
+fn wake<C: Component>(sched: &mut Sched, class: Class, comps: &mut [C], slot: usize) {
     let id = sched.id(class, slot);
     if sched.awake[id] {
         return;
@@ -140,7 +138,7 @@ fn wake<C: Component>(sched: &mut Sched, class: Class, comps: &mut [C], slot: us
     sched.q.cancel(id);
     sched.awake[id] = true;
     sched.awake_n[class.idx()] += 1;
-    let owed = target - sched.done[id];
+    let owed = sched.swept[class.idx()] - sched.done[id];
     if owed > 0 {
         comps[slot].skip_cycles(owed);
     }
@@ -221,12 +219,14 @@ mod tests {
         assert_eq!((&m.banks[0].ticks, m.banks[0].probes.get()), (&vec![1], 1));
         assert_eq!((m.sched.awake_n, m.sched.q.len()), ([0; 4], 4));
         assert_eq!(m.sched.q.peek(), Some((80, id)));
-        // An external wake at tick 4 settles ticks 2..=4 before returning.
-        m.wake(Class::Bank, 0, 4);
+        // An external wake after sweep 4 settles ticks 2..=4 before returning.
+        m.sched.swept = [4; 4];
+        m.wake(Class::Bank, 0);
         assert_eq!((m.banks[0].skipped, m.sched.done[id]), (3, 1));
         assert!(m.sched.awake[id] && !m.sched.q.contains(id));
         // Waking the awake is a no-op.
-        m.wake(Class::Bank, 0, 9);
+        m.sched.swept = [9; 4];
+        m.wake(Class::Bank, 0);
         assert_eq!(m.banks[0].skipped, 3);
     }
 
@@ -234,9 +234,10 @@ mod tests {
     fn due_wakes_drain_to_the_tick_before_the_one_about_to_run() {
         let mut m = machine(true, CORES_ONLY, EventBound::quiet_until(5));
         sweeps(&mut m, 1);
-        assert_eq!(m.drain_wakes(39, [4, 2, 2, 2]), 0);
+        m.sched.swept = [4, 2, 2, 2];
+        assert_eq!(m.drain_wakes(39), 0);
         // At 40 ps the core domain fires tick 5: ticks 2..=4 are owed.
-        assert_eq!(m.drain_wakes(40, [5, 3, 2, 3]), 1);
+        assert_eq!(m.drain_wakes(40), 1);
         assert_eq!((m.cores[0].skipped, m.sched.awake_n), (3, [1, 0, 0, 0]));
     }
 
@@ -265,7 +266,8 @@ mod tests {
         for enabled in [true, false] {
             let mut m = machine(enabled, CORES_ONLY, EventBound::quiet_external());
             sweeps(&mut m, 1);
-            m.flush_end([9; 4]);
+            m.sched.swept = [9; 4];
+            m.flush_end();
             // The core ticked once; asleep, it is owed ticks 2..=9.
             assert_eq!(m.cores[0].ticks, [1]);
             assert_eq!(m.cores[0].skipped, if enabled { 8 } else { 0 });

@@ -58,7 +58,7 @@ pub(crate) struct Sched {
     /// Awake flag per component id.
     pub awake: Vec<bool>,
     /// Own-domain tick a sleeping component last really ticked on, stamped
-    /// as it parks. `cycles() - done` is the flush debt at wake time.
+    /// as it parks. `swept[class] - done` is the flush debt at wake time.
     pub done: Vec<u64>,
     /// Awake components per class, kept in lock-step with `awake` so the
     /// all-asleep check is O(1), not O(components).
@@ -69,6 +69,10 @@ pub(crate) struct Sched {
     pub live: [usize; 4],
     /// Clock period of each class's domain.
     pub period: [Picos; 4],
+    /// Own-domain ticks each class's sweep has completed: what a sleeper of
+    /// that class must have absorbed before anything mutates it, whether
+    /// its own sweep still runs later this instant or already ran.
+    pub swept: [u64; 4],
     /// Id of each class's slot 0.
     offset: [usize; 4],
 }
@@ -91,6 +95,7 @@ impl Sched {
             awake_n: live,
             live,
             period,
+            swept: [0; 4],
             offset,
         }
     }

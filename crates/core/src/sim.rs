@@ -410,7 +410,7 @@ impl GpuSim {
     fn dispatch_ticks(&mut self, fired: TickSet, now_ps: Picos) {
         if fired.icnt {
             if self.uses_hierarchy() {
-                self.icnt_tick(fired, now_ps);
+                self.icnt_tick(now_ps);
             }
             self.sample_telemetry();
         }
@@ -452,7 +452,7 @@ impl GpuSim {
         let mut t = Instant::now();
         if fired.icnt {
             if self.uses_hierarchy() {
-                self.icnt_tick(fired, now_ps);
+                self.icnt_tick(now_ps);
                 t = self.host_span_chain(HostPhase::IcntTick, t);
             }
             self.sample_telemetry();
@@ -553,6 +553,8 @@ impl GpuSim {
             self.ff_stats.skipped_core += counts.core;
             self.ff_stats.skipped_icnt += counts.icnt;
             self.ff_stats.skipped_dram += counts.dram;
+            // The ticks jumped over count as swept: every sleeper owes them.
+            self.m.sched.swept = Self::per_class(&self.clocks, |d| d.cycles());
             if counts.icnt > 0 {
                 self.sample_telemetry_repeated(counts.icnt);
             }
@@ -605,9 +607,8 @@ impl GpuSim {
         if !matches!(self.m.sched.q.peek(), Some((w, _)) if w <= now_ps) {
             return;
         }
-        let cycles = Self::per_class(&self.clocks, |d| d.cycles());
         let t0 = self.host_span_begin();
-        let woke = self.m.drain_wakes(now_ps, cycles);
+        let woke = self.m.drain_wakes(now_ps);
         debug_assert!(woke > 0, "a due peek must drain at least one wake");
         self.host_span_end(HostPhase::SchedPop, t0);
     }
@@ -620,9 +621,8 @@ impl GpuSim {
         if !self.m.sched.enabled {
             return;
         }
-        let ends = Self::per_class(&self.clocks, |d| d.cycles());
         let t0 = self.host_span_begin();
-        self.m.flush_end(ends);
+        self.m.flush_end();
         self.host_span_end(HostPhase::SchedResched, t0);
     }
 
@@ -829,9 +829,7 @@ impl GpuSim {
                 self.audit.returned(&f, now_ps);
                 self.trace
                     .record_fetch(&f, now_ps, TraceEventKind::Returned);
-                // The core sweep already ran this tick: flush the sleeping
-                // recipient through tick `cyc` before mutating it.
-                self.m.wake(Class::Core, core, cyc);
+                self.m.wake(Class::Core, core);
                 // INVARIANT: can_accept_response() held just above.
                 self.m.cores[core].push_response(f).expect("space checked");
             }
@@ -847,7 +845,10 @@ impl GpuSim {
 
     // ---- interconnect / L2 domain -------------------------------------------
 
-    fn icnt_tick(&mut self, fired: TickSet, now_ps: Picos) {
+    /// Eight serial steps; each hand-off wakes its receiver first, and the
+    /// wake settles exactly the ticks the receiver's class has swept, so a
+    /// step need not know whether that sweep ran above it or runs below.
+    fn icnt_tick(&mut self, now_ps: Picos) {
         let icnt_cyc = self.clocks.domain(DomainId::Icnt).cycles();
         // 1. Cores inject L1 miss traffic into the request network. A
         //    sleeping core has an empty L1 miss queue, so only awake cores
@@ -860,10 +861,7 @@ impl GpuSim {
                 let bytes = head.request_bytes();
                 let dst = head.line.interleave(self.cfg.n_l2_banks);
                 if self.m.nets[REQ].can_inject(c, bytes) {
-                    // The net sweep runs *after* this step: flush the
-                    // request switch through tick icnt_cyc - 1 so its
-                    // router-latency stamp sees the current cycle.
-                    self.m.wake(Class::Net, REQ, icnt_cyc - 1);
+                    self.m.wake(Class::Net, REQ);
                     // INVARIANT: peek_outgoing() returned Some above.
                     let mut f = self.m.cores[c].pop_outgoing().expect("peeked");
                     self.audit.emitted(&f);
@@ -894,9 +892,7 @@ impl GpuSim {
                     if !self.m.banks[b].can_accept() {
                         break;
                     }
-                    // The bank sweep runs after this step: flush the
-                    // sleeping bank through tick icnt_cyc - 1 only.
-                    self.m.wake(Class::Bank, b, icnt_cyc - 1);
+                    self.m.wake(Class::Bank, b);
                     // INVARIANT: peek_eject() returned Some in the loop guard.
                     let mut f = self.m.nets[REQ].pop_eject(b).expect("peeked");
                     f.time.l2_arrive = now_ps;
@@ -976,13 +972,7 @@ impl GpuSim {
                 }
                 None => {
                     if self.m.channels[ch].can_accept() {
-                        // The channel sweep does not run at pure-icnt
-                        // instants; flush the channel through the last
-                        // DRAM tick that already executed (one less when
-                        // this edge fires DRAM too — that tick runs after
-                        // this hand-off).
-                        self.m
-                            .wake(Class::Chan, ch, dram_cyc - u64::from(fired.dram));
+                        self.m.wake(Class::Chan, ch);
                         // INVARIANT: miss_queue_front() returned Some above.
                         let mut f = self.m.banks[b].pop_miss().expect("peeked");
                         f.time.dram_arrive = now_ps;
@@ -1016,10 +1006,7 @@ impl GpuSim {
                             now_ps,
                             TraceEventKind::ServicedAt(Level::Dram),
                         );
-                        // The bank sweep already ran: flush the sleeping
-                        // bank through tick icnt_cyc so the fill's ready
-                        // stamp (bank.now + 1) lands on the next tick.
-                        self.m.wake(Class::Bank, bank, icnt_cyc);
+                        self.m.wake(Class::Bank, bank);
                         self.m.banks[bank].deliver_fill(f, now_ps);
                     }
                 }
@@ -1052,9 +1039,7 @@ impl GpuSim {
                             now_ps,
                             TraceEventKind::ServicedAt(Level::Dram),
                         );
-                        // See the ideal branch above: flush through this
-                        // tick before the fill stamps bank.now + 1.
-                        self.m.wake(Class::Bank, bank, icnt_cyc);
+                        self.m.wake(Class::Bank, bank);
                         self.m.banks[bank].deliver_fill(f, now_ps);
                     }
                 }
@@ -1071,10 +1056,7 @@ impl GpuSim {
                 let bytes = resp.response_bytes();
                 let dst = resp.core_id;
                 if self.m.nets[REP].can_inject(b, bytes) {
-                    // The net sweep already ran this tick: flush the reply
-                    // switch through tick icnt_cyc before it stamps
-                    // router latency against its own clock.
-                    self.m.wake(Class::Net, REP, icnt_cyc);
+                    self.m.wake(Class::Net, REP);
                     // INVARIANT: response_ready() returned Some above.
                     let f = self.m.banks[b].pop_response().expect("ready");
                     // An L2 hit is "serviced" when its response leaves the
@@ -1097,17 +1079,12 @@ impl GpuSim {
         // 8. Ejected replies enter core response FIFOs. Same early-out as
         //    step 3: no backlog, nothing to re-offer.
         if self.m.nets[REP].ejection_backlog() > 0 {
-            let core_cyc = self.clocks.domain(DomainId::Core).cycles();
             for c in 0..self.cfg.n_cores {
                 while self.m.nets[REP].peek_eject(c).is_some() {
                     if !self.m.cores[c].can_accept_response() {
                         break;
                     }
-                    // The core sweep runs after the icnt phase when this
-                    // edge fires it: flush the sleeping core through the
-                    // last core tick that already executed.
-                    self.m
-                        .wake(Class::Core, c, core_cyc - u64::from(fired.core));
+                    self.m.wake(Class::Core, c);
                     // INVARIANT: peek_eject() returned Some in the loop guard.
                     let f = self.m.nets[REP].pop_eject(c).expect("peeked");
                     self.audit.returned(&f, now_ps);

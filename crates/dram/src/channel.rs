@@ -235,13 +235,12 @@ impl DramChannel {
     ///
     /// Returns the fetch back when the scheduler queue is full (the caller
     /// holds it upstream: bp-DRAM).
-    pub fn push(&mut self, mut fetch: MemFetch, now: Cycle) -> Result<(), MemFetch> {
+    pub fn push(&mut self, fetch: MemFetch, now: Cycle) -> Result<(), MemFetch> {
         if self.queue.is_full() {
             return Err(fetch);
         }
         let (bank, row) = self.decode(fetch.line);
         let is_write = fetch.kind.is_write();
-        fetch.time.dram_arrive = 0; // stamped by the owner in wall time
         self.queue
             .push(Pending {
                 fetch,
@@ -561,6 +560,20 @@ mod tests {
         // ACT at 0, CAS at tRCD=12, data 24..28 -> response at cycle 28.
         assert_eq!(resp.id, 0);
         assert_eq!(done, 28);
+    }
+
+    #[test]
+    fn the_owner_s_arrival_stamp_survives_the_channel() {
+        let mut ch = DramChannel::new(cfg(), 0);
+        let mut f = load(0, 0);
+        f.time.dram_arrive = 123;
+        ch.push(f, 0).unwrap();
+        let resp = (0..200).find_map(|now| {
+            ch.cycle(now);
+            ch.pop_response_cas()
+        });
+        let (_, resp) = resp.expect("a response within 200 cycles");
+        assert_eq!(resp.time.dram_arrive, 123);
     }
 
     #[test]

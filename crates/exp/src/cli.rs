@@ -9,6 +9,7 @@
 
 use crate::cache::{CachedRun, DiskCache};
 use crate::experiments::{self, fig10_configs, fig12_configs, Artifact, Render, ARTIFACTS};
+use crate::prof_export::{host_trace_json, utilization_table};
 use crate::runner::Baselines;
 use crate::{Candidate, Evaluator};
 use gmh_core::{GpuConfig, GpuSim};
@@ -41,10 +42,11 @@ type Run = fn(&[String], &mut dyn Write, &mut dyn Write) -> Outcome;
 struct Command(&'static str, &'static str, usize, &'static str, Run);
 
 #[rustfmt::skip]
-const COMMANDS: [Command; 8] = [
+const COMMANDS: [Command; 9] = [
     Command("all", "[--write-md PATH]", 2, "every artifact above as one report, optionally also to a file", all),
     Command("list", "", 0, "this listing", list),
     Command("probe", "[workload]", 1, "every statistic of one baseline run (default nn)", probe),
+    Command("profile", "[workload] [trace-out.json]", 2, "one baseline run's host time per run-loop phase (default mm); with a path, also its timeline as Chrome trace JSON", profile),
     Command("sweep", "[workload]", 1, "one workload under the Fig. 10 + 12 configs, through the result cache", sweep),
     Command("calibrate", "", 0, "Table II speedups beside the baseline statistics of all 19 workloads", calibrate),
     Command("trace", "[workload] [warp] [count]", 3, "the first instructions one warp's synthetic stream emits", trace),
@@ -190,6 +192,32 @@ fn probe(args: &[String], out: &mut dyn Write, _: &mut dyn Write) -> Outcome {
         [cache, mshr, bp_l2].map(|x| (x * 100.0).round()),
         stats.l2_stalls.fractions().map(|x| (x * 100.0).round()),
     )?;
+    Ok(())
+}
+
+fn profile(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Outcome {
+    let wl = workload(args, "mm")?;
+    // Opened before the run, so an unwritable path is refused up front.
+    let trace = match args.get(1) {
+        Some(path) => {
+            let file = File::create(path).map_err(cannot(format_args!("create {path}")))?;
+            Some((path, file))
+        }
+        None => None,
+    };
+    let mut cfg = GpuConfig::gtx480_baseline();
+    cfg.profile_host = true;
+    let mut sim = GpuSim::new(cfg, &wl);
+    sim.run();
+    // INVARIANT: profile_host was set just above and the report not yet taken.
+    let report = sim.take_host_report().expect("profile_host was on");
+    write!(out, "{}", utilization_table(&report))?;
+    if let Some((path, mut file)) = trace {
+        let written = file.write_all(host_trace_json(wl.name, &report).as_bytes());
+        written.map_err(cannot(format_args!("write {path}")))?;
+        let spans = report.events.len();
+        writeln!(err, "wrote {spans} timed host spans to {path}")?;
+    }
     Ok(())
 }
 

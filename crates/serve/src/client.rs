@@ -3,7 +3,7 @@
 //! One TCP connection, synchronous request/reply: submit a job and the call
 //! returns when the daemon sends the terminal line (`OK`/`BUSY`/`ERR`/
 //! `TIMEOUT`). Used by the `gmh-client` binary, the integration tests, and
-//! the `serve-bench` harness.
+//! `gmh-benchmark`'s `serve` workload.
 
 use crate::protocol::{job_line, tune_line, Reply};
 use std::io::{self, BufRead, BufReader, Write};

@@ -4,14 +4,12 @@
 //! tune [--smoke] [--seed N] [--budget N] [--workloads a,b,c]
 //!      [--pool N] [--survivors N] [--screen-cycles N] [--full-cycles N]
 //!      [--refine N] [--max-area PCT] [--out FILE] [--csv FILE]
-//!      [--cache-dir DIR] [--bench FILE]
+//!      [--cache-dir DIR]
 //! ```
 //!
 //! The deterministic frontier JSON goes to `--out` (default stdout); run
 //! statistics (fresh sims vs. cache hits, wall time) go to stderr so the
-//! JSON stream stays byte-identical between cold and warm runs. `--bench`
-//! runs the search twice against a scratch cache and writes a cold/warm
-//! timing report (`BENCH_tune.json` style) instead.
+//! JSON stream stays byte-identical between cold and warm runs.
 
 use gmh_exp::cache::DiskCache;
 use gmh_tune::{frontier_csv, frontier_json, run_search, TuneParams};
@@ -22,14 +20,13 @@ use std::time::Instant;
 
 const USAGE: &str = "usage: tune [--smoke] [--seed N] [--budget N] [--workloads a,b,c] \
 [--pool N] [--survivors N] [--screen-cycles N] [--full-cycles N] [--refine N] \
-[--max-area PCT] [--out FILE] [--csv FILE] [--cache-dir DIR] [--bench FILE]";
+[--max-area PCT] [--out FILE] [--csv FILE] [--cache-dir DIR]";
 
 struct Cli {
     params: TuneParams,
     out: Option<PathBuf>,
     csv: Option<PathBuf>,
     cache_dir: Option<PathBuf>,
-    bench: Option<PathBuf>,
 }
 
 fn parse_args() -> Result<Cli, String> {
@@ -39,7 +36,6 @@ fn parse_args() -> Result<Cli, String> {
         out: None,
         csv: None,
         cache_dir: None,
-        bench: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -78,7 +74,6 @@ fn parse_args() -> Result<Cli, String> {
             "--out" => cli.out = Some(PathBuf::from(value("--out")?)),
             "--csv" => cli.csv = Some(PathBuf::from(value("--csv")?)),
             "--cache-dir" => cli.cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
-            "--bench" => cli.bench = Some(PathBuf::from(value("--bench")?)),
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown flag {other:?}\n{USAGE}")),
         }
@@ -98,61 +93,6 @@ fn write_or_print(path: &Option<PathBuf>, content: &str) -> std::io::Result<()> 
     }
 }
 
-/// Runs the search twice on a scratch cache and writes the cold/warm
-/// benchmark report (the `BENCH_tune.json` format).
-fn bench(cli: &Cli, path: &PathBuf) -> std::io::Result<()> {
-    let dir = cli
-        .cache_dir
-        .clone()
-        .unwrap_or_else(|| PathBuf::from("target/gmh-tune-bench-cache"));
-    std::fs::remove_dir_all(&dir).ok();
-    let cache = DiskCache::open(&dir)?;
-
-    let t0 = Instant::now();
-    let cold = run_search(&cache, &cli.params)?;
-    let cold_ms = t0.elapsed().as_millis();
-    let t1 = Instant::now();
-    let warm = run_search(&cache, &cli.params)?;
-    let warm_ms = t1.elapsed().as_millis();
-
-    let cold_json = frontier_json(&cli.params, &cold);
-    let warm_json = frontier_json(&cli.params, &warm);
-    assert_eq!(cold_json, warm_json, "warm search must replay the cold one");
-    assert_eq!(warm.fresh_sims, 0, "warm search must be all cache hits");
-
-    let stages: Vec<String> = cold
-        .stage_cache
-        .iter()
-        .map(|(name, sims, hits)| {
-            format!("{{\"name\":\"{name}\",\"fresh_sims\":{sims},\"cache_hits\":{hits}}}")
-        })
-        .collect();
-    let report = format!(
-        "{{\"bench\":\"tune\",\"seed\":{},\"budget\":{},\"evals\":{},\
-         \"cold_wall_ms\":{cold_ms},\"warm_wall_ms\":{warm_ms},\
-         \"cold_fresh_sims\":{},\"cold_cache_hits\":{},\"warm_cache_hits\":{},\
-         \"stages\":[{}],\"frontier_size\":{},\"complete\":{}}}",
-        cli.params.seed,
-        cli.params.budget,
-        cold.evals,
-        cold.fresh_sims,
-        cold.cache_hits,
-        warm.cache_hits,
-        stages.join(","),
-        cold.frontier.len(),
-        cold.complete,
-    );
-    std::fs::write(path, format!("{report}\n"))?;
-    eprintln!(
-        "tune-bench: cold {cold_ms} ms ({} sims), warm {warm_ms} ms (0 sims), \
-         frontier {} points -> {}",
-        cold.fresh_sims,
-        cold.frontier.len(),
-        path.display()
-    );
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let cli = match parse_args() {
         Ok(cli) => cli,
@@ -162,9 +102,6 @@ fn main() -> ExitCode {
         }
     };
     let result = (|| -> std::io::Result<()> {
-        if let Some(path) = cli.bench.clone() {
-            return bench(&cli, &path);
-        }
         let dir = cli.cache_dir.clone().unwrap_or_else(DiskCache::default_dir);
         let cache = DiskCache::open(dir)?;
         let t0 = Instant::now();

@@ -536,7 +536,7 @@ impl FetchAudit {
 mod tests {
     use super::*;
     use crate::addr::LineAddr;
-    use crate::fetch::AccessKind;
+    use crate::fetch::{AccessKind, Timestamps};
 
     fn load(core: usize, id: u64) -> MemFetch {
         MemFetch::new(id, core, 0, AccessKind::Load, LineAddr::new(id), 10)
@@ -710,14 +710,28 @@ mod tests {
 
     #[test]
     fn audit_catches_non_monotone_timestamps() {
-        let mut a = FetchAudit::default();
-        let mut l = load(0, 1);
-        a.emitted(&l);
-        l.time.icnt_inject = 100;
-        l.time.l2_arrive = 40; // travels back in time
-        a.returned(&l, 200);
-        let err = a.finish(true).expect_err("must flag reversal");
-        assert!(err.contains("l2_arrive=40 before icnt_inject=100"), "{err}");
+        // One hop out of order per case: `l2_arrive`, then `dram_arrive` —
+        // stamped as a miss leaves its L2 bank — on either side.
+        for ([icnt_inject, l2_arrive, l2_done, dram_arrive, dram_done], complaint) in [
+            ([100, 40, 0, 0, 0], "l2_arrive=40 before icnt_inject=100"),
+            ([0, 0, 30, 25, 40], "dram_arrive=25 before l2_done=30"),
+            ([0, 0, 30, 45, 40], "dram_done=40 before dram_arrive=45"),
+        ] {
+            let mut a = FetchAudit::default();
+            let mut l = load(0, 1);
+            a.emitted(&l);
+            l.time = Timestamps {
+                icnt_inject,
+                l2_arrive,
+                l2_done,
+                dram_arrive,
+                dram_done,
+                ..l.time
+            };
+            a.returned(&l, 500);
+            let err = a.finish(true).expect_err("must flag reversal");
+            assert!(err.contains(complaint), "{err}");
+        }
     }
 
     #[test]

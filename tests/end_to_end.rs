@@ -2,6 +2,8 @@
 //! plumbing and the catalog contract.
 
 use gmh::core::{GpuConfig, GpuSim, MemoryModel, SimStats};
+use gmh::dram::{DramChannel, DramConfig};
+use gmh::types::{AccessKind, FetchAudit, LineAddr, MemFetch};
 use gmh::workloads::catalog;
 use gmh::workloads::spec::{AddressMix, PhaseSpec, Suite, WorkloadSpec};
 
@@ -179,4 +181,25 @@ fn zero_latency_ideal_memory_approaches_issue_limit() {
         "instant memory should nearly saturate issue, got {:.2}",
         s.ipc
     );
+}
+
+/// The run loop stamps `dram_arrive` as a miss leaves its L2 bank and hands
+/// the fetch to its channel; the audit can hold that hop to its neighbours
+/// only if the stamp comes back out with the response.
+#[test]
+fn the_audit_sees_the_dram_arrival_hop_of_a_fetch_that_crossed_a_channel() {
+    let mut f = MemFetch::new(0, 0, 0, AccessKind::Load, LineAddr::new(0), 0);
+    f.time.l2_done = 300;
+    f.time.dram_arrive = 250; // before it left the bank
+    let mut audit = FetchAudit::default();
+    audit.emitted(&f);
+    let mut ch = DramChannel::new(DramConfig::gtx480(), 0);
+    ch.push(f, 0).expect("an empty queue accepts");
+    let resp = (0..1_000).find_map(|now| {
+        ch.cycle(now);
+        ch.pop_response()
+    });
+    audit.returned(&resp.expect("a response within 1000 cycles"), 10_000);
+    let err = audit.finish(true).expect_err("the reversal is reported");
+    assert!(err.contains("dram_arrive=250 before l2_done=300"), "{err}");
 }

@@ -114,7 +114,7 @@ fn event_core_matches_both_oracles_on_all_models() {
 #[test]
 fn catalog_bursty_extras_match_the_naive_loop() {
     // The shipping bursty/idle-heavy workloads on the full GTX 480
-    // machine: exactly what the sim-bench speedup gate times, pinned
+    // machine: what `gmh-benchmark`'s `bursty` workload times, pinned
     // bit-identical here (report + trace + audit).
     for wl in catalog::extras() {
         let mut naive_cfg = GpuConfig::gtx480_baseline();

@@ -2,8 +2,9 @@
 //! `gmh::exp::cli::run` with in-memory writers, and the freshness of the
 //! committed `experiments_report.txt`.
 //!
-//! Nothing here runs a full-size simulation: refused input is refused before
-//! any work starts, and only the simulation-free artifacts are rendered.
+//! Nothing here runs a long simulation: refused input is refused before any
+//! work starts, only the simulation-free artifacts are rendered, and the one
+//! command that does simulate (`profile`) is given the short `solo` workload.
 
 use gmh::exp::cli;
 use gmh::exp::experiments::{self, ARTIFACTS};
@@ -40,7 +41,15 @@ fn list_names_every_artifact_and_diagnostic() {
         let line = format!("  {:<10} {}", a.name, a.about);
         assert!(out.contains(&line), "list lacks {line:?}:\n{out}");
     }
-    for diagnostic in ["probe", "sweep", "calibrate", "trace", "record", "replay"] {
+    for diagnostic in [
+        "probe",
+        "profile",
+        "sweep",
+        "calibrate",
+        "trace",
+        "record",
+        "replay",
+    ] {
         let listed = out.lines().any(|l| l.trim_start().starts_with(diagnostic));
         assert!(listed, "list lacks {diagnostic}:\n{out}");
     }
@@ -76,7 +85,7 @@ fn unknown_names_are_refused_with_the_valid_ones() {
     }
     // One bad name refuses the whole line before anything is rendered.
     refused(&["table1", "nope"]);
-    for diagnostic in ["probe", "sweep", "trace", "record"] {
+    for diagnostic in ["probe", "profile", "sweep", "trace", "record"] {
         let err = refused(&[diagnostic, "nope"]);
         assert!(err.contains("lbm") && err.contains("leukocyte"), "{err}");
     }
@@ -109,6 +118,36 @@ fn unreadable_and_malformed_traces_are_refused() {
     let err = refused(&["replay", garbage.to_str().unwrap()]);
     std::fs::remove_file(&garbage).unwrap();
     assert!(err.contains("cannot parse"), "{err}");
+}
+
+#[test]
+fn profile_prints_every_tick_phase_and_writes_a_loadable_timeline() {
+    let (code, out, _) = gmh_exp(&["profile", "solo"]);
+    assert_eq!(code, 0);
+    assert!(out.starts_with("# host profile:"), "{out}");
+    for phase in [
+        "core_tick",
+        "icnt_tick",
+        "l2_tick",
+        "dram_tick",
+        "telemetry",
+    ] {
+        let row = out.lines().any(|l| l.starts_with(phase));
+        assert!(row, "no {phase} row:\n{out}");
+    }
+
+    let path = temp_path("host-trace.json");
+    let (code, _, err) = gmh_exp(&["profile", "solo", path.to_str().unwrap()]);
+    assert_eq!(code, 0, "{err}");
+    let written = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let trace = gmh::types::json::parse(&written).expect("the timeline is JSON");
+    assert!(trace.get("traceEvents").is_some(), "{written:.200}");
+
+    // A path that cannot be created is refused before the run starts.
+    let err = refused(&["profile", "solo", "/nonexistent-dir/host-trace.json"]);
+    assert!(err.contains("cannot create"), "{err}");
+    refused(&["profile", "solo", "x.json", "extra"]);
 }
 
 /// `experiments_report.txt` is the committed output of `gmh-exp all

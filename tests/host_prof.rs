@@ -11,6 +11,8 @@
 use gmh::core::{GpuConfig, GpuSim};
 use gmh::exp::{chrome_trace_json, report_json, utilization_table};
 use gmh::types::prof::{HostPhase, TIMED_STRIDE};
+use gmh::types::{ClockDomains, DomainId};
+use gmh::workloads::catalog;
 use gmh::workloads::spec::{AddressMix, PhaseSpec, Suite, WorkloadSpec};
 
 /// A small machine (4 cores, 4 banks, 2 channels) that stays fast.
@@ -107,11 +109,10 @@ fn counts_are_exact_and_the_stride_samples_every_phase_evenly() {
     cfg.profile_host = true;
     let run = || {
         let mut sim = GpuSim::new(cfg.clone(), &wl);
-        let stats = sim.run();
-        let ticked = stats.core_cycles - sim.ff_stats().skipped_core;
-        (ticked, sim.take_host_report().expect("profile_host was on"))
+        sim.run();
+        sim.take_host_report().expect("profile_host was on")
     };
-    let ((core_ticks, a), (_, b)) = (run(), run());
+    let (a, b) = (run(), run());
     assert_eq!(a.counts, b.counts);
     assert_eq!(a.timed_counts, b.timed_counts);
     assert_eq!(
@@ -126,8 +127,6 @@ fn counts_are_exact_and_the_stride_samples_every_phase_evenly() {
         a.timed_iterations,
         a.iterations
     );
-    // Every core cycle the loop did not jump over is one span, timed or not.
-    assert_eq!(a.phase_count(HostPhase::CoreTick), core_ticks);
     for phase in [
         HostPhase::CoreTick,
         HostPhase::IcntTick,
@@ -146,4 +145,41 @@ fn counts_are_exact_and_the_stride_samples_every_phase_evenly() {
     // The end-of-run flush happens once and is always timed.
     assert_eq!(a.phase_count(HostPhase::SchedResched), 1);
     assert_eq!(a.timed_counts[HostPhase::SchedResched.index()], 1);
+}
+
+/// Every tick a domain fired is one span of its phase, timed or only
+/// counted: the exact counts equal the clock edges up to the run's last
+/// instant (core tick `core_cycles`) minus the ticks the loop jumped over —
+/// on a saturated slice and on an idle-heavy one, where it does jump.
+#[test]
+fn every_tick_phase_counts_the_clock_edges_not_jumped_over() {
+    for name in ["mm", "solo"] {
+        let mut cfg = GpuConfig::gtx480_baseline();
+        cfg.max_core_cycles = 20_000;
+        cfg.profile_host = true;
+        let mut clocks = ClockDomains::new(cfg.core_mhz, cfg.icnt_mhz, cfg.dram_mhz);
+        let wl = catalog::by_name(name).expect("catalog workload");
+        let mut sim = GpuSim::new(cfg, &wl);
+        let core_cycles = sim.run().core_cycles;
+        let report = sim.take_host_report().expect("profile_host was on");
+        let ff = sim.ff_stats();
+        assert!(name == "mm" || ff.jumps > 0, "{name}: {ff:?}");
+
+        let last_instant = (core_cycles - 1) * clocks.domain(DomainId::Core).period_ps();
+        let fired = clocks.fast_forward(last_instant + 1);
+        assert_eq!(fired.core, core_cycles);
+        for (phase, ticks) in [
+            (HostPhase::CoreTick, fired.core - ff.skipped_core),
+            (HostPhase::IcntTick, fired.icnt - ff.skipped_icnt),
+            (HostPhase::L2Tick, fired.icnt - ff.skipped_icnt),
+            (HostPhase::Telemetry, fired.icnt - ff.skipped_icnt),
+            (HostPhase::DramTick, fired.dram - ff.skipped_dram),
+        ] {
+            assert_eq!(
+                report.phase_count(phase),
+                ticks,
+                "{name}: one {phase:?} span per tick, timed or not"
+            );
+        }
+    }
 }
