@@ -12,8 +12,7 @@ use gmh_simt::SimtCore;
 use gmh_types::prof::{HostPhase, HostProfiler, HostReport};
 use gmh_types::trace::{Level, TraceEventKind, TraceSink};
 use gmh_types::{
-    stable_hash_str, ClockDomains, DomainId, FetchAudit, MemFetch, Picos, SeriesId, Telemetry,
-    Tick, TickSet,
+    stable_hash_str, ClockDomains, DomainId, FetchAudit, MemFetch, Picos, Telemetry, Tick, TickSet,
 };
 use gmh_workloads::WorkloadSpec;
 use std::collections::VecDeque;
@@ -24,56 +23,30 @@ use std::time::Instant;
 /// bit-identical with tracing on or off).
 const TRACE_SEED_SALT: u64 = 0x5452_4143_455F_5631;
 
-/// Interned telemetry series handles, one per observed structure class
-/// (values aggregate across instances: all cores, all banks, all channels).
-#[derive(Clone, Copy)]
-struct SeriesIds {
-    l1_miss_queue: SeriesId,
-    core_response_fifo: SeriesId,
-    req_inject_flits: SeriesId,
-    req_eject_backlog: SeriesId,
-    req_flits_per_cycle: SeriesId,
-    rep_inject_flits: SeriesId,
-    rep_eject_backlog: SeriesId,
-    rep_flits_per_cycle: SeriesId,
-    l2_access_queue: SeriesId,
-    l2_miss_queue: SeriesId,
-    l2_response_queue: SeriesId,
-    l2_stall_bp_icnt: SeriesId,
-    l2_stall_port: SeriesId,
-    l2_stall_cache: SeriesId,
-    l2_stall_mshr: SeriesId,
-    l2_stall_bp_dram: SeriesId,
-    dram_sched_queue: SeriesId,
-    dram_response_queue: SeriesId,
-    ideal_in_flight: SeriesId,
-}
-
-impl SeriesIds {
-    fn register(t: &mut Telemetry) -> Self {
-        SeriesIds {
-            l1_miss_queue: t.series("l1.miss_queue"),
-            core_response_fifo: t.series("core.response_fifo"),
-            req_inject_flits: t.series("icnt.req.inject_flits"),
-            req_eject_backlog: t.series("icnt.req.eject_backlog"),
-            req_flits_per_cycle: t.series("icnt.req.flits_per_cycle"),
-            rep_inject_flits: t.series("icnt.rep.inject_flits"),
-            rep_eject_backlog: t.series("icnt.rep.eject_backlog"),
-            rep_flits_per_cycle: t.series("icnt.rep.flits_per_cycle"),
-            l2_access_queue: t.series("l2.access_queue"),
-            l2_miss_queue: t.series("l2.miss_queue"),
-            l2_response_queue: t.series("l2.response_queue"),
-            l2_stall_bp_icnt: t.series("l2.stall.bp_icnt"),
-            l2_stall_port: t.series("l2.stall.port"),
-            l2_stall_cache: t.series("l2.stall.cache"),
-            l2_stall_mshr: t.series("l2.stall.mshr"),
-            l2_stall_bp_dram: t.series("l2.stall.bp_dram"),
-            dram_sched_queue: t.series("dram.sched_queue"),
-            dram_response_queue: t.series("dram.response_queue"),
-            ideal_in_flight: t.series("ideal.in_flight"),
-        }
-    }
-}
+/// The telemetry table's series, one per observed structure class (values
+/// aggregate across instances: all cores, all banks, all channels), in the
+/// order [`GpuSim::telemetry_values`] samples them.
+const SERIES: [&str; 19] = [
+    "l1.miss_queue",
+    "core.response_fifo",
+    "icnt.req.inject_flits",
+    "icnt.req.eject_backlog",
+    "icnt.req.flits_per_cycle",
+    "icnt.rep.inject_flits",
+    "icnt.rep.eject_backlog",
+    "icnt.rep.flits_per_cycle",
+    "l2.access_queue",
+    "l2.miss_queue",
+    "l2.response_queue",
+    "l2.stall.bp_icnt",
+    "l2.stall.port",
+    "l2.stall.cache",
+    "l2.stall.mshr",
+    "l2.stall.bp_dram",
+    "dram.sched_queue",
+    "dram.response_queue",
+    "ideal.in_flight",
+];
 
 /// Counters describing how often the fast-forward scheduler engaged and
 /// why it refused (purely observational — never fed back into simulation).
@@ -137,7 +110,6 @@ pub struct GpuSim {
     /// Functional whole-L2 tag array for [`MemoryModel::InfiniteBw`].
     functional_l2: Option<TagArray>,
     telemetry: Telemetry,
-    ids: SeriesIds,
     audit: FetchAudit,
     /// Sampled per-fetch lifecycle tracer (disabled when
     /// `cfg.trace_sample == 0`).
@@ -228,8 +200,6 @@ impl GpuSim {
             }
             _ => None,
         };
-        let mut telemetry = Telemetry::new(cfg.telemetry_window);
-        let ids = SeriesIds::register(&mut telemetry);
         let trace_seed = stable_hash_str(name) ^ TRACE_SEED_SALT;
         let trace = TraceSink::new(
             cfg.trace_sample,
@@ -264,8 +234,7 @@ impl GpuSim {
             ideal_slow: VecDeque::new(),
             ideal_dram: vec![VecDeque::new(); cfg.n_l2_banks],
             functional_l2,
-            telemetry,
-            ids,
+            telemetry: Telemetry::new(cfg.telemetry_window, &SERIES),
             audit: FetchAudit::default(),
             trace,
             prev_req_flits: 0,
@@ -631,8 +600,7 @@ impl GpuSim {
     /// by the per-cycle path and the fast-forward bulk replay — during a
     /// quiescent window every one of these values is frozen, so computing
     /// them once and repeating the sample is exact.
-    fn telemetry_values(&mut self) -> [(SeriesId, f64); 19] {
-        let ids = self.ids;
+    fn telemetry_values(&mut self) -> [f64; 19] {
         let l1_miss: usize = self.m.cores.iter().map(|c| c.miss_queue_len()).sum();
         let resp_fifo: usize = self.m.cores.iter().map(|c| c.response_fifo_len()).sum();
 
@@ -678,54 +646,43 @@ impl GpuSim {
             + self.ideal_dram.iter().map(|q| q.len()).sum::<usize>();
 
         [
-            (ids.l1_miss_queue, l1_miss as f64),
-            (ids.core_response_fifo, resp_fifo as f64),
-            (ids.req_inject_flits, req_buffered as f64),
-            (ids.req_eject_backlog, req_backlog as f64),
-            (ids.req_flits_per_cycle, req_rate as f64),
-            (ids.rep_inject_flits, rep_buffered as f64),
-            (ids.rep_eject_backlog, rep_backlog as f64),
-            (ids.rep_flits_per_cycle, rep_rate as f64),
-            (ids.l2_access_queue, access_q as f64),
-            (ids.l2_miss_queue, miss_q as f64),
-            (ids.l2_response_queue, resp_q as f64),
-            (ids.l2_stall_bp_icnt, stall_deltas[0] as f64),
-            (ids.l2_stall_port, stall_deltas[1] as f64),
-            (ids.l2_stall_cache, stall_deltas[2] as f64),
-            (ids.l2_stall_mshr, stall_deltas[3] as f64),
-            (ids.l2_stall_bp_dram, stall_deltas[4] as f64),
-            (ids.dram_sched_queue, sched as f64),
-            (ids.dram_response_queue, dresp as f64),
-            (ids.ideal_in_flight, ideal as f64),
+            l1_miss as f64,
+            resp_fifo as f64,
+            req_buffered as f64,
+            req_backlog as f64,
+            req_rate as f64,
+            rep_buffered as f64,
+            rep_backlog as f64,
+            rep_rate as f64,
+            access_q as f64,
+            miss_q as f64,
+            resp_q as f64,
+            stall_deltas[0] as f64,
+            stall_deltas[1] as f64,
+            stall_deltas[2] as f64,
+            stall_deltas[3] as f64,
+            stall_deltas[4] as f64,
+            sched as f64,
+            dresp as f64,
+            ideal as f64,
         ]
     }
 
     /// Samples every observed queue/counter into the telemetry sink; runs
     /// once per interconnect cycle.
     fn sample_telemetry(&mut self) {
-        for (id, v) in self.telemetry_values() {
-            self.telemetry.record(id, v);
-        }
-        self.telemetry.tick();
+        let values = self.telemetry_values();
+        self.telemetry.record(&values);
     }
 
     /// Replays `k` identical telemetry samples at once (the fast-forward
     /// counterpart of [`GpuSim::sample_telemetry`]): the sampled values are
     /// frozen across a quiescent window, so each skipped interconnect cycle
-    /// records the same sample. Windows are flushed at the same boundaries
-    /// the per-cycle path would hit; every sum stays exact because the
-    /// samples are integer-valued and far below 2^53.
+    /// records the same sample, and [`Telemetry::record_n`] flushes at the
+    /// boundaries the per-cycle path would hit.
     fn sample_telemetry_repeated(&mut self, k: u64) {
         let values = self.telemetry_values();
-        let mut left = k;
-        while left > 0 {
-            let chunk = left.min(self.telemetry.ticks_to_boundary());
-            for (id, v) in values {
-                self.telemetry.record_n(id, v, chunk);
-            }
-            self.telemetry.tick_n(chunk);
-            left -= chunk;
-        }
+        self.telemetry.record_n(&values, k);
     }
 
     // ---- core domain --------------------------------------------------------

@@ -2,9 +2,8 @@
 //!
 //! A [`Candidate`] is one labeled configuration point; an [`Evaluator`]
 //! runs candidates through the content-addressed result cache
-//! ([`crate::cache`]). Grid sweeps (`fig10`, `fig12`, `sweep`, the
-//! `design_space` example) and the `gmh-tune` search engine all evaluate
-//! through this one path, so a tuner search and a hand-written sweep that
+//! ([`crate::cache`]). The `gmh-exp sweep` table and the `gmh-tune` search
+//! engine both evaluate through this one path, so a tuner search and a hand-written sweep that
 //! visit the same `(label, config, workload)` point share one cache entry,
 //! byte-identically — and a warm rerun of either performs zero
 //! simulations.

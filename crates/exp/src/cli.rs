@@ -3,21 +3,24 @@
 //! drive it without spawning a process.
 //!
 //! Input that cannot be honoured — an unknown artifact or workload, a number
-//! that does not parse, an unreadable or malformed trace file — is refused:
-//! `gmh-exp: <reason>` on stderr, exit code 2, nothing panics. An absent
-//! optional argument takes its default.
+//! that does not parse, an unreadable or malformed trace file, an output
+//! path that cannot be created — is refused: `gmh-exp: <reason>` on stderr,
+//! exit code 2, nothing panics. An absent optional argument takes its
+//! default.
 
 use crate::cache::{CachedRun, DiskCache};
 use crate::experiments::{self, fig10_configs, fig12_configs, Artifact, Render, ARTIFACTS};
 use crate::prof_export::{host_trace_json, utilization_table};
 use crate::runner::Baselines;
-use crate::{Candidate, Evaluator};
+use crate::trace_export::{chrome_trace_json, latency_table};
+use crate::{write_report, Candidate, Evaluator};
 use gmh_core::{GpuConfig, GpuSim};
 use gmh_simt::inst::{InstKind, InstSource};
 use gmh_workloads::{catalog, TraceBundle, WorkloadSpec};
 use std::fmt::Display;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Write};
+use std::path::Path;
 use std::time::Instant;
 
 /// Why a command line was refused.
@@ -42,12 +45,13 @@ type Run = fn(&[String], &mut dyn Write, &mut dyn Write) -> Outcome;
 struct Command(&'static str, &'static str, usize, &'static str, Run);
 
 #[rustfmt::skip]
-const COMMANDS: [Command; 9] = [
+const COMMANDS: [Command; 10] = [
     Command("all", "[--write-md PATH]", 2, "every artifact above as one report, optionally also to a file", all),
     Command("list", "", 0, "this listing", list),
-    Command("probe", "[workload]", 1, "every statistic of one baseline run (default nn)", probe),
+    Command("probe", "[workload] [report-dir]", 2, "every statistic of one baseline run (default nn); with a directory, also <workload>.json (the report) and <workload>.csv (its telemetry) in it", probe),
+    Command("latency", "[workload] [trace-out.json]", 2, "one baseline run's per-fetch latency per level, queueing vs service, 1 fetch in 4 traced (default lbm); with a path, also those fetches as Chrome trace JSON", latency),
     Command("profile", "[workload] [trace-out.json]", 2, "one baseline run's host time per run-loop phase (default mm); with a path, also its timeline as Chrome trace JSON", profile),
-    Command("sweep", "[workload]", 1, "one workload under the Fig. 10 + 12 configs, through the result cache", sweep),
+    Command("sweep", "[workload]", 1, "one workload under the baseline and the Fig. 10 + 12 configs, through the result cache", sweep),
     Command("calibrate", "", 0, "Table II speedups beside the baseline statistics of all 19 workloads", calibrate),
     Command("trace", "[workload] [warp] [count]", 3, "the first instructions one warp's synthetic stream emits", trace),
     Command("record", "[workload] [out.trace] [cores]", 3, "write a workload's instruction stream as a gmh-trace v1 file", record),
@@ -114,7 +118,7 @@ fn report(artifacts: &[Artifact], err: &mut dyn Write) -> Result<String, Refusal
 fn all(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Outcome {
     let path = match args {
         [] => None,
-        [flag, path] if flag == "--write-md" => Some(path),
+        [flag, _] if flag == "--write-md" => output(args, 1, false)?,
         _ => return Err(Refusal("usage: gmh-exp all [--write-md PATH]".into())),
     };
     let t0 = Instant::now();
@@ -124,10 +128,32 @@ fn all(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Outcome {
     writeln!(out, "{report}")?;
     writeln!(err, "total wall time: {:.1}s", t0.elapsed().as_secs_f64())?;
     if let Some(path) = path {
-        std::fs::write(path, &report).map_err(cannot(format_args!("write {path}")))?;
+        write_file(path, &report)?;
         writeln!(err, "wrote {path}")?;
     }
     Ok(())
+}
+
+/// Argument `i` as an output path, created now — a directory (with its
+/// parents) when `dir`, else an empty file — so that one that cannot be
+/// created is refused before the run that fills it starts; `None` when
+/// absent.
+fn output(args: &[String], i: usize, dir: bool) -> Result<Option<&String>, Refusal> {
+    let Some(path) = args.get(i) else {
+        return Ok(None);
+    };
+    let created = if dir {
+        std::fs::create_dir_all(path)
+    } else {
+        File::create(path).map(drop)
+    };
+    created.map_err(cannot(format_args!("create {path}")))?;
+    Ok(Some(path))
+}
+
+/// Writes `text` to `path`, which [`output`] created.
+fn write_file(path: &str, text: &str) -> Outcome {
+    std::fs::write(path, text).map_err(cannot(format_args!("write {path}")))
 }
 
 fn list(_: &[String], out: &mut dyn Write, _: &mut dyn Write) -> Outcome {
@@ -160,8 +186,9 @@ fn count(args: &[String], i: usize, what: &str, default: usize) -> Result<usize,
         .map_err(|_| Refusal(format!("{what} {arg:?} is not a non-negative integer")))
 }
 
-fn probe(args: &[String], out: &mut dyn Write, _: &mut dyn Write) -> Outcome {
+fn probe(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Outcome {
     let wl = workload(args, "nn")?;
+    let dir = output(args, 1, true)?;
     let t0 = Instant::now();
     let stats = GpuSim::new(GpuConfig::gtx480_baseline(), &wl).run();
     let dt = t0.elapsed();
@@ -192,19 +219,37 @@ fn probe(args: &[String], out: &mut dyn Write, _: &mut dyn Write) -> Outcome {
         [cache, mshr, bp_l2].map(|x| (x * 100.0).round()),
         stats.l2_stalls.fractions().map(|x| (x * 100.0).round()),
     )?;
+    if let Some(dir) = dir {
+        let written = write_report(Path::new(dir), wl.name, "gtx480_baseline", wl.name, &stats);
+        let (json, csv) = written.map_err(cannot(format_args!("write the report to {dir}")))?;
+        writeln!(err, "wrote {} and {}", json.display(), csv.display())?;
+    }
+    Ok(())
+}
+
+/// The simulated-time twin of `profile`: where a fetch's time goes, level
+/// by level — at the L2 and DRAM of a memory-intensive workload, queueing
+/// far longer than it is serviced (the paper's Figs. 4/5 congestion).
+fn latency(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Outcome {
+    /// One fetch in this many is traced: observation only, the run's
+    /// statistics are those of an untraced run.
+    const SAMPLE: u64 = 4;
+    let wl = workload(args, "lbm")?;
+    let path = output(args, 1, false)?;
+    let mut cfg = GpuConfig::gtx480_baseline();
+    cfg.trace_sample = SAMPLE;
+    let trace = GpuSim::new(cfg, &wl).run().trace;
+    write!(out, "{}", latency_table(wl.name, &trace))?;
+    if let Some(path) = path {
+        write_file(path, &chrome_trace_json(wl.name, &trace))?;
+        writeln!(err, "wrote {} traced fetches to {path}", trace.sampled)?;
+    }
     Ok(())
 }
 
 fn profile(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Outcome {
     let wl = workload(args, "mm")?;
-    // Opened before the run, so an unwritable path is refused up front.
-    let trace = match args.get(1) {
-        Some(path) => {
-            let file = File::create(path).map_err(cannot(format_args!("create {path}")))?;
-            Some((path, file))
-        }
-        None => None,
-    };
+    let path = output(args, 1, false)?;
     let mut cfg = GpuConfig::gtx480_baseline();
     cfg.profile_host = true;
     let mut sim = GpuSim::new(cfg, &wl);
@@ -212,9 +257,8 @@ fn profile(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Outcome
     // INVARIANT: profile_host was set just above and the report not yet taken.
     let report = sim.take_host_report().expect("profile_host was on");
     write!(out, "{}", utilization_table(&report))?;
-    if let Some((path, mut file)) = trace {
-        let written = file.write_all(host_trace_json(wl.name, &report).as_bytes());
-        written.map_err(cannot(format_args!("write {path}")))?;
+    if let Some(path) = path {
+        write_file(path, &host_trace_json(wl.name, &report))?;
         let spans = report.events.len();
         writeln!(err, "wrote {spans} timed host spans to {path}")?;
     }
@@ -222,8 +266,8 @@ fn profile(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Outcome
 }
 
 /// Evaluates through the tuner's candidate/evaluator layer and the shared
-/// content-addressed result cache (the one `gmh-serve` and `design_space`
-/// populate): a warm cache prints the whole line with zero simulations.
+/// content-addressed result cache (the one `gmh-serve` and `gmh-tune`
+/// populate): a warm cache prints the whole table with zero simulations.
 fn sweep(args: &[String], out: &mut dyn Write, _: &mut dyn Write) -> Outcome {
     let wl = workload(args, "mm")?;
     let cache = DiskCache::open(DiskCache::default_dir()).map_err(cannot("open result cache"))?;
@@ -240,13 +284,39 @@ fn sweep(args: &[String], out: &mut dyn Write, _: &mut dyn Write) -> Outcome {
         run.metric(name).ok_or_else(missing)
     };
     let base_ipc = metric(&runs[0], "ipc")?;
-    let l2mr = metric(&runs[0], "l2_miss_rate")?;
-    write!(out, "{}: base ipc={base_ipc:.2} l2mr={l2mr:.2} |", wl.name)?;
-    for (cand, run) in cands.iter().zip(&runs).skip(1) {
-        write!(out, " {}={:.2}", cand.label, metric(run, "ipc")? / base_ipc)?;
+    writeln!(
+        out,
+        "{}: the baseline and the Fig. 10 + 12 configs",
+        wl.name
+    )?;
+    writeln!(
+        out,
+        "{:<8} {:>7} {:>8} {:>7} {:>6} {:>9}",
+        "config", "IPC", "speedup", "stall%", "AML", "L2q-full%"
+    )?;
+    for (cand, run) in cands.iter().zip(&runs) {
+        let ipc = metric(run, "ipc")?;
+        writeln!(
+            out,
+            "{:<8} {ipc:>7.3} {:>7.2}x {:>7.1} {:>6.0} {:>9.0}{}",
+            cand.label,
+            ipc / base_ipc,
+            100.0 * metric(run, "stall_fraction")?,
+            metric(run, "aml_core_cycles")?,
+            100.0 * metric(run, "l2_access_full_fraction")?,
+            if run.hit { "  (cached)" } else { "" }
+        )?;
     }
-    writeln!(out, " [{} sims]", ev.sims())?;
-    cache.flush_index().map_err(cannot("flush the cache index"))
+    cache
+        .flush_index()
+        .map_err(cannot("flush the cache index"))?;
+    let (sims, hits) = (ev.sims(), ev.hits());
+    writeln!(
+        out,
+        "[{sims} sims, {hits} hits from {}]",
+        cache.dir().display()
+    )?;
+    Ok(())
 }
 
 fn calibrate(_: &[String], out: &mut dyn Write, _: &mut dyn Write) -> Outcome {

@@ -498,16 +498,18 @@ pub fn fig5(baselines: &Baselines) -> String {
 // Fig. 6
 // ---------------------------------------------------------------------------
 
-/// Fig. 6: the structural-hazard illustration — three loads plus an
+/// Fig. 6: the structural-hazard illustration — four loads plus an
 /// independent multiply, with a 2-entry vs. ample MSHR file. Reproduced as
 /// a deterministic micro-trace on a single core against a fixed-latency
-/// memory, reporting when each configuration finishes.
+/// memory, reporting the cycle each instruction issues at and when each
+/// configuration finishes.
 pub fn fig6() -> String {
     use gmh_simt::inst::{Inst, ScriptedSource};
     use gmh_simt::{CoreConfig, SimtCore};
     use gmh_types::{LineAddr, MemFetch};
 
-    fn run(mshrs: usize) -> (u64, u64) {
+    /// (finish cycle, str-MEM stall cycles, issue cycle per instruction).
+    fn run(mshrs: usize) -> (u64, u64, Vec<u64>) {
         let prog = vec![
             Inst::load(vec![LineAddr::new(0x0100)]),
             Inst::load(vec![LineAddr::new(0x0200)]),
@@ -524,10 +526,14 @@ pub fn fig6() -> String {
         let src = ScriptedSource::new(vec![prog]).with_code_lines(1);
         let mut core = SimtCore::new(0, cfg, Box::new(src));
         let mut inflight: Vec<(u64, MemFetch)> = Vec::new();
+        let mut issued = Vec::new();
         let mut t = 0u64;
         while !core.done() && t < 100_000 {
             t += 1;
             core.cycle(t * 1000);
+            while (issued.len() as u64) < core.stats().insts_issued {
+                issued.push(t);
+            }
             while let Some(f) = core.pop_outgoing() {
                 if f.kind.wants_response() {
                     inflight.push((t + 60, f)); // fixed 60-cycle miss latency
@@ -543,11 +549,11 @@ pub fn fig6() -> String {
                 }
             }
         }
-        (t, core.stats().issue.str_mem.get())
+        (t, core.stats().issue.str_mem.get(), issued)
     }
 
-    let (t_small, str_small) = run(2);
-    let (t_big, str_big) = run(32);
+    let (t_small, str_small, issued_small) = run(2);
+    let (t_big, str_big, issued_big) = run(32);
     let mut s = String::new();
     writeln!(s, "== Fig. 6: Structural hazard illustration ==").unwrap();
     writeln!(
@@ -562,12 +568,14 @@ pub fn fig6() -> String {
     .unwrap();
     writeln!(
         s,
-        "MSHR size 2  : completes at cycle {t_small}, {str_small} str-MEM stall cycles"
+        "MSHR size 2  : completes at cycle {t_small}, {str_small} str-MEM stall cycles, \
+         issued at {issued_small:?}"
     )
     .unwrap();
     writeln!(
         s,
-        "MSHR size 32 : completes at cycle {t_big}, {str_big} str-MEM stall cycles"
+        "MSHR size 32 : completes at cycle {t_big}, {str_big} str-MEM stall cycles, \
+         issued at {issued_big:?}"
     )
     .unwrap();
     writeln!(

@@ -9,7 +9,8 @@
 //! the rows/series the paper reports, with the paper's reference values
 //! alongside where available. `gmh-exp all` is the complete
 //! EXPERIMENTS.md-style report, `gmh-exp list` names the artifacts and the
-//! diagnostics (`probe`, `sweep`, `calibrate`, `trace`, `record`, `replay`).
+//! diagnostics (`probe`, `latency`, `profile`, `sweep`, `calibrate`,
+//! `trace`, `record`, `replay`).
 //!
 //! Heavy sweeps run jobs in parallel across `GMH_THREADS` threads
 //! (default: available parallelism).

@@ -195,13 +195,7 @@ mod tests {
         assert!(json.contains("\"ph\":\"X\""), "no spans exported");
         assert!(json.contains("l1 queue"), "missing L1 queue spans");
         assert!(json.contains("\"kind\":\"load\""), "fetch labels missing");
-        // Brace balance is a cheap structural proxy for well-formedness;
-        // the full parse check lives in examples/latency_breakdown.rs
-        // (gmh-serve's JSON parser would be a circular dev-dependency
-        // here).
-        let opens = json.matches('{').count();
-        let closes = json.matches('}').count();
-        assert_eq!(opens, closes, "unbalanced braces");
+        gmh_types::json::parse(&json).expect("well-formed JSON");
     }
 
     #[test]

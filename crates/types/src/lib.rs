@@ -49,7 +49,7 @@ pub use queue::{BoundedQueue, OccupancyHistogram};
 pub use rng::Xoshiro256;
 pub use scratch::Scratch;
 pub use stats::{Counter, Histogram, LatencyHistogram, MeanAccumulator, RatioStat};
-pub use telemetry::{AuditSummary, FetchAudit, SeriesId, Telemetry, TelemetrySnapshot};
+pub use telemetry::{AuditSummary, FetchAudit, Telemetry, TelemetrySnapshot};
 pub use timeq::TimeQ;
 pub use trace::{
     decomposition_of, spans_of, Level, LevelLatency, Span, StallCause, TraceData, TraceEvent,

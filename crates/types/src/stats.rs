@@ -333,26 +333,6 @@ impl Histogram {
         self.sum = self.sum.saturating_add(other.sum);
         self.count += other.count;
     }
-
-    /// Cumulative `(upper_bound, count ≤ upper_bound)` pairs over a bucket
-    /// range, in Prometheus `le` convention (the last pair carries the
-    /// total count). Buckets below `lo` fold into the first pair; buckets
-    /// at or above `hi` fold into the last.
-    pub fn cumulative(&self, lo: usize, hi: usize) -> Vec<(u64, u64)> {
-        let lo = lo.min(HISTOGRAM_BUCKETS - 1);
-        let hi = hi.clamp(lo + 1, HISTOGRAM_BUCKETS);
-        let mut out = Vec::with_capacity(hi - lo);
-        let mut cum: u64 = self.counts[..=lo].iter().sum();
-        out.push((Self::bucket_upper(lo), cum));
-        for i in lo + 1..hi {
-            cum += self.counts[i];
-            out.push((Self::bucket_upper(i), cum));
-        }
-        if let Some(last) = out.last_mut() {
-            last.1 = self.count;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -506,23 +486,5 @@ mod tests {
         assert_eq!(a.count(), 3);
         assert_eq!(a.counts()[64], 2);
         assert_eq!(a.sum(), u64::MAX, "sum saturates instead of wrapping");
-    }
-
-    #[test]
-    fn log2_histogram_cumulative_is_monotone_and_totals() {
-        let mut h = Histogram::new();
-        for v in [0u64, 3, 100, 5_000, 1 << 40] {
-            h.record(v);
-        }
-        let cum = h.cumulative(1, 20);
-        assert_eq!(cum.first().unwrap().0, 1);
-        assert!(cum.windows(2).all(|w| w[0].1 <= w[1].1), "monotone");
-        assert_eq!(
-            cum.last().unwrap().1,
-            h.count(),
-            "last bucket folds in the overflow tail"
-        );
-        assert_eq!(cum[0].1, 1, "only the value 0 falls at or below le=1");
-        assert_eq!(cum[1], (3, 2), "le=3 adds the sample 3");
     }
 }

@@ -4,8 +4,8 @@
 //! [`Telemetry`] is a sink for per-cycle samples (queue occupancies, stall
 //! counters, flit utilization) that aggregates them into fixed-width
 //! windows, so a multi-million-cycle run exports a few hundred points per
-//! series instead of one per cycle. The simulator owns one sink, registers
-//! a named series per observed structure, and records one value per cycle;
+//! series instead of one per cycle. It is a fixed table: the series are
+//! named once at construction and every cycle records one value for each;
 //! [`Telemetry::snapshot`] yields a [`TelemetrySnapshot`] that serializes
 //! itself to JSON or CSV without any external dependency.
 //!
@@ -19,19 +19,14 @@
 use crate::clock::Picos;
 use crate::fetch::MemFetch;
 pub use crate::json::{json_escape, json_num};
-// BTreeMap/BTreeSet, not HashMap: the simulator must be a pure function of
+// BTreeSet, not HashSet: the simulator must be a pure function of
 // (config, seed), and hash iteration order varies per process (R1).
-use std::collections::{BTreeMap, BTreeSet};
-
-/// Handle to one registered series (index into the sink's series table).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SeriesId(usize);
+use std::collections::BTreeSet;
 
 #[derive(Clone, Debug)]
 struct SeriesBuf {
     name: String,
     sum: f64,
-    n: u64,
     points: Vec<f64>,
 }
 
@@ -39,131 +34,83 @@ struct SeriesBuf {
 #[derive(Clone, Debug)]
 pub struct Telemetry {
     window: u64,
-    cycle: u64,
+    /// Cycles recorded in the current window (every series records every
+    /// cycle, so one count serves them all).
+    n: u64,
     series: Vec<SeriesBuf>,
-    index: BTreeMap<String, usize>,
 }
 
 impl Telemetry {
-    /// Creates a sink aggregating samples over `window`-cycle windows.
+    /// Creates a sink with one series per name, in order, aggregating
+    /// samples over `window`-cycle windows.
     ///
     /// # Panics
     ///
     /// Panics if `window` is zero.
-    pub fn new(window: u64) -> Self {
+    pub fn new(window: u64, names: &[&str]) -> Self {
         assert!(window > 0, "telemetry window must be non-zero");
-        Telemetry {
-            window,
-            cycle: 0,
-            series: Vec::new(),
-            index: BTreeMap::new(),
-        }
-    }
-
-    /// The window width in cycles.
-    pub fn window(&self) -> u64 {
-        self.window
-    }
-
-    /// Registers (or looks up) the series called `name`.
-    pub fn series(&mut self, name: &str) -> SeriesId {
-        if let Some(&i) = self.index.get(name) {
-            return SeriesId(i);
-        }
-        let i = self.series.len();
-        self.series.push(SeriesBuf {
+        let series = names.iter().map(|name| SeriesBuf {
             name: name.to_string(),
             sum: 0.0,
-            n: 0,
             points: Vec::new(),
         });
-        self.index.insert(name.to_string(), i);
-        SeriesId(i)
+        Telemetry {
+            window,
+            n: 0,
+            series: series.collect(),
+        }
     }
 
-    /// Adds one sample to `id`'s current window.
-    pub fn record(&mut self, id: SeriesId, value: f64) {
-        let s = &mut self.series[id.0];
-        s.sum += value;
-        s.n += 1;
+    /// Records one cycle: `values[i]` is series `i`'s sample. At each window
+    /// boundary every series flushes the mean of its samples as one point.
+    pub fn record(&mut self, values: &[f64]) {
+        self.record_n(values, 1);
     }
 
-    /// Adds the same sample `count` times to `id`'s current window.
+    /// Records the same cycle `count` times, flushing at every window
+    /// boundary the run crosses.
     ///
     /// Used by the fast-forward scheduler to replay the samples of skipped
     /// cycles in bulk. For the integer-valued samples the simulator
-    /// records, `sum += value * count` is exact (both are well under
+    /// records, `sum += value * chunk` is exact (both are well under
     /// 2^53), so the flushed window means are bit-identical to `count`
     /// individual [`Telemetry::record`] calls.
-    pub fn record_n(&mut self, id: SeriesId, value: f64, count: u64) {
-        let s = &mut self.series[id.0];
-        s.sum += value * count as f64;
-        s.n += count;
-    }
-
-    /// Advances one cycle; at each window boundary every series flushes the
-    /// mean of its samples (0 if it recorded nothing) as one point.
-    pub fn tick(&mut self) {
-        self.cycle += 1;
-        if self.cycle.is_multiple_of(self.window) {
-            self.flush_window();
+    pub fn record_n(&mut self, values: &[f64], count: u64) {
+        debug_assert_eq!(values.len(), self.series.len(), "one value per series");
+        let mut left = count;
+        while left > 0 {
+            let chunk = left.min(self.window - self.n);
+            for (s, &v) in self.series.iter_mut().zip(values) {
+                s.sum += v * chunk as f64;
+            }
+            self.n += chunk;
+            left -= chunk;
+            if self.n == self.window {
+                for s in &mut self.series {
+                    s.points.push(s.sum / self.n as f64);
+                    s.sum = 0.0;
+                }
+                self.n = 0;
+            }
         }
     }
 
-    /// Advances `count` cycles at once. `count` must not run past the next
-    /// window boundary — chunk bulk advances with
-    /// [`Telemetry::ticks_to_boundary`] so every boundary still flushes.
-    pub fn tick_n(&mut self, count: u64) {
-        debug_assert!(
-            count <= self.ticks_to_boundary(),
-            "tick_n({count}) would cross a window boundary"
-        );
-        self.cycle += count;
-        if self.cycle.is_multiple_of(self.window) {
-            self.flush_window();
-        }
-    }
-
-    /// Cycles remaining until the next window-boundary flush (always in
-    /// `1..=window`).
-    pub fn ticks_to_boundary(&self) -> u64 {
-        self.window - self.cycle % self.window
-    }
-
-    fn flush_window(&mut self) {
-        for s in &mut self.series {
-            let mean = if s.n == 0 { 0.0 } else { s.sum / s.n as f64 };
-            s.points.push(mean);
-            s.sum = 0.0;
-            s.n = 0;
-        }
-    }
-
-    /// Exports all series, including the trailing partial window.
-    ///
-    /// The partial window is flushed for *every* series as soon as *any*
-    /// series recorded a sample in it (a series that recorded nothing
-    /// contributes 0, exactly as `tick()` does at a full boundary) — so
-    /// all exported series always have the same length and CSV rows stay
-    /// aligned.
+    /// Exports all series, including the trailing partial window when it
+    /// holds any cycle.
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let any_partial = self.series.iter().any(|s| s.n > 0);
+        let series = self.series.iter().map(|s| {
+            let mut points = s.points.clone();
+            if self.n > 0 {
+                points.push(s.sum / self.n as f64);
+            }
+            SeriesData {
+                name: s.name.clone(),
+                points,
+            }
+        });
         TelemetrySnapshot {
             window_cycles: self.window,
-            series: self
-                .series
-                .iter()
-                .map(|s| {
-                    let mut points = s.points.clone();
-                    if any_partial {
-                        points.push(if s.n == 0 { 0.0 } else { s.sum / s.n as f64 });
-                    }
-                    SeriesData {
-                        name: s.name.clone(),
-                        points,
-                    }
-                })
-                .collect(),
+            series: series.collect(),
         }
     }
 }
@@ -183,7 +130,7 @@ pub struct SeriesData {
 pub struct TelemetrySnapshot {
     /// Cycles per aggregation window.
     pub window_cycles: u64,
-    /// All registered series.
+    /// Every series of the sink, in its order.
     pub series: Vec<SeriesData>,
 }
 
@@ -548,45 +495,45 @@ mod tests {
 
     #[test]
     fn windowed_means_flush_per_window() {
-        let mut t = Telemetry::new(4);
-        let q = t.series("q");
+        let mut t = Telemetry::new(4, &["q"]);
         for v in [1.0, 2.0, 3.0, 4.0, 10.0, 10.0] {
-            t.record(q, v);
-            t.tick();
+            t.record(&[v]);
         }
         let snap = t.snapshot();
         assert_eq!(snap.series[0].points, vec![2.5, 10.0]);
     }
 
     #[test]
-    fn empty_windows_flush_zero() {
-        let mut t = Telemetry::new(2);
-        let q = t.series("q");
-        t.tick();
-        t.tick(); // window 0: nothing recorded
-        t.record(q, 6.0);
-        t.tick();
-        t.tick();
-        assert_eq!(t.snapshot().series[0].points, vec![0.0, 6.0]);
-    }
-
-    #[test]
-    fn series_is_interned_by_name() {
-        let mut t = Telemetry::new(8);
-        let a = t.series("x");
-        let b = t.series("x");
-        assert_eq!(a, b);
-        assert_eq!(t.snapshot().series.len(), 1);
+    fn bulk_replay_equals_repeated_records_across_boundaries() {
+        // The fast-forward replays skipped cycles with `record_n`; it must
+        // flush at the same boundaries, with the same means, as stepping.
+        let (mut bulk, mut step) = (
+            Telemetry::new(4, &["a", "b"]),
+            Telemetry::new(4, &["a", "b"]),
+        );
+        for (values, k) in [
+            ([1.0, 2.0], 3),
+            ([5.0, 0.0], 7),
+            ([3.0, 9.0], 1),
+            ([2.0, 4.0], 9),
+        ] {
+            bulk.record_n(&values, k);
+            for _ in 0..k {
+                step.record(&values);
+            }
+            assert_eq!(bulk.snapshot(), step.snapshot());
+        }
+        assert_eq!(
+            bulk.snapshot().series[0].points.len(),
+            5,
+            "four full windows and a partial"
+        );
     }
 
     #[test]
     fn json_and_csv_shapes() {
-        let mut t = Telemetry::new(1);
-        let a = t.series("a");
-        let b = t.series("b");
-        t.record(a, 1.5);
-        t.record(b, 2.0);
-        t.tick();
+        let mut t = Telemetry::new(1, &["a", "b"]);
+        t.record(&[1.5, 2.0]);
         let snap = t.snapshot();
         let json = snap.to_json();
         assert_eq!(
@@ -599,47 +546,16 @@ mod tests {
 
     #[test]
     fn partial_window_is_exported() {
-        let mut t = Telemetry::new(100);
-        let a = t.series("a");
-        t.record(a, 7.0);
-        t.tick(); // far from a boundary
+        let mut t = Telemetry::new(100, &["a"]);
+        t.record(&[7.0]); // far from a boundary
         assert_eq!(t.snapshot().series[0].points, vec![7.0]);
     }
 
     #[test]
-    fn partial_window_keeps_series_aligned() {
-        // Regression: when only SOME series record in the trailing partial
-        // window, snapshot() used to append a point to those alone, so
-        // series lengths (and CSV rows) went out of step.
-        let mut t = Telemetry::new(4);
-        let a = t.series("a");
-        let b = t.series("b");
-        t.record(a, 1.0);
-        t.record(b, 2.0);
-        for _ in 0..4 {
-            t.tick();
-        }
-        t.record(a, 9.0); // partial window: only "a" records
-        t.tick();
-        let snap = t.snapshot();
-        assert_eq!(snap.series[0].points, vec![1.0, 9.0]);
-        assert_eq!(
-            snap.series[1].points,
-            vec![2.0, 0.0],
-            "silent series still gets its partial-window zero"
-        );
-        // CSV rows align: every row has a cell for every series.
-        let csv = snap.to_csv();
-        assert_eq!(csv, "window,a,b\n0,1,2\n1,9,0\n");
-    }
-
-    #[test]
     fn empty_series_exports_cleanly() {
-        // Regression: a registered series with zero windows must export
-        // as an empty points array / a header-only CSV, not malformed
-        // output.
-        let mut t = Telemetry::new(8);
-        t.series("quiet");
+        // Regression: a series with zero windows must export as an empty
+        // points array / a header-only CSV, not malformed output.
+        let t = Telemetry::new(8, &["quiet"]);
         let snap = t.snapshot();
         assert_eq!(snap.series.len(), 1);
         assert!(snap.series[0].points.is_empty());
@@ -652,7 +568,7 @@ mod tests {
 
     #[test]
     fn no_series_at_all_exports_cleanly() {
-        let t = Telemetry::new(8);
+        let t = Telemetry::new(8, &[]);
         let snap = t.snapshot();
         assert_eq!(snap.to_json(), "{\"window_cycles\":8,\"series\":[]}");
         assert_eq!(snap.to_csv(), "window\n");

@@ -13,17 +13,6 @@ pub enum Suite {
     Mars,
 }
 
-impl Suite {
-    /// Short label used in tables ("Rod.", "Par.", "Map.").
-    pub fn label(self) -> &'static str {
-        match self {
-            Suite::Rodinia => "Rod.",
-            Suite::Parboil => "Par.",
-            Suite::Mars => "Map.",
-        }
-    }
-}
-
 /// Where a memory instruction's accesses point.
 ///
 /// The three regions model the three kinds of locality that matter to the
@@ -209,13 +198,6 @@ impl WorkloadSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn suite_labels() {
-        assert_eq!(Suite::Rodinia.label(), "Rod.");
-        assert_eq!(Suite::Parboil.label(), "Par.");
-        assert_eq!(Suite::Mars.label(), "Map.");
-    }
 
     #[test]
     fn mix_must_sum_to_one() {

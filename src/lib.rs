@@ -31,8 +31,9 @@
 //! println!("L2 scaling speedup: {:.2}x", scaled.speedup_over(&base));
 //! ```
 //!
-//! See `examples/` for runnable scenarios and `gmh-exp list`
-//! ([`exp::experiments::ARTIFACTS`]) for the per-figure experiment runners.
+//! Runnable scenarios are `gmh-exp` commands: `gmh-exp list` names the
+//! per-figure artifacts ([`exp::experiments::ARTIFACTS`]) and the
+//! diagnostics (`probe`, `latency`, `profile`, `sweep`, ...).
 
 #![forbid(unsafe_code)]
 

@@ -3,11 +3,17 @@
 //! committed `experiments_report.txt`.
 //!
 //! Nothing here runs a long simulation: refused input is refused before any
-//! work starts, only the simulation-free artifacts are rendered, and the one
-//! command that does simulate (`profile`) is given the short `solo` workload.
+//! work starts, only the simulation-free artifacts are rendered, and the
+//! commands that do simulate (`probe`, `latency`, `profile`) are given the
+//! short `solo` workload.
 
-use gmh::exp::cli;
+use gmh::core::{GpuConfig, GpuSim};
 use gmh::exp::experiments::{self, ARTIFACTS};
+use gmh::exp::{cli, report_json};
+use gmh::types::json::{self, Json};
+use gmh::types::trace::Level;
+use gmh::workloads::catalog;
+use std::path::PathBuf;
 
 /// Runs one command line; returns (exit code, stdout, stderr).
 fn gmh_exp(args: &[&str]) -> (u8, String, String) {
@@ -28,8 +34,20 @@ fn refused(args: &[&str]) -> String {
     err
 }
 
-fn temp_path(tag: &str) -> std::path::PathBuf {
+fn temp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("gmh-exp-cli-{}-{tag}", std::process::id()))
+}
+
+/// Asserts `args` followed by an output path nobody can create, root
+/// included, is refused for it: the path's parent is a regular file, so
+/// creating it fails with `ENOTDIR`.
+fn refused_to_create(args: &[&str]) {
+    let file = temp_path(&format!("{}-not-a-dir", args[0]));
+    std::fs::write(&file, "").unwrap();
+    let path = file.join("x");
+    let err = refused(&[args, &[path.to_str().unwrap()]].concat());
+    std::fs::remove_file(file).unwrap();
+    assert!(err.contains("cannot create"), "{args:?}: {err}");
 }
 
 #[test]
@@ -43,6 +61,7 @@ fn list_names_every_artifact_and_diagnostic() {
     }
     for diagnostic in [
         "probe",
+        "latency",
         "profile",
         "sweep",
         "calibrate",
@@ -85,7 +104,7 @@ fn unknown_names_are_refused_with_the_valid_ones() {
     }
     // One bad name refuses the whole line before anything is rendered.
     refused(&["table1", "nope"]);
-    for diagnostic in ["probe", "profile", "sweep", "trace", "record"] {
+    for diagnostic in ["probe", "latency", "profile", "sweep", "trace", "record"] {
         let err = refused(&[diagnostic, "nope"]);
         assert!(err.contains("lbm") && err.contains("leukocyte"), "{err}");
     }
@@ -102,8 +121,17 @@ fn unparsable_arguments_are_refused_not_defaulted() {
     // `--write-md` belongs to `all` alone, and takes a path.
     refused(&["table1", "--write-md", "x"]);
     refused(&["all", "--write-md"]);
-    refused(&["probe", "mm", "lbm"]);
+    refused(&["probe", "mm", "dir", "extra"]);
     refused(&[]);
+}
+
+#[test]
+fn uncreatable_outputs_are_refused_before_any_work() {
+    // `all` would otherwise render all 16 artifacts before finding out.
+    refused_to_create(&["all", "--write-md"]);
+    refused_to_create(&["probe", "solo"]);
+    refused_to_create(&["latency", "solo"]);
+    refused_to_create(&["profile", "solo"]);
 }
 
 #[test]
@@ -141,13 +169,62 @@ fn profile_prints_every_tick_phase_and_writes_a_loadable_timeline() {
     assert_eq!(code, 0, "{err}");
     let written = std::fs::read_to_string(&path).unwrap();
     std::fs::remove_file(&path).unwrap();
-    let trace = gmh::types::json::parse(&written).expect("the timeline is JSON");
+    let trace = json::parse(&written).expect("the timeline is JSON");
     assert!(trace.get("traceEvents").is_some(), "{written:.200}");
-
-    // A path that cannot be created is refused before the run starts.
-    let err = refused(&["profile", "solo", "/nonexistent-dir/host-trace.json"]);
-    assert!(err.contains("cannot create"), "{err}");
     refused(&["profile", "solo", "x.json", "extra"]);
+}
+
+#[test]
+fn latency_prints_every_level_and_writes_a_loadable_trace() {
+    let path = temp_path("fetch-trace.json");
+    let (code, out, err) = gmh_exp(&["latency", "solo", path.to_str().unwrap()]);
+    assert_eq!(code, 0, "{err}");
+    assert!(
+        out.starts_with("# solo: per-fetch latency decomposition (1-in-4 sampling"),
+        "{out}"
+    );
+    for level in Level::ALL {
+        let row = out.lines().any(|l| l.starts_with(level.name()));
+        assert!(row, "no {} row:\n{out}", level.name());
+    }
+
+    let written = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let doc = json::parse(&written).expect("the trace is JSON");
+    let Some(Json::Arr(events)) = doc.get("traceEvents") else {
+        panic!("no traceEvents array: {written:.200}");
+    };
+    fn field<'a>(e: &'a Json, key: &str) -> Option<&'a str> {
+        e.get(key).and_then(Json::as_str)
+    }
+    for level in Level::ALL {
+        let track = events.iter().any(|e| {
+            field(e, "name") == Some("thread_name")
+                && e.get("args").and_then(|a| field(a, "name")) == Some(level.name())
+        });
+        assert!(track, "no thread_name track for {}", level.name());
+    }
+    assert!(
+        events.iter().any(|e| field(e, "ph") == Some("X")),
+        "no spans"
+    );
+    refused(&["latency", "solo", "x.json", "extra"]);
+}
+
+#[test]
+fn probe_writes_the_report_and_its_telemetry() {
+    let dir = temp_path("report");
+    let (code, out, err) = gmh_exp(&["probe", "solo", dir.to_str().unwrap()]);
+    assert_eq!(code, 0, "{err}");
+    assert!(out.starts_with("solo: cycles="), "{out}");
+    let json = std::fs::read_to_string(dir.join("solo.json")).unwrap();
+    let csv = std::fs::read_to_string(dir.join("solo.csv")).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let wl = catalog::by_name("solo").unwrap();
+    let stats = GpuSim::new(GpuConfig::gtx480_baseline(), &wl).run();
+    assert_eq!(json, report_json("gtx480_baseline", "solo", &stats));
+    assert_eq!(csv, stats.telemetry.to_csv());
 }
 
 /// `experiments_report.txt` is the committed output of `gmh-exp all

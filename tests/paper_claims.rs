@@ -8,6 +8,7 @@
 //! `gmh-exp`.
 
 use gmh::core::{GpuConfig, GpuSim, MemoryModel, SimStats};
+use gmh::types::trace::Level;
 use gmh::workloads::spec::{AddressMix, PhaseSpec, Suite, WorkloadSpec};
 
 /// A small GPU: 4 cores, 4 L2 banks, 2 DRAM channels — same clock ratios
@@ -124,7 +125,11 @@ fn run(cfg: GpuConfig, wl: &WorkloadSpec) -> SimStats {
 
 #[test]
 fn memory_intensive_workloads_stall_and_congest() {
-    let s = run(small_gpu(), &dram_bound());
+    // Tracing 1 fetch in 4 is observation only; it yields the per-level
+    // latency decomposition the congestion claim is about.
+    let mut cfg = small_gpu();
+    cfg.trace_sample = 4;
+    let s = run(cfg, &dram_bound());
     assert!(
         s.stall_fraction > 0.4,
         "memory-bound slice must stall heavily, got {:.2}",
@@ -139,6 +144,17 @@ fn memory_intensive_workloads_stall_and_congest() {
         s.dram_queue_occupancy.full_fraction() > 0.1,
         "DRAM queues must saturate"
     );
+    // Figs. 4/5 per fetch: at the L2 and at DRAM a fetch waits longer in
+    // queues than it is serviced — congestion, not raw latency.
+    for level in [Level::L2, Level::Dram] {
+        let l = &s.trace.levels[&level];
+        let (queueing, service) = (l.queueing.sum(), l.service.sum());
+        assert!(
+            queueing > service,
+            "{}: queueing {queueing} ps must exceed service {service} ps",
+            level.name()
+        );
+    }
 }
 
 #[test]
