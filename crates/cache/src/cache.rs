@@ -16,7 +16,7 @@
 
 use crate::mshr::{Mshr, MshrReject};
 use crate::tag::{LineState, TagArray};
-use gmh_types::{BoundedQueue, LineAddr, MemFetch, OccupancyHistogram, Picos, Scratch};
+use gmh_types::{BoundedQueue, LineAddr, MemFetch, Picos, Scratch};
 
 /// Write-handling policy (Table I: L1 is write-evict, L2 is write-back).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -149,8 +149,6 @@ pub struct CacheStats {
     pub writebacks: u64,
     /// Accesses rejected with a [`BlockReason`].
     pub blocked: u64,
-    /// Fills received.
-    pub fills: u64,
 }
 
 impl CacheStats {
@@ -263,11 +261,6 @@ impl Cache {
     /// A fill for `line` will return this many fetches.
     pub fn mshr_waiters(&self, line: LineAddr) -> usize {
         self.mshr.waiters_len(line)
-    }
-
-    /// Whether the miss queue is full (upstream back-pressure indicator).
-    pub fn miss_queue_full(&self) -> bool {
-        self.miss_queue.is_full()
     }
 
     /// Number of requests waiting in the miss queue.
@@ -506,7 +499,6 @@ impl Cache {
     /// routing.
     pub fn fill(&mut self, line: LineAddr, _now: Picos) -> Vec<MemFetch> {
         self.standing.0 = None;
-        self.stats.fills += 1;
         self.tags.fill(line, false, 0);
         self.mshr.release(line)
     }
@@ -523,16 +515,6 @@ impl Cache {
             self.standing.0 = None;
         }
         popped
-    }
-
-    /// Samples queue occupancy; call once per owning-domain cycle.
-    pub fn sample_occupancy(&mut self) {
-        self.miss_queue.sample_occupancy();
-    }
-
-    /// Occupancy histogram of the miss queue.
-    pub fn miss_queue_occupancy(&self) -> &OccupancyHistogram {
-        self.miss_queue.occupancy()
     }
 }
 

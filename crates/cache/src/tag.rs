@@ -122,7 +122,7 @@ impl TagArray {
     /// hands it to the `*_at`/`*_in` methods below.
     #[allow(clippy::cast_possible_truncation)]
     pub(crate) fn set_of(&self, line: LineAddr) -> usize {
-        // lint: allow(R3): the modulus bounds the value below sets.len().
+        // The modulus bounds the value below sets.len().
         ((line.index() / self.set_stride) % self.sets.len() as u64) as usize
     }
 

@@ -81,7 +81,7 @@ impl<Co: Component, Ba: Component, Ch: Component, Ne: Component> Machine<Co, Ba,
 
     /// End-of-run flush: replays every sleeper's owed quiet cycles up to
     /// the final tick count of its class, so the collected stats (stall
-    /// attribution, occupancy samples, blocked-cycle counts) are exactly
+    /// attribution, occupancy samples) are exactly
     /// what the naive loop would have accumulated. Classes the memory model
     /// never ticks are left untouched, like the naive loop leaves them.
     pub fn flush_end(&mut self) {

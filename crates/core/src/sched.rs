@@ -42,7 +42,7 @@ impl Class {
 
     /// This class's index in every per-class array.
     pub fn idx(self) -> usize {
-        self as usize // lint: allow(R3): a discriminant below 4.
+        self as usize
     }
 }
 

@@ -48,8 +48,8 @@ const SERIES: [&str; 19] = [
     "ideal.in_flight",
 ];
 
-/// Counters describing how often the fast-forward scheduler engaged and
-/// why it refused (purely observational — never fed back into simulation).
+/// Counters describing how often the fast-forward scheduler engaged
+/// (purely observational — never fed back into simulation).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FastForwardStats {
     /// Successful jumps (≥1 tick skipped).
@@ -60,16 +60,6 @@ pub struct FastForwardStats {
     pub skipped_icnt: u64,
     /// DRAM-domain ticks skipped across all jumps.
     pub skipped_dram: u64,
-    /// Probe refusals where a core was the first component found busy.
-    pub busy_core: u64,
-    /// Probe refusals where a network (or its ejection backlog) was busy.
-    pub busy_icnt: u64,
-    /// Probe refusals where an L2 bank was busy.
-    pub busy_bank: u64,
-    /// Probe refusals where a DRAM channel (or ideal queue) was busy.
-    pub busy_dram: u64,
-    /// Probes where everything was quiet but no tick fit under the bound.
-    pub zero_window: u64,
 }
 
 impl FastForwardStats {
@@ -81,8 +71,8 @@ impl FastForwardStats {
 
 /// What [`GpuSim::host_span_begin`] decided for one host-profiler span: no
 /// profiler, an iteration that is only counted, or a timed one (with the
-/// clock read that opens the span). Decided once, so closing a span on the
-/// unprofiled path costs a branch on a local.
+/// clock read that opens the span). Decided once per span chain, so closing
+/// a span on the unprofiled path costs a branch on a local.
 #[derive(Clone, Copy)]
 enum HostSpan {
     Off,
@@ -322,30 +312,25 @@ impl GpuSim {
                 hit_cap = true;
                 break;
             }
-            // done() is cheap (drained-warp counters), but the coarse
-            // 64-cycle stride is kept because it pins the recorded
-            // termination cycle — which the jump path must not overshoot
-            // (it refuses to skip once done() holds).
+            // done() walks every component, and the coarse 64-cycle stride
+            // also pins the recorded termination cycle — which the jump
+            // path must not overshoot (it refuses to skip once done()
+            // holds).
             if core_cycles.is_multiple_of(64) && self.done() {
                 break;
             }
             // One pass through this loop is one iteration to the host
             // profiler, which times some and only counts the rest.
-            let timed = self.host_prof.as_mut().map(HostProfiler::begin_iteration);
+            if let Some(hp) = self.host_prof.as_mut() {
+                hp.begin_iteration();
+            }
             if self.m.sched.enabled && self.try_jump() {
                 continue;
             }
             let fired = self.clocks.advance();
             let now_ps = self.clocks.now();
             self.drain_due_wakes(now_ps);
-            if timed == Some(true) {
-                self.dispatch_ticks_host(fired, now_ps);
-            } else {
-                self.dispatch_ticks(fired, now_ps);
-                if timed.is_some() {
-                    self.count_ticks(fired);
-                }
-            }
+            self.dispatch_ticks(fired, now_ps);
         }
         if let Some(hp) = self.host_prof.as_mut() {
             hp.end_iterations();
@@ -375,76 +360,28 @@ impl GpuSim {
         stats
     }
 
-    /// Runs every domain tick fired by one clock edge, untimed.
-    fn dispatch_ticks(&mut self, fired: TickSet, now_ps: Picos) {
-        if fired.icnt {
-            if self.uses_hierarchy() {
-                self.icnt_tick(now_ps);
-            }
-            self.sample_telemetry();
-        }
-        if fired.dram {
-            self.dram_tick(now_ps);
-        }
-        if fired.core {
-            self.core_tick(now_ps);
-        }
-    }
-
-    /// After [`GpuSim::dispatch_ticks`] ran an iteration the host profiler
-    /// does not time: counts one span per phase
-    /// [`GpuSim::dispatch_ticks_host`] would have timed (the nested
-    /// `l2_tick` counts itself inside `icnt_tick`).
-    fn count_ticks(&mut self, fired: TickSet) {
-        let hier = self.uses_hierarchy();
-        let Some(hp) = self.host_prof.as_mut() else {
-            return;
-        };
-        for (phase, ran) in [
-            (HostPhase::IcntTick, fired.icnt && hier),
-            (HostPhase::Telemetry, fired.icnt),
-            (HostPhase::DramTick, fired.dram),
-            (HostPhase::CoreTick, fired.core),
-        ] {
-            if ran {
-                hp.count(phase);
-            }
-        }
-    }
-
-    /// [`GpuSim::dispatch_ticks`] on a timed iteration: host-profiler
-    /// spans around each phase (same calls in the same order; results are
-    /// identical). Spans chain — the end of one phase is the start of the
-    /// next — so a fully fired edge costs one clock read per phase
+    /// Runs every domain tick fired by one clock edge, each phase in a
+    /// host-profiler span (the nested `l2_tick` opens its own inside
+    /// `icnt_tick`). Spans chain — the end of one phase is the start of the
+    /// next — so a fully fired, timed edge costs one clock read per phase
     /// boundary, not two.
-    fn dispatch_ticks_host(&mut self, fired: TickSet, now_ps: Picos) {
-        let mut t = Instant::now();
+    fn dispatch_ticks(&mut self, fired: TickSet, now_ps: Picos) {
+        let mut span = self.host_span_begin();
         if fired.icnt {
             if self.uses_hierarchy() {
                 self.icnt_tick(now_ps);
-                t = self.host_span_chain(HostPhase::IcntTick, t);
+                span = self.host_span_end(HostPhase::IcntTick, span);
             }
             self.sample_telemetry();
-            t = self.host_span_chain(HostPhase::Telemetry, t);
+            span = self.host_span_end(HostPhase::Telemetry, span);
         }
         if fired.dram {
             self.dram_tick(now_ps);
-            t = self.host_span_chain(HostPhase::DramTick, t);
+            span = self.host_span_end(HostPhase::DramTick, span);
         }
         if fired.core {
             self.core_tick(now_ps);
-            self.host_span_chain(HostPhase::CoreTick, t);
-        }
-    }
-
-    /// Closes a host-profiler span that started at `t0` and returns its
-    /// end timestamp (pass-through when profiling is off, so chained call
-    /// sites stay unconditional).
-    #[inline]
-    fn host_span_chain(&mut self, phase: HostPhase, t0: Instant) -> Instant {
-        match self.host_prof.as_mut() {
-            Some(hp) => hp.end_chain(phase, t0),
-            None => t0,
+            self.host_span_end(HostPhase::CoreTick, span);
         }
     }
 
@@ -460,20 +397,19 @@ impl GpuSim {
         }
     }
 
-    /// Closes a span opened by [`GpuSim::host_span_begin`]; the unprofiled
-    /// path leaves on the token alone.
+    /// Closes a span opened by [`GpuSim::host_span_begin`] (or returned by
+    /// this call) and returns the span that starts where it ended: a timed
+    /// span chains from its end timestamp, a counted one counts, and the
+    /// unprofiled path passes `Off` through.
     #[inline]
-    fn host_span_end(&mut self, phase: HostPhase, span: HostSpan) {
-        match span {
-            HostSpan::Off => {}
-            HostSpan::Counted => {
-                if let Some(hp) = self.host_prof.as_mut() {
-                    hp.count(phase);
-                }
+    fn host_span_end(&mut self, phase: HostPhase, span: HostSpan) -> HostSpan {
+        match (span, self.host_prof.as_mut()) {
+            (HostSpan::Timed(t0), Some(hp)) => HostSpan::Timed(hp.end_chain(phase, t0)),
+            (HostSpan::Counted, Some(hp)) => {
+                hp.count(phase);
+                HostSpan::Counted
             }
-            HostSpan::Timed(t0) => {
-                self.host_span_chain(phase, t0);
-            }
+            (span, _) => span,
         }
     }
 
@@ -494,24 +430,10 @@ impl GpuSim {
     /// interconnect tick, is replayed eagerly — every sampled value is
     /// frozen across the window, so repeating one sample is exact.
     fn try_jump(&mut self) -> bool {
-        let [cores, banks, chans, nets] = self.m.sched.awake_n;
-        if cores + banks + chans + nets > 0 {
-            // Mirror the pre-event probe's first-busy attribution order
-            // (nets and their backlogs, then banks, channels, cores).
-            if nets > 0 {
-                self.ff_stats.busy_icnt += 1;
-            } else if banks > 0 {
-                self.ff_stats.busy_bank += 1;
-            } else if chans > 0 {
-                self.ff_stats.busy_dram += 1;
-            } else {
-                self.ff_stats.busy_core += 1;
-            }
-            return false;
-        }
-        // A drained machine must step naively to its next 64-cycle done()
-        // poll so the recorded termination cycle is unchanged.
-        if self.done() {
+        // Only an all-asleep machine jumps, and a drained one must step
+        // naively to its next 64-cycle done() poll so the recorded
+        // termination cycle is unchanged.
+        if self.m.sched.awake_n.iter().any(|&n| n > 0) || self.done() {
             return false;
         }
         let h0 = self.host_span_begin();
@@ -527,8 +449,6 @@ impl GpuSim {
             if counts.icnt > 0 {
                 self.sample_telemetry_repeated(counts.icnt);
             }
-        } else {
-            self.ff_stats.zero_window += 1;
         }
         let phase = if jumped {
             HostPhase::FfJump
@@ -691,59 +611,40 @@ impl GpuSim {
         let cyc = self.clocks.domain(DomainId::Core).cycles();
         let trace = &mut self.trace;
         self.m.sweep(Class::Core, &mut Tick { now_ps, cyc, trace });
-        match self.cfg.memory_model {
-            MemoryModel::Full | MemoryModel::InfiniteDram { .. } => {}
-            MemoryModel::FixedL1MissLatency(lat) => {
-                for i in 0..self.cfg.n_cores {
-                    // A sleeping core has an empty L1 miss queue.
-                    if !self.m.sched.is_awake(Class::Core, i) {
-                        continue;
-                    }
-                    while let Some(f) = self.m.cores[i].pop_outgoing() {
-                        self.audit.emitted(&f);
-                        self.trace
-                            .record_fetch(&f, now_ps, TraceEventKind::DequeuedAt(Level::L1));
-                        if f.kind.wants_response() {
-                            self.ideal_fast.push_back((cyc + lat, f));
-                        } else {
-                            // Stores are absorbed by the ideal memory.
-                            self.audit.absorbed(&f);
-                            self.trace
-                                .record_fetch(&f, now_ps, TraceEventKind::Absorbed);
-                        }
-                    }
-                }
-                self.deliver_ideal(cyc, now_ps);
+        // An ideal memory answers an L1 miss after a fixed latency: `hit`
+        // from the L2, `miss` from DRAM. The fixed-latency model has no L2
+        // tags, so every miss takes `hit`.
+        let (hit, miss) = match self.cfg.memory_model {
+            MemoryModel::Full | MemoryModel::InfiniteDram { .. } => return,
+            MemoryModel::FixedL1MissLatency(lat) => (lat, lat),
+            MemoryModel::InfiniteBw { l2_hit, dram } => (l2_hit, dram),
+        };
+        for i in 0..self.cfg.n_cores {
+            // A sleeping core has an empty L1 miss queue.
+            if !self.m.sched.is_awake(Class::Core, i) {
+                continue;
             }
-            MemoryModel::InfiniteBw { l2_hit, dram } => {
-                for i in 0..self.cfg.n_cores {
-                    if !self.m.sched.is_awake(Class::Core, i) {
-                        continue;
-                    }
-                    while let Some(f) = self.m.cores[i].pop_outgoing() {
-                        self.audit.emitted(&f);
-                        self.trace
-                            .record_fetch(&f, now_ps, TraceEventKind::DequeuedAt(Level::L1));
-                        // INVARIANT: functional_l2 is constructed whenever
-                        // the memory model is InfiniteBw.
-                        let tags = self.functional_l2.as_mut().expect("InfiniteBw has tags");
-                        let hit = tags.access_functional(f.line, f.kind.is_write());
-                        if f.kind.wants_response() {
-                            if hit {
-                                self.ideal_fast.push_back((cyc + l2_hit, f));
-                            } else {
-                                self.ideal_slow.push_back((cyc + dram, f));
-                            }
-                        } else {
-                            self.audit.absorbed(&f);
-                            self.trace
-                                .record_fetch(&f, now_ps, TraceEventKind::Absorbed);
-                        }
-                    }
+            while let Some(f) = self.m.cores[i].pop_outgoing() {
+                self.audit.emitted(&f);
+                self.trace
+                    .record_fetch(&f, now_ps, TraceEventKind::DequeuedAt(Level::L1));
+                let l2_miss = self
+                    .functional_l2
+                    .as_mut()
+                    .is_some_and(|t| !t.access_functional(f.line, f.kind.is_write()));
+                if !f.kind.wants_response() {
+                    // Stores are absorbed by the ideal memory.
+                    self.audit.absorbed(&f);
+                    self.trace
+                        .record_fetch(&f, now_ps, TraceEventKind::Absorbed);
+                } else if l2_miss {
+                    self.ideal_slow.push_back((cyc + miss, f));
+                } else {
+                    self.ideal_fast.push_back((cyc + hit, f));
                 }
-                self.deliver_ideal(cyc, now_ps);
             }
         }
+        self.deliver_ideal(cyc, now_ps);
     }
 
     fn deliver_ideal(&mut self, cyc: u64, now_ps: Picos) {

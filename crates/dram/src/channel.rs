@@ -223,7 +223,7 @@ impl DramChannel {
         );
         let local = line.index() / self.cfg.n_channels as u64;
         #[allow(clippy::cast_possible_truncation)]
-        // lint: allow(R3): the modulus bounds the value below n_banks.
+        // The modulus bounds the value below n_banks.
         let bank = ((local / self.cfg.lines_per_row) % self.cfg.n_banks as u64) as usize;
         let row = local / (self.cfg.lines_per_row * self.cfg.n_banks as u64);
         (bank, row)

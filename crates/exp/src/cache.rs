@@ -167,12 +167,6 @@ impl DiskCache {
         std::fs::write(&tmp, out)?;
         std::fs::rename(tmp, path)
     }
-
-    /// Number of entries stored through this handle (not the on-disk total).
-    pub fn stored_this_session(&self) -> usize {
-        // INVARIANT: see `put` — the ledger mutex cannot be poisoned.
-        self.ledger.lock().expect("ledger lock").len()
-    }
 }
 
 /// The key of a well-formed `index.tsv` row: four tab-separated fields, a
@@ -346,7 +340,6 @@ mod tests {
         let cache = tmp_cache("index");
         let (cfg, wl) = tiny();
         run_cached(&cache, "base", &cfg, &wl).unwrap();
-        assert_eq!(cache.stored_this_session(), 1);
         cache.flush_index().unwrap();
         let idx = std::fs::read_to_string(cache.dir().join("index.tsv")).unwrap();
         assert!(idx.contains("nn\tbase"), "index:\n{idx}");

@@ -222,15 +222,15 @@ mod tests {
 
     #[test]
     fn stale_inline_directive_flagged_live_one_not() {
-        let src = "// lint: allow(R3): fits\nlet a = b as u32;\nlet c = 1;\n// lint: allow(R4): x\nlet d = 2;\n";
+        let src = "// lint: allow(R4): checked\nlet a = b.unwrap();\nlet c = 1;\n// lint: allow(R4): x\nlet d = 2;\n";
         let f = SourceFile::parse("crates/core/src/x.rs", src);
         let cfg = LintConfig {
             model_crates: vec!["core".to_string()],
             ..LintConfig::default()
         };
-        // R3 fires on line 2 (guarded by the directive on line 1); nothing
+        // R4 fires on line 2 (guarded by the directive on line 1); nothing
         // fires near the R4 directive on line 4.
-        let raw = vec![finding("R3", "crates/core/src/x.rs", 2)];
+        let raw = vec![finding("R4", "crates/core/src/x.rs", 2)];
         let mut out = Vec::new();
         check(&cfg, std::slice::from_ref(&f), &raw, &mut out);
         assert_eq!(out.len(), 1, "{out:?}");

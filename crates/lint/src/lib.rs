@@ -6,15 +6,13 @@
 //! in a fixed priority order, and every fetch flowing through bounded
 //! queues that exert back-pressure. PR 1 added the *runtime* audit
 //! (fetch conservation); this crate is the *static* layer that catches
-//! violations at review time. Seven rules:
+//! violations at review time. Six rules:
 //!
 //! - **R1 determinism** — no `HashMap`/`HashSet`, wall-clock time,
 //!   unseeded RNG, locks, `thread::spawn` or `static mut` in model crates
 //!   ([`rules::determinism`]);
 //! - **R2 bounded queues** — no raw `VecDeque` outside
 //!   `gmh_types::queue` ([`rules::queues`]);
-//! - **R3 cast safety** — narrowing `as` casts need `try_from` or a
-//!   written justification ([`rules::casts`]);
 //! - **R4 panic hygiene** — `.unwrap()`/`.expect()` need an
 //!   `// INVARIANT:` comment ([`rules::panics`]);
 //! - **R5 stall-attribution exhaustiveness** — every stall variant
@@ -31,8 +29,10 @@
 //! is gone; its two pool-independent checks — no `thread::spawn`, no
 //! `static mut` — are R1 bans now. There is no R9 either: it matched text
 //! to check that a file with a `next_event_bound` probe also had a skip
-//! hook, which `gmh_types::Component` now makes a compile error. Rule ids
-//! are stable, so R8 keeps its.)
+//! hook, which `gmh_types::Component` now makes a compile error. There is
+//! no R3 either: it flagged narrowing `as` casts, lossless ones included;
+//! clippy's `cast_possible_truncation` (denied workspace-wide in CI) is the
+//! one narrowing-cast check. Rule ids are stable, so R4-R8 keep theirs.)
 //!
 //! R8 resolves bindings: it runs a per-function dataflow pass
 //! ([`dataflow::FnFlow`] — `let` bindings with their ascribed types and
@@ -104,7 +104,6 @@ pub fn run_raw(cfg: &LintConfig, files: &[SourceFile]) -> Vec<Finding> {
     for f in files {
         rules::determinism::check(cfg, f, &mut findings);
         rules::queues::check(cfg, f, &mut findings);
-        rules::casts::check(cfg, f, &mut findings);
         rules::panics::check(cfg, f, &mut findings);
         rules::alloc::check(cfg, f, &mut findings);
         rules::units::check(cfg, f, &mut findings);

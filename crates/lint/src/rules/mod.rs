@@ -6,7 +6,6 @@
 //! mention must not count toward its cross-file checks).
 
 pub mod alloc;
-pub mod casts;
 pub mod determinism;
 pub mod panics;
 pub mod queues;
@@ -15,4 +14,4 @@ pub mod units;
 
 /// Every rule id: what an inline directive may name, and what the clean-run
 /// summary counts.
-pub const IDS: &[&str] = &["R1", "R2", "R3", "R4", "R5", "R6", "R8"];
+pub const IDS: &[&str] = &["R1", "R2", "R4", "R5", "R6", "R8"];

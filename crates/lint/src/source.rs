@@ -75,7 +75,7 @@ impl SourceFile {
     }
 
     /// Whether line `i` carries (or the previous line carries) an inline
-    /// `lint: allow(RULE)` directive for `rule` (e.g. `"R3"`).
+    /// `lint: allow(RULE)` directive for `rule` (e.g. `"R4"`).
     pub fn allowed_inline(&self, i: usize, rule: &str) -> bool {
         let needle = format!("lint: allow({rule})");
         self.comment_in_range(i.saturating_sub(1), i, &needle)
@@ -455,9 +455,9 @@ mod tests {
 
     #[test]
     fn inline_allow_matches_current_and_previous_line() {
-        let src = "// lint: allow(R3): fits\nlet a = b as u32;\nlet c = d as u32;\n";
+        let src = "// lint: allow(R4): checked\nlet a = b.unwrap();\nlet c = d.unwrap();\n";
         let f = SourceFile::parse("x.rs", src);
-        assert!(f.allowed_inline(1, "R3"));
-        assert!(!f.allowed_inline(2, "R3"));
+        assert!(f.allowed_inline(1, "R4"));
+        assert!(!f.allowed_inline(2, "R4"));
     }
 }

@@ -96,23 +96,12 @@ fn rules_ignore_files_outside_model_crates() {
     for fixture in [
         include_str!("fixtures/r1_determinism.rs"),
         include_str!("fixtures/r2_queues.rs"),
-        include_str!("fixtures/r3_casts.rs"),
         include_str!("fixtures/r4_panics.rs"),
     ] {
         let f = SourceFile::parse("crates/exp/src/tool.rs", fixture);
         let findings = run(&cfg, &[f]);
         assert!(findings.is_empty(), "{findings:#?}");
     }
-}
-
-#[test]
-fn r3_flags_narrowing_cast() {
-    let f = SourceFile::parse(
-        "crates/cache/src/r3_casts.rs",
-        include_str!("fixtures/r3_casts.rs"),
-    );
-    let findings = run(&base_cfg(), &[f]);
-    assert_eq!(rule_lines(&findings), vec![("R3", 4)], "{findings:#?}");
 }
 
 #[test]

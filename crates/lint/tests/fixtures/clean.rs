@@ -1,5 +1,5 @@
 //! Clean fixture: the patterns the rules accept — ordered collections,
-//! justified casts and panics, and hash maps confined to test code.
+//! justified panics, and hash maps confined to test code.
 
 use std::collections::BTreeMap;
 
@@ -9,11 +9,6 @@ pub fn histogram(xs: &[u64]) -> BTreeMap<u64, u64> {
         *out.entry(x).or_insert(0) += 1;
     }
     out
-}
-
-pub fn narrow(x: u64) -> u32 {
-    // lint: allow(R3): callers pass values below 2^32 (checked upstream).
-    x as u32
 }
 
 pub fn checked(x: u64) -> u32 {

@@ -87,6 +87,58 @@ impl CoreStats {
     }
 }
 
+/// The hazards one issue scan found holding back live warps' heads, ranked
+/// into a stall class by [`SimtCore::classify_issue_stall`].
+struct Hazards {
+    any_live: bool,
+    fetch: bool,
+    mem_dep: bool,
+    alu_dep: bool,
+    str_mem: bool,
+    /// Earliest ALU-ready cycle among the warps held by an ALU dependence
+    /// (`Cycle::MAX` if none).
+    wake: Cycle,
+}
+
+impl Hazards {
+    fn new() -> Self {
+        Hazards {
+            any_live: false,
+            fetch: false,
+            mem_dep: false,
+            alu_dep: false,
+            str_mem: false,
+            wake: Cycle::MAX,
+        }
+    }
+
+    /// Records the first hazard, in issue-check order, holding back `w`'s
+    /// head at cycle `now`. Returns `false` only when the warp could issue.
+    #[inline]
+    fn note(&mut self, w: &Warp, lsu: &LoadStoreUnit, now: Cycle) -> bool {
+        if w.finished() {
+            return true;
+        }
+        self.any_live = true;
+        let Some(head) = w.head() else {
+            // Buffer empty and not finished: the warp waits on a fetch.
+            self.fetch = true;
+            return true;
+        };
+        if head.wait_mem && w.has_pending_loads() {
+            self.mem_dep = true;
+        } else if head.wait_alu && w.alu_pending(now) {
+            self.alu_dep = true;
+            self.wake = self.wake.min(w.alu_ready_at());
+        } else if head.kind.is_mem() && !lsu.can_accept(head.kind.accesses()) {
+            self.str_mem = true;
+        } else {
+            return false;
+        }
+        true
+    }
+}
+
 /// One highly-multithreaded SIMT core with private L1 caches.
 ///
 /// The owner (the full-GPU simulator in `gmh-core`) drives it by calling
@@ -288,62 +340,28 @@ impl SimtCore {
     /// constant across the window because every input to the naive
     /// per-cycle classification is frozen inside it.
     fn quiet_window(&self) -> Option<(Option<Cycle>, Option<IssueStallKind>)> {
+        // A warp that needs a fetch is never finished, and the fetch stage
+        // acts on it next cycle.
         if !self.response_fifo.is_empty()
+            || self.n_need_fetch > 0
             || !self.lsu.is_empty()
             || self.l1d.miss_queue_len() != 0
             || self.l1i.miss_queue_len() != 0
         {
             return None;
         }
-        let mut saw_fetch_blocked = false;
-        let mut saw_mem_dep = false;
-        let mut saw_alu_dep = false;
-        let mut saw_str_mem = false;
-        let mut any_live = false;
-        let mut wake = Cycle::MAX;
+        // With the LSU empty, a str-MEM hazard means an instruction wider
+        // than the whole memory pipeline: the naive loop would record
+        // str-MEM forever.
+        let mut hz = Hazards::new();
         for w in &self.warps {
-            if w.finished() {
-                continue;
-            }
-            any_live = true;
-            if w.needs_fetch() {
+            if !hz.note(w, &self.lsu, self.now + 1) {
+                // The warp could issue next cycle.
                 return None;
             }
-            let Some(head) = w.head() else {
-                // Buffer empty, not finished, no fetch needed: an I-miss is
-                // outstanding; issue sees a fetch hazard until it returns.
-                saw_fetch_blocked = true;
-                continue;
-            };
-            // Hazards in the same order the issue stage checks them.
-            if head.wait_mem && w.has_pending_loads() {
-                saw_mem_dep = true;
-                continue;
-            }
-            if head.wait_alu && w.alu_pending(self.now + 1) {
-                saw_alu_dep = true;
-                wake = wake.min(w.alu_ready_at());
-                continue;
-            }
-            if head.kind.is_mem() && !self.lsu.can_accept(head.kind.accesses()) {
-                // The LSU is empty here, so only an instruction wider than
-                // the whole memory pipeline lands in this arm; the naive
-                // loop would record str-MEM forever.
-                saw_str_mem = true;
-                continue;
-            }
-            // The warp could issue next cycle.
-            return None;
         }
-        // Precedence as in the issue stage's end-of-cycle classification.
-        let stall = Self::classify_issue_stall(
-            any_live,
-            saw_str_mem,
-            saw_mem_dep,
-            saw_alu_dep,
-            saw_fetch_blocked,
-        );
-        Some(((wake != Cycle::MAX).then_some(wake), stall))
+        let wake = (hz.wake != Cycle::MAX).then_some(hz.wake);
+        Some((wake, Self::classify_issue_stall(&hz)))
     }
 
     fn alloc_fetch_id(&mut self) -> u64 {
@@ -447,8 +465,6 @@ impl SimtCore {
         self.fetch_stage(now_ps, trace);
         self.issue_stage(now_ps, trace);
         self.lsu_stage(now_ps, trace);
-        self.l1d.sample_occupancy();
-        self.l1i.sample_occupancy();
         busy_in || self.stats.insts_issued != issued_before
     }
 
@@ -606,44 +622,18 @@ impl SimtCore {
         }
         self.issue_dirty = false;
         self.issue_memo = None;
-        let mut saw_fetch_blocked = false;
-        let mut saw_mem_dep = false;
-        let mut saw_alu_dep = false;
-        let mut saw_str_mem = false;
-        let mut any_live = false;
-        let mut wake = Cycle::MAX;
+        let mut hz = Hazards::new();
 
         // Candidates in policy priority order, generated positionally —
         // GTO's greedy warp usually issues at position 0, so the hot path
         // never touches the rest of the order.
-        let n_warps = self.warps.len();
-        let mut issued = false;
-        for pos in 0..n_warps {
+        for pos in 0..self.warps.len() {
             let wid = self.sched.candidate(pos);
-            let warp = &self.warps[wid];
-            if warp.finished() {
-                continue;
-            }
-            any_live = true;
-            let Some(head) = warp.head() else {
-                saw_fetch_blocked = true;
-                continue;
-            };
-            if head.wait_mem && warp.has_pending_loads() {
-                saw_mem_dep = true;
-                continue;
-            }
-            if head.wait_alu && warp.alu_pending(now) {
-                saw_alu_dep = true;
-                wake = wake.min(warp.alu_ready_at());
-                continue;
-            }
-            if head.kind.is_mem() && !self.lsu.can_accept(head.kind.accesses()) {
-                saw_str_mem = true;
+            if hz.note(&self.warps[wid], &self.lsu, now) {
                 continue;
             }
             // Issue.
-            // INVARIANT: the hazard checks above peeked this same head.
+            // INVARIANT: `note` passes only a warp whose head it peeked.
             let inst = self.warps[wid].issue_head(now).expect("head checked");
             self.stats.insts_issued += 1;
             self.stats.issue.issued_cycles.inc();
@@ -679,24 +669,14 @@ impl SimtCore {
             self.update_fetch_need(wid);
             // Issuing mutates warp/LSU state; rescan next cycle.
             self.issue_dirty = true;
-            issued = true;
-            break;
-        }
-        if issued {
             return;
         }
 
         // Nothing issued: classify and charge the cycle, and memoize the
         // verdict — it holds verbatim until an event or `wake`.
         self.sched.stalled();
-        let kind = Self::classify_issue_stall(
-            any_live,
-            saw_str_mem,
-            saw_mem_dep,
-            saw_alu_dep,
-            saw_fetch_blocked,
-        );
-        self.issue_memo = Some((kind, wake));
+        let kind = Self::classify_issue_stall(&hz);
+        self.issue_memo = Some((kind, hz.wake));
         match kind {
             Some(k) => self.stats.issue.record(k),
             None => self.stats.issue.idle.inc(),
@@ -711,24 +691,18 @@ impl SimtCore {
     /// This is the single attribution site for [`IssueStallKind`] (R5):
     /// both the per-cycle issue stage and the fast-forward probe classify
     /// through it, so their verdicts cannot drift apart.
-    fn classify_issue_stall(
-        any_live: bool,
-        saw_str_mem: bool,
-        saw_mem_dep: bool,
-        saw_alu_dep: bool,
-        saw_fetch_blocked: bool,
-    ) -> Option<IssueStallKind> {
-        if !any_live {
+    fn classify_issue_stall(hz: &Hazards) -> Option<IssueStallKind> {
+        if !hz.any_live {
             // All warps finished issuing; the tail drain is idle time.
             return None;
         }
-        if saw_str_mem {
+        if hz.str_mem {
             Some(IssueStallKind::StrMem)
-        } else if saw_mem_dep {
+        } else if hz.mem_dep {
             Some(IssueStallKind::DataMem)
-        } else if saw_alu_dep {
+        } else if hz.alu_dep {
             Some(IssueStallKind::DataAlu)
-        } else if saw_fetch_blocked {
+        } else if hz.fetch {
             Some(IssueStallKind::Fetch)
         } else {
             None
@@ -828,9 +802,7 @@ impl Component for SimtCore {
     }
 
     /// Advances the clock and records `n` cycles of the window's constant
-    /// stall class. (The per-cycle L1 occupancy samples are no-ops in the
-    /// quiet state: both miss queues are empty, and empty queues are
-    /// outside the occupancy histograms' usage lifetime.)
+    /// stall class.
     fn skip_cycles(&mut self, n: u64) {
         // What the issue stage would record on every skipped cycle. While
         // its standing no-issue verdict holds through the window (see the

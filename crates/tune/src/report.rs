@@ -130,7 +130,6 @@ mod tests {
             complete: true,
             fresh_sims: 5,
             cache_hits: 0,
-            stage_cache: vec![("screen".into(), 5, 0)],
         };
         (p, out)
     }
@@ -153,7 +152,6 @@ mod tests {
         let mut warm = out.clone();
         warm.fresh_sims = 0;
         warm.cache_hits = 5;
-        warm.stage_cache = vec![("screen".into(), 0, 5)];
         assert_eq!(
             frontier_json(&p, &out),
             frontier_json(&p, &warm),

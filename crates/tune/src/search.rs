@@ -163,9 +163,6 @@ pub struct TuneOutcome {
     pub fresh_sims: usize,
     /// Evaluations served from the cache (not part of the frontier report).
     pub cache_hits: usize,
-    /// Per-stage `(name, fresh_sims, cache_hits)` split, in stage order.
-    /// Benchmark-only: like the totals, excluded from the frontier report.
-    pub stage_cache: Vec<(String, usize, usize)>,
 }
 
 /// A candidate scored at some cycle budget.
@@ -224,7 +221,6 @@ pub fn run_search(cache: &DiskCache, p: &TuneParams) -> io::Result<TuneOutcome> 
     let mut evals = 0usize;
     let mut complete = true;
     let mut stages: Vec<StageSummary> = Vec::new();
-    let mut stage_cache: Vec<(String, usize, usize)> = Vec::new();
     // Baseline per-workload IPCs, memoized per cycle budget.
     let mut baseline_ipc: std::collections::BTreeMap<u64, Vec<f64>> =
         std::collections::BTreeMap::new();
@@ -245,7 +241,6 @@ pub fn run_search(cache: &DiskCache, p: &TuneParams) -> io::Result<TuneOutcome> 
                          baseline_ipc: &mut std::collections::BTreeMap<u64, Vec<f64>>|
      -> io::Result<Vec<Scored>> {
         let mut stage_evals = 0usize;
-        let (sims_before, hits_before) = (ev.sims(), ev.hits());
         // Baseline first (once per distinct cycle budget).
         if let std::collections::btree_map::Entry::Vacant(slot) = baseline_ipc.entry(run_cycles) {
             let need = mix.len();
@@ -314,11 +309,6 @@ pub fn run_search(cache: &DiskCache, p: &TuneParams) -> io::Result<TuneOutcome> 
             candidates: cohort.len(),
             evals: stage_evals,
         });
-        stage_cache.push((
-            name.into(),
-            ev.sims() - sims_before,
-            ev.hits() - hits_before,
-        ));
         Ok(scored)
     };
 
@@ -437,7 +427,6 @@ pub fn run_search(cache: &DiskCache, p: &TuneParams) -> io::Result<TuneOutcome> 
         complete,
         fresh_sims: ev.sims(),
         cache_hits: ev.hits(),
-        stage_cache,
     })
 }
 

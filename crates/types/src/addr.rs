@@ -45,7 +45,7 @@ impl Address {
     #[allow(clippy::cast_possible_truncation)]
     pub const fn line_offset(self) -> u32 {
         // try_from is not const, so this stays a cast.
-        // lint: allow(R3): the modulus bounds the value below LINE_SIZE.
+        // The modulus bounds the value below LINE_SIZE.
         (self.0 % LINE_SIZE as u64) as u32
     }
 }
@@ -112,7 +112,7 @@ impl LineAddr {
     #[allow(clippy::cast_possible_truncation)]
     pub fn interleave(self, n: usize) -> usize {
         assert!(n > 0, "cannot interleave across zero targets");
-        // lint: allow(R3): the modulus bounds the value below n.
+        // The modulus bounds the value below n.
         (self.0 % n as u64) as usize
     }
 }

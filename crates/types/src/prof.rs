@@ -199,15 +199,14 @@ impl HostProfiler {
         }
     }
 
-    /// Opens the next run-loop iteration and returns whether it is a timed
-    /// one: the first, then every [`TIMED_STRIDE`]-th. The answer holds
-    /// (see [`HostProfiler::is_timed`]) until the next call.
+    /// Opens the next run-loop iteration, a timed one if it is the first or
+    /// every [`TIMED_STRIDE`]-th. The verdict holds (see
+    /// [`HostProfiler::is_timed`]) until the next call.
     #[inline]
-    pub fn begin_iteration(&mut self) -> bool {
+    pub fn begin_iteration(&mut self) {
         self.timed = self.iterations.is_multiple_of(TIMED_STRIDE);
         self.iterations += 1;
         self.timed_iterations += u64::from(self.timed);
-        self.timed
     }
 
     /// Leaves the strided part of the run: what follows (the end-of-run
@@ -434,7 +433,12 @@ mod tests {
     fn one_iteration_in_seventeen_is_timed() {
         let mut p = HostProfiler::new();
         assert!(p.is_timed(), "before the loop starts");
-        let timed: Vec<bool> = (0..53).map(|_| p.begin_iteration()).collect();
+        let timed: Vec<bool> = (0..53)
+            .map(|_| {
+                p.begin_iteration();
+                p.is_timed()
+            })
+            .collect();
         for (i, &t) in timed.iter().enumerate() {
             assert_eq!(t, [0, 17, 34, 51].contains(&i), "iteration {i}");
         }
@@ -453,7 +457,8 @@ mod tests {
         let epoch = p.epoch();
         let mut durs = [20u64, 30, 50].into_iter();
         for k in 0..51u64 {
-            if p.begin_iteration() {
+            p.begin_iteration();
+            if p.is_timed() {
                 let t0 = epoch + Duration::from_nanos(k * 1_000);
                 let dur = durs.next().expect("three timed iterations");
                 p.record_span(HostPhase::CoreTick, t0, t0 + Duration::from_nanos(dur));

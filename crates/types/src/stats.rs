@@ -145,8 +145,8 @@ impl LatencyHistogram {
     #[allow(clippy::cast_possible_truncation)]
     pub fn push(&mut self, sample: f64) {
         self.count += 1;
-        // The index is bounds-checked against the bucket array below.
-        // lint: allow(R3): float-to-int `as` saturates in Rust.
+        // Float-to-int `as` saturates in Rust, and the index is
+        // bounds-checked against the bucket array below.
         let idx = (sample / self.bucket_width) as usize;
         if idx < self.buckets.len() {
             self.buckets[idx] += 1;
@@ -258,7 +258,6 @@ impl Histogram {
 
     /// The bucket index a value falls into (its bit length).
     fn bucket_of(v: u64) -> usize {
-        // lint: allow(R3): a u64 bit length is at most 64.
         (u64::BITS - v.leading_zeros()) as usize
     }
 

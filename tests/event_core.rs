@@ -77,9 +77,19 @@ fn bursty_workload() -> WorkloadSpec {
     }
 }
 
-/// Runs one configuration and exports every observable boundary.
+/// Runs one configuration and exports every observable boundary, after
+/// checking that every core cycle — ticked, skipped or jumped over — was
+/// charged exactly once: an issue, a stall or idle time.
 fn observe(cfg: GpuConfig, wl: &WorkloadSpec) -> (String, String, (u64, u64, u64)) {
+    let n_cores = cfg.n_cores as u64;
     let stats = GpuSim::new(cfg, wl).run();
+    let issue = &stats.issue;
+    assert_eq!(
+        issue.issued_cycles.get() + issue.total_stalls() + issue.idle.get(),
+        n_cores * stats.core_cycles,
+        "{}: issue cycles, stalls and idle cycles must partition the core cycles",
+        wl.name
+    );
     (
         report_json("gtx480_small", wl.name, &stats),
         chrome_trace_json(wl.name, &stats.trace),

@@ -44,8 +44,8 @@ fn workload(mem_fraction: f64, warps: usize) -> WorkloadSpec {
 #[test]
 fn compute_bound_workload_takes_the_no_skip_path_unchanged() {
     // mem_fraction 0: no warp ever blocks on memory, so with plenty of
-    // warps and no ALU dependences some warp is always issue-ready — every
-    // probe must refuse at a busy core and the run must never jump. The
+    // warps and no ALU dependences some warp is always issue-ready — a core
+    // is always awake and the run must never jump. The
     // exported report must still match the naive loop byte-for-byte.
     let wl = workload(0.0, 16);
     let mut sim = GpuSim::new(small_gpu(), &wl);
@@ -54,11 +54,6 @@ fn compute_bound_workload_takes_the_no_skip_path_unchanged() {
         sim.ff_stats().jumps,
         0,
         "a compute-bound run must take the no-skip path: {:?}",
-        sim.ff_stats()
-    );
-    assert!(
-        sim.ff_stats().busy_core > 0,
-        "the probes must have refused at the cores: {:?}",
         sim.ff_stats()
     );
     assert_eq!(sim.ff_stats().skipped_total(), 0);
