@@ -45,4 +45,4 @@ pub use cache::{
 pub use mshr::Mshr;
 pub use port::DataPort;
 pub use stall::{L1StallCounters, L1StallKind, L2StallCounters, L2StallKind};
-pub use tag::{LineState, ProbeResult, TagArray};
+pub use tag::{LineState, TagArray};

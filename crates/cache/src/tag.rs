@@ -29,33 +29,21 @@ struct Line {
     last_use: u64,
 }
 
-/// Outcome of probing the tag array for a read or write.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ProbeResult {
-    /// The line is present (Valid or Dirty).
-    Hit,
-    /// The line is currently reserved by an outstanding miss to the same
-    /// address (the requester should merge in the MSHR instead).
-    HitReserved,
-    /// Not present; a victim way is available for reservation.
-    MissReplaceable,
-    /// Not present and every way in the set is reserved: structural hazard.
-    MissNoVictim,
-}
-
 /// A set-associative tag array.
+///
+/// [`crate::Cache`] drives it by `(set, way)`: it computes the set once per
+/// access, then looks up, picks a victim, reserves, touches and fills ways
+/// of it.
 ///
 /// # Example
 ///
 /// ```
-/// use gmh_cache::tag::{TagArray, ProbeResult};
+/// use gmh_cache::tag::TagArray;
 /// use gmh_types::LineAddr;
 ///
 /// let mut tags = TagArray::new(16 * 1024, 4); // 16 KB, 4-way (Fermi L1)
-/// assert_eq!(tags.probe(LineAddr::new(0)), ProbeResult::MissReplaceable);
-/// tags.reserve(LineAddr::new(0)).unwrap(); // allocate-on-miss
-/// tags.fill(LineAddr::new(0), false, 0);   // miss response arrives
-/// assert_eq!(tags.probe(LineAddr::new(0)), ProbeResult::Hit);
+/// assert!(!tags.access_functional(LineAddr::new(0), false)); // cold miss installs
+/// assert!(tags.access_functional(LineAddr::new(0), false)); // then hits
 /// ```
 #[derive(Clone, Debug)]
 pub struct TagArray {
@@ -143,37 +131,9 @@ impl TagArray {
         self.way_in(s, line).map(|w| (s, w))
     }
 
-    /// Probes for `line` without modifying replacement state.
-    pub fn probe(&self, line: LineAddr) -> ProbeResult {
-        let s = self.set_of(line);
-        match self.way_in(s, line) {
-            Some(w) if self.sets[s][w].state == LineState::Reserved => ProbeResult::HitReserved,
-            Some(_) => ProbeResult::Hit,
-            None if self.sets[s].iter().any(|l| l.state != LineState::Reserved) => {
-                ProbeResult::MissReplaceable
-            }
-            None => ProbeResult::MissNoVictim,
-        }
-    }
-
-    /// Records a use of a present line (hit path): updates LRU and, for
-    /// writes in a write-back cache, marks it dirty. Returns `false` if the
-    /// line is not present.
-    pub fn touch(&mut self, line: LineAddr, mark_dirty: bool) -> bool {
-        match self.find(line) {
-            Some((s, w)) if self.sets[s][w].state != LineState::Reserved => {
-                self.touch_at(s, w, mark_dirty);
-                true
-            }
-            _ => {
-                self.use_clock += 1;
-                false
-            }
-        }
-    }
-
-    /// [`TagArray::touch`] for a way already known to hold a present
-    /// (non-reserved) line.
+    /// Records a use of the present (non-reserved) line in `way` of `set`
+    /// (hit path): updates LRU and, for writes in a write-back cache, marks
+    /// it dirty.
     pub(crate) fn touch_at(&mut self, set: usize, way: usize, mark_dirty: bool) {
         self.use_clock += 1;
         let l = &mut self.sets[set][way];
@@ -203,37 +163,8 @@ impl TagArray {
             })
     }
 
-    /// Previews the eviction a [`TagArray::reserve`] for `line` would
-    /// perform: `Some(Some(victim_line))` if a dirty line would be written
-    /// back, `Some(None)` if the eviction is clean, `None` if every way is
-    /// reserved.
-    pub fn peek_victim(&self, line: LineAddr) -> Option<Option<LineAddr>> {
-        self.victim_in(self.set_of(line)).map(|(_, dirty)| dirty)
-    }
-
-    /// Reserves a victim way for an outstanding miss to `line`
-    /// (allocate-on-miss). The LRU non-reserved way is evicted.
-    ///
-    /// Returns `Ok(evicted_dirty_line)` — `Some` if a dirty line had to be
-    /// evicted (the caller must generate a write-back) — or `Err(())` if
-    /// every way is reserved.
-    #[allow(clippy::result_unit_err)]
-    pub fn reserve(&mut self, line: LineAddr) -> Result<Option<LineAddr>, ()> {
-        let s = self.set_of(line);
-        match self.victim_in(s) {
-            Some((w, evicted)) => {
-                self.reserve_at(s, w, line);
-                Ok(evicted)
-            }
-            None => {
-                self.use_clock += 1;
-                Err(())
-            }
-        }
-    }
-
     /// Reserves `way` of `set` — the way [`TagArray::victim_in`] just chose
-    /// — for an outstanding miss to `line`.
+    /// — for an outstanding miss to `line` (allocate-on-miss).
     pub(crate) fn reserve_at(&mut self, set: usize, way: usize, line: LineAddr) {
         debug_assert_eq!(set, self.set_of(line));
         self.use_clock += 1;
@@ -272,14 +203,8 @@ impl TagArray {
         was_reserved
     }
 
-    /// Invalidates `line` if present (L1 write-evict policy). Returns whether
-    /// it was present and valid.
-    pub fn invalidate(&mut self, line: LineAddr) -> bool {
-        let s = self.set_of(line);
-        self.invalidate_in(s, line)
-    }
-
-    /// [`TagArray::invalidate`] with the set already computed.
+    /// Invalidates `line` in `set` if present and not reserved (L1
+    /// write-evict policy). Returns whether it was.
     pub(crate) fn invalidate_in(&mut self, set: usize, line: LineAddr) -> bool {
         match self.way_in(set, line) {
             Some(w) if self.sets[set][w].state != LineState::Reserved => {
@@ -342,8 +267,38 @@ mod tests {
         TagArray::new(4 * 128, 2)
     }
 
-    fn addr_in_set(set: u64, k: u64, n_sets: u64) -> LineAddr {
-        LineAddr::new(set + k * n_sets)
+    /// The `k`-th line mapping to set 0 of [`small`].
+    fn line(k: u64) -> LineAddr {
+        LineAddr::new(2 * k)
+    }
+
+    /// Allocate-on-miss as `Cache` does it: pick the victim of `line`'s set
+    /// and reserve it. Returns the dirty line to write back, or `None` when
+    /// every way is reserved.
+    fn reserve(t: &mut TagArray, line: LineAddr) -> Option<Option<LineAddr>> {
+        let set = t.set_of(line);
+        let (way, dirty) = t.victim_in(set)?;
+        t.reserve_at(set, way, line);
+        Some(dirty)
+    }
+
+    fn state(t: &TagArray, line: LineAddr) -> Option<LineState> {
+        let set = t.set_of(line);
+        t.way_in(set, line).map(|way| t.state_at(set, way))
+    }
+
+    fn touch(t: &mut TagArray, line: LineAddr, dirty: bool) {
+        let set = t.set_of(line);
+        let way = t.way_in(set, line).expect("line is present");
+        t.touch_at(set, way, dirty);
+    }
+
+    /// Reserves then fills each line, clean.
+    fn install(t: &mut TagArray, lines: &[LineAddr]) {
+        for &l in lines {
+            reserve(t, l).expect("a way is free");
+            assert!(t.fill(l, false, 0));
+        }
     }
 
     #[test]
@@ -360,119 +315,81 @@ mod tests {
     }
 
     #[test]
-    fn cold_probe_is_replaceable_miss() {
-        let t = small();
-        assert_eq!(t.probe(LineAddr::new(0)), ProbeResult::MissReplaceable);
+    fn fill_satisfies_a_reservation() {
+        let mut t = small();
+        assert_eq!(reserve(&mut t, line(0)), Some(None));
+        assert_eq!(state(&t, line(0)), Some(LineState::Reserved));
+        assert!(t.fill(line(0), false, 0));
+        assert_eq!(state(&t, line(0)), Some(LineState::Valid));
+        // A second fill of the now-valid line satisfies nothing.
+        let way = t.way_in(0, line(0)).unwrap();
+        assert!(!t.fill_at(0, way, true));
+        assert_eq!(state(&t, line(0)), Some(LineState::Dirty));
     }
 
     #[test]
-    fn fill_then_hit() {
+    fn fill_unknown_line_returns_false() {
         let mut t = small();
-        t.reserve(LineAddr::new(0)).unwrap();
-        assert_eq!(t.probe(LineAddr::new(0)), ProbeResult::HitReserved);
-        assert!(t.fill(LineAddr::new(0), false, 0));
-        assert_eq!(t.probe(LineAddr::new(0)), ProbeResult::Hit);
+        assert!(!t.fill(LineAddr::new(77), false, 0));
     }
 
     #[test]
-    fn all_ways_reserved_blocks() {
+    fn all_ways_reserved_refuses_a_victim() {
         let mut t = small();
-        let a = addr_in_set(0, 0, 2);
-        let b = addr_in_set(0, 1, 2);
-        let c = addr_in_set(0, 2, 2);
-        t.reserve(a).unwrap();
-        t.reserve(b).unwrap();
-        assert_eq!(t.probe(c), ProbeResult::MissNoVictim);
-        assert!(t.reserve(c).is_err());
-        assert_eq!(t.reserved_in_set(c), 2);
+        reserve(&mut t, line(0)).unwrap();
+        reserve(&mut t, line(1)).unwrap();
+        assert_eq!(t.victim_in(0), None);
+        assert_eq!(reserve(&mut t, line(2)), None);
+        assert_eq!(t.reserved_in_set(line(2)), 2);
+        // The other set is untouched.
+        assert_eq!(t.victim_in(1), Some((0, None)));
     }
 
     #[test]
     fn lru_evicts_least_recent() {
         let mut t = small();
-        let a = addr_in_set(0, 0, 2);
-        let b = addr_in_set(0, 1, 2);
-        let c = addr_in_set(0, 2, 2);
-        t.reserve(a).unwrap();
-        t.fill(a, false, 0);
-        t.reserve(b).unwrap();
-        t.fill(b, false, 0);
-        t.touch(a, false); // a is now MRU
-        t.reserve(c).unwrap(); // must evict b
-        assert_eq!(t.probe(a), ProbeResult::Hit);
-        // b was evicted; the set now holds valid a + reserved c, so b misses
-        // but could still replace a.
-        assert_eq!(t.probe(b), ProbeResult::MissReplaceable);
+        install(&mut t, &[line(0), line(1)]);
+        touch(&mut t, line(0), false); // line 0 is now MRU
+        reserve(&mut t, line(2)).unwrap(); // must evict line 1
+        assert_eq!(state(&t, line(0)), Some(LineState::Valid));
+        assert_eq!(state(&t, line(1)), None);
+        assert_eq!(state(&t, line(2)), Some(LineState::Reserved));
     }
 
     #[test]
-    fn dirty_eviction_reports_victim() {
+    fn invalid_ways_are_chosen_before_valid_ones() {
         let mut t = small();
-        let a = addr_in_set(0, 0, 2);
-        let b = addr_in_set(0, 1, 2);
-        let c = addr_in_set(0, 2, 2);
-        for &x in &[a, b] {
-            t.reserve(x).unwrap();
-            t.fill(x, false, 0);
-        }
-        t.touch(a, true); // dirty a, and make it MRU
-        t.touch(b, false); // b clean, MRU now b... a older but dirty
-        let evicted = t.reserve(c).unwrap();
-        assert_eq!(evicted, Some(a), "LRU dirty victim must be written back");
+        install(&mut t, &[line(0)]);
+        // One way valid (line 0), one invalid: the invalid one is the
+        // victim even though line 0 was used longer ago.
+        assert_eq!(t.victim_in(0), Some((1, None)));
+        reserve(&mut t, line(2)).unwrap();
+        assert_eq!(state(&t, line(0)), Some(LineState::Valid));
     }
 
     #[test]
-    fn clean_eviction_reports_none() {
+    fn a_dirty_victim_is_reported_and_a_clean_one_is_not() {
         let mut t = small();
-        let a = addr_in_set(0, 0, 2);
-        let c = addr_in_set(0, 2, 2);
-        t.reserve(a).unwrap();
-        t.fill(a, false, 0);
-        assert_eq!(t.reserve(c).unwrap(), None);
+        install(&mut t, &[line(0), line(1)]);
+        touch(&mut t, line(0), true); // dirty line 0 ...
+        touch(&mut t, line(1), false); // ... then make line 1 MRU
+        assert_eq!(reserve(&mut t, line(2)), Some(Some(line(0))));
+        // Line 1 is clean: evicting it reports nothing to write back.
+        let mut t = small();
+        install(&mut t, &[line(0), line(1)]);
+        assert_eq!(reserve(&mut t, line(2)), Some(None));
     }
 
     #[test]
-    fn invalid_ways_preferred_over_valid() {
+    fn invalidate_removes_a_present_line_and_refuses_a_reserved_one() {
         let mut t = small();
-        let a = addr_in_set(0, 0, 2);
-        let c = addr_in_set(0, 2, 2);
-        t.reserve(a).unwrap();
-        t.fill(a, false, 0);
-        // One way valid (a), one invalid: reserving c must take the invalid
-        // way, keeping a resident.
-        t.reserve(c).unwrap();
-        assert_eq!(t.probe(a), ProbeResult::Hit);
-    }
-
-    #[test]
-    fn touch_miss_returns_false() {
-        let mut t = small();
-        assert!(!t.touch(LineAddr::new(5), false));
-    }
-
-    #[test]
-    fn touch_reserved_returns_false() {
-        let mut t = small();
-        t.reserve(LineAddr::new(0)).unwrap();
-        assert!(!t.touch(LineAddr::new(0), false));
-    }
-
-    #[test]
-    fn invalidate_removes_line() {
-        let mut t = small();
-        t.reserve(LineAddr::new(0)).unwrap();
-        t.fill(LineAddr::new(0), false, 0);
-        assert!(t.invalidate(LineAddr::new(0)));
-        assert_eq!(t.probe(LineAddr::new(0)), ProbeResult::MissReplaceable);
-        assert!(!t.invalidate(LineAddr::new(0)));
-    }
-
-    #[test]
-    fn invalidate_reserved_refused() {
-        let mut t = small();
-        t.reserve(LineAddr::new(0)).unwrap();
-        assert!(!t.invalidate(LineAddr::new(0)));
-        assert_eq!(t.probe(LineAddr::new(0)), ProbeResult::HitReserved);
+        install(&mut t, &[line(0)]);
+        assert!(t.invalidate_in(0, line(0)));
+        assert_eq!(state(&t, line(0)), None);
+        assert!(!t.invalidate_in(0, line(0)));
+        reserve(&mut t, line(1)).unwrap();
+        assert!(!t.invalidate_in(0, line(1)));
+        assert_eq!(state(&t, line(1)), Some(LineState::Reserved));
     }
 
     #[test]
@@ -485,44 +402,11 @@ mod tests {
     #[test]
     fn functional_access_lru() {
         let mut t = small();
-        let a = addr_in_set(0, 0, 2);
-        let b = addr_in_set(0, 1, 2);
-        let c = addr_in_set(0, 2, 2);
-        t.access_functional(a, false);
-        t.access_functional(b, false);
-        t.access_functional(a, false); // a MRU
-        t.access_functional(c, false); // evict b
-        assert!(t.access_functional(a, false));
-        assert!(!t.access_functional(b, false));
-    }
-
-    #[test]
-    fn peek_victim_matches_reserve() {
-        let mut t = small();
-        let a = addr_in_set(0, 0, 2);
-        let b = addr_in_set(0, 1, 2);
-        let c = addr_in_set(0, 2, 2);
-        for &x in &[a, b] {
-            t.reserve(x).unwrap();
-            t.fill(x, false, 0);
-        }
-        t.touch(a, true); // a dirty + LRU after b touch
-        t.touch(b, false);
-        assert_eq!(t.peek_victim(c), Some(Some(a)));
-        assert_eq!(t.reserve(c).unwrap(), Some(a));
-    }
-
-    #[test]
-    fn peek_victim_none_when_all_reserved() {
-        let mut t = small();
-        t.reserve(addr_in_set(0, 0, 2)).unwrap();
-        t.reserve(addr_in_set(0, 1, 2)).unwrap();
-        assert_eq!(t.peek_victim(addr_in_set(0, 2, 2)), None);
-    }
-
-    #[test]
-    fn fill_unknown_line_returns_false() {
-        let mut t = small();
-        assert!(!t.fill(LineAddr::new(77), false, 0));
+        t.access_functional(line(0), false);
+        t.access_functional(line(1), false);
+        t.access_functional(line(0), false); // line 0 MRU
+        t.access_functional(line(2), false); // evicts line 1
+        assert!(t.access_functional(line(0), false));
+        assert!(!t.access_functional(line(1), false));
     }
 }

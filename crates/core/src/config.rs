@@ -100,7 +100,8 @@ pub struct GpuConfig {
     /// Retained only because the frozen `gmh-benchmark` package assigns
     /// it: a simulation always runs on one thread, and `0` and `1` both
     /// say so. [`GpuConfig::validate`] refuses any other value. Run many
-    /// simulations at once instead (`gmh_exp::run_jobs`, `GMH_THREADS`).
+    /// simulations at once instead (`gmh_exp::Evaluator::eval_batch`,
+    /// `GMH_THREADS`).
     pub sim_threads: usize,
 }
 
@@ -164,7 +165,7 @@ impl GpuConfig {
             return Err(format!(
                 "sim_threads = {}: a simulation runs on one thread (0 or 1); \
                  parallelism is across simulations — run jobs side by side \
-                 (gmh_exp::run_jobs / Evaluator::eval_batch, GMH_THREADS workers)",
+                 (gmh_exp::Evaluator::eval_batch, GMH_THREADS workers)",
                 self.sim_threads
             ));
         }

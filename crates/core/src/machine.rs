@@ -10,7 +10,7 @@
 //! simulation runs on one thread (DESIGN.md §6 records why).
 
 use crate::l2bank::L2Bank;
-use crate::sched::{Class, Sched};
+use crate::sched::{Class, Sched, NEVER};
 use gmh_dram::DramChannel;
 use gmh_icnt::Network;
 use gmh_simt::SimtCore;
@@ -31,8 +31,8 @@ pub(crate) struct Machine<Co = SimtCore, Ba = L2Bank, Ch = DramChannel, Ne = Net
     /// Crossbar networks at [`REQ`] and [`REP`] (they switch
     /// independently; the run loop serializes all inject/eject).
     pub nets: [Ne; 2],
-    /// Event scheduler: awake flags, wake queue and the lazy skipped-cycle
-    /// ledger for the components above.
+    /// Event scheduler: awake flags, wake instants and the lazy
+    /// skipped-cycle ledger for the components above.
     pub sched: Sched,
 }
 
@@ -61,21 +61,36 @@ impl<Co: Component, Ba: Component, Ch: Component, Ne: Component> Machine<Co, Ba,
         }
     }
 
-    /// Drains the due wakes at one clock instant: every queued component
-    /// whose wake time has arrived is woken and flushed (its domain provably
+    /// Drains the due wakes at one clock instant: every component whose
+    /// wake time has arrived is woken and flushed (its domain provably
     /// fires at its wake instant, so the sweep running later this instant
     /// executes the final tick). Returns how many woke.
+    ///
+    /// One walk of the wake column in id order wakes the due components
+    /// and finds the earliest wake left, so no cleared wake rescans the
+    /// column. Every wake is a future tick of its own domain and no jump
+    /// passes the earliest one, so all due wakes fall at `now_ps`: id order
+    /// is the order a `(wake, id)` queue would pop them in.
     pub fn drain_wakes(&mut self, now_ps: Picos) -> u64 {
-        let mut woke = 0;
-        while let Some(id) = self.sched.q.pop_ready(now_ps) {
-            let (class, slot) = self.sched.locate(id);
-            debug_assert!(
-                now_ps.is_multiple_of(self.sched.period[class.idx()]),
-                "a wake instant must be a tick instant of its own domain"
-            );
-            self.wake(class, slot);
-            woke += 1;
+        let (mut woke, mut next) = (0, NEVER);
+        for class in Class::ALL {
+            for slot in 0..self.sched.live[class.idx()] {
+                let id = self.sched.id(class, slot);
+                let at = self.sched.wake_at(id);
+                if at > now_ps {
+                    next = next.min(at);
+                    continue;
+                }
+                debug_assert!(
+                    now_ps.is_multiple_of(self.sched.period[class.idx()]),
+                    "a wake instant must be a tick instant of its own domain"
+                );
+                self.sched.take(id);
+                self.wake(class, slot);
+                woke += 1;
+            }
         }
+        self.sched.next_wake = next;
         woke
     }
 
@@ -96,7 +111,7 @@ impl<Co: Component, Ba: Component, Ch: Component, Ne: Component> Machine<Co, Ba,
 /// Tick → probe → sleep, for one class: advances its *awake* components by
 /// one own-domain tick in ascending order (a sleeping component is provably
 /// inert this tick, so skipping it is exact). A component whose tick was
-/// not active is probed: a busy probe keeps it hot with zero queue traffic,
+/// not active is probed: a busy probe keeps it hot without a wake write,
 /// a quiet one parks it ([`crate::sched`] has the lifecycle). With the
 /// scheduler off (the naive-loop oracle) nothing ever sleeps, so every
 /// component of a class the memory model ticks cycles, unprobed.
@@ -114,18 +129,18 @@ fn sweep<C: Component>(sched: &mut Sched, class: Class, comps: &mut [C], cx: &mu
             continue;
         }
         if let EventBound::QuietUntil { bound } = c.next_event_bound() {
-            debug_assert!(!sched.q.contains(id), "awake component still queued");
+            debug_assert!(sched.wake_at(id) == NEVER, "awake component still queued");
             sched.done[id] = cx.cyc;
             sched.awake[id] = false;
             sched.awake_n[k] -= 1;
             if let Some(b) = bound {
-                sched.q.schedule(id, (b - 1) * sched.period[k]);
+                sched.schedule(id, (b - 1) * sched.period[k]);
             }
         }
     }
 }
 
-/// Flush → wake: raises a sleeper's flag (cancelling its queued wake) and
+/// Flush → wake: raises a sleeper's flag (cancelling its scheduled wake) and
 /// replays its owed quiet ticks — through the last tick its class's sweep
 /// completed — through its bulk skip hook while its state is still the
 /// frozen quiet state the hook's `debug_assert` demands; only then may the
@@ -135,7 +150,7 @@ fn wake<C: Component>(sched: &mut Sched, class: Class, comps: &mut [C], slot: us
     if sched.awake[id] {
         return;
     }
-    sched.q.cancel(id);
+    sched.cancel(id);
     sched.awake[id] = true;
     sched.awake_n[class.idx()] += 1;
     let owed = sched.swept[class.idx()] - sched.done[id];
@@ -217,13 +232,19 @@ mod tests {
         // bank's tick 5 fires at (5 - 1) * 20 ps; the core waits for input.
         let id = m.sched.id(Class::Bank, 0);
         assert_eq!((&m.banks[0].ticks, m.banks[0].probes.get()), (&vec![1], 1));
-        assert_eq!((m.sched.awake_n, m.sched.q.len()), ([0; 4], 4));
-        assert_eq!(m.sched.q.peek(), Some((80, id)));
+        let wakes = (0..5).map(|id| m.sched.wake_at(id)).collect::<Vec<_>>();
+        assert_eq!(
+            (m.sched.awake_n, wakes),
+            ([0; 4], vec![NEVER, 80, 120, 80, 80])
+        );
+        assert_eq!(m.sched.next_wake, 80);
         // An external wake after sweep 4 settles ticks 2..=4 before returning.
         m.sched.swept = [4; 4];
         m.wake(Class::Bank, 0);
         assert_eq!((m.banks[0].skipped, m.sched.done[id]), (3, 1));
-        assert!(m.sched.awake[id] && !m.sched.q.contains(id));
+        assert!(m.sched.awake[id] && m.sched.wake_at(id) == NEVER);
+        // The nets still wake at 80 ps.
+        assert_eq!(m.sched.next_wake, 80);
         // Waking the awake is a no-op.
         m.sched.swept = [9; 4];
         m.wake(Class::Bank, 0);

@@ -469,10 +469,8 @@ impl GpuSim {
         let core_period = self.clocks.domain(DomainId::Core).period_ps();
         // Seed with the cycle cap: naive execution fires nothing at any
         // instant after core tick max_core_cycles ((max-1)*core_period).
-        let mut t: Picos = (self.cfg.max_core_cycles.saturating_sub(1)) * core_period + 1;
-        if let Some((wake_ps, _)) = self.m.sched.q.peek() {
-            t = t.min(wake_ps);
-        }
+        let cap: Picos = (self.cfg.max_core_cycles.saturating_sub(1)) * core_period + 1;
+        let mut t = cap.min(self.m.sched.next_wake);
         for q in [&self.ideal_fast, &self.ideal_slow] {
             if let Some((ready_cycle, _)) = q.front() {
                 t = t.min(ready_cycle.saturating_sub(1) * core_period);
@@ -492,13 +490,13 @@ impl GpuSim {
     /// fires this instant — wake times are own-domain tick instants)
     /// executes its final, possibly-eventful tick.
     fn drain_due_wakes(&mut self, now_ps: Picos) {
-        // Common case: nothing due (never, with the scheduler off) — one peek.
-        if !matches!(self.m.sched.q.peek(), Some((w, _)) if w <= now_ps) {
+        // Common case: nothing due (never, with the scheduler off).
+        if self.m.sched.next_wake > now_ps {
             return;
         }
         let t0 = self.host_span_begin();
         let woke = self.m.drain_wakes(now_ps);
-        debug_assert!(woke > 0, "a due peek must drain at least one wake");
+        debug_assert!(woke > 0, "a due next_wake must drain at least one wake");
         self.host_span_end(HostPhase::SchedPop, t0);
     }
 

@@ -6,8 +6,8 @@
 //! `gmh-exp` CLI ([`crate::cli`]) prints any subset, or all of them as a
 //! full evaluation report.
 
-use crate::runner::{run_jobs, Baselines, Job};
-use gmh_core::{area, GpuConfig, SimStats};
+use crate::runner::{par_map, Baselines};
+use gmh_core::{area, GpuConfig, GpuSim, SimStats};
 use gmh_workloads::{catalog, WorkloadSpec};
 use std::fmt::Write as _;
 
@@ -111,16 +111,12 @@ fn base<'a>(baselines: &'a Baselines, name: &str) -> &'a SimStats {
 
 /// Simulates every workload under every labelled config; `grid[w][c]` is
 /// workload `w` under config `c`. Jobs run workload-major.
-fn grid<L: ToString>(workloads: &[WorkloadSpec], configs: &[(L, GpuConfig)]) -> Vec<Vec<SimStats>> {
+fn grid<L>(workloads: &[WorkloadSpec], configs: &[(L, GpuConfig)]) -> Vec<Vec<SimStats>> {
     let jobs = workloads
         .iter()
-        .flat_map(|w| {
-            configs
-                .iter()
-                .map(move |(label, cfg)| Job::new(w.clone(), label.to_string(), cfg.clone()))
-        })
+        .flat_map(|w| configs.iter().map(move |(_, cfg)| (cfg, w)))
         .collect();
-    let mut stats = run_jobs(jobs).into_iter().map(|o| o.stats);
+    let mut stats = par_map(jobs, |(cfg, w)| GpuSim::new(cfg.clone(), w).run()).into_iter();
     workloads
         .iter()
         .map(|_| stats.by_ref().take(configs.len()).collect())
@@ -128,11 +124,7 @@ fn grid<L: ToString>(workloads: &[WorkloadSpec], configs: &[(L, GpuConfig)]) -> 
 }
 
 /// [`grid`] over the named workloads, as speedups over their baseline runs.
-fn speedups<L: ToString>(
-    baselines: &Baselines,
-    names: &[&str],
-    configs: &[(L, GpuConfig)],
-) -> Vec<Vec<f64>> {
+fn speedups<L>(baselines: &Baselines, names: &[&str], configs: &[(L, GpuConfig)]) -> Vec<Vec<f64>> {
     let rows = names.iter().zip(grid(&specs(names), configs));
     rows.map(|(name, row)| {
         let b = base(baselines, name);
@@ -932,7 +924,7 @@ mod tests {
             assert_eq!(row.len(), configs.len());
             // Cell [w][c] is workload w under config c, whatever order ran.
             for ((_, cfg), st) in configs.iter().zip(row) {
-                let direct = gmh_core::GpuSim::new(cfg.clone(), w).run();
+                let direct = GpuSim::new(cfg.clone(), w).run();
                 assert_eq!(key(st), key(&direct), "{} on {} cores", w.name, cfg.n_cores);
             }
         }

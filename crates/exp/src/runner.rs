@@ -4,39 +4,6 @@ use gmh_core::{GpuConfig, GpuSim, SimStats};
 use gmh_workloads::{catalog, WorkloadSpec};
 use std::sync::{mpsc, Mutex, OnceLock};
 
-/// One simulation to run: a workload under a configuration.
-#[derive(Clone, Debug)]
-pub struct Job {
-    /// The workload.
-    pub workload: WorkloadSpec,
-    /// Label identifying the configuration ("base", "L2x4", ...).
-    pub label: String,
-    /// The GPU configuration.
-    pub config: GpuConfig,
-}
-
-impl Job {
-    /// Creates a job.
-    pub fn new(workload: WorkloadSpec, label: impl Into<String>, config: GpuConfig) -> Self {
-        Job {
-            workload,
-            label: label.into(),
-            config,
-        }
-    }
-}
-
-/// The result of one job.
-#[derive(Clone, Debug)]
-pub struct RunOutcome {
-    /// Workload name.
-    pub workload: String,
-    /// Configuration label.
-    pub label: String,
-    /// Run statistics.
-    pub stats: SimStats,
-}
-
 /// Worker-thread count: `GMH_THREADS` or the machine's parallelism.
 ///
 /// The environment is read (and parsed) once per process; every subsequent
@@ -93,15 +60,6 @@ pub(crate) fn par_map<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync
     })
 }
 
-/// Runs all jobs across worker threads; results come back in job order.
-pub fn run_jobs(jobs: Vec<Job>) -> Vec<RunOutcome> {
-    par_map(jobs, |job| RunOutcome {
-        workload: job.workload.name.to_string(),
-        stats: GpuSim::new(job.config, &job.workload).run(),
-        label: job.label,
-    })
-}
-
 /// Cached baseline runs of all 19 workloads — shared by Figs. 1, 4, 5, 7,
 /// 8 and 9, which all measure the baseline configuration.
 #[derive(Clone, Debug)]
@@ -118,16 +76,10 @@ impl Baselines {
 
     /// Runs the 19 baselines (in parallel).
     pub fn collect() -> Self {
-        let jobs = catalog::all()
-            .into_iter()
-            .map(|w| Job::new(w, "base", GpuConfig::gtx480_baseline()))
-            .collect();
-        let outcomes = run_jobs(jobs);
-        let entries = catalog::all()
-            .into_iter()
-            .zip(outcomes)
-            .map(|(w, o)| (w, o.stats))
-            .collect();
+        let entries = par_map(catalog::all(), |w| {
+            let stats = GpuSim::new(GpuConfig::gtx480_baseline(), &w).run();
+            (w, stats)
+        });
         Baselines { entries }
     }
 
@@ -165,31 +117,5 @@ mod tests {
         assert!(threads_from(Some("not-a-number")) >= 1);
         assert!(threads_from(None) >= 1);
         assert_eq!(threads_from(Some("0")), threads_from(None));
-    }
-
-    #[test]
-    fn run_jobs_empty_input() {
-        assert!(run_jobs(Vec::new()).is_empty());
-    }
-
-    #[test]
-    fn run_jobs_preserves_order() {
-        let mut wl = catalog::by_name("leukocyte").unwrap();
-        wl.warps_per_core = 2;
-        wl.insts_per_warp = 40;
-        let mut cfg = GpuConfig::gtx480_baseline();
-        cfg.n_cores = 1;
-        let jobs = vec![
-            Job::new(wl.clone(), "a", cfg.clone()),
-            Job::new(wl.clone(), "b", cfg.clone()),
-            Job::new(wl, "c", cfg),
-        ];
-        let out = run_jobs(jobs);
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[0].label, "a");
-        assert_eq!(out[1].label, "b");
-        assert_eq!(out[2].label, "c");
-        // Identical jobs give identical (deterministic) results.
-        assert_eq!(out[0].stats.core_cycles, out[1].stats.core_cycles);
     }
 }

@@ -53,7 +53,7 @@ const BANNED: &[(&str, &str, bool)] = &[
     ),
     // A simulation never spawns and never shares: it runs on the one
     // thread that owns its `GpuSim`, and parallelism lives a level up,
-    // across simulations (`gmh_exp::runner::run_jobs`). A lock, a spawned
+    // across simulations (`gmh_exp::Evaluator::eval_batch`). A lock, a spawned
     // thread or a mutable static in model code means two threads can
     // observe the same state under an OS-scheduled interleaving — exactly
     // the nondeterminism R1 exists to keep out of the cycle accounting.
@@ -72,13 +72,13 @@ const BANNED: &[(&str, &str, bool)] = &[
     (
         "Condvar",
         "a simulation runs on one thread and has nobody to wait for; run whole \
-         simulations side by side (gmh_exp::runner::run_jobs) instead",
+         simulations side by side (gmh_exp::Evaluator::eval_batch) instead",
         false,
     ),
     (
         "thread::spawn",
         "a simulation runs on one thread; parallelism is across simulations \
-         (gmh_exp::runner::run_jobs, the gmh-serve worker pool), never inside one",
+         (gmh_exp::Evaluator::eval_batch, the gmh-serve worker pool), never inside one",
         false,
     ),
     (

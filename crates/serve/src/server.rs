@@ -486,6 +486,43 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
+/// Runs `f` on a helper thread named `gmh-{kind}` under the per-job
+/// wall-clock budget. A failed spawn counts `errored`, logs `err` and
+/// answers `ERR`; an expired budget counts `timed_out`, logs `timeout` and
+/// answers `TIMEOUT`. `log(outcome, run_ms)` writes the job's log line.
+fn run_budgeted<T: Send + 'static>(
+    shared: &Shared,
+    kind: &str,
+    log: impl Fn(&str, u64),
+    f: impl FnOnce() -> T + Send + 'static,
+) -> Result<T, Reply> {
+    let started = Instant::now();
+    let (tx, rx) = mpsc::channel();
+    let helper = std::thread::Builder::new()
+        .name(format!("gmh-{kind}"))
+        .spawn(move || {
+            tx.send(f()).ok();
+        });
+    if helper.is_err() {
+        Metrics::inc(&shared.metrics.errored);
+        log("err", 0);
+        let what = if kind == "sim" { "simulation" } else { kind };
+        return Err(Reply::Err(format!("cannot spawn {what} thread")));
+    }
+    let timeout = Duration::from_millis(shared.cfg.job_timeout_ms);
+    rx.recv_timeout(timeout).map_err(|_| {
+        // The helper is abandoned, not killed: the simulator's cycle cap
+        // (`max_core_cycles`) or the search's evaluation budget bounds how
+        // long it can linger, and its eventual result is discarded. The
+        // worker moves on immediately.
+        Metrics::inc(&shared.metrics.timed_out);
+        log("timeout", millis(started.elapsed()));
+        Reply::Timeout {
+            after_ms: shared.cfg.job_timeout_ms,
+        }
+    })
+}
+
 /// Runs one job under the wall-clock budget.
 fn execute_job(
     shared: &Arc<Shared>,
@@ -495,8 +532,6 @@ fn execute_job(
     queue_wait_ms: u64,
 ) -> Reply {
     let started = Instant::now();
-    let timeout = Duration::from_millis(shared.cfg.job_timeout_ms);
-    let (tx, rx) = mpsc::channel();
     let mut config = job.config.clone();
     // Every fresh run samples its fetch lifecycles so the METRICS
     // histograms stay live, and self-profiles the host scheduler so the
@@ -508,74 +543,51 @@ fn execute_job(
     }
     config.profile_host = true;
     let cache = if job.trace { "bypass" } else { "miss" };
-    let workload = job.workload.clone();
-    let helper = std::thread::Builder::new()
-        .name("gmh-sim".to_string())
-        .spawn(move || {
-            let mut sim = GpuSim::new(config, &workload);
-            let stats = sim.run();
-            tx.send((stats, sim.take_host_report())).ok();
-        });
-    if helper.is_err() {
-        Metrics::inc(&shared.metrics.errored);
+    let log = |outcome: &str, run_ms: u64, dropped: (u64, u64)| {
         eprintln!(
             "{}",
-            job_log_line(id, "sim", "err", cache, queue_wait_ms, 0, (0, 0))
+            job_log_line(id, "sim", outcome, cache, queue_wait_ms, run_ms, dropped)
         );
-        return Reply::Err("cannot spawn simulation thread".to_string());
+    };
+    let workload = job.workload.clone();
+    let run = run_budgeted(
+        shared,
+        "sim",
+        |outcome, run_ms| log(outcome, run_ms, (0, 0)),
+        move || {
+            let mut sim = GpuSim::new(config, &workload);
+            let stats = sim.run();
+            (stats, sim.take_host_report())
+        },
+    );
+    let (stats, host_report) = match run {
+        Ok(done) => done,
+        Err(reply) => return reply,
+    };
+    shared.merge_latency(&stats.trace.levels);
+    if let Some(hr) = &host_report {
+        shared.metrics.record_host_profile(hr);
     }
-    match rx.recv_timeout(timeout) {
-        Ok((stats, host_report)) => {
-            shared.merge_latency(&stats.trace.levels);
-            if let Some(hr) = &host_report {
-                shared.metrics.record_host_profile(hr);
-            }
-            let dropped = (
-                stats.trace.dropped_events,
-                host_report.as_ref().map_or(0, |hr| hr.dropped),
-            );
-            let json = if job.trace {
-                chrome_trace_json(job.workload.name, &stats.trace)
-            } else {
-                let json = report_json(&job.label, job.workload.name, &stats);
-                if let Err(e) = shared.cache.put(key, &job.workload, &job.label, &json) {
-                    eprintln!("gmh-serve: cache write failed (serving anyway): {e}");
-                }
-                json
-            };
-            let wall_ms = millis(started.elapsed());
-            Metrics::add(&shared.metrics.sim_cycles, stats.core_cycles);
-            Metrics::add(&shared.metrics.sim_wall_ms, wall_ms);
-            shared.metrics.record_job_rate(stats.core_cycles, wall_ms);
-            Metrics::inc(&shared.metrics.completed);
-            eprintln!(
-                "{}",
-                job_log_line(id, "sim", "ok", cache, queue_wait_ms, wall_ms, dropped)
-            );
-            Reply::Ok(json)
+    let dropped = (
+        stats.trace.dropped_events,
+        host_report.as_ref().map_or(0, |hr| hr.dropped),
+    );
+    let json = if job.trace {
+        chrome_trace_json(job.workload.name, &stats.trace)
+    } else {
+        let json = report_json(&job.label, job.workload.name, &stats);
+        if let Err(e) = shared.cache.put(key, &job.workload, &job.label, &json) {
+            eprintln!("gmh-serve: cache write failed (serving anyway): {e}");
         }
-        Err(_) => {
-            // The helper is abandoned, not killed: the simulator's cycle cap
-            // (`max_core_cycles`) bounds how long it can linger, and its
-            // eventual result is discarded. The worker moves on immediately.
-            Metrics::inc(&shared.metrics.timed_out);
-            eprintln!(
-                "{}",
-                job_log_line(
-                    id,
-                    "sim",
-                    "timeout",
-                    cache,
-                    queue_wait_ms,
-                    millis(started.elapsed()),
-                    (0, 0)
-                )
-            );
-            Reply::Timeout {
-                after_ms: shared.cfg.job_timeout_ms,
-            }
-        }
-    }
+        json
+    };
+    let wall_ms = millis(started.elapsed());
+    Metrics::add(&shared.metrics.sim_cycles, stats.core_cycles);
+    Metrics::add(&shared.metrics.sim_wall_ms, wall_ms);
+    shared.metrics.record_job_rate(stats.core_cycles, wall_ms);
+    Metrics::inc(&shared.metrics.completed);
+    log("ok", wall_ms, dropped);
+    Reply::Ok(json)
 }
 
 /// Runs one design-space search under the wall-clock budget.
@@ -593,22 +605,12 @@ fn execute_tune(shared: &Arc<Shared>, params: TuneParams, id: u64, queue_wait_ms
             job_log_line(id, "tune", outcome, "none", queue_wait_ms, run_ms, (0, 0))
         );
     };
-    let timeout = Duration::from_millis(shared.cfg.job_timeout_ms);
-    let (tx, rx) = mpsc::channel();
     let cache_dir = shared.cfg.cache_dir.clone();
     let p = params.clone();
-    let helper = std::thread::Builder::new()
-        .name("gmh-tune".to_string())
-        .spawn(move || {
-            let result = DiskCache::open(cache_dir).and_then(|cache| run_search(&cache, &p));
-            tx.send(result).ok();
-        });
-    if helper.is_err() {
-        Metrics::inc(&shared.metrics.errored);
-        log("err", 0);
-        return Reply::Err("cannot spawn tune thread".to_string());
-    }
-    match rx.recv_timeout(timeout) {
+    let run = run_budgeted(shared, "tune", log, move || {
+        DiskCache::open(cache_dir).and_then(|cache| run_search(&cache, &p))
+    });
+    match run {
         Ok(Ok(out)) => {
             // Searches are charged to their own counters, not to
             // `sim_wall_ms`: the BUSY retry hint must stay an average over
@@ -634,15 +636,7 @@ fn execute_tune(shared: &Arc<Shared>, params: TuneParams, id: u64, queue_wait_ms
             log("err", millis(started.elapsed()));
             Reply::Err(format!("tune failed: {e}"))
         }
-        Err(_) => {
-            // As with simulations: the helper is abandoned, its budgeted
-            // evaluations bound how long it lingers, its result is dropped.
-            Metrics::inc(&shared.metrics.timed_out);
-            log("timeout", millis(started.elapsed()));
-            Reply::Timeout {
-                after_ms: shared.cfg.job_timeout_ms,
-            }
-        }
+        Err(reply) => reply,
     }
 }
 

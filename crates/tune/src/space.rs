@@ -13,7 +13,6 @@
 //! can rediscover it.
 
 use gmh_core::GpuConfig;
-use gmh_exp::candidate::Candidate;
 use gmh_icnt::IcntConfig;
 
 /// Number of axes in the knob space.
@@ -145,11 +144,6 @@ impl KnobSpace {
             c.l2_bank.set_stride = banks;
         }
         c
-    }
-
-    /// A labeled [`Candidate`] for a genome.
-    pub fn candidate(&self, g: &Genome) -> Candidate {
-        Candidate::new(self.label(g), self.config(g))
     }
 
     /// Whether the genome builds a configuration the simulator accepts.

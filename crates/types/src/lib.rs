@@ -35,7 +35,6 @@ pub mod rng;
 pub mod scratch;
 pub mod stats;
 pub mod telemetry;
-pub mod timeq;
 pub mod trace;
 
 pub use addr::{Address, LineAddr, LINE_SIZE};
@@ -50,7 +49,6 @@ pub use rng::Xoshiro256;
 pub use scratch::Scratch;
 pub use stats::{Counter, Histogram, LatencyHistogram, MeanAccumulator, RatioStat};
 pub use telemetry::{AuditSummary, FetchAudit, Telemetry, TelemetrySnapshot};
-pub use timeq::TimeQ;
 pub use trace::{
     decomposition_of, spans_of, Level, LevelLatency, Span, StallCause, TraceData, TraceEvent,
     TraceEventKind, TraceSink,

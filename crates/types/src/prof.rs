@@ -69,8 +69,8 @@ pub enum HostPhase {
     FfJump,
     /// Windowed telemetry sampling after an icnt edge. Top-level.
     Telemetry,
-    /// Event scheduler: draining due wakes from the time queue at the top
-    /// of an instant (`TimeQ::pop_ready` + owed-cycle flush). Top-level.
+    /// Event scheduler: draining due wakes at the top of an instant (the
+    /// walk of the wake column + owed-cycle flush). Top-level.
     SchedPop,
     /// Event scheduler: the end-of-run flush of every sleeping component's
     /// owed cycles. Top-level.
