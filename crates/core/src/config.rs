@@ -149,6 +149,14 @@ impl GpuConfig {
                 self.n_l2_banks, self.n_channels
             ));
         }
+        for (field, ports) in [("n_cores", self.n_cores), ("n_l2_banks", self.n_l2_banks)] {
+            if ports > gmh_icnt::MAX_PORTS {
+                return Err(format!(
+                    "{field} = {ports}: a crossbar side has at most {} ports",
+                    gmh_icnt::MAX_PORTS
+                ));
+            }
+        }
         if self.dram.n_channels != self.n_channels {
             return Err("dram.n_channels must match n_channels".into());
         }
@@ -430,6 +438,28 @@ mod tests {
         c.n_l2_banks = 7;
         c.l2_bank.set_stride = 7;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_more_ports_than_the_crossbar_holds() {
+        let mut c = GpuConfig::gtx480_baseline();
+        c.n_cores = gmh_icnt::MAX_PORTS;
+        assert!(c.validate().is_ok());
+        c.n_cores = gmh_icnt::MAX_PORTS + 1;
+        let err = c.validate().expect_err("65 cores exceed a crossbar side");
+        assert!(
+            err.contains("n_cores = 65") && err.contains("64 ports"),
+            "{err}"
+        );
+        // 66 banks is a multiple of the 6 channels, so only the port limit refuses it.
+        let mut c = GpuConfig::gtx480_baseline();
+        c.n_l2_banks = 66;
+        c.l2_bank.set_stride = 66;
+        let err = c.validate().expect_err("66 banks exceed a crossbar side");
+        assert!(
+            err.contains("n_l2_banks = 66") && err.contains("64 ports"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -69,24 +69,28 @@ fn assert_skip_matches_cycling<C: Component + Debug>(
 proptest! {
     /// Crossbar: skipping a promised-quiet window is indistinguishable
     /// from living through it. Windows open while injected packets sit
-    /// out their router latency.
+    /// out their router latency. Shapes: a small switch and the shipped
+    /// request (15 cores -> 12 banks) and reply (12 -> 15) networks.
     #[test]
     fn network_quiet_window_matches_cycling(
-        pkts in prop::collection::vec((0usize..4, 0usize..3, 1u32..256), 1..12),
+        (n_src, n_dst) in prop::sample::select(vec![(4usize, 3usize), (15, 12), (12, 15)]),
+        speedup in 1usize..3,
+        pkts in prop::collection::vec((0usize..15, 0usize..15, 1u32..256), 1..24),
         pre in 0u64..4,
         latency in 2u64..30,
     ) {
-        let mut net = Network::new(4, 3, 32, 64, 8, latency);
+        let mut net = Network::with_speedup(n_src, n_dst, 32, 64, 8, latency, speedup);
         let mut now = 0u64;
         for (i, (src, dst, bytes)) in pkts.iter().enumerate() {
-            let _ = net.inject(*src, *dst, load(i as u64, i as u64), *bytes);
+            let (src, dst) = (src % n_src, dst % n_dst);
+            let _ = net.inject(src, dst, load(i as u64, i as u64), *bytes);
             for _ in 0..pre {
                 now += 1;
                 tick(&mut net, now);
             }
             assert_skip_matches_cycling(&mut net.clone(), &mut net.clone(), now);
             // Drain the ejection side so buffers keep turning over.
-            for d in 0..3 {
+            for d in 0..n_dst {
                 let _ = net.pop_eject(d);
             }
         }

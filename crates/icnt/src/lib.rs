@@ -7,8 +7,9 @@
 //! (cores → L2 banks) and the *reply* network (L2 banks → cores). Packets
 //! are segmented into flits of a per-network size; each input port injects
 //! at most one flit per interconnect cycle and each output port accepts at
-//! most one flit per cycle, so a 128-byte load response takes ⌈128/32⌉ = 4
-//! cycles of link occupancy at the baseline 32 B flit size. Bounded
+//! most one flit per cycle (up to [`IcntConfig::output_speedup`] flits from
+//! distinct inputs when that is above 1), so a 128-byte load response takes
+//! ⌈128/32⌉ = 4 cycles of link occupancy at the baseline 32 B flit size. Bounded
 //! injection buffers propagate back-pressure to the L1 miss queues and L2
 //! response queues — the dominant cause of L2 stalls in the paper (Fig. 8,
 //! *bp-ICNT* 42%).
@@ -35,7 +36,7 @@
 
 pub mod network;
 
-pub use network::{Network, NetworkStats};
+pub use network::{Network, NetworkStats, MAX_PORTS};
 
 use gmh_types::Cycle;
 

@@ -7,9 +7,16 @@
 //! destination's ejection buffer has a free (reservable) slot, so full
 //! ejection buffers back-pressure through the switch to the injection
 //! buffers — and from there to the L1 miss queues / L2 response queues.
+//!
+//! The arbiter works on port bit sets: one `u64` word holds a flag per
+//! source, so a side has at most [`MAX_PORTS`] ports.
 
 use gmh_types::queue::BoundedQueue;
 use gmh_types::{Component, Counter, Cycle, EventBound, MemFetch, Scratch, Tick};
+
+/// Most ports a [`Network`] side can have: the arbiter keeps one bit per
+/// source (and per destination) in a `u64`.
+pub const MAX_PORTS: usize = 64;
 
 #[derive(Clone, Debug)]
 struct Packet {
@@ -18,7 +25,22 @@ struct Packet {
     flits_total: u32,
     flits_sent: u32,
     ready_at: Cycle,
-    reserved: bool,
+}
+
+/// The injection buffers' head packets as the arbiter reads them. Derived
+/// state: every entry is a function of its buffer's front
+/// ([`Network::load_head`]), kept current by `inject` and by the grant that
+/// completes a packet.
+#[derive(Clone, Debug)]
+struct Heads {
+    /// Bit `src`: source `src` has a buffered packet.
+    present: u64,
+    /// Bit `src`: the head has sent a flit, so it holds an ejection slot.
+    reserved: u64,
+    /// Per source: the head's destination (meaningful while present).
+    dst: Vec<usize>,
+    /// Per source: the head's router-exit cycle (meaningful while present).
+    ready_at: Vec<Cycle>,
 }
 
 /// Traffic statistics for one network direction.
@@ -51,16 +73,11 @@ pub struct Network {
     output_speedup: usize,
     now: Cycle,
     stats: NetworkStats,
-    /// Per-cycle "input already sent a flit" scratch, hoisted out of
-    /// [`Network::cycle`] so the hot loop never allocates. Overwritten
-    /// before use, so it carries no state across cycles.
-    input_used: Scratch<Vec<bool>>,
-    /// Per-destination scratch lists of sources whose head packet is
-    /// eligible this cycle, in ascending source order (reused; only the
-    /// destinations in `active_dsts` are populated and cleared).
-    dst_members: Vec<Vec<usize>>,
-    /// Destinations with a non-empty `dst_members` list this cycle.
-    active_dsts: Vec<usize>,
+    /// The head index the arbiter reads instead of the buffers.
+    heads: Scratch<Heads>,
+    /// Per destination: the sources whose eligible head targets it this
+    /// cycle. All zero between cycles.
+    want: Scratch<Vec<u64>>,
     /// Total flits across all injection buffers (incremental mirror of
     /// `input_flits`, so telemetry reads are O(1)).
     buffered_total: usize,
@@ -74,7 +91,8 @@ impl Network {
     ///
     /// # Panics
     ///
-    /// Panics if any dimension or capacity is zero.
+    /// Panics if any dimension or capacity is zero, or a dimension exceeds
+    /// [`MAX_PORTS`].
     pub fn new(
         n_src: usize,
         n_dst: usize,
@@ -100,7 +118,8 @@ impl Network {
     ///
     /// # Panics
     ///
-    /// Panics if any dimension, capacity or the speedup is zero.
+    /// Panics if any dimension, capacity or the speedup is zero, or a
+    /// dimension exceeds [`MAX_PORTS`].
     #[allow(clippy::too_many_arguments)]
     pub fn with_speedup(
         n_src: usize,
@@ -115,6 +134,10 @@ impl Network {
         assert!(
             n_src > 0 && n_dst > 0,
             "network dimensions must be non-zero"
+        );
+        assert!(
+            n_src <= MAX_PORTS && n_dst <= MAX_PORTS,
+            "a network side has at most {MAX_PORTS} ports"
         );
         assert!(flit_bytes > 0, "flit size must be non-zero");
         assert!(input_buffer_flits > 0, "input buffer must be non-zero");
@@ -138,9 +161,13 @@ impl Network {
             output_speedup,
             now: 0,
             stats: NetworkStats::default(),
-            input_used: Scratch(vec![false; n_src]),
-            dst_members: vec![Vec::new(); n_dst],
-            active_dsts: Vec::with_capacity(n_dst),
+            heads: Scratch(Heads {
+                present: 0,
+                reserved: 0,
+                dst: vec![0; n_src],
+                ready_at: vec![0; n_src],
+            }),
+            want: Scratch(vec![0; n_dst]),
             buffered_total: 0,
             backlog_total: 0,
         }
@@ -206,14 +233,49 @@ impl Network {
             flits_total: flits,
             flits_sent: 0,
             ready_at: self.now + self.router_latency,
-            reserved: false,
         };
         // INVARIANT: the flit check above bounds buffered packets by
         // buffered flits, and capacity is input_buffer_flits packets.
         self.inputs[src]
             .push(packet)
             .expect("packet count bounded by flit accounting");
+        if self.heads.0.present & (1 << src) == 0 {
+            self.load_head(src);
+        }
         Ok(())
+    }
+
+    /// Re-reads source `src`'s buffer front into the head index.
+    fn load_head(&mut self, src: usize) {
+        let bit = 1u64 << src;
+        let heads = &mut self.heads.0;
+        heads.present &= !bit;
+        heads.reserved &= !bit;
+        if let Some(head) = self.inputs[src].front() {
+            heads.present |= bit;
+            if head.flits_sent > 0 {
+                heads.reserved |= bit;
+            }
+            heads.dst[src] = head.dst;
+            heads.ready_at[src] = head.ready_at;
+        }
+    }
+
+    /// Whether the head index agrees with every buffer front.
+    fn heads_match_fronts(&self) -> bool {
+        let heads = &self.heads.0;
+        self.inputs.iter().enumerate().all(|(src, q)| {
+            let bit = 1u64 << src;
+            match q.front() {
+                None => (heads.present | heads.reserved) & bit == 0,
+                Some(head) => {
+                    heads.present & bit != 0
+                        && (heads.reserved & bit != 0) == (head.flits_sent > 0)
+                        && heads.dst[src] == head.dst
+                        && heads.ready_at[src] == head.ready_at
+                }
+            }
+        })
     }
 
     /// Pops a delivered packet from ejection port `dst`.
@@ -248,108 +310,89 @@ impl Network {
 
     /// Whether any packets are buffered anywhere in the network.
     pub fn is_idle(&self) -> bool {
-        self.inputs.iter().all(|q| q.is_empty()) && self.outputs.iter().all(|q| q.is_empty())
+        self.heads.0.present == 0 && self.backlog_total == 0
     }
 
     /// Advances the switch by one cycle: each output port pulls at most one
-    /// flit from one input, each input sends at most one flit.
+    /// flit (`output_speedup` flits, from distinct inputs) and each input
+    /// sends at most one flit.
     ///
     /// Returns whether any flit moved. A moving switch is trivially busy,
     /// so the fast-forward scheduler skips its idle probe on `true`; a
     /// `false` return (empty, or every head short of its router latency /
     /// blocked on ejection credits) is the cue to probe for a sleep window.
+    ///
+    /// Destinations are served in ascending order, each granting the first
+    /// requester at or after its round-robin pointer. A source requests
+    /// exactly one destination, so the requester sets are disjoint and the
+    /// order destinations are served in cannot change any grant.
     pub fn cycle(&mut self) -> bool {
         self.now += 1;
-        if self.buffered_total == 0 {
-            // No buffered flits anywhere: the dst/src scan below would find
-            // no head, move nothing and charge nothing. Exact early-out.
-            return false;
+        debug_assert!(self.heads_match_fronts());
+        let mut pending = self.heads.0.present;
+        let mut active = 0u64;
+        while pending != 0 {
+            let src = pending.trailing_zeros() as usize;
+            pending &= pending - 1;
+            if self.heads.0.ready_at[src] < self.now {
+                let dst = self.heads.0.dst[src];
+                self.want.0[dst] |= 1 << src;
+                active |= 1 << dst;
+            }
         }
-        self.input_used.0.fill(false);
+
         let mut any_moved = false;
-
-        // Index this cycle's eligible heads (past their router latency) by
-        // destination, in ascending source order. Only destinations somebody
-        // actually wants are arbitrated below; scanning a bucket in
-        // round-robin order (members >= rr first, then members < rr) visits
-        // sources in exactly the order the full dst x src sweep would.
-        debug_assert!(self.active_dsts.is_empty());
-        for src in 0..self.n_src {
-            if let Some(head) = self.inputs[src].front() {
-                if head.ready_at < self.now {
-                    let dst = head.dst;
-                    if self.dst_members[dst].is_empty() {
-                        self.active_dsts.push(dst);
-                    }
-                    self.dst_members[dst].push(src);
-                }
-            }
-        }
-
-        for di in 0..self.active_dsts.len() {
-            let dst = self.active_dsts[di];
-            // Round-robin arbitration over inputs for this output; with
-            // output speedup, repeat the grant up to `output_speedup` times.
+        while active != 0 {
+            let dst = active.trailing_zeros() as usize;
+            active &= active - 1;
+            let mut requesters = std::mem::take(&mut self.want.0[dst]);
             for _pass in 0..self.output_speedup {
-                let start = self.rr[dst];
-                let n_members = self.dst_members[dst].len();
-                let mut granted = None;
-                'scan: for round in 0..2 {
-                    for mi in 0..n_members {
-                        let src = self.dst_members[dst][mi];
-                        // round 0 takes members >= start, round 1 the rest.
-                        if (src >= start) != (round == 0) {
-                            continue;
-                        }
-                        if self.input_used.0[src] {
-                            continue;
-                        }
-                        // INVARIANT: bucket membership implies a present head
-                        // for this dst; a consumed input is fenced off by
-                        // `input_used`, so the head is the one indexed above.
-                        let head = self.inputs[src].front().expect("indexed head exists");
-                        // A packet occupies an ejection slot from its first flit.
-                        if !head.reserved && self.output_reserved[dst] >= self.output_capacity {
-                            continue;
-                        }
-                        granted = Some(src);
-                        break 'scan;
-                    }
+                // A packet occupies an ejection slot from its first flit, so
+                // a full output still takes flits of packets holding a slot.
+                let eligible = if self.output_reserved[dst] >= self.output_capacity {
+                    requesters & self.heads.0.reserved
+                } else {
+                    requesters
+                };
+                if eligible == 0 {
+                    break;
                 }
-                let Some(src) = granted else { break };
-                self.input_used.0[src] = true;
-                any_moved = true;
+                let from_rr = eligible & (!0u64 << self.rr[dst]);
+                let src = if from_rr != 0 { from_rr } else { eligible }.trailing_zeros() as usize;
+                requesters &= !(1 << src);
                 self.rr[dst] = (src + 1) % self.n_src;
-                // INVARIANT: the grant loop selected src from non-empty inputs.
-                let head = self.inputs[src].front_mut().expect("granted head exists");
-                if !head.reserved {
-                    head.reserved = true;
-                    self.output_reserved[dst] += 1;
-                }
-                head.flits_sent += 1;
-                self.input_flits[src] -= 1;
-                self.buffered_total -= 1;
-                self.stats.flits.inc();
-                if head.flits_sent == head.flits_total {
-                    // INVARIANT: the grant loop just inspected this head.
-                    let pkt = self.inputs[src].pop().expect("head exists");
-                    // INVARIANT: an ejection slot was reserved with the
-                    // packet's first flit (output_reserved check above).
-                    self.outputs[dst]
-                        .push(pkt.fetch)
-                        .expect("ejection slot reserved at first flit");
-                    self.backlog_total += 1;
-                    self.stats.packets.inc();
-                }
+                self.send_flit(src, dst);
+                any_moved = true;
             }
         }
-
-        for di in 0..self.active_dsts.len() {
-            let dst = self.active_dsts[di];
-            self.dst_members[dst].clear();
-        }
-        self.active_dsts.clear();
         any_moved
+    }
+
+    /// Moves one flit of source `src`'s head packet to output `dst`.
+    fn send_flit(&mut self, src: usize, dst: usize) {
+        let bit = 1u64 << src;
+        if self.heads.0.reserved & bit == 0 {
+            self.heads.0.reserved |= bit;
+            self.output_reserved[dst] += 1;
+        }
+        // INVARIANT: only sources with a present head request an output.
+        let head = self.inputs[src].front_mut().expect("granted head exists");
+        head.flits_sent += 1;
+        self.input_flits[src] -= 1;
+        self.buffered_total -= 1;
+        self.stats.flits.inc();
+        if head.flits_sent == head.flits_total {
+            // INVARIANT: the head was just granted.
+            let pkt = self.inputs[src].pop().expect("head exists");
+            // INVARIANT: an ejection slot was reserved with the packet's
+            // first flit (the full-output check in `cycle`).
+            self.outputs[dst]
+                .push(pkt.fetch)
+                .expect("ejection slot reserved at first flit");
+            self.backlog_total += 1;
+            self.stats.packets.inc();
+            self.load_head(src);
+        }
     }
 
     /// Conservative idle probe for the fast-forward scheduler, over this
@@ -367,17 +410,20 @@ impl Network {
     /// loop's per-cycle work, which the [`Component::tick`] activity answer
     /// accounts for.
     pub fn next_event_bound(&self) -> EventBound {
-        if self.buffered_total == 0 {
+        debug_assert!(self.heads_match_fronts());
+        let heads = &self.heads.0;
+        if heads.present == 0 {
             return EventBound::quiet_external();
         }
         let mut earliest = Cycle::MAX;
-        for q in &self.inputs {
-            if let Some(head) = q.front() {
-                if head.ready_at <= self.now {
-                    return EventBound::Busy;
-                }
-                earliest = earliest.min(head.ready_at + 1);
+        let mut pending = heads.present;
+        while pending != 0 {
+            let ready_at = heads.ready_at[pending.trailing_zeros() as usize];
+            pending &= pending - 1;
+            if ready_at <= self.now {
+                return EventBound::Busy;
             }
+            earliest = earliest.min(ready_at + 1);
         }
         EventBound::quiet_until(earliest)
     }
@@ -625,5 +671,96 @@ mod tests {
     fn bad_destination_panics() {
         let mut n = net(1, 1, 32);
         let _ = n.inject(0, 5, load(1), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 ports")]
+    fn more_ports_than_a_word_panics() {
+        let _ = net(MAX_PORTS + 1, 1, 32);
+    }
+
+    /// The reference arbiter: every destination in ascending order sweeps
+    /// every source round-robin from `rr[dst]`, reading the buffers only.
+    /// An input sends at most one flit a cycle; a packet's first flit needs
+    /// a free ejection slot. Rebuilds the head index from the fronts after.
+    fn sweep_cycle(n: &mut Network) -> bool {
+        n.now += 1;
+        let mut used = vec![false; n.n_src];
+        let mut moved = false;
+        for dst in 0..n.n_dst {
+            for _pass in 0..n.output_speedup {
+                let start = n.rr[dst];
+                let granted = (0..n.n_src).map(|k| (start + k) % n.n_src).find(|&src| {
+                    !used[src]
+                        && n.inputs[src].front().is_some_and(|h| {
+                            h.dst == dst
+                                && h.ready_at < n.now
+                                && (h.flits_sent > 0 || n.output_reserved[dst] < n.output_capacity)
+                        })
+                });
+                let Some(src) = granted else { break };
+                used[src] = true;
+                moved = true;
+                n.rr[dst] = (src + 1) % n.n_src;
+                let head = n.inputs[src].front_mut().unwrap();
+                if head.flits_sent == 0 {
+                    n.output_reserved[dst] += 1;
+                }
+                head.flits_sent += 1;
+                n.input_flits[src] -= 1;
+                n.buffered_total -= 1;
+                n.stats.flits.inc();
+                if head.flits_sent == head.flits_total {
+                    let pkt = n.inputs[src].pop().unwrap();
+                    n.outputs[dst].push(pkt.fetch).unwrap();
+                    n.backlog_total += 1;
+                    n.stats.packets.inc();
+                }
+            }
+        }
+        for src in 0..n.n_src {
+            n.load_head(src);
+        }
+        moved
+    }
+
+    /// Random traffic through the bit-set arbiter and the reference sweep
+    /// in lock-step: the same grants every cycle, over geometries up to a
+    /// full word, output speedups 1-3, router latencies 0-6, packets of
+    /// 1-256 B and drain rates that leave ejection buffers full.
+    #[test]
+    fn bit_set_arbiter_matches_the_sweep() {
+        use gmh_types::rng::Xoshiro256;
+        for seed in 0..48 {
+            let mut rng = Xoshiro256::seeded(seed);
+            let mut pick = |n: usize| usize::try_from(rng.below(n as u64)).unwrap();
+            let (n_src, n_dst) = (1 + pick(MAX_PORTS), 1 + pick(MAX_PORTS));
+            let (speedup, latency) = (1 + pick(3), pick(7) as Cycle);
+            let (out_buf, inject_per_mille, drain_pct) = (1 + pick(4), pick(1000), 5 + pick(90));
+            let mut fast = Network::with_speedup(n_src, n_dst, 32, 16, out_buf, latency, speedup);
+            let mut oracle = fast.clone();
+            let mut id = 0;
+            for cyc in 0..300 {
+                for src in 0..n_src {
+                    if pick(1000) < inject_per_mille {
+                        let (dst, bytes) = (pick(n_dst), 1 + u32::try_from(pick(256)).unwrap());
+                        let took = fast.inject(src, dst, load(id), bytes).is_ok();
+                        assert_eq!(took, oracle.inject(src, dst, load(id), bytes).is_ok());
+                        id += 1;
+                    }
+                }
+                let at = format!("seed {seed}, cycle {cyc}");
+                assert_eq!(fast.cycle(), sweep_cycle(&mut oracle), "{at}");
+                assert_eq!(fast.stats.flits.get(), oracle.stats.flits.get(), "{at}");
+                assert_eq!(fast.stats.packets.get(), oracle.stats.packets.get(), "{at}");
+                assert_eq!(fast.next_event_bound(), oracle.next_event_bound(), "{at}");
+                for dst in 0..n_dst {
+                    if pick(100) < drain_pct {
+                        let got = fast.pop_eject(dst).map(|f| f.id);
+                        assert_eq!(got, oracle.pop_eject(dst).map(|f| f.id), "{at}");
+                    }
+                }
+            }
+        }
     }
 }

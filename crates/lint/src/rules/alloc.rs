@@ -1,7 +1,9 @@
 //! R6 — zero-allocation hot loops: the per-cycle functions (`cycle`,
 //! `cycle_traced`, `icnt_tick`, `dram_tick`, `core_tick`, the
 //! `Component::tick` impls, the generic `sweep`/`wake`, the wake drain and
-//! the wake column's `schedule`/`cancel`) in model crates may not allocate. A `vec![..]` or `.collect()` inside a function that
+//! the wake column's `schedule`/`cancel`) and the crossbar's per-packet
+//! `inject`/`pop_eject` in model crates may not allocate. A `vec![..]` or
+//! `.collect()` inside a function that
 //! runs hundreds of millions of times dominates the simulator's wall time
 //! (the run-loop overhaul found exactly such allocations behind ~40% of
 //! the cycle path); scratch buffers belong on the owning struct, hoisted
@@ -27,6 +29,8 @@ const HOT_FNS: &[&str] = &[
     "drain_wakes",
     "schedule",
     "cancel",
+    "inject",
+    "pop_eject",
 ];
 
 /// `(needle, what)` — allocation tokens. Matched left-boundary-aware

@@ -627,6 +627,10 @@ mod tests {
         assert!(parse_request(r#"{"workload":"mm","seed":-1}"#).is_err());
         assert!(parse_request(r#"{"workload":"mm","seed":1.5}"#).is_err());
         assert!(parse_request(r#"{"workload":"mm","config_overrides":{"n_cores":0}}"#).is_err());
+        // More cores than a crossbar side has ports: refused, not a panic.
+        let e =
+            parse_request(r#"{"workload":"mm","config_overrides":{"n_cores":65}}"#).unwrap_err();
+        assert!(e.contains("n_cores = 65"), "{e}");
         // warps_per_core > 48 fails WorkloadSpec::validate.
         let e = parse_request(r#"{"workload":"mm","config_overrides":{"warps_per_core":64}}"#)
             .unwrap_err();
