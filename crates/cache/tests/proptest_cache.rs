@@ -3,30 +3,20 @@
 //! access/fill interleavings.
 
 use gmh_cache::{AccessResult, Cache, CacheConfig, Mshr, WriteOutcome, WritePolicy};
-use gmh_types::{AccessKind, LineAddr, MemFetch};
-use proptest::prelude::*;
+use gmh_types::rng::cases;
+use gmh_types::{AccessKind, LineAddr, MemFetch, Xoshiro256};
 use std::collections::{HashMap, HashSet, VecDeque};
 
+fn fetch(kind: AccessKind, id: u64, line: u64) -> MemFetch {
+    MemFetch::new(id, 0, (id % 48) as usize, kind, LineAddr::new(line), 0)
+}
+
 fn load(id: u64, line: u64) -> MemFetch {
-    MemFetch::new(
-        id,
-        0,
-        (id % 48) as usize,
-        AccessKind::Load,
-        LineAddr::new(line),
-        0,
-    )
+    fetch(AccessKind::Load, id, line)
 }
 
 fn store(id: u64, line: u64) -> MemFetch {
-    MemFetch::new(
-        id,
-        0,
-        (id % 48) as usize,
-        AccessKind::Store,
-        LineAddr::new(line),
-        0,
-    )
+    fetch(AccessKind::Store, id, line)
 }
 
 fn small_cfg(policy: WritePolicy) -> CacheConfig {
@@ -51,21 +41,21 @@ enum Op {
     Drain,
 }
 
-fn arb_op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0u64..24).prop_map(Op::Read),
-        (0u64..24).prop_map(Op::Write),
-        Just(Op::Fill),
-        Just(Op::Drain),
-    ]
+fn arb_op(rng: &mut Xoshiro256) -> Op {
+    match rng.below(4) {
+        0 => Op::Read(rng.below(24)),
+        1 => Op::Write(rng.below(24)),
+        2 => Op::Fill,
+        _ => Op::Drain,
+    }
 }
 
-proptest! {
-    /// Conservation: every load is either a hit, a merge, a new miss or a
-    /// rejection; fills release exactly the merged waiters; the cache never
-    /// leaks or duplicates fetches.
-    #[test]
-    fn cache_conserves_fetches(ops in prop::collection::vec(arb_op(), 1..300)) {
+/// Conservation: every load is either a hit, a merge, a new miss or a
+/// rejection; fills release exactly the merged waiters; the cache never
+/// leaks or duplicates fetches.
+#[test]
+fn cache_conserves_fetches() {
+    cases("cache_conserves_fetches", 64, |rng| {
         let mut cache = Cache::new(small_cfg(WritePolicy::WriteEvict));
         // Lines with outstanding (traveling) misses, FIFO of unfilled ones.
         let mut outstanding: VecDeque<LineAddr> = VecDeque::new();
@@ -76,22 +66,22 @@ proptest! {
         let mut returned_waiters = 0u64;
         let mut merged = 0u64;
 
-        for op in ops {
-            match op {
+        for _ in 0..rng.range(1..300) {
+            match arb_op(rng) {
                 Op::Read(l) => {
                     id += 1;
                     let line = LineAddr::new(l);
                     match cache.access_read(load(id, l), 0) {
                         (AccessResult::Hit, Some(_)) => hits += 1,
                         (AccessResult::MissIssued, None) => {
-                            prop_assert!(!outstanding.contains(&line));
+                            assert!(!outstanding.contains(&line));
                         }
                         (AccessResult::MissMerged, None) => {
                             merged += 1;
                             *waiters.entry(line).or_insert(0) += 1;
                         }
                         (AccessResult::Blocked(_), Some(_)) => {}
-                        other => prop_assert!(false, "impossible outcome {other:?}"),
+                        other => panic!("impossible outcome {other:?}"),
                     }
                 }
                 Op::Write(l) => {
@@ -99,7 +89,7 @@ proptest! {
                     match cache.access_write(store(id, l), 0) {
                         (WriteOutcome::Forwarded, None) => {}
                         (WriteOutcome::Blocked(_), Some(_)) => {}
-                        other => prop_assert!(false, "write-evict gave {other:?}"),
+                        other => panic!("write-evict gave {other:?}"),
                     }
                 }
                 Op::Drain => {
@@ -113,11 +103,14 @@ proptest! {
                     if let Some(line) = outstanding.pop_front() {
                         let got = cache.fill(line, 0);
                         let expect = waiters.remove(&line).unwrap_or(0);
-                        prop_assert_eq!(got.len() as u64, expect,
-                            "fill must return exactly the merged waiters");
+                        assert_eq!(
+                            got.len() as u64,
+                            expect,
+                            "fill must return exactly the merged waiters"
+                        );
                         returned_waiters += got.len() as u64;
                         for w in got {
-                            prop_assert_eq!(w.line, line);
+                            assert_eq!(w.line, line);
                         }
                     }
                 }
@@ -126,19 +119,22 @@ proptest! {
         // Whatever was merged is either already returned or still parked
         // behind an unfilled outstanding miss.
         let parked: u64 = waiters.values().sum();
-        prop_assert_eq!(merged, returned_waiters + parked);
-        prop_assert_eq!(cache.stats().read_hits, hits);
-    }
+        assert_eq!(merged, returned_waiters + parked);
+        assert_eq!(cache.stats().read_hits, hits);
+    });
+}
 
-    /// The MSHR behaves exactly like a bounded multimap model.
-    #[test]
-    fn mshr_matches_model(ops in prop::collection::vec((0u8..3, 0u64..12), 1..200)) {
+/// The MSHR behaves exactly like a bounded multimap model.
+#[test]
+fn mshr_matches_model() {
+    cases("mshr_matches_model", 64, |rng| {
         let capacity = 3;
         let merge_cap = 3;
         let mut mshr: Mshr<u64> = Mshr::new(capacity, merge_cap);
         let mut model: HashMap<u64, Vec<u64>> = HashMap::new(); // line -> waiters
         let mut next = 0u64;
-        for (op, line) in ops {
+        for _ in 0..rng.range(1..200) {
+            let (op, line) = (rng.below(3), rng.below(12));
             let la = LineAddr::new(line);
             match op {
                 0 => {
@@ -148,10 +144,10 @@ proptest! {
                     }
                     let r = mshr.allocate(la);
                     if model.len() < capacity {
-                        prop_assert!(r.is_ok());
+                        assert!(r.is_ok());
                         model.insert(line, vec![]);
                     } else {
-                        prop_assert!(r.is_err());
+                        assert!(r.is_err());
                     }
                 }
                 1 => {
@@ -160,60 +156,64 @@ proptest! {
                     let r = mshr.merge(la, next);
                     match model.get_mut(&line) {
                         Some(w) if w.len() + 1 < merge_cap => {
-                            prop_assert!(r.is_ok());
+                            assert!(r.is_ok());
                             w.push(next);
                         }
-                        _ => prop_assert!(r.is_err()),
+                        _ => assert!(r.is_err()),
                     }
                 }
                 _ => {
                     // release
                     let got = mshr.release(la);
                     let expect = model.remove(&line).unwrap_or_default();
-                    prop_assert_eq!(got, expect);
+                    assert_eq!(got, expect);
                 }
             }
-            prop_assert_eq!(mshr.used(), model.len());
+            assert_eq!(mshr.used(), model.len());
             for l in model.keys() {
-                prop_assert!(mshr.contains(LineAddr::new(*l)));
+                assert!(mshr.contains(LineAddr::new(*l)));
             }
         }
-    }
+    });
+}
 
-    /// Allocate-on-miss: the number of reserved lines in any set never
-    /// exceeds the associativity, and a blocked access leaves all counters
-    /// unchanged.
-    #[test]
-    fn reservations_bounded_by_assoc(lines in prop::collection::vec(0u64..16, 1..120)) {
+/// Allocate-on-miss: the number of reserved lines in any set never
+/// exceeds the associativity, and a blocked access leaves all counters
+/// unchanged.
+#[test]
+fn reservations_bounded_by_assoc() {
+    cases("reservations_bounded_by_assoc", 64, |rng| {
         let cfg = small_cfg(WritePolicy::WriteEvict);
         let assoc = cfg.assoc;
         let mut cache = Cache::new(cfg);
         let mut id = 0;
-        for l in lines {
+        for _ in 0..rng.range(1..120) {
+            let l = rng.below(16);
             id += 1;
             let before = (cache.mshr_used(), cache.miss_queue_len());
             let (r, _) = cache.access_read(load(id, l), 0);
             if matches!(r, AccessResult::Blocked(_)) {
-                prop_assert_eq!((cache.mshr_used(), cache.miss_queue_len()), before);
+                assert_eq!((cache.mshr_used(), cache.miss_queue_len()), before);
             }
-            prop_assert!(cache.tags().reserved_in_set(LineAddr::new(l)) <= assoc);
+            assert!(cache.tags().reserved_in_set(LineAddr::new(l)) <= assoc);
             // Randomly drain to keep things moving.
             if id % 3 == 0 {
                 cache.pop_miss();
             }
         }
-    }
+    });
+}
 
-    /// Write-back caches absorb every write they accept and only emit
-    /// write-back traffic for dirty victims (never for clean ones).
-    #[test]
-    fn writeback_traffic_only_from_dirty_victims(
-        ops in prop::collection::vec((any::<bool>(), 0u64..32), 1..200)
-    ) {
+/// Write-back caches absorb every write they accept and only emit
+/// write-back traffic for dirty victims (never for clean ones).
+#[test]
+fn writeback_traffic_only_from_dirty_victims() {
+    cases("writeback_traffic_only_from_dirty_victims", 64, |rng| {
         let mut cache = Cache::new(small_cfg(WritePolicy::WriteBack));
         let mut dirtied: HashSet<u64> = HashSet::new();
         let mut id = 0;
-        for (is_write, l) in ops {
+        for _ in 0..rng.range(1..200) {
+            let (is_write, l) = (rng.chance(0.5), rng.below(32));
             id += 1;
             if is_write {
                 if let (WriteOutcome::Absorbed, None) = cache.access_write(store(id, l), 0) {
@@ -224,13 +224,16 @@ proptest! {
             }
             while let Some(f) = cache.pop_miss() {
                 if f.kind == AccessKind::L2WriteBack {
-                    prop_assert!(dirtied.contains(&f.line.index()),
-                        "write-back of a never-dirtied line {:?}", f.line);
+                    assert!(
+                        dirtied.contains(&f.line.index()),
+                        "write-back of a never-dirtied line {:?}",
+                        f.line
+                    );
                 } else if f.kind == AccessKind::Load {
                     // Fill immediately to keep the cache making progress.
                     cache.fill(f.line, 0);
                 }
             }
         }
-    }
+    });
 }

@@ -1,6 +1,6 @@
 //! Full-GPU configuration and the paper's design-space presets (Table III).
 
-use gmh_cache::CacheConfig;
+use gmh_cache::{CacheConfig, WritePolicy};
 use gmh_dram::DramConfig;
 use gmh_icnt::IcntConfig;
 use gmh_simt::CoreConfig;
@@ -162,6 +162,16 @@ impl GpuConfig {
         }
         if self.l2_bank.set_stride != self.n_l2_banks {
             return Err("l2_bank.set_stride must equal n_l2_banks".into());
+        }
+        // A read miss that evicts a dirty line queues the write-back and the
+        // fill request together; a shorter miss queue never admits it.
+        if self.l2_bank.write_policy == WritePolicy::WriteBack && self.l2_bank.miss_queue_len < 2 {
+            return Err(format!(
+                "l2_bank.miss_queue_len = {}: a write-back L2 needs at least 2 \
+                 miss-queue slots (a dirty eviction queues the write-back and \
+                 the fill request together)",
+                self.l2_bank.miss_queue_len
+            ));
         }
         if self.telemetry_window == 0 {
             return Err("telemetry_window must be non-zero".into());
@@ -460,6 +470,22 @@ mod tests {
             err.contains("n_l2_banks = 66") && err.contains("64 ports"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn validation_rejects_a_write_back_l2_with_one_miss_queue_slot() {
+        let mut c = GpuConfig::gtx480_baseline();
+        c.l2_bank.miss_queue_len = 2;
+        assert!(c.validate().is_ok());
+        c.l2_bank.miss_queue_len = 1;
+        let err = c.validate().expect_err("a dirty eviction needs two slots");
+        assert!(
+            err.contains("l2_bank.miss_queue_len = 1") && err.contains("at least 2"),
+            "{err}"
+        );
+        // A write-evict L2 never queues a write-back beside its fill.
+        c.l2_bank.write_policy = WritePolicy::WriteEvict;
+        assert!(c.validate().is_ok());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Conservativeness proptests for every [`Component`] implementor.
+//! Conservativeness property tests for every [`Component`] implementor.
 //!
 //! The contract ([`gmh_types::EventBound`]): a component answering
 //! `QuietUntil { bound }` is *inert* on every own-domain tick strictly
@@ -17,9 +17,9 @@ use gmh_dram::{DramChannel, DramConfig};
 use gmh_icnt::Network;
 use gmh_simt::inst::{Inst, InstSource};
 use gmh_simt::{CoreConfig, SimtCore};
+use gmh_types::rng::cases;
 use gmh_types::trace::TraceSink;
 use gmh_types::{AccessKind, Component, EventBound, LineAddr, MemFetch, Tick};
-use proptest::prelude::*;
 use std::fmt::Debug;
 
 fn load(id: u64, line: u64) -> MemFetch {
@@ -66,24 +66,22 @@ fn assert_skip_matches_cycling<C: Component + Debug>(
     bound - done
 }
 
-proptest! {
-    /// Crossbar: skipping a promised-quiet window is indistinguishable
-    /// from living through it. Windows open while injected packets sit
-    /// out their router latency. Shapes: a small switch and the shipped
-    /// request (15 cores -> 12 banks) and reply (12 -> 15) networks.
-    #[test]
-    fn network_quiet_window_matches_cycling(
-        (n_src, n_dst) in prop::sample::select(vec![(4usize, 3usize), (15, 12), (12, 15)]),
-        speedup in 1usize..3,
-        pkts in prop::collection::vec((0usize..15, 0usize..15, 1u32..256), 1..24),
-        pre in 0u64..4,
-        latency in 2u64..30,
-    ) {
+/// Crossbar: skipping a promised-quiet window is indistinguishable
+/// from living through it. Windows open while injected packets sit
+/// out their router latency. Shapes: a small switch and the shipped
+/// request (15 cores -> 12 banks) and reply (12 -> 15) networks.
+#[test]
+fn network_quiet_window_matches_cycling() {
+    cases("network_quiet_window_matches_cycling", 64, |rng| {
+        let (n_src, n_dst) = [(4, 3), (15, 12), (12, 15)][rng.range(0..3)];
+        let speedup = rng.range(1..3);
+        let pre = rng.below(4);
+        let latency = rng.range(2..30);
         let mut net = Network::with_speedup(n_src, n_dst, 32, 64, 8, latency, speedup);
         let mut now = 0u64;
-        for (i, (src, dst, bytes)) in pkts.iter().enumerate() {
-            let (src, dst) = (src % n_src, dst % n_dst);
-            let _ = net.inject(src, dst, load(i as u64, i as u64), *bytes);
+        for i in 0..rng.range(1..24) {
+            let (src, dst) = (rng.range(0..15) % n_src, rng.range(0..15) % n_dst);
+            let _ = net.inject(src, dst, load(i, i), rng.range(1..256));
             for _ in 0..pre {
                 now += 1;
                 tick(&mut net, now);
@@ -94,21 +92,21 @@ proptest! {
                 let _ = net.pop_eject(d);
             }
         }
-    }
+    });
+}
 
-    /// DRAM channel: quiet windows open while queued requests wait out
-    /// their visibility latency and bursts fly through the banks.
-    #[test]
-    fn dram_quiet_window_matches_cycling(
-        reqs in prop::collection::vec((any::<bool>(), 0u64..(1 << 12)), 1..20),
-        pre in 0u64..6,
-    ) {
+/// DRAM channel: quiet windows open while queued requests wait out
+/// their visibility latency and bursts fly through the banks.
+#[test]
+fn dram_quiet_window_matches_cycling() {
+    cases("dram_quiet_window_matches_cycling", 64, |rng| {
+        let pre = rng.below(6);
         let mut ch = DramChannel::new(DramConfig::gtx480(), 0);
         let mut now = 0u64;
-        for (i, (is_write, l)) in reqs.iter().enumerate() {
-            let line = l * 6; // route to channel 0
-            let kind = if *is_write { AccessKind::Store } else { AccessKind::Load };
-            let f = MemFetch::new(i as u64, 0, 0, kind, LineAddr::new(line), 0);
+        for i in 0..rng.range(1..20) {
+            let kind = [AccessKind::Load, AccessKind::Store][rng.range(0..2)];
+            let line = rng.below(1 << 12) * 6; // route to channel 0
+            let f = MemFetch::new(i, 0, 0, kind, LineAddr::new(line), 0);
             if ch.can_accept() {
                 ch.push(f, now).unwrap();
             }
@@ -119,21 +117,21 @@ proptest! {
             }
             assert_skip_matches_cycling(&mut ch.clone(), &mut ch.clone(), now);
         }
-    }
+    });
+}
 
-    /// L2 bank: quiet windows open while a parked response waits for its
-    /// pipeline-release cycle, and while the bank waits for input. An ideal
-    /// DRAM fills every miss at once, so repeated lines hit.
-    #[test]
-    fn l2bank_quiet_window_matches_cycling(
-        lines in prop::collection::vec(0u64..64, 1..12),
-        lat in 1u64..12,
-        pre in 0u64..3,
-    ) {
+/// L2 bank: quiet windows open while a parked response waits for its
+/// pipeline-release cycle, and while the bank waits for input. An ideal
+/// DRAM fills every miss at once, so repeated lines hit.
+#[test]
+fn l2bank_quiet_window_matches_cycling() {
+    cases("l2bank_quiet_window_matches_cycling", 64, |rng| {
+        let lat = rng.range(1..12);
+        let pre = rng.below(3);
         let mut bank = L2Bank::new(CacheConfig::fermi_l2_bank(), 8, 8, 128, lat);
         let mut now = 0u64;
-        for (i, l) in lines.iter().enumerate() {
-            let _ = bank.push_access(load(i as u64, *l));
+        for i in 0..rng.range(1..12) {
+            let _ = bank.push_access(load(i, rng.below(64)));
             for _ in 0..(pre + 1) {
                 now += 1;
                 tick(&mut bank, now);
@@ -148,7 +146,7 @@ proptest! {
             assert_skip_matches_cycling(&mut bank.clone(), &mut bank.clone(), now);
             let _ = bank.pop_response();
         }
-    }
+    });
 }
 
 /// A deterministic pure-ALU stream: chained dependences at `latency`, so
@@ -183,16 +181,15 @@ fn serve_imisses(core: &mut SimtCore) {
     }
 }
 
-proptest! {
-    /// SIMT core: living through an ALU-dependence window equals skipping
-    /// it — clock, issue counts, and the per-cycle stall attribution all
-    /// match (the skip hook replays the window's own stall class).
-    #[test]
-    fn core_quiet_window_matches_cycling(
-        latency in 2u32..120,
-        insts in 2u64..12,
-        drive in 1u64..5,
-    ) {
+/// SIMT core: living through an ALU-dependence window equals skipping
+/// it — clock, issue counts, and the per-cycle stall attribution all
+/// match (the skip hook replays the window's own stall class).
+#[test]
+fn core_quiet_window_matches_cycling() {
+    cases("core_quiet_window_matches_cycling", 64, |rng| {
+        let latency = rng.range(2..120);
+        let insts = rng.range(2..12);
+        let drive = rng.range(1..5);
         let cfg = CoreConfig {
             max_warps: 2,
             ..CoreConfig::gtx480()
@@ -201,7 +198,10 @@ proptest! {
             SimtCore::new(
                 0,
                 cfg.clone(),
-                Box::new(ChainSource { per_warp: insts, latency }),
+                Box::new(ChainSource {
+                    per_warp: insts,
+                    latency,
+                }),
             )
         };
         let mut lived = mk();
@@ -219,12 +219,12 @@ proptest! {
                 serve_imisses(&mut skipped);
             }
             now += assert_skip_matches_cycling(&mut lived, &mut skipped, now);
-            prop_assert_eq!(
+            assert_eq!(
                 format!("{:?}", lived.stats()),
                 format!("{:?}", skipped.stats())
             );
             serve_imisses(&mut lived);
             serve_imisses(&mut skipped);
         }
-    }
+    });
 }

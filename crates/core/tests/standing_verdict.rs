@@ -1,4 +1,4 @@
-//! Fork-and-compare proptests for the standing verdicts (DESIGN.md §6, "Standing verdicts").
+//! Fork-and-compare property tests for the standing verdicts (DESIGN.md §6, "Standing verdicts").
 //!
 //! A blocked head of line replays the verdict of its last attempt instead
 //! of retrying: the L1s and the L2 slice keep their last refusal as a
@@ -15,8 +15,8 @@ use gmh_core::L2Bank;
 use gmh_dram::{DramChannel, DramConfig, SchedPolicy};
 use gmh_simt::inst::{Inst, ScriptedSource};
 use gmh_simt::{CoreConfig, SimtCore};
-use gmh_types::{AccessKind, LineAddr, MemFetch, TraceSink, Xoshiro256};
-use proptest::prelude::*;
+use gmh_types::rng::cases;
+use gmh_types::{AccessKind, LineAddr, MemFetch, TraceSink};
 
 /// A sink that samples every fetch, so replayed `StalledAt` events are
 /// compared too.
@@ -24,58 +24,52 @@ fn sink() -> TraceSink {
     TraceSink::new(1, 1 << 16, 7)
 }
 
-proptest! {
-    /// DRAM channel, both policies: pushes and response pops interleaved at
-    /// random with cycles. Two banks of three rows keep every kind of wait
-    /// in play at once (tCCD, tRCD, tRAS/tRP, tRRD, bus, write-to-read), a
-    /// two-entry response queue keeps reads waiting for a slot, and a short
-    /// off-chip latency hides entries while bank timers still run.
-    #[test]
-    fn dram_forgetting_the_verdict_changes_nothing(
-        fcfs in any::<bool>(),
-        fixed_latency in 0u64..8,
-        steps in prop::collection::vec(
-            (0u8..8, any::<bool>(), (0u64..4, 0u64..2, 0u64..3)),
-            1..600,
-        ),
-    ) {
+/// DRAM channel, both policies: pushes and response pops interleaved at
+/// random with cycles. Two banks of three rows keep every kind of wait
+/// in play at once (tCCD, tRCD, tRAS/tRP, tRRD, bus, write-to-read), a
+/// two-entry response queue keeps reads waiting for a slot, and a short
+/// off-chip latency hides entries while bank timers still run.
+#[test]
+fn dram_forgetting_the_verdict_changes_nothing() {
+    cases("dram_forgetting_the_verdict_changes_nothing", 64, |rng| {
         let cfg = DramConfig {
-            policy: if fcfs { SchedPolicy::Fcfs } else { SchedPolicy::FrFcfs },
+            policy: [SchedPolicy::Fcfs, SchedPolicy::FrFcfs][rng.range(0..2)],
             response_queue: 2,
-            fixed_latency,
+            fixed_latency: rng.below(8),
             ..DramConfig::gtx480()
         };
         let mut replay = DramChannel::new(cfg, 0);
         let mut forget = replay.clone();
-        for (now, (op, is_write, (col, bank, row))) in steps.iter().enumerate() {
-            let now = now as u64;
-            if *op < 5 && replay.can_accept() {
-                let kind = if *is_write { AccessKind::Store } else { AccessKind::Load };
+        for now in 0..rng.range(1..600) {
+            let op = rng.below(8);
+            let kind = [AccessKind::Load, AccessKind::Store][rng.range(0..2)];
+            let (col, bank, row) = (rng.below(4), rng.below(2), rng.below(3));
+            if op < 5 && replay.can_accept() {
                 // Channel 0 of 6; 32 lines per row, 16 banks.
                 let line = LineAddr::new((col + 32 * bank + 512 * row) * 6);
                 let f = MemFetch::new(now, 0, 0, kind, line, 0);
                 replay.push(f.clone(), now).unwrap();
                 forget.push(f, now).unwrap();
             }
-            if *op == 5 {
+            if op == 5 {
                 let popped = replay.pop_response().map(|f| f.id);
-                prop_assert_eq!(popped, forget.pop_response().map(|f| f.id));
+                assert_eq!(popped, forget.pop_response().map(|f| f.id));
             }
             forget.forget_standing_verdict();
             replay.cycle(now);
             forget.cycle(now);
-            prop_assert_eq!(format!("{replay:?}"), format!("{forget:?}"));
+            assert_eq!(format!("{replay:?}"), format!("{forget:?}"));
         }
-    }
+    });
+}
 
-    /// L2 bank: a two-set slice with two MSHRs and a two-entry miss queue
-    /// blocks on every `BlockReason`; the miss queue drains, fills arrive
-    /// and the reply credit flips at random.
-    #[test]
-    fn l2bank_forgetting_the_block_changes_nothing(
-        seed in any::<u64>(),
-        steps in 50usize..400,
-    ) {
+/// L2 bank: a two-set slice with two MSHRs and a two-entry miss queue
+/// blocks on every `BlockReason`; the miss queue drains, fills arrive
+/// and the reply credit flips at random.
+#[test]
+fn l2bank_forgetting_the_block_changes_nothing() {
+    cases("l2bank_forgetting_the_block_changes_nothing", 64, |rng| {
+        let steps = rng.range(50u64..400);
         let cfg = CacheConfig {
             size_bytes: 4 * 128,
             assoc: 2,
@@ -88,11 +82,14 @@ proptest! {
         let mut replay = L2Bank::new(cfg, 4, 3, 64, 2);
         let mut forget = replay.clone();
         let (mut replay_trace, mut forget_trace) = (sink(), sink());
-        let mut rng = Xoshiro256::seeded(seed);
         let mut at_dram: Vec<MemFetch> = Vec::new();
-        for now in 0..steps as u64 {
+        for now in 0..steps {
             if rng.below(2) == 0 && replay.can_accept() {
-                let kind = if rng.below(4) == 0 { AccessKind::Store } else { AccessKind::Load };
+                let kind = if rng.below(4) == 0 {
+                    AccessKind::Store
+                } else {
+                    AccessKind::Load
+                };
                 // Eight lines of bank 0, four per set.
                 let mut f = MemFetch::new(now, 0, 0, kind, LineAddr::new(rng.below(8) * 12), 0);
                 replay_trace.issued(&mut f, now);
@@ -102,10 +99,7 @@ proptest! {
             }
             if rng.below(3) == 0 {
                 let miss = replay.pop_miss();
-                prop_assert_eq!(
-                    miss.as_ref().map(|f| f.id),
-                    forget.pop_miss().map(|f| f.id)
-                );
+                assert_eq!(miss.as_ref().map(|f| f.id), forget.pop_miss().map(|f| f.id));
                 at_dram.extend(miss.filter(|f| f.kind.wants_response()));
             }
             if rng.below(3) == 0 {
@@ -119,7 +113,7 @@ proptest! {
             }
             if rng.below(3) == 0 {
                 let popped = replay.pop_response().map(|f| f.id);
-                prop_assert_eq!(popped, forget.pop_response().map(|f| f.id));
+                assert_eq!(popped, forget.pop_response().map(|f| f.id));
             }
             let credit = rng.below(4) != 0;
             replay.set_reply_credit(credit);
@@ -127,28 +121,27 @@ proptest! {
             forget.forget_standing_block();
             replay.cycle_traced(now, &mut replay_trace);
             forget.cycle_traced(now, &mut forget_trace);
-            prop_assert_eq!(format!("{replay:?}"), format!("{forget:?}"));
+            assert_eq!(format!("{replay:?}"), format!("{forget:?}"));
         }
-        prop_assert_eq!(replay_trace.events(), forget_trace.events());
-        prop_assert!(
+        assert_eq!(replay_trace.events(), forget_trace.events());
+        assert!(
             replay.cache().stats().blocked > 0 || steps < 100,
             "the traffic is meant to block"
         );
-    }
+    });
+}
 
-    /// SIMT core, LSU and I-fetch: cores are not `Clone`, so two
-    /// identically built cores run in lock-step against the same memory.
-    /// Scarce L1D MSHRs and miss-queue slots block the LSU head; a code
-    /// footprint far beyond an L1I with one MSHR of two requests blocks
-    /// instruction fetch; the memory accepts requests only now and then, so
-    /// the blocks last.
-    #[test]
-    fn core_forgetting_the_blocks_changes_nothing(
-        seed in any::<u64>(),
-        latency in 1u64..60,
-        alu_latency in 1u32..8,
-    ) {
-        let mut rng = Xoshiro256::seeded(seed);
+/// SIMT core, LSU and I-fetch: cores are not `Clone`, so two
+/// identically built cores run in lock-step against the same memory.
+/// Scarce L1D MSHRs and miss-queue slots block the LSU head; a code
+/// footprint far beyond an L1I with one MSHR of two requests blocks
+/// instruction fetch; the memory accepts requests only now and then, so
+/// the blocks last.
+#[test]
+fn core_forgetting_the_blocks_changes_nothing() {
+    cases("core_forgetting_the_blocks_changes_nothing", 64, |rng| {
+        let latency = rng.range(1..60);
+        let alu_latency = rng.range(1..8);
         let programs: Vec<Vec<Inst>> = (0..6)
             .map(|_| {
                 (0..24)
@@ -183,13 +176,13 @@ proptest! {
         let mut now = 0u64;
         while !replay.done() {
             now += 1;
-            prop_assert!(now < 200_000, "core did not drain");
+            assert!(now < 200_000, "core did not drain");
             forget.forget_standing_blocks();
             replay.cycle_traced(now * 714, &mut replay_trace);
             forget.cycle_traced(now * 714, &mut forget_trace);
             if rng.below(3) == 0 {
                 let out = replay.pop_outgoing();
-                prop_assert_eq!(
+                assert_eq!(
                     out.as_ref().map(|f| f.id),
                     forget.pop_outgoing().map(|f| f.id)
                 );
@@ -205,17 +198,23 @@ proptest! {
                     forget.push_response(f).unwrap();
                 }
             }
-            prop_assert_eq!(format!("{replay:?}"), format!("{forget:?}"));
-            prop_assert_eq!(
+            assert_eq!(format!("{replay:?}"), format!("{forget:?}"));
+            assert_eq!(
                 format!("{:?}", replay.stats()),
                 format!("{:?}", forget.stats())
             );
-            prop_assert_eq!(format!("{:?}", replay.l1d()), format!("{:?}", forget.l1d()));
-            prop_assert_eq!(format!("{:?}", replay.l1i()), format!("{:?}", forget.l1i()));
+            assert_eq!(format!("{:?}", replay.l1d()), format!("{:?}", forget.l1d()));
+            assert_eq!(format!("{:?}", replay.l1i()), format!("{:?}", forget.l1i()));
         }
-        prop_assert!(forget.done());
-        prop_assert_eq!(replay_trace.events(), forget_trace.events());
-        prop_assert!(replay.stats().l1_stalls.total() > 0, "the LSU head never blocked");
-        prop_assert!(replay.l1i().stats().blocked > 0, "instruction fetch never blocked");
-    }
+        assert!(forget.done());
+        assert_eq!(replay_trace.events(), forget_trace.events());
+        assert!(
+            replay.stats().l1_stalls.total() > 0,
+            "the LSU head never blocked"
+        );
+        assert!(
+            replay.l1i().stats().blocked > 0,
+            "instruction fetch never blocked"
+        );
+    });
 }

@@ -2,21 +2,22 @@
 //! FIFO ordering and flit accounting under arbitrary traffic.
 
 use gmh_icnt::Network;
+use gmh_types::rng::cases;
 use gmh_types::{AccessKind, LineAddr, MemFetch};
-use proptest::prelude::*;
 use std::collections::HashMap;
 
 fn packet(id: u64) -> MemFetch {
     MemFetch::new(id, 0, 0, AccessKind::Load, LineAddr::new(id), 0)
 }
 
-proptest! {
-    /// Conservation: after draining, every injected packet is ejected at
-    /// its destination, exactly once.
-    #[test]
-    fn packets_are_conserved(
-        traffic in prop::collection::vec((0usize..4, 0usize..3, 8u32..200), 1..80)
-    ) {
+/// Conservation: after draining, every injected packet is ejected at
+/// its destination, exactly once.
+#[test]
+fn packets_are_conserved() {
+    cases("packets_are_conserved", 64, |rng| {
+        let traffic: Vec<(usize, usize, u32)> = (0..rng.range(1..80))
+            .map(|_| (rng.range(0..4), rng.range(0..3), rng.range(8..200)))
+            .collect();
         let mut net = Network::new(4, 3, 32, 16, 4, 0);
         let mut sent: HashMap<usize, Vec<u64>> = HashMap::new();
         let mut received: HashMap<usize, Vec<u64>> = HashMap::new();
@@ -42,7 +43,7 @@ proptest! {
                 }
             }
             idle_cycles = if moved { 0 } else { idle_cycles + 1 };
-            prop_assert!(idle_cycles < 10_000, "network deadlocked");
+            assert!(idle_cycles < 10_000, "network deadlocked");
         }
         for d in 0..3 {
             let s = sent.get(&d).cloned().unwrap_or_default();
@@ -51,14 +52,18 @@ proptest! {
             let mut rr = r.clone();
             ss.sort_unstable();
             rr.sort_unstable();
-            prop_assert_eq!(ss, rr, "destination {} lost/duplicated packets", d);
+            assert_eq!(ss, rr, "destination {} lost/duplicated packets", d);
         }
-    }
+    });
+}
 
-    /// Per-flow FIFO: packets from the same source to the same destination
-    /// arrive in injection order.
-    #[test]
-    fn same_flow_preserves_order(n in 1usize..20, flit in prop::sample::select(vec![16u32, 32, 48])) {
+/// Per-flow FIFO: packets from the same source to the same destination
+/// arrive in injection order.
+#[test]
+fn same_flow_preserves_order() {
+    cases("same_flow_preserves_order", 64, |rng| {
+        let n = rng.range(1usize..20);
+        let flit = [16u32, 32, 48][rng.range(0..3)];
         let mut net = Network::new(2, 2, flit, 32, 8, 0);
         let mut injected = 0u64;
         let mut got = Vec::new();
@@ -74,16 +79,19 @@ proptest! {
                 got.push(f.id);
             }
             stall += 1;
-            prop_assert!(stall < 100_000);
+            assert!(stall < 100_000);
         }
         let sorted: Vec<u64> = (0..n as u64).collect();
-        prop_assert_eq!(got, sorted);
-    }
+        assert_eq!(got, sorted);
+    });
+}
 
-    /// Flit accounting: total flits moved equals the per-packet flit count
-    /// summed over delivered packets.
-    #[test]
-    fn flit_accounting(sizes in prop::collection::vec(1u32..300, 1..40)) {
+/// Flit accounting: total flits moved equals the per-packet flit count
+/// summed over delivered packets.
+#[test]
+fn flit_accounting() {
+    cases("flit_accounting", 64, |rng| {
+        let sizes: Vec<u32> = (0..rng.range(1..40)).map(|_| rng.range(1..300)).collect();
         let mut net = Network::new(1, 1, 32, 64, 8, 0);
         let mut expected_flits = 0u64;
         let mut queue = sizes.into_iter();
@@ -102,9 +110,9 @@ proptest! {
             net.cycle();
             net.pop_eject(0);
             guard += 1;
-            prop_assert!(guard < 100_000);
+            assert!(guard < 100_000);
         }
-        prop_assert_eq!(net.stats().flits.get(), expected_flits);
-        prop_assert_eq!(net.stats().packets.get(), id);
-    }
+        assert_eq!(net.stats().flits.get(), expected_flits);
+        assert_eq!(net.stats().packets.get(), id);
+    });
 }

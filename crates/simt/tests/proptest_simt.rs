@@ -4,39 +4,29 @@
 
 use gmh_simt::inst::{Inst, ScriptedSource};
 use gmh_simt::{CoreConfig, SimtCore};
-use gmh_types::{LineAddr, MemFetch};
-use proptest::prelude::*;
+use gmh_types::rng::cases;
+use gmh_types::{LineAddr, MemFetch, Xoshiro256};
+use std::ops::Range;
 
-#[derive(Clone, Debug)]
-enum GenInst {
-    Alu(u32),
-    Load(u64, bool),
-    Store(u64),
-}
-
-fn arb_inst() -> impl Strategy<Value = GenInst> {
-    prop_oneof![
-        (1u32..16).prop_map(GenInst::Alu),
-        ((0u64..64), any::<bool>()).prop_map(|(l, dep)| GenInst::Load(l, dep)),
-        (0u64..64).prop_map(GenInst::Store),
-    ]
-}
-
-fn realize(program: &[GenInst]) -> Vec<Inst> {
-    program
-        .iter()
-        .map(|g| match g {
-            GenInst::Alu(lat) => Inst::alu(*lat),
-            GenInst::Load(l, dep) => {
-                let i = Inst::load(vec![LineAddr::new(*l)]);
-                if *dep {
-                    i.after_load()
-                } else {
-                    i
-                }
+fn arb_inst(rng: &mut Xoshiro256) -> Inst {
+    match rng.below(3) {
+        0 => Inst::alu(rng.range(1..16)),
+        1 => {
+            let load = Inst::load(vec![LineAddr::new(rng.below(64))]);
+            if rng.chance(0.5) {
+                load.after_load()
+            } else {
+                load
             }
-            GenInst::Store(l) => Inst::store(vec![LineAddr::new(*l)]),
-        })
+        }
+        _ => Inst::store(vec![LineAddr::new(rng.below(64))]),
+    }
+}
+
+/// A count drawn from `warps` of programs, each of a length drawn from `len`.
+fn arb_programs(rng: &mut Xoshiro256, warps: Range<usize>, len: Range<usize>) -> Vec<Vec<Inst>> {
+    (0..rng.range(warps))
+        .map(|_| (0..rng.range(len.clone())).map(|_| arb_inst(rng)).collect())
         .collect()
 }
 
@@ -68,52 +58,64 @@ fn drive(core: &mut SimtCore, latency: u64, max: u64) -> bool {
     true
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Any program on any number of warps drains, and the issued count is
-    /// exactly the sum of program lengths.
-    #[test]
-    fn programs_drain_and_issue_exactly_once(
-        progs in prop::collection::vec(prop::collection::vec(arb_inst(), 0..40), 1..6),
-        latency in 1u64..300,
-    ) {
-        let total: u64 = progs.iter().map(|p| p.len() as u64).sum();
-        let programs: Vec<Vec<Inst>> = progs.iter().map(|p| realize(p)).collect();
+/// Any program on any number of warps drains, and the issued count is
+/// exactly the sum of program lengths.
+#[test]
+fn programs_drain_and_issue_exactly_once() {
+    cases("programs_drain_and_issue_exactly_once", 48, |rng| {
+        let programs = arb_programs(rng, 1..6, 0..40);
+        let latency = rng.range(1..300);
+        let total: u64 = programs.iter().map(|p| p.len() as u64).sum();
         let mut cfg = CoreConfig::gtx480();
         cfg.max_warps = programs.len().max(1);
         let src = ScriptedSource::new(programs).with_code_lines(2);
         let mut core = SimtCore::new(0, cfg, Box::new(src));
-        prop_assert!(drive(&mut core, latency, 2_000_000), "core did not drain");
-        prop_assert_eq!(core.stats().insts_issued, total);
-    }
+        assert!(drive(&mut core, latency, 2_000_000), "core did not drain");
+        assert_eq!(core.stats().insts_issued, total);
+    });
+}
 
-    /// Accounting identity: issued + stalls + idle == total cycles.
-    #[test]
-    fn cycle_accounting_is_complete(
-        progs in prop::collection::vec(prop::collection::vec(arb_inst(), 1..30), 1..4),
-    ) {
-        let programs: Vec<Vec<Inst>> = progs.iter().map(|p| realize(p)).collect();
-        let mut cfg = CoreConfig::gtx480();
-        cfg.max_warps = programs.len();
-        let src = ScriptedSource::new(programs).with_code_lines(2);
-        let mut core = SimtCore::new(0, cfg, Box::new(src));
-        prop_assert!(drive(&mut core, 80, 2_000_000));
-        let s = core.stats();
-        prop_assert_eq!(
-            s.issue.issued_cycles.get() + s.issue.total_stalls() + s.issue.idle.get(),
-            s.cycles
-        );
-    }
+/// Runs `progs` to completion against an 80-cycle memory and checks the
+/// accounting identity issued + stalls + idle == total cycles; returns the
+/// number of instructions issued.
+fn check_cycle_accounting(programs: Vec<Vec<Inst>>) -> u64 {
+    let mut cfg = CoreConfig::gtx480();
+    cfg.max_warps = programs.len();
+    let src = ScriptedSource::new(programs).with_code_lines(2);
+    let mut core = SimtCore::new(0, cfg, Box::new(src));
+    assert!(drive(&mut core, 80, 2_000_000), "core did not drain");
+    let s = core.stats();
+    assert_eq!(
+        s.issue.issued_cycles.get() + s.issue.total_stalls() + s.issue.idle.get(),
+        s.cycles
+    );
+    s.insts_issued
+}
 
-    /// Smaller MSHR files never finish sooner than larger ones for the
-    /// same program (structural hazards only ever hurt).
-    #[test]
-    fn mshrs_monotonically_help(
-        loads in prop::collection::vec(0u64..32, 2..16),
-        latency in 20u64..150,
-    ) {
-        let prog: Vec<Inst> = loads.iter().map(|&l| Inst::load(vec![LineAddr::new(l)])).collect();
+/// Accounting identity: issued + stalls + idle == total cycles.
+#[test]
+fn cycle_accounting_is_complete() {
+    cases("cycle_accounting_is_complete", 48, |rng| {
+        check_cycle_accounting(arb_programs(rng, 1..4, 1..30));
+    });
+}
+
+/// The one recorded failure of `cycle_accounting_is_complete`: a single
+/// warp of six independent 1-cycle ALU instructions.
+#[test]
+fn six_one_cycle_alus_on_one_warp_drain_and_account() {
+    assert_eq!(check_cycle_accounting(vec![vec![Inst::alu(1); 6]]), 6);
+}
+
+/// Smaller MSHR files never finish sooner than larger ones for the
+/// same program (structural hazards only ever hurt).
+#[test]
+fn mshrs_monotonically_help() {
+    cases("mshrs_monotonically_help", 48, |rng| {
+        let prog: Vec<Inst> = (0..rng.range(2..16))
+            .map(|_| Inst::load(vec![LineAddr::new(rng.below(32))]))
+            .collect();
+        let latency = rng.range(20..150);
         let mut time = Vec::new();
         for mshrs in [1usize, 32] {
             let mut cfg = CoreConfig::gtx480();
@@ -121,14 +123,14 @@ proptest! {
             cfg.l1d.mshr_entries = mshrs;
             let src = ScriptedSource::new(vec![prog.clone()]).with_code_lines(1);
             let mut core = SimtCore::new(0, cfg, Box::new(src));
-            prop_assert!(drive(&mut core, latency, 2_000_000));
+            assert!(drive(&mut core, latency, 2_000_000));
             time.push(core.cycles());
         }
-        prop_assert!(
+        assert!(
             time[0] >= time[1],
             "1 MSHR ({}) finished before 32 ({})",
             time[0],
             time[1]
         );
-    }
+    });
 }

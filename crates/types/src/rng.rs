@@ -5,6 +5,13 @@
 //! stochastic choices (synthetic address streams, hit/miss draws in workload
 //! models) therefore come from this small xoshiro256** implementation seeded
 //! explicitly, never from ambient entropy.
+//!
+//! The same generator drives the workspace's property tests: [`cases`] runs
+//! a test body on `n` seeded cases and names the failing one.
+
+use crate::hash::stable_hash_str;
+use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// A seeded xoshiro256** pseudo-random number generator.
 ///
@@ -61,6 +68,27 @@ impl Xoshiro256 {
         ((self.next_u64() as u128 * bound as u128) >> 64) as u64
     }
 
+    /// A uniform value in the half-open range `r`, for any integer type
+    /// whose bounds are non-negative (`rng.range(1..16)`,
+    /// `rng.range(0usize..4)`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is empty or a bound is negative.
+    pub fn range<T>(&mut self, r: Range<T>) -> T
+    where
+        T: TryFrom<u64> + TryInto<u64>,
+    {
+        let (Ok(lo), Ok(hi)) = (r.start.try_into(), r.end.try_into()) else {
+            panic!("range bounds must be non-negative")
+        };
+        assert!(lo < hi, "range must be non-empty");
+        match T::try_from(lo + self.below(hi - lo)) {
+            Ok(v) => v,
+            Err(_) => unreachable!("a draw below `end` fits the type of `end`"),
+        }
+    }
+
     /// A uniform float in `[0, 1)`.
     pub fn unit_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -69,6 +97,40 @@ impl Xoshiro256 {
     /// Bernoulli draw: `true` with probability `p` (clamped to `[0, 1]`).
     pub fn chance(&mut self, p: f64) -> bool {
         self.unit_f64() < p
+    }
+}
+
+/// Runs the property test `name` on `n` cases: case `i` gets a fresh
+/// generator seeded with `stable_hash_str(name) ^ i`, so every case is a
+/// pure function of `(name, i)` and rerunning the test reruns a failure.
+///
+/// # Panics
+///
+/// Re-panics when `body` panics, with a message naming the test, the case
+/// index and its seed (the body's own message follows).
+///
+/// # Example
+///
+/// ```
+/// use gmh_types::rng::cases;
+///
+/// cases("below_is_below", 16, |rng| {
+///     let bound = rng.range(1..100u64);
+///     assert!(rng.below(bound) < bound);
+/// });
+/// ```
+pub fn cases(name: &str, n: u32, mut body: impl FnMut(&mut Xoshiro256)) {
+    for i in 0..n {
+        let seed = stable_hash_str(name) ^ u64::from(i);
+        let mut rng = Xoshiro256::seeded(seed);
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| body(&mut rng))) {
+            let msg = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or("(non-string panic payload)");
+            panic!("{name}: case {i} of {n} failed (seed {seed:#x}): {msg}");
+        }
     }
 }
 
@@ -147,5 +209,70 @@ mod tests {
         let hits = (0..100_000).filter(|_| r.chance(0.3)).count();
         let frac = hits as f64 / 100_000.0;
         assert!((frac - 0.3).abs() < 0.01, "frac = {frac}");
+    }
+
+    #[test]
+    fn range_stays_in_bounds_for_every_width() {
+        let mut r = Xoshiro256::seeded(11);
+        for _ in 0..1000 {
+            assert!((3..17).contains(&r.range(3u32..17)));
+            assert!(r.range(0usize..4) < 4);
+            assert!(r.range(250u8..255) >= 250);
+        }
+        assert_eq!(r.range(7u64..8), 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-empty")]
+    fn empty_range_panics() {
+        Xoshiro256::seeded(0).range(5u32..5);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative")]
+    fn negative_range_bound_panics() {
+        Xoshiro256::seeded(0).range(-3i32..3);
+    }
+
+    /// The first `k` draws of every case of `name`.
+    fn draws(name: &str, n: u32, k: usize) -> Vec<Vec<u64>> {
+        let mut out = Vec::new();
+        cases(name, n, |rng| {
+            out.push((0..k).map(|_| rng.next_u64()).collect())
+        });
+        out
+    }
+
+    #[test]
+    fn equal_name_and_case_give_equal_streams() {
+        assert_eq!(draws("t", 4, 32), draws("t", 4, 32));
+    }
+
+    #[test]
+    fn different_cases_and_names_diverge() {
+        let t = draws("t", 8, 1);
+        let mut distinct = t.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), 8, "cases of one test share a stream");
+        assert_ne!(t, draws("u", 8, 1), "two tests share their streams");
+    }
+
+    #[test]
+    fn the_body_runs_exactly_n_times() {
+        assert_eq!(draws("t", 0, 1).len(), 0);
+        assert_eq!(draws("t", 37, 1).len(), 37);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "a_failing_case_names_itself: case 5 of 8 failed (seed 0xdc6132decc3e9b26): boom"
+    )]
+    fn a_failing_case_names_test_case_and_seed() {
+        let mut i = 0;
+        cases("a_failing_case_names_itself", 8, |_| {
+            assert!(i != 5, "boom");
+            i += 1;
+        });
     }
 }

@@ -16,9 +16,10 @@
 use gmh::core::config::MemoryModel;
 use gmh::core::{GpuConfig, GpuSim};
 use gmh::exp::{chrome_trace_json, report_json};
+use gmh::types::rng::cases;
+use gmh::types::Xoshiro256;
 use gmh::workloads::catalog;
 use gmh::workloads::spec::{AddressMix, PhaseSpec, Suite, WorkloadSpec};
-use proptest::prelude::*;
 
 fn all_models() -> [MemoryModel; 4] {
     [
@@ -101,23 +102,28 @@ fn observe(cfg: GpuConfig, wl: &WorkloadSpec) -> (String, String, (u64, u64, u64
     )
 }
 
+/// Runs `wl` on `cfg` under the event core and under the naive loop, and
+/// requires every observable boundary to match.
+fn assert_matches_naive(cfg: GpuConfig, wl: &WorkloadSpec) {
+    let mut naive_cfg = cfg.clone();
+    naive_cfg.force_naive_loop = true;
+    let model = cfg.memory_model.clone();
+    assert_eq!(
+        observe(cfg, wl),
+        observe(naive_cfg, wl),
+        "{} under {model:?}: event core must match the naive loop",
+        wl.name
+    );
+}
+
 // (The name dates from when a serial-sweep oracle existed beside the naive
 // loop; the test-floor list pins it.)
 #[test]
 fn event_core_matches_both_oracles_on_all_models() {
-    let wl = bursty_workload();
     for model in all_models() {
-        let mut naive_cfg = small_gpu();
-        naive_cfg.memory_model = model.clone();
-        naive_cfg.force_naive_loop = true;
-        let naive = observe(naive_cfg, &wl);
         let mut cfg = small_gpu();
-        cfg.memory_model = model.clone();
-        let got = observe(cfg, &wl);
-        assert_eq!(
-            got, naive,
-            "{model:?}: event core must match the naive loop"
-        );
+        cfg.memory_model = model;
+        assert_matches_naive(cfg, &bursty_workload());
     }
 }
 
@@ -127,20 +133,10 @@ fn catalog_bursty_extras_match_the_naive_loop() {
     // machine: what `gmh-benchmark`'s `bursty` workload times, pinned
     // bit-identical here (report + trace + audit).
     for wl in catalog::extras() {
-        let mut naive_cfg = GpuConfig::gtx480_baseline();
-        naive_cfg.max_core_cycles = 60_000;
-        naive_cfg.trace_sample = 4;
-        naive_cfg.force_naive_loop = true;
-        let naive = observe(naive_cfg, &wl);
         let mut cfg = GpuConfig::gtx480_baseline();
         cfg.max_core_cycles = 60_000;
         cfg.trace_sample = 4;
-        let got = observe(cfg, &wl);
-        assert_eq!(
-            got, naive,
-            "{}: event core must match the naive loop",
-            wl.name
-        );
+        assert_matches_naive(cfg, &wl);
     }
 }
 
@@ -158,70 +154,49 @@ fn tiny_gpu() -> GpuConfig {
     c
 }
 
-prop_compose! {
-    /// Random phase structures on top of random instruction mixes: steady
-    /// (storm == period), bursty, idle-heavy, and occupancy-capped specs
-    /// all fall out of the ranges.
-    fn arb_phased_workload()(
-        seed in 0u64..1_000_000,
-        warps in 1usize..6,
-        insts in 40u64..160,
-        mem_pct in 0u32..=70,
-        write_pct in 0u32..=40,
-        ilp in 0u32..8,
-        alu_latency in 1u32..100,
-        dep_pct in 0u32..=100,
-        period in 1u64..200,
-        storm_of_period_pct in 0u32..=100,
-        active_cores in 0usize..=2,
-        stream_pct in 0u32..=100,
-        hot_lines in 8u64..256,
-    ) -> WorkloadSpec {
-        let stream = stream_pct as f64 / 100.0;
-        let storm = (period * u64::from(storm_of_period_pct) / 100).min(period);
-        WorkloadSpec {
-            name: "prop-phased",
-            suite: Suite::Rodinia,
-            full_name: "property-generated phased workload",
-            warps_per_core: warps,
-            insts_per_warp: insts,
-            code_lines: 4,
-            mem_fraction: mem_pct as f64 / 100.0,
-            write_fraction: write_pct as f64 / 100.0,
-            ilp,
-            alu_latency,
-            alu_dep_fraction: dep_pct as f64 / 100.0,
-            accesses_per_mem: 2,
-            mix: AddressMix::new(stream, (1.0 - stream) * 0.5, (1.0 - stream) * 0.5),
-            hot_lines,
-            shared_lines: 1024,
-            coherent_stream: false,
-            phases: PhaseSpec {
-                period_insts: period,
-                storm_insts: storm,
-                active_cores,
-            },
-            seed,
-        }
+/// Random phase structures on top of random instruction mixes: steady
+/// (storm == period), bursty, idle-heavy, and occupancy-capped specs
+/// all fall out of the ranges.
+fn arb_phased_workload(rng: &mut Xoshiro256) -> WorkloadSpec {
+    let stream = rng.below(101) as f64 / 100.0;
+    let period = rng.range(1..200);
+    let storm = (period * rng.below(101) / 100).min(period);
+    WorkloadSpec {
+        name: "prop-phased",
+        suite: Suite::Rodinia,
+        full_name: "property-generated phased workload",
+        warps_per_core: rng.range(1..6),
+        insts_per_warp: rng.range(40..160),
+        code_lines: 4,
+        mem_fraction: rng.below(71) as f64 / 100.0,
+        write_fraction: rng.below(41) as f64 / 100.0,
+        ilp: rng.range(0..8),
+        alu_latency: rng.range(1..100),
+        alu_dep_fraction: rng.below(101) as f64 / 100.0,
+        accesses_per_mem: 2,
+        mix: AddressMix::new(stream, (1.0 - stream) * 0.5, (1.0 - stream) * 0.5),
+        hot_lines: rng.range(8..256),
+        shared_lines: 1024,
+        coherent_stream: false,
+        phases: PhaseSpec {
+            period_insts: period,
+            storm_insts: storm,
+            active_cores: rng.range(0..3),
+        },
+        seed: rng.below(1_000_000),
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// On arbitrary phased workloads under all four memory models, the
-    /// event core reproduces the naive one-tick loop byte-for-byte.
-    #[test]
-    fn event_core_matches_naive_on_arbitrary_phases(wl in arb_phased_workload()) {
+/// On arbitrary phased workloads under all four memory models, the
+/// event core reproduces the naive one-tick loop byte-for-byte.
+#[test]
+fn event_core_matches_naive_on_arbitrary_phases() {
+    cases("event_core_matches_naive_on_arbitrary_phases", 8, |rng| {
+        let wl = arb_phased_workload(rng);
         for model in all_models() {
-            let mut naive_cfg = tiny_gpu();
-            naive_cfg.memory_model = model.clone();
-            naive_cfg.force_naive_loop = true;
-            let naive = observe(naive_cfg, &wl);
             let mut cfg = tiny_gpu();
-            cfg.memory_model = model.clone();
-            let got = observe(cfg, &wl);
-            prop_assert_eq!(&got, &naive, "event core under {:?}", model);
+            cfg.memory_model = model;
+            assert_matches_naive(cfg, &wl);
         }
-    }
+    });
 }

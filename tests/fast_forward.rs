@@ -1,5 +1,5 @@
 //! Unit tests pinning down *when* the fast-forward scheduler engages —
-//! the equivalence proptest (`proptest_sim.rs`) establishes that results
+//! the equivalence property test (`proptest_sim.rs`) establishes that results
 //! never change; these tests establish the engagement behavior itself.
 
 use gmh::core::{GpuConfig, GpuSim, MemoryModel};
@@ -73,7 +73,7 @@ fn memory_blocked_workload_actually_jumps() {
     // The counterpart: a single warp per core blocking on a fixed 200-cycle
     // L1 miss latency leaves the whole machine provably idle between the
     // request and its fill — the scheduler must skip those windows (and
-    // still match the naive loop byte-for-byte; the proptest covers this
+    // still match the naive loop byte-for-byte; the property test covers this
     // on random workloads, this pins a guaranteed-idle case).
     let mut cfg = small_gpu();
     cfg.memory_model = MemoryModel::FixedL1MissLatency(200);

@@ -2,9 +2,24 @@
 //! workload signatures, the simulation drains, conserves instructions, and
 //! is deterministic.
 
-use gmh::core::{GpuConfig, GpuSim, MemoryModel};
+use gmh::core::{GpuConfig, GpuSim, MemoryModel, SimStats};
+use gmh::exp::chrome_trace_json;
+use gmh::types::rng::cases;
+use gmh::types::Xoshiro256;
 use gmh::workloads::spec::{AddressMix, PhaseSpec, Suite, WorkloadSpec};
-use proptest::prelude::*;
+
+/// The four memory models, at uncongested latencies.
+fn all_models() -> [MemoryModel; 4] {
+    [
+        MemoryModel::Full,
+        MemoryModel::FixedL1MissLatency(80),
+        MemoryModel::InfiniteBw {
+            l2_hit: 50,
+            dram: 150,
+        },
+        MemoryModel::InfiniteDram { latency: 90 },
+    ]
+}
 
 fn tiny_gpu() -> GpuConfig {
     let mut c = GpuConfig::gtx480_baseline();
@@ -18,102 +33,88 @@ fn tiny_gpu() -> GpuConfig {
     c
 }
 
-prop_compose! {
-    fn arb_workload()(
-        seed in 0u64..1_000_000,
-        warps in 1usize..8,
-        insts in 20u64..120,
-        mem_pct in 0u32..=70,
-        write_pct in 0u32..=50,
-        ilp in 0u32..8,
-        accesses in 1u32..5,
-        stream_pct in 0u32..=100,
-        hot_of_rest_pct in 0u32..=100,
-        hot_lines in 8u64..512,
-        shared_lines in 8u64..2048,
-        coherent in any::<bool>(),
-    ) -> WorkloadSpec {
-        let stream = stream_pct as f64 / 100.0;
-        let hot = (1.0 - stream) * (hot_of_rest_pct as f64 / 100.0);
-        let shared = 1.0 - stream - hot;
-        WorkloadSpec {
-            name: "prop",
-            suite: Suite::Rodinia,
-            full_name: "property-generated workload",
-            warps_per_core: warps,
-            insts_per_warp: insts,
-            code_lines: 4,
-            mem_fraction: mem_pct as f64 / 100.0,
-            write_fraction: write_pct as f64 / 100.0,
-            ilp,
-            alu_latency: 6,
-            alu_dep_fraction: 0.1,
-            accesses_per_mem: accesses,
-            mix: AddressMix::new(stream, hot, shared),
-            hot_lines,
-            shared_lines,
-            coherent_stream: coherent,
-            phases: PhaseSpec::STEADY,
-            seed,
-        }
+fn arb_workload(rng: &mut Xoshiro256) -> WorkloadSpec {
+    let stream = rng.below(101) as f64 / 100.0;
+    let hot = (1.0 - stream) * (rng.below(101) as f64 / 100.0);
+    let shared = 1.0 - stream - hot;
+    WorkloadSpec {
+        name: "prop",
+        suite: Suite::Rodinia,
+        full_name: "property-generated workload",
+        warps_per_core: rng.range(1..8),
+        insts_per_warp: rng.range(20..120),
+        code_lines: 4,
+        mem_fraction: rng.below(71) as f64 / 100.0,
+        write_fraction: rng.below(51) as f64 / 100.0,
+        ilp: rng.range(0..8),
+        alu_latency: 6,
+        alu_dep_fraction: 0.1,
+        accesses_per_mem: rng.range(1..5),
+        mix: AddressMix::new(stream, hot, shared),
+        hot_lines: rng.range(8..512),
+        shared_lines: rng.range(8..2048),
+        coherent_stream: rng.chance(0.5),
+        phases: PhaseSpec::STEADY,
+        seed: rng.below(1_000_000),
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Every generated workload drains on the full model and issues exactly
-    /// its declared instruction count.
-    #[test]
-    fn full_model_drains_and_conserves(wl in arb_workload()) {
+/// Every generated workload drains on the full model and issues exactly
+/// its declared instruction count.
+#[test]
+fn full_model_drains_and_conserves() {
+    cases("full_model_drains_and_conserves", 24, |rng| {
+        let wl = arb_workload(rng);
         let stats = GpuSim::new(tiny_gpu(), &wl).run();
-        prop_assert!(!stats.hit_cycle_cap, "must drain");
-        prop_assert_eq!(stats.insts, wl.total_insts(2));
-        prop_assert!(stats.stall_fraction >= 0.0 && stats.stall_fraction <= 1.0);
-    }
+        assert!(!stats.hit_cycle_cap, "must drain");
+        assert_eq!(stats.insts, wl.total_insts(2));
+        assert!(stats.stall_fraction >= 0.0 && stats.stall_fraction <= 1.0);
+    });
+}
 
-    /// Identical runs produce identical statistics (bit determinism).
-    #[test]
-    fn full_model_is_deterministic(wl in arb_workload()) {
+/// Identical runs produce identical statistics (bit determinism).
+#[test]
+fn full_model_is_deterministic() {
+    cases("full_model_is_deterministic", 24, |rng| {
+        let wl = arb_workload(rng);
         let a = GpuSim::new(tiny_gpu(), &wl).run();
         let b = GpuSim::new(tiny_gpu(), &wl).run();
-        prop_assert_eq!(a.core_cycles, b.core_cycles);
-        prop_assert_eq!(a.insts, b.insts);
-        prop_assert_eq!(a.issue.total_stalls(), b.issue.total_stalls());
-    }
+        assert_eq!(a.core_cycles, b.core_cycles);
+        assert_eq!(a.insts, b.insts);
+        assert_eq!(a.issue.total_stalls(), b.issue.total_stalls());
+    });
+}
 
-    /// The ideal models drain too, and P∞ at the uncongested latencies
-    /// never loses badly to the congestible baseline.
-    #[test]
-    fn ideal_models_drain(wl in arb_workload()) {
+/// The ideal models drain too, and P∞ at the uncongested latencies
+/// never loses badly to the congestible baseline.
+#[test]
+fn ideal_models_drain() {
+    cases("ideal_models_drain", 24, |rng| {
+        let wl = arb_workload(rng);
         let mut fixed = tiny_gpu();
         fixed.memory_model = MemoryModel::FixedL1MissLatency(100);
         let f = GpuSim::new(fixed, &wl).run();
-        prop_assert!(!f.hit_cycle_cap);
-        prop_assert_eq!(f.insts, wl.total_insts(2));
+        assert!(!f.hit_cycle_cap);
+        assert_eq!(f.insts, wl.total_insts(2));
 
         let mut pdram = tiny_gpu();
         pdram.memory_model = MemoryModel::InfiniteDram { latency: 100 };
         let p = GpuSim::new(pdram, &wl).run();
-        prop_assert!(!p.hit_cycle_cap);
-        prop_assert_eq!(p.insts, wl.total_insts(2));
-    }
+        assert!(!p.hit_cycle_cap);
+        assert_eq!(p.insts, wl.total_insts(2));
+    });
+}
 
-    /// The fast-forward run loop is an optimization, not a model change:
-    /// on arbitrary workloads under all four memory models, a run with the
-    /// scheduler enabled and a run forced down the naive one-tick loop
-    /// produce identical cycle counts, instruction counts, stall totals and
-    /// audit ledgers — and byte-identical sampled trace replays.
-    #[test]
-    fn fast_forward_matches_naive_loop_on_all_models(wl in arb_workload()) {
-        use gmh::exp::chrome_trace_json;
-        let models = [
-            MemoryModel::Full,
-            MemoryModel::FixedL1MissLatency(80),
-            MemoryModel::InfiniteBw { l2_hit: 50, dram: 150 },
-            MemoryModel::InfiniteDram { latency: 90 },
-        ];
-        for model in models {
+/// The fast-forward run loop is an optimization, not a model change:
+/// on arbitrary workloads under all four memory models, a run with the
+/// scheduler enabled and a run forced down the naive one-tick loop
+/// produce identical cycle counts, instruction counts, stall totals and
+/// audit ledgers — and byte-identical sampled trace replays.
+#[test]
+fn fast_forward_matches_naive_loop_on_all_models() {
+    cases("fast_forward_matches_naive_loop_on_all_models", 24, |rng| {
+        let wl = arb_workload(rng);
+        for model in all_models() {
             let mut cfg = tiny_gpu();
             cfg.memory_model = model.clone();
             cfg.trace_sample = 4;
@@ -121,42 +122,30 @@ proptest! {
             naive_cfg.force_naive_loop = true;
             let fast = GpuSim::new(cfg, &wl).run();
             let naive = GpuSim::new(naive_cfg, &wl).run();
-            prop_assert_eq!(fast.core_cycles, naive.core_cycles, "cycles under {:?}", model);
-            prop_assert_eq!(fast.insts, naive.insts, "insts under {:?}", model);
-            prop_assert_eq!(
-                fast.issue.total_stalls(), naive.issue.total_stalls(),
-                "stall totals under {:?}", model
-            );
-            prop_assert_eq!(fast.audit.emitted, naive.audit.emitted, "audit under {:?}", model);
-            prop_assert_eq!(fast.audit.returned, naive.audit.returned, "audit under {:?}", model);
-            prop_assert_eq!(fast.audit.absorbed, naive.audit.absorbed, "audit under {:?}", model);
-            prop_assert_eq!(
+            let totals = |s: &SimStats| (s.core_cycles, s.insts, s.issue.total_stalls(), s.audit);
+            assert_eq!(totals(&fast), totals(&naive), "totals under {model:?}");
+            assert_eq!(
                 chrome_trace_json(wl.name, &fast.trace),
                 chrome_trace_json(wl.name, &naive.trace),
-                "trace replay under {:?}", model
+                "trace replay under {model:?}"
             );
         }
-    }
+    });
+}
 
-    /// The fetch-conservation audit holds on arbitrary (config, workload)
-    /// pairs under all four memory models: `GpuSim::run` panics on any
-    /// leaked/duplicated/time-reversed fetch, so a clean return IS the
-    /// audit passing; the exported ledger must also balance exactly.
-    #[test]
-    fn audit_passes_under_all_memory_models(
-        wl in arb_workload(),
-        access_q in 2usize..12,
-        response_q in 2usize..12,
-        miss_q in 1usize..8,
-        fifo in 2usize..10,
-    ) {
-        let models = [
-            MemoryModel::Full,
-            MemoryModel::FixedL1MissLatency(80),
-            MemoryModel::InfiniteBw { l2_hit: 50, dram: 150 },
-            MemoryModel::InfiniteDram { latency: 90 },
-        ];
-        for model in models {
+/// The fetch-conservation audit holds on arbitrary (config, workload)
+/// pairs under all four memory models: `GpuSim::run` panics on any
+/// leaked/duplicated/time-reversed fetch, so a clean return IS the
+/// audit passing; the exported ledger must also balance exactly.
+#[test]
+fn audit_passes_under_all_memory_models() {
+    cases("audit_passes_under_all_memory_models", 24, |rng| {
+        let wl = arb_workload(rng);
+        let access_q = rng.range(2..12);
+        let response_q = rng.range(2..12);
+        let miss_q = rng.range(1..8);
+        let fifo = rng.range(2..10);
+        for model in all_models() {
             let mut cfg = tiny_gpu();
             cfg.l2_access_queue = access_q;
             cfg.l2_response_queue = response_q;
@@ -168,18 +157,24 @@ proptest! {
             cfg.l2_bank.mshr_merge = cfg.l2_bank.mshr_merge.min(response_q - 1);
             cfg.core.response_fifo = fifo;
             cfg.memory_model = model.clone();
+            // A write-back L2 with one miss-queue slot could never admit a
+            // read miss that evicts a dirty line; validation refuses it.
+            if miss_q == 1 {
+                assert!(cfg.validate().is_err(), "one-slot write-back L2 is refused");
+                continue;
+            }
             let stats = GpuSim::new(cfg, &wl).run();
-            prop_assert!(!stats.hit_cycle_cap, "{model:?} must drain");
-            prop_assert_eq!(
+            assert!(!stats.hit_cycle_cap, "{model:?} must drain");
+            assert_eq!(
                 stats.audit.emitted,
                 stats.audit.returned + stats.audit.absorbed,
-                "ledger must balance under {:?}", model
+                "ledger must balance under {model:?}"
             );
-            prop_assert_eq!(stats.audit.in_flight, 0u64);
+            assert_eq!(stats.audit.in_flight, 0u64);
             // Memory-bearing workloads must actually exercise the ledger.
             if wl.mem_fraction > 0.0 && wl.insts_per_warp > 30 {
-                prop_assert!(stats.audit.emitted > 0);
+                assert!(stats.audit.emitted > 0);
             }
         }
-    }
+    });
 }
