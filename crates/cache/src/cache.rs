@@ -390,9 +390,13 @@ impl Cache {
     /// On [`AccessResult::Hit`] and `Blocked` the fetch is returned in the
     /// second tuple slot; on `MissMerged`/`MissIssued` it is retained by the
     /// cache (parked in the MSHR or traveling via the miss queue).
-    pub fn access_read(&mut self, fetch: MemFetch, now: Picos) -> (AccessResult, Option<MemFetch>) {
+    pub fn access_read(
+        &mut self,
+        fetch: MemFetch,
+        now: impl Into<Picos>,
+    ) -> (AccessResult, Option<MemFetch>) {
         match self.admit_read(fetch.line) {
-            Ok(admitted) => self.commit_read(admitted, fetch, now),
+            Ok(admitted) => self.commit_read(admitted, fetch, now.into()),
             Err(reason) => (AccessResult::Blocked(reason), Some(fetch)),
         }
     }
@@ -497,7 +501,7 @@ impl Cache {
     /// Delivers a fill for `line` (its miss response arrived): the reserved
     /// line becomes valid and all merged waiters are returned for response
     /// routing.
-    pub fn fill(&mut self, line: LineAddr, _now: Picos) -> Vec<MemFetch> {
+    pub fn fill(&mut self, line: LineAddr, _now: impl Into<Picos>) -> Vec<MemFetch> {
         self.standing.0 = None;
         self.tags.fill(line, false, 0);
         self.mshr.release(line)
@@ -634,7 +638,7 @@ mod tests {
         let mut c = tiny(WritePolicy::WriteEvict);
         c.access_read(load(0, 0), 0);
         c.fill(LineAddr::new(0), 0);
-        let (w, _) = c.access_write(store(1, 0), 0);
+        let (w, _) = c.access_write(store(1, 0), Picos::ZERO);
         assert_eq!(w, WriteOutcome::Forwarded);
         assert_eq!(c.miss_queue_len(), 2, "read miss + write-through");
         // Line was evicted by the write: next read misses again.
@@ -645,9 +649,9 @@ mod tests {
     #[test]
     fn write_evict_blocked_when_queue_full() {
         let mut c = tiny(WritePolicy::WriteEvict);
-        c.access_write(store(0, 0), 0);
-        c.access_write(store(1, 1), 0);
-        let (w, kept) = c.access_write(store(2, 2), 0);
+        c.access_write(store(0, 0), Picos::ZERO);
+        c.access_write(store(1, 1), Picos::ZERO);
+        let (w, kept) = c.access_write(store(2, 2), Picos::ZERO);
         assert_eq!(w, WriteOutcome::Blocked(BlockReason::MissQueueFull));
         assert!(kept.is_some());
     }
@@ -655,10 +659,10 @@ mod tests {
     #[test]
     fn write_back_absorbs_hit() {
         let mut c = tiny(WritePolicy::WriteBack);
-        let (w, _) = c.access_write(store(0, 0), 0);
+        let (w, _) = c.access_write(store(0, 0), Picos::ZERO);
         assert_eq!(w, WriteOutcome::Absorbed, "write-validate allocation");
         assert_eq!(c.miss_queue_len(), 0, "no downstream traffic");
-        let (w, _) = c.access_write(store(1, 0), 0);
+        let (w, _) = c.access_write(store(1, 0), Picos::ZERO);
         assert_eq!(w, WriteOutcome::Absorbed);
         assert_eq!(c.stats().write_hits, 1);
     }
@@ -667,8 +671,8 @@ mod tests {
     fn write_back_dirty_eviction_emits_writeback() {
         let mut c = tiny(WritePolicy::WriteBack);
         // Dirty two lines in set 0 (2 sets: even lines map to set 0).
-        c.access_write(store(0, 0), 0);
-        c.access_write(store(1, 2), 0);
+        c.access_write(store(0, 0), Picos::ZERO);
+        c.access_write(store(1, 2), Picos::ZERO);
         // A read miss to set 0 must evict a dirty line -> writeback queued
         // alongside the read.
         let (r, _) = c.access_read(load(2, 4), 0);
@@ -690,13 +694,13 @@ mod tests {
             write_policy: WritePolicy::WriteBack,
             set_stride: 1,
         });
-        c.access_write(store(0, 0), 0);
-        c.access_write(store(1, 2), 0);
+        c.access_write(store(0, 0), Picos::ZERO);
+        c.access_write(store(1, 2), Picos::ZERO);
         // Fill the single-slot miss queue via a read miss to the other set.
         let (r, _) = c.access_read(load(2, 1), 0);
         assert_eq!(r, AccessResult::MissIssued);
         // Write miss to set 0 needs to evict dirty victim but queue is full.
-        let (w, _) = c.access_write(store(3, 4), 0);
+        let (w, _) = c.access_write(store(3, 4), Picos::ZERO);
         assert_eq!(w, WriteOutcome::Blocked(BlockReason::MissQueueFull));
     }
 
@@ -777,14 +781,14 @@ mod tests {
     fn pop_miss_drops_the_standing_block() {
         // Full miss queue: a third miss is refused until the head leaves.
         let mut c = tiny(WritePolicy::WriteEvict);
-        c.access_write(store(0, 0), 0);
-        c.access_write(store(1, 1), 0);
-        let (w, _) = c.access_write(store(2, 2), 0);
+        c.access_write(store(0, 0), Picos::ZERO);
+        c.access_write(store(1, 1), Picos::ZERO);
+        let (w, _) = c.access_write(store(2, 2), Picos::ZERO);
         assert_eq!(w, WriteOutcome::Blocked(BlockReason::MissQueueFull));
         assert!(c.standing_block(LineAddr::new(2), true).is_some());
         c.pop_miss();
         assert_eq!(c.standing_block(LineAddr::new(2), true), None);
-        let (w, _) = c.access_write(store(3, 2), 0);
+        let (w, _) = c.access_write(store(3, 2), Picos::ZERO);
         assert_eq!(w, WriteOutcome::Forwarded);
     }
 
@@ -843,10 +847,10 @@ mod tests {
         let mut c = tiny(WritePolicy::WriteBack);
         c.access_read(load(0, 0), 0);
         c.access_read(load(1, 2), 0);
-        let (w, _) = c.access_write(store(2, 4), 0);
+        let (w, _) = c.access_write(store(2, 4), Picos::ZERO);
         assert_eq!(w, WriteOutcome::Blocked(BlockReason::NoReplaceableLine));
         assert!(c.standing_block(LineAddr::new(4), true).is_some());
-        let (w, _) = c.access_write(store(3, 1), 0);
+        let (w, _) = c.access_write(store(3, 1), Picos::ZERO);
         assert_eq!(w, WriteOutcome::Absorbed);
         assert_eq!(c.standing_block(LineAddr::new(4), true), None);
     }

@@ -4,7 +4,7 @@
 
 use gmh_cache::{AccessResult, Cache, CacheConfig, Mshr, WriteOutcome, WritePolicy};
 use gmh_types::rng::cases;
-use gmh_types::{AccessKind, LineAddr, MemFetch, Xoshiro256};
+use gmh_types::{AccessKind, LineAddr, MemFetch, Picos, Xoshiro256};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 fn fetch(kind: AccessKind, id: u64, line: u64) -> MemFetch {
@@ -86,7 +86,7 @@ fn cache_conserves_fetches() {
                 }
                 Op::Write(l) => {
                     id += 1;
-                    match cache.access_write(store(id, l), 0) {
+                    match cache.access_write(store(id, l), Picos::ZERO) {
                         (WriteOutcome::Forwarded, None) => {}
                         (WriteOutcome::Blocked(_), Some(_)) => {}
                         other => panic!("write-evict gave {other:?}"),
@@ -216,7 +216,9 @@ fn writeback_traffic_only_from_dirty_victims() {
             let (is_write, l) = (rng.chance(0.5), rng.below(32));
             id += 1;
             if is_write {
-                if let (WriteOutcome::Absorbed, None) = cache.access_write(store(id, l), 0) {
+                if let (WriteOutcome::Absorbed, None) =
+                    cache.access_write(store(id, l), Picos::ZERO)
+                {
                     dirtied.insert(l);
                 }
             } else {

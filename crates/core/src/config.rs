@@ -4,6 +4,7 @@ use gmh_cache::{CacheConfig, WritePolicy};
 use gmh_dram::DramConfig;
 use gmh_icnt::IcntConfig;
 use gmh_simt::CoreConfig;
+use gmh_types::{ClockDomain, Picos};
 
 /// How the memory system below the L1 behaves.
 #[derive(Clone, Debug, PartialEq)]
@@ -173,6 +174,27 @@ impl GpuConfig {
                 self.l2_bank.miss_queue_len
             ));
         }
+        for (field, mhz) in [
+            ("core_mhz", self.core_mhz),
+            ("icnt_mhz", self.icnt_mhz),
+            ("dram_mhz", self.dram_mhz),
+        ] {
+            if !(1..=ClockDomain::MAX_MHZ).contains(&mhz) {
+                return Err(format!(
+                    "{field} = {mhz}: a clock runs at 1 to {} MHz, so that its \
+                     period is a whole, non-zero number of picoseconds",
+                    ClockDomain::MAX_MHZ
+                ));
+            }
+        }
+        // The run loop bounds a jump one picosecond past the last core tick.
+        if ClockDomain::new(self.core_mhz).tick_instant(self.max_core_cycles) == Picos::MAX {
+            return Err(format!(
+                "max_core_cycles = {}: the last core tick at {} MHz falls past \
+                 the last representable picosecond",
+                self.max_core_cycles, self.core_mhz
+            ));
+        }
         if self.telemetry_window == 0 {
             return Err("telemetry_window must be non-zero".into());
         }
@@ -324,6 +346,44 @@ impl GpuConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn clock_frequencies_without_a_whole_picosecond_period_are_refused() {
+        for field in ["core_mhz", "icnt_mhz", "dram_mhz"] {
+            for (mhz, ok) in [(0, false), (1, true), (1_000_000, true), (1_000_001, false)] {
+                let mut c = GpuConfig::gtx480_baseline();
+                *match field {
+                    "core_mhz" => &mut c.core_mhz,
+                    "icnt_mhz" => &mut c.icnt_mhz,
+                    _ => &mut c.dram_mhz,
+                } = mhz;
+                match c.validate() {
+                    Ok(()) => assert!(ok, "{field} = {mhz} accepted"),
+                    Err(e) => {
+                        assert!(!ok, "{field} = {mhz} refused: {e}");
+                        assert!(e.starts_with(&format!("{field} = {mhz}:")), "{e}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_cycle_cap_past_the_last_picosecond_is_refused() {
+        let mut c = GpuConfig::gtx480_baseline();
+        // Core tick N fires at (N - 1) * 714 ps.
+        let last_ok = u64::MAX / 714;
+        for (max, ok) in [(last_ok, true), (last_ok + 2, false), (u64::MAX, false)] {
+            c.max_core_cycles = max;
+            match c.validate() {
+                Ok(()) => assert!(ok, "max_core_cycles = {max} accepted"),
+                Err(e) => {
+                    assert!(!ok, "max_core_cycles = {max} refused: {e}");
+                    assert!(e.starts_with(&format!("max_core_cycles = {max}:")), "{e}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn baseline_matches_table1() {

@@ -165,7 +165,8 @@ impl L2Bank {
     /// The caller must have verified `response_free() > waiter count`
     /// before popping the DRAM response (otherwise back-pressure holds it
     /// in the channel).
-    pub fn deliver_fill(&mut self, mut fetch: MemFetch, now_ps: Picos) {
+    pub fn deliver_fill(&mut self, mut fetch: MemFetch, now_ps: impl Into<Picos>) {
+        let now_ps = now_ps.into();
         fetch.serviced_by = gmh_types::fetch::ServicedBy::Dram;
         fetch.time.dram_done = now_ps;
         let waiters = self.cache.fill(fetch.line, now_ps);
@@ -231,8 +232,8 @@ impl L2Bank {
 
     /// Advances the bank one L2 (icnt-domain) cycle: samples the access
     /// queue and processes its head.
-    pub fn cycle(&mut self, now_ps: Picos) {
-        self.cycle_traced(now_ps, &mut TraceSink::disabled());
+    pub fn cycle(&mut self, now_ps: impl Into<Picos>) {
+        self.cycle_traced(now_ps.into(), &mut TraceSink::disabled());
     }
 
     /// Advances the bank one cycle, recording lifecycle events for sampled

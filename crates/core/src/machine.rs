@@ -82,7 +82,7 @@ impl<Co: Component, Ba: Component, Ch: Component, Ne: Component> Machine<Co, Ba,
                     continue;
                 }
                 debug_assert!(
-                    now_ps.is_multiple_of(self.sched.period[class.idx()]),
+                    now_ps.is_multiple_of(self.sched.clock[class.idx()].period_ps()),
                     "a wake instant must be a tick instant of its own domain"
                 );
                 self.sched.take(id);
@@ -134,7 +134,7 @@ fn sweep<C: Component>(sched: &mut Sched, class: Class, comps: &mut [C], cx: &mu
             sched.awake[id] = false;
             sched.awake_n[k] -= 1;
             if let Some(b) = bound {
-                sched.schedule(id, (b - 1) * sched.period[k]);
+                sched.schedule(id, sched.clock[k].tick_instant(b));
             }
         }
     }
@@ -163,6 +163,7 @@ fn wake<C: Component>(sched: &mut Sched, class: Class, comps: &mut [C], slot: us
 mod tests {
     use super::*;
     use gmh_types::trace::TraceSink;
+    use gmh_types::ClockDomain;
     use std::cell::Cell;
 
     /// Records what the protocol asked of it; answers as configured.
@@ -207,12 +208,17 @@ mod tests {
             banks: vec![f.clone()],
             channels: vec![f.clone()],
             nets: [f.clone(), f],
-            sched: Sched::new(enabled, [1, 1, 1, 2], ticked, [10, 20, 30, 20]),
+            sched: Sched::new(
+                enabled,
+                [1, 1, 1, 2],
+                ticked,
+                [100_000, 50_000, 33_333, 50_000].map(ClockDomain::new),
+            ),
         }
     }
 
     fn sweeps(m: &mut FakeMachine, cyc: u64) {
-        let (now_ps, trace) = (0, &mut TraceSink::disabled());
+        let (now_ps, trace) = (Picos::ZERO, &mut TraceSink::disabled());
         for class in Class::ALL {
             m.sweep(class, &mut Tick { now_ps, cyc, trace });
         }
@@ -235,16 +241,19 @@ mod tests {
         let wakes = (0..5).map(|id| m.sched.wake_at(id)).collect::<Vec<_>>();
         assert_eq!(
             (m.sched.awake_n, wakes),
-            ([0; 4], vec![NEVER, 80, 120, 80, 80])
+            (
+                [0; 4],
+                vec![NEVER, Picos(80), Picos(120), Picos(80), Picos(80)]
+            )
         );
-        assert_eq!(m.sched.next_wake, 80);
+        assert_eq!(m.sched.next_wake, Picos(80));
         // An external wake after sweep 4 settles ticks 2..=4 before returning.
         m.sched.swept = [4; 4];
         m.wake(Class::Bank, 0);
         assert_eq!((m.banks[0].skipped, m.sched.done[id]), (3, 1));
         assert!(m.sched.awake[id] && m.sched.wake_at(id) == NEVER);
         // The nets still wake at 80 ps.
-        assert_eq!(m.sched.next_wake, 80);
+        assert_eq!(m.sched.next_wake, Picos(80));
         // Waking the awake is a no-op.
         m.sched.swept = [9; 4];
         m.wake(Class::Bank, 0);
@@ -256,9 +265,9 @@ mod tests {
         let mut m = machine(true, CORES_ONLY, EventBound::quiet_until(5));
         sweeps(&mut m, 1);
         m.sched.swept = [4, 2, 2, 2];
-        assert_eq!(m.drain_wakes(39), 0);
+        assert_eq!(m.drain_wakes(Picos(39)), 0);
         // At 40 ps the core domain fires tick 5: ticks 2..=4 are owed.
-        assert_eq!(m.drain_wakes(40), 1);
+        assert_eq!(m.drain_wakes(Picos(40)), 1);
         assert_eq!((m.cores[0].skipped, m.sched.awake_n), (3, [1, 0, 0, 0]));
     }
 

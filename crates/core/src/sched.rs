@@ -13,8 +13,8 @@
 //! and stay awake while their probe answers `Busy` — a busy component
 //! never touches the wake column, so the saturated path pays nothing for
 //! it. A quiet probe parks the component: flag down, and a bounded wake
-//! scheduled at `(bound - 1) * period` (the wall-clock instant its own
-//! domain fires tick `bound`), or no wake at all when the component can
+//! scheduled at the wall-clock instant its own domain fires tick `bound`
+//! ([`gmh_types::ClockDomain::tick_instant`]), or no wake at all when the component can
 //! only be woken by external input. Wakes are consumed either by the run
 //! loop's drain at the instant `next_wake` arrives or by a cross-component
 //! activation, and both flush the owed quiet cycles *before* the first
@@ -22,7 +22,7 @@
 //! its own `debug_assert` demands. [`crate::machine`] holds the two
 //! functions that move a component through this lifecycle.
 
-use gmh_types::Picos;
+use gmh_types::{ClockDomain, Picos};
 
 /// The wake instant of a component with no scheduled wake.
 pub(crate) const NEVER: Picos = Picos::MAX;
@@ -73,8 +73,9 @@ pub(crate) struct Sched {
     /// count 0 here, are born parked and are never swept, woken or flushed,
     /// exactly like the naive loop never touching them.
     pub live: [usize; 4],
-    /// Clock period of each class's domain.
-    pub period: [Picos; 4],
+    /// Each class's clock domain as built, read for its tick instants (the
+    /// run loop's `ClockDomains` keeps the live tick counts).
+    pub clock: [ClockDomain; 4],
     /// Own-domain ticks each class's sweep has completed: what a sleeper of
     /// that class must have absorbed before anything mutates it, whether
     /// its own sweep still runs later this instant or already ran.
@@ -85,8 +86,13 @@ pub(crate) struct Sched {
 
 impl Sched {
     /// Builds the scheduler from per-class component counts, whether the
-    /// memory model ticks the class, and clock periods.
-    pub fn new(enabled: bool, counts: [usize; 4], ticked: [bool; 4], period: [Picos; 4]) -> Self {
+    /// memory model ticks the class, and clock domains.
+    pub fn new(
+        enabled: bool,
+        counts: [usize; 4],
+        ticked: [bool; 4],
+        clock: [ClockDomain; 4],
+    ) -> Self {
         let (mut offset, mut awake) = ([0; 4], Vec::new());
         for c in 0..4 {
             offset[c] = awake.len();
@@ -101,7 +107,7 @@ impl Sched {
             awake,
             awake_n: live,
             live,
-            period,
+            clock,
             swept: [0; 4],
             offset,
         }
@@ -151,26 +157,33 @@ impl Sched {
 mod tests {
     use super::*;
     use crate::machine::Machine;
-    use gmh_types::{Component, EventBound, Tick, Xoshiro256};
+    use gmh_types::rng::cases;
+    use gmh_types::{Component, EventBound, Tick};
     use std::cell::RefCell;
     use std::rc::Rc;
+
+    /// Four 1 ps clocks.
+    fn one_ps() -> [ClockDomain; 4] {
+        [ClockDomain::MAX_MHZ; 4].map(ClockDomain::new)
+    }
 
     #[test]
     fn layout_lays_classes_out_contiguously() {
         use Class::{Bank, Chan, Core, Net};
-        let s = Sched::new(true, [3, 2, 2, 1], [true; 4], [714, 1428, 1082, 1428]);
+        let table1 = [1400, 700, 924, 700].map(ClockDomain::new);
+        let s = Sched::new(true, [3, 2, 2, 1], [true; 4], table1);
         for (class, slot, id) in [(Core, 2, 2), (Bank, 0, 3), (Chan, 1, 6), (Net, 0, 7)] {
             assert_eq!(s.id(class, slot), id);
         }
         assert_eq!(s.awake_n, [3, 2, 2, 1]);
-        let s = Sched::new(true, [1, 0, 1, 0], [true; 4], [1; 4]);
+        let s = Sched::new(true, [1, 0, 1, 0], [true; 4], one_ps());
         assert_eq!(s.id(Chan, 0), 1);
     }
 
     #[test]
     fn non_participating_classes_are_born_parked() {
         // An ideal-memory model: banks, channels and nets never tick.
-        let s = Sched::new(true, [2, 2, 1, 2], [true, false, false, false], [1; 4]);
+        let s = Sched::new(true, [2, 2, 1, 2], [true, false, false, false], one_ps());
         assert_eq!((s.awake_n, s.live), ([2, 0, 0, 0], [2, 0, 0, 0]));
         assert_eq!(s.awake, [true, true, false, false, false, false, false]);
         assert!(s.is_awake(Class::Core, 1) && !s.is_awake(Class::Net, 1));
@@ -200,53 +213,56 @@ mod tests {
 
     #[test]
     fn next_wake_is_the_column_minimum_and_a_drain_wakes_the_due_ids_in_order() {
-        let mut rng = Xoshiro256::seeded(0x5EED);
-        for _ in 0..200 {
-            // 12..=71 components: Table I's 35, or 71 under 4x L2 banking.
-            let n = 12 + usize::try_from(rng.below(60)).expect("below 60");
-            let (cores, banks) = (n / 2, n / 3);
-            let counts = [cores, banks, n - cores - banks - 2, 2];
-            let log = Rc::new(RefCell::new(Vec::new()));
-            let mut comps: Vec<Logger> = (0..n)
-                .map(|id| Logger {
-                    id,
-                    log: Rc::clone(&log),
-                })
-                .collect();
-            let nets = [comps.remove(n - 2), comps.remove(n - 2)];
-            let channels = comps.split_off(cores + banks);
-            let banks = comps.split_off(cores);
-            let mut m = Machine {
-                cores: comps,
-                banks,
-                channels,
-                nets,
-                sched: Sched::new(true, counts, [true; 4], [1; 4]),
-            };
-            // Everyone parked, each owing one tick, so every wake logs.
-            let s = &mut m.sched;
-            s.awake.fill(false);
-            s.awake_n = [0; 4];
-            s.swept = [1; 4];
-            for _ in 0..40 {
-                let id = usize::try_from(rng.below(n as u64)).expect("below n");
-                if s.wake_at(id) == NEVER && rng.chance(0.7) {
-                    s.schedule(id, rng.below(1_000));
-                } else {
-                    s.cancel(id);
+        cases(
+            "next_wake_is_the_column_minimum_and_a_drain_wakes_the_due_ids_in_order",
+            200,
+            |rng| {
+                // 12..=71 components: Table I's 35, or 71 under 4x L2 banking.
+                let n = rng.range(12..72usize);
+                let (cores, banks) = (n / 2, n / 3);
+                let counts = [cores, banks, n - cores - banks - 2, 2];
+                let log = Rc::new(RefCell::new(Vec::new()));
+                let mut comps: Vec<Logger> = (0..n)
+                    .map(|id| Logger {
+                        id,
+                        log: Rc::clone(&log),
+                    })
+                    .collect();
+                let nets = [comps.remove(n - 2), comps.remove(n - 2)];
+                let channels = comps.split_off(cores + banks);
+                let banks = comps.split_off(cores);
+                let mut m = Machine {
+                    cores: comps,
+                    banks,
+                    channels,
+                    nets,
+                    sched: Sched::new(true, counts, [true; 4], one_ps()),
+                };
+                // Everyone parked, each owing one tick, so every wake logs.
+                let s = &mut m.sched;
+                s.awake.fill(false);
+                s.awake_n = [0; 4];
+                s.swept = [1; 4];
+                for step in 0..40 {
+                    let id = rng.range(0..n);
+                    if s.wake_at(id) == NEVER && rng.chance(0.7) {
+                        s.schedule(id, Picos(rng.below(1_000)));
+                    } else {
+                        s.cancel(id);
+                    }
+                    assert_eq!(s.next_wake, column_min(s), "{n} ids, step {step}");
                 }
-                assert_eq!(s.next_wake, column_min(s));
-            }
-            let now = s.next_wake;
-            if now == NEVER {
-                continue;
-            }
-            let due: Vec<usize> = (0..n).filter(|&id| s.wake_at(id) <= now).collect();
-            assert_eq!(m.drain_wakes(now), due.len() as u64);
-            assert_eq!(*log.borrow(), due);
-            assert!(due.iter().all(|&id| m.sched.awake[id]));
-            assert!(m.sched.next_wake > now);
-            assert_eq!(m.sched.next_wake, column_min(&m.sched));
-        }
+                let now = s.next_wake;
+                if now == NEVER {
+                    return;
+                }
+                let due: Vec<usize> = (0..n).filter(|&id| s.wake_at(id) <= now).collect();
+                assert_eq!(m.drain_wakes(now), due.len() as u64, "drain at {now}");
+                assert_eq!(*log.borrow(), due, "drain at {now}");
+                assert!(due.iter().all(|&id| m.sched.awake[id]));
+                assert!(m.sched.next_wake > now);
+                assert_eq!(m.sched.next_wake, column_min(&m.sched));
+            },
+        );
     }
 }

@@ -209,7 +209,7 @@ impl GpuSim {
             !cfg.force_naive_loop,
             [cores.len(), banks.len(), channels.len(), 2],
             [true, hier, full, hier],
-            Self::per_class(&clocks, |d| d.period_ps()),
+            Self::per_class(&clocks, Clone::clone),
         );
         GpuSim {
             clocks,
@@ -466,14 +466,15 @@ impl GpuSim {
     /// so each front is that queue's earliest event (a due-but-blocked
     /// front pins the bound into the past and the jump fires nothing).
     fn jump_target(&self) -> Picos {
-        let core_period = self.clocks.domain(DomainId::Core).period_ps();
+        let core = self.clocks.domain(DomainId::Core);
         // Seed with the cycle cap: naive execution fires nothing at any
-        // instant after core tick max_core_cycles ((max-1)*core_period).
-        let cap: Picos = (self.cfg.max_core_cycles.saturating_sub(1)) * core_period + 1;
+        // instant after core tick max_core_cycles (`validate` keeps one
+        // picosecond past that instant representable).
+        let cap = core.tick_instant(self.cfg.max_core_cycles) + Picos(1);
         let mut t = cap.min(self.m.sched.next_wake);
         for q in [&self.ideal_fast, &self.ideal_slow] {
             if let Some((ready_cycle, _)) = q.front() {
-                t = t.min(ready_cycle.saturating_sub(1) * core_period);
+                t = t.min(core.tick_instant(*ready_cycle));
             }
         }
         for q in &self.ideal_dram {
@@ -821,8 +822,8 @@ impl GpuSim {
                     self.trace
                         .record_fetch(&f, now_ps, TraceEventKind::DequeuedAt(Level::Dram));
                     if f.kind.wants_response() {
-                        let period = 1_000_000 / self.cfg.core_mhz as Picos;
-                        self.ideal_dram[b].push_back((now_ps + lat * period, f));
+                        let ready_ps = now_ps + self.clocks.domain(DomainId::Core).span(lat);
+                        self.ideal_dram[b].push_back((ready_ps, f));
                     }
                     // Write-backs are absorbed instantly by the ideal DRAM.
                 }
@@ -868,7 +869,7 @@ impl GpuSim {
                 }
             }
             None => {
-                let dram_period = self.clocks.domain(DomainId::Dram).period_ps();
+                let dram = self.clocks.domain(DomainId::Dram);
                 for ch in 0..self.cfg.n_channels {
                     while let Some(f) = self.m.channels[ch].peek_response() {
                         let bank = f.line.interleave(self.cfg.n_l2_banks);
@@ -881,10 +882,9 @@ impl GpuSim {
                         // INVARIANT: peek_response() returned Some in the
                         // loop guard.
                         let (cas, f) = self.m.channels[ch].pop_response_cas().expect("peeked");
-                        // DRAM cycle c fires at wall time (c-1)*period; the
-                        // clamp keeps the event stream monotone even for
-                        // degenerate clock configurations.
-                        let cas_ps = (cas.saturating_sub(1) * dram_period).min(now_ps);
+                        // The clamp keeps the event stream monotone even
+                        // for degenerate clock configurations.
+                        let cas_ps = dram.tick_instant(cas).min(now_ps);
                         self.trace.record_fetch(
                             &f,
                             cas_ps,
@@ -998,19 +998,19 @@ impl GpuSim {
         } else {
             stats.insts as f64 / stats.core_cycles as f64
         };
-        let period = 1_000_000.0 / self.cfg.core_mhz as f64;
+        let cycles = |ps: f64| self.clocks.ps_to_core_cycles(ps);
         stats.aml_core_cycles = if aml_n == 0 {
             0.0
         } else {
-            aml_sum / aml_n as f64 / period
+            cycles(aml_sum / aml_n as f64)
         };
-        stats.aml_p50 = aml_hist.quantile(0.5) / period;
-        stats.aml_p90 = aml_hist.quantile(0.9) / period;
-        stats.aml_p99 = aml_hist.quantile(0.99) / period;
+        stats.aml_p50 = cycles(aml_hist.quantile(0.5));
+        stats.aml_p90 = cycles(aml_hist.quantile(0.9));
+        stats.aml_p99 = cycles(aml_hist.quantile(0.99));
         stats.l2_ahl_core_cycles = if ahl_n == 0 {
             0.0
         } else {
-            ahl_sum / ahl_n as f64 / period
+            cycles(ahl_sum / ahl_n as f64)
         };
         stats.stall_fraction = stats.issue.stall_fraction();
         stats.l1_miss_rate = if l1_reads == 0 {
@@ -1229,7 +1229,7 @@ mod tests {
             sim.audit.emitted(&f);
             sim.ideal_fast.push_back((0, f));
         }
-        sim.deliver_ideal(0, 0);
+        sim.deliver_ideal(0, Picos::ZERO);
         assert_eq!(
             sim.m.cores[1].response_fifo_len(),
             2,

@@ -19,7 +19,7 @@ use gmh_simt::inst::{Inst, InstSource};
 use gmh_simt::{CoreConfig, SimtCore};
 use gmh_types::rng::cases;
 use gmh_types::trace::TraceSink;
-use gmh_types::{AccessKind, Component, EventBound, LineAddr, MemFetch, Tick};
+use gmh_types::{AccessKind, ClockDomain, Component, EventBound, LineAddr, MemFetch, Tick};
 use std::fmt::Debug;
 
 fn load(id: u64, line: u64) -> MemFetch {
@@ -28,7 +28,10 @@ fn load(id: u64, line: u64) -> MemFetch {
 
 /// Own-domain tick `cyc` (1-based) of a component clocked at 1 GHz.
 fn tick<C: Component>(c: &mut C, cyc: u64) {
-    let (now_ps, trace) = ((cyc - 1) * 1000, &mut TraceSink::disabled());
+    let (now_ps, trace) = (
+        ClockDomain::new(1000).tick_instant(cyc),
+        &mut TraceSink::disabled(),
+    );
     c.tick(&mut Tick { now_ps, cyc, trace });
 }
 

@@ -16,7 +16,7 @@ use gmh_dram::{DramChannel, DramConfig, SchedPolicy};
 use gmh_simt::inst::{Inst, ScriptedSource};
 use gmh_simt::{CoreConfig, SimtCore};
 use gmh_types::rng::cases;
-use gmh_types::{AccessKind, LineAddr, MemFetch, TraceSink};
+use gmh_types::{AccessKind, ClockDomain, LineAddr, MemFetch, Picos, TraceSink};
 
 /// A sink that samples every fetch, so replayed `StalledAt` events are
 /// compared too.
@@ -92,8 +92,8 @@ fn l2bank_forgetting_the_block_changes_nothing() {
                 };
                 // Eight lines of bank 0, four per set.
                 let mut f = MemFetch::new(now, 0, 0, kind, LineAddr::new(rng.below(8) * 12), 0);
-                replay_trace.issued(&mut f, now);
-                forget_trace.issued(&mut f, now);
+                replay_trace.issued(&mut f, Picos(now));
+                forget_trace.issued(&mut f, Picos(now));
                 replay.push_access(f.clone()).unwrap();
                 forget.push_access(f).unwrap();
             }
@@ -119,8 +119,8 @@ fn l2bank_forgetting_the_block_changes_nothing() {
             replay.set_reply_credit(credit);
             forget.set_reply_credit(credit);
             forget.forget_standing_block();
-            replay.cycle_traced(now, &mut replay_trace);
-            forget.cycle_traced(now, &mut forget_trace);
+            replay.cycle_traced(Picos(now), &mut replay_trace);
+            forget.cycle_traced(Picos(now), &mut forget_trace);
             assert_eq!(format!("{replay:?}"), format!("{forget:?}"));
         }
         assert_eq!(replay_trace.events(), forget_trace.events());
@@ -173,13 +173,13 @@ fn core_forgetting_the_blocks_changes_nothing() {
         let (mut replay, mut forget) = (mk(), mk());
         let (mut replay_trace, mut forget_trace) = (sink(), sink());
         let mut in_memory: Vec<(u64, MemFetch)> = Vec::new();
-        let mut now = 0u64;
+        let (mut now, core_clock) = (0u64, ClockDomain::new(1400));
         while !replay.done() {
             now += 1;
             assert!(now < 200_000, "core did not drain");
             forget.forget_standing_blocks();
-            replay.cycle_traced(now * 714, &mut replay_trace);
-            forget.cycle_traced(now * 714, &mut forget_trace);
+            replay.cycle_traced(core_clock.span(now), &mut replay_trace);
+            forget.cycle_traced(core_clock.span(now), &mut forget_trace);
             if rng.below(3) == 0 {
                 let out = replay.pop_outgoing();
                 assert_eq!(

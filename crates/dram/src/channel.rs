@@ -513,7 +513,7 @@ impl Component for DramChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gmh_types::AccessKind;
+    use gmh_types::{AccessKind, Picos};
 
     fn cfg() -> DramConfig {
         DramConfig {
@@ -566,14 +566,14 @@ mod tests {
     fn the_owner_s_arrival_stamp_survives_the_channel() {
         let mut ch = DramChannel::new(cfg(), 0);
         let mut f = load(0, 0);
-        f.time.dram_arrive = 123;
+        f.time.dram_arrive = Picos(123);
         ch.push(f, 0).unwrap();
         let resp = (0..200).find_map(|now| {
             ch.cycle(now);
             ch.pop_response_cas()
         });
         let (_, resp) = resp.expect("a response within 200 cycles");
-        assert_eq!(resp.time.dram_arrive, 123);
+        assert_eq!(resp.time.dram_arrive, Picos(123));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use gmh_types::telemetry::{json_escape, json_num};
 use gmh_types::trace::{Level, TraceData, TraceEventKind};
-use gmh_types::AccessKind;
+use gmh_types::{AccessKind, Picos};
 
 /// Track (Chrome `tid`) of a hierarchy level: hierarchy order, 1-based.
 fn tid_of(level: Level) -> usize {
@@ -39,8 +39,8 @@ fn kind_label(kind: AccessKind) -> &'static str {
 
 /// Picoseconds to the microsecond `ts`/`dur` fields of the Chrome trace
 /// format (1 ps = 1e-6 µs, so six decimal places are exact).
-fn micros(ps: u64) -> String {
-    json_num(ps as f64 / 1e6)
+fn micros(ps: Picos) -> String {
+    json_num(ps.as_u64() as f64 / 1e6)
 }
 
 /// Serializes a trace as single-line Chrome `trace_event` JSON

@@ -452,6 +452,7 @@ impl Component for Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gmh_types::rng::cases;
     use gmh_types::{AccessKind, LineAddr};
 
     fn load(id: u64) -> MemFetch {
@@ -730,37 +731,35 @@ mod tests {
     /// 1-256 B and drain rates that leave ejection buffers full.
     #[test]
     fn bit_set_arbiter_matches_the_sweep() {
-        use gmh_types::rng::Xoshiro256;
-        for seed in 0..48 {
-            let mut rng = Xoshiro256::seeded(seed);
-            let mut pick = |n: usize| usize::try_from(rng.below(n as u64)).unwrap();
-            let (n_src, n_dst) = (1 + pick(MAX_PORTS), 1 + pick(MAX_PORTS));
-            let (speedup, latency) = (1 + pick(3), pick(7) as Cycle);
-            let (out_buf, inject_per_mille, drain_pct) = (1 + pick(4), pick(1000), 5 + pick(90));
+        cases("bit_set_arbiter_matches_the_sweep", 48, |rng| {
+            let (n_src, n_dst) = (rng.range(1..MAX_PORTS + 1), rng.range(1..MAX_PORTS + 1));
+            let (speedup, latency) = (rng.range(1..4), rng.range(0..7));
+            let out_buf = rng.range(1..5);
+            let (inject_per_mille, drain_pct) = (rng.range(0..1000), rng.range(5..95));
             let mut fast = Network::with_speedup(n_src, n_dst, 32, 16, out_buf, latency, speedup);
             let mut oracle = fast.clone();
             let mut id = 0;
             for cyc in 0..300 {
                 for src in 0..n_src {
-                    if pick(1000) < inject_per_mille {
-                        let (dst, bytes) = (pick(n_dst), 1 + u32::try_from(pick(256)).unwrap());
+                    if rng.below(1000) < inject_per_mille {
+                        let (dst, bytes) = (rng.range(0..n_dst), rng.range(1..257));
                         let took = fast.inject(src, dst, load(id), bytes).is_ok();
                         assert_eq!(took, oracle.inject(src, dst, load(id), bytes).is_ok());
                         id += 1;
                     }
                 }
-                let at = format!("seed {seed}, cycle {cyc}");
+                let at = format!("{n_src}x{n_dst}, cycle {cyc}");
                 assert_eq!(fast.cycle(), sweep_cycle(&mut oracle), "{at}");
                 assert_eq!(fast.stats.flits.get(), oracle.stats.flits.get(), "{at}");
                 assert_eq!(fast.stats.packets.get(), oracle.stats.packets.get(), "{at}");
                 assert_eq!(fast.next_event_bound(), oracle.next_event_bound(), "{at}");
                 for dst in 0..n_dst {
-                    if pick(100) < drain_pct {
+                    if rng.below(100) < drain_pct {
                         let got = fast.pop_eject(dst).map(|f| f.id);
                         assert_eq!(got, oracle.pop_eject(dst).map(|f| f.id), "{at}");
                     }
                 }
             }
-        }
+        });
     }
 }

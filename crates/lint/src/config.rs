@@ -38,23 +38,6 @@ pub struct StallEnum {
     pub order: Vec<String>,
 }
 
-/// R8 time-unit-consistency configuration.
-#[derive(Clone, Debug, Default)]
-pub struct R8Config {
-    /// Sanctioned conversion functions: a statement calling one of these
-    /// may mix unit classes (e.g. `ps_to_core_cycles`).
-    pub convert_fns: Vec<String>,
-    /// Files (path suffixes) exempt from mixing checks entirely — the
-    /// clock-domain implementation where conversion lives.
-    pub conversion_home: Vec<String>,
-    /// Files (path suffixes) where bare numeric literals may initialize
-    /// unit-tagged fields: configs and presets.
-    pub literal_files: Vec<String>,
-    /// Type names carrying the picosecond class (e.g. `Picos`), so a
-    /// `let x: Picos = ..` binding joins the `ps` unit class by type.
-    pub ps_types: Vec<String>,
-}
-
 /// Parsed `lint.toml`.
 #[derive(Clone, Debug, Default)]
 pub struct LintConfig {
@@ -66,8 +49,6 @@ pub struct LintConfig {
     pub queue_impl: Vec<String>,
     /// Stall enums R5 cross-checks.
     pub stall_enums: Vec<StallEnum>,
-    /// R8 time-unit settings (rule skipped when absent).
-    pub r8: Option<R8Config>,
     /// Allowlist entries.
     pub allows: Vec<Allow>,
 }
@@ -86,7 +67,6 @@ impl LintConfig {
             None,
             Lint,
             Enum(usize),
-            R8,
             Allow(usize),
         }
         let mut ctx = Ctx::None;
@@ -109,9 +89,6 @@ impl LintConfig {
                 let header = header.trim();
                 if header == "lint" {
                     ctx = Ctx::Lint;
-                } else if header == "r8" {
-                    cfg.r8 = Some(R8Config::default());
-                    ctx = Ctx::R8;
                 } else if let Some(name) = header.strip_prefix("r5.enums.") {
                     cfg.stall_enums.push(StallEnum {
                         name: name.to_string(),
@@ -136,20 +113,6 @@ impl LintConfig {
                         "order" => cfg.stall_enums[i].order = parse_str_array(value, &err)?,
                         _ => return Err(err("unknown [r5.enums.*] key")),
                     },
-                    Ctx::R8 => {
-                        // INVARIANT: Ctx::R8 is only entered after cfg.r8
-                        // is set to Some above.
-                        let r8 = cfg.r8.as_mut().expect("[r8] context set");
-                        match key {
-                            "convert_fns" => r8.convert_fns = parse_str_array(value, &err)?,
-                            "conversion_home" => {
-                                r8.conversion_home = parse_str_array(value, &err)?;
-                            }
-                            "literal_files" => r8.literal_files = parse_str_array(value, &err)?,
-                            "ps_types" => r8.ps_types = parse_str_array(value, &err)?,
-                            _ => return Err(err("unknown [r8] key")),
-                        }
-                    }
                     Ctx::Allow(i) => {
                         let a = &mut cfg.allows[i];
                         match key {

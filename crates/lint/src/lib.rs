@@ -6,7 +6,7 @@
 //! in a fixed priority order, and every fetch flowing through bounded
 //! queues that exert back-pressure. PR 1 added the *runtime* audit
 //! (fetch conservation); this crate is the *static* layer that catches
-//! violations at review time. Six rules:
+//! violations at review time. Five rules:
 //!
 //! - **R1 determinism** — no `HashMap`/`HashSet`, wall-clock time,
 //!   unseeded RNG, locks, `thread::spawn` or `static mut` in model crates
@@ -20,10 +20,7 @@
 //!   ([`rules::stalls`]);
 //! - **R6 zero-allocation hot loops** — no `vec![..]`, `Vec::new()`,
 //!   `Box::new()` or `.collect()` inside the per-cycle functions of model
-//!   crates ([`rules::alloc`]);
-//! - **R8 time-unit consistency** — `_ps`/`_cycles`/`_ticks` unit classes
-//!   never mix without a sanctioned `ClockDomains` conversion, and magic
-//!   time literals stay in config files ([`rules::units`]).
+//!   crates ([`rules::alloc`]).
 //!
 //! (There is no R7: it policed the intra-simulation worker pool, which
 //! is gone; its two pool-independent checks — no `thread::spawn`, no
@@ -32,11 +29,10 @@
 //! hook, which `gmh_types::Component` now makes a compile error. There is
 //! no R3 either: it flagged narrowing `as` casts, lossless ones included;
 //! clippy's `cast_possible_truncation` (denied workspace-wide in CI) is the
-//! one narrowing-cast check. Rule ids are stable, so R4-R8 keep theirs.)
-//!
-//! R8 resolves bindings: it runs a per-function dataflow pass
-//! ([`dataflow::FnFlow`] — `let` bindings with their ascribed types and
-//! initializers), still built on the masked lexical view.
+//! one narrowing-cast check. There is no R8 either: it guessed time units
+//! from `_ps`/`_cycles` name suffixes through a per-function dataflow
+//! pass, and `gmh_types::Picos` now makes a picosecond/cycle mix a compile
+//! error. Rule ids are stable, so R4-R6 keep theirs.)
 //!
 //! On top of the rules sits the suppression audit ([`audit`]): the rules
 //! run unfiltered first, and every `[[allow]]` entry or inline directive
@@ -52,7 +48,6 @@
 
 pub mod audit;
 pub mod config;
-pub mod dataflow;
 pub mod rules;
 pub mod source;
 
@@ -106,7 +101,6 @@ pub fn run_raw(cfg: &LintConfig, files: &[SourceFile]) -> Vec<Finding> {
         rules::queues::check(cfg, f, &mut findings);
         rules::panics::check(cfg, f, &mut findings);
         rules::alloc::check(cfg, f, &mut findings);
-        rules::units::check(cfg, f, &mut findings);
     }
     rules::stalls::check(cfg, files, &mut findings);
     findings

@@ -10,8 +10,7 @@ pub mod determinism;
 pub mod panics;
 pub mod queues;
 pub mod stalls;
-pub mod units;
 
 /// Every rule id: what an inline directive may name, and what the clean-run
 /// summary counts.
-pub const IDS: &[&str] = &["R1", "R2", "R4", "R5", "R6", "R8"];
+pub const IDS: &[&str] = &["R1", "R2", "R4", "R5", "R6"];

@@ -303,7 +303,7 @@ fn test_regions(code: &[String]) -> Vec<bool> {
 
 /// Line of the matched `}` closing the item starting at (or after) `start`;
 /// falls back to the last line when braces never balance.
-pub(crate) fn item_end(code: &[String], start: usize) -> usize {
+fn item_end(code: &[String], start: usize) -> usize {
     let mut depth = 0i64;
     let mut opened = false;
     for (i, line) in code.iter().enumerate().skip(start) {

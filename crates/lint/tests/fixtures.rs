@@ -23,29 +23,12 @@ file = "crates/cache/src/demo_stall.rs"
 order = ["First", "Second", "Third"]
 "#;
 
-/// R8 enabled.
-const CONFIG_R8: &str = r#"
-[lint]
-model_crates = ["types", "cache", "simt"]
-queue_impl = ["crates/types/src/queue.rs"]
-
-[r8]
-convert_fns = ["cycles_to_ps", "period_ps"]
-conversion_home = ["crates/types/src/clock.rs"]
-literal_files = ["crates/cache/src/config.rs"]
-ps_types = ["Picos"]
-"#;
-
 fn base_cfg() -> LintConfig {
     LintConfig::parse(CONFIG_BASE).expect("fixture config parses")
 }
 
 fn r5_cfg() -> LintConfig {
     LintConfig::parse(CONFIG_R5).expect("fixture config parses")
-}
-
-fn r8_cfg() -> LintConfig {
-    LintConfig::parse(CONFIG_R8).expect("fixture config parses")
 }
 
 /// `(rule, line)` pairs, in the engine's sorted order.
@@ -188,33 +171,6 @@ fn r5_accepts_canonical_single_site_attribution() {
         ),
     ];
     let findings = run(&r5_cfg(), &files);
-    assert!(findings.is_empty(), "{findings:#?}");
-}
-
-#[test]
-fn r8_flags_unit_mixing_and_magic_time_literals() {
-    let f = SourceFile::parse(
-        "crates/cache/src/r8_bad_mix.rs",
-        include_str!("fixtures/r8_bad_mix.rs"),
-    );
-    let findings = run(&r8_cfg(), &[f]);
-    let expected = vec![
-        ("R8", 11), // now_ps + budget_cycles
-        ("R8", 15), // c.now_ps = 5000
-    ];
-    assert_eq!(rule_lines(&findings), expected, "{findings:#?}");
-    assert!(findings[0].message.contains("now_ps"));
-    assert!(findings[0].message.contains("budget_cycles"));
-    assert!(findings[1].message.contains("bare literal `5000`"));
-}
-
-#[test]
-fn r8_accepts_sanctioned_conversions_and_named_factors() {
-    let f = SourceFile::parse(
-        "crates/cache/src/r8_ok_convert.rs",
-        include_str!("fixtures/r8_ok_convert.rs"),
-    );
-    let findings = run(&r8_cfg(), &[f]);
     assert!(findings.is_empty(), "{findings:#?}");
 }
 

@@ -274,7 +274,6 @@ pub const TUNE_CAPS: TuneCaps = TuneCaps {
     pool: 128,
     survivors: 32,
     refine: 8,
-    // lint: allow(R8): admission-cap preset; a named cycle bound like the config defaults
     full_cycles: 3_000_000,
     workloads: 8,
 };
@@ -631,6 +630,12 @@ mod tests {
         let e =
             parse_request(r#"{"workload":"mm","config_overrides":{"n_cores":65}}"#).unwrap_err();
         assert!(e.contains("n_cores = 65"), "{e}");
+        // A cycle cap whose last core tick is past the last picosecond.
+        let e = parse_request(
+            r#"{"workload":"mm","config_overrides":{"max_core_cycles":18446744073709551615}}"#,
+        )
+        .unwrap_err();
+        assert!(e.contains("max_core_cycles = 18446744073709551615"), "{e}");
         // warps_per_core > 48 fails WorkloadSpec::validate.
         let e = parse_request(r#"{"workload":"mm","config_overrides":{"warps_per_core":64}}"#)
             .unwrap_err();

@@ -438,8 +438,8 @@ impl SimtCore {
     ///
     /// Returns whether the cycle did observable work (see
     /// [`SimtCore::cycle_traced`]).
-    pub fn cycle(&mut self, now_ps: Picos) -> bool {
-        self.cycle_traced(now_ps, &mut TraceSink::disabled())
+    pub fn cycle(&mut self, now_ps: impl Into<Picos>) -> bool {
+        self.cycle_traced(now_ps.into(), &mut TraceSink::disabled())
     }
 
     /// Advances the core one cycle, recording lifecycle events for sampled
@@ -512,7 +512,7 @@ impl SimtCore {
 
     fn record_load_return(&mut self, fetch: &MemFetch) {
         self.stats.loads_returned += 1;
-        let rt = fetch.round_trip_ps() as f64;
+        let rt = fetch.round_trip_ps().as_u64() as f64;
         self.stats.aml_ps.push(rt);
         self.stats.aml_hist_ps.push(rt);
         if fetch.serviced_by == gmh_types::fetch::ServicedBy::L2 {
@@ -828,8 +828,17 @@ impl Component for SimtCore {
 mod tests {
     use super::*;
     use crate::inst::{Inst, ScriptedSource};
+    use gmh_types::{ClockDomains, DomainId};
 
-    const PS_PER_CYCLE: Picos = 1000;
+    /// The 1 GHz clock the tests drive a core with.
+    fn clock() -> ClockDomains {
+        ClockDomains::new(1000, 1000, 1000)
+    }
+
+    /// The instant `t` cycles of [`clock`] in.
+    fn at(t: u64) -> Picos {
+        clock().domain(DomainId::Core).span(t)
+    }
 
     fn small_cfg() -> CoreConfig {
         CoreConfig {
@@ -846,7 +855,7 @@ mod tests {
         while !core.done() {
             t += 1;
             assert!(t < max_cycles, "core did not drain in {max_cycles} cycles");
-            core.cycle(t * PS_PER_CYCLE);
+            core.cycle(at(t));
             while let Some(f) = core.pop_outgoing() {
                 if f.kind.wants_response() {
                     inflight.push((t + latency, f));
@@ -1005,7 +1014,7 @@ mod tests {
         let mut t = 0;
         while !core.done() && t < 10_000 {
             t += 1;
-            core.cycle(t * PS_PER_CYCLE);
+            core.cycle(at(t));
             while let Some(f) = core.pop_outgoing() {
                 if f.kind == AccessKind::Load {
                     outgoing_loads += 1;
@@ -1065,7 +1074,7 @@ mod tests {
         ];
         let mut core = SimtCore::new(0, small_cfg(), Box::new(ScriptedSource::new(vec![prog])));
         drive(&mut core, 123, 10_000);
-        let aml_cycles = core.stats().aml_ps.mean() / PS_PER_CYCLE as f64;
+        let aml_cycles = clock().ps_to_core_cycles(core.stats().aml_ps.mean());
         assert!(
             (aml_cycles - 123.0).abs() <= 3.0,
             "AML = {aml_cycles} cycles, expected ~123"
@@ -1080,7 +1089,7 @@ mod tests {
         let mut core = SimtCore::new(0, small_cfg(), warps_with(4, prog));
         let mut inflight: Vec<(u64, MemFetch)> = Vec::new();
         for t in 1..500u64 {
-            core.cycle(t * PS_PER_CYCLE);
+            core.cycle(at(t));
             while let Some(f) = core.pop_outgoing() {
                 if f.kind == AccessKind::InstFetch {
                     inflight.push((t + 10, f));
@@ -1113,7 +1122,7 @@ mod tests {
         let mut t = 0u64;
         while !core.done() && t < 10_000 {
             t += 1;
-            let now = t * PS_PER_CYCLE;
+            let now = at(t);
             core.cycle_traced(now, &mut trace);
             while let Some(f) = core.pop_outgoing() {
                 // The owner (GpuSim) normally records the icnt/L2/DRAM hops;

@@ -7,12 +7,106 @@
 //! interleaving, so components in different domains observe correct relative
 //! rates.
 //!
-//! Time is kept in integer picoseconds for bit-exact determinism.
+//! Time is kept in integer picoseconds for bit-exact determinism, as a
+//! [`Picos`] the compiler keeps apart from cycle counts: every step between
+//! the two goes through a [`ClockDomain`] or [`ClockDomains`] converter.
 
 use crate::trace::TraceSink;
+use std::fmt;
+use std::ops::{Add, AddAssign, Sub, SubAssign};
 
-/// Simulated time in picoseconds.
-pub type Picos = u64;
+/// Simulated time in picoseconds: an instant, or a span between two.
+///
+/// Picoseconds only add to and compare with picoseconds; a cycle count
+/// becomes a `Picos` through its domain's converter
+/// ([`ClockDomain::tick_instant`], [`ClockDomain::span`]), so mixing the
+/// two is a compile error (the `gmh` facade crate's `compile_fail`
+/// doctests pin this). A picosecond literal is spelled `Picos(..)`.
+///
+/// `Display` and `Debug` print the bare integer, so reports, traces and
+/// audit ledgers read as plain picosecond counts.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+pub struct Picos(pub u64);
+
+impl Picos {
+    /// Time zero.
+    pub const ZERO: Picos = Picos(0);
+    /// The last representable instant.
+    pub const MAX: Picos = Picos(u64::MAX);
+
+    /// The raw picosecond count, for statistics and exporters.
+    #[inline]
+    pub const fn as_u64(self) -> u64 {
+        self.0
+    }
+
+    /// `self - rhs`, or zero when `rhs` is later.
+    #[inline]
+    #[must_use]
+    pub const fn saturating_sub(self, rhs: Picos) -> Picos {
+        Picos(self.0.saturating_sub(rhs.0))
+    }
+
+    /// Whether `self` is a whole number of `rhs` spans.
+    #[inline]
+    pub const fn is_multiple_of(self, rhs: Picos) -> bool {
+        self.0.is_multiple_of(rhs.0)
+    }
+}
+
+/// Lets the entry points the `gmh-benchmark` package drives with bare
+/// integers (`SimtCore::cycle`, `L2Bank::{cycle, deliver_fill}`,
+/// `Cache::{access_read, fill}`, [`crate::MemFetch::new`]) take an
+/// `impl Into<Picos>`. With this one impl an integer literal still infers
+/// as `u64`.
+impl From<u64> for Picos {
+    #[inline]
+    fn from(ps: u64) -> Picos {
+        Picos(ps)
+    }
+}
+
+impl Add for Picos {
+    type Output = Picos;
+    #[inline]
+    fn add(self, rhs: Picos) -> Picos {
+        Picos(self.0 + rhs.0)
+    }
+}
+
+impl Sub for Picos {
+    type Output = Picos;
+    #[inline]
+    fn sub(self, rhs: Picos) -> Picos {
+        Picos(self.0 - rhs.0)
+    }
+}
+
+impl AddAssign for Picos {
+    #[inline]
+    fn add_assign(&mut self, rhs: Picos) {
+        self.0 += rhs.0;
+    }
+}
+
+impl SubAssign for Picos {
+    #[inline]
+    fn sub_assign(&mut self, rhs: Picos) {
+        self.0 -= rhs.0;
+    }
+}
+
+impl fmt::Display for Picos {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(&self.0, f)
+    }
+}
+
+impl fmt::Debug for Picos {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.0, f)
+    }
+}
 
 /// Outcome of a component's conservative idle probe, used by the run loop's
 /// fast-forward scheduler.
@@ -100,22 +194,31 @@ pub enum DomainId {
 /// A single clock domain: a frequency plus the time of its next tick.
 #[derive(Clone, Debug)]
 pub struct ClockDomain {
+    mhz: u32,
     period_ps: Picos,
     next_tick: Picos,
     cycles: u64,
 }
 
 impl ClockDomain {
+    /// The fastest clock whose period is a whole picosecond.
+    pub const MAX_MHZ: u32 = 1_000_000;
+
     /// Creates a domain running at `mhz` megahertz, first tick at time 0.
     ///
     /// # Panics
     ///
-    /// Panics if `mhz` is zero.
+    /// Panics if `mhz` is zero or above [`ClockDomain::MAX_MHZ`].
     pub fn new(mhz: u32) -> Self {
-        assert!(mhz > 0, "clock frequency must be non-zero");
+        assert!(
+            (1..=Self::MAX_MHZ).contains(&mhz),
+            "clock frequency must be non-zero and at most {} MHz",
+            Self::MAX_MHZ
+        );
         ClockDomain {
-            period_ps: 1_000_000 / mhz as Picos,
-            next_tick: 0,
+            mhz,
+            period_ps: Picos(1_000_000 / u64::from(mhz)),
+            next_tick: Picos::ZERO,
             cycles: 0,
         }
     }
@@ -133,6 +236,20 @@ impl ClockDomain {
     /// Time of the next tick.
     pub fn next_tick(&self) -> Picos {
         self.next_tick
+    }
+
+    /// The instant own-domain tick `n` (1-based) fires: `(n - 1)` periods
+    /// after time 0. Tick 0, which never fires, maps to time 0 like tick 1;
+    /// an instant past [`Picos::MAX`] saturates there.
+    #[inline]
+    pub fn tick_instant(&self, n: u64) -> Picos {
+        Picos(n.saturating_sub(1).saturating_mul(self.period_ps.0))
+    }
+
+    /// The span of `n` ticks of this domain.
+    #[inline]
+    pub fn span(&self, n: u64) -> Picos {
+        Picos(n * self.period_ps.0)
     }
 
     fn tick(&mut self) {
@@ -185,7 +302,7 @@ impl ClockDomains {
             core: ClockDomain::new(core_mhz),
             icnt: ClockDomain::new(icnt_mhz),
             dram: ClockDomain::new(dram_mhz),
-            now: 0,
+            now: Picos::ZERO,
         }
     }
 
@@ -228,12 +345,14 @@ impl ClockDomains {
         fired
     }
 
-    /// Converts a span of picoseconds into (fractional) core cycles.
+    /// Converts a (mean) span of picoseconds into fractional core cycles,
+    /// as the paper reports AML and L2-AHL.
     ///
-    /// Latency statistics in the paper (AML, L2-AHL) are reported in core
-    /// cycles; requests timestamp in picoseconds and convert at the end.
-    pub fn ps_to_core_cycles(&self, ps: Picos) -> f64 {
-        ps as f64 / self.core.period_ps as f64
+    /// It divides by the exact period `1e6 / core_mhz` ps, not the whole
+    /// picoseconds the core clock steps by: at 1400 MHz that is 714.29 ps
+    /// against 714, so a latency counted in clock steps reads ≈0.04 % low.
+    pub fn ps_to_core_cycles(&self, ps: f64) -> f64 {
+        ps / (1_000_000.0 / f64::from(self.core.mhz))
     }
 
     /// Bulk-advances every domain past all tick instants strictly before
@@ -262,11 +381,11 @@ impl ClockDomains {
                 continue;
             }
             // Number of ticks at instants next_tick + n*period < target_ps.
-            let n = (target_ps - dom.next_tick).div_ceil(dom.period_ps);
-            let last = dom.next_tick + (n - 1) * dom.period_ps;
+            let n = (target_ps - dom.next_tick).0.div_ceil(dom.period_ps.0);
+            let last = dom.next_tick + dom.span(n - 1);
             last_fired = Some(last_fired.map_or(last, |t| t.max(last)));
             dom.cycles += n;
-            dom.next_tick += n * dom.period_ps;
+            dom.next_tick += dom.span(n);
             *k = n;
         }
         if let Some(t) = last_fired {
@@ -310,7 +429,7 @@ mod tests {
                 dram: true
             }
         );
-        assert_eq!(c.now(), 0);
+        assert_eq!(c.now(), Picos::ZERO);
     }
 
     #[test]
@@ -337,7 +456,7 @@ mod tests {
     #[test]
     fn time_is_monotonic() {
         let mut c = ClockDomains::new(1400, 700, 924);
-        let mut last = 0;
+        let mut last = Picos::ZERO;
         for _ in 0..1000 {
             c.advance();
             assert!(c.now() >= last);
@@ -346,10 +465,32 @@ mod tests {
     }
 
     #[test]
-    fn ps_to_core_cycles_converts() {
+    fn ps_to_core_cycles_divides_by_the_exact_period() {
         let c = ClockDomains::new(1000, 500, 500);
         // 1 GHz -> period 1000 ps, so 5000 ps = 5 cycles.
-        assert_eq!(c.ps_to_core_cycles(5000), 5.0);
+        assert_eq!(c.ps_to_core_cycles(5000.0), 5.0);
+        // 1400 MHz steps 714 ps, but a cycle is 714.29 ps exactly.
+        let c = ClockDomains::new(1400, 700, 924);
+        assert_eq!(c.domain(DomainId::Core).period_ps(), Picos(714));
+        assert!(c.ps_to_core_cycles(714.0) < 1.0);
+        assert_eq!(c.ps_to_core_cycles(1_000_000.0), 1400.0);
+    }
+
+    #[test]
+    fn tick_instants_and_spans_count_whole_periods() {
+        let d = ClockDomain::new(1400);
+        assert_eq!(d.tick_instant(1), Picos::ZERO);
+        assert_eq!(d.tick_instant(0), Picos::ZERO);
+        assert_eq!(d.tick_instant(4), Picos(3 * 714));
+        assert_eq!(d.tick_instant(u64::MAX), Picos::MAX);
+        assert_eq!(d.span(4), Picos(4 * 714));
+        // The instant of tick N is where N ticks of a naive loop end up.
+        let mut c = ClockDomains::new(1400, 700, 924);
+        while c.domain(DomainId::Core).cycles() < 10 {
+            c.advance();
+        }
+        let core = c.domain(DomainId::Core);
+        assert_eq!(core.tick_instant(10), core.next_tick() - core.period_ps());
     }
 
     #[test]
@@ -359,10 +500,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "at most 1000000 MHz")]
+    fn sub_picosecond_period_panics() {
+        let _ = ClockDomain::new(ClockDomain::MAX_MHZ + 1);
+    }
+
+    #[test]
     fn fast_forward_matches_naive_advance_loop() {
         // Jump to an arbitrary target, then compare against a clock that
         // took the same ticks one advance() at a time.
-        for target in [1u64, 713, 1000, 12_345, 1_000_000] {
+        for target in [1u64, 713, 1000, 12_345, 1_000_000].map(Picos) {
             let mut jumped = ClockDomains::new(1400, 700, 924);
             let mut naive = ClockDomains::new(1400, 700, 924);
             // Move both off the origin so the jump starts mid-stream.

@@ -125,7 +125,7 @@ impl MemFetch {
         warp_id: usize,
         kind: AccessKind,
         line: LineAddr,
-        now: Picos,
+        now: impl Into<Picos>,
     ) -> Self {
         MemFetch {
             id,
@@ -134,7 +134,7 @@ impl MemFetch {
             kind,
             line,
             time: Timestamps {
-                created: now,
+                created: now.into(),
                 ..Timestamps::default()
             },
             serviced_by: ServicedBy::Pending,
@@ -212,14 +212,14 @@ mod tests {
     #[test]
     fn round_trip_computes() {
         let mut f = MemFetch::new(0, 0, 0, AccessKind::Load, LineAddr::new(1), 100);
-        f.time.returned = 600;
-        assert_eq!(f.round_trip_ps(), 500);
+        f.time.returned = Picos(600);
+        assert_eq!(f.round_trip_ps(), Picos(500));
     }
 
     #[test]
     fn round_trip_saturates_if_unreturned() {
         let f = MemFetch::new(0, 0, 0, AccessKind::Load, LineAddr::new(1), 100);
-        assert_eq!(f.round_trip_ps(), 0);
+        assert_eq!(f.round_trip_ps(), Picos::ZERO);
     }
 
     /// The sampler's verdict fits the padding after `kind` /
@@ -232,14 +232,14 @@ mod tests {
         let mut traced = plain.clone();
         traced.traced = Scratch(true);
         assert_eq!(format!("{plain:?}"), format!("{traced:?}"));
-        assert!(!MemFetch::write_back(LineAddr::new(9), 5).traced.0);
+        assert!(!MemFetch::write_back(LineAddr::new(9), Picos(5)).traced.0);
     }
 
     #[test]
     fn write_back_constructor() {
-        let wb = MemFetch::write_back(LineAddr::new(9), 42);
+        let wb = MemFetch::write_back(LineAddr::new(9), Picos(42));
         assert_eq!(wb.kind, AccessKind::L2WriteBack);
         assert_eq!(wb.core_id, usize::MAX);
-        assert_eq!(wb.time.created, 42);
+        assert_eq!(wb.time.created, Picos(42));
     }
 }

@@ -418,7 +418,7 @@ impl FetchAudit {
         ];
         let mut prev: Option<(&str, Picos)> = None;
         for (name, ts) in hops {
-            if ts == 0 && name != "returned" {
+            if ts == Picos::ZERO && name != "returned" {
                 continue; // hop not reached (ideal models skip levels)
             }
             if let Some((pname, pts)) = prev {
@@ -582,7 +582,7 @@ mod tests {
         a.emitted(&l);
         a.emitted(&s);
         a.absorbed(&s);
-        a.returned(&l, 50);
+        a.returned(&l, Picos(50));
         let sum = a.finish(true).expect("balanced ledger");
         assert_eq!(sum.emitted, 2);
         assert_eq!(sum.returned, 1);
@@ -616,8 +616,8 @@ mod tests {
 
         let mut a = FetchAudit::default();
         a.emitted(&l);
-        a.returned(&l, 20);
-        a.returned(&l, 30);
+        a.returned(&l, Picos(20));
+        a.returned(&l, Picos(30));
         assert!(a
             .finish(true)
             .unwrap_err()
@@ -637,14 +637,14 @@ mod tests {
             let mut l = load(0, 1);
             a.emitted(&l);
             l.time = Timestamps {
-                icnt_inject,
-                l2_arrive,
-                l2_done,
-                dram_arrive,
-                dram_done,
+                icnt_inject: Picos(icnt_inject),
+                l2_arrive: Picos(l2_arrive),
+                l2_done: Picos(l2_done),
+                dram_arrive: Picos(dram_arrive),
+                dram_done: Picos(dram_done),
                 ..l.time
             };
-            a.returned(&l, 500);
+            a.returned(&l, Picos(500));
             let err = a.finish(true).expect_err("must flag reversal");
             assert!(err.contains(complaint), "{err}");
         }
@@ -656,8 +656,8 @@ mod tests {
         let mut l = load(0, 1);
         a.emitted(&l);
         // Ideal model: only created and returned are stamped.
-        l.time.created = 10;
-        a.returned(&l, 500);
+        l.time.created = Picos(10);
+        a.returned(&l, Picos(500));
         assert!(a.finish(true).is_ok());
     }
 
@@ -689,10 +689,10 @@ mod tests {
             "{err}"
         );
         for f in [&near, &far, &far_core, &top] {
-            a.returned(f, 50);
+            a.returned(f, Picos(50));
         }
         assert_eq!(a.summary().in_flight, 0);
-        a.returned(&far, 60);
+        a.returned(&far, Picos(60));
         assert!(a
             .finish(false)
             .unwrap_err()
@@ -707,7 +707,7 @@ mod tests {
         for id in 0..10_000u64 {
             a.emitted(&load(1, id));
             if id >= 100 {
-                a.returned(&load(1, id - 100), 50);
+                a.returned(&load(1, id - 100), Picos(50));
             }
         }
         assert_eq!(a.summary().in_flight, 100);
@@ -724,13 +724,13 @@ mod tests {
         a.emitted(&late);
         assert_eq!(a.overflow.len(), 1);
         a.emitted(&late);
-        a.returned(&late, 50);
+        a.returned(&late, Picos(50));
         assert_eq!(a.summary().in_flight, 100);
         let err = a.finish(false).unwrap_err();
         assert_eq!(err, "fetch core=1 id=7 emitted twice");
         // Draining the window lets it re-anchor anywhere.
         for id in 9_900..10_000u64 {
-            a.returned(&load(1, id), 60);
+            a.returned(&load(1, id), Picos(60));
         }
         a.emitted(&load(1, 5));
         assert!(a.overflow.is_empty() && a.windows[1].base == 0);
@@ -739,7 +739,7 @@ mod tests {
     #[test]
     fn audit_ignores_writebacks() {
         let mut a = FetchAudit::default();
-        let wb = MemFetch::write_back(LineAddr::new(4), 0);
+        let wb = MemFetch::write_back(LineAddr::new(4), Picos::ZERO);
         a.emitted(&wb);
         a.absorbed(&wb);
         assert_eq!(a.finish(true).unwrap(), AuditSummary::default());

@@ -446,7 +446,7 @@ impl TraceSink {
                     if let Some(start) = t.enq[l.index()].take() {
                         book.levels[l.index()]
                             .queueing
-                            .record(now_ps.saturating_sub(start));
+                            .record(now_ps.saturating_sub(start).as_u64());
                     }
                     t.deq[l.index()] = Some(now_ps);
                 }
@@ -454,7 +454,7 @@ impl TraceSink {
                     if let Some(start) = t.deq[l.index()].take() {
                         book.levels[l.index()]
                             .service
-                            .record(now_ps.saturating_sub(start));
+                            .record(now_ps.saturating_sub(start).as_u64());
                     }
                 }
                 _ => {}
@@ -659,7 +659,7 @@ pub fn decomposition_of(events: &[TraceEvent]) -> BTreeMap<Level, LevelLatency> 
     for s in spans_of(events) {
         // INVARIANT: every Level::ALL entry was inserted above.
         let l = levels.get_mut(&s.level).expect("level pre-inserted");
-        let dur = s.end_ps.saturating_sub(s.start_ps);
+        let dur = s.end_ps.saturating_sub(s.start_ps).as_u64();
         if s.is_queue {
             l.queueing.record(dur);
         } else {
@@ -701,11 +701,11 @@ mod tests {
         let mut t = TraceSink::disabled();
         assert!(!t.is_enabled());
         let mut f = load(0, 1);
-        assert!(!t.issued(&mut f, 10));
+        assert!(!t.issued(&mut f, Picos(10)));
         assert!(!f.traced.0);
-        t.record_fetch(&f, 20, TraceEventKind::Returned);
+        t.record_fetch(&f, Picos(20), TraceEventKind::Returned);
         // Even a fetch another sink admitted finds nothing to join.
-        t.record(true, 0, 1, 20, TraceEventKind::Returned);
+        t.record(true, 0, 1, Picos(20), TraceEventKind::Returned);
         assert!(t.events().is_empty());
         assert_eq!(t.sampled(), 0);
     }
@@ -714,11 +714,11 @@ mod tests {
     fn sample_all_traces_full_lifecycle() {
         let mut t = full_sink();
         let mut f = load(0, 1);
-        assert!(t.issued(&mut f, 10));
+        assert!(t.issued(&mut f, Picos(10)));
         assert!(f.traced.0);
-        t.record_fetch(&f, 20, TraceEventKind::EnqueuedAt(Level::L1));
-        t.record_fetch(&f, 50, TraceEventKind::DequeuedAt(Level::L1));
-        t.record_fetch(&f, 90, TraceEventKind::Returned);
+        t.record_fetch(&f, Picos(20), TraceEventKind::EnqueuedAt(Level::L1));
+        t.record_fetch(&f, Picos(50), TraceEventKind::DequeuedAt(Level::L1));
+        t.record_fetch(&f, Picos(90), TraceEventKind::Returned);
         assert_eq!(t.events().len(), 4);
         t.validate().expect("well-formed lifecycle");
         t.check().expect("well-formed lifecycle");
@@ -726,7 +726,7 @@ mod tests {
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].level, Level::L1);
         assert!(spans[0].is_queue);
-        assert_eq!((spans[0].start_ps, spans[0].end_ps), (20, 50));
+        assert_eq!((spans[0].start_ps, spans[0].end_ps), (Picos(20), Picos(50)));
     }
 
     #[test]
@@ -735,14 +735,14 @@ mod tests {
         // claims admission for an id the sink never saw finds no ledger
         // entry. None of them records.
         let mut t = full_sink();
-        t.record_fetch(&load(0, 99), 20, TraceEventKind::Returned);
+        t.record_fetch(&load(0, 99), Picos(20), TraceEventKind::Returned);
         t.record_fetch(
-            &MemFetch::write_back(LineAddr::new(9), 5),
-            20,
+            &MemFetch::write_back(LineAddr::new(9), Picos(5)),
+            Picos(20),
             TraceEventKind::Returned,
         );
-        t.record(false, 0, 99, 20, TraceEventKind::Returned);
-        t.record(true, 0, 99, 20, TraceEventKind::Returned);
+        t.record(false, 0, 99, Picos(20), TraceEventKind::Returned);
+        t.record(true, 0, 99, Picos(20), TraceEventKind::Returned);
         assert!(t.events().is_empty());
     }
 
@@ -750,7 +750,9 @@ mod tests {
     fn sampling_is_deterministic_and_partial() {
         let decide = |seed: u64| -> Vec<bool> {
             let mut t = TraceSink::new(4, 10_000, seed);
-            (0..64).map(|i| t.issued(&mut load(0, i), 10)).collect()
+            (0..64)
+                .map(|i| t.issued(&mut load(0, i), Picos(10)))
+                .collect()
         };
         let a = decide(7);
         assert_eq!(a, decide(7), "same seed, same decisions");
@@ -779,7 +781,7 @@ mod tests {
                         let remainder = h.finish() % denom;
                         let expect = remainder == 0;
                         let mut f = load(core, id);
-                        assert_eq!(t.issued(&mut f, 10), expect);
+                        assert_eq!(t.issued(&mut f, Picos(10)), expect);
                         assert_eq!(f.traced.0, expect, "seed {seed} 1/{denom} {core}:{id}");
                         admitted += u64::from(expect);
                     }
@@ -793,8 +795,8 @@ mod tests {
     #[test]
     fn write_backs_are_never_sampled() {
         let mut t = full_sink();
-        let mut wb = MemFetch::write_back(LineAddr::new(9), 5);
-        assert!(!t.issued(&mut wb, 10));
+        let mut wb = MemFetch::write_back(LineAddr::new(9), Picos(5));
+        assert!(!t.issued(&mut wb, Picos(10)));
         assert!(!wb.traced.0);
         assert!(t.events().is_empty());
     }
@@ -802,17 +804,17 @@ mod tests {
     #[test]
     fn event_cap_bounds_memory() {
         let mut t = TraceSink::new(1, 3, 1);
-        let f = issue(&mut t, 0, 1, 10);
+        let f = issue(&mut t, 0, 1, Picos(10));
         assert!(f.traced.0);
-        t.record_fetch(&f, 20, TraceEventKind::EnqueuedAt(Level::L1));
-        t.record_fetch(&f, 30, TraceEventKind::DequeuedAt(Level::L1));
-        t.record_fetch(&f, 40, TraceEventKind::Returned); // dropped: cap hit
+        t.record_fetch(&f, Picos(20), TraceEventKind::EnqueuedAt(Level::L1));
+        t.record_fetch(&f, Picos(30), TraceEventKind::DequeuedAt(Level::L1));
+        t.record_fetch(&f, Picos(40), TraceEventKind::Returned); // dropped: cap hit
         assert_eq!(t.events().len(), 3);
         // The cap also stops admissions: the refused fetch carries `false`
         // and records nothing, and counts no drop either.
-        let refused = issue(&mut t, 0, 2, 50);
+        let refused = issue(&mut t, 0, 2, Picos(50));
         assert!(!refused.traced.0);
-        t.record_fetch(&refused, 60, TraceEventKind::Returned);
+        t.record_fetch(&refused, Picos(60), TraceEventKind::Returned);
         let data = t.into_data();
         assert_eq!(data.dropped_events, 1);
         assert_eq!(data.skipped, 1);
@@ -822,18 +824,18 @@ mod tests {
     #[test]
     fn stall_episodes_collapse() {
         let mut t = full_sink();
-        let f = issue(&mut t, 0, 1, 10);
+        let f = issue(&mut t, 0, 1, Picos(10));
         for c in 0..5 {
             t.record_fetch(
                 &f,
-                20 + c,
+                Picos(20 + c),
                 TraceEventKind::StalledAt(Level::L2, StallCause::BpDram),
             );
         }
-        t.record_fetch(&f, 30, TraceEventKind::DequeuedAt(Level::L2));
+        t.record_fetch(&f, Picos(30), TraceEventKind::DequeuedAt(Level::L2));
         t.record_fetch(
             &f,
-            40,
+            Picos(40),
             TraceEventKind::StalledAt(Level::L2, StallCause::BpDram),
         );
         // Issued + one stall episode + dequeue + a new episode.
@@ -843,13 +845,13 @@ mod tests {
     #[test]
     fn terminal_event_freezes_the_fetch() {
         let mut t = full_sink();
-        let f = issue(&mut t, 0, 1, 10);
-        t.record_fetch(&f, 20, TraceEventKind::Returned);
+        let f = issue(&mut t, 0, 1, Picos(10));
+        t.record_fetch(&f, Picos(20), TraceEventKind::Returned);
         assert!(
             book(&t).live.is_empty(),
             "lookups see in-flight fetches only"
         );
-        t.record_fetch(&f, 30, TraceEventKind::ServicedAt(Level::L2));
+        t.record_fetch(&f, Picos(30), TraceEventKind::ServicedAt(Level::L2));
         assert_eq!(t.events().len(), 2, "post-terminal events are dropped");
         t.validate().expect("retired fetch stays valid");
         t.check().expect("retired fetch stays valid");
@@ -858,8 +860,8 @@ mod tests {
     #[test]
     fn validate_catches_time_travel() {
         let mut t = full_sink();
-        let f = issue(&mut t, 0, 1, 100);
-        t.record_fetch(&f, 40, TraceEventKind::Returned);
+        let f = issue(&mut t, 0, 1, Picos(100));
+        t.record_fetch(&f, Picos(40), TraceEventKind::Returned);
         let err = t.check().expect_err("must flag reversal");
         assert_eq!(
             err,
@@ -874,13 +876,13 @@ mod tests {
         // fetch, so neither rule can be broken through the sink's calls;
         // the reference still checks them for streams built elsewhere.
         let mut t = full_sink();
-        let f = issue(&mut t, 0, 1, 10);
-        t.record_fetch(&f, 20, TraceEventKind::Returned);
+        let f = issue(&mut t, 0, 1, Picos(10));
+        t.record_fetch(&f, Picos(20), TraceEventKind::Returned);
         let forge = |t: &mut TraceSink, fetch: u64| {
             t.book.as_mut().expect("enabled").events.push(TraceEvent {
                 core: 0,
                 fetch,
-                at_ps: 30,
+                at_ps: Picos(30),
                 kind: TraceEventKind::ServicedAt(Level::L2),
             });
         };
@@ -900,11 +902,11 @@ mod tests {
     #[test]
     fn decomposition_separates_queueing_from_service() {
         let mut t = full_sink();
-        let f = issue(&mut t, 0, 1, 0);
-        t.record_fetch(&f, 100, TraceEventKind::EnqueuedAt(Level::L2));
-        t.record_fetch(&f, 900, TraceEventKind::DequeuedAt(Level::L2));
-        t.record_fetch(&f, 1000, TraceEventKind::ServicedAt(Level::L2));
-        t.record_fetch(&f, 1100, TraceEventKind::Returned);
+        let f = issue(&mut t, 0, 1, Picos(0));
+        t.record_fetch(&f, Picos(100), TraceEventKind::EnqueuedAt(Level::L2));
+        t.record_fetch(&f, Picos(900), TraceEventKind::DequeuedAt(Level::L2));
+        t.record_fetch(&f, Picos(1000), TraceEventKind::ServicedAt(Level::L2));
+        t.record_fetch(&f, Picos(1100), TraceEventKind::Returned);
         let reference = decomposition_of(t.events());
         let levels = t.into_data().levels;
         assert_eq!(levels, reference);
@@ -919,19 +921,19 @@ mod tests {
     #[test]
     fn sequential_pairing_handles_two_icnt_legs() {
         let mut t = full_sink();
-        let f = issue(&mut t, 0, 1, 0);
+        let f = issue(&mut t, 0, 1, Picos(0));
         // Request leg.
-        t.record_fetch(&f, 10, TraceEventKind::EnqueuedAt(Level::Icnt));
-        t.record_fetch(&f, 40, TraceEventKind::DequeuedAt(Level::Icnt));
+        t.record_fetch(&f, Picos(10), TraceEventKind::EnqueuedAt(Level::Icnt));
+        t.record_fetch(&f, Picos(40), TraceEventKind::DequeuedAt(Level::Icnt));
         // Reply leg.
-        t.record_fetch(&f, 100, TraceEventKind::EnqueuedAt(Level::Icnt));
-        t.record_fetch(&f, 160, TraceEventKind::DequeuedAt(Level::Icnt));
-        t.record_fetch(&f, 170, TraceEventKind::Returned);
+        t.record_fetch(&f, Picos(100), TraceEventKind::EnqueuedAt(Level::Icnt));
+        t.record_fetch(&f, Picos(160), TraceEventKind::DequeuedAt(Level::Icnt));
+        t.record_fetch(&f, Picos(170), TraceEventKind::Returned);
         let spans = t.spans();
         let icnt: Vec<_> = spans.iter().filter(|s| s.level == Level::Icnt).collect();
         assert_eq!(icnt.len(), 2);
-        assert_eq!(icnt[0].end_ps - icnt[0].start_ps, 30);
-        assert_eq!(icnt[1].end_ps - icnt[1].start_ps, 60);
+        assert_eq!(icnt[0].end_ps - icnt[0].start_ps, Picos(30));
+        assert_eq!(icnt[1].end_ps - icnt[1].start_ps, Picos(60));
         let icnt = &t.into_data().levels[&Level::Icnt];
         assert_eq!((icnt.queueing.count(), icnt.queueing.sum()), (2, 90));
     }
@@ -945,12 +947,12 @@ mod tests {
         let mut rev = TraceSink::new(4, 10_000, 7);
         let a: BTreeMap<u64, bool> = ids
             .iter()
-            .map(|&i| (i, fwd.issued(&mut load(0, i), 10)))
+            .map(|&i| (i, fwd.issued(&mut load(0, i), Picos(10))))
             .collect();
         let b: BTreeMap<u64, bool> = ids
             .iter()
             .rev()
-            .map(|&i| (i, rev.issued(&mut load(0, i), 10)))
+            .map(|&i| (i, rev.issued(&mut load(0, i), Picos(10))))
             .collect();
         assert_eq!(a, b);
     }
@@ -958,9 +960,9 @@ mod tests {
     #[test]
     fn into_data_carries_fetch_info() {
         let mut t = full_sink();
-        let done = issue(&mut t, 2, 7, 10);
-        t.record_fetch(&done, 20, TraceEventKind::Returned);
-        issue(&mut t, 1, 9, 30); // still in flight at the end
+        let done = issue(&mut t, 2, 7, Picos(10));
+        t.record_fetch(&done, Picos(20), TraceEventKind::Returned);
+        issue(&mut t, 1, 9, Picos(30)); // still in flight at the end
         let data = t.into_data();
         assert_eq!(data.sampled, 2);
         assert_eq!(data.sample_denom, 1);
@@ -990,10 +992,10 @@ mod tests {
         let mut t = TraceSink::new(denom, cap, seed);
         let mut pool: Vec<MemFetch> = Vec::new();
         let mut gone: Vec<MemFetch> = Vec::new();
-        let mut now: Picos = 1_000;
+        let mut now = Picos(1_000);
         let mut next_id = 0u64;
         for _ in 0..4_000 {
-            now += rng.below(50);
+            now += Picos(rng.below(50));
             if pool.len() < 24 && rng.below(3) == 0 {
                 let core = pick(&mut rng, 3);
                 pool.push(issue(&mut t, core, next_id, now));
@@ -1006,7 +1008,7 @@ mod tests {
             let i = pick(&mut rng, pool.len());
             let level = Level::ALL[pick(&mut rng, N_LEVELS)];
             let at = if misbehave && rng.below(40) == 0 {
-                now - rng.below(900)
+                now - Picos(rng.below(900))
             } else {
                 now
             };

@@ -34,6 +34,40 @@
 //! Runnable scenarios are `gmh-exp` commands: `gmh-exp list` names the
 //! per-figure artifacts ([`exp::experiments::ARTIFACTS`]) and the
 //! diagnostics (`probe`, `latency`, `profile`, `sweep`, ...).
+//!
+//! ## Time is a type
+//!
+//! Simulated time is [`types::Picos`], which adds to and compares with
+//! picoseconds only. Mixing it with a cycle count does not build:
+//!
+//! ```compile_fail,E0308
+//! use gmh::types::Picos;
+//! let now_ps = Picos(1_000);
+//! let _ = now_ps + 5u64; // cycles are not picoseconds
+//! ```
+//!
+//! ```compile_fail,E0308
+//! use gmh::types::Picos;
+//! let (now_ps, cycles) = (Picos(1_000), 5u64);
+//! let _ = now_ps < cycles;
+//! ```
+//!
+//! ```compile_fail,E0308
+//! use gmh::types::Picos;
+//! let cyc = 5u64;
+//! let t: Picos = cyc;
+//! ```
+//!
+//! The same sum goes through the clock domain's converter:
+//!
+//! ```
+//! use gmh::types::{ClockDomains, DomainId, Picos};
+//!
+//! let clocks = ClockDomains::new(1400, 700, 924);
+//! let now_ps = Picos(1_000);
+//! let later = now_ps + clocks.domain(DomainId::Core).span(5);
+//! assert_eq!(later, Picos(1_000 + 5 * 714));
+//! ```
 
 #![forbid(unsafe_code)]
 

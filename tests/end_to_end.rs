@@ -3,7 +3,7 @@
 
 use gmh::core::{GpuConfig, GpuSim, MemoryModel, SimStats};
 use gmh::dram::{DramChannel, DramConfig};
-use gmh::types::{AccessKind, FetchAudit, LineAddr, MemFetch};
+use gmh::types::{AccessKind, FetchAudit, LineAddr, MemFetch, Picos};
 use gmh::workloads::catalog;
 use gmh::workloads::spec::{AddressMix, PhaseSpec, Suite, WorkloadSpec};
 
@@ -189,8 +189,8 @@ fn zero_latency_ideal_memory_approaches_issue_limit() {
 #[test]
 fn the_audit_sees_the_dram_arrival_hop_of_a_fetch_that_crossed_a_channel() {
     let mut f = MemFetch::new(0, 0, 0, AccessKind::Load, LineAddr::new(0), 0);
-    f.time.l2_done = 300;
-    f.time.dram_arrive = 250; // before it left the bank
+    f.time.l2_done = Picos(300);
+    f.time.dram_arrive = Picos(250); // before it left the bank
     let mut audit = FetchAudit::default();
     audit.emitted(&f);
     let mut ch = DramChannel::new(DramConfig::gtx480(), 0);
@@ -199,7 +199,7 @@ fn the_audit_sees_the_dram_arrival_hop_of_a_fetch_that_crossed_a_channel() {
         ch.cycle(now);
         ch.pop_response()
     });
-    audit.returned(&resp.expect("a response within 1000 cycles"), 10_000);
+    audit.returned(&resp.expect("a response within 1000 cycles"), Picos(10_000));
     let err = audit.finish(true).expect_err("the reversal is reported");
     assert!(err.contains("dram_arrive=250 before l2_done=300"), "{err}");
 }

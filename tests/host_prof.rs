@@ -11,7 +11,7 @@
 use gmh::core::{GpuConfig, GpuSim};
 use gmh::exp::{chrome_trace_json, report_json, utilization_table};
 use gmh::types::prof::{HostPhase, TIMED_STRIDE};
-use gmh::types::{ClockDomains, DomainId};
+use gmh::types::{ClockDomains, DomainId, Picos};
 use gmh::workloads::catalog;
 use gmh::workloads::spec::{AddressMix, PhaseSpec, Suite, WorkloadSpec};
 
@@ -165,8 +165,8 @@ fn every_tick_phase_counts_the_clock_edges_not_jumped_over() {
         let ff = sim.ff_stats();
         assert!(name == "mm" || ff.jumps > 0, "{name}: {ff:?}");
 
-        let last_instant = (core_cycles - 1) * clocks.domain(DomainId::Core).period_ps();
-        let fired = clocks.fast_forward(last_instant + 1);
+        let last_instant = clocks.domain(DomainId::Core).tick_instant(core_cycles);
+        let fired = clocks.fast_forward(last_instant + Picos(1));
         assert_eq!(fired.core, core_cycles);
         for (phase, ticks) in [
             (HostPhase::CoreTick, fired.core - ff.skipped_core),

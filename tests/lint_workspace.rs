@@ -10,14 +10,15 @@ use std::path::Path;
 #[test]
 fn lint_config_enables_the_structural_rules() {
     // The workspace-green assertion below is only meaningful if lint.toml
-    // actually switches on the opt-in section: R8 (time-unit consistency).
+    // actually switches on the opt-in section: R5's stall-cause enums.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let text = std::fs::read_to_string(root.join("lint.toml")).expect("lint.toml is readable");
     let cfg = gmh_lint::LintConfig::parse(&text).expect("lint.toml parses");
-    let r8 = cfg.r8.as_ref().expect("[r8] time units are enabled");
-    assert!(
-        !r8.convert_fns.is_empty(),
-        "R8 needs sanctioned conversions"
+    let enums: Vec<&str> = cfg.stall_enums.iter().map(|e| e.name.as_str()).collect();
+    assert_eq!(
+        enums,
+        ["L2StallKind", "L1StallKind", "IssueStallKind"],
+        "R5 cross-checks every stall-cause enum"
     );
 }
 
