@@ -357,7 +357,10 @@ impl Cache {
                 (AccessResult::Hit, Some(fetch))
             }
             Plan::Inbound => {
-                // INVARIANT: admit_read confirmed merge capacity.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "INVARIANT: admit_read confirmed merge capacity."
+                )]
                 self.mshr
                     .merge(fetch.line, fetch)
                     .expect("admission verified merge capacity");
@@ -368,14 +371,23 @@ impl Cache {
                 self.tags.reserve_at(admitted.set, way, fetch.line);
                 if let Some(victim) = dirty_victim {
                     self.stats.writebacks += 1;
-                    // INVARIANT: admit_read counted a slot for the victim.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "INVARIANT: admit_read counted a slot for the victim."
+                    )]
                     self.miss_queue
                         .push(MemFetch::write_back(victim, fetch.time.created))
                         .expect("slot count verified");
                 }
-                // INVARIANT: admit_read checked mshr.is_full().
+                #[expect(
+                    clippy::expect_used,
+                    reason = "INVARIANT: admit_read checked mshr.is_full()."
+                )]
                 self.mshr.allocate(fetch.line).expect("fullness checked");
-                // INVARIANT: admit_read counted a slot for the fetch.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "INVARIANT: admit_read counted a slot for the fetch."
+                )]
                 self.miss_queue.push(fetch).expect("slot count verified");
                 (AccessResult::MissIssued, None)
             }
@@ -457,7 +469,10 @@ impl Cache {
         match admitted.plan {
             Plan::Forward => {
                 self.tags.invalidate_in(admitted.set, fetch.line);
-                // INVARIANT: admit_write checked miss_queue.is_full().
+                #[expect(
+                    clippy::expect_used,
+                    reason = "INVARIANT: admit_write checked miss_queue.is_full()."
+                )]
                 self.miss_queue.push(fetch).expect("fullness checked");
                 return WriteOutcome::Forwarded;
             }
@@ -470,8 +485,11 @@ impl Cache {
                 self.tags.reserve_at(admitted.set, way, fetch.line);
                 if let Some(victim) = dirty_victim {
                     self.stats.writebacks += 1;
-                    // INVARIANT: admit_write checked is_full() for the
-                    // dirty-victim case.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "INVARIANT: admit_write checked is_full() for the dirty-victim \
+                            case."
+                    )]
                     self.miss_queue
                         .push(MemFetch::write_back(victim, now))
                         .expect("fullness checked");

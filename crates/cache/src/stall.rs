@@ -19,15 +19,17 @@ pub enum L1StallKind {
     BpL2,
 }
 
-/// Per-kind stall cycle counters for an L1 cache.
+/// Per-kind stall cycle counters for an L1 cache. The counters are private:
+/// a cycle is charged only through [`L1StallCounters::record`], one cause
+/// per call.
 #[derive(Clone, Debug, Default)]
 pub struct L1StallCounters {
     /// Stalls due to line contention.
-    pub cache: Counter,
+    cache: Counter,
     /// Stalls due to MSHR contention.
-    pub mshr: Counter,
+    mshr: Counter,
     /// Stalls due to back-pressure from L2.
-    pub bp_l2: Counter,
+    bp_l2: Counter,
 }
 
 impl L1StallCounters {
@@ -37,6 +39,15 @@ impl L1StallCounters {
             L1StallKind::Cache => self.cache.inc(),
             L1StallKind::Mshr => self.mshr.inc(),
             L1StallKind::BpL2 => self.bp_l2.inc(),
+        }
+    }
+
+    /// Stalled cycles charged to `kind`.
+    pub fn get(&self, kind: L1StallKind) -> u64 {
+        match kind {
+            L1StallKind::Cache => self.cache.get(),
+            L1StallKind::Mshr => self.mshr.get(),
+            L1StallKind::BpL2 => self.bp_l2.get(),
         }
     }
 
@@ -97,19 +108,21 @@ pub enum L2StallKind {
     BpDram,
 }
 
-/// Per-kind stall cycle counters for an L2 bank.
+/// Per-kind stall cycle counters for an L2 bank. The counters are private:
+/// a cycle is charged only through [`L2StallCounters::record`], one cause
+/// per call.
 #[derive(Clone, Debug, Default)]
 pub struct L2StallCounters {
     /// Stalls due to interconnect back-pressure.
-    pub bp_icnt: Counter,
+    bp_icnt: Counter,
     /// Stalls due to data-port contention.
-    pub port: Counter,
+    port: Counter,
     /// Stalls due to line contention.
-    pub cache: Counter,
+    cache: Counter,
     /// Stalls due to MSHR contention.
-    pub mshr: Counter,
+    mshr: Counter,
     /// Stalls due to DRAM back-pressure.
-    pub bp_dram: Counter,
+    bp_dram: Counter,
 }
 
 impl L2StallCounters {
@@ -121,6 +134,17 @@ impl L2StallCounters {
             L2StallKind::Cache => self.cache.inc(),
             L2StallKind::Mshr => self.mshr.inc(),
             L2StallKind::BpDram => self.bp_dram.inc(),
+        }
+    }
+
+    /// Stalled cycles charged to `kind`.
+    pub fn get(&self, kind: L2StallKind) -> u64 {
+        match kind {
+            L2StallKind::BpIcnt => self.bp_icnt.get(),
+            L2StallKind::Port => self.port.get(),
+            L2StallKind::Cache => self.cache.get(),
+            L2StallKind::Mshr => self.mshr.get(),
+            L2StallKind::BpDram => self.bp_dram.get(),
         }
     }
 
@@ -219,8 +243,8 @@ mod tests {
         b.record(L1StallKind::Mshr);
         b.record(L1StallKind::Cache);
         a.merge(&b);
-        assert_eq!(a.mshr.get(), 2);
-        assert_eq!(a.cache.get(), 1);
+        assert_eq!(a.get(L1StallKind::Mshr), 2);
+        assert_eq!(a.get(L1StallKind::Cache), 1);
     }
 
     #[test]
@@ -240,7 +264,7 @@ mod tests {
         b.record(L2StallKind::BpDram);
         b.record(L2StallKind::BpIcnt);
         a.merge(&b);
-        assert_eq!(a.bp_dram.get(), 1);
-        assert_eq!(a.bp_icnt.get(), 1);
+        assert_eq!(a.get(L2StallKind::BpDram), 1);
+        assert_eq!(a.get(L2StallKind::BpIcnt), 1);
     }
 }

@@ -85,8 +85,11 @@ impl TagArray {
             0,
             "capacity must divide evenly into sets"
         );
-        // INVARIANT: set count derives from the configured cache size,
-        // which the u64 arithmetic above cannot push past usize::MAX.
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: set count derives from the configured cache size, which the u64 \
+                arithmetic above cannot push past usize::MAX."
+        )]
         let n_sets = usize::try_from(lines / assoc as u64).expect("set count fits usize");
         TagArray {
             sets: vec![vec![Line::default(); assoc]; n_sets],
@@ -108,7 +111,10 @@ impl TagArray {
 
     /// The set `line` maps to. The cache computes it once per access and
     /// hands it to the `*_at`/`*_in` methods below.
-    #[allow(clippy::cast_possible_truncation)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the modulus bounds the value below sets.len(), a usize"
+    )]
     pub(crate) fn set_of(&self, line: LineAddr) -> usize {
         // The modulus bounds the value below sets.len().
         ((line.index() / self.set_stride) % self.sets.len() as u64) as usize
@@ -239,7 +245,10 @@ impl TagArray {
         }
         // Install over LRU victim (reservations never exist on this path).
         let s = self.set_of(line);
-        // INVARIANT: sets are non-empty (associativity is validated > 0).
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: sets are non-empty (associativity is validated > 0)."
+        )]
         let w = self.sets[s]
             .iter()
             .enumerate()

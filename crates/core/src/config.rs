@@ -228,8 +228,11 @@ impl GpuConfig {
     /// response queue, MSHRs, access queue, data port, crossbar flit sizes
     /// and bank count (total L2 capacity unchanged).
     pub fn scale_l2(mut self, f: usize) -> Self {
-        // INVARIANT: scale factors come from the experiment grid (small
-        // powers of two), far below u32::MAX.
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: scale factors come from the experiment grid (small powers of \
+                two), far below u32::MAX."
+        )]
         let fw = u32::try_from(f).expect("scale factor fits u32");
         self.l2_bank.miss_queue_len *= f;
         self.l2_response_queue *= f;
@@ -254,9 +257,13 @@ impl GpuConfig {
         self.dram.sched_queue *= f;
         self.dram.response_queue *= f;
         self.dram.n_banks *= f;
-        // INVARIANT: scale factors come from the experiment grid (small
-        // powers of two), far below u32::MAX.
-        self.dram.bus_bytes_per_cycle *= u32::try_from(f).expect("scale factor fits u32");
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: scale factors come from the experiment grid (small powers of \
+                two), far below u32::MAX."
+        )]
+        let fw = u32::try_from(f).expect("scale factor fits u32");
+        self.dram.bus_bytes_per_cycle *= fw;
         self
     }
 

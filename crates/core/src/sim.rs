@@ -5,7 +5,7 @@ use crate::l2bank::L2Bank;
 use crate::machine::{Machine, REP, REQ};
 use crate::sched::{Class, Sched};
 use crate::stats::SimStats;
-use gmh_cache::TagArray;
+use gmh_cache::{L2StallKind, TagArray};
 use gmh_dram::DramChannel;
 use gmh_icnt::Crossbar;
 use gmh_simt::SimtCore;
@@ -15,8 +15,6 @@ use gmh_types::{
     stable_hash_str, ClockDomains, DomainId, FetchAudit, MemFetch, Picos, Telemetry, Tick, TickSet,
 };
 use gmh_workloads::WorkloadSpec;
-use std::collections::VecDeque;
-use std::time::Instant;
 
 /// Salt mixed into the trace sampler's seed so it never correlates with the
 /// workload's own address/instruction RNG streams (the sim results must be
@@ -73,12 +71,28 @@ impl FastForwardStats {
 /// profiler, an iteration that is only counted, or a timed one (with the
 /// clock read that opens the span). Decided once per span chain, so closing
 /// a span on the unprofiled path costs a branch on a local.
-#[derive(Clone, Copy)]
 enum HostSpan {
     Off,
     Counted,
-    Timed(Instant),
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the run loop reads the clock only to open and close profile_host spans \
+            (host_span_begin/host_span_end); the timestamps go straight to the HostProfiler, are \
+            read only after run() returns and never feed back into model state, so results remain \
+            a pure function of (config, seed)"
+    )]
+    Timed(std::time::Instant),
 }
+
+/// An ideal-memory in-flight FIFO: unbounded, unlike every other buffer in
+/// the model.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the ideal-memory reference models (Sec. 6 'ideal' configs) have infinite buffering \
+        by construction — no back-pressure exists to model, and their occupancy is exported via \
+        the ideal.in_flight telemetry series instead"
+)]
+type IdealFifo<T> = std::collections::VecDeque<T>;
 
 /// The simulated GPU: cores, crossbar, L2 banks and DRAM channels advanced
 /// under three clock domains.
@@ -91,12 +105,12 @@ pub struct GpuSim {
     m: Machine,
     /// Ideal-memory in-flight queues; each holds `(ready_core_cycle,
     /// fetch)` in FIFO order (constant latency per queue).
-    ideal_fast: VecDeque<(u64, MemFetch)>,
-    ideal_slow: VecDeque<(u64, MemFetch)>,
+    ideal_fast: IdealFifo<(u64, MemFetch)>,
+    ideal_slow: IdealFifo<(u64, MemFetch)>,
     /// Ideal-DRAM pipe for [`MemoryModel::InfiniteDram`]: one `(ready_ps,
     /// fetch)` FIFO per L2 bank so a bank with a full response queue never
     /// blocks fills destined for other banks (infinite bandwidth).
-    ideal_dram: Vec<VecDeque<(Picos, MemFetch)>>,
+    ideal_dram: Vec<IdealFifo<(Picos, MemFetch)>>,
     /// Functional whole-L2 tag array for [`MemoryModel::InfiniteBw`].
     functional_l2: Option<TagArray>,
     telemetry: Telemetry,
@@ -113,7 +127,7 @@ pub struct GpuSim {
     /// cycle (hoisted out of the hot loop so it allocates nothing).
     ideal_blocked: Vec<bool>,
     /// Reusable holding deque for the ideal-delivery compaction pass.
-    ideal_scratch: VecDeque<(u64, MemFetch)>,
+    ideal_scratch: IdealFifo<(u64, MemFetch)>,
     /// Observational fast-forward engagement counters.
     ff_stats: FastForwardStats,
     /// Host-side span profiler (present only under `cfg.profile_host`).
@@ -220,9 +234,9 @@ impl GpuSim {
                 nets: [req_net, rep_net],
                 sched,
             },
-            ideal_fast: VecDeque::new(),
-            ideal_slow: VecDeque::new(),
-            ideal_dram: vec![VecDeque::new(); cfg.n_l2_banks],
+            ideal_fast: IdealFifo::new(),
+            ideal_slow: IdealFifo::new(),
+            ideal_dram: vec![IdealFifo::new(); cfg.n_l2_banks],
             functional_l2,
             telemetry: Telemetry::new(cfg.telemetry_window, &SERIES),
             audit: FetchAudit::default(),
@@ -231,7 +245,7 @@ impl GpuSim {
             prev_rep_flits: 0,
             prev_l2_stalls: [0; 5],
             ideal_blocked: vec![false; cfg.n_cores],
-            ideal_scratch: VecDeque::new(),
+            ideal_scratch: IdealFifo::new(),
             ff_stats: FastForwardStats::default(),
             host_prof: cfg.profile_host.then(HostProfiler::new),
             workload: name.to_string(),
@@ -392,7 +406,14 @@ impl GpuSim {
     fn host_span_begin(&self) -> HostSpan {
         match &self.host_prof {
             None => HostSpan::Off,
-            Some(hp) if hp.is_timed() => HostSpan::Timed(Instant::now()),
+            #[expect(
+                clippy::disallowed_types,
+                reason = "the run loop reads the clock only to open and close profile_host spans \
+                    (host_span_begin/host_span_end); the timestamps go straight to the \
+                    HostProfiler, are read only after run() returns and never feed back into \
+                    model state, so results remain a pure function of (config, seed)"
+            )]
+            Some(hp) if hp.is_timed() => HostSpan::Timed(std::time::Instant::now()),
             Some(_) => HostSpan::Counted,
         }
     }
@@ -545,11 +566,11 @@ impl GpuSim {
             miss_q += b.miss_queue_len();
             resp_q += b.response_queue_len();
             let s = b.stalls();
-            stalls[0] += s.bp_icnt.get();
-            stalls[1] += s.port.get();
-            stalls[2] += s.cache.get();
-            stalls[3] += s.mshr.get();
-            stalls[4] += s.bp_dram.get();
+            stalls[0] += s.get(L2StallKind::BpIcnt);
+            stalls[1] += s.get(L2StallKind::Port);
+            stalls[2] += s.get(L2StallKind::Cache);
+            stalls[3] += s.get(L2StallKind::Mshr);
+            stalls[4] += s.get(L2StallKind::BpDram);
         }
         let mut stall_deltas = [0u64; 5];
         for i in 0..5 {
@@ -687,7 +708,10 @@ impl GpuSim {
                 self.trace
                     .record_fetch(&f, now_ps, TraceEventKind::Returned);
                 self.m.wake(Class::Core, core);
-                // INVARIANT: can_accept_response() held just above.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "INVARIANT: can_accept_response() held just above."
+                )]
                 self.m.cores[core].push_response(f).expect("space checked");
             }
             kept.append(&mut q);
@@ -719,7 +743,10 @@ impl GpuSim {
                 let dst = head.line.interleave(self.cfg.n_l2_banks);
                 if self.m.nets[REQ].can_inject(c, bytes) {
                     self.m.wake(Class::Net, REQ);
-                    // INVARIANT: peek_outgoing() returned Some above.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "INVARIANT: peek_outgoing() returned Some above."
+                    )]
                     let mut f = self.m.cores[c].pop_outgoing().expect("peeked");
                     self.audit.emitted(&f);
                     self.trace
@@ -727,7 +754,10 @@ impl GpuSim {
                     self.trace
                         .record_fetch(&f, now_ps, TraceEventKind::EnqueuedAt(Level::Icnt));
                     f.time.icnt_inject = now_ps;
-                    // INVARIANT: can_inject() held just above.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "INVARIANT: can_inject() held just above."
+                    )]
                     self.m.nets[REQ]
                         .inject(c, dst, f, bytes)
                         .expect("can_inject checked");
@@ -750,7 +780,10 @@ impl GpuSim {
                         break;
                     }
                     self.m.wake(Class::Bank, b);
-                    // INVARIANT: peek_eject() returned Some in the loop guard.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "INVARIANT: peek_eject() returned Some in the loop guard."
+                    )]
                     let mut f = self.m.nets[REQ].pop_eject(b).expect("peeked");
                     f.time.l2_arrive = now_ps;
                     self.trace
@@ -766,7 +799,10 @@ impl GpuSim {
                         self.trace
                             .record_fetch(&f, now_ps, TraceEventKind::Absorbed);
                     }
-                    // INVARIANT: can_accept() held just above.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "INVARIANT: can_accept() held just above."
+                    )]
                     self.m.banks[b].push_access(f).expect("can_accept checked");
                 }
             }
@@ -777,7 +813,7 @@ impl GpuSim {
         //    response this tick (pull-based reply port): nothing between
         //    here and step 7 touches the reply network, so this credit is
         //    exactly the verdict injection will see, and `stall_cause`
-        //    stays the single bp-ICNT attribution site (R5). The credit
+        //    stays the single bp-ICNT attribution site. The credit
         //    only reclassifies stalled cycles — it never gates progress.
         let l2_t0 = self.host_span_begin();
         for b in 0..self.cfg.n_l2_banks {
@@ -816,7 +852,10 @@ impl GpuSim {
             let ch = head.line.interleave(self.cfg.n_channels);
             match ideal_dram_lat {
                 Some(lat) => {
-                    // INVARIANT: miss_queue_front() returned Some above.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "INVARIANT: miss_queue_front() returned Some above."
+                    )]
                     let mut f = self.m.banks[b].pop_miss().expect("peeked");
                     f.time.dram_arrive = now_ps;
                     self.trace
@@ -830,10 +869,16 @@ impl GpuSim {
                 None => {
                     if self.m.channels[ch].can_accept() {
                         self.m.wake(Class::Chan, ch);
-                        // INVARIANT: miss_queue_front() returned Some above.
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "INVARIANT: miss_queue_front() returned Some above."
+                        )]
                         let mut f = self.m.banks[b].pop_miss().expect("peeked");
                         f.time.dram_arrive = now_ps;
-                        // INVARIANT: can_accept() held just above.
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "INVARIANT: can_accept() held just above."
+                        )]
                         self.m.channels[ch]
                             .push(f, dram_cyc)
                             .expect("can_accept checked");
@@ -856,7 +901,10 @@ impl GpuSim {
                         {
                             break;
                         }
-                        // INVARIANT: front() returned Some in the loop guard.
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "INVARIANT: front() returned Some in the loop guard."
+                        )]
                         let (_, f) = self.ideal_dram[bank].pop_front().expect("front exists");
                         self.trace.record_fetch(
                             &f,
@@ -879,8 +927,10 @@ impl GpuSim {
                         {
                             break;
                         }
-                        // INVARIANT: peek_response() returned Some in the
-                        // loop guard.
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "INVARIANT: peek_response() returned Some in the loop guard."
+                        )]
                         let (cas, f) = self.m.channels[ch].pop_response_cas().expect("peeked");
                         // The clamp keeps the event stream monotone even
                         // for degenerate clock configurations.
@@ -913,7 +963,10 @@ impl GpuSim {
                 let dst = resp.core_id;
                 if self.m.nets[REP].can_inject(b, bytes) {
                     self.m.wake(Class::Net, REP);
-                    // INVARIANT: response_ready() returned Some above.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "INVARIANT: response_ready() returned Some above."
+                    )]
                     let f = self.m.banks[b].pop_response().expect("ready");
                     // An L2 hit is "serviced" when its response leaves the
                     // bank: lookup pipeline plus response-queue residency.
@@ -924,7 +977,10 @@ impl GpuSim {
                     }
                     self.trace
                         .record_fetch(&f, now_ps, TraceEventKind::EnqueuedAt(Level::Icnt));
-                    // INVARIANT: can_inject() held just above.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "INVARIANT: can_inject() held just above."
+                    )]
                     self.m.nets[REP]
                         .inject(b, dst, f, bytes)
                         .expect("can_inject checked");
@@ -941,14 +997,20 @@ impl GpuSim {
                         break;
                     }
                     self.m.wake(Class::Core, c);
-                    // INVARIANT: peek_eject() returned Some in the loop guard.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "INVARIANT: peek_eject() returned Some in the loop guard."
+                    )]
                     let f = self.m.nets[REP].pop_eject(c).expect("peeked");
                     self.audit.returned(&f, now_ps);
                     self.trace
                         .record_fetch(&f, now_ps, TraceEventKind::DequeuedAt(Level::Icnt));
                     self.trace
                         .record_fetch(&f, now_ps, TraceEventKind::Returned);
-                    // INVARIANT: can_accept_response() held just above.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "INVARIANT: can_accept_response() held just above."
+                    )]
                     self.m.cores[c].push_response(f).expect("space checked");
                 }
             }

@@ -167,8 +167,11 @@ impl DramChannel {
         assert!(cfg.n_banks > 0, "need at least one bank");
         assert!(cfg.lines_per_row > 0, "need at least one line per row");
         assert!(id < cfg.n_channels, "channel id out of range");
-        // INVARIANT: construction rejects inconsistent timing up front;
-        // failing loudly here beats simulating with broken parameters.
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: construction rejects inconsistent timing up front; failing \
+                loudly here beats simulating with broken parameters."
+        )]
         cfg.timing.validate().expect("valid timing");
         DramChannel {
             queue: BoundedQueue::new(cfg.sched_queue),
@@ -222,8 +225,10 @@ impl DramChannel {
             "line routed to wrong channel"
         );
         let local = line.index() / self.cfg.n_channels as u64;
-        #[allow(clippy::cast_possible_truncation)]
-        // The modulus bounds the value below n_banks.
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the modulus bounds the value below n_banks, a usize"
+        )]
         let bank = ((local / self.cfg.lines_per_row) % self.cfg.n_banks as u64) as usize;
         let row = local / (self.cfg.lines_per_row * self.cfg.n_banks as u64);
         (bank, row)
@@ -339,8 +344,11 @@ impl DramChannel {
         while i < self.in_flight.len() {
             if self.in_flight[i].0 <= now {
                 let (t, f) = self.in_flight.swap_remove(i);
-                // INVARIANT: try_cas only issues a read when in_flight +
-                // response stay within the response queue capacity.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "INVARIANT: try_cas only issues a read when in_flight + response \
+                        stay within the response queue capacity."
+                )]
                 self.response
                     .push((t, f))
                     .expect("response slot reserved at CAS");
@@ -457,7 +465,10 @@ impl DramChannel {
         let t = self.cfg.timing;
         match cmd {
             Command::Cas { idx, data_end } => {
-                // INVARIANT: idx came from enumerating the queue this cycle.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "INVARIANT: idx came from enumerating the queue this cycle."
+                )]
                 let p = self.queue.remove(idx).expect("index valid");
                 self.banks[p.bank].cas(now, p.is_write, data_end, &t);
                 self.bus_free_at = data_end;

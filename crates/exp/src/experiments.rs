@@ -541,7 +541,11 @@ pub fn fig6() -> String {
                 }
             }
         }
-        (t, core.stats().issue.str_mem.get(), issued)
+        (
+            t,
+            core.stats().issue.get(gmh_simt::IssueStallKind::StrMem),
+            issued,
+        )
     }
 
     let (t_small, str_small, issued_small) = run(2);

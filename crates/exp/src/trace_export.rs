@@ -12,7 +12,7 @@
 //!   memory-intensive load).
 //!
 //! Both are deterministic functions of the trace: same `(config, seed)`
-//! run, byte-identical export (lint rule R1 applies here too).
+//! run, byte-identical export (ordered maps only, as in the model crates).
 
 use gmh_types::telemetry::{json_escape, json_num};
 use gmh_types::trace::{Level, TraceData, TraceEventKind};

@@ -120,7 +120,6 @@ impl Network {
     ///
     /// Panics if any dimension, capacity or the speedup is zero, or a
     /// dimension exceeds [`MAX_PORTS`].
-    #[allow(clippy::too_many_arguments)]
     pub fn with_speedup(
         n_src: usize,
         n_dst: usize,
@@ -234,8 +233,11 @@ impl Network {
             flits_sent: 0,
             ready_at: self.now + self.router_latency,
         };
-        // INVARIANT: the flit check above bounds buffered packets by
-        // buffered flits, and capacity is input_buffer_flits packets.
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: the flit check above bounds buffered packets by buffered flits, \
+                and capacity is input_buffer_flits packets."
+        )]
         self.inputs[src]
             .push(packet)
             .expect("packet count bounded by flit accounting");
@@ -375,17 +377,23 @@ impl Network {
             self.heads.0.reserved |= bit;
             self.output_reserved[dst] += 1;
         }
-        // INVARIANT: only sources with a present head request an output.
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: only sources with a present head request an output."
+        )]
         let head = self.inputs[src].front_mut().expect("granted head exists");
         head.flits_sent += 1;
         self.input_flits[src] -= 1;
         self.buffered_total -= 1;
         self.stats.flits.inc();
         if head.flits_sent == head.flits_total {
-            // INVARIANT: the head was just granted.
+            #[expect(clippy::expect_used, reason = "INVARIANT: the head was just granted.")]
             let pkt = self.inputs[src].pop().expect("head exists");
-            // INVARIANT: an ejection slot was reserved with the packet's
-            // first flit (the full-output check in `cycle`).
+            #[expect(
+                clippy::expect_used,
+                reason = "INVARIANT: an ejection slot was reserved with the packet's first flit \
+                    (the full-output check in `cycle`)."
+            )]
             self.outputs[dst]
                 .push(pkt.fetch)
                 .expect("ejection slot reserved at first flit");

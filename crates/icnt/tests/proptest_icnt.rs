@@ -69,7 +69,10 @@ fn same_flow_preserves_order() {
         let mut got = Vec::new();
         let mut stall = 0;
         while got.len() < n {
-            #[allow(clippy::cast_possible_truncation)]
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "injected never exceeds n, a usize"
+            )]
             if (injected as usize) < n && net.can_inject(0, 136) {
                 net.inject(0, 1, packet(injected), 136).unwrap();
                 injected += 1;

@@ -22,6 +22,13 @@
 //! uses: a tiny job twice (second must hit the cache byte-identically),
 //! then verifies the metrics reconcile.
 
+#![warn(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
+
 use gmh_serve::metrics::sample;
 use gmh_serve::protocol::Reply;
 use gmh_serve::Client;

@@ -8,6 +8,13 @@
 //! Serves until a client sends `SHUTDOWN` (graceful: drains accepted jobs,
 //! refuses new ones, flushes the cache index).
 
+#![warn(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
+
 use gmh_serve::server::{spawn, ServerConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;

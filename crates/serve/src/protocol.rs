@@ -183,7 +183,10 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 return Err(format!("unknown field {key:?} alongside \"tune\""));
             }
         }
-        // INVARIANT: contains_key("tune") checked above.
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: contains_key(\"tune\") checked above."
+        )]
         let spec = obj.get("tune").expect("tune key present");
         return parse_tune(spec).map(|p| Request::Tune(Box::new(p)));
     }
@@ -538,6 +541,7 @@ fn truncate(s: &str, max: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gmh_types::rng::{cases, Xoshiro256};
 
     #[test]
     fn keywords_parse() {
@@ -736,5 +740,134 @@ mod tests {
         // Passes field parsing and caps, fails TuneParams::validate.
         assert!(parse_request(r#"{"tune":{"pool":0}}"#).is_err());
         assert!(parse_request(r#"{"tune":{"workloads":["xyzzy"]}}"#).is_err());
+    }
+
+    /// Every top-level field name of [`GpuConfig`], read off its `Debug`
+    /// form so a new field joins the fuzz keys without an edit here.
+    fn gpu_config_fields() -> Vec<String> {
+        format!("{:#?}", GpuConfig::gtx480_baseline())
+            .lines()
+            .filter_map(|l| l.strip_prefix("    ")?.split_once(": ").map(|(k, _)| k))
+            .filter(|k| !k.starts_with(' '))
+            .map(str::to_string)
+            .collect()
+    }
+
+    /// A 20-digit integer: past `u64::MAX` about four times in five.
+    fn twenty_digits(rng: &mut Xoshiro256) -> String {
+        format!("{}{:019}", rng.range(1..10u64), rng.below(10u64.pow(19)))
+    }
+
+    /// A well-formed request line: a job with overrides drawn from every
+    /// `GpuConfig` field and the override keys, a tune request, or a
+    /// keyword.
+    fn seed_line(rng: &mut Xoshiro256, fields: &[String]) -> String {
+        let names = catalog::names();
+        let labels = config_labels();
+        match rng.below(3) {
+            0 => {
+                let overrides: Vec<(String, u64)> = (0..rng.below(4))
+                    .map(|_| {
+                        let key = if rng.chance(0.5) {
+                            fields[rng.range(0..fields.len())].clone()
+                        } else {
+                            OVERRIDE_KEYS[rng.range(0..OVERRIDE_KEYS.len())].to_string()
+                        };
+                        let bits = rng.range(1..64u32);
+                        (key, rng.below(1 << bits))
+                    })
+                    .collect();
+                job_line(
+                    names[rng.range(0..names.len())],
+                    rng.chance(0.5)
+                        .then(|| labels[rng.range(0..labels.len())].0),
+                    rng.chance(0.5).then(|| rng.next_u64()),
+                    &overrides,
+                    rng.chance(0.3),
+                )
+            }
+            1 => {
+                let keys = [
+                    "budget",
+                    "pool",
+                    "survivors",
+                    "refine",
+                    "seed",
+                    "full_cycles",
+                ];
+                let ints: Vec<(String, u64)> = (0..rng.below(4))
+                    .map(|_| (keys[rng.range(0..keys.len())].to_string(), rng.below(1000)))
+                    .collect();
+                let workloads: Vec<String> = (0..rng.below(3))
+                    .map(|_| names[rng.range(0..names.len())].to_string())
+                    .collect();
+                tune_line(
+                    ["smoke", "paper", "other"].get(rng.range(0..4)).copied(),
+                    &workloads,
+                    rng.chance(0.5).then(|| rng.unit_f64() * 200.0 - 50.0),
+                    &ints,
+                )
+            }
+            _ => ["PING", "METRICS", "SHUTDOWN"][rng.range(0..3)].to_string(),
+        }
+    }
+
+    /// One random edit: truncation, a replaced or inserted character, a
+    /// 20-digit integer in place of a digit, or a splice of `line`'s
+    /// prefix onto `other`'s suffix.
+    fn mutate(line: &str, other: &str, rng: &mut Xoshiro256) -> String {
+        const CHARS: &[u8] = b"{}[]\":,\\-.0123456789eE";
+        let mut chars: Vec<char> = line.chars().collect();
+        let at = rng.range(0..chars.len() + 1);
+        let c = char::from(CHARS[rng.range(0..CHARS.len())]);
+        match rng.below(5) {
+            0 => chars.truncate(at),
+            1 if at < chars.len() => chars[at] = c,
+            1 | 2 => chars.insert(at, c),
+            3 => {
+                let digit = chars.iter().skip(at).position(char::is_ascii_digit);
+                let at = digit.map_or(at, |d| at + d);
+                if at < chars.len() {
+                    chars.remove(at);
+                }
+                chars.splice(at..at, twenty_digits(rng).chars());
+            }
+            _ => {
+                let from = rng.range(0..other.chars().count() + 1);
+                chars.truncate(at);
+                chars.extend(other.chars().skip(from));
+            }
+        }
+        chars.into_iter().collect()
+    }
+
+    /// The parser's contract on hostile lines: a request or a refusal that
+    /// says what is wrong, never a panic.
+    #[test]
+    fn parse_request_never_panics() {
+        let fields = gpu_config_fields();
+        assert!(fields.len() > 15 && fields.iter().any(|f| f == "max_core_cycles"));
+        cases("parse_request_never_panics", 2048, |rng| {
+            let mut line = seed_line(rng, &fields);
+            if rng.chance(0.3) {
+                // A known key with an arbitrary integer, spelled as text so
+                // values past u64::MAX reach the parser.
+                let key = OVERRIDE_KEYS[rng.range(0..OVERRIDE_KEYS.len())];
+                let value = if rng.chance(0.5) {
+                    twenty_digits(rng)
+                } else {
+                    rng.next_u64().to_string()
+                };
+                line =
+                    format!("{{\"workload\":\"mm\",\"config_overrides\":{{\"{key}\":{value}}}}}");
+            }
+            for _ in 0..rng.below(4) {
+                let other = seed_line(rng, &fields);
+                line = mutate(&line, &other, rng);
+            }
+            if let Err(reason) = parse_request(&line) {
+                assert!(!reason.is_empty(), "empty refusal for {line:?}");
+            }
+        });
     }
 }

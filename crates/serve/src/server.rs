@@ -20,9 +20,11 @@
 //! unboundedly: the paper's thesis (bounded queues + back-pressure decide
 //! sustained throughput) applied to the service layer.
 //!
-//! Wall-clock time (`Instant`) is used here deliberately — job timeouts and
-//! service latency are *operational* time, not model time; `lint.toml`
-//! carries the reasoned R1 exception for this file.
+//! Wall-clock time (`Instant`), locks and channels are used here
+//! deliberately — job timeouts and service latency are *operational* time,
+//! not model time, and the shared state decides which jobs run, never how
+//! one simulates. `clippy.toml` bans all three in model crates; each use
+//! below carries an `#[expect]` giving its reason.
 
 use crate::metrics::{render_build_info, render_histograms, Gauges, Metrics};
 use crate::protocol::{parse_request, JobRequest, Reply, Request, MAX_LINE_BYTES};
@@ -37,8 +39,8 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Server tunables.
 #[derive(Clone, Debug)]
@@ -82,8 +84,20 @@ enum Work {
 /// One admitted job waiting for a worker.
 struct QueuedJob {
     id: u64,
-    enqueued_at: Instant,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "per-job wall-clock timeout and gmh_sim_wall_ms_total metric are service-layer \
+            time, orthogonal to the simulation clock; results remain a pure function of (config, \
+            seed)"
+    )]
+    enqueued_at: std::time::Instant,
     work: Work,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the per-connection reply channel carries exactly one terminal reply by protocol \
+            (every accepted request gets one reply, then the channel is dropped); occupancy is \
+            bounded at 1 by construction"
+    )]
     reply_tx: mpsc::Sender<Reply>,
 }
 
@@ -130,13 +144,35 @@ struct Shared {
     addr: SocketAddr,
     metrics: Metrics,
     cache: DiskCache,
-    state: Mutex<Admission>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the admission queue and in-flight count are service-layer shared state (which \
+            jobs run, never how a job simulates); each job's GpuSim lives entirely on one worker \
+            thread, so simulation results stay a pure function of (config, seed)"
+    )]
+    state: std::sync::Mutex<Admission>,
     /// Per-level queueing/service histograms merged from the sampled
     /// per-fetch trace of every fresh run (cache hits contribute nothing:
     /// they never simulate).
-    latency: Mutex<BTreeMap<Level, LevelLatency>>,
-    work_ready: Condvar,
-    drained: Condvar,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the METRICS latency histograms are service-layer shared state, merged after \
+            each fresh run and read only by METRICS; no simulation reads them, so results stay a \
+            pure function of (config, seed)"
+    )]
+    latency: std::sync::Mutex<BTreeMap<Level, LevelLatency>>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "work_ready/drained signal service-layer scheduling (worker wake-up, graceful \
+            drain); no model state is shared across the wait"
+    )]
+    work_ready: std::sync::Condvar,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "work_ready/drained signal service-layer scheduling (worker wake-up, graceful \
+            drain); no model state is shared across the wait"
+    )]
+    drained: std::sync::Condvar,
     stop_accept: AtomicBool,
 }
 
@@ -154,11 +190,18 @@ impl ServerHandle {
     /// workers exited). Threads never panic in normal operation; a panic
     /// there is a bug we surface.
     pub fn join(self) {
-        // INVARIANT: server threads catch their own I/O errors; a panic is
-        // a simulator bug and must fail loudly.
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: server threads catch their own I/O errors; a panic is a \
+                simulator bug and must fail loudly."
+        )]
         self.accept.join().expect("accept thread panicked");
         for w in self.workers {
-            // INVARIANT: as above — worker panics are bugs.
+            #[expect(
+                clippy::expect_used,
+                reason = "INVARIANT: a worker panics only on a simulator bug, which must fail \
+                    loudly."
+            )]
             w.join().expect("worker thread panicked");
         }
     }
@@ -179,7 +222,13 @@ pub fn spawn(cfg: ServerConfig) -> io::Result<ServerHandle> {
     let addr = listener.local_addr()?;
     let cache = DiskCache::open(&cfg.cache_dir)?;
     let shared = Arc::new(Shared {
-        state: Mutex::new(Admission {
+        #[expect(
+            clippy::disallowed_types,
+            reason = "the admission queue and in-flight count are service-layer shared state \
+                (which jobs run, never how a job simulates); each job's GpuSim lives entirely on \
+                one worker thread, so simulation results stay a pure function of (config, seed)"
+        )]
+        state: std::sync::Mutex::new(Admission {
             queue: BoundedQueue::new(cfg.queue_capacity.max(1)),
             in_flight: 0,
             draining: false,
@@ -188,9 +237,25 @@ pub fn spawn(cfg: ServerConfig) -> io::Result<ServerHandle> {
         cache,
         addr,
         cfg,
-        latency: Mutex::new(Level::ALL.map(|l| (l, LevelLatency::default())).into()),
-        work_ready: Condvar::new(),
-        drained: Condvar::new(),
+        #[expect(
+            clippy::disallowed_types,
+            reason = "the METRICS latency histograms are service-layer shared state, merged after \
+                each fresh run and read only by METRICS; no simulation reads them, so results \
+                stay a pure function of (config, seed)"
+        )]
+        latency: std::sync::Mutex::new(Level::ALL.map(|l| (l, LevelLatency::default())).into()),
+        #[expect(
+            clippy::disallowed_types,
+            reason = "work_ready/drained signal service-layer scheduling (worker wake-up, \
+                graceful drain); no model state is shared across the wait"
+        )]
+        work_ready: std::sync::Condvar::new(),
+        #[expect(
+            clippy::disallowed_types,
+            reason = "work_ready/drained signal service-layer scheduling (worker wake-up, \
+                graceful drain); no model state is shared across the wait"
+        )]
+        drained: std::sync::Condvar::new(),
         stop_accept: AtomicBool::new(false),
     });
 
@@ -406,10 +471,19 @@ fn submit_tune(shared: &Arc<Shared>, params: Box<TuneParams>) -> Reply {
 /// terminal reply. `kind`/`cache` only feed the structured log
 /// line (refusals and sheds log here; admitted work logs from the worker).
 fn enqueue(shared: &Arc<Shared>, id: u64, kind: &str, cache: &str, work: Work) -> Reply {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the per-connection reply channel carries exactly one terminal reply by protocol \
+            (every accepted request gets one reply, then the channel is dropped); occupancy is \
+            bounded at 1 by construction"
+    )]
     let (reply_tx, reply_rx) = mpsc::channel();
     {
-        // INVARIANT: admission-lock holders never panic, so the mutex is
-        // never poisoned.
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: admission-lock holders never panic, so the mutex is never \
+                poisoned."
+        )]
         let mut st = shared.state.lock().expect("admission lock");
         if st.draining {
             Metrics::inc(&shared.metrics.errored);
@@ -418,7 +492,13 @@ fn enqueue(shared: &Arc<Shared>, id: u64, kind: &str, cache: &str, work: Work) -
         }
         let queued = QueuedJob {
             id,
-            enqueued_at: Instant::now(),
+            #[expect(
+                clippy::disallowed_types,
+                reason = "per-job wall-clock timeout and gmh_sim_wall_ms_total metric are \
+                    service-layer time, orthogonal to the simulation clock; results remain a pure \
+                    function of (config, seed)"
+            )]
+            enqueued_at: std::time::Instant::now(),
             work,
             reply_tx,
         };
@@ -442,20 +522,27 @@ fn enqueue(shared: &Arc<Shared>, id: u64, kind: &str, cache: &str, work: Work) -
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
         let next = {
-            // INVARIANT: admission-lock holders never panic, so the mutex
-            // is never poisoned.
-            let mut st = shared.state.lock().expect("admission lock");
-            loop {
-                if let Some(q) = st.queue.pop() {
-                    st.in_flight += 1;
-                    break Some(q);
-                }
-                if st.draining {
-                    break None;
-                }
-                // INVARIANT: as above — wait() only fails on poisoning.
-                st = shared.work_ready.wait(st).expect("admission lock");
+            #[expect(
+                clippy::expect_used,
+                reason = "INVARIANT: admission-lock holders never panic, so the mutex is never \
+                    poisoned."
+            )]
+            let st = shared.state.lock().expect("admission lock");
+            #[expect(
+                clippy::expect_used,
+                reason = "INVARIANT: wait_while() fails only on a poisoned admission mutex, and \
+                    its holders never panic."
+            )]
+            let mut st = shared
+                .work_ready
+                .wait_while(st, |st| st.queue.is_empty() && !st.draining)
+                .expect("admission lock");
+            // Woken with work queued, or draining with none left.
+            let next = st.queue.pop();
+            if next.is_some() {
+                st.in_flight += 1;
             }
+            next
         };
         let Some(QueuedJob {
             id,
@@ -476,7 +563,11 @@ fn worker_loop(shared: &Arc<Shared>) {
         };
         reply_tx.send(reply).ok(); // client may have disconnected
         {
-            // INVARIANT: see above — the admission mutex is never poisoned.
+            #[expect(
+                clippy::expect_used,
+                reason = "INVARIANT: admission-lock holders never panic, so the mutex is never \
+                    poisoned."
+            )]
             let mut st = shared.state.lock().expect("admission lock");
             st.in_flight -= 1;
             if st.queue.is_empty() && st.in_flight == 0 {
@@ -496,7 +587,18 @@ fn run_budgeted<T: Send + 'static>(
     log: impl Fn(&str, u64),
     f: impl FnOnce() -> T + Send + 'static,
 ) -> Result<T, Reply> {
-    let started = Instant::now();
+    #[expect(
+        clippy::disallowed_types,
+        reason = "per-job wall-clock timeout and gmh_sim_wall_ms_total metric are service-layer \
+            time, orthogonal to the simulation clock; results remain a pure function of (config, \
+            seed)"
+    )]
+    let started = std::time::Instant::now();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the helper's result channel carries exactly one value, the job's result, and is \
+            then dropped; occupancy is bounded at 1 by construction"
+    )]
     let (tx, rx) = mpsc::channel();
     let helper = std::thread::Builder::new()
         .name(format!("gmh-{kind}"))
@@ -531,7 +633,13 @@ fn execute_job(
     id: u64,
     queue_wait_ms: u64,
 ) -> Reply {
-    let started = Instant::now();
+    #[expect(
+        clippy::disallowed_types,
+        reason = "per-job wall-clock timeout and gmh_sim_wall_ms_total metric are service-layer \
+            time, orthogonal to the simulation clock; results remain a pure function of (config, \
+            seed)"
+    )]
+    let started = std::time::Instant::now();
     let mut config = job.config.clone();
     // Every fresh run samples its fetch lifecycles so the METRICS
     // histograms stay live, and self-profiles the host scheduler so the
@@ -598,7 +706,13 @@ fn execute_job(
 /// store the plain job path uses — a warm repeat of a search is pure cache
 /// hits.
 fn execute_tune(shared: &Arc<Shared>, params: TuneParams, id: u64, queue_wait_ms: u64) -> Reply {
-    let started = Instant::now();
+    #[expect(
+        clippy::disallowed_types,
+        reason = "per-job wall-clock timeout and gmh_sim_wall_ms_total metric are service-layer \
+            time, orthogonal to the simulation clock; results remain a pure function of (config, \
+            seed)"
+    )]
+    let started = std::time::Instant::now();
     let log = |outcome: &str, run_ms: u64| {
         eprintln!(
             "{}",
@@ -642,8 +756,11 @@ fn execute_tune(shared: &Arc<Shared>, params: TuneParams, id: u64, queue_wait_ms
 
 impl Shared {
     fn metrics_text(&self) -> String {
-        // INVARIANT: admission-lock holders never panic, so the mutex is
-        // never poisoned.
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: admission-lock holders never panic, so the mutex is never \
+                poisoned."
+        )]
         let st = self.state.lock().expect("admission lock");
         let gauges = Gauges {
             queue_depth: st.queue.len(),
@@ -657,8 +774,11 @@ impl Shared {
             env!("GMH_GIT_SHA"),
         ));
         {
-            // INVARIANT: latency-lock holders never panic, so the mutex is
-            // never poisoned.
+            #[expect(
+                clippy::expect_used,
+                reason = "INVARIANT: latency-lock holders never panic, so the mutex is never \
+                    poisoned."
+            )]
             let latency = self.latency.lock().expect("latency lock");
             text.push_str(&render_histograms(&latency));
         }
@@ -668,8 +788,11 @@ impl Shared {
     /// Folds one finished run's per-level decomposition into the live
     /// histograms behind METRICS.
     fn merge_latency(&self, levels: &BTreeMap<Level, LevelLatency>) {
-        // INVARIANT: latency-lock holders never panic, so the mutex is
-        // never poisoned.
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: latency-lock holders never panic, so the mutex is never \
+                poisoned."
+        )]
         let mut latency = self.latency.lock().expect("latency lock");
         for (level, lat) in levels {
             let agg = latency.entry(*level).or_default();
@@ -683,15 +806,23 @@ impl Shared {
     /// sends the shutdown reply, then calls [`Shared::stop_accepting`].
     fn begin_shutdown(&self) {
         {
-            // INVARIANT: admission-lock holders never panic, so the mutex
-            // is never poisoned.
+            #[expect(
+                clippy::expect_used,
+                reason = "INVARIANT: admission-lock holders never panic, so the mutex is never \
+                    poisoned."
+            )]
             let mut st = self.state.lock().expect("admission lock");
             st.draining = true;
             self.work_ready.notify_all();
-            while !(st.queue.is_empty() && st.in_flight == 0) {
-                // INVARIANT: as above — wait() only fails on poisoning.
-                st = self.drained.wait(st).expect("admission lock");
-            }
+            #[expect(
+                clippy::expect_used,
+                reason = "INVARIANT: wait_while() fails only on a poisoned admission mutex, and \
+                    its holders never panic."
+            )]
+            let _drained = self
+                .drained
+                .wait_while(st, |st| !(st.queue.is_empty() && st.in_flight == 0))
+                .expect("admission lock");
         }
         if let Err(e) = self.cache.flush_index() {
             eprintln!("gmh-serve: cache index flush failed: {e}");

@@ -25,6 +25,12 @@
 //! supplies one per benchmark — so the core is workload-agnostic.
 
 #![forbid(unsafe_code)]
+#![warn(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
 #![warn(missing_docs)]
 
 pub mod core;

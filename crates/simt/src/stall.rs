@@ -10,6 +10,10 @@ pub enum IssueStallKind {
     /// resource contention (LSU full / L1 blocked).
     StrMem,
     /// A dependence-free ALU instruction was blocked by busy ALUs.
+    ///
+    /// Never charged: no ALU structural hazard is modeled (ALU issue
+    /// bandwidth is infinite, `InstKind::Alu` always issues). The variant
+    /// is kept for Fig. 7 report parity with the paper's category set.
     StrAlu,
     /// Every otherwise-issuable warp waits on a pending load.
     DataMem,
@@ -19,19 +23,22 @@ pub enum IssueStallKind {
     Fetch,
 }
 
-/// Stall-cycle counters by kind, plus issued/total cycle accounting.
+/// Stall-cycle counters by kind, plus issued/total cycle accounting. The
+/// cause counters are private: a cycle is charged only through
+/// [`IssueStallCounters::record`] or [`IssueStallCounters::record_n`], one
+/// cause per cycle.
 #[derive(Clone, Debug, Default)]
 pub struct IssueStallCounters {
     /// Structural hazard, memory unit.
-    pub str_mem: Counter,
+    str_mem: Counter,
     /// Structural hazard, arithmetic unit.
-    pub str_alu: Counter,
+    str_alu: Counter,
     /// Data hazard on a pending load.
-    pub data_mem: Counter,
+    data_mem: Counter,
     /// Data hazard on a pending ALU result.
-    pub data_alu: Counter,
+    data_alu: Counter,
     /// Fetch hazard.
-    pub fetch: Counter,
+    fetch: Counter,
     /// Cycles in which an instruction issued.
     pub issued_cycles: Counter,
     /// Cycles with live (unfinished) warps but no classified stall and no
@@ -64,6 +71,17 @@ impl IssueStallCounters {
             Some(IssueStallKind::DataAlu) => self.data_alu.add(n),
             Some(IssueStallKind::Fetch) => self.fetch.add(n),
             None => self.idle.add(n),
+        }
+    }
+
+    /// Stalled cycles charged to `kind`.
+    pub fn get(&self, kind: IssueStallKind) -> u64 {
+        match kind {
+            IssueStallKind::StrMem => self.str_mem.get(),
+            IssueStallKind::StrAlu => self.str_alu.get(),
+            IssueStallKind::DataMem => self.data_mem.get(),
+            IssueStallKind::DataAlu => self.data_alu.get(),
+            IssueStallKind::Fetch => self.fetch.get(),
         }
     }
 
@@ -161,7 +179,7 @@ mod tests {
         b.record(IssueStallKind::StrMem);
         b.issued_cycles.inc();
         a.merge(&b);
-        assert_eq!(a.str_mem.get(), 2);
+        assert_eq!(a.get(IssueStallKind::StrMem), 2);
         assert_eq!(a.issued_cycles.get(), 1);
     }
 }

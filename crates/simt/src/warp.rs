@@ -120,8 +120,11 @@ impl Warp {
         for slot in insts {
             match slot {
                 Some(i) => {
-                    // INVARIANT: fetch refills an empty buffer with at most
-                    // ibuffer_size instructions, so a slot is always free.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "INVARIANT: fetch refills an empty buffer with at most \
+                            ibuffer_size instructions, so a slot is always free."
+                    )]
                     self.ibuffer.push(i).expect("ibuffer overfilled by fetch");
                 }
                 None => {

@@ -33,6 +33,12 @@
 //! reports, with the second performing zero fresh simulations.
 
 #![forbid(unsafe_code)]
+#![warn(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
 #![warn(missing_docs)]
 
 pub mod pareto;

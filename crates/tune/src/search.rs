@@ -116,7 +116,10 @@ impl TuneParams {
         self.workloads
             .iter()
             .map(|name| {
-                // INVARIANT: validate() checked every name against the catalog.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "INVARIANT: validate() checked every name against the catalog."
+                )]
                 let mut wl = catalog::by_name(name).expect("validated workload name");
                 if self.shrink {
                     wl.warps_per_core = wl.warps_per_core.min(4);
@@ -190,8 +193,11 @@ fn geomean(ratios: &[f64]) -> f64 {
 /// Seeded Fisher–Yates shuffle.
 fn shuffle(items: &mut [Genome], rng: &mut Xoshiro256) {
     for i in (1..items.len()).rev() {
-        // INVARIANT: below(i+1) < i+1, which is a valid index and fits
-        // usize because it came from one.
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: below(i+1) < i+1, which is a valid index and fits usize because \
+                it came from one."
+        )]
         let j = usize::try_from(rng.below(i as u64 + 1)).expect("index fits usize");
         items.swap(i, j);
     }
@@ -365,7 +371,10 @@ pub fn run_search(cache: &DiskCache, p: &TuneParams) -> io::Result<TuneOutcome> 
             // A few tries per leader: draw an axis and a direction, keep
             // the first never-seen valid neighbor.
             for _ in 0..2 * N_AXES {
-                // INVARIANT: below(N_AXES) < N_AXES == 7, fits usize.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "INVARIANT: below(N_AXES) < N_AXES == 7, fits usize."
+                )]
                 let axis = usize::try_from(rng.below(N_AXES as u64)).expect("axis fits usize");
                 let up = rng.chance(0.5);
                 if let Some(m) = space.step(g, axis, up) {

@@ -42,7 +42,10 @@ impl Address {
     }
 
     /// Byte offset of this address within its cache line.
-    #[allow(clippy::cast_possible_truncation)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the modulus bounds the value below LINE_SIZE; try_from is not const"
+    )]
     pub const fn line_offset(self) -> u32 {
         // try_from is not const, so this stays a cast.
         // The modulus bounds the value below LINE_SIZE.
@@ -109,7 +112,10 @@ impl LineAddr {
     /// # Panics
     ///
     /// Panics if `n == 0`.
-    #[allow(clippy::cast_possible_truncation)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the modulus bounds the value below n, a usize"
+    )]
     pub fn interleave(self, n: usize) -> usize {
         assert!(n > 0, "cannot interleave across zero targets");
         // The modulus bounds the value below n.

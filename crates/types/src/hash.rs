@@ -6,7 +6,7 @@
 //! rules out `std::hash::Hasher` implementations seeded per process
 //! (`RandomState`). This module provides FNV-1a over explicit byte streams:
 //! small, well-specified, and deterministic by construction, in line with
-//! the R1 determinism invariant (see DESIGN.md §7).
+//! the determinism invariant (see DESIGN.md §7).
 //!
 //! FNV-1a is not cryptographic; it addresses cache entries, it does not
 //! authenticate them. A collision would serve the wrong report for a

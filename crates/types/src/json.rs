@@ -14,9 +14,9 @@
 //! of detouring through `f64` and silently losing precision above 2⁵³.
 //!
 //! [`Json::encode`] is the inverse direction: a compact single-line
-//! serialization used by machine consumers of in-tree tools (gmh-lint's
-//! `--json` findings stream). Object keys encode in `BTreeMap` order, so
-//! output is deterministic (R1) and diff-friendly.
+//! serialization (`gmh-benchmark --check` quotes names with it, and the
+//! parser's round-trip tests lean on it). Object keys encode in `BTreeMap`
+//! order, so output is deterministic and diff-friendly.
 
 use std::collections::BTreeMap;
 
@@ -37,7 +37,7 @@ pub enum Json {
     Str(String),
     /// An array.
     Arr(Vec<Json>),
-    /// An object. `BTreeMap` keeps iteration deterministic (R1).
+    /// An object. `BTreeMap` keeps iteration deterministic.
     Obj(BTreeMap<String, Json>),
 }
 
@@ -405,8 +405,11 @@ impl<'a> Parser<'a> {
                 return Err(self.err("malformed number"));
             }
         }
-        // INVARIANT: start..pos spans only ASCII digit/sign/dot/exponent
-        // bytes, so the slice is valid UTF-8.
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: start..pos spans only ASCII digit/sign/dot/exponent bytes, so \
+                the slice is valid UTF-8."
+        )]
         let lex = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number lexeme");
         Ok(Json::Num(lex.to_string()))
     }

@@ -22,6 +22,12 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
 #![warn(missing_docs)]
 
 pub mod addr;

@@ -42,10 +42,18 @@
 //! raw timed sums are in the report for anything else.
 //!
 //! Timing uses [`Instant`], which is monotonic — spans cannot go negative
-//! under NTP slew. The R1 lint ban on wall-clock in model crates carries an
-//! audited `[[allow]]` for this module: the clock is *read* here but never
-//! *used* by the model.
+//! under NTP slew. Wall-clock types are banned in model crates
+//! (`clippy.toml`'s `disallowed-types`); each use here carries an
+//! `#[expect]` saying why: the clock is *read* here but never *used* by the
+//! model.
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "the opt-in profile_host span profiler measures host wall time per run-loop phase; \
+        spans are observational (read only after run() returns, never fed back into model state), \
+        so results remain a pure function of (config, seed) — pinned by tests/host_prof.rs \
+        byte-identity"
+)]
 use std::time::Instant;
 
 /// One profiled phase of host work. Top-level phases partition the run
@@ -166,6 +174,13 @@ pub const TIMED_STRIDE: u64 = 17;
 /// untimed one an increment per span.
 #[derive(Debug)]
 pub struct HostProfiler {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the opt-in profile_host span profiler measures host wall time per run-loop \
+            phase; spans are observational (read only after run() returns, never fed back into \
+            model state), so results remain a pure function of (config, seed) — pinned by \
+            tests/host_prof.rs byte-identity"
+    )]
     epoch: Instant,
     /// Run-loop iterations announced so far, and whether the current one
     /// is timed.
@@ -180,6 +195,13 @@ pub struct HostProfiler {
     dropped: u64,
 }
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "the opt-in profile_host span profiler measures host wall time per run-loop phase; \
+        spans are observational (read only after run() returns, never fed back into model state), \
+        so results remain a pure function of (config, seed) — pinned by tests/host_prof.rs \
+        byte-identity"
+)]
 impl HostProfiler {
     /// A profiler whose epoch is "now". Spans recorded before the first
     /// [`HostProfiler::begin_iteration`] are timed.
@@ -363,6 +385,10 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
+    #[expect(
+        clippy::disallowed_types,
+        reason = "fabricates span timestamps at fixed offsets from the profiler's epoch"
+    )]
     fn at(epoch: Instant, us: u64) -> Instant {
         epoch + Duration::from_micros(us)
     }

@@ -7,6 +7,14 @@
 //! [`OccupancyHistogram`] reproduces the measurement behind Figs. 4 and 5:
 //! the distribution of occupancy levels over the queue's *usage lifetime*
 //! (cycles during which it holds at least one entry).
+//!
+//! This module is the one home of a raw `VecDeque` in the model crates
+//! (`clippy.toml` bans it everywhere else).
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "the bounded-queue implementation every other buffer goes through"
+)]
 
 use std::collections::VecDeque;
 

@@ -167,7 +167,7 @@ mod tests {
         let mut r = Xoshiro256::seeded(10);
         let mut seen = [false; 8];
         for _ in 0..1000 {
-            #[allow(clippy::cast_possible_truncation)]
+            #[expect(clippy::cast_possible_truncation, reason = "below(8) < 8")]
             let bucket = r.below(8) as usize;
             seen[bucket] = true;
         }

@@ -142,7 +142,10 @@ impl LatencyHistogram {
     }
 
     /// Records one sample.
-    #[allow(clippy::cast_possible_truncation)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "float-to-int `as` saturates, and the index is bounds-checked below"
+    )]
     pub fn push(&mut self, sample: f64) {
         self.count += 1;
         // Float-to-int `as` saturates in Rust, and the index is
@@ -162,7 +165,10 @@ impl LatencyHistogram {
 
     /// The `q`-quantile (`q` in `[0, 1]`), interpolated to bucket bounds;
     /// 0.0 with no samples. Overflow samples report the range maximum.
-    #[allow(clippy::cast_possible_truncation)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "float-to-int `as` saturates, and the target is bounded by count"
+    )]
     pub fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
@@ -305,7 +311,10 @@ impl Histogram {
     /// The `q`-quantile (`q` in `[0, 1]`) as the inclusive upper bound of
     /// the bucket where the cumulative count crosses the target; 0.0 with
     /// no samples.
-    #[allow(clippy::cast_possible_truncation)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "float-to-int `as` saturates, and the target is bounded by count"
+    )]
     pub fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;

@@ -19,8 +19,9 @@
 use crate::clock::Picos;
 use crate::fetch::MemFetch;
 pub use crate::json::{json_escape, json_num};
-// BTreeSet, not HashSet: the simulator must be a pure function of
-// (config, seed), and hash iteration order varies per process (R1).
+// BTreeSet, not HashSet (a disallowed type in model crates): the simulator
+// must be a pure function of (config, seed), and hash iteration order
+// varies per process.
 use std::collections::BTreeSet;
 
 #[derive(Clone, Debug)]

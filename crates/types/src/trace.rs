@@ -45,7 +45,8 @@ use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// A level of the memory hierarchy a traced fetch passes through.
-// Ord so levels can key BTreeMaps and export in a stable order (R1).
+// Ord so levels can key BTreeMaps and export in a stable order (HashMap is a
+// disallowed type in model crates, see clippy.toml).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Level {
     /// The private L1 caches and their miss queues (per core).
@@ -657,7 +658,10 @@ pub fn decomposition_of(events: &[TraceEvent]) -> BTreeMap<Level, LevelLatency> 
         .map(|l| (l, LevelLatency::default()))
         .collect();
     for s in spans_of(events) {
-        // INVARIANT: every Level::ALL entry was inserted above.
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: every Level::ALL entry was inserted above."
+        )]
         let l = levels.get_mut(&s.level).expect("level pre-inserted");
         let dur = s.end_ps.saturating_sub(s.start_ps).as_u64();
         if s.is_queue {

@@ -313,7 +313,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::assertions_on_constants)]
+    #[expect(
+        clippy::assertions_on_constants,
+        reason = "the region layout is a set of constants; the test pins it"
+    )]
     fn regions_do_not_overlap() {
         // Largest possible indices of each region stay below the next base.
         let max_stream = STREAM_BASE + (15 * 48) as u64 * STREAM_REGION;

@@ -1,7 +1,8 @@
 //! Determinism regression: a run is a pure function of (config, seed).
 //!
-//! This is the property the R1 lint rule (no HashMap/HashSet, no wall
-//! clock, no unseeded RNG in model crates) exists to protect: hash
+//! This is the property `clippy.toml`'s `disallowed-types` (no
+//! HashMap/HashSet, no wall clock, no locks in model crates) exists to
+//! protect: hash
 //! iteration order varies per process, so a single HashMap on a hot path
 //! silently breaks replay. Two identically-configured runs must produce
 //! byte-identical exported JSON — stats, stall fractions, audit counts
