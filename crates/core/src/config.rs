@@ -158,6 +158,22 @@ impl GpuConfig {
                 ));
             }
         }
+        if !(1..=gmh_simt::MAX_WARPS).contains(&self.core.max_warps) {
+            return Err(format!(
+                "core.max_warps = {}: a core holds 1 to {} warps",
+                self.core.max_warps,
+                gmh_simt::MAX_WARPS
+            ));
+        }
+        for (field, slots) in [
+            ("core.mem_pipeline_width", self.core.mem_pipeline_width),
+            ("core.ibuffer_size", self.core.ibuffer_size),
+            ("core.response_fifo", self.core.response_fifo),
+        ] {
+            if slots == 0 {
+                return Err(format!("{field} = 0: the queue needs at least one slot"));
+            }
+        }
         if self.dram.n_channels != self.n_channels {
             return Err("dram.n_channels must match n_channels".into());
         }
@@ -537,6 +553,34 @@ mod tests {
             err.contains("n_l2_banks = 66") && err.contains("64 ports"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn validation_rejects_core_shapes_the_core_cannot_build() {
+        type Set = fn(&mut CoreConfig, usize);
+        let table: [(&str, Set, usize, usize); 5] = [
+            ("core.max_warps = 0", |c, v| c.max_warps = v, 0, 1),
+            ("core.max_warps = 65", |c, v| c.max_warps = v, 65, 64),
+            (
+                "core.mem_pipeline_width = 0",
+                |c, v| c.mem_pipeline_width = v,
+                0,
+                1,
+            ),
+            ("core.ibuffer_size = 0", |c, v| c.ibuffer_size = v, 0, 1),
+            ("core.response_fifo = 0", |c, v| c.response_fifo = v, 0, 1),
+        ];
+        for (want, set, bad, edge) in table {
+            let mut c = GpuConfig::gtx480_baseline();
+            set(&mut c.core, edge);
+            assert!(
+                c.validate().is_ok(),
+                "{want}: the edge value {edge} is valid"
+            );
+            set(&mut c.core, bad);
+            let err = c.validate().expect_err(want);
+            assert!(err.contains(want), "{err}");
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::sched::{Class, Sched, NEVER};
 use gmh_dram::DramChannel;
 use gmh_icnt::Network;
 use gmh_simt::SimtCore;
-use gmh_types::{Component, EventBound, Picos, Tick};
+use gmh_types::{set_bits, Component, EventBound, Picos, Tick};
 
 /// Slot of the request (core → L2) network in [`Machine::nets`].
 pub(crate) const REQ: usize = 0;
@@ -31,7 +31,7 @@ pub(crate) struct Machine<Co = SimtCore, Ba = L2Bank, Ch = DramChannel, Ne = Net
     /// Crossbar networks at [`REQ`] and [`REP`] (they switch
     /// independently; the run loop serializes all inject/eject).
     pub nets: [Ne; 2],
-    /// Event scheduler: awake flags, wake instants and the lazy
+    /// Event scheduler: awake words, wake instants and the lazy
     /// skipped-cycle ledger for the components above.
     pub sched: Sched,
 }
@@ -66,7 +66,7 @@ impl<Co: Component, Ba: Component, Ch: Component, Ne: Component> Machine<Co, Ba,
     /// fires at its wake instant, so the sweep running later this instant
     /// executes the final tick). Returns how many woke.
     ///
-    /// One walk of the wake column in id order wakes the due components
+    /// One walk of the queued slots in id order wakes the due components
     /// and finds the earliest wake left, so no cleared wake rescans the
     /// column. Every wake is a future tick of its own domain and no jump
     /// passes the earliest one, so all due wakes fall at `now_ps`: id order
@@ -74,9 +74,9 @@ impl<Co: Component, Ba: Component, Ch: Component, Ne: Component> Machine<Co, Ba,
     pub fn drain_wakes(&mut self, now_ps: Picos) -> u64 {
         let (mut woke, mut next) = (0, NEVER);
         for class in Class::ALL {
-            for slot in 0..self.sched.live[class.idx()] {
-                let id = self.sched.id(class, slot);
-                let at = self.sched.wake_at(id);
+            // A wake touches only its own slot, so the snapshot stays exact.
+            for slot in set_bits(self.sched.queued(class)) {
+                let at = self.sched.wake_at(class, slot);
                 if at > now_ps {
                     next = next.min(at);
                     continue;
@@ -85,7 +85,7 @@ impl<Co: Component, Ba: Component, Ch: Component, Ne: Component> Machine<Co, Ba,
                     now_ps.is_multiple_of(self.sched.clock[class.idx()].period_ps()),
                     "a wake instant must be a tick instant of its own domain"
                 );
-                self.sched.take(id);
+                self.sched.take(class, slot);
                 self.wake(class, slot);
                 woke += 1;
             }
@@ -118,42 +118,45 @@ impl<Co: Component, Ba: Component, Ch: Component, Ne: Component> Machine<Co, Ba,
 fn sweep<C: Component>(sched: &mut Sched, class: Class, comps: &mut [C], cx: &mut Tick<'_>) {
     let k = class.idx();
     sched.swept[k] = cx.cyc;
-    if sched.awake_n[k] == 0 {
+    // Only a component's own tick parks it, so the snapshot stays exact.
+    let awake = sched.awake[k];
+    if awake == 0 {
         return;
     }
-    for (c, id) in comps.iter_mut().zip(sched.id(class, 0)..) {
-        if !sched.awake[id] {
-            continue;
-        }
+    sched.stir(class);
+    for slot in set_bits(awake) {
+        let c = &mut comps[slot];
         if c.tick(cx) || !sched.enabled {
             continue;
         }
         if let EventBound::QuietUntil { bound } = c.next_event_bound() {
-            debug_assert!(sched.wake_at(id) == NEVER, "awake component still queued");
+            debug_assert!(
+                sched.wake_at(class, slot) == NEVER,
+                "awake component still queued"
+            );
+            let id = sched.id(class, slot);
             sched.done[id] = cx.cyc;
-            sched.awake[id] = false;
-            sched.awake_n[k] -= 1;
+            sched.awake[k] &= !(1 << slot);
             if let Some(b) = bound {
-                sched.schedule(id, sched.clock[k].tick_instant(b));
+                sched.schedule(class, slot, sched.clock[k].tick_instant(b));
             }
         }
     }
 }
 
-/// Flush → wake: raises a sleeper's flag (cancelling its scheduled wake) and
+/// Flush → wake: raises a sleeper's bit (cancelling its scheduled wake) and
 /// replays its owed quiet ticks — through the last tick its class's sweep
 /// completed — through its bulk skip hook while its state is still the
 /// frozen quiet state the hook's `debug_assert` demands; only then may the
 /// caller mutate it. No-op on an awake component.
 fn wake<C: Component>(sched: &mut Sched, class: Class, comps: &mut [C], slot: usize) {
-    let id = sched.id(class, slot);
-    if sched.awake[id] {
+    if sched.is_awake(class, slot) {
         return;
     }
-    sched.cancel(id);
-    sched.awake[id] = true;
-    sched.awake_n[class.idx()] += 1;
-    let owed = sched.swept[class.idx()] - sched.done[id];
+    sched.cancel(class, slot);
+    sched.awake[class.idx()] |= 1 << slot;
+    sched.stir(class);
+    let owed = sched.swept[class.idx()] - sched.done[sched.id(class, slot)];
     if owed > 0 {
         comps[slot].skip_cycles(owed);
     }
@@ -238,9 +241,13 @@ mod tests {
         // bank's tick 5 fires at (5 - 1) * 20 ps; the core waits for input.
         let id = m.sched.id(Class::Bank, 0);
         assert_eq!((&m.banks[0].ticks, m.banks[0].probes.get()), (&vec![1], 1));
-        let wakes = (0..5).map(|id| m.sched.wake_at(id)).collect::<Vec<_>>();
+        let slots = [(Class::Core, 0), (Class::Bank, 0), (Class::Chan, 0)];
+        let slots = slots.into_iter().chain([(Class::Net, 0), (Class::Net, 1)]);
+        let wakes = slots
+            .map(|(c, s)| m.sched.wake_at(c, s))
+            .collect::<Vec<_>>();
         assert_eq!(
-            (m.sched.awake_n, wakes),
+            (m.sched.awake, wakes),
             (
                 [0; 4],
                 vec![NEVER, Picos(80), Picos(120), Picos(80), Picos(80)]
@@ -251,7 +258,7 @@ mod tests {
         m.sched.swept = [4; 4];
         m.wake(Class::Bank, 0);
         assert_eq!((m.banks[0].skipped, m.sched.done[id]), (3, 1));
-        assert!(m.sched.awake[id] && m.sched.wake_at(id) == NEVER);
+        assert!(m.sched.is_awake(Class::Bank, 0) && m.sched.wake_at(Class::Bank, 0) == NEVER);
         // The nets still wake at 80 ps.
         assert_eq!(m.sched.next_wake, Picos(80));
         // Waking the awake is a no-op.
@@ -268,7 +275,7 @@ mod tests {
         assert_eq!(m.drain_wakes(Picos(39)), 0);
         // At 40 ps the core domain fires tick 5: ticks 2..=4 are owed.
         assert_eq!(m.drain_wakes(Picos(40)), 1);
-        assert_eq!((m.cores[0].skipped, m.sched.awake_n), (3, [1, 0, 0, 0]));
+        assert_eq!((m.cores[0].skipped, m.sched.awake), (3, [1, 0, 0, 0]));
     }
 
     #[test]
@@ -277,7 +284,7 @@ mod tests {
         m.channels[0].active = true;
         sweeps(&mut m, 1);
         assert_eq!(m.channels[0].probes.get(), 0);
-        assert_eq!(m.sched.awake_n, [0, 0, 1, 0]);
+        assert_eq!(m.sched.awake, [0, 0, 1, 0]);
     }
 
     #[test]
@@ -288,7 +295,7 @@ mod tests {
         for f in m.cores.iter().chain(beyond_cores(&m)) {
             assert_eq!((&f.ticks, f.probes.get()), (&vec![1, 2], 0));
         }
-        assert_eq!(m.sched.awake_n, [1, 1, 1, 2]);
+        assert_eq!(m.sched.awake, [1, 1, 1, 0b11]);
     }
 
     #[test]

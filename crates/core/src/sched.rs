@@ -1,28 +1,32 @@
 //! Event-scheduler state for the event-driven run loop.
 //!
-//! The [`crate::machine::Machine`] carries one [`Sched`]: awake flags, a
-//! column of scheduled wake instants (one per component id, [`NEVER`] for
-//! none) with its earliest entry `next_wake`, and the lazy own-domain cycle
+//! The [`crate::machine::Machine`] carries one [`Sched`]: an awake word per
+//! class, a column of scheduled wake instants (one per component id,
+//! [`NEVER`] for none) with its earliest entry `next_wake` and a queued word
+//! per class marking the slots that hold one, and the lazy own-domain cycle
 //! ledger (`done`) that lets a sleeping component absorb its skipped ticks
 //! in one bulk [`gmh_types::Component::skip_cycles`] call at wake time.
-//! Everything per class is an array indexed by [`Class::idx`].
+//! Everything per class is an array indexed by [`Class::idx`]; a class has
+//! at most 64 components (cores and banks are crossbar ports, capped by
+//! [`gmh_icnt::MAX_PORTS`]; channels divide banks; there are two
+//! networks), so bit `slot` of a class's word is its component `slot`.
 //!
-//! ## Awake-flag lifecycle
+//! ## Awake-bit lifecycle
 //!
 //! Components are born awake (for the classes the memory model exercises)
 //! and stay awake while their probe answers `Busy` — a busy component
 //! never touches the wake column, so the saturated path pays nothing for
-//! it. A quiet probe parks the component: flag down, and a bounded wake
+//! it. A quiet probe parks the component: bit down, and a bounded wake
 //! scheduled at the wall-clock instant its own domain fires tick `bound`
-//! ([`gmh_types::ClockDomain::tick_instant`]), or no wake at all when the component can
-//! only be woken by external input. Wakes are consumed either by the run
-//! loop's drain at the instant `next_wake` arrives or by a cross-component
-//! activation, and both flush the owed quiet cycles *before* the first
-//! mutation so every component skip hook observes the frozen quiet state
-//! its own `debug_assert` demands. [`crate::machine`] holds the two
-//! functions that move a component through this lifecycle.
+//! ([`gmh_types::ClockDomain::tick_instant`]), or no wake at all when the
+//! component can only be woken by external input. Wakes are consumed either
+//! by the run loop's drain at the instant `next_wake` arrives or by a
+//! cross-component activation, and both flush the owed quiet cycles
+//! *before* the first mutation so every component skip hook observes the
+//! frozen quiet state its own `debug_assert` demands. [`crate::machine`]
+//! holds the two functions that move a component through this lifecycle.
 
-use gmh_types::{ClockDomain, Picos};
+use gmh_types::{set_bits, ClockDomain, Picos};
 
 /// The wake instant of a component with no scheduled wake.
 pub(crate) const NEVER: Picos = Picos::MAX;
@@ -61,14 +65,19 @@ pub(crate) struct Sched {
     wake: Vec<Picos>,
     /// The earliest entry of `wake`: [`NEVER`] when no wake is scheduled.
     pub next_wake: Picos,
-    /// Awake flag per component id.
-    pub awake: Vec<bool>,
+    /// Per class, bit `slot` set while that component is awake: the
+    /// all-asleep check is four word compares.
+    pub awake: [u64; 4],
+    /// Per class, bit `slot` set while that component's `wake` entry is not
+    /// [`NEVER`]: a drain or a rescan walks only these.
+    queued: [u64; 4],
+    /// Per class, whether a component was swept or woken since the last
+    /// [`Sched::stirred_since_sample`]: a class with no component awake
+    /// and this flag down is frozen, its queues and counters as sampled.
+    stirred: [bool; 4],
     /// Own-domain tick a sleeping component last really ticked on, stamped
     /// as it parks. `swept[class] - done` is the flush debt at wake time.
     pub done: Vec<u64>,
-    /// Awake components per class, kept in lock-step with `awake` so the
-    /// all-asleep check is O(1), not O(components).
-    pub awake_n: [usize; 4],
     /// Components per class the memory model ticks: classes it never ticks
     /// count 0 here, are born parked and are never swept, woken or flushed,
     /// exactly like the naive loop never touching them.
@@ -87,25 +96,34 @@ pub(crate) struct Sched {
 impl Sched {
     /// Builds the scheduler from per-class component counts, whether the
     /// memory model ticks the class, and clock domains.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a class has more than 64 components.
     pub fn new(
         enabled: bool,
         counts: [usize; 4],
         ticked: [bool; 4],
         clock: [ClockDomain; 4],
     ) -> Self {
-        let (mut offset, mut awake) = ([0; 4], Vec::new());
-        for c in 0..4 {
-            offset[c] = awake.len();
-            awake.resize(awake.len() + counts[c], ticked[c]);
+        assert!(
+            counts.iter().all(|&n| n <= 64),
+            "a class holds at most 64 components: {counts:?}"
+        );
+        let mut offset = [0; 4];
+        for c in 1..4 {
+            offset[c] = offset[c - 1] + counts[c - 1];
         }
+        let n = offset[3] + counts[3];
         let live = [0, 1, 2, 3].map(|c| if ticked[c] { counts[c] } else { 0 });
         Sched {
             enabled,
-            wake: vec![NEVER; awake.len()],
+            wake: vec![NEVER; n],
             next_wake: NEVER,
-            done: vec![0; awake.len()],
-            awake,
-            awake_n: live,
+            awake: live.map(|n| if n == 0 { 0 } else { u64::MAX >> (64 - n) }),
+            queued: [0; 4],
+            stirred: [true; 4],
+            done: vec![0; n],
             live,
             clock,
             swept: [0; 4],
@@ -121,35 +139,79 @@ impl Sched {
     /// Whether `class`'s component `slot` is awake. Always true in naive
     /// mode (of a ticked class), so run-loop steps gated on it degrade to
     /// ungated sweeps.
+    #[inline]
     pub fn is_awake(&self, class: Class, slot: usize) -> bool {
-        self.awake[self.id(class, slot)]
+        self.awake[class.idx()] >> slot & 1 != 0
     }
 
-    /// Component `id`'s scheduled wake instant, [`NEVER`] for none.
-    pub fn wake_at(&self, id: usize) -> Picos {
-        self.wake[id]
+    /// The slots of `class` with a scheduled wake, as a bit word.
+    pub fn queued(&self, class: Class) -> u64 {
+        self.queued[class.idx()]
     }
 
-    /// Schedules component `id`, which has no wake, to wake at `at`.
-    pub fn schedule(&mut self, id: usize, at: Picos) {
+    /// `class`'s component `slot`'s scheduled wake instant, [`NEVER`] for
+    /// none.
+    pub fn wake_at(&self, class: Class, slot: usize) -> Picos {
+        self.wake[self.id(class, slot)]
+    }
+
+    /// Schedules `class`'s component `slot`, which has no wake, to wake at
+    /// `at`.
+    pub fn schedule(&mut self, class: Class, slot: usize, at: Picos) {
+        let id = self.id(class, slot);
         self.wake[id] = at;
+        self.queued[class.idx()] |= 1 << slot;
         self.next_wake = self.next_wake.min(at);
     }
 
-    /// Clears component `id`'s wake, if it has one. Clearing the earliest
-    /// rescans the column for the next one.
-    pub fn cancel(&mut self, id: usize) {
-        let at = std::mem::replace(&mut self.wake[id], NEVER);
-        if at != NEVER && at == self.next_wake {
-            self.next_wake = self.wake.iter().copied().min().unwrap_or(NEVER);
+    /// Clears `class`'s component `slot`'s wake, if it has one. Clearing
+    /// the earliest rescans the queued slots for the next one.
+    pub fn cancel(&mut self, class: Class, slot: usize) {
+        let at = self.wake_at(class, slot);
+        if at == NEVER {
+            return;
+        }
+        self.take(class, slot);
+        if at == self.next_wake {
+            self.next_wake = self.earliest();
         }
     }
 
-    /// Clears component `id`'s wake without looking for the next one. Only
-    /// a drain does this: it finds the earliest wake left as it walks the
-    /// column, and stores it in `next_wake` once it has taken every due one.
-    pub fn take(&mut self, id: usize) {
+    /// Clears `class`'s component `slot`'s wake without looking for the
+    /// next one. Only a drain does this: it finds the earliest wake left
+    /// as it walks the queued slots, and stores it in `next_wake` once it
+    /// has taken every due one.
+    pub fn take(&mut self, class: Class, slot: usize) {
+        let id = self.id(class, slot);
         self.wake[id] = NEVER;
+        self.queued[class.idx()] &= !(1 << slot);
+    }
+
+    /// The earliest scheduled wake, [`NEVER`] for none.
+    fn earliest(&self) -> Picos {
+        let mut t = NEVER;
+        for class in Class::ALL {
+            for slot in set_bits(self.queued(class)) {
+                t = t.min(self.wake_at(class, slot));
+            }
+        }
+        t
+    }
+
+    /// Records that `class` moved: a component of it was swept or woken.
+    #[inline]
+    pub fn stir(&mut self, class: Class) {
+        self.stirred[class.idx()] = true;
+    }
+
+    /// Whether `class`'s queues and counters may differ from the last time
+    /// this answered: a component is awake now, or one was swept or woken
+    /// since. Clears the flag. (A parked component's state is frozen; an
+    /// awake one may have been mutated by a run-loop hand-off after its
+    /// sweep, so awake counts whether or not its sweep ran.)
+    pub fn stirred_since_sample(&mut self, class: Class) -> bool {
+        let k = class.idx();
+        std::mem::take(&mut self.stirred[k]) || self.awake[k] != 0
     }
 }
 
@@ -175,7 +237,7 @@ mod tests {
         for (class, slot, id) in [(Core, 2, 2), (Bank, 0, 3), (Chan, 1, 6), (Net, 0, 7)] {
             assert_eq!(s.id(class, slot), id);
         }
-        assert_eq!(s.awake_n, [3, 2, 2, 1]);
+        assert_eq!(s.awake, [0b111, 0b11, 0b11, 0b1]);
         let s = Sched::new(true, [1, 0, 1, 0], [true; 4], one_ps());
         assert_eq!(s.id(Chan, 0), 1);
     }
@@ -184,9 +246,30 @@ mod tests {
     fn non_participating_classes_are_born_parked() {
         // An ideal-memory model: banks, channels and nets never tick.
         let s = Sched::new(true, [2, 2, 1, 2], [true, false, false, false], one_ps());
-        assert_eq!((s.awake_n, s.live), ([2, 0, 0, 0], [2, 0, 0, 0]));
-        assert_eq!(s.awake, [true, true, false, false, false, false, false]);
+        assert_eq!((s.awake, s.live), ([0b11, 0, 0, 0], [2, 0, 0, 0]));
         assert!(s.is_awake(Class::Core, 1) && !s.is_awake(Class::Net, 1));
+        // A full class of 64 is one full word.
+        let s = Sched::new(true, [64, 64, 8, 2], [true; 4], one_ps());
+        assert_eq!(s.awake, [u64::MAX, u64::MAX, 0xff, 0b11]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 components")]
+    fn a_class_of_65_is_refused() {
+        let _ = Sched::new(true, [65, 1, 1, 2], [true; 4], one_ps());
+    }
+
+    #[test]
+    fn a_class_is_stirred_while_awake_and_once_after_a_move() {
+        let mut s = Sched::new(true, [2, 1, 1, 2], [true; 4], one_ps());
+        // Born stirred, so the first sample reads everything.
+        assert!(Class::ALL.iter().all(|&c| s.stirred_since_sample(c)));
+        s.awake[Class::Bank.idx()] = 0;
+        assert!(!s.stirred_since_sample(Class::Bank), "parked, unmoved");
+        assert!(s.stirred_since_sample(Class::Core), "awake now");
+        s.stir(Class::Bank);
+        assert!(s.stirred_since_sample(Class::Bank), "moved since");
+        assert!(!s.stirred_since_sample(Class::Bank), "the flag clears");
     }
 
     /// Appends its own id to a shared log when a wake flushes it.
@@ -209,6 +292,24 @@ mod tests {
 
     fn column_min(s: &Sched) -> Picos {
         s.wake.iter().copied().min().unwrap_or(NEVER)
+    }
+
+    /// The `(class, slot)` of component `id`.
+    fn slot_of(s: &Sched, id: usize) -> (Class, usize) {
+        let class = *Class::ALL
+            .iter()
+            .rev()
+            .find(|c| s.offset[c.idx()] <= id)
+            .expect("id 0 is in the first class");
+        (class, id - s.offset[class.idx()])
+    }
+
+    /// The queued words hold exactly the slots whose column entry is set.
+    fn queued_matches_column(s: &Sched) -> bool {
+        (0..s.wake.len()).all(|id| {
+            let (c, slot) = slot_of(s, id);
+            (s.queued(c) >> slot & 1 != 0) == (s.wake[id] != NEVER)
+        })
     }
 
     #[test]
@@ -240,28 +341,33 @@ mod tests {
                 };
                 // Everyone parked, each owing one tick, so every wake logs.
                 let s = &mut m.sched;
-                s.awake.fill(false);
-                s.awake_n = [0; 4];
+                s.awake = [0; 4];
                 s.swept = [1; 4];
                 for step in 0..40 {
-                    let id = rng.range(0..n);
-                    if s.wake_at(id) == NEVER && rng.chance(0.7) {
-                        s.schedule(id, Picos(rng.below(1_000)));
+                    let (c, slot) = slot_of(s, rng.range(0..n));
+                    if s.wake_at(c, slot) == NEVER && rng.chance(0.7) {
+                        s.schedule(c, slot, Picos(rng.below(1_000)));
                     } else {
-                        s.cancel(id);
+                        s.cancel(c, slot);
                     }
                     assert_eq!(s.next_wake, column_min(s), "{n} ids, step {step}");
+                    assert!(queued_matches_column(s), "{n} ids, step {step}");
                 }
                 let now = s.next_wake;
                 if now == NEVER {
                     return;
                 }
-                let due: Vec<usize> = (0..n).filter(|&id| s.wake_at(id) <= now).collect();
+                let due: Vec<usize> = (0..n).filter(|&id| s.wake[id] <= now).collect();
                 assert_eq!(m.drain_wakes(now), due.len() as u64, "drain at {now}");
                 assert_eq!(*log.borrow(), due, "drain at {now}");
-                assert!(due.iter().all(|&id| m.sched.awake[id]));
-                assert!(m.sched.next_wake > now);
-                assert_eq!(m.sched.next_wake, column_min(&m.sched));
+                let s = &m.sched;
+                assert!(due.iter().all(|&id| {
+                    let (c, slot) = slot_of(s, id);
+                    s.is_awake(c, slot)
+                }));
+                assert!(s.next_wake > now);
+                assert_eq!(s.next_wake, column_min(s));
+                assert!(queued_matches_column(s));
             },
         );
     }

@@ -12,7 +12,8 @@ use gmh_simt::SimtCore;
 use gmh_types::prof::{HostPhase, HostProfiler, HostReport};
 use gmh_types::trace::{Level, TraceEventKind, TraceSink};
 use gmh_types::{
-    stable_hash_str, ClockDomains, DomainId, FetchAudit, MemFetch, Picos, Telemetry, Tick, TickSet,
+    set_bits, stable_hash_str, ClockDomains, DomainId, FetchAudit, MemFetch, Picos, Telemetry,
+    Tick, TickSet,
 };
 use gmh_workloads::WorkloadSpec;
 
@@ -123,6 +124,10 @@ pub struct GpuSim {
     prev_rep_flits: u64,
     /// Last-sampled L2 stall totals (bp-ICNT, port, cache, MSHR, bp-DRAM).
     prev_l2_stalls: [u64; 5],
+    /// Last-sampled L2 access, miss and response queue totals.
+    prev_l2_queues: [usize; 3],
+    /// Last-sampled DRAM scheduler and response queue totals.
+    prev_dram_queues: [usize; 2],
     /// Per-core blocked flags reused by [`GpuSim::deliver_ideal`] every core
     /// cycle (hoisted out of the hot loop so it allocates nothing).
     ideal_blocked: Vec<bool>,
@@ -244,6 +249,8 @@ impl GpuSim {
             prev_req_flits: 0,
             prev_rep_flits: 0,
             prev_l2_stalls: [0; 5],
+            prev_l2_queues: [0; 3],
+            prev_dram_queues: [0; 2],
             ideal_blocked: vec![false; cfg.n_cores],
             ideal_scratch: IdealFifo::new(),
             ff_stats: FastForwardStats::default(),
@@ -454,7 +461,7 @@ impl GpuSim {
         // Only an all-asleep machine jumps, and a drained one must step
         // naively to its next 64-cycle done() poll so the recorded
         // termination cycle is unchanged.
-        if self.m.sched.awake_n.iter().any(|&n| n > 0) || self.done() {
+        if self.m.sched.awake != [0; 4] || self.done() {
             return false;
         }
         let h0 = self.host_span_begin();
@@ -540,9 +547,27 @@ impl GpuSim {
     /// by the per-cycle path and the fast-forward bulk replay — during a
     /// quiescent window every one of these values is frozen, so computing
     /// them once and repeating the sample is exact.
+    ///
+    /// The sums read only what can have moved. A parked core's miss queues
+    /// and response FIFO are empty (its probe's precondition), so the
+    /// awake cores hold every entry. A bank or channel class with no
+    /// component awake and none swept or woken since the last sample is
+    /// frozen (parked queues and counters change only through a tick or a
+    /// wake), so its last sums stand and its stall deltas are zero.
     fn telemetry_values(&mut self) -> [f64; 19] {
-        let l1_miss: usize = self.m.cores.iter().map(|c| c.miss_queue_len()).sum();
-        let resp_fifo: usize = self.m.cores.iter().map(|c| c.response_fifo_len()).sum();
+        let (mut l1_miss, mut resp_fifo) = (0usize, 0usize);
+        for c in set_bits(self.m.sched.awake[Class::Core.idx()]) {
+            l1_miss += self.m.cores[c].miss_queue_len();
+            resp_fifo += self.m.cores[c].response_fifo_len();
+        }
+        debug_assert_eq!(
+            (l1_miss, resp_fifo),
+            self.m.cores.iter().fold((0, 0), |(m, r), c| (
+                m + c.miss_queue_len(),
+                r + c.response_fifo_len()
+            )),
+            "a parked core holds queued fetches"
+        );
 
         let (req_flits, rep_flits) = (
             self.m.nets[REQ].stats().flits.get(),
@@ -557,34 +582,37 @@ impl GpuSim {
         self.prev_req_flits = req_flits;
         self.prev_rep_flits = rep_flits;
 
-        let mut access_q = 0usize;
-        let mut miss_q = 0usize;
-        let mut resp_q = 0usize;
-        let mut stalls = [0u64; 5];
-        for b in self.m.banks.iter() {
-            access_q += b.access_queue_len();
-            miss_q += b.miss_queue_len();
-            resp_q += b.response_queue_len();
-            let s = b.stalls();
-            stalls[0] += s.get(L2StallKind::BpIcnt);
-            stalls[1] += s.get(L2StallKind::Port);
-            stalls[2] += s.get(L2StallKind::Cache);
-            stalls[3] += s.get(L2StallKind::Mshr);
-            stalls[4] += s.get(L2StallKind::BpDram);
-        }
+        let (l2_queues, stalls) = if self.m.sched.stirred_since_sample(Class::Bank) {
+            bank_sums(&self.m.banks)
+        } else {
+            (self.prev_l2_queues, self.prev_l2_stalls)
+        };
+        debug_assert_eq!(
+            (l2_queues, stalls),
+            bank_sums(&self.m.banks),
+            "an unstirred bank class moved"
+        );
         let mut stall_deltas = [0u64; 5];
         for i in 0..5 {
             stall_deltas[i] = stalls[i] - self.prev_l2_stalls[i];
         }
-        self.prev_l2_stalls = stalls;
+        (self.prev_l2_queues, self.prev_l2_stalls) = (l2_queues, stalls);
 
-        let sched: usize = self.m.channels.iter().map(|c| c.queue_len()).sum();
-        let dresp: usize = self.m.channels.iter().map(|c| c.response_queue_len()).sum();
+        if self.m.sched.stirred_since_sample(Class::Chan) {
+            self.prev_dram_queues = channel_sums(&self.m.channels);
+        }
+        debug_assert_eq!(
+            self.prev_dram_queues,
+            channel_sums(&self.m.channels),
+            "an unstirred channel class moved"
+        );
+        let [sched, dresp] = self.prev_dram_queues;
 
         let ideal: usize = self.ideal_fast.len()
             + self.ideal_slow.len()
             + self.ideal_dram.iter().map(|q| q.len()).sum::<usize>();
 
+        let [access_q, miss_q, resp_q] = l2_queues;
         [
             l1_miss as f64,
             resp_fifo as f64,
@@ -1114,6 +1142,31 @@ impl GpuSim {
         stats.trace = std::mem::replace(&mut self.trace, TraceSink::disabled()).into_data();
         stats
     }
+}
+
+/// The L2 banks' access, miss and response queue totals, and their stall
+/// totals (bp-ICNT, port, cache, MSHR, bp-DRAM).
+fn bank_sums(banks: &[L2Bank]) -> ([usize; 3], [u64; 5]) {
+    let (mut queues, mut stalls) = ([0usize; 3], [0u64; 5]);
+    for b in banks {
+        queues[0] += b.access_queue_len();
+        queues[1] += b.miss_queue_len();
+        queues[2] += b.response_queue_len();
+        let s = b.stalls();
+        stalls[0] += s.get(L2StallKind::BpIcnt);
+        stalls[1] += s.get(L2StallKind::Port);
+        stalls[2] += s.get(L2StallKind::Cache);
+        stalls[3] += s.get(L2StallKind::Mshr);
+        stalls[4] += s.get(L2StallKind::BpDram);
+    }
+    (queues, stalls)
+}
+
+/// The DRAM channels' scheduler and response queue totals.
+fn channel_sums(channels: &[DramChannel]) -> [usize; 2] {
+    channels.iter().fold([0, 0], |[q, r], c| {
+        [q + c.queue_len(), r + c.response_queue_len()]
+    })
 }
 
 #[cfg(test)]

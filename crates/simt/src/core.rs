@@ -10,8 +10,8 @@ use gmh_cache::{
 };
 use gmh_types::trace::{Level, TraceEventKind, TraceSink};
 use gmh_types::{
-    AccessKind, BoundedQueue, Component, Cycle, EventBound, FetchId, LatencyHistogram, LineAddr,
-    MeanAccumulator, MemFetch, Picos, Tick,
+    set_bits, AccessKind, BoundedQueue, Component, Cycle, EventBound, FetchId, LatencyHistogram,
+    LineAddr, MeanAccumulator, MemFetch, Picos, Tick,
 };
 
 /// Line-index base of the kernel code segment. All cores share it (they run
@@ -114,7 +114,8 @@ impl Hazards {
 
     /// Records the first hazard, in issue-check order, holding back `w`'s
     /// head at cycle `now`. Returns `false` only when the warp could issue.
-    #[inline]
+    /// The issue stage decides on [`WarpWords`]; this per-warp check is the
+    /// reference [`SimtCore::issue_verdict_by_scan`] walks.
     fn note(&mut self, w: &Warp, lsu: &LoadStoreUnit, now: Cycle) -> bool {
         if w.finished() {
             return true;
@@ -139,6 +140,64 @@ impl Hazards {
     }
 }
 
+/// What the issue stage decides at one cycle.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum IssueVerdict {
+    /// This warp issues.
+    Issue(usize),
+    /// Nothing issues: the cycle is charged to `kind` (`None` = idle), and
+    /// `wake` is the earliest ALU release among the warps an ALU
+    /// dependence holds (`Cycle::MAX` if none).
+    Stall {
+        /// The stall class charged.
+        kind: Option<IssueStallKind>,
+        /// The earliest ALU release.
+        wake: Cycle,
+    },
+}
+
+/// The warp table as bit words, bit `w` for warp `w` (at most
+/// [`crate::MAX_WARPS`]). [`SimtCore::refresh`] recomputes one warp's bits
+/// after every event that can change them — a refill, an issue, a load
+/// return, a fetch — so an issue scan or an idle probe costs a few word
+/// operations plus one check per warp whose head waits on a clock or a
+/// pipeline slot.
+#[derive(Clone, Debug, Default)]
+struct WarpWords {
+    /// Not finished.
+    live: u64,
+    /// Live with an empty instruction buffer: the warp waits on a fetch.
+    no_head: u64,
+    /// The head reads a load result and loads are pending.
+    mem_dep: u64,
+    /// The head reads an ALU result and is not in `mem_dep`. Whether the
+    /// result is still pending depends on the cycle, so a scan reads the
+    /// warp's `alu_ready_at`.
+    alu_wait: u64,
+    /// The head is a load or a store and is not in `mem_dep`; its access
+    /// count is `accesses[w]`.
+    mem_head: u64,
+    /// Needs an instruction-buffer refill ([`Warp::needs_fetch`]).
+    need_fetch: u64,
+    /// Finished, no pending loads, no outstanding I-miss. Absorbing:
+    /// `finished()` never reverts, and loads and I-misses are only added
+    /// by unfinished warps.
+    drained: u64,
+    /// Memory-pipeline slots each `mem_head` warp's head needs.
+    accesses: Vec<usize>,
+}
+
+/// Sets or clears `bit` in `word`.
+#[inline]
+fn put(word: &mut u64, bit: u64, on: bool) {
+    if on {
+        *word |= bit;
+    } else {
+        *word &= !bit;
+    }
+}
+
 /// One highly-multithreaded SIMT core with private L1 caches.
 ///
 /// The owner (the full-GPU simulator in `gmh-core`) drives it by calling
@@ -149,12 +208,10 @@ pub struct SimtCore {
     id: usize,
     cfg: CoreConfig,
     warps: Vec<Warp>,
-    /// Per-warp "fully drained" flags mirrored by `n_drained`. Drained
-    /// (finished, no pending loads, no outstanding I-miss) is an absorbing
-    /// state: `finished()` can never revert, loads and I-misses are only
-    /// added by unfinished warps. The counter makes [`SimtCore::done`] O(1).
-    drained: Vec<bool>,
-    n_drained: usize,
+    /// The warp table's issue state as bit words.
+    words: WarpWords,
+    /// One bit per warp: what `words.drained` reads when every warp drained.
+    all_warps: u64,
     /// No-issue verdict `(stall, wake)` memoized from the last full issue
     /// scan. Warp eligibility only changes through discrete events — a
     /// response intake, an instruction-buffer refill, an LSU pop, an actual
@@ -164,10 +221,6 @@ pub struct SimtCore {
     /// is exactly what the scan would conclude (bit-identical, just O(1)).
     issue_memo: Option<(Option<IssueStallKind>, Cycle)>,
     issue_dirty: bool,
-    /// Per-warp needs-refill mirror with its population count, so the fetch
-    /// stage skips its round-robin scan while no warp needs a fetch.
-    need_fetch: Vec<bool>,
-    n_need_fetch: usize,
     sched: WarpScheduler,
     lsu: LoadStoreUnit,
     l1d: Cache,
@@ -194,21 +247,32 @@ impl std::fmt::Debug for SimtCore {
 
 impl SimtCore {
     /// Creates core `id` running instructions from `source`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.max_warps` is zero or above [`crate::MAX_WARPS`], or
+    /// a queue capacity is zero (`gmh-core`'s `GpuConfig::validate` refuses
+    /// each of these with a reason).
     pub fn new(id: usize, cfg: CoreConfig, source: Box<dyn InstSource + Send>) -> Self {
+        assert!(
+            (1..=crate::MAX_WARPS).contains(&cfg.max_warps),
+            "a core holds 1 to {} warps (one bit each in a word), not {}",
+            crate::MAX_WARPS,
+            cfg.max_warps
+        );
         let warps: Vec<Warp> = (0..cfg.max_warps)
             .map(|w| Warp::new(w, cfg.ibuffer_size))
             .collect();
         let code_lines = source.code_lines().max(1);
-        let need_fetch: Vec<bool> = warps.iter().map(Warp::needs_fetch).collect();
-        let n_need_fetch = need_fetch.iter().filter(|&&b| b).count();
-        SimtCore {
+        let mut core = SimtCore {
             id,
-            drained: vec![false; cfg.max_warps],
-            n_drained: 0,
+            words: WarpWords {
+                accesses: vec![0; cfg.max_warps],
+                ..WarpWords::default()
+            },
+            all_warps: u64::MAX >> (crate::MAX_WARPS - cfg.max_warps),
             issue_memo: None,
             issue_dirty: true,
-            need_fetch,
-            n_need_fetch,
             warps,
             sched: WarpScheduler::new(cfg.sched_policy, cfg.max_warps),
             lsu: LoadStoreUnit::new(cfg.mem_pipeline_width),
@@ -223,7 +287,11 @@ impl SimtCore {
             now: 0,
             stats: CoreStats::default(),
             cfg,
+        };
+        for wid in 0..core.warps.len() {
+            core.refresh(wid);
         }
+        core
     }
 
     /// The core's id.
@@ -260,10 +328,10 @@ impl SimtCore {
     }
 
     /// Whether every warp has issued its whole stream and all memory
-    /// activity visible to the core has drained. O(1): warps are counted
-    /// into `n_drained` as they drain, and every queue length is cached.
+    /// activity visible to the core has drained. O(1): drained warps are a
+    /// bit word, and every queue length is cached.
     pub fn done(&self) -> bool {
-        let done = self.n_drained == self.warps.len()
+        let done = self.words.drained == self.all_warps
             && self.lsu.is_empty()
             && self.response_fifo.is_empty()
             && self.l1d.miss_queue_len() == 0
@@ -277,45 +345,42 @@ impl SimtCore {
                 && self.response_fifo.is_empty()
                 && self.l1d.miss_queue_len() == 0
                 && self.l1i.miss_queue_len() == 0,
-            "drained-warp counter out of sync with warp state"
+            "drained-warp word out of sync with warp state"
         );
         done
     }
 
-    /// Folds warp `wid`'s state into the drained counter; call after any
-    /// event that could complete the warp's last obligation.
-    fn update_drained(&mut self, wid: usize) {
+    /// Recomputes warp `wid`'s bit in every [`WarpWords`] word; call after
+    /// any event that changes its instruction buffer, pending loads,
+    /// outstanding fetch or stream state.
+    fn refresh(&mut self, wid: usize) {
         let w = &self.warps[wid];
-        let now_drained = w.finished() && !w.has_pending_loads() && !w.fetch_outstanding();
+        let m = &mut self.words;
+        let bit = 1u64 << wid;
+        let drained = w.finished() && !w.has_pending_loads() && !w.fetch_outstanding();
         debug_assert!(
-            now_drained || !self.drained[wid],
+            drained || m.drained & bit == 0,
             "a drained warp came back to life"
         );
-        if now_drained && !self.drained[wid] {
-            self.drained[wid] = true;
-            self.n_drained += 1;
-        }
-    }
-
-    /// Folds warp `wid`'s state into the needs-fetch mirror; call after any
-    /// event that changes its instruction buffer, outstanding-fetch flag or
-    /// stream state.
-    fn update_fetch_need(&mut self, wid: usize) {
-        let need = self.warps[wid].needs_fetch();
-        if need != self.need_fetch[wid] {
-            self.need_fetch[wid] = need;
-            if need {
-                self.n_need_fetch += 1;
-            } else {
-                self.n_need_fetch -= 1;
-            }
-        }
+        put(&mut m.drained, bit, drained);
+        put(&mut m.need_fetch, bit, w.needs_fetch());
+        put(&mut m.live, bit, !w.finished());
+        let head = w.head();
+        // A finished warp has no head, so only live warps set the rest.
+        put(&mut m.no_head, bit, !w.finished() && head.is_none());
+        let mem_dep = head.is_some_and(|h| h.wait_mem) && w.has_pending_loads();
+        put(&mut m.mem_dep, bit, mem_dep);
+        let head = head.filter(|_| !mem_dep);
+        put(&mut m.alu_wait, bit, head.is_some_and(|h| h.wait_alu));
+        let accesses = head.map_or(0, |h| h.kind.accesses());
+        put(&mut m.mem_head, bit, head.is_some_and(|h| h.kind.is_mem()));
+        m.accesses[wid] = accesses;
     }
 
     /// Whether every warp has issued its whole instruction stream (memory
     /// may still be draining).
     pub fn finished_issuing(&self) -> bool {
-        self.warps.iter().all(|w| w.finished())
+        self.words.live == 0
     }
 
     /// Conservative idle probe for the fast-forward scheduler.
@@ -343,7 +408,7 @@ impl SimtCore {
         // A warp that needs a fetch is never finished, and the fetch stage
         // acts on it next cycle.
         if !self.response_fifo.is_empty()
-            || self.n_need_fetch > 0
+            || self.words.need_fetch != 0
             || !self.lsu.is_empty()
             || self.l1d.miss_queue_len() != 0
             || self.l1i.miss_queue_len() != 0
@@ -353,15 +418,105 @@ impl SimtCore {
         // With the LSU empty, a str-MEM hazard means an instruction wider
         // than the whole memory pipeline: the naive loop would record
         // str-MEM forever.
-        let mut hz = Hazards::new();
-        for w in &self.warps {
-            if !hz.note(w, &self.lsu, self.now + 1) {
-                // The warp could issue next cycle.
-                return None;
+        match self.checked_verdict(self.now + 1) {
+            // The warp could issue next cycle.
+            IssueVerdict::Issue(_) => None,
+            IssueVerdict::Stall { kind, wake } => {
+                Some(((wake != Cycle::MAX).then_some(wake), kind))
             }
         }
-        let wake = (hz.wake != Cycle::MAX).then_some(hz.wake);
-        Some((wake, Self::classify_issue_stall(&hz)))
+    }
+
+    /// The issue decision at cycle `t` from the warp words. The policy's
+    /// first warp (GTO's greedy warp, which usually keeps issuing) is
+    /// checked from its own bits in O(1); otherwise one pass over the words
+    /// finds every warp that could issue and the hazards holding the rest
+    /// back, in [`Hazards::note`]'s per-warp first-hazard order:
+    ///
+    /// * `alu_blk`: the `alu_wait` warps whose result is not ready at `t`;
+    /// * `str_blk`: the `mem_head` warps outside `alu_blk` whose accesses
+    ///   exceed the memory pipeline's free slots;
+    /// * ready: `live` outside `no_head`, `mem_dep`, `alu_blk` and `str_blk`.
+    #[doc(hidden)]
+    pub fn issue_verdict(&self, t: Cycle) -> IssueVerdict {
+        let m = &self.words;
+        let alu_ready_at = |w: usize| self.warps[w].alu_ready_at();
+        let first = self.sched.first();
+        let bit = 1u64 << first;
+        if m.live & !(m.no_head | m.mem_dep) & bit != 0
+            && (m.alu_wait & bit == 0 || alu_ready_at(first) <= t)
+            && (m.mem_head & bit == 0 || self.lsu.can_accept(m.accesses[first]))
+        {
+            return IssueVerdict::Issue(first);
+        }
+        let mut hz = Hazards::new();
+        let mut alu_blk = 0;
+        for w in set_bits(m.alu_wait) {
+            let at = alu_ready_at(w);
+            if at > t {
+                alu_blk |= 1 << w;
+                hz.wake = hz.wake.min(at);
+            }
+        }
+        let mut str_blk = 0;
+        for w in set_bits(m.mem_head & !alu_blk) {
+            if !self.lsu.can_accept(m.accesses[w]) {
+                str_blk |= 1 << w;
+            }
+        }
+        let ready = m.live & !(m.no_head | m.mem_dep | alu_blk | str_blk);
+        if let Some(w) = self.sched.pick(ready) {
+            return IssueVerdict::Issue(w);
+        }
+        hz.any_live = m.live != 0;
+        hz.fetch = m.no_head != 0;
+        hz.mem_dep = m.mem_dep != 0;
+        hz.alu_dep = alu_blk != 0;
+        hz.str_mem = str_blk != 0;
+        IssueVerdict::Stall {
+            kind: Self::classify_issue_stall(&hz),
+            wake: hz.wake,
+        }
+    }
+
+    /// The reference for [`SimtCore::issue_verdict`]: walks the warps in
+    /// the policy's priority order, checking each with [`Hazards::note`],
+    /// and issues the first that passes.
+    #[doc(hidden)]
+    pub fn issue_verdict_by_scan(&self, t: Cycle) -> IssueVerdict {
+        let n = self.warps.len();
+        let first = self.sched.first();
+        let mut hz = Hazards::new();
+        for pos in 0..n {
+            let wid = match self.sched.policy() {
+                // The greedy warp, then oldest-first without it.
+                WarpSchedPolicy::Gto if pos == 0 => first,
+                WarpSchedPolicy::Gto if pos - 1 < first => pos - 1,
+                WarpSchedPolicy::Gto => pos,
+                WarpSchedPolicy::Lrr => (first + pos) % n,
+            };
+            if !hz.note(&self.warps[wid], &self.lsu, t) {
+                return IssueVerdict::Issue(wid);
+            }
+        }
+        IssueVerdict::Stall {
+            kind: Self::classify_issue_stall(&hz),
+            wake: hz.wake,
+        }
+    }
+
+    /// [`SimtCore::issue_verdict`], checked against its reference in debug
+    /// builds.
+    #[inline]
+    fn checked_verdict(&self, t: Cycle) -> IssueVerdict {
+        let v = self.issue_verdict(t);
+        debug_assert_eq!(
+            v,
+            self.issue_verdict_by_scan(t),
+            "core {}: the word scan and the warp walk disagree at cycle {t}",
+            self.id
+        );
+        v
     }
 
     fn alloc_fetch_id(&mut self) -> u64 {
@@ -456,7 +611,7 @@ impl SimtCore {
         self.now += 1;
         self.stats.cycles += 1;
         let busy_in = !self.response_fifo.is_empty()
-            || self.n_need_fetch > 0
+            || self.words.need_fetch != 0
             || !self.lsu.is_empty()
             || self.l1d.miss_queue_len() != 0
             || self.l1i.miss_queue_len() != 0;
@@ -498,11 +653,11 @@ impl SimtCore {
                     trace.record_fetch(&w, now_ps, TraceEventKind::Returned);
                     self.record_load_return(&w);
                     self.warps[w.warp_id].load_returned();
-                    self.update_drained(w.warp_id);
+                    self.refresh(w.warp_id);
                 }
                 self.record_load_return(&fetch);
                 self.warps[fetch.warp_id].load_returned();
-                self.update_drained(fetch.warp_id);
+                self.refresh(fetch.warp_id);
             }
             AccessKind::Store | AccessKind::L2WriteBack => {
                 unreachable!("stores and write-backs never generate responses")
@@ -529,27 +684,22 @@ impl SimtCore {
         let n_insts = self.cfg.ibuffer_size;
         self.warps[wid].refill((0..n_insts).map(|_| src.next_inst(wid)));
         // The refill may have hit the stream end with nothing buffered.
-        self.update_drained(wid);
-        self.update_fetch_need(wid);
+        self.refresh(wid);
     }
 
     /// Attempts one instruction-buffer refill per cycle (round-robin).
     fn fetch_stage(&mut self, now_ps: Picos, trace: &mut TraceSink) {
-        if self.n_need_fetch == 0 {
-            // Exact early-out: the scan below would find nothing.
+        let need = self.words.need_fetch;
+        if need == 0 {
             debug_assert!(self.warps.iter().all(|w| !w.needs_fetch()));
             return;
         }
-        // Round-robin from `fetch_rr` over the needs-fetch mirror.
-        let (wrapped, ahead) = self.need_fetch.split_at(self.fetch_rr);
-        let Some(wid) = ahead
-            .iter()
-            .position(|&need| need)
-            .map(|k| self.fetch_rr + k)
-            .or_else(|| wrapped.iter().position(|&need| need))
-        else {
-            return;
-        };
+        // Round-robin: the first warp needing a fetch at or after `fetch_rr`.
+        let wid = match need & (u64::MAX << self.fetch_rr) {
+            0 => need,
+            ahead => ahead,
+        }
+        .trailing_zeros() as usize;
         debug_assert!(self.warps[wid].needs_fetch());
         self.fetch_rr = if wid + 1 == self.warps.len() {
             0
@@ -581,8 +731,7 @@ impl SimtCore {
                 let src = &mut self.source;
                 let n_insts = self.cfg.ibuffer_size;
                 self.warps[wid].refill((0..n_insts).map(|_| src.next_inst(wid)));
-                self.update_drained(wid);
-                self.update_fetch_need(wid);
+                self.refresh(wid);
                 // The refill may have given the warp an issuable head.
                 self.issue_dirty = true;
             }
@@ -591,19 +740,19 @@ impl SimtCore {
                 // The refill completes when the response arrives (see
                 // `fetch_returned`); the group advances there.
                 self.warps[wid].set_fetch_outstanding();
-                self.update_fetch_need(wid);
+                self.refresh(wid);
             }
             (AccessResult::MissMerged, _) => {
                 record(TraceEventKind::MshrMerged(Level::L1));
                 self.warps[wid].set_fetch_outstanding();
-                self.update_fetch_need(wid);
+                self.refresh(wid);
             }
             (AccessResult::Blocked(_), _) => unreachable!("admitted accesses never block"),
         }
     }
 
-    /// GTO issue of at most one instruction per cycle, with the paper's
-    /// stall classification when nothing issues.
+    /// Issue of at most one instruction per cycle in the policy's priority
+    /// order, with the paper's stall classification when nothing issues.
     fn issue_stage(&mut self, now_ps: Picos, trace: &mut TraceSink) {
         let now = self.now;
         // Replay the memoized no-issue verdict while its inputs are frozen
@@ -611,7 +760,6 @@ impl SimtCore {
         if !self.issue_dirty {
             if let Some((stall, wake)) = self.issue_memo {
                 if now < wake {
-                    self.sched.stalled();
                     match stall {
                         Some(k) => self.stats.issue.record(k),
                         None => self.stats.issue.idle.inc(),
@@ -622,71 +770,60 @@ impl SimtCore {
         }
         self.issue_dirty = false;
         self.issue_memo = None;
-        let mut hz = Hazards::new();
-
-        // Candidates in policy priority order, generated positionally —
-        // GTO's greedy warp usually issues at position 0, so the hot path
-        // never touches the rest of the order.
-        for pos in 0..self.warps.len() {
-            let wid = self.sched.candidate(pos);
-            if hz.note(&self.warps[wid], &self.lsu, now) {
-                continue;
+        let wid = match self.checked_verdict(now) {
+            IssueVerdict::Issue(wid) => wid,
+            IssueVerdict::Stall { kind, wake } => {
+                // Charge the cycle and memoize the verdict — it holds
+                // verbatim until an event or `wake`.
+                self.issue_memo = Some((kind, wake));
+                match kind {
+                    Some(k) => self.stats.issue.record(k),
+                    None => self.stats.issue.idle.inc(),
+                }
+                return;
             }
-            // Issue.
-            #[expect(
-                clippy::expect_used,
-                reason = "INVARIANT: `note` passes only a warp whose head it peeked."
-            )]
-            let inst = self.warps[wid].issue_head(now).expect("head checked");
-            self.stats.insts_issued += 1;
-            self.stats.issue.issued_cycles.inc();
-            match inst.kind {
-                InstKind::Alu { latency } => {
-                    self.warps[wid].set_alu_ready(now + latency as Cycle);
-                }
-                InstKind::Load { lines } => {
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "INVARIANT: coalesced accesses per load are bounded by the \
-                            32-thread warp width."
-                    )]
-                    let n = u32::try_from(lines.len()).expect("accesses fit u32");
-                    self.warps[wid].add_pending_loads(n);
-                    for line in lines {
-                        let id = self.alloc_fetch_id();
-                        let mut fetch =
-                            MemFetch::new(id, self.id, wid, AccessKind::Load, line, now_ps);
-                        trace.issued(&mut fetch, now_ps);
-                        self.lsu.push(fetch);
-                    }
-                }
-                InstKind::Store { lines } => {
-                    for line in lines {
-                        let id = self.alloc_fetch_id();
-                        let mut fetch =
-                            MemFetch::new(id, self.id, wid, AccessKind::Store, line, now_ps);
-                        trace.issued(&mut fetch, now_ps);
-                        self.lsu.push(fetch);
-                    }
+        };
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: only a live warp outside `no_head` issues, and such a warp \
+                has a head."
+        )]
+        let inst = self.warps[wid].issue_head(now).expect("head checked");
+        self.stats.insts_issued += 1;
+        self.stats.issue.issued_cycles.inc();
+        match inst.kind {
+            InstKind::Alu { latency } => {
+                self.warps[wid].set_alu_ready(now + latency as Cycle);
+            }
+            InstKind::Load { lines } => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "INVARIANT: coalesced accesses per load are bounded by the \
+                        32-thread warp width."
+                )]
+                let n = u32::try_from(lines.len()).expect("accesses fit u32");
+                self.warps[wid].add_pending_loads(n);
+                for line in lines {
+                    let id = self.alloc_fetch_id();
+                    let mut fetch = MemFetch::new(id, self.id, wid, AccessKind::Load, line, now_ps);
+                    trace.issued(&mut fetch, now_ps);
+                    self.lsu.push(fetch);
                 }
             }
-            self.sched.issued(wid);
-            self.update_drained(wid);
-            self.update_fetch_need(wid);
-            // Issuing mutates warp/LSU state; rescan next cycle.
-            self.issue_dirty = true;
-            return;
+            InstKind::Store { lines } => {
+                for line in lines {
+                    let id = self.alloc_fetch_id();
+                    let mut fetch =
+                        MemFetch::new(id, self.id, wid, AccessKind::Store, line, now_ps);
+                    trace.issued(&mut fetch, now_ps);
+                    self.lsu.push(fetch);
+                }
+            }
         }
-
-        // Nothing issued: classify and charge the cycle, and memoize the
-        // verdict — it holds verbatim until an event or `wake`.
-        self.sched.stalled();
-        let kind = Self::classify_issue_stall(&hz);
-        self.issue_memo = Some((kind, hz.wake));
-        match kind {
-            Some(k) => self.stats.issue.record(k),
-            None => self.stats.issue.idle.inc(),
-        }
+        self.sched.issued(wid);
+        self.refresh(wid);
+        // Issuing mutates warp/LSU state; rescan next cycle.
+        self.issue_dirty = true;
     }
 
     /// Classifies a no-issue cycle per §IV-A.5: structural hazards take
@@ -757,7 +894,7 @@ impl SimtCore {
                 trace.record_fetch(&f, now_ps, TraceEventKind::Returned);
                 // L1 hits complete through the pipelined hit path.
                 self.warps[f.warp_id].load_returned();
-                self.update_drained(f.warp_id);
+                self.refresh(f.warp_id);
             }
             (AccessResult::MissIssued, _) => {
                 let queued = TraceEventKind::EnqueuedAt(Level::L1);
@@ -1173,6 +1310,16 @@ mod tests {
         let s = core.stats();
         assert_eq!(s.cycles, cycles);
         assert!((s.ipc() - 10.0 / cycles as f64).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "a core holds 1 to 64 warps (one bit each in a word), not 65")]
+    fn more_warps_than_a_word_holds_panic() {
+        let cfg = CoreConfig {
+            max_warps: crate::MAX_WARPS + 1,
+            ..CoreConfig::gtx480()
+        };
+        let _ = SimtCore::new(0, cfg, warps_with(1, vec![]));
     }
 
     #[test]

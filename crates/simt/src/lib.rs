@@ -43,6 +43,9 @@ pub mod warp;
 pub use crate::core::{CoreConfig, CoreStats, SimtCore};
 pub use inst::{Inst, InstKind, InstSource};
 pub use lsu::LoadStoreUnit;
-pub use scheduler::GtoScheduler;
 pub use stall::{IssueStallCounters, IssueStallKind};
 pub use warp::Warp;
+
+/// Most warps one core holds: the issue stage and the warp scheduler keep
+/// one bit per warp in a `u64`.
+pub const MAX_WARPS: usize = 64;

@@ -1,55 +1,11 @@
-//! Greedy-then-oldest warp scheduling (Table I).
+//! Warp scheduling over a per-warp ready word (Table I).
 //!
-//! GTO keeps issuing from the warp that issued most recently (*greedy*); when
-//! that warp cannot issue, it falls back to the *oldest* ready warp (lowest
-//! id, as warps are assigned in age order). GTO preserves intra-warp locality
-//! and is GPGPU-Sim's default for the GTX 480 model.
-
-/// A greedy-then-oldest issue-order generator.
-#[derive(Clone, Debug)]
-pub struct GtoScheduler {
-    n_warps: usize,
-    greedy: Option<usize>,
-}
-
-impl GtoScheduler {
-    /// Creates a scheduler for `n_warps` warps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_warps` is zero.
-    pub fn new(n_warps: usize) -> Self {
-        assert!(n_warps > 0, "need at least one warp");
-        GtoScheduler {
-            n_warps,
-            greedy: None,
-        }
-    }
-
-    /// The warp that would be tried first this cycle.
-    pub fn greedy(&self) -> Option<usize> {
-        self.greedy
-    }
-
-    /// Yields candidate warp ids in GTO priority order: the greedy warp
-    /// first (if any), then all warps oldest-first.
-    pub fn order(&self) -> impl Iterator<Item = usize> + '_ {
-        let greedy = self.greedy;
-        greedy
-            .into_iter()
-            .chain((0..self.n_warps).filter(move |&w| Some(w) != greedy))
-    }
-
-    /// Records that `warp` issued this cycle; it becomes the greedy warp.
-    pub fn issued(&mut self, warp: usize) {
-        debug_assert!(warp < self.n_warps);
-        self.greedy = Some(warp);
-    }
-
-    /// Records that no warp issued; greedy preference persists (the greedy
-    /// warp resumes as soon as its hazard clears).
-    pub fn stalled(&mut self) {}
-}
+//! Greedy-then-oldest (GTO) keeps issuing from the warp that issued most
+//! recently (*greedy*); when that warp cannot issue, it falls back to the
+//! *oldest* ready warp (lowest id, as warps are assigned in age order). GTO
+//! preserves intra-warp locality and is GPGPU-Sim's default for the GTX 480
+//! model. The core hands the scheduler one `u64` with a bit set per warp
+//! that could issue this cycle, so a pick is a few bit operations.
 
 /// Warp-scheduling policy.
 ///
@@ -65,7 +21,7 @@ pub enum WarpSchedPolicy {
     Lrr,
 }
 
-/// A policy-selectable warp scheduler.
+/// A policy-selectable warp scheduler over at most 64 warps.
 ///
 /// # Example
 ///
@@ -74,9 +30,8 @@ pub enum WarpSchedPolicy {
 ///
 /// let mut s = WarpScheduler::new(WarpSchedPolicy::Lrr, 4);
 /// s.issued(1);
-/// let mut buf = Vec::new();
-/// s.fill_order(&mut buf);
-/// assert_eq!(buf, vec![2, 3, 0, 1]); // round-robin resumes after warp 1
+/// // Warps 0 and 3 are ready: round-robin resumes after warp 1.
+/// assert_eq!(s.pick(0b1001), Some(3));
 /// ```
 #[derive(Clone, Debug)]
 pub struct WarpScheduler {
@@ -91,9 +46,14 @@ impl WarpScheduler {
     ///
     /// # Panics
     ///
-    /// Panics if `n_warps` is zero.
+    /// Panics if `n_warps` is zero or above [`crate::MAX_WARPS`].
     pub fn new(policy: WarpSchedPolicy, n_warps: usize) -> Self {
         assert!(n_warps > 0, "need at least one warp");
+        assert!(
+            n_warps <= crate::MAX_WARPS,
+            "{n_warps} warps exceed the {}-bit ready word",
+            crate::MAX_WARPS
+        );
         WarpScheduler {
             policy,
             n_warps,
@@ -107,63 +67,37 @@ impl WarpScheduler {
         self.policy
     }
 
-    /// Writes this cycle's candidate order into `buf` (reused, no
-    /// allocation in steady state).
-    pub fn fill_order(&self, buf: &mut Vec<usize>) {
-        buf.clear();
+    /// The warp this cycle's priority order tries first: GTO's greedy warp
+    /// (the oldest before any issue), LRR's round-robin position.
+    #[inline]
+    pub(crate) fn first(&self) -> usize {
         match self.policy {
-            WarpSchedPolicy::Gto => {
-                if let Some(g) = self.greedy {
-                    buf.push(g);
-                }
-                buf.extend((0..self.n_warps).filter(|&w| Some(w) != self.greedy));
-            }
-            WarpSchedPolicy::Lrr => {
-                buf.extend((self.rr..self.n_warps).chain(0..self.rr));
-            }
+            WarpSchedPolicy::Gto => self.greedy.unwrap_or(0),
+            WarpSchedPolicy::Lrr => self.rr,
         }
     }
 
-    /// The warp tried at priority position `pos` this cycle, in O(1) —
-    /// the same sequence [`WarpScheduler::fill_order`] materializes,
-    /// without writing a buffer. The issue stage usually stops at
-    /// position 0 (GTO's greedy warp keeps issuing), so generating
-    /// candidates positionally keeps the hot path free of the
-    /// O(warps) order build.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts `pos < n_warps`.
+    /// The highest-priority warp among the set bits of `ready` (bit `w` is
+    /// warp `w`): for GTO the greedy warp if ready, else the lowest set
+    /// bit; for LRR the first set bit at or after the round-robin position,
+    /// wrapping. `None` when `ready` is zero.
     #[inline]
-    pub fn candidate(&self, pos: usize) -> usize {
-        debug_assert!(pos < self.n_warps);
-        match self.policy {
-            WarpSchedPolicy::Gto => match self.greedy {
-                Some(g) => {
-                    if pos == 0 {
-                        g
-                    } else {
-                        // Oldest-first with the greedy warp removed: ids
-                        // below g keep their position, ids above shift one.
-                        let i = pos - 1;
-                        if i < g {
-                            i
-                        } else {
-                            i + 1
-                        }
-                    }
-                }
-                None => pos,
-            },
-            WarpSchedPolicy::Lrr => {
-                let p = self.rr + pos;
-                if p >= self.n_warps {
-                    p - self.n_warps
-                } else {
-                    p
-                }
-            }
+    pub fn pick(&self, ready: u64) -> Option<usize> {
+        if ready == 0 {
+            return None;
         }
+        let first = self.first();
+        if ready >> first & 1 != 0 {
+            return Some(first);
+        }
+        let w = match self.policy {
+            WarpSchedPolicy::Gto => ready,
+            WarpSchedPolicy::Lrr => match ready & (u64::MAX << self.rr) {
+                0 => ready,
+                ahead => ahead,
+            },
+        };
+        Some(w.trailing_zeros() as usize)
     }
 
     /// Records that `warp` issued this cycle.
@@ -172,57 +106,75 @@ impl WarpScheduler {
         self.greedy = Some(warp);
         self.rr = (warp + 1) % self.n_warps;
     }
-
-    /// Records a cycle with no issue.
-    pub fn stalled(&mut self) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gmh_types::rng::cases;
 
-    #[test]
-    fn warp_scheduler_gto_matches_gto() {
-        let mut a = GtoScheduler::new(5);
-        let mut b = WarpScheduler::new(WarpSchedPolicy::Gto, 5);
-        let mut buf = Vec::new();
-        for &w in &[2usize, 4, 4, 1] {
-            a.issued(w);
-            b.issued(w);
-            b.fill_order(&mut buf);
-            assert_eq!(a.order().collect::<Vec<_>>(), buf);
+    /// The policy's priority order written out warp by warp: the first
+    /// ready warp in it is what `pick` must return.
+    fn brute_force_pick(
+        policy: WarpSchedPolicy,
+        n: usize,
+        last: Option<usize>,
+        ready: u64,
+    ) -> Option<usize> {
+        let order: Vec<usize> = match (policy, last) {
+            (WarpSchedPolicy::Gto, Some(g)) => std::iter::once(g)
+                .chain((0..n).filter(|&w| w != g))
+                .collect(),
+            (WarpSchedPolicy::Gto, None) => (0..n).collect(),
+            (WarpSchedPolicy::Lrr, last) => {
+                let rr = last.map_or(0, |w| (w + 1) % n);
+                (rr..n).chain(0..rr).collect()
+            }
+        };
+        order.into_iter().find(|&w| ready >> w & 1 != 0)
+    }
+
+    fn check(policy: WarpSchedPolicy, n: usize, last: Option<usize>, ready: u64) {
+        let mut s = WarpScheduler::new(policy, n);
+        if let Some(w) = last {
+            s.issued(w);
         }
+        assert_eq!(
+            s.pick(ready),
+            brute_force_pick(policy, n, last, ready),
+            "{policy:?}, {n} warps, last issuer {last:?}, ready {ready:#b}"
+        );
     }
 
     #[test]
-    fn lrr_rotates_fairly() {
-        let mut s = WarpScheduler::new(WarpSchedPolicy::Lrr, 3);
-        let mut buf = Vec::new();
-        s.fill_order(&mut buf);
-        assert_eq!(buf, vec![0, 1, 2]);
-        s.issued(0);
-        s.fill_order(&mut buf);
-        assert_eq!(buf, vec![1, 2, 0]);
-        s.issued(2);
-        s.fill_order(&mut buf);
-        assert_eq!(buf, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn candidate_matches_fill_order_everywhere() {
+    fn pick_is_the_first_ready_warp_of_the_priority_order() {
         for policy in [WarpSchedPolicy::Gto, WarpSchedPolicy::Lrr] {
-            let mut s = WarpScheduler::new(policy, 7);
-            let mut buf = Vec::new();
-            // Fresh scheduler, then after every issue position.
-            for issued in [None, Some(0), Some(3), Some(6), Some(3)] {
-                if let Some(w) = issued {
-                    s.issued(w);
+            // Exhaustive: every ready set of 1-7 warps after every issuer.
+            for n in 1..=7 {
+                for last in std::iter::once(None).chain((0..n).map(Some)) {
+                    for ready in 0..1u64 << n {
+                        check(policy, n, last, ready);
+                    }
                 }
-                s.fill_order(&mut buf);
-                let positional: Vec<usize> = (0..7).map(|p| s.candidate(p)).collect();
-                assert_eq!(positional, buf, "{policy:?} after {issued:?}");
             }
         }
+        cases(
+            "pick_is_the_first_ready_warp_of_the_priority_order",
+            256,
+            |rng| {
+                let n = if rng.chance(0.5) { 48 } else { 64 };
+                let policy = [WarpSchedPolicy::Gto, WarpSchedPolicy::Lrr][rng.range(0..2usize)];
+                let last = rng.chance(0.9).then(|| rng.range(0..n));
+                let live = u64::MAX >> (64 - n);
+                // Sparse and dense words both occur.
+                let ready = match rng.below(3) {
+                    0 => rng.next_u64() & rng.next_u64() & rng.next_u64(),
+                    1 => rng.next_u64(),
+                    _ => 1 << rng.range(0..n),
+                } & live;
+                check(policy, n, last, ready);
+            },
+        );
     }
 
     #[test]
@@ -231,50 +183,20 @@ mod tests {
         let mut lrr = WarpScheduler::new(WarpSchedPolicy::Lrr, 3);
         gto.issued(1);
         lrr.issued(1);
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        gto.fill_order(&mut a);
-        lrr.fill_order(&mut b);
-        assert_eq!(a, vec![1, 0, 2], "GTO stays greedy on warp 1");
-        assert_eq!(b, vec![2, 0, 1], "LRR moves on to warp 2");
-    }
-
-    #[test]
-    fn initial_order_is_oldest_first() {
-        let s = GtoScheduler::new(4);
-        assert_eq!(s.order().collect::<Vec<_>>(), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn greedy_warp_moves_to_front() {
-        let mut s = GtoScheduler::new(4);
-        s.issued(2);
-        assert_eq!(s.order().collect::<Vec<_>>(), vec![2, 0, 1, 3]);
-        assert_eq!(s.greedy(), Some(2));
-    }
-
-    #[test]
-    fn greedy_persists_across_stalls() {
-        let mut s = GtoScheduler::new(3);
-        s.issued(1);
-        s.stalled();
-        assert_eq!(s.order().next(), Some(1));
-    }
-
-    #[test]
-    fn no_duplicate_candidates() {
-        let mut s = GtoScheduler::new(4);
-        s.issued(0);
-        let order: Vec<_> = s.order().collect();
-        assert_eq!(order.len(), 4);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 4);
+        assert_eq!(gto.pick(0b111), Some(1), "GTO stays greedy on warp 1");
+        assert_eq!(lrr.pick(0b111), Some(2), "LRR moves on to warp 2");
+        assert_eq!(gto.pick(0b101), Some(0), "then the oldest");
     }
 
     #[test]
     #[should_panic(expected = "at least one warp")]
     fn zero_warps_panics() {
-        let _ = GtoScheduler::new(0);
+        let _ = WarpScheduler::new(WarpSchedPolicy::Gto, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "65 warps exceed")]
+    fn more_warps_than_the_word_panics() {
+        let _ = WarpScheduler::new(WarpSchedPolicy::Gto, 65);
     }
 }

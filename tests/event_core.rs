@@ -108,22 +108,37 @@ fn assert_matches_naive(cfg: GpuConfig, wl: &WorkloadSpec) {
     let mut naive_cfg = cfg.clone();
     naive_cfg.force_naive_loop = true;
     let model = cfg.memory_model.clone();
+    let mhz = (cfg.core_mhz, cfg.icnt_mhz, cfg.dram_mhz);
     assert_eq!(
         observe(cfg, wl),
         observe(naive_cfg, wl),
-        "{} under {model:?}: event core must match the naive loop",
+        "{} under {model:?} at {mhz:?} MHz: event core must match the naive loop",
         wl.name
     );
 }
+
+/// `(core, icnt, dram)` MHz: Table I's clocks, then slow-DRAM and
+/// slow-core ratios, under which a class's sweep and the samples and
+/// hand-offs of the other domains interleave differently.
+const CLOCKS: [(u32, u32, u32); 5] = [
+    (1400, 700, 924),
+    (1400, 700, 350),
+    (1400, 700, 231),
+    (600, 700, 300),
+    (350, 700, 924),
+];
 
 // (The name dates from when a serial-sweep oracle existed beside the naive
 // loop; the test-floor list pins it.)
 #[test]
 fn event_core_matches_both_oracles_on_all_models() {
-    for model in all_models() {
-        let mut cfg = small_gpu();
-        cfg.memory_model = model;
-        assert_matches_naive(cfg, &bursty_workload());
+    for (core_mhz, icnt_mhz, dram_mhz) in CLOCKS {
+        for model in all_models() {
+            let mut cfg = small_gpu();
+            (cfg.core_mhz, cfg.icnt_mhz, cfg.dram_mhz) = (core_mhz, icnt_mhz, dram_mhz);
+            cfg.memory_model = model;
+            assert_matches_naive(cfg, &bursty_workload());
+        }
     }
 }
 
