@@ -4,7 +4,7 @@ use gmh_cache::{CacheConfig, WritePolicy};
 use gmh_dram::DramConfig;
 use gmh_icnt::IcntConfig;
 use gmh_simt::CoreConfig;
-use gmh_types::{ClockDomain, Picos};
+use gmh_types::{bits, ClockDomain, Picos};
 
 /// How the memory system below the L1 behaves.
 #[derive(Clone, Debug, PartialEq)]
@@ -151,18 +151,18 @@ impl GpuConfig {
             ));
         }
         for (field, ports) in [("n_cores", self.n_cores), ("n_l2_banks", self.n_l2_banks)] {
-            if ports > gmh_icnt::MAX_PORTS {
+            if ports > bits::CAP {
                 return Err(format!(
                     "{field} = {ports}: a crossbar side has at most {} ports",
-                    gmh_icnt::MAX_PORTS
+                    bits::CAP
                 ));
             }
         }
-        if !(1..=gmh_simt::MAX_WARPS).contains(&self.core.max_warps) {
+        if !(1..=bits::CAP).contains(&self.core.max_warps) {
             return Err(format!(
                 "core.max_warps = {}: a core holds 1 to {} warps",
                 self.core.max_warps,
-                gmh_simt::MAX_WARPS
+                bits::CAP
             ));
         }
         for (field, slots) in [
@@ -536,9 +536,9 @@ mod tests {
     #[test]
     fn validation_rejects_more_ports_than_the_crossbar_holds() {
         let mut c = GpuConfig::gtx480_baseline();
-        c.n_cores = gmh_icnt::MAX_PORTS;
+        c.n_cores = bits::CAP;
         assert!(c.validate().is_ok());
-        c.n_cores = gmh_icnt::MAX_PORTS + 1;
+        c.n_cores = bits::CAP + 1;
         let err = c.validate().expect_err("65 cores exceed a crossbar side");
         assert!(
             err.contains("n_cores = 65") && err.contains("64 ports"),

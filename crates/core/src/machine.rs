@@ -14,7 +14,7 @@ use crate::sched::{Class, Sched, NEVER};
 use gmh_dram::DramChannel;
 use gmh_icnt::Network;
 use gmh_simt::SimtCore;
-use gmh_types::{set_bits, Component, EventBound, Picos, Tick};
+use gmh_types::{bits, Component, EventBound, Picos, Tick};
 
 /// Slot of the request (core → L2) network in [`Machine::nets`].
 pub(crate) const REQ: usize = 0;
@@ -75,7 +75,7 @@ impl<Co: Component, Ba: Component, Ch: Component, Ne: Component> Machine<Co, Ba,
         let (mut woke, mut next) = (0, NEVER);
         for class in Class::ALL {
             // A wake touches only its own slot, so the snapshot stays exact.
-            for slot in set_bits(self.sched.queued(class)) {
+            for slot in bits::iter(self.sched.queued(class)) {
                 let at = self.sched.wake_at(class, slot);
                 if at > now_ps {
                     next = next.min(at);
@@ -124,7 +124,7 @@ fn sweep<C: Component>(sched: &mut Sched, class: Class, comps: &mut [C], cx: &mu
         return;
     }
     sched.stir(class);
-    for slot in set_bits(awake) {
+    for slot in bits::iter(awake) {
         let c = &mut comps[slot];
         if c.tick(cx) || !sched.enabled {
             continue;
@@ -136,7 +136,7 @@ fn sweep<C: Component>(sched: &mut Sched, class: Class, comps: &mut [C], cx: &mu
             );
             let id = sched.id(class, slot);
             sched.done[id] = cx.cyc;
-            sched.awake[k] &= !(1 << slot);
+            bits::put(&mut sched.awake[k], slot, false);
             if let Some(b) = bound {
                 sched.schedule(class, slot, sched.clock[k].tick_instant(b));
             }
@@ -154,7 +154,7 @@ fn wake<C: Component>(sched: &mut Sched, class: Class, comps: &mut [C], slot: us
         return;
     }
     sched.cancel(class, slot);
-    sched.awake[class.idx()] |= 1 << slot;
+    bits::put(&mut sched.awake[class.idx()], slot, true);
     sched.stir(class);
     let owed = sched.swept[class.idx()] - sched.done[sched.id(class, slot)];
     if owed > 0 {

@@ -7,9 +7,9 @@
 //! ledger (`done`) that lets a sleeping component absorb its skipped ticks
 //! in one bulk [`gmh_types::Component::skip_cycles`] call at wake time.
 //! Everything per class is an array indexed by [`Class::idx`]; a class has
-//! at most 64 components (cores and banks are crossbar ports, capped by
-//! [`gmh_icnt::MAX_PORTS`]; channels divide banks; there are two
-//! networks), so bit `slot` of a class's word is its component `slot`.
+//! at most [`bits::CAP`] components (cores and banks are crossbar ports,
+//! capped by the same width; channels divide banks; there are two
+//! networks), so a class's words are [`gmh_types::bits`] sets over its slots.
 //!
 //! ## Awake-bit lifecycle
 //!
@@ -26,7 +26,7 @@
 //! frozen quiet state its own `debug_assert` demands. [`crate::machine`]
 //! holds the two functions that move a component through this lifecycle.
 
-use gmh_types::{set_bits, ClockDomain, Picos};
+use gmh_types::{bits, bits::Bits, ClockDomain, Picos};
 
 /// The wake instant of a component with no scheduled wake.
 pub(crate) const NEVER: Picos = Picos::MAX;
@@ -66,11 +66,13 @@ pub(crate) struct Sched {
     /// The earliest entry of `wake`: [`NEVER`] when no wake is scheduled.
     pub next_wake: Picos,
     /// Per class, bit `slot` set while that component is awake: the
-    /// all-asleep check is four word compares.
-    pub awake: [u64; 4],
+    /// all-asleep check is four word compares, and the run loop's hand-offs
+    /// walk only these. Full for a ticked class in naive mode, so those
+    /// walks degrade to ungated sweeps.
+    pub awake: [Bits; 4],
     /// Per class, bit `slot` set while that component's `wake` entry is not
     /// [`NEVER`]: a drain or a rescan walks only these.
-    queued: [u64; 4],
+    queued: [Bits; 4],
     /// Per class, whether a component was swept or woken since the last
     /// [`Sched::stirred_since_sample`]: a class with no component awake
     /// and this flag down is frozen, its queues and counters as sampled.
@@ -99,7 +101,7 @@ impl Sched {
     ///
     /// # Panics
     ///
-    /// Panics if a class has more than 64 components.
+    /// Panics if a class has more than [`bits::CAP`] components.
     pub fn new(
         enabled: bool,
         counts: [usize; 4],
@@ -107,8 +109,9 @@ impl Sched {
         clock: [ClockDomain; 4],
     ) -> Self {
         assert!(
-            counts.iter().all(|&n| n <= 64),
-            "a class holds at most 64 components: {counts:?}"
+            counts.iter().all(|&n| n <= bits::CAP),
+            "a class holds at most {} components: {counts:?}",
+            bits::CAP
         );
         let mut offset = [0; 4];
         for c in 1..4 {
@@ -120,7 +123,7 @@ impl Sched {
             enabled,
             wake: vec![NEVER; n],
             next_wake: NEVER,
-            awake: live.map(|n| if n == 0 { 0 } else { u64::MAX >> (64 - n) }),
+            awake: live.map(bits::below),
             queued: [0; 4],
             stirred: [true; 4],
             done: vec![0; n],
@@ -136,16 +139,14 @@ impl Sched {
         self.offset[class.idx()] + slot
     }
 
-    /// Whether `class`'s component `slot` is awake. Always true in naive
-    /// mode (of a ticked class), so run-loop steps gated on it degrade to
-    /// ungated sweeps.
+    /// Whether `class`'s component `slot` is awake.
     #[inline]
     pub fn is_awake(&self, class: Class, slot: usize) -> bool {
-        self.awake[class.idx()] >> slot & 1 != 0
+        bits::contains(self.awake[class.idx()], slot)
     }
 
-    /// The slots of `class` with a scheduled wake, as a bit word.
-    pub fn queued(&self, class: Class) -> u64 {
+    /// The slots of `class` with a scheduled wake.
+    pub fn queued(&self, class: Class) -> Bits {
         self.queued[class.idx()]
     }
 
@@ -160,7 +161,7 @@ impl Sched {
     pub fn schedule(&mut self, class: Class, slot: usize, at: Picos) {
         let id = self.id(class, slot);
         self.wake[id] = at;
-        self.queued[class.idx()] |= 1 << slot;
+        bits::put(&mut self.queued[class.idx()], slot, true);
         self.next_wake = self.next_wake.min(at);
     }
 
@@ -184,14 +185,14 @@ impl Sched {
     pub fn take(&mut self, class: Class, slot: usize) {
         let id = self.id(class, slot);
         self.wake[id] = NEVER;
-        self.queued[class.idx()] &= !(1 << slot);
+        bits::put(&mut self.queued[class.idx()], slot, false);
     }
 
     /// The earliest scheduled wake, [`NEVER`] for none.
     fn earliest(&self) -> Picos {
         let mut t = NEVER;
         for class in Class::ALL {
-            for slot in set_bits(self.queued(class)) {
+            for slot in bits::iter(self.queued(class)) {
                 t = t.min(self.wake_at(class, slot));
             }
         }
@@ -308,7 +309,7 @@ mod tests {
     fn queued_matches_column(s: &Sched) -> bool {
         (0..s.wake.len()).all(|id| {
             let (c, slot) = slot_of(s, id);
-            (s.queued(c) >> slot & 1 != 0) == (s.wake[id] != NEVER)
+            bits::contains(s.queued(c), slot) == (s.wake[id] != NEVER)
         })
     }
 

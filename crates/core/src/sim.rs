@@ -12,8 +12,8 @@ use gmh_simt::SimtCore;
 use gmh_types::prof::{HostPhase, HostProfiler, HostReport};
 use gmh_types::trace::{Level, TraceEventKind, TraceSink};
 use gmh_types::{
-    set_bits, stable_hash_str, ClockDomains, DomainId, FetchAudit, MemFetch, Picos, Telemetry,
-    Tick, TickSet,
+    bits, stable_hash_str, ClockDomains, DomainId, FetchAudit, MemFetch, Picos, Telemetry, Tick,
+    TickSet,
 };
 use gmh_workloads::WorkloadSpec;
 
@@ -556,7 +556,7 @@ impl GpuSim {
     /// wake), so its last sums stand and its stall deltas are zero.
     fn telemetry_values(&mut self) -> [f64; 19] {
         let (mut l1_miss, mut resp_fifo) = (0usize, 0usize);
-        for c in set_bits(self.m.sched.awake[Class::Core.idx()]) {
+        for c in bits::iter(self.m.sched.awake[Class::Core.idx()]) {
             l1_miss += self.m.cores[c].miss_queue_len();
             resp_fifo += self.m.cores[c].response_fifo_len();
         }
@@ -667,11 +667,8 @@ impl GpuSim {
             MemoryModel::FixedL1MissLatency(lat) => (lat, lat),
             MemoryModel::InfiniteBw { l2_hit, dram } => (l2_hit, dram),
         };
-        for i in 0..self.cfg.n_cores {
-            // A sleeping core has an empty L1 miss queue.
-            if !self.m.sched.is_awake(Class::Core, i) {
-                continue;
-            }
+        // A sleeping core has an empty L1 miss queue.
+        for i in bits::iter(self.m.sched.awake[Class::Core.idx()]) {
             while let Some(f) = self.m.cores[i].pop_outgoing() {
                 self.audit.emitted(&f);
                 self.trace
@@ -757,15 +754,17 @@ impl GpuSim {
     /// Eight serial steps; each hand-off wakes its receiver first, and the
     /// wake settles exactly the ticks the receiver's class has swept, so a
     /// step need not know whether that sweep ran above it or runs below.
+    ///
+    /// Steps 1, 4, 5 and 7 walk a snapshot of their class's awake set, which
+    /// stays exact because no step wakes a component of the class it walks:
+    /// step 1 wakes only a network, step 5 only channels, step 7 only a
+    /// network, and step 4's credits wake nothing.
     fn icnt_tick(&mut self, now_ps: Picos) {
         let icnt_cyc = self.clocks.domain(DomainId::Icnt).cycles();
         // 1. Cores inject L1 miss traffic into the request network. A
         //    sleeping core has an empty L1 miss queue, so only awake cores
         //    can have a head to peek.
-        for c in 0..self.cfg.n_cores {
-            if !self.m.sched.is_awake(Class::Core, c) {
-                continue;
-            }
+        for c in bits::iter(self.m.sched.awake[Class::Core.idx()]) {
             if let Some(head) = self.m.cores[c].peek_outgoing() {
                 let bytes = head.request_bytes();
                 let dst = head.line.interleave(self.cfg.n_l2_banks);
@@ -844,13 +843,10 @@ impl GpuSim {
         //    stays the single bp-ICNT attribution site. The credit
         //    only reclassifies stalled cycles — it never gates progress.
         let l2_t0 = self.host_span_begin();
-        for b in 0..self.cfg.n_l2_banks {
-            // A sleeping bank does not cycle this tick, so its credit is
-            // never read; it always receives a fresh credit on the first
-            // tick it is awake for (wakes drain before this step).
-            if !self.m.sched.is_awake(Class::Bank, b) {
-                continue;
-            }
+        // A sleeping bank does not cycle this tick, so its credit is never
+        // read; it always receives a fresh credit on the first tick it is
+        // awake for (wakes drain before this step).
+        for b in bits::iter(self.m.sched.awake[Class::Bank.idx()]) {
             let credit = match self.m.banks[b].response_ready_next() {
                 Some(resp) => self.m.nets[REP].can_inject(b, resp.response_bytes()),
                 None => true,
@@ -869,11 +865,8 @@ impl GpuSim {
             MemoryModel::InfiniteDram { latency } => Some(latency),
             _ => None,
         };
-        for b in 0..self.cfg.n_l2_banks {
-            // A sleeping bank has an empty miss queue.
-            if !self.m.sched.is_awake(Class::Bank, b) {
-                continue;
-            }
+        // A sleeping bank has an empty miss queue.
+        for b in bits::iter(self.m.sched.awake[Class::Bank.idx()]) {
             let Some(head) = self.m.banks[b].miss_queue_front() else {
                 continue;
             };
@@ -982,10 +975,7 @@ impl GpuSim {
 
         // 7. L2 responses inject into the reply network. A sleeping bank
         //    never has a ready response (that would have kept it awake).
-        for b in 0..self.cfg.n_l2_banks {
-            if !self.m.sched.is_awake(Class::Bank, b) {
-                continue;
-            }
+        for b in bits::iter(self.m.sched.awake[Class::Bank.idx()]) {
             if let Some(resp) = self.m.banks[b].response_ready() {
                 let bytes = resp.response_bytes();
                 let dst = resp.core_id;

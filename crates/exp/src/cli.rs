@@ -383,6 +383,15 @@ fn replay(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Outcome 
     let file = File::open(path).map_err(cannot(format_args!("open {path}")))?;
     let parsed = TraceBundle::parse(BufReader::new(file));
     let bundle = parsed.map_err(cannot(format_args!("parse {path}")))?;
+    let cfg = GpuConfig::gtx480_baseline();
+    let (cores, warps) = (bundle.cores(), bundle.warps_per_core());
+    if cores > cfg.n_cores || warps > cfg.core.max_warps {
+        return Err(Refusal(format!(
+            "{path} needs {cores} cores and {warps} warps per core; \
+             the baseline machine has {} cores and {} warps per core",
+            cfg.n_cores, cfg.core.max_warps
+        )));
+    }
     writeln!(
         err,
         "replaying {} ({} insts, {} cores recorded)",
@@ -391,9 +400,7 @@ fn replay(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Outcome 
         bundle.cores()
     )?;
     let name = bundle.name().to_string();
-    let mut sim = GpuSim::from_sources(GpuConfig::gtx480_baseline(), &name, |c| {
-        Box::new(bundle.source_for_core(c))
-    });
+    let mut sim = GpuSim::from_sources(cfg, &name, |c| Box::new(bundle.source_for_core(c)));
     let s = sim.run();
     writeln!(
         out,

@@ -42,7 +42,7 @@
 
 pub mod network;
 
-pub use network::{Network, NetworkStats, MAX_PORTS};
+pub use network::{Network, NetworkStats};
 
 use gmh_types::Cycle;
 

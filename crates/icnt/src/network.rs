@@ -8,15 +8,12 @@
 //! ejection buffers back-pressure through the switch to the injection
 //! buffers — and from there to the L1 miss queues / L2 response queues.
 //!
-//! The arbiter works on port bit sets: one `u64` word holds a flag per
-//! source, so a side has at most [`MAX_PORTS`] ports.
+//! The arbiter works on port bit sets ([`gmh_types::bits`]), so a side has
+//! at most [`bits::CAP`] ports.
 
+use gmh_types::bits::{self, Bits};
 use gmh_types::queue::BoundedQueue;
 use gmh_types::{Component, Counter, Cycle, EventBound, MemFetch, Scratch, Tick};
-
-/// Most ports a [`Network`] side can have: the arbiter keeps one bit per
-/// source (and per destination) in a `u64`.
-pub const MAX_PORTS: usize = 64;
 
 #[derive(Clone, Debug)]
 struct Packet {
@@ -34,9 +31,9 @@ struct Packet {
 #[derive(Clone, Debug)]
 struct Heads {
     /// Bit `src`: source `src` has a buffered packet.
-    present: u64,
+    present: Bits,
     /// Bit `src`: the head has sent a flit, so it holds an ejection slot.
-    reserved: u64,
+    reserved: Bits,
     /// Per source: the head's destination (meaningful while present).
     dst: Vec<usize>,
     /// Per source: the head's router-exit cycle (meaningful while present).
@@ -77,7 +74,7 @@ pub struct Network {
     heads: Scratch<Heads>,
     /// Per destination: the sources whose eligible head targets it this
     /// cycle. All zero between cycles.
-    want: Scratch<Vec<u64>>,
+    want: Scratch<Vec<Bits>>,
     /// Total flits across all injection buffers (incremental mirror of
     /// `input_flits`, so telemetry reads are O(1)).
     buffered_total: usize,
@@ -92,7 +89,7 @@ impl Network {
     /// # Panics
     ///
     /// Panics if any dimension or capacity is zero, or a dimension exceeds
-    /// [`MAX_PORTS`].
+    /// [`bits::CAP`].
     pub fn new(
         n_src: usize,
         n_dst: usize,
@@ -119,7 +116,7 @@ impl Network {
     /// # Panics
     ///
     /// Panics if any dimension, capacity or the speedup is zero, or a
-    /// dimension exceeds [`MAX_PORTS`].
+    /// dimension exceeds [`bits::CAP`].
     pub fn with_speedup(
         n_src: usize,
         n_dst: usize,
@@ -135,8 +132,9 @@ impl Network {
             "network dimensions must be non-zero"
         );
         assert!(
-            n_src <= MAX_PORTS && n_dst <= MAX_PORTS,
-            "a network side has at most {MAX_PORTS} ports"
+            n_src <= bits::CAP && n_dst <= bits::CAP,
+            "a network side has at most {} ports",
+            bits::CAP
         );
         assert!(flit_bytes > 0, "flit size must be non-zero");
         assert!(input_buffer_flits > 0, "input buffer must be non-zero");
@@ -241,7 +239,7 @@ impl Network {
         self.inputs[src]
             .push(packet)
             .expect("packet count bounded by flit accounting");
-        if self.heads.0.present & (1 << src) == 0 {
+        if !bits::contains(self.heads.0.present, src) {
             self.load_head(src);
         }
         Ok(())
@@ -249,15 +247,15 @@ impl Network {
 
     /// Re-reads source `src`'s buffer front into the head index.
     fn load_head(&mut self, src: usize) {
-        let bit = 1u64 << src;
         let heads = &mut self.heads.0;
-        heads.present &= !bit;
-        heads.reserved &= !bit;
-        if let Some(head) = self.inputs[src].front() {
-            heads.present |= bit;
-            if head.flits_sent > 0 {
-                heads.reserved |= bit;
-            }
+        let head = self.inputs[src].front();
+        bits::put(&mut heads.present, src, head.is_some());
+        bits::put(
+            &mut heads.reserved,
+            src,
+            head.is_some_and(|h| h.flits_sent > 0),
+        );
+        if let Some(head) = head {
             heads.dst[src] = head.dst;
             heads.ready_at[src] = head.ready_at;
         }
@@ -267,12 +265,12 @@ impl Network {
     fn heads_match_fronts(&self) -> bool {
         let heads = &self.heads.0;
         self.inputs.iter().enumerate().all(|(src, q)| {
-            let bit = 1u64 << src;
+            let reserved = bits::contains(heads.reserved, src);
             match q.front() {
-                None => (heads.present | heads.reserved) & bit == 0,
+                None => !bits::contains(heads.present, src) && !reserved,
                 Some(head) => {
-                    heads.present & bit != 0
-                        && (heads.reserved & bit != 0) == (head.flits_sent > 0)
+                    bits::contains(heads.present, src)
+                        && reserved == (head.flits_sent > 0)
                         && heads.dst[src] == head.dst
                         && heads.ready_at[src] == head.ready_at
                 }
@@ -331,22 +329,17 @@ impl Network {
     pub fn cycle(&mut self) -> bool {
         self.now += 1;
         debug_assert!(self.heads_match_fronts());
-        let mut pending = self.heads.0.present;
-        let mut active = 0u64;
-        while pending != 0 {
-            let src = pending.trailing_zeros() as usize;
-            pending &= pending - 1;
+        let mut active = 0;
+        for src in bits::iter(self.heads.0.present) {
             if self.heads.0.ready_at[src] < self.now {
                 let dst = self.heads.0.dst[src];
-                self.want.0[dst] |= 1 << src;
-                active |= 1 << dst;
+                bits::put(&mut self.want.0[dst], src, true);
+                bits::put(&mut active, dst, true);
             }
         }
 
         let mut any_moved = false;
-        while active != 0 {
-            let dst = active.trailing_zeros() as usize;
-            active &= active - 1;
+        for dst in bits::iter(active) {
             let mut requesters = std::mem::take(&mut self.want.0[dst]);
             for _pass in 0..self.output_speedup {
                 // A packet occupies an ejection slot from its first flit, so
@@ -356,12 +349,10 @@ impl Network {
                 } else {
                     requesters
                 };
-                if eligible == 0 {
+                let Some(src) = bits::first_from(eligible, self.rr[dst]) else {
                     break;
-                }
-                let from_rr = eligible & (!0u64 << self.rr[dst]);
-                let src = if from_rr != 0 { from_rr } else { eligible }.trailing_zeros() as usize;
-                requesters &= !(1 << src);
+                };
+                bits::put(&mut requesters, src, false);
                 self.rr[dst] = (src + 1) % self.n_src;
                 self.send_flit(src, dst);
                 any_moved = true;
@@ -372,9 +363,8 @@ impl Network {
 
     /// Moves one flit of source `src`'s head packet to output `dst`.
     fn send_flit(&mut self, src: usize, dst: usize) {
-        let bit = 1u64 << src;
-        if self.heads.0.reserved & bit == 0 {
-            self.heads.0.reserved |= bit;
+        if !bits::contains(self.heads.0.reserved, src) {
+            bits::put(&mut self.heads.0.reserved, src, true);
             self.output_reserved[dst] += 1;
         }
         #[expect(
@@ -424,10 +414,8 @@ impl Network {
             return EventBound::quiet_external();
         }
         let mut earliest = Cycle::MAX;
-        let mut pending = heads.present;
-        while pending != 0 {
-            let ready_at = heads.ready_at[pending.trailing_zeros() as usize];
-            pending &= pending - 1;
+        for src in bits::iter(heads.present) {
+            let ready_at = heads.ready_at[src];
             if ready_at <= self.now {
                 return EventBound::Busy;
             }
@@ -685,7 +673,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at most 64 ports")]
     fn more_ports_than_a_word_panics() {
-        let _ = net(MAX_PORTS + 1, 1, 32);
+        let _ = net(bits::CAP + 1, 1, 32);
     }
 
     /// The reference arbiter: every destination in ascending order sweeps
@@ -740,7 +728,7 @@ mod tests {
     #[test]
     fn bit_set_arbiter_matches_the_sweep() {
         cases("bit_set_arbiter_matches_the_sweep", 48, |rng| {
-            let (n_src, n_dst) = (rng.range(1..MAX_PORTS + 1), rng.range(1..MAX_PORTS + 1));
+            let (n_src, n_dst) = (rng.range(1..bits::CAP + 1), rng.range(1..bits::CAP + 1));
             let (speedup, latency) = (rng.range(1..4), rng.range(0..7));
             let out_buf = rng.range(1..5);
             let (inject_per_mille, drain_pct) = (rng.range(0..1000), rng.range(5..95));

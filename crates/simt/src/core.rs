@@ -8,10 +8,11 @@ use crate::warp::Warp;
 use gmh_cache::{
     AccessResult, BlockReason, Cache, CacheConfig, L1StallCounters, L1StallKind, WriteOutcome,
 };
+use gmh_types::bits::{self, Bits};
 use gmh_types::trace::{Level, TraceEventKind, TraceSink};
 use gmh_types::{
-    set_bits, AccessKind, BoundedQueue, Component, Cycle, EventBound, FetchId, LatencyHistogram,
-    LineAddr, MeanAccumulator, MemFetch, Picos, Tick,
+    AccessKind, BoundedQueue, Component, Cycle, EventBound, FetchId, LatencyHistogram, LineAddr,
+    MeanAccumulator, MemFetch, Picos, Tick,
 };
 
 /// Line-index base of the kernel code segment. All cores share it (they run
@@ -157,8 +158,8 @@ pub enum IssueVerdict {
     },
 }
 
-/// The warp table as bit words, bit `w` for warp `w` (at most
-/// [`crate::MAX_WARPS`]). [`SimtCore::refresh`] recomputes one warp's bits
+/// The warp table as bit sets, bit `w` for warp `w` (at most
+/// [`bits::CAP`]). [`SimtCore::refresh`] recomputes one warp's bits
 /// after every event that can change them — a refill, an issue, a load
 /// return, a fetch — so an issue scan or an idle probe costs a few word
 /// operations plus one check per warp whose head waits on a clock or a
@@ -166,36 +167,26 @@ pub enum IssueVerdict {
 #[derive(Clone, Debug, Default)]
 struct WarpWords {
     /// Not finished.
-    live: u64,
+    live: Bits,
     /// Live with an empty instruction buffer: the warp waits on a fetch.
-    no_head: u64,
+    no_head: Bits,
     /// The head reads a load result and loads are pending.
-    mem_dep: u64,
+    mem_dep: Bits,
     /// The head reads an ALU result and is not in `mem_dep`. Whether the
     /// result is still pending depends on the cycle, so a scan reads the
     /// warp's `alu_ready_at`.
-    alu_wait: u64,
+    alu_wait: Bits,
     /// The head is a load or a store and is not in `mem_dep`; its access
     /// count is `accesses[w]`.
-    mem_head: u64,
+    mem_head: Bits,
     /// Needs an instruction-buffer refill ([`Warp::needs_fetch`]).
-    need_fetch: u64,
+    need_fetch: Bits,
     /// Finished, no pending loads, no outstanding I-miss. Absorbing:
     /// `finished()` never reverts, and loads and I-misses are only added
     /// by unfinished warps.
-    drained: u64,
+    drained: Bits,
     /// Memory-pipeline slots each `mem_head` warp's head needs.
     accesses: Vec<usize>,
-}
-
-/// Sets or clears `bit` in `word`.
-#[inline]
-fn put(word: &mut u64, bit: u64, on: bool) {
-    if on {
-        *word |= bit;
-    } else {
-        *word &= !bit;
-    }
 }
 
 /// One highly-multithreaded SIMT core with private L1 caches.
@@ -211,7 +202,7 @@ pub struct SimtCore {
     /// The warp table's issue state as bit words.
     words: WarpWords,
     /// One bit per warp: what `words.drained` reads when every warp drained.
-    all_warps: u64,
+    all_warps: Bits,
     /// No-issue verdict `(stall, wake)` memoized from the last full issue
     /// scan. Warp eligibility only changes through discrete events — a
     /// response intake, an instruction-buffer refill, an LSU pop, an actual
@@ -250,14 +241,14 @@ impl SimtCore {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.max_warps` is zero or above [`crate::MAX_WARPS`], or
+    /// Panics if `cfg.max_warps` is zero or above [`bits::CAP`], or
     /// a queue capacity is zero (`gmh-core`'s `GpuConfig::validate` refuses
     /// each of these with a reason).
     pub fn new(id: usize, cfg: CoreConfig, source: Box<dyn InstSource + Send>) -> Self {
         assert!(
-            (1..=crate::MAX_WARPS).contains(&cfg.max_warps),
+            (1..=bits::CAP).contains(&cfg.max_warps),
             "a core holds 1 to {} warps (one bit each in a word), not {}",
-            crate::MAX_WARPS,
+            bits::CAP,
             cfg.max_warps
         );
         let warps: Vec<Warp> = (0..cfg.max_warps)
@@ -270,7 +261,7 @@ impl SimtCore {
                 accesses: vec![0; cfg.max_warps],
                 ..WarpWords::default()
             },
-            all_warps: u64::MAX >> (crate::MAX_WARPS - cfg.max_warps),
+            all_warps: bits::below(cfg.max_warps),
             issue_memo: None,
             issue_dirty: true,
             warps,
@@ -356,24 +347,23 @@ impl SimtCore {
     fn refresh(&mut self, wid: usize) {
         let w = &self.warps[wid];
         let m = &mut self.words;
-        let bit = 1u64 << wid;
         let drained = w.finished() && !w.has_pending_loads() && !w.fetch_outstanding();
         debug_assert!(
-            drained || m.drained & bit == 0,
+            drained || !bits::contains(m.drained, wid),
             "a drained warp came back to life"
         );
-        put(&mut m.drained, bit, drained);
-        put(&mut m.need_fetch, bit, w.needs_fetch());
-        put(&mut m.live, bit, !w.finished());
+        bits::put(&mut m.drained, wid, drained);
+        bits::put(&mut m.need_fetch, wid, w.needs_fetch());
+        bits::put(&mut m.live, wid, !w.finished());
         let head = w.head();
         // A finished warp has no head, so only live warps set the rest.
-        put(&mut m.no_head, bit, !w.finished() && head.is_none());
+        bits::put(&mut m.no_head, wid, !w.finished() && head.is_none());
         let mem_dep = head.is_some_and(|h| h.wait_mem) && w.has_pending_loads();
-        put(&mut m.mem_dep, bit, mem_dep);
+        bits::put(&mut m.mem_dep, wid, mem_dep);
         let head = head.filter(|_| !mem_dep);
-        put(&mut m.alu_wait, bit, head.is_some_and(|h| h.wait_alu));
+        bits::put(&mut m.alu_wait, wid, head.is_some_and(|h| h.wait_alu));
         let accesses = head.map_or(0, |h| h.kind.accesses());
-        put(&mut m.mem_head, bit, head.is_some_and(|h| h.kind.is_mem()));
+        bits::put(&mut m.mem_head, wid, head.is_some_and(|h| h.kind.is_mem()));
         m.accesses[wid] = accesses;
     }
 
@@ -442,27 +432,25 @@ impl SimtCore {
         let m = &self.words;
         let alu_ready_at = |w: usize| self.warps[w].alu_ready_at();
         let first = self.sched.first();
-        let bit = 1u64 << first;
-        if m.live & !(m.no_head | m.mem_dep) & bit != 0
-            && (m.alu_wait & bit == 0 || alu_ready_at(first) <= t)
-            && (m.mem_head & bit == 0 || self.lsu.can_accept(m.accesses[first]))
+        let has = |set: Bits| bits::contains(set, first);
+        if has(m.live & !(m.no_head | m.mem_dep))
+            && (!has(m.alu_wait) || alu_ready_at(first) <= t)
+            && (!has(m.mem_head) || self.lsu.can_accept(m.accesses[first]))
         {
             return IssueVerdict::Issue(first);
         }
         let mut hz = Hazards::new();
         let mut alu_blk = 0;
-        for w in set_bits(m.alu_wait) {
+        for w in bits::iter(m.alu_wait) {
             let at = alu_ready_at(w);
             if at > t {
-                alu_blk |= 1 << w;
+                bits::put(&mut alu_blk, w, true);
                 hz.wake = hz.wake.min(at);
             }
         }
         let mut str_blk = 0;
-        for w in set_bits(m.mem_head & !alu_blk) {
-            if !self.lsu.can_accept(m.accesses[w]) {
-                str_blk |= 1 << w;
-            }
+        for w in bits::iter(m.mem_head & !alu_blk) {
+            bits::put(&mut str_blk, w, !self.lsu.can_accept(m.accesses[w]));
         }
         let ready = m.live & !(m.no_head | m.mem_dep | alu_blk | str_blk);
         if let Some(w) = self.sched.pick(ready) {
@@ -689,23 +677,14 @@ impl SimtCore {
 
     /// Attempts one instruction-buffer refill per cycle (round-robin).
     fn fetch_stage(&mut self, now_ps: Picos, trace: &mut TraceSink) {
-        let need = self.words.need_fetch;
-        if need == 0 {
+        // Round-robin: the first warp needing a fetch at or after `fetch_rr`
+        // (past the last warp, that wraps to the lowest).
+        let Some(wid) = bits::first_from(self.words.need_fetch, self.fetch_rr) else {
             debug_assert!(self.warps.iter().all(|w| !w.needs_fetch()));
             return;
-        }
-        // Round-robin: the first warp needing a fetch at or after `fetch_rr`.
-        let wid = match need & (u64::MAX << self.fetch_rr) {
-            0 => need,
-            ahead => ahead,
-        }
-        .trailing_zeros() as usize;
-        debug_assert!(self.warps[wid].needs_fetch());
-        self.fetch_rr = if wid + 1 == self.warps.len() {
-            0
-        } else {
-            wid + 1
         };
+        debug_assert!(self.warps[wid].needs_fetch());
+        self.fetch_rr = wid + 1;
 
         let group = self.warps[wid].fetch_group();
         let line = LineAddr::new(CODE_SEGMENT_BASE + group % self.code_lines);
@@ -1316,7 +1295,7 @@ mod tests {
     #[should_panic(expected = "a core holds 1 to 64 warps (one bit each in a word), not 65")]
     fn more_warps_than_a_word_holds_panic() {
         let cfg = CoreConfig {
-            max_warps: crate::MAX_WARPS + 1,
+            max_warps: bits::CAP + 1,
             ..CoreConfig::gtx480()
         };
         let _ = SimtCore::new(0, cfg, warps_with(1, vec![]));

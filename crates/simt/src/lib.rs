@@ -45,7 +45,3 @@ pub use inst::{Inst, InstKind, InstSource};
 pub use lsu::LoadStoreUnit;
 pub use stall::{IssueStallCounters, IssueStallKind};
 pub use warp::Warp;
-
-/// Most warps one core holds: the issue stage and the warp scheduler keep
-/// one bit per warp in a `u64`.
-pub const MAX_WARPS: usize = 64;

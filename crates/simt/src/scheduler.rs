@@ -4,8 +4,11 @@
 //! recently (*greedy*); when that warp cannot issue, it falls back to the
 //! *oldest* ready warp (lowest id, as warps are assigned in age order). GTO
 //! preserves intra-warp locality and is GPGPU-Sim's default for the GTX 480
-//! model. The core hands the scheduler one `u64` with a bit set per warp
-//! that could issue this cycle, so a pick is a few bit operations.
+//! model. The core hands the scheduler a [`gmh_types::bits`] set of the
+//! warps that could issue this cycle, so a pick is a few bit operations and
+//! a core has at most [`bits::CAP`] warps.
+
+use gmh_types::bits::{self, Bits};
 
 /// Warp-scheduling policy.
 ///
@@ -21,7 +24,7 @@ pub enum WarpSchedPolicy {
     Lrr,
 }
 
-/// A policy-selectable warp scheduler over at most 64 warps.
+/// A policy-selectable warp scheduler over at most [`bits::CAP`] warps.
 ///
 /// # Example
 ///
@@ -46,13 +49,13 @@ impl WarpScheduler {
     ///
     /// # Panics
     ///
-    /// Panics if `n_warps` is zero or above [`crate::MAX_WARPS`].
+    /// Panics if `n_warps` is zero or above [`bits::CAP`].
     pub fn new(policy: WarpSchedPolicy, n_warps: usize) -> Self {
         assert!(n_warps > 0, "need at least one warp");
         assert!(
-            n_warps <= crate::MAX_WARPS,
+            n_warps <= bits::CAP,
             "{n_warps} warps exceed the {}-bit ready word",
-            crate::MAX_WARPS
+            bits::CAP
         );
         WarpScheduler {
             policy,
@@ -82,22 +85,14 @@ impl WarpScheduler {
     /// bit; for LRR the first set bit at or after the round-robin position,
     /// wrapping. `None` when `ready` is zero.
     #[inline]
-    pub fn pick(&self, ready: u64) -> Option<usize> {
-        if ready == 0 {
-            return None;
-        }
-        let first = self.first();
-        if ready >> first & 1 != 0 {
-            return Some(first);
-        }
-        let w = match self.policy {
-            WarpSchedPolicy::Gto => ready,
-            WarpSchedPolicy::Lrr => match ready & (u64::MAX << self.rr) {
-                0 => ready,
-                ahead => ahead,
+    pub fn pick(&self, ready: Bits) -> Option<usize> {
+        match self.policy {
+            WarpSchedPolicy::Gto => match self.greedy {
+                Some(g) if bits::contains(ready, g) => Some(g),
+                _ => bits::first_from(ready, 0),
             },
-        };
-        Some(w.trailing_zeros() as usize)
+            WarpSchedPolicy::Lrr => bits::first_from(ready, self.rr),
+        }
     }
 
     /// Records that `warp` issued this cycle.
@@ -131,7 +126,7 @@ mod tests {
                 (rr..n).chain(0..rr).collect()
             }
         };
-        order.into_iter().find(|&w| ready >> w & 1 != 0)
+        order.into_iter().find(|&w| bits::contains(ready, w))
     }
 
     fn check(policy: WarpSchedPolicy, n: usize, last: Option<usize>, ready: u64) {
@@ -165,7 +160,7 @@ mod tests {
                 let n = if rng.chance(0.5) { 48 } else { 64 };
                 let policy = [WarpSchedPolicy::Gto, WarpSchedPolicy::Lrr][rng.range(0..2usize)];
                 let last = rng.chance(0.9).then(|| rng.range(0..n));
-                let live = u64::MAX >> (64 - n);
+                let live = bits::below(n);
                 // Sparse and dense words both occur.
                 let ready = match rng.below(3) {
                     0 => rng.next_u64() & rng.next_u64() & rng.next_u64(),

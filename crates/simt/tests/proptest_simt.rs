@@ -5,7 +5,8 @@
 
 use gmh_simt::inst::{Inst, ScriptedSource};
 use gmh_simt::scheduler::WarpSchedPolicy;
-use gmh_simt::{CoreConfig, SimtCore, MAX_WARPS};
+use gmh_simt::{CoreConfig, SimtCore};
+use gmh_types::bits;
 use gmh_types::rng::cases;
 use gmh_types::{LineAddr, MemFetch, Xoshiro256};
 use std::ops::Range;
@@ -175,7 +176,7 @@ fn arb_dependent_inst(rng: &mut Xoshiro256, usual: usize, max_accesses: usize) -
 fn issue_words_match_the_reference_walk() {
     cases("issue_words_match_the_reference_walk", 48, |rng| {
         let mut cfg = CoreConfig::gtx480();
-        cfg.max_warps = rng.range(1..MAX_WARPS + 1);
+        cfg.max_warps = rng.range(1..bits::CAP + 1);
         cfg.mem_pipeline_width = rng.range(1..12);
         cfg.sched_policy = [WarpSchedPolicy::Gto, WarpSchedPolicy::Lrr][rng.range(0..2usize)];
         // One case in four may hold an instruction wider than the whole

@@ -31,6 +31,7 @@
 #![warn(missing_docs)]
 
 pub mod addr;
+pub mod bits;
 pub mod clock;
 pub mod fetch;
 pub mod hash;
@@ -62,20 +63,3 @@ pub use trace::{
 
 /// A cycle count within a single clock domain.
 pub type Cycle = u64;
-
-/// The indices of `word`'s set bits, lowest first: the walk over a bit
-/// set of at most 64 components (warps, ports, scheduler slots).
-///
-/// ```
-/// assert_eq!(gmh_types::set_bits(0b1010_0001).collect::<Vec<_>>(), [0, 5, 7]);
-/// ```
-#[inline]
-pub fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        (word != 0).then(|| {
-            let i = word.trailing_zeros() as usize;
-            word &= word - 1;
-            i
-        })
-    })
-}

@@ -24,10 +24,12 @@
 //! where flags are `-` (none), `m` (waits on a pending load), `a` (waits on
 //! a pending ALU result) or `ma`. `A`'s argument is its latency; `L`/`S`
 //! arguments are line indices. `#` lines are headers/comments. Instructions
-//! for one `(core, warp)` replay in file order.
+//! for one `(core, warp)` replay in file order. Core and warp indices are
+//! below [`gmh_types::bits::CAP`]: no machine holds more.
 
 use crate::spec::WorkloadSpec;
 use gmh_simt::inst::{Inst, InstKind, InstSource};
+use gmh_types::bits;
 use std::fmt;
 use std::io::{self, BufRead, Write};
 
@@ -104,9 +106,9 @@ impl TraceBundle {
         self.per_core.len()
     }
 
-    /// Warps per core in the trace.
+    /// Warps per core in the trace: the widest core's.
     pub fn warps_per_core(&self) -> usize {
-        self.per_core.first().map_or(0, |c| c.len())
+        self.per_core.iter().map(Vec::len).max().unwrap_or(0)
     }
 
     /// Kernel code footprint carried in the header.
@@ -173,7 +175,8 @@ impl TraceBundle {
     /// # Errors
     ///
     /// Returns [`ParseTraceError`] on I/O failure, a missing magic line, or
-    /// any malformed instruction line.
+    /// any malformed instruction line, including a core or warp index of
+    /// [`bits::CAP`] or more.
     pub fn parse(reader: impl BufRead) -> Result<Self, ParseTraceError> {
         let mut lines = reader.lines();
         let magic = lines
@@ -219,6 +222,12 @@ impl TraceBundle {
                 .and_then(|t| t.strip_prefix('w'))
                 .and_then(|t| t.parse().ok())
                 .ok_or_else(|| bad("expected w<warp>"))?;
+            if core >= bits::CAP || warp >= bits::CAP {
+                let cap = bits::CAP;
+                return Err(bad(&format!(
+                    "c{core} w{warp}: no machine holds more than {cap} cores or {cap} warps a core"
+                )));
+            }
             let op = tok.next().ok_or_else(|| bad("missing opcode"))?;
             let flags = tok.next().ok_or_else(|| bad("missing flags"))?;
             let (wait_mem, wait_alu) = match flags {
@@ -311,6 +320,7 @@ impl InstSource for ReplaySource {
 mod tests {
     use super::*;
     use crate::catalog;
+    use gmh_types::rng::cases;
 
     fn drain(src: &mut dyn InstSource, warp: usize) -> Vec<Inst> {
         let mut v = Vec::new();
@@ -382,6 +392,44 @@ mod tests {
             TraceBundle::parse(text.as_bytes()),
             Err(ParseTraceError::BadLine(2, _))
         ));
+        // Indices past any machine, up to the one whose `+ 1` overflows.
+        for line in [
+            "c18446744073709551615 w0 A - 1",
+            "c0 w18446744073709551615 A - 1",
+        ] {
+            match TraceBundle::parse(format!("#gmh-trace v1\n{line}\n").as_bytes()) {
+                Err(ParseTraceError::BadLine(2, why)) => assert!(why.contains("64 cores"), "{why}"),
+                other => panic!("{line}: expected BadLine(2, ..), got {other:?}"),
+            }
+        }
+    }
+
+    /// Byte flips, digit runs and truncations of a recorded trace: `parse`
+    /// answers each, never panics.
+    #[test]
+    fn mutated_traces_parse_or_are_refused() {
+        let mut spec = catalog::by_name("cfd").unwrap();
+        spec.warps_per_core = 3;
+        spec.insts_per_warp = 12;
+        let mut recorded = Vec::new();
+        TraceBundle::record(&spec, 2).write(&mut recorded).unwrap();
+        cases("mutated_traces_parse_or_are_refused", 2048, |rng| {
+            let mut text = recorded.clone();
+            for _ in 0..rng.range(1..4) {
+                let at = rng.range(0..text.len());
+                match rng.below(3) {
+                    0 => text[at] ^= 1 << rng.below(8),
+                    1 => {
+                        let run: Vec<u8> = (0..rng.range(1..24))
+                            .map(|_| b"0123456789"[rng.range(0..10)])
+                            .collect();
+                        text.splice(at..at, run);
+                    }
+                    _ => text.truncate(at.max(1)),
+                }
+            }
+            let _ = TraceBundle::parse(&text[..]);
+        });
     }
 
     #[test]

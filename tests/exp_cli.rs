@@ -149,6 +149,33 @@ fn unreadable_and_malformed_traces_are_refused() {
 }
 
 #[test]
+fn traces_wider_than_the_baseline_are_refused_before_replay() {
+    let write = |tag: &str, line: &str| {
+        let path = temp_path(tag);
+        std::fs::write(&path, format!("#gmh-trace v1\n{line}\n")).unwrap();
+        path
+    };
+    for (tag, line, shape) in [
+        ("16-cores.trace", "c15 w0 A - 1", "16 cores and 1 warps"),
+        ("49-warps.trace", "c0 w48 A - 1", "1 cores and 49 warps"),
+    ] {
+        let path = write(tag, line);
+        let err = refused(&["replay", path.to_str().unwrap()]);
+        std::fs::remove_file(&path).unwrap();
+        assert!(
+            err.contains(shape) && err.contains("15 cores and 48 warps"),
+            "{err}"
+        );
+    }
+    // The widest trace the baseline holds still replays.
+    let path = write("15-cores.trace", "c14 w47 A - 1");
+    let (code, out, err) = gmh_exp(&["replay", path.to_str().unwrap()]);
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(code, 0, "{err}");
+    assert!(out.contains("insts=1 "), "{out}");
+}
+
+#[test]
 fn profile_prints_every_tick_phase_and_writes_a_loadable_timeline() {
     let (code, out, _) = gmh_exp(&["profile", "solo"]);
     assert_eq!(code, 0);
