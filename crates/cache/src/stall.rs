@@ -2,12 +2,13 @@
 //!
 //! A cache pipeline "stalls" in a cycle when it has work pending but cannot
 //! make progress. Each stalled cycle is attributed to exactly one cause,
-//! following §IV-B of the paper.
+//! following §IV-B of the paper, and counted in a [`Tally`] whose
+//! `fractions()` list the figure's bars.
 
+use gmh_types::tally::{Kind, Tally};
 use gmh_types::trace::StallCause;
-use gmh_types::Counter;
 
-/// Why an L1 cache pipeline stalled in a cycle (Fig. 9).
+/// Why an L1 cache pipeline stalled in a cycle, in Fig. 9's bar order.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum L1StallKind {
     /// No replaceable cache line in the target set (all ways reserved).
@@ -19,64 +20,15 @@ pub enum L1StallKind {
     BpL2,
 }
 
-/// Per-kind stall cycle counters for an L1 cache. The counters are private:
-/// a cycle is charged only through [`L1StallCounters::record`], one cause
-/// per call.
-#[derive(Clone, Debug, Default)]
-pub struct L1StallCounters {
-    /// Stalls due to line contention.
-    cache: Counter,
-    /// Stalls due to MSHR contention.
-    mshr: Counter,
-    /// Stalls due to back-pressure from L2.
-    bp_l2: Counter,
-}
-
-impl L1StallCounters {
-    /// Records one stalled cycle of the given kind.
-    pub fn record(&mut self, kind: L1StallKind) {
-        match kind {
-            L1StallKind::Cache => self.cache.inc(),
-            L1StallKind::Mshr => self.mshr.inc(),
-            L1StallKind::BpL2 => self.bp_l2.inc(),
-        }
-    }
-
-    /// Stalled cycles charged to `kind`.
-    pub fn get(&self, kind: L1StallKind) -> u64 {
-        match kind {
-            L1StallKind::Cache => self.cache.get(),
-            L1StallKind::Mshr => self.mshr.get(),
-            L1StallKind::BpL2 => self.bp_l2.get(),
-        }
-    }
-
-    /// Total stalled cycles.
-    pub fn total(&self) -> u64 {
-        self.cache.get() + self.mshr.get() + self.bp_l2.get()
-    }
-
-    /// `(cache, mshr, bp_l2)` fractions of total stalls; zeros if no stalls.
-    pub fn fractions(&self) -> (f64, f64, f64) {
-        let t = self.total();
-        if t == 0 {
-            return (0.0, 0.0, 0.0);
-        }
-        let t = t as f64;
-        (
-            self.cache.get() as f64 / t,
-            self.mshr.get() as f64 / t,
-            self.bp_l2.get() as f64 / t,
-        )
-    }
-
-    /// Adds another counter set into this one (aggregation across cores).
-    pub fn merge(&mut self, other: &L1StallCounters) {
-        self.cache.add(other.cache.get());
-        self.mshr.add(other.mshr.get());
-        self.bp_l2.add(other.bp_l2.get());
+impl Kind<3> for L1StallKind {
+    const ALL: [L1StallKind; 3] = [L1StallKind::Cache, L1StallKind::Mshr, L1StallKind::BpL2];
+    fn index(self) -> usize {
+        self as usize
     }
 }
+
+/// Stalled cycles of an L1 cache (or, merged, of all of them) by cause.
+pub type L1StallCounters = Tally<L1StallKind, 3>;
 
 /// The trace-event cause for an L1 stall (same taxonomy, unified across
 /// levels for `gmh_types::trace`). Lives here, next to the enum it maps,
@@ -91,7 +43,7 @@ impl From<L1StallKind> for StallCause {
     }
 }
 
-/// Why an L2 bank pipeline stalled in a cycle (Fig. 8).
+/// Why an L2 bank pipeline stalled in a cycle, in Fig. 8's bar order.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum L2StallKind {
     /// Back-pressure from the interconnect: the L2 response queue is full
@@ -108,80 +60,21 @@ pub enum L2StallKind {
     BpDram,
 }
 
-/// Per-kind stall cycle counters for an L2 bank. The counters are private:
-/// a cycle is charged only through [`L2StallCounters::record`], one cause
-/// per call.
-#[derive(Clone, Debug, Default)]
-pub struct L2StallCounters {
-    /// Stalls due to interconnect back-pressure.
-    bp_icnt: Counter,
-    /// Stalls due to data-port contention.
-    port: Counter,
-    /// Stalls due to line contention.
-    cache: Counter,
-    /// Stalls due to MSHR contention.
-    mshr: Counter,
-    /// Stalls due to DRAM back-pressure.
-    bp_dram: Counter,
-}
-
-impl L2StallCounters {
-    /// Records one stalled cycle of the given kind.
-    pub fn record(&mut self, kind: L2StallKind) {
-        match kind {
-            L2StallKind::BpIcnt => self.bp_icnt.inc(),
-            L2StallKind::Port => self.port.inc(),
-            L2StallKind::Cache => self.cache.inc(),
-            L2StallKind::Mshr => self.mshr.inc(),
-            L2StallKind::BpDram => self.bp_dram.inc(),
-        }
-    }
-
-    /// Stalled cycles charged to `kind`.
-    pub fn get(&self, kind: L2StallKind) -> u64 {
-        match kind {
-            L2StallKind::BpIcnt => self.bp_icnt.get(),
-            L2StallKind::Port => self.port.get(),
-            L2StallKind::Cache => self.cache.get(),
-            L2StallKind::Mshr => self.mshr.get(),
-            L2StallKind::BpDram => self.bp_dram.get(),
-        }
-    }
-
-    /// Total stalled cycles.
-    pub fn total(&self) -> u64 {
-        self.bp_icnt.get()
-            + self.port.get()
-            + self.cache.get()
-            + self.mshr.get()
-            + self.bp_dram.get()
-    }
-
-    /// `[bp_icnt, port, cache, mshr, bp_dram]` fractions of total stalls.
-    pub fn fractions(&self) -> [f64; 5] {
-        let t = self.total();
-        if t == 0 {
-            return [0.0; 5];
-        }
-        let t = t as f64;
-        [
-            self.bp_icnt.get() as f64 / t,
-            self.port.get() as f64 / t,
-            self.cache.get() as f64 / t,
-            self.mshr.get() as f64 / t,
-            self.bp_dram.get() as f64 / t,
-        ]
-    }
-
-    /// Adds another counter set into this one (aggregation across banks).
-    pub fn merge(&mut self, other: &L2StallCounters) {
-        self.bp_icnt.add(other.bp_icnt.get());
-        self.port.add(other.port.get());
-        self.cache.add(other.cache.get());
-        self.mshr.add(other.mshr.get());
-        self.bp_dram.add(other.bp_dram.get());
+impl Kind<5> for L2StallKind {
+    const ALL: [L2StallKind; 5] = [
+        L2StallKind::BpIcnt,
+        L2StallKind::Port,
+        L2StallKind::Cache,
+        L2StallKind::Mshr,
+        L2StallKind::BpDram,
+    ];
+    fn index(self) -> usize {
+        self as usize
     }
 }
+
+/// Stalled cycles of an L2 bank (or, merged, of all of them) by cause.
+pub type L2StallCounters = Tally<L2StallKind, 5>;
 
 /// The trace-event cause for an L2 stall (see the L1 conversion above).
 impl From<L2StallKind> for StallCause {
@@ -207,7 +100,7 @@ mod tests {
         c.record(L1StallKind::Mshr);
         c.record(L1StallKind::Mshr);
         c.record(L1StallKind::BpL2);
-        let (a, b, d) = c.fractions();
+        let [a, b, d] = c.fractions();
         assert!((a + b + d - 1.0).abs() < 1e-12);
         assert_eq!(c.total(), 4);
         assert!((b - 0.5).abs() < 1e-12);
@@ -215,7 +108,7 @@ mod tests {
 
     #[test]
     fn l1_empty_fractions_zero() {
-        assert_eq!(L1StallCounters::default().fractions(), (0.0, 0.0, 0.0));
+        assert_eq!(L1StallCounters::default().fractions(), [0.0, 0.0, 0.0]);
     }
 
     #[test]
@@ -245,6 +138,28 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.get(L1StallKind::Mshr), 2);
         assert_eq!(a.get(L1StallKind::Cache), 1);
+    }
+
+    #[test]
+    fn kinds_list_their_figure_bars_in_order() {
+        use L2StallKind::{BpDram, BpIcnt, Port};
+        // Fig. 9's bars.
+        let l1 = [L1StallKind::Cache, L1StallKind::Mshr, L1StallKind::BpL2];
+        assert_eq!(L1StallKind::ALL, l1);
+        // Fig. 8's bars. Outside readers index `fractions()`: `[0]` is
+        // bp-ICNT and `[4]` is bp-DRAM.
+        let l2 = [BpIcnt, Port, L2StallKind::Cache, L2StallKind::Mshr, BpDram];
+        assert_eq!(L2StallKind::ALL, l2);
+        for (i, k) in l1.into_iter().enumerate() {
+            let mut c = L1StallCounters::default();
+            c.record(k);
+            assert_eq!(c.fractions()[i], 1.0, "{k:?} is bar {i}");
+        }
+        for (i, k) in l2.into_iter().enumerate() {
+            let mut c = L2StallCounters::default();
+            c.record(k);
+            assert_eq!(c.fractions()[i], 1.0, "{k:?} is bar {i}");
+        }
     }
 
     #[test]

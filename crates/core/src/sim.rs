@@ -5,7 +5,7 @@ use crate::l2bank::L2Bank;
 use crate::machine::{Machine, REP, REQ};
 use crate::sched::{Class, Sched};
 use crate::stats::SimStats;
-use gmh_cache::{L2StallKind, TagArray};
+use gmh_cache::TagArray;
 use gmh_dram::DramChannel;
 use gmh_icnt::Crossbar;
 use gmh_simt::SimtCore;
@@ -592,10 +592,7 @@ impl GpuSim {
             bank_sums(&self.m.banks),
             "an unstirred bank class moved"
         );
-        let mut stall_deltas = [0u64; 5];
-        for i in 0..5 {
-            stall_deltas[i] = stalls[i] - self.prev_l2_stalls[i];
-        }
+        let stall_deltas: [u64; 5] = std::array::from_fn(|i| stalls[i] - self.prev_l2_stalls[i]);
         (self.prev_l2_queues, self.prev_l2_stalls) = (l2_queues, stalls);
 
         if self.m.sched.stirred_since_sample(Class::Chan) {
@@ -1142,12 +1139,9 @@ fn bank_sums(banks: &[L2Bank]) -> ([usize; 3], [u64; 5]) {
         queues[0] += b.access_queue_len();
         queues[1] += b.miss_queue_len();
         queues[2] += b.response_queue_len();
-        let s = b.stalls();
-        stalls[0] += s.get(L2StallKind::BpIcnt);
-        stalls[1] += s.get(L2StallKind::Port);
-        stalls[2] += s.get(L2StallKind::Cache);
-        stalls[3] += s.get(L2StallKind::Mshr);
-        stalls[4] += s.get(L2StallKind::BpDram);
+        for (sum, n) in stalls.iter_mut().zip(b.stalls().counts()) {
+            *sum += n;
+        }
     }
     (queues, stalls)
 }

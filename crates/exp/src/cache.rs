@@ -27,7 +27,9 @@
 //! ## On-disk layout
 //!
 //! One file per entry, `<dir>/<016x key>.json`, written via a temp file and
-//! atomic rename so a crashed writer can never leave a torn entry. A
+//! atomic rename so a crashed writer can never leave a torn entry. Each
+//! write has a temp file of its own, so racing writers of one key never
+//! truncate each other's file: a reader sees a whole entry or none. A
 //! human-readable `index.tsv` (`key \t workload \t label \t seed`, ascending
 //! by key) is brought up to date by [`DiskCache::flush_index`], which merges
 //! this handle's in-memory ledger into the rows earlier processes left; the
@@ -40,6 +42,7 @@ use gmh_workloads::WorkloadSpec;
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Stable cache key for one simulation job.
@@ -130,9 +133,7 @@ impl DiskCache {
     ///
     /// Propagates filesystem errors from the write or rename.
     pub fn put(&self, key: u64, wl: &WorkloadSpec, label: &str, json: &str) -> io::Result<()> {
-        let tmp = self.dir.join(format!("{key:016x}.tmp"));
-        std::fs::write(&tmp, json)?;
-        std::fs::rename(&tmp, self.entry_path(key))?;
+        self.write_atomic(&self.entry_path(key), json)?;
         let row = format!("{key:016x}\t{}\t{label}\t{:#x}", wl.name, wl.seed);
         // INVARIANT: the ledger mutex is only held for push/extend/len and
         // no panic can occur while it is held, so it is never poisoned.
@@ -163,8 +164,16 @@ impl DiskCache {
             out.push_str(row);
             out.push('\n');
         }
-        let tmp = self.dir.join("index.tsv.tmp");
-        std::fs::write(&tmp, out)?;
+        self.write_atomic(&path, &out)
+    }
+
+    /// Writes `path` through a temp file no other write shares, then
+    /// renames it into place.
+    fn write_atomic(&self, path: &Path, bytes: &str) -> io::Result<()> {
+        static WRITES: AtomicU64 = AtomicU64::new(0);
+        let n = WRITES.fetch_add(1, Ordering::Relaxed);
+        let tmp = self.dir.join(format!(".tmp-{}-{n}", std::process::id()));
+        std::fs::write(&tmp, bytes)?;
         std::fs::rename(tmp, path)
     }
 }
@@ -199,18 +208,21 @@ pub struct CachedRun {
 }
 
 impl CachedRun {
-    /// Extracts a scalar `"name":<number>` field from the report JSON.
+    /// Extracts a scalar `"name":<number>` field from the report JSON by a
+    /// flat scan (see [`metric_in_json`]), which lets a warm-cache consumer
+    /// print its table without ever deserializing a full `SimStats`.
     ///
-    /// Field names in the report are globally unique (`summary`, stall and
-    /// occupancy objects never repeat a key), so a flat scan suffices. This
-    /// is what lets a warm-cache consumer print its table without ever
-    /// deserializing a full `SimStats`.
+    /// Most field names occur once in a report, but not all: `cache` and
+    /// `mshr` are causes under both `l1_stalls` and `l2_stalls`. A name that
+    /// occurs more than once is `None`, not whichever comes first.
     pub fn metric(&self, name: &str) -> Option<f64> {
         metric_in_json(&self.json, name)
     }
 }
 
-/// Scans report JSON for `"name":` and parses the number that follows.
+/// Scans report JSON for `"name":` and parses the number that follows;
+/// `None` when the name is missing, occurs more than once, or is followed
+/// by something other than a number.
 pub fn metric_in_json(json: &str, name: &str) -> Option<f64> {
     let needle = format!("\"{name}\":");
     let at = json.find(&needle)? + needle.len();
@@ -218,7 +230,7 @@ pub fn metric_in_json(json: &str, name: &str) -> Option<f64> {
     let end = rest
         .find(|c: char| !(c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E')))
         .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    rest[..end].parse().ok().filter(|_| !rest.contains(&needle))
 }
 
 /// Runs `(label, cfg, wl)` through `cache`: returns the stored report on a
@@ -332,6 +344,22 @@ mod tests {
         assert!((cycles - stats.core_cycles as f64).abs() < 0.5);
         assert!(cold.metric("l2_access_full_fraction").is_some());
         assert!(cold.metric("no_such_field").is_none());
+        // Causes of both cache levels: ambiguous, so neither level's share.
+        for name in ["cache", "mshr"] {
+            assert_eq!(cold.metric(name), None, "{name}");
+        }
+        // What outside readers (the benchmark's report checks) take.
+        for name in [
+            "ipc",
+            "core_cycles",
+            "insts",
+            "emitted",
+            "returned",
+            "absorbed",
+            "in_flight",
+        ] {
+            assert!(cold.metric(name).is_some(), "{name}");
+        }
         std::fs::remove_dir_all(cache.dir()).ok();
     }
 
@@ -372,6 +400,38 @@ mod tests {
             assert!(row.starts_with(&format!("{key:016x}\tnn\t")), "{idx}");
         }
         std::fs::remove_dir_all(first.dir()).ok();
+    }
+
+    #[test]
+    fn racing_writers_of_one_key_leave_whole_entries() {
+        // Two identical daemon requests, or two searches sharing a
+        // candidate, store one key at once. Each put must succeed and a
+        // concurrent read must see no entry or a whole one, never a
+        // half-written temp file renamed into place.
+        let cache = tmp_cache("race");
+        let (_, wl) = tiny();
+        let payload = "x".repeat(64 << 10);
+        let start = std::sync::Barrier::new(5);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..200 {
+                        cache.put(7, &wl, "base", &payload).unwrap();
+                    }
+                });
+            }
+            s.spawn(|| {
+                start.wait();
+                for _ in 0..2000 {
+                    if let Some(read) = cache.get(7) {
+                        assert!(read == payload, "a torn entry of {} bytes", read.len());
+                    }
+                }
+            });
+        });
+        assert_eq!(cache.get(7).as_deref(), Some(payload.as_str()));
+        std::fs::remove_dir_all(cache.dir()).ok();
     }
 
     #[test]

@@ -212,11 +212,10 @@ fn probe(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Outcome {
         stats.dram_queue_occupancy.full_fraction(),
         stats.issue.distribution().map(|x| (x * 100.0).round()),
     )?;
-    let (cache, mshr, bp_l2) = stats.l1_stalls.fractions();
     writeln!(
         out,
         "  l1stalls(c,m,bp)={:?} l2stalls(bpI,p,c,m,bpD)={:?}",
-        [cache, mshr, bp_l2].map(|x| (x * 100.0).round()),
+        stats.l1_stalls.fractions().map(|x| (x * 100.0).round()),
         stats.l2_stalls.fractions().map(|x| (x * 100.0).round()),
     )?;
     if let Some(dir) = dir {

@@ -620,10 +620,7 @@ pub fn fig9(baselines: &Baselines) -> String {
         "Fig. 9: L1 stall distribution",
         &["cache", "mshr", "bp-L2"].map(|h| Col(h, 9, Percent)),
         "(paper AVG: 11 / 41 / 48)",
-        |_, b| {
-            let (cache, mshr, bp_l2) = b.l1_stalls.fractions();
-            vec![cache, mshr, bp_l2]
-        },
+        |_, b| b.l1_stalls.fractions().to_vec(),
     )
 }
 

@@ -19,6 +19,12 @@ fn obj(pairs: &[(&str, String)]) -> String {
     format!("{{{}}}", body.join(","))
 }
 
+/// One stall level's object: each cause's share, in the taxonomy's order.
+fn shares<const N: usize>(names: [&str; N], fractions: [f64; N]) -> String {
+    let pairs: Vec<(&str, String)> = names.into_iter().zip(fractions.map(json_num)).collect();
+    obj(&pairs)
+}
+
 /// Serializes one run as a self-contained JSON report:
 ///
 /// ```json
@@ -38,9 +44,6 @@ fn obj(pairs: &[(&str, String)]) -> String {
 /// telemetry series are per-window means (see
 /// [`gmh_types::TelemetrySnapshot`]).
 pub fn report_json(config_name: &str, workload: &str, stats: &SimStats) -> String {
-    let d = stats.issue.distribution();
-    let (l1c, l1m, l1bp) = stats.l1_stalls.fractions();
-    let l2 = stats.l2_stalls.fractions();
     let summary = obj(&[
         ("core_cycles", stats.core_cycles.to_string()),
         ("insts", stats.insts.to_string()),
@@ -56,25 +59,15 @@ pub fn report_json(config_name: &str, workload: &str, stats: &SimStats) -> Strin
         ("dram_efficiency", json_num(stats.dram_efficiency)),
         ("hit_cycle_cap", stats.hit_cycle_cap.to_string()),
     ]);
-    let issue = obj(&[
-        ("data_mem", json_num(d[0])),
-        ("data_alu", json_num(d[1])),
-        ("str_mem", json_num(d[2])),
-        ("str_alu", json_num(d[3])),
-        ("fetch", json_num(d[4])),
-    ]);
-    let l1 = obj(&[
-        ("cache", json_num(l1c)),
-        ("mshr", json_num(l1m)),
-        ("bp_l2", json_num(l1bp)),
-    ]);
-    let l2 = obj(&[
-        ("bp_icnt", json_num(l2[0])),
-        ("port", json_num(l2[1])),
-        ("cache", json_num(l2[2])),
-        ("mshr", json_num(l2[3])),
-        ("bp_dram", json_num(l2[4])),
-    ]);
+    let issue = shares(
+        ["data_mem", "data_alu", "str_mem", "str_alu", "fetch"],
+        stats.issue.distribution(),
+    );
+    let l1 = shares(["cache", "mshr", "bp_l2"], stats.l1_stalls.fractions());
+    let l2 = shares(
+        ["bp_icnt", "port", "cache", "mshr", "bp_dram"],
+        stats.l2_stalls.fractions(),
+    );
     let occupancy = obj(&[
         (
             "l2_access_full_fraction",
@@ -158,6 +151,48 @@ mod tests {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         assert!(!json.contains("NaN") && !json.contains("inf"));
+    }
+
+    /// A cause's report key from its variant name: `BpIcnt` -> `bp_icnt`.
+    fn snake(kind: impl std::fmt::Debug) -> String {
+        let mut key = String::new();
+        for c in format!("{kind:?}").chars() {
+            if c.is_ascii_uppercase() && !key.is_empty() {
+                key.push('_');
+            }
+            key.push(c.to_ascii_lowercase());
+        }
+        key
+    }
+
+    /// `"name":{..}` holding one `"cause":share` pair per kind, in order.
+    fn stall_object<K: std::fmt::Debug>(name: &str, kinds: &[K], shares: &[f64]) -> String {
+        let pairs: Vec<String> = kinds
+            .iter()
+            .zip(shares)
+            .map(|(k, &f)| format!("\"{}\":{}", snake(k), json_num(f)))
+            .collect();
+        format!("\"{name}\":{{{}}}", pairs.join(","))
+    }
+
+    #[test]
+    fn stall_objects_list_each_taxonomy_in_order_with_its_fractions() {
+        use gmh_cache::{L1StallKind, L2StallKind};
+        use gmh_simt::IssueStallKind;
+        use gmh_types::tally::Kind;
+        let stats = tiny_stats();
+        let json = report_json("gtx480_baseline", "nn", &stats);
+        for want in [
+            stall_object(
+                "issue_stalls",
+                &IssueStallKind::ALL,
+                &stats.issue.distribution(),
+            ),
+            stall_object("l1_stalls", &L1StallKind::ALL, &stats.l1_stalls.fractions()),
+            stall_object("l2_stalls", &L2StallKind::ALL, &stats.l2_stalls.fractions()),
+        ] {
+            assert!(json.contains(&want), "missing {want} in {json}");
+        }
     }
 
     #[test]

@@ -739,10 +739,7 @@ impl SimtCore {
         if !self.issue_dirty {
             if let Some((stall, wake)) = self.issue_memo {
                 if now < wake {
-                    match stall {
-                        Some(k) => self.stats.issue.record(k),
-                        None => self.stats.issue.idle.inc(),
-                    }
+                    self.stats.issue.record_n(stall, 1);
                     return;
                 }
             }
@@ -755,10 +752,7 @@ impl SimtCore {
                 // Charge the cycle and memoize the verdict — it holds
                 // verbatim until an event or `wake`.
                 self.issue_memo = Some((kind, wake));
-                match kind {
-                    Some(k) => self.stats.issue.record(k),
-                    None => self.stats.issue.idle.inc(),
-                }
+                self.stats.issue.record_n(kind, 1);
                 return;
             }
         };

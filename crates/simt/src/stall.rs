@@ -1,11 +1,16 @@
 //! Issue-stall classification (Figs. 1 and 7 of the paper).
 
+use gmh_types::tally::{Kind, Tally};
 use gmh_types::Counter;
 
 /// The cause a core could not issue any instruction in a cycle, following
-/// the precedence rules of §IV-A.5.
+/// the precedence rules of §IV-A.5. Declared in Fig. 7's bar order.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum IssueStallKind {
+    /// Every otherwise-issuable warp waits on a pending load.
+    DataMem,
+    /// Every otherwise-issuable warp waits on a pending ALU result.
+    DataAlu,
     /// A dependence-free memory instruction was blocked by memory-unit
     /// resource contention (LSU full / L1 blocked).
     StrMem,
@@ -15,30 +20,31 @@ pub enum IssueStallKind {
     /// bandwidth is infinite, `InstKind::Alu` always issues). The variant
     /// is kept for Fig. 7 report parity with the paper's category set.
     StrAlu,
-    /// Every otherwise-issuable warp waits on a pending load.
-    DataMem,
-    /// Every otherwise-issuable warp waits on a pending ALU result.
-    DataAlu,
     /// Warps starve on empty instruction buffers (I-cache misses).
     Fetch,
 }
 
-/// Stall-cycle counters by kind, plus issued/total cycle accounting. The
-/// cause counters are private: a cycle is charged only through
+impl Kind<5> for IssueStallKind {
+    const ALL: [IssueStallKind; 5] = [
+        IssueStallKind::DataMem,
+        IssueStallKind::DataAlu,
+        IssueStallKind::StrMem,
+        IssueStallKind::StrAlu,
+        IssueStallKind::Fetch,
+    ];
+    fn index(self) -> usize {
+        self as usize
+    }
+}
+
+/// Stall-cycle counts by kind, plus issued/total cycle accounting. The
+/// cause tally is private: a cycle is charged only through
 /// [`IssueStallCounters::record`] or [`IssueStallCounters::record_n`], one
 /// cause per cycle.
 #[derive(Clone, Debug, Default)]
 pub struct IssueStallCounters {
-    /// Structural hazard, memory unit.
-    str_mem: Counter,
-    /// Structural hazard, arithmetic unit.
-    str_alu: Counter,
-    /// Data hazard on a pending load.
-    data_mem: Counter,
-    /// Data hazard on a pending ALU result.
-    data_alu: Counter,
-    /// Fetch hazard.
-    fetch: Counter,
+    /// Stalled cycles by cause.
+    stalls: Tally<IssueStallKind, 5>,
     /// Cycles in which an instruction issued.
     pub issued_cycles: Counter,
     /// Cycles with live (unfinished) warps but no classified stall and no
@@ -49,49 +55,28 @@ pub struct IssueStallCounters {
 impl IssueStallCounters {
     /// Records one stalled cycle.
     pub fn record(&mut self, kind: IssueStallKind) {
-        match kind {
-            IssueStallKind::StrMem => self.str_mem.inc(),
-            IssueStallKind::StrAlu => self.str_alu.inc(),
-            IssueStallKind::DataMem => self.data_mem.inc(),
-            IssueStallKind::DataAlu => self.data_alu.inc(),
-            IssueStallKind::Fetch => self.fetch.inc(),
-        }
+        self.stalls.record(kind);
     }
 
-    /// Records `n` identical cycles at once: `Some(kind)` stalled cycles or
-    /// `None` idle cycles. The bulk form of [`IssueStallCounters::record`]
-    /// (plus the idle arm of the issue stage), used when the fast-forward
-    /// scheduler replays a quiescent window whose classification is
-    /// constant by construction.
+    /// Records `n` identical cycles: `Some(kind)` stalled cycles or `None`
+    /// idle ones. The issue stage charges its verdict with `n = 1`; the
+    /// fast-forward scheduler replays a quiescent window, whose
+    /// classification is constant by construction, in one call.
     pub fn record_n(&mut self, kind: Option<IssueStallKind>, n: u64) {
         match kind {
-            Some(IssueStallKind::StrMem) => self.str_mem.add(n),
-            Some(IssueStallKind::StrAlu) => self.str_alu.add(n),
-            Some(IssueStallKind::DataMem) => self.data_mem.add(n),
-            Some(IssueStallKind::DataAlu) => self.data_alu.add(n),
-            Some(IssueStallKind::Fetch) => self.fetch.add(n),
+            Some(kind) => self.stalls.add(kind, n),
             None => self.idle.add(n),
         }
     }
 
     /// Stalled cycles charged to `kind`.
     pub fn get(&self, kind: IssueStallKind) -> u64 {
-        match kind {
-            IssueStallKind::StrMem => self.str_mem.get(),
-            IssueStallKind::StrAlu => self.str_alu.get(),
-            IssueStallKind::DataMem => self.data_mem.get(),
-            IssueStallKind::DataAlu => self.data_alu.get(),
-            IssueStallKind::Fetch => self.fetch.get(),
-        }
+        self.stalls.get(kind)
     }
 
     /// Total classified stall cycles.
     pub fn total_stalls(&self) -> u64 {
-        self.str_mem.get()
-            + self.str_alu.get()
-            + self.data_mem.get()
-            + self.data_alu.get()
-            + self.fetch.get()
+        self.stalls.total()
     }
 
     /// Fraction of runtime spent stalled (the paper's Fig. 1 "Stall"):
@@ -106,29 +91,15 @@ impl IssueStallCounters {
     }
 
     /// `[data_mem, data_alu, str_mem, str_alu, fetch]` fractions of total
-    /// stalls (Fig. 7's bar order); zeros when no stalls occurred.
+    /// stalls (Fig. 7's bars, [`Kind::ALL`] order); zeros when no stalls
+    /// occurred.
     pub fn distribution(&self) -> [f64; 5] {
-        let t = self.total_stalls();
-        if t == 0 {
-            return [0.0; 5];
-        }
-        let t = t as f64;
-        [
-            self.data_mem.get() as f64 / t,
-            self.data_alu.get() as f64 / t,
-            self.str_mem.get() as f64 / t,
-            self.str_alu.get() as f64 / t,
-            self.fetch.get() as f64 / t,
-        ]
+        self.stalls.fractions()
     }
 
     /// Merges another counter set (aggregation across cores).
     pub fn merge(&mut self, other: &IssueStallCounters) {
-        self.str_mem.add(other.str_mem.get());
-        self.str_alu.add(other.str_alu.get());
-        self.data_mem.add(other.data_mem.get());
-        self.data_alu.add(other.data_alu.get());
-        self.fetch.add(other.fetch.get());
+        self.stalls.merge(&other.stalls);
         self.issued_cycles.add(other.issued_cycles.get());
         self.idle.add(other.idle.get());
     }
@@ -153,6 +124,18 @@ mod tests {
         let s: f64 = c.distribution().iter().sum();
         assert!((s - 1.0).abs() < 1e-12);
         assert_eq!(c.total_stalls(), 5);
+    }
+
+    #[test]
+    fn kinds_list_fig7_bars_in_order() {
+        use IssueStallKind::{DataAlu, DataMem, Fetch, StrAlu, StrMem};
+        let bars = [DataMem, DataAlu, StrMem, StrAlu, Fetch];
+        assert_eq!(IssueStallKind::ALL, bars);
+        for (i, k) in bars.into_iter().enumerate() {
+            let mut c = IssueStallCounters::default();
+            c.record(k);
+            assert_eq!(c.distribution()[i], 1.0, "{k:?} is bar {i}");
+        }
     }
 
     #[test]

@@ -41,6 +41,7 @@ pub mod queue;
 pub mod rng;
 pub mod scratch;
 pub mod stats;
+pub mod tally;
 pub mod telemetry;
 pub mod trace;
 

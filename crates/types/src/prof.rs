@@ -102,20 +102,11 @@ impl HostPhase {
         HostPhase::SchedResched,
     ];
 
-    /// Stable dense index into per-phase arrays.
+    /// Stable dense index into per-phase arrays: the declaration order,
+    /// which [`HostPhase::ALL`] repeats.
     #[must_use]
     pub fn index(self) -> usize {
-        match self {
-            HostPhase::CoreTick => 0,
-            HostPhase::IcntTick => 1,
-            HostPhase::L2Tick => 2,
-            HostPhase::DramTick => 3,
-            HostPhase::FfProbe => 4,
-            HostPhase::FfJump => 5,
-            HostPhase::Telemetry => 6,
-            HostPhase::SchedPop => 7,
-            HostPhase::SchedResched => 8,
-        }
+        self as usize
     }
 
     /// Snake-case name used in tables, trace JSON and metric labels.
@@ -384,6 +375,13 @@ fn saturating_ns(n: u128) -> u64 {
 mod tests {
     use super::*;
     use std::time::Duration;
+
+    #[test]
+    fn all_lists_the_phases_in_index_order() {
+        for (i, phase) in HostPhase::ALL.into_iter().enumerate() {
+            assert_eq!(phase.index(), i, "{phase:?}");
+        }
+    }
 
     #[expect(
         clippy::disallowed_types,

@@ -76,14 +76,10 @@ impl Level {
         }
     }
 
-    /// Position in [`Level::ALL`] (dense index for per-level arrays).
+    /// Position in [`Level::ALL`] (dense index for per-level arrays): the
+    /// declaration order.
     fn index(self) -> usize {
-        match self {
-            Level::L1 => 0,
-            Level::Icnt => 1,
-            Level::L2 => 2,
-            Level::Dram => 3,
-        }
+        self as usize
     }
 }
 
@@ -678,6 +674,13 @@ mod tests {
     use super::*;
     use crate::addr::LineAddr;
     use crate::rng::Xoshiro256;
+
+    #[test]
+    fn all_lists_the_levels_in_index_order() {
+        for (i, level) in Level::ALL.into_iter().enumerate() {
+            assert_eq!(level.index(), i, "{level:?}");
+        }
+    }
 
     /// A fetch no sink has seen: its verdict bit is still `false`.
     fn load(core: usize, id: u64) -> MemFetch {

@@ -100,7 +100,7 @@ fn stall_distributions_are_valid() {
     assert!((issue_sum - 1.0).abs() < 1e-9 || issue_sum == 0.0);
     let l2_sum: f64 = s.l2_stalls.fractions().iter().sum();
     assert!((l2_sum - 1.0).abs() < 1e-9 || l2_sum == 0.0);
-    let (a, b, c) = s.l1_stalls.fractions();
+    let [a, b, c] = s.l1_stalls.fractions();
     let l1_sum = a + b + c;
     assert!((l1_sum - 1.0).abs() < 1e-9 || l1_sum == 0.0);
     assert!(s.stall_fraction >= 0.0 && s.stall_fraction <= 1.0);
