@@ -286,6 +286,15 @@ impl Cache {
         self.standing.0 = None;
     }
 
+    /// Counts `n` more attempts refused by the standing block: what `n`
+    /// replays through `admit_*` would add. An owner that slept through
+    /// `n` cycles of a refused head settles them with it.
+    #[doc(hidden)]
+    pub fn count_refusals(&mut self, n: u64) {
+        debug_assert!(self.standing.0.is_some(), "no standing block to replay");
+        self.stats.blocked += n;
+    }
+
     /// Counts a refused attempt and keeps the refusal standing.
     fn refuse(&mut self, line: LineAddr, write: bool, reason: BlockReason) -> BlockReason {
         self.stats.blocked += 1;

@@ -47,8 +47,13 @@ struct Line {
 /// ```
 #[derive(Clone, Debug)]
 pub struct TagArray {
-    sets: Vec<Vec<Line>>,
+    /// Every way of every set, way `w` of set `s` at `s * assoc + w`.
+    lines: Vec<Line>,
     assoc: usize,
+    n_sets: u64,
+    /// `n_sets - 1` when `n_sets` is a power of two (every Table I and
+    /// Table III geometry), so the set index is a mask, not a division.
+    set_mask: Option<u64>,
     set_stride: u64,
     use_clock: u64,
 }
@@ -92,8 +97,10 @@ impl TagArray {
         )]
         let n_sets = usize::try_from(lines / assoc as u64).expect("set count fits usize");
         TagArray {
-            sets: vec![vec![Line::default(); assoc]; n_sets],
+            lines: vec![Line::default(); n_sets * assoc],
             assoc,
+            n_sets: n_sets as u64,
+            set_mask: n_sets.is_power_of_two().then(|| n_sets as u64 - 1),
             set_stride: set_stride as u64,
             use_clock: 0,
         }
@@ -101,7 +108,7 @@ impl TagArray {
 
     /// Number of sets.
     pub fn n_sets(&self) -> usize {
-        self.sets.len()
+        self.lines.len() / self.assoc
     }
 
     /// Associativity (ways per set).
@@ -113,23 +120,36 @@ impl TagArray {
     /// hands it to the `*_at`/`*_in` methods below.
     #[expect(
         clippy::cast_possible_truncation,
-        reason = "the modulus bounds the value below sets.len(), a usize"
+        reason = "the mask or modulus bounds the value below n_sets, a usize"
     )]
     pub(crate) fn set_of(&self, line: LineAddr) -> usize {
-        // The modulus bounds the value below sets.len().
-        ((line.index() / self.set_stride) % self.sets.len() as u64) as usize
+        let i = line.index() / self.set_stride;
+        (match self.set_mask {
+            Some(mask) => i & mask,
+            None => i % self.n_sets,
+        }) as usize
+    }
+
+    /// The ways of `set`.
+    fn set(&self, set: usize) -> &[Line] {
+        &self.lines[set * self.assoc..(set + 1) * self.assoc]
+    }
+
+    /// Way `way` of `set`.
+    fn line_mut(&mut self, set: usize, way: usize) -> &mut Line {
+        &mut self.lines[set * self.assoc + way]
     }
 
     /// The way of `set` holding `line` (Valid, Dirty or Reserved), if any.
     pub(crate) fn way_in(&self, set: usize, line: LineAddr) -> Option<usize> {
-        self.sets[set]
+        self.set(set)
             .iter()
             .position(|l| l.state != LineState::Invalid && l.tag == line.index())
     }
 
     /// State of one way.
     pub(crate) fn state_at(&self, set: usize, way: usize) -> LineState {
-        self.sets[set][way].state
+        self.lines[set * self.assoc + way].state
     }
 
     fn find(&self, line: LineAddr) -> Option<(usize, usize)> {
@@ -142,9 +162,10 @@ impl TagArray {
     /// it dirty.
     pub(crate) fn touch_at(&mut self, set: usize, way: usize, mark_dirty: bool) {
         self.use_clock += 1;
-        let l = &mut self.sets[set][way];
+        let clock = self.use_clock;
+        let l = self.line_mut(set, way);
         debug_assert!(matches!(l.state, LineState::Valid | LineState::Dirty));
-        l.last_use = self.use_clock;
+        l.last_use = clock;
         if mark_dirty {
             l.state = LineState::Dirty;
         }
@@ -154,7 +175,7 @@ impl TagArray {
     /// way, invalid ways first — with the line to write back if it is
     /// dirty; `None` if every way is reserved.
     pub(crate) fn victim_in(&self, set: usize) -> Option<(usize, Option<LineAddr>)> {
-        self.sets[set]
+        self.set(set)
             .iter()
             .enumerate()
             .filter(|(_, l)| l.state != LineState::Reserved)
@@ -174,11 +195,12 @@ impl TagArray {
     pub(crate) fn reserve_at(&mut self, set: usize, way: usize, line: LineAddr) {
         debug_assert_eq!(set, self.set_of(line));
         self.use_clock += 1;
-        let l = &mut self.sets[set][way];
+        let clock = self.use_clock;
+        let l = self.line_mut(set, way);
         debug_assert_ne!(l.state, LineState::Reserved);
         l.tag = line.index();
         l.state = LineState::Reserved;
-        l.last_use = self.use_clock;
+        l.last_use = clock;
     }
 
     /// Completes the fill for a previously reserved `line`, making it Valid
@@ -198,14 +220,15 @@ impl TagArray {
     /// [`TagArray::fill`] for a way already known to hold the line.
     pub(crate) fn fill_at(&mut self, set: usize, way: usize, dirty: bool) -> bool {
         self.use_clock += 1;
-        let l = &mut self.sets[set][way];
+        let clock = self.use_clock;
+        let l = self.line_mut(set, way);
         let was_reserved = l.state == LineState::Reserved;
         l.state = if dirty {
             LineState::Dirty
         } else {
             LineState::Valid
         };
-        l.last_use = self.use_clock;
+        l.last_use = clock;
         was_reserved
     }
 
@@ -213,8 +236,8 @@ impl TagArray {
     /// write-evict policy). Returns whether it was.
     pub(crate) fn invalidate_in(&mut self, set: usize, line: LineAddr) -> bool {
         match self.way_in(set, line) {
-            Some(w) if self.sets[set][w].state != LineState::Reserved => {
-                self.sets[set][w].state = LineState::Invalid;
+            Some(w) if self.state_at(set, w) != LineState::Reserved => {
+                self.line_mut(set, w).state = LineState::Invalid;
                 true
             }
             _ => false,
@@ -223,8 +246,7 @@ impl TagArray {
 
     /// Number of reserved lines in the set containing `line` (diagnostics).
     pub fn reserved_in_set(&self, line: LineAddr) -> usize {
-        let s = self.set_of(line);
-        self.sets[s]
+        self.set(self.set_of(line))
             .iter()
             .filter(|l| l.state == LineState::Reserved)
             .count()
@@ -236,7 +258,7 @@ impl TagArray {
         self.use_clock += 1;
         let clock = self.use_clock;
         if let Some((s, w)) = self.find(line) {
-            let l = &mut self.sets[s][w];
+            let l = self.line_mut(s, w);
             l.last_use = clock;
             if write {
                 l.state = LineState::Dirty;
@@ -249,13 +271,14 @@ impl TagArray {
             clippy::expect_used,
             reason = "INVARIANT: sets are non-empty (associativity is validated > 0)."
         )]
-        let w = self.sets[s]
+        let w = self
+            .set(s)
             .iter()
             .enumerate()
             .min_by_key(|(_, l)| (l.state != LineState::Invalid, l.last_use))
             .map(|(w, _)| w)
             .expect("non-zero associativity");
-        let l = &mut self.sets[s][w];
+        let l = self.line_mut(s, w);
         l.tag = line.index();
         l.state = if write {
             LineState::Dirty
@@ -315,6 +338,22 @@ mod tests {
         let t = TagArray::new(16 * 1024, 4);
         assert_eq!(t.n_sets(), 32);
         assert_eq!(t.assoc(), 4);
+    }
+
+    #[test]
+    fn set_index_is_the_strided_line_modulo_the_sets() {
+        // Power-of-two set counts take the mask, the others the modulus.
+        for (size, assoc, stride) in [(16 * 1024, 4, 1), (64 * 1024, 8, 12), (6 * 128, 2, 1)] {
+            let t = TagArray::with_stride(size, assoc, stride);
+            for i in (0..5000).chain([u64::MAX / 3, u64::MAX]) {
+                let want = (i / stride as u64) % t.n_sets() as u64;
+                assert_eq!(
+                    t.set_of(LineAddr::new(i)) as u64,
+                    want,
+                    "line {i} of {size} B"
+                );
+            }
+        }
     }
 
     #[test]

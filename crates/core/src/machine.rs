@@ -158,6 +158,7 @@ fn wake<C: Component>(sched: &mut Sched, class: Class, comps: &mut [C], slot: us
     sched.stir(class);
     let owed = sched.swept[class.idx()] - sched.done[sched.id(class, slot)];
     if owed > 0 {
+        sched.slept[class.idx()] += owed;
         comps[slot].skip_cycles(owed);
     }
 }
@@ -258,6 +259,7 @@ mod tests {
         m.sched.swept = [4; 4];
         m.wake(Class::Bank, 0);
         assert_eq!((m.banks[0].skipped, m.sched.done[id]), (3, 1));
+        assert_eq!(m.sched.slept, [0, 3, 0, 0]);
         assert!(m.sched.is_awake(Class::Bank, 0) && m.sched.wake_at(Class::Bank, 0) == NEVER);
         // The nets still wake at 80 ps.
         assert_eq!(m.sched.next_wake, Picos(80));

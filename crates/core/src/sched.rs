@@ -91,6 +91,9 @@ pub(crate) struct Sched {
     /// that class must have absorbed before anything mutates it, whether
     /// its own sweep still runs later this instant or already ran.
     pub swept: [u64; 4],
+    /// Own-domain ticks each class's components slept through, summed as
+    /// wakes settle them (observation only: nothing reads it back).
+    pub slept: [u64; 4],
     /// Id of each class's slot 0.
     offset: [usize; 4],
 }
@@ -130,6 +133,7 @@ impl Sched {
             live,
             clock,
             swept: [0; 4],
+            slept: [0; 4],
             offset,
         }
     }

@@ -9,11 +9,11 @@ use gmh_cache::TagArray;
 use gmh_dram::DramChannel;
 use gmh_icnt::Crossbar;
 use gmh_simt::SimtCore;
+use gmh_types::bits::{self, Bits};
 use gmh_types::prof::{HostPhase, HostProfiler, HostReport};
 use gmh_types::trace::{Level, TraceEventKind, TraceSink};
 use gmh_types::{
-    bits, stable_hash_str, ClockDomains, DomainId, FetchAudit, MemFetch, Picos, Telemetry, Tick,
-    TickSet,
+    stable_hash_str, ClockDomains, DomainId, FetchAudit, MemFetch, Picos, Telemetry, Tick, TickSet,
 };
 use gmh_workloads::WorkloadSpec;
 
@@ -59,12 +59,31 @@ pub struct FastForwardStats {
     pub skipped_icnt: u64,
     /// DRAM-domain ticks skipped across all jumps.
     pub skipped_dram: u64,
+    /// Per class, in [`FastForwardStats::CLASSES`] order: own-domain ticks
+    /// its components slept through (replayed by their skip hooks, jumped
+    /// ticks included), summed over the components.
+    pub slept: [u64; 4],
+    /// Per class: own-domain ticks times the components the memory model
+    /// ticks, the ticks `slept` is a share of.
+    pub ticks: [u64; 4],
 }
 
 impl FastForwardStats {
+    /// The component classes `slept` and `ticks` count, in order.
+    pub const CLASSES: [&'static str; 4] = ["cores", "banks", "channels", "nets"];
+
     /// Total ticks skipped across all domains.
     pub fn skipped_total(&self) -> u64 {
         self.skipped_core + self.skipped_icnt + self.skipped_dram
+    }
+
+    /// Per class, the share of its component-ticks slept through (0 for a
+    /// class the memory model never ticks).
+    pub fn slept_shares(&self) -> [f64; 4] {
+        std::array::from_fn(|k| match self.ticks[k] {
+            0 => 0.0,
+            t => self.slept[k] as f64 / t as f64,
+        })
     }
 }
 
@@ -135,6 +154,12 @@ pub struct GpuSim {
     ideal_scratch: IdealFifo<(u64, MemFetch)>,
     /// Observational fast-forward engagement counters.
     ff_stats: FastForwardStats,
+    /// Bit `c` set while core `c`'s L1 miss queues hold fetches: the cores
+    /// the interconnect's (or ideal memory's) hand-off takes from, awake or
+    /// not. Only a core's own tick adds to its miss queues and only that
+    /// hand-off pops them, so it is refreshed after each core sweep for the
+    /// swept cores and after each pop for the popped core.
+    has_out: Bits,
     /// Host-side span profiler (present only under `cfg.profile_host`).
     /// Strictly observational: nothing it reads from the clock ever feeds
     /// back into simulation state. It times one run-loop iteration in
@@ -254,6 +279,7 @@ impl GpuSim {
             ideal_blocked: vec![false; cfg.n_cores],
             ideal_scratch: IdealFifo::new(),
             ff_stats: FastForwardStats::default(),
+            has_out: 0,
             host_prof: cfg.profile_host.then(HostProfiler::new),
             workload: name.to_string(),
             cfg,
@@ -272,9 +298,17 @@ impl GpuSim {
         &self.workload
     }
 
-    /// Fast-forward engagement counters for the run so far.
-    pub fn ff_stats(&self) -> &FastForwardStats {
-        &self.ff_stats
+    /// Fast-forward engagement counters for the run so far (a sleeper's
+    /// ticks count as slept once a wake or the end-of-run flush settles
+    /// them).
+    pub fn ff_stats(&self) -> FastForwardStats {
+        let s = &self.m.sched;
+        let cycles = Self::per_class(&self.clocks, |d| d.cycles());
+        FastForwardStats {
+            slept: s.slept,
+            ticks: std::array::from_fn(|k| s.live[k] as u64 * cycles[k]),
+            ..self.ff_stats
+        }
     }
 
     /// Consumes the host profiler and freezes it into a
@@ -458,10 +492,11 @@ impl GpuSim {
     /// interconnect tick, is replayed eagerly — every sampled value is
     /// frozen across the window, so repeating one sample is exact.
     fn try_jump(&mut self) -> bool {
-        // Only an all-asleep machine jumps, and a drained one must step
-        // naively to its next 64-cycle done() poll so the recorded
-        // termination cycle is unchanged.
-        if self.m.sched.awake != [0; 4] || self.done() {
+        // Only an all-asleep machine with no miss queued for the
+        // interconnect jumps, and a drained one must step naively to its
+        // next 64-cycle done() poll so the recorded termination cycle is
+        // unchanged.
+        if self.m.sched.awake != [0; 4] || self.has_out != 0 || self.done() {
             return false;
         }
         let h0 = self.host_span_begin();
@@ -548,15 +583,16 @@ impl GpuSim {
     /// quiescent window every one of these values is frozen, so computing
     /// them once and repeating the sample is exact.
     ///
-    /// The sums read only what can have moved. A parked core's miss queues
-    /// and response FIFO are empty (its probe's precondition), so the
-    /// awake cores hold every entry. A bank or channel class with no
+    /// The sums read only what can have moved. A parked core's response
+    /// FIFO is empty (its probe's precondition) and its miss queues are
+    /// empty unless it is in `has_out`, so the awake cores and `has_out`
+    /// hold every entry. A bank or channel class with no
     /// component awake and none swept or woken since the last sample is
     /// frozen (parked queues and counters change only through a tick or a
     /// wake), so its last sums stand and its stall deltas are zero.
     fn telemetry_values(&mut self) -> [f64; 19] {
         let (mut l1_miss, mut resp_fifo) = (0usize, 0usize);
-        for c in bits::iter(self.m.sched.awake[Class::Core.idx()]) {
+        for c in bits::iter(self.m.sched.awake[Class::Core.idx()] | self.has_out) {
             l1_miss += self.m.cores[c].miss_queue_len();
             resp_fifo += self.m.cores[c].response_fifo_len();
         }
@@ -655,7 +691,9 @@ impl GpuSim {
     fn core_tick(&mut self, now_ps: Picos) {
         let cyc = self.clocks.domain(DomainId::Core).cycles();
         let trace = &mut self.trace;
+        let swept = self.m.sched.awake[Class::Core.idx()];
         self.m.sweep(Class::Core, &mut Tick { now_ps, cyc, trace });
+        self.refresh_has_out(swept);
         // An ideal memory answers an L1 miss after a fixed latency: `hit`
         // from the L2, `miss` from DRAM. The fixed-latency model has no L2
         // tags, so every miss takes `hit`.
@@ -664,8 +702,11 @@ impl GpuSim {
             MemoryModel::FixedL1MissLatency(lat) => (lat, lat),
             MemoryModel::InfiniteBw { l2_hit, dram } => (l2_hit, dram),
         };
-        // A sleeping core has an empty L1 miss queue.
-        for i in bits::iter(self.m.sched.awake[Class::Core.idx()]) {
+        // The pops change the core's L1s (a refused head may now be
+        // admitted), so a core parked by its sweep wakes first.
+        let out = self.has_out;
+        for i in bits::iter(out) {
+            self.m.wake(Class::Core, i);
             while let Some(f) = self.m.cores[i].pop_outgoing() {
                 self.audit.emitted(&f);
                 self.trace
@@ -686,7 +727,25 @@ impl GpuSim {
                 }
             }
         }
+        self.refresh_has_out(out);
         self.deliver_ideal(cyc, now_ps);
+    }
+
+    /// Re-reads `cores`' bits of `has_out` from their miss queues; debug
+    /// builds check the whole word against a scan of every core.
+    fn refresh_has_out(&mut self, cores: Bits) {
+        for c in bits::iter(cores) {
+            let queued = self.m.cores[c].miss_queue_len() != 0;
+            bits::put(&mut self.has_out, c, queued);
+        }
+        debug_assert!(
+            self.m
+                .cores
+                .iter()
+                .enumerate()
+                .all(|(c, core)| bits::contains(self.has_out, c) == (core.miss_queue_len() != 0)),
+            "has_out out of sync with the cores' miss queues"
+        );
     }
 
     fn deliver_ideal(&mut self, cyc: u64, now_ps: Picos) {
@@ -752,21 +811,23 @@ impl GpuSim {
     /// wake settles exactly the ticks the receiver's class has swept, so a
     /// step need not know whether that sweep ran above it or runs below.
     ///
-    /// Steps 1, 4, 5 and 7 walk a snapshot of their class's awake set, which
-    /// stays exact because no step wakes a component of the class it walks:
-    /// step 1 wakes only a network, step 5 only channels, step 7 only a
-    /// network, and step 4's credits wake nothing.
+    /// Step 1 walks `has_out`, the cores with a miss to inject, asleep or
+    /// awake. Steps 4, 5 and 7 walk a snapshot of their class's awake set,
+    /// which stays exact because no step wakes a component of the class it
+    /// walks: step 5 wakes only channels, step 7 only a network, and step
+    /// 4's credits wake nothing.
     fn icnt_tick(&mut self, now_ps: Picos) {
         let icnt_cyc = self.clocks.domain(DomainId::Icnt).cycles();
-        // 1. Cores inject L1 miss traffic into the request network. A
-        //    sleeping core has an empty L1 miss queue, so only awake cores
-        //    can have a head to peek.
-        for c in bits::iter(self.m.sched.awake[Class::Core.idx()]) {
+        // 1. Cores inject L1 miss traffic into the request network. The
+        //    pop changes the core's L1s (a refused head may now be
+        //    admitted), so a parked core wakes before it.
+        for c in bits::iter(self.has_out) {
             if let Some(head) = self.m.cores[c].peek_outgoing() {
                 let bytes = head.request_bytes();
                 let dst = head.line.interleave(self.cfg.n_l2_banks);
                 if self.m.nets[REQ].can_inject(c, bytes) {
                     self.m.wake(Class::Net, REQ);
+                    self.m.wake(Class::Core, c);
                     #[expect(
                         clippy::expect_used,
                         reason = "INVARIANT: peek_outgoing() returned Some above."
@@ -785,6 +846,7 @@ impl GpuSim {
                     self.m.nets[REQ]
                         .inject(c, dst, f, bytes)
                         .expect("can_inject checked");
+                    self.refresh_has_out(1 << c);
                 }
             }
         }

@@ -11,11 +11,11 @@
 //! exactly the property that makes the event-driven run loop bit-identical
 //! to the one-tick oracle.
 
-use gmh_cache::CacheConfig;
+use gmh_cache::{BlockReason, CacheConfig};
 use gmh_core::L2Bank;
 use gmh_dram::{DramChannel, DramConfig};
 use gmh_icnt::Network;
-use gmh_simt::inst::{Inst, InstSource};
+use gmh_simt::inst::{Inst, InstSource, ScriptedSource};
 use gmh_simt::{CoreConfig, SimtCore};
 use gmh_types::rng::cases;
 use gmh_types::trace::TraceSink;
@@ -230,4 +230,128 @@ fn core_quiet_window_matches_cycling() {
             serve_imisses(&mut skipped);
         }
     });
+}
+
+/// The memory behind [`core_refused_window_matches_cycling`], applied to
+/// both twins alike: instruction fetches are answered at once; a data miss
+/// is taken only on every `take_every`-th cycle, and a load's answer comes
+/// `latency` cycles later (`None`: never), so refusals stand for long.
+struct SlowMemory {
+    take_every: u64,
+    latency: Option<u64>,
+    loads: Vec<(u64, MemFetch)>,
+}
+
+impl SlowMemory {
+    fn serve(&mut self, twins: [&mut SimtCore; 2], now: u64) {
+        let [a, b] = twins;
+        while let Some(kind) = a.peek_outgoing().map(|f| f.kind) {
+            if kind != AccessKind::InstFetch && !now.is_multiple_of(self.take_every) {
+                break;
+            }
+            let f = a.pop_outgoing().expect("peeked");
+            assert_eq!(b.pop_outgoing().map(|g| g.id), Some(f.id), "twins agree");
+            match (kind, self.latency) {
+                (AccessKind::InstFetch, _) => self.loads.push((now, f)),
+                (AccessKind::Load, Some(latency)) => self.loads.push((now + latency, f)),
+                // Stores are absorbed; loads without a latency never return.
+                _ => {}
+            }
+        }
+        while let Some(i) = self.loads.iter().position(|(due, _)| *due <= now) {
+            if !a.can_accept_response() {
+                break;
+            }
+            let (_, f) = self.loads.remove(i);
+            a.push_response(f.clone()).expect("room checked");
+            b.push_response(f).expect("twins agree");
+        }
+    }
+}
+
+/// The refusal the L1D keeps standing, if any, over the lines the
+/// programs of [`core_refused_window_matches_cycling`] touch.
+fn standing_refusal(core: &SimtCore) -> Option<BlockReason> {
+    (0..8).find_map(|line| {
+        [false, true]
+            .into_iter()
+            .find_map(|write| core.l1d().standing_block(LineAddr::new(line), write))
+    })
+}
+
+/// SIMT core: living through a window in which the L1D refuses the memory
+/// pipeline's head equals skipping it — issue stalls, L1 stalls and the
+/// L1D's refused-attempt count all match. A tiny L1D (two sets of one or
+/// two ways, one to three MSHRs of one or two requests, a one- or
+/// two-entry miss queue) behind a memory that takes misses rarely and
+/// answers loads late or never refuses the head for every `BlockReason`.
+#[test]
+fn core_refused_window_matches_cycling() {
+    let mut seen = Vec::new();
+    cases("core_refused_window_matches_cycling", 64, |rng| {
+        let mut cfg = CoreConfig {
+            max_warps: 4,
+            mem_pipeline_width: rng.range(1..5),
+            ..CoreConfig::gtx480()
+        };
+        cfg.l1d.assoc = rng.range(1..3);
+        cfg.l1d.size_bytes = 2 * cfg.l1d.assoc as u64 * 128;
+        cfg.l1d.mshr_entries = rng.range(1..4);
+        cfg.l1d.mshr_merge = rng.range(1..3);
+        cfg.l1d.miss_queue_len = rng.range(1..3);
+        let programs: Vec<Vec<Inst>> = (0..4)
+            .map(|_| {
+                (0..16)
+                    .map(|_| match rng.below(10) {
+                        0 => Inst::alu(rng.range(1..8)),
+                        1..=3 => Inst::store(vec![LineAddr::new(rng.below(8))]),
+                        _ => Inst::load(vec![LineAddr::new(rng.below(8))]),
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut memory = SlowMemory {
+            take_every: rng.range(2..40),
+            latency: rng.chance(0.7).then(|| rng.range(1..200)),
+            loads: Vec::new(),
+        };
+        let mk = || {
+            let source = ScriptedSource::new(programs.clone()).with_code_lines(1);
+            SimtCore::new(0, cfg.clone(), Box::new(source))
+        };
+        let (mut lived, mut skipped) = (mk(), mk());
+        let mut now = 0u64;
+        for _ in 0..400 {
+            if lived.done() {
+                break;
+            }
+            now += 1;
+            tick(&mut lived, now);
+            tick(&mut skipped, now);
+            memory.serve([&mut lived, &mut skipped], now);
+            let (refusal, blocked) = (standing_refusal(&lived), lived.l1d().stats().blocked);
+            let advanced = assert_skip_matches_cycling(&mut lived, &mut skipped, now);
+            if advanced > 0 && lived.l1d().stats().blocked > blocked {
+                seen.extend(refusal.filter(|r| !seen.contains(r)));
+            }
+            now += advanced;
+            assert_eq!(
+                format!("{:?}", lived.stats()),
+                format!("{:?}", skipped.stats())
+            );
+            assert_eq!(
+                format!("{:?}", lived.l1d().stats()),
+                format!("{:?}", skipped.l1d().stats())
+            );
+            memory.serve([&mut lived, &mut skipped], now);
+        }
+    });
+    for reason in [
+        BlockReason::MshrFull,
+        BlockReason::MshrMergeFull,
+        BlockReason::MissQueueFull,
+        BlockReason::NoReplaceableLine,
+    ] {
+        assert!(seen.contains(&reason), "no window refused for {reason:?}");
+    }
 }

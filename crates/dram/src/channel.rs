@@ -108,20 +108,15 @@ struct Pending {
     visible_at: Cycle,
 }
 
-/// The one command a cycle issues.
-enum Command {
-    /// CAS for the queue entry at `idx`; its burst ends at `data_end`.
-    Cas {
-        idx: usize,
-        data_end: Cycle,
-    },
-    Activate {
-        bank: usize,
-        row: u64,
-    },
-    Precharge {
-        bank: usize,
-    },
+/// The one command a queue entry can ask for in its bank's present state.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Ask {
+    /// Its row is open: a CAS.
+    Cas,
+    /// Another row is open: a PRE.
+    Precharge,
+    /// The bank is closed: an ACT of its row.
+    Activate,
 }
 
 /// One DRAM channel (memory partition).
@@ -146,10 +141,12 @@ pub struct DramChannel {
     /// Data-bus cycles one cache line occupies.
     transfer: Cycle,
     /// No command can issue before this cycle: the verdict of the last
-    /// cycle whose scan chose nothing, standing until the queue or the
-    /// response slots change ([`DramChannel::push`], the response pops) —
-    /// the only inputs of the scan, besides the clock, that move while no
-    /// command issues.
+    /// cycle whose scan chose nothing, the minimum of the entries'
+    /// [`DramChannel::ready_at`]. It stands until the queue or the response
+    /// slots change — the only inputs of the scan, besides the clock, that
+    /// move while no command issues: [`DramChannel::push`] lowers it to the
+    /// newcomer's ready cycle, and a response pop that frees the read slot
+    /// resets it.
     next_cmd_at: Scratch<Cycle>,
     /// The cycle the most recent [`DramChannel::cycle`] call saw (the next
     /// one sees `now + 1`); what the [`Component`] probe measures against.
@@ -246,16 +243,17 @@ impl DramChannel {
         }
         let (bank, row) = self.decode(fetch.line);
         let is_write = fetch.kind.is_write();
-        self.queue
-            .push(Pending {
-                fetch,
-                bank,
-                row,
-                is_write,
-                visible_at: now + self.cfg.fixed_latency,
-            })
-            .map_err(|p| p.fetch)?;
-        self.next_cmd_at.0 = 0;
+        let p = Pending {
+            fetch,
+            bank,
+            row,
+            is_write,
+            visible_at: now + self.cfg.fixed_latency,
+        };
+        // The entries already queued keep their ready cycles.
+        let (_, ready_at) = self.ready_at(&p);
+        self.queue.push(p).map_err(|p| p.fetch)?;
+        self.next_cmd_at.0 = self.next_cmd_at.0.min(ready_at);
         Ok(())
     }
 
@@ -273,12 +271,19 @@ impl DramChannel {
     /// its data burst finished (the CAS completion time, before any
     /// response-queue residency).
     pub fn pop_response_cas(&mut self) -> Option<(Cycle, MemFetch)> {
+        let held_reads = !self.read_slot_free();
         let popped = self.response.pop();
-        if popped.is_some() {
+        if popped.is_some() && held_reads {
             // The freed slot may let a held-back read CAS issue.
             self.next_cmd_at.0 = 0;
         }
         popped
+    }
+
+    /// Whether a read CAS may issue: space is reserved in the response
+    /// queue for every burst in flight.
+    fn read_slot_free(&self) -> bool {
+        self.in_flight.len() + self.response.len() < self.response.capacity()
     }
 
     /// Drops the standing no-command verdict, so the next cycle scans the
@@ -370,81 +375,76 @@ impl DramChannel {
             return;
         }
         match self.choose(now) {
-            Ok(cmd) => self.issue(cmd, now),
+            Ok((idx, ask)) => self.issue(idx, ask, now),
             Err(next_cmd_at) => self.next_cmd_at.0 = next_cmd_at,
         }
     }
 
-    /// Picks this cycle's command in one pass over the scheduler queue: CAS
+    /// The command `p` asks for, and the cycle from which it may issue if
+    /// neither the queue nor the response slots change before then. Every
+    /// gate is "`now` has reached some time" over state that only an issued
+    /// command, a push or a response pop moves — hidden entry: not before
+    /// `visible_at`; row hit: tCCD, the bank's tRCD, the data bus and
+    /// (reads) the write-to-read turnaround, never for a read without a
+    /// response slot; row conflict: the bank's PRE-ready time; closed bank:
+    /// its ACT-ready time and tRRD. [`DramChannel::choose`] decides and
+    /// bounds with it, and [`DramChannel::push`] lowers the standing bound
+    /// with it, so the three cannot disagree.
+    fn ready_at(&self, p: &Pending) -> (Ask, Cycle) {
+        let t = &self.cfg.timing;
+        let bank = &self.banks[p.bank];
+        let (ask, state_ready_at) = match bank.open_row() {
+            Some(row) if row == p.row => {
+                let cas_gate_at = if self.stats.reads + self.stats.writes > 0 {
+                    self.last_cas + t.ccd
+                } else {
+                    0
+                };
+                let lat = if p.is_write { t.wl } else { t.cl };
+                let at = cas_gate_at
+                    .max(bank.cas_ready_at())
+                    .max(self.bus_free_at.saturating_sub(lat));
+                let at = if p.is_write {
+                    at
+                } else if self.read_slot_free() {
+                    at.max(self.read_allowed_at) // write-to-read turnaround (tCDLR)
+                } else {
+                    Cycle::MAX
+                };
+                (Ask::Cas, at)
+            }
+            Some(_) => (Ask::Precharge, bank.pre_ready_at()),
+            None => (Ask::Activate, bank.act_ready_at().max(self.act_allowed_at)),
+        };
+        (ask, state_ready_at.max(p.visible_at))
+    }
+
+    /// Picks this cycle's command — the queue index of its entry and what
+    /// it asks for — in one pass over the scheduler queue: CAS
     /// (first-ready) > ACT > PRE, each FCFS within its class. `Err` is the
     /// earliest cycle at which any command could issue if neither the queue
-    /// nor the response slots change before then.
-    ///
-    /// Every gate of every command is "`now` has reached some time" over
-    /// state that only an issued command, a push or a response pop moves,
-    /// so each entry has a fixed cycle from which it is ready — hidden
-    /// entry: not before `visible_at`; row hit: tCCD, the bank's tRCD, the
-    /// data bus and (reads) the write-to-read turnaround, never for a read
-    /// without a response slot; row conflict: the bank's PRE-ready time;
-    /// closed bank: its ACT-ready time and tRRD — and nothing issues before
-    /// the earliest of them. Strict FCFS only narrows the candidates, so
-    /// the same bound holds there, conservatively.
-    fn choose(&self, now: Cycle) -> Result<Command, Cycle> {
-        let t = &self.cfg.timing;
+    /// nor the response slots change before then: nothing issues before the
+    /// earliest [`DramChannel::ready_at`]. Strict FCFS only narrows the
+    /// candidates, so the same bound holds there, conservatively.
+    fn choose(&self, now: Cycle) -> Result<(usize, Ask), Cycle> {
         let fcfs = self.cfg.policy == SchedPolicy::Fcfs;
-        let cas_gate_at = if self.stats.reads + self.stats.writes > 0 {
-            self.last_cas + t.ccd
-        } else {
-            0
-        };
-        // Space was reserved at CAS issue for every burst in flight.
-        let read_slot_free = self.in_flight.len() + self.response.len() < self.response.capacity();
         let (mut cas_open, mut act_open, mut pre_open) = (true, true, true);
         let (mut act, mut pre) = (None, None);
         let mut next_cmd_at = Cycle::MAX;
         for (idx, p) in self.queue.iter().enumerate() {
-            let bank = &self.banks[p.bank];
-            // The one command this entry can ask for in the bank's present
-            // state, and the cycle from which that state allows it.
-            let (candidate, state_ready_at) = match bank.open_row() {
-                Some(row) if row == p.row => {
-                    let lat = if p.is_write { t.wl } else { t.cl };
-                    let at = cas_gate_at
-                        .max(bank.cas_ready_at())
-                        .max(self.bus_free_at.saturating_sub(lat));
-                    let at = if p.is_write {
-                        at
-                    } else if read_slot_free {
-                        at.max(self.read_allowed_at) // write-to-read turnaround (tCDLR)
-                    } else {
-                        Cycle::MAX
-                    };
-                    let data_end = now + lat + self.transfer;
-                    (Command::Cas { idx, data_end }, at)
-                }
-                Some(_) => (Command::Precharge { bank: p.bank }, bank.pre_ready_at()),
-                None => (
-                    Command::Activate {
-                        bank: p.bank,
-                        row: p.row,
-                    },
-                    bank.act_ready_at().max(self.act_allowed_at),
-                ),
-            };
-            let ready_at = state_ready_at.max(p.visible_at);
+            let (ask, ready_at) = self.ready_at(p);
             next_cmd_at = next_cmd_at.min(ready_at);
             if p.visible_at > now {
                 continue;
             }
-            let row_hit = matches!(candidate, Command::Cas { .. });
             if ready_at <= now {
-                match candidate {
-                    Command::Cas { .. } if cas_open => return Ok(candidate),
-                    Command::Activate { .. } if act_open => {
-                        act.get_or_insert(candidate);
+                match ask {
+                    Ask::Cas if cas_open => return Ok((idx, ask)),
+                    Ask::Activate if act_open => {
+                        act.get_or_insert((idx, ask));
                     }
-                    Command::Precharge { .. } if pre_open => {
-                        pre.get_or_insert(candidate);
+                    Ask::Precharge if pre_open => {
+                        pre.get_or_insert((idx, ask));
                     }
                     _ => {}
                 }
@@ -455,43 +455,50 @@ impl DramChannel {
                 // is not open and past tRCD.
                 act_open = false;
                 pre_open = false;
-                cas_open &= row_hit && bank.can_cas(now);
+                cas_open &= ask == Ask::Cas && self.banks[p.bank].can_cas(now);
             }
         }
         act.or(pre).ok_or(next_cmd_at)
     }
 
-    fn issue(&mut self, cmd: Command, now: Cycle) {
+    /// Issues what the queue entry at `idx` asks for.
+    fn issue(&mut self, idx: usize, ask: Ask, now: Cycle) {
         let t = self.cfg.timing;
-        match cmd {
-            Command::Cas { idx, data_end } => {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "INVARIANT: idx came from enumerating the queue this cycle."
-                )]
-                let p = self.queue.remove(idx).expect("index valid");
-                self.banks[p.bank].cas(now, p.is_write, data_end, &t);
-                self.bus_free_at = data_end;
-                self.last_cas = now;
-                self.stats.efficiency.add(self.transfer, 0);
-                if p.is_write {
-                    self.stats.writes += 1;
-                    self.read_allowed_at = self.read_allowed_at.max(data_end + t.cdlr);
-                    // Writes complete silently; the fetch is dropped.
-                } else {
-                    self.stats.reads += 1;
-                    self.in_flight.push((data_end, p.fetch));
-                }
-            }
-            Command::Activate { bank, row } => {
+        if ask != Ask::Cas {
+            #[expect(
+                clippy::expect_used,
+                reason = "INVARIANT: idx came from enumerating the queue this cycle."
+            )]
+            let p = self.queue.iter().nth(idx).expect("index valid");
+            let (bank, row) = (p.bank, p.row);
+            if ask == Ask::Activate {
                 self.banks[bank].activate(row, now, &t);
                 self.act_allowed_at = now + t.rrd;
                 self.stats.activates += 1;
-            }
-            Command::Precharge { bank } => {
+            } else {
                 self.banks[bank].precharge(now, &t);
                 self.stats.precharges += 1;
             }
+            return;
+        }
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: idx came from enumerating the queue this cycle."
+        )]
+        let p = self.queue.remove(idx).expect("index valid");
+        let lat = if p.is_write { t.wl } else { t.cl };
+        let data_end = now + lat + self.transfer;
+        self.banks[p.bank].cas(now, p.is_write, data_end, &t);
+        self.bus_free_at = data_end;
+        self.last_cas = now;
+        self.stats.efficiency.add(self.transfer, 0);
+        if p.is_write {
+            self.stats.writes += 1;
+            self.read_allowed_at = self.read_allowed_at.max(data_end + t.cdlr);
+            // Writes complete silently; the fetch is dropped.
+        } else {
+            self.stats.reads += 1;
+            self.in_flight.push((data_end, p.fetch));
         }
     }
 }

@@ -14,7 +14,7 @@ use crate::prof_export::{host_trace_json, utilization_table};
 use crate::runner::Baselines;
 use crate::trace_export::{chrome_trace_json, latency_table};
 use crate::{write_report, Candidate, Evaluator};
-use gmh_core::{GpuConfig, GpuSim};
+use gmh_core::{FastForwardStats, GpuConfig, GpuSim};
 use gmh_simt::inst::{InstKind, InstSource};
 use gmh_workloads::{catalog, TraceBundle, WorkloadSpec};
 use std::fmt::Display;
@@ -256,6 +256,14 @@ fn profile(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Outcome
     // INVARIANT: profile_host was set just above and the report not yet taken.
     let report = sim.take_host_report().expect("profile_host was on");
     write!(out, "{}", utilization_table(&report))?;
+    // Which layer the event core parks: each class's share of its
+    // component-ticks slept through.
+    let ff = sim.ff_stats();
+    write!(out, "slept")?;
+    for (class, share) in FastForwardStats::CLASSES.iter().zip(ff.slept_shares()) {
+        write!(out, "  {class} {:.1}%", share * 100.0)?;
+    }
+    writeln!(out)?;
     if let Some(path) = path {
         write_file(path, &host_trace_json(wl.name, &report))?;
         let spans = report.events.len();

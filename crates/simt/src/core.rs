@@ -377,11 +377,12 @@ impl SimtCore {
     ///
     /// Answers `Busy` unless the core provably does nothing but count one
     /// stall cycle per tick until either an external input arrives (a fill
-    /// response or I-miss return) or the returned `bound` cycle — the
-    /// earliest ALU scoreboard release among blocked warps — whichever
-    /// comes first: the response FIFO, LSU and both miss queues are empty,
-    /// no warp can fetch, and every live warp is pinned by a hazard whose
-    /// clearing the window excludes.
+    /// response, or the interconnect taking a miss-queue head) or the
+    /// returned `bound` cycle — the earliest ALU scoreboard release among
+    /// blocked warps — whichever comes first: the response FIFO is empty,
+    /// no warp can fetch, the memory pipeline is empty or its head stands
+    /// refused by the L1D ([`Cache::standing_block`]), and every live warp
+    /// is pinned by a hazard whose clearing the window excludes.
     pub fn next_event_bound(&self) -> EventBound {
         match self.quiet_window() {
             Some((bound, _)) => EventBound::QuietUntil { bound },
@@ -394,27 +395,49 @@ impl SimtCore {
     /// issue-stall class every cycle inside it records (`None` = idle) —
     /// constant across the window because every input to the naive
     /// per-cycle classification is frozen inside it.
+    ///
+    /// Queued misses do not keep the core awake: only the interconnect's
+    /// hand-off pops them, and it wakes the core first. A refused head does
+    /// not either: nothing inside the core can change the L1D while it
+    /// waits, so every cycle of the window replays the refusal.
     fn quiet_window(&self) -> Option<(Option<Cycle>, Option<IssueStallKind>)> {
         // A warp that needs a fetch is never finished, and the fetch stage
         // acts on it next cycle.
         if !self.response_fifo.is_empty()
             || self.words.need_fetch != 0
-            || !self.lsu.is_empty()
-            || self.l1d.miss_queue_len() != 0
-            || self.l1i.miss_queue_len() != 0
+            || (!self.lsu.is_empty() && self.head_refusal().is_none())
         {
             return None;
         }
-        // With the LSU empty, a str-MEM hazard means an instruction wider
-        // than the whole memory pipeline: the naive loop would record
-        // str-MEM forever.
-        match self.checked_verdict(self.now + 1) {
+        // The memory pipeline is frozen, so a str-MEM hazard holds through
+        // the window (with the LSU empty it means an instruction wider than
+        // the whole pipeline: the naive loop would record str-MEM forever).
+        // While the issue stage's memo holds (see the `issue_memo` field
+        // docs), it is the scan's verdict.
+        let verdict = match self.issue_memo {
+            Some((kind, wake)) if !self.issue_dirty && self.now + 1 < wake => {
+                let v = IssueVerdict::Stall { kind, wake };
+                debug_assert_eq!(v, self.checked_verdict(self.now + 1));
+                v
+            }
+            _ => self.checked_verdict(self.now + 1),
+        };
+        match verdict {
             // The warp could issue next cycle.
             IssueVerdict::Issue(_) => None,
             IssueVerdict::Stall { kind, wake } => {
                 Some(((wake != Cycle::MAX).then_some(wake), kind))
             }
         }
+    }
+
+    /// The refusal the memory pipeline's head stands under at the L1D:
+    /// `Some` when its next attempt would replay it without touching the
+    /// cache (see [`Cache::standing_block`]).
+    fn head_refusal(&self) -> Option<BlockReason> {
+        let head = self.lsu.head()?;
+        self.l1d
+            .standing_block(head.line, head.kind == AccessKind::Store)
     }
 
     /// The issue decision at cycle `t` from the warp words. The policy's
@@ -588,27 +611,27 @@ impl SimtCore {
     /// Advances the core one cycle, recording lifecycle events for sampled
     /// fetches into `trace` (see [`gmh_types::trace`]).
     ///
-    /// Returns whether the cycle did observable work: it entered with
-    /// pipeline state to process (a pending fill, a fetch need, an LSU or
-    /// miss-queue occupant — each of which [`SimtCore::next_event_bound`]
-    /// would call `Busy` anyway) or it issued an instruction. A `false`
-    /// return is the fast-forward scheduler's cue that a probe could pay
-    /// off; an active cycle never needs one, which keeps the saturated
-    /// path free of per-cycle warp scans.
+    /// Returns whether the cycle did observable work: it entered with a
+    /// pending fill or a fetch need (each of which
+    /// [`SimtCore::next_event_bound`] would call `Busy` anyway), it issued
+    /// an instruction, or the L1D admitted the memory pipeline's head. A
+    /// head the L1D refused — afresh or replaying its standing refusal —
+    /// and queued misses are not work: a refused head leaves the core
+    /// quiet until the L1D changes. A `false` return is the fast-forward
+    /// scheduler's cue that a probe could pay off; an active cycle never
+    /// needs one, which keeps the saturated path free of per-cycle warp
+    /// scans.
     pub fn cycle_traced(&mut self, now_ps: Picos, trace: &mut TraceSink) -> bool {
         self.now += 1;
         self.stats.cycles += 1;
-        let busy_in = !self.response_fifo.is_empty()
-            || self.words.need_fetch != 0
-            || !self.lsu.is_empty()
-            || self.l1d.miss_queue_len() != 0
-            || self.l1i.miss_queue_len() != 0;
-        let issued_before = self.stats.insts_issued;
+        let busy_in = !self.response_fifo.is_empty() || self.words.need_fetch != 0;
+        let (issued_before, lsu_before) = (self.stats.insts_issued, self.lsu.len());
         self.intake_response(now_ps, trace);
         self.fetch_stage(now_ps, trace);
         self.issue_stage(now_ps, trace);
         self.lsu_stage(now_ps, trace);
-        busy_in || self.stats.insts_issued != issued_before
+        // Without an issue, the pipeline only shrinks by an admission.
+        busy_in || self.stats.insts_issued != issued_before || self.lsu.len() != lsu_before
     }
 
     /// Processes one fill per cycle from the response FIFO.
@@ -885,7 +908,16 @@ impl SimtCore {
     /// priority order (cache > mshr > bp-L2). The match is exhaustive over
     /// disjoint `BlockReason`s, so the compiler checks that every refusal
     /// is charged exactly one cause and the order is documentation, not
-    /// behavior.
+    /// behavior. The skip hook charges a slept refusal through it too.
+    fn l1_stall_kind(reason: BlockReason) -> L1StallKind {
+        match reason {
+            BlockReason::NoReplaceableLine => L1StallKind::Cache,
+            BlockReason::MshrFull | BlockReason::MshrMergeFull => L1StallKind::Mshr,
+            BlockReason::MissQueueFull => L1StallKind::BpL2,
+        }
+    }
+
+    /// Charges a refused LSU head's cycle and traces it.
     fn record_l1_block(
         &mut self,
         reason: BlockReason,
@@ -894,11 +926,7 @@ impl SimtCore {
         now_ps: Picos,
         trace: &mut TraceSink,
     ) {
-        let kind = match reason {
-            BlockReason::NoReplaceableLine => L1StallKind::Cache,
-            BlockReason::MshrFull | BlockReason::MshrMergeFull => L1StallKind::Mshr,
-            BlockReason::MissQueueFull => L1StallKind::BpL2,
-        };
+        let kind = Self::l1_stall_kind(reason);
         self.stats.l1_stalls.record(kind);
         trace.record(
             traced,
@@ -921,28 +949,28 @@ impl Component for SimtCore {
     }
 
     /// Advances the clock and records `n` cycles of the window's constant
-    /// stall class.
+    /// stall class, and of its refused head's L1 stall and refused attempt.
+    /// The trace needs nothing: each of the `n` attempts would record the
+    /// same `StalledAt` event, which collapses into the one the episode's
+    /// first refusal recorded.
     fn skip_cycles(&mut self, n: u64) {
-        // What the issue stage would record on every skipped cycle. While
-        // its standing no-issue verdict holds through the window (see the
-        // `issue_memo` field docs) it would replay that — always the case
-        // after an idle tick, which keeps the scheduler's flushes O(1);
-        // from any other quiet state the scan recomputes the class.
-        let stall = match self.issue_memo {
-            Some((stall, wake)) if !self.issue_dirty && self.now + n < wake => {
-                debug_assert_eq!(Some(stall), self.quiet_window().map(|w| w.1));
-                stall
-            }
-            #[expect(
-                clippy::expect_used,
-                reason = "INVARIANT: the scheduler skips only from the frozen state in which the \
-                    probe answered quiet."
-            )]
-            _ => self.quiet_window().expect("skip from a quiet core").1,
-        };
+        // What the issue stage would record on every skipped cycle: the
+        // window's class, read off the issue stage's memoized verdict while
+        // it holds (always after an idle tick, which keeps the scheduler's
+        // flushes O(1)).
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: the scheduler skips only from the frozen state in which the \
+                probe answered quiet."
+        )]
+        let (_, stall) = self.quiet_window().expect("skip from a quiet core");
         self.now += n;
         self.stats.cycles += n;
         self.stats.issue.record_n(stall, n);
+        if let Some(reason) = self.head_refusal() {
+            self.stats.l1_stalls.add(Self::l1_stall_kind(reason), n);
+            self.l1d.count_refusals(n);
+        }
     }
 }
 

@@ -190,6 +190,12 @@ fn profile_prints_every_tick_phase_and_writes_a_loadable_timeline() {
         let row = out.lines().any(|l| l.starts_with(phase));
         assert!(row, "no {phase} row:\n{out}");
     }
+    // One line names each class's slept share.
+    let slept = out.lines().find(|l| l.starts_with("slept"));
+    let slept = slept.unwrap_or_else(|| panic!("no slept line:\n{out}"));
+    for class in ["cores", "banks", "channels", "nets"] {
+        assert!(slept.contains(&format!(" {class} ")), "{slept}");
+    }
 
     let path = temp_path("host-trace.json");
     let (code, _, err) = gmh_exp(&["profile", "solo", path.to_str().unwrap()]);

@@ -96,3 +96,40 @@ fn memory_blocked_workload_actually_jumps() {
         "jumping must not change the exported report"
     );
 }
+
+#[test]
+fn refused_cores_sleep_through_a_saturated_slice() {
+    // The memory-bound regime: the L1 refuses the LSU head on most core
+    // cycles and the L1 miss queues sit full behind a back-pressured
+    // crossbar. A core whose only work is replaying that refusal sleeps,
+    // so on a quarter-length `mm` slice the cores sleep through at least
+    // half their ticks — and the report does not move.
+    let mut wl = gmh::workloads::catalog::by_name("mm").expect("mm is in the catalog");
+    wl.insts_per_warp /= 4;
+    let cfg = GpuConfig::gtx480_baseline();
+    let mut sim = GpuSim::new(cfg.clone(), &wl);
+    let fast = sim.run();
+    let ff = sim.ff_stats();
+    let core_ticks = cfg.n_cores as u64 * fast.core_cycles;
+    assert_eq!(ff.ticks[0], core_ticks);
+    assert!(
+        2 * ff.slept[0] >= core_ticks,
+        "cores slept {} of {core_ticks} ticks: {ff:?}",
+        ff.slept[0]
+    );
+
+    let mut naive_cfg = cfg;
+    naive_cfg.force_naive_loop = true;
+    let mut naive_sim = GpuSim::new(naive_cfg, &wl);
+    let naive = naive_sim.run();
+    assert_eq!(
+        naive_sim.ff_stats().slept,
+        [0; 4],
+        "the naive loop never sleeps"
+    );
+    assert_eq!(
+        report_json("gtx480", wl.name, &fast),
+        report_json("gtx480", wl.name, &naive),
+        "sleeping through refusals must not change the exported report"
+    );
+}
