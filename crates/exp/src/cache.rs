@@ -26,10 +26,13 @@
 //!
 //! ## On-disk layout
 //!
-//! One file per entry, `<dir>/<016x key>.json`, written via a temp file and
-//! atomic rename so a crashed writer can never leave a torn entry. Each
-//! write has a temp file of its own, so racing writers of one key never
-//! truncate each other's file: a reader sees a whole entry or none. A
+//! One file per entry, `<dir>/<016x key>.json`: the one-line report and a
+//! closing newline, written via a temp file and atomic rename so a crashed
+//! writer can never leave a torn entry. Each write has a temp file of its
+//! own, so racing writers of one key never truncate each other's file: a
+//! reader sees a whole entry or none. A file cut short some other way (a
+//! full disk, a copy) lacks the closing newline and reads as a miss; bytes
+//! changed in place are not detected. A
 //! human-readable `index.tsv` (`key \t workload \t label \t seed`, ascending
 //! by key) is brought up to date by [`DiskCache::flush_index`], which merges
 //! this handle's in-memory ledger into the rows earlier processes left; the
@@ -121,19 +124,25 @@ impl DiskCache {
         self.dir.join(format!("{key:016x}.json"))
     }
 
-    /// Fetches the stored report bytes for `key`, if present.
+    /// Fetches the stored report bytes for `key`: `None` when the entry is
+    /// absent, unreadable or cut short (it lacks the newline [`Self::put`]
+    /// closes it with), so that the caller recomputes it and overwrites it.
+    /// The check is one byte, not a parse, so a hit costs one file read.
     pub fn get(&self, key: u64) -> Option<String> {
-        std::fs::read_to_string(self.entry_path(key)).ok()
+        let mut json = std::fs::read_to_string(self.entry_path(key)).ok()?;
+        (json.pop()? == '\n').then_some(json)
     }
 
-    /// Stores `json` under `key` (atomically: temp file + rename) and
-    /// remembers the entry for the index.
+    /// Stores `json` under `key` (atomically: temp file + rename), closed
+    /// by a newline, and remembers the entry for the index. `json` holds no
+    /// newline of its own (`report_json` writes one line), so only a whole
+    /// entry ends in one.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors from the write or rename.
     pub fn put(&self, key: u64, wl: &WorkloadSpec, label: &str, json: &str) -> io::Result<()> {
-        self.write_atomic(&self.entry_path(key), json)?;
+        self.write_atomic(&self.entry_path(key), &format!("{json}\n"))?;
         let row = format!("{key:016x}\t{}\t{label}\t{:#x}", wl.name, wl.seed);
         // INVARIANT: the ledger mutex is only held for push/extend/len and
         // no panic can occur while it is held, so it is never poisoned.
@@ -238,8 +247,9 @@ pub fn metric_in_json(json: &str, name: &str) -> Option<f64> {
 ///
 /// # Errors
 ///
-/// Propagates filesystem errors from storing a fresh entry (a corrupt or
-/// unreadable existing entry is treated as a miss, then overwritten).
+/// Propagates filesystem errors from storing a fresh entry (an existing
+/// entry that is cut short or unreadable is treated as a miss, then
+/// overwritten).
 pub fn run_cached(
     cache: &DiskCache,
     label: &str,
@@ -431,6 +441,24 @@ mod tests {
             });
         });
         assert_eq!(cache.get(7).as_deref(), Some(payload.as_str()));
+        std::fs::remove_dir_all(cache.dir()).ok();
+    }
+
+    #[test]
+    fn cut_entries_are_misses_that_a_recompute_mends() {
+        let cache = tmp_cache("torn");
+        let (cfg, wl) = tiny();
+        let fresh = run_cached(&cache, "base", &cfg, &wl).unwrap().json;
+        let path = cache.entry_path(job_key("base", &cfg, &wl));
+        let whole = std::fs::read(&path).unwrap();
+        assert_eq!(whole, format!("{fresh}\n").into_bytes());
+        gmh_types::rng::cases("cut_cache_entries", 64, |rng| {
+            std::fs::write(&path, &whole[..rng.range(0..whole.len())]).unwrap();
+            let run = run_cached(&cache, "base", &cfg, &wl).unwrap();
+            assert!(!run.hit, "a cut entry was served");
+            assert_eq!(run.json, fresh);
+            assert_eq!(std::fs::read(&path).unwrap(), whole);
+        });
         std::fs::remove_dir_all(cache.dir()).ok();
     }
 

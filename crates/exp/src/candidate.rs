@@ -2,7 +2,7 @@
 //!
 //! A [`Candidate`] is one labeled configuration point; an [`Evaluator`]
 //! runs candidates through the content-addressed result cache
-//! ([`crate::cache`]). The `gmh-exp sweep` table and the `gmh-tune` search
+//! ([`crate::cache`]). The `gmh-exp sweep` table and the [`crate::tune`] search
 //! engine both evaluate through this one path, so a tuner search and a hand-written sweep that
 //! visit the same `(label, config, workload)` point share one cache entry,
 //! byte-identically — and a warm rerun of either performs zero

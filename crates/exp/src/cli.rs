@@ -13,9 +13,11 @@ use crate::experiments::{self, fig10_configs, fig12_configs, Artifact, Render, A
 use crate::prof_export::{host_trace_json, utilization_table};
 use crate::runner::Baselines;
 use crate::trace_export::{chrome_trace_json, latency_table};
+use crate::tune::{frontier_csv, frontier_json, run_search, TuneParams};
 use crate::{write_report, Candidate, Evaluator};
 use gmh_core::{FastForwardStats, GpuConfig, GpuSim};
 use gmh_simt::inst::{InstKind, InstSource};
+use gmh_types::json;
 use gmh_workloads::{catalog, TraceBundle, WorkloadSpec};
 use std::fmt::Display;
 use std::fs::File;
@@ -45,13 +47,14 @@ type Run = fn(&[String], &mut dyn Write, &mut dyn Write) -> Outcome;
 struct Command(&'static str, &'static str, usize, &'static str, Run);
 
 #[rustfmt::skip]
-const COMMANDS: [Command; 10] = [
+const COMMANDS: [Command; 11] = [
     Command("all", "[--write-md PATH]", 2, "every artifact above as one report, optionally also to a file", all),
     Command("list", "", 0, "this listing", list),
     Command("probe", "[workload] [report-dir]", 2, "every statistic of one baseline run (default nn); with a directory, also <workload>.json (the report) and <workload>.csv (its telemetry) in it", probe),
     Command("latency", "[workload] [trace-out.json]", 2, "one baseline run's per-fetch latency per level, queueing vs service, 1 fetch in 4 traced (default lbm); with a path, also those fetches as Chrome trace JSON", latency),
     Command("profile", "[workload] [trace-out.json]", 2, "one baseline run's host time per run-loop phase (default mm); with a path, also its timeline as Chrome trace JSON", profile),
     Command("sweep", "[workload]", 1, "one workload under the baseline and the Fig. 10 + 12 configs, through the result cache", sweep),
+    Command("tune", "[SPEC] [frontier.json] [frontier.csv]", 3, "a seeded search of Table III's design space through the result cache; SPEC is the daemon's tune object naming its preset (default {\"preset\":\"paper\"}); the frontier as JSON (stdout or the path) and CSV", tune),
     Command("calibrate", "", 0, "Table II speedups beside the baseline statistics of all 19 workloads", calibrate),
     Command("trace", "[workload] [warp] [count]", 3, "the first instructions one warp's synthetic stream emits", trace),
     Command("record", "[workload] [out.trace] [cores]", 3, "write a workload's instruction stream as a gmh-trace v1 file", record),
@@ -273,7 +276,7 @@ fn profile(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Outcome
 }
 
 /// Evaluates through the tuner's candidate/evaluator layer and the shared
-/// content-addressed result cache (the one `gmh-serve` and `gmh-tune`
+/// content-addressed result cache (the one `gmh-serve` and `tune`
 /// populate): a warm cache prints the whole table with zero simulations.
 fn sweep(args: &[String], out: &mut dyn Write, _: &mut dyn Write) -> Outcome {
     let wl = workload(args, "mm")?;
@@ -322,6 +325,55 @@ fn sweep(args: &[String], out: &mut dyn Write, _: &mut dyn Write) -> Outcome {
         out,
         "[{sims} sims, {hits} hits from {}]",
         cache.dir().display()
+    )?;
+    Ok(())
+}
+
+/// A seeded successive-halving search of the Table III knob space: the
+/// frontier JSON is a pure function of SPEC, so a warm cache replays it
+/// byte for byte with zero simulations (the stderr summary says how many).
+fn tune(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Outcome {
+    let spec = args.first().map_or(r#"{"preset":"paper"}"#, String::as_str);
+    let spec = json::parse(spec).map_err(cannot(format_args!("parse the search spec {spec:?}")))?;
+    let params = TuneParams::from_json(&spec).map_err(Refusal)?;
+    params.validate().map_err(Refusal)?;
+    // The daemon reads an absent preset as smoke, and no SPEC here means
+    // paper: a SPEC names its preset, so neither default applies unseen.
+    let unnamed = || Refusal("a search spec names its \"preset\"".into());
+    spec.get("preset").ok_or_else(unnamed)?;
+    let (json_path, csv_path) = (output(args, 1, false)?, output(args, 2, false)?);
+    let cache = DiskCache::open(DiskCache::default_dir()).map_err(cannot("open result cache"))?;
+    let t0 = Instant::now();
+    let run = run_search(&cache, &params).map_err(cannot("run the search"))?;
+    let frontier = frontier_json(&params, &run);
+    match json_path {
+        Some(path) => write_file(path, &frontier)?,
+        None => writeln!(out, "{frontier}")?,
+    }
+    if let Some(path) = csv_path {
+        write_file(path, &frontier_csv(&params, &run))?;
+    }
+    let best = match &run.best {
+        Some(b) => format!(
+            "; best under {}% area: {} ({:.3}x, {:.2}%)",
+            params.max_area_pct, b.label, b.speedup, b.area_pct
+        ),
+        None => String::new(),
+    };
+    let cut = if run.complete {
+        ""
+    } else {
+        " [budget exhausted]"
+    };
+    writeln!(
+        err,
+        "tune: {} evals ({} sims, {} hits) over {} stages in {} ms; frontier {} points{cut}{best}",
+        run.evals,
+        run.fresh_sims,
+        run.cache_hits,
+        run.stages.len(),
+        t0.elapsed().as_millis(),
+        run.frontier.len(),
     )?;
     Ok(())
 }

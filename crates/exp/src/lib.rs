@@ -9,8 +9,9 @@
 //! the rows/series the paper reports, with the paper's reference values
 //! alongside where available. `gmh-exp all` is the complete
 //! EXPERIMENTS.md-style report, `gmh-exp list` names the artifacts and the
-//! diagnostics (`probe`, `latency`, `profile`, `sweep`, `calibrate`,
-//! `trace`, `record`, `replay`).
+//! diagnostics (`probe`, `latency`, `profile`, `sweep`, `tune`,
+//! `calibrate`, `trace`, `record`, `replay`); [`tune`] is the design-space
+//! autotuner behind `tune` and the daemon's `"tune"` job.
 //!
 //! Heavy sweeps run jobs in parallel across `GMH_THREADS` threads
 //! (default: available parallelism).
@@ -26,6 +27,7 @@ pub mod export;
 pub mod prof_export;
 pub mod runner;
 pub mod trace_export;
+pub mod tune;
 
 pub use cache::{job_key, run_cached, CachedRun, DiskCache};
 pub use candidate::{Candidate, Evaluator};

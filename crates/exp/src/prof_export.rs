@@ -67,10 +67,9 @@ pub fn host_trace_json(label: &str, report: &HostReport) -> String {
 
 /// Renders the attribution table: a header with the wall time, the share
 /// of it attributed to any phase (an estimate, and the header says from
-/// what; it can pass 100 %, because a timed span carries a clock read the
-/// untimed majority did not pay — see [`gmh_types::prof`]) and the timed
-/// spans that did not fit the timeline cap, then one row per phase that
-/// occurred — exact counts, estimated totals.
+/// what; at most 100 %, see [`gmh_types::prof`]) and the timed spans that
+/// did not fit the timeline cap, then one row per phase that occurred —
+/// exact counts, estimated totals.
 pub fn utilization_table(report: &HostReport) -> String {
     let wall = report.wall_ns.max(1) as f64;
     let mut out = format!(
@@ -119,8 +118,8 @@ mod tests {
     use gmh_types::prof::HostProfiler;
     use std::time::Duration;
 
-    /// Three timed spans and three more that were only counted, so every
-    /// total is an estimate of twice its timed span; 1 ms of wall.
+    /// Three spans timed outside the run loop, whose totals are what was
+    /// timed, and three more only counted; 1 ms of wall.
     fn synthetic_report() -> HostReport {
         let mut p = HostProfiler::new();
         let epoch = p.epoch();
@@ -169,10 +168,10 @@ mod tests {
         assert!(table.contains("l2_tick"));
         assert!(table.contains("core_tick"));
         assert!(!table.contains("ff_probe"), "absent phases are omitted");
-        // Top-level estimates: 400µs + 300µs of 1 ms wall; the nested
+        // Top-level totals: 200µs + 150µs of 1 ms wall; the nested
         // l2_tick is not counted twice.
         assert!(
-            table.contains("attributed 70.0%, estimated from 1 in 17 iterations; 0 timed spans"),
+            table.contains("attributed 35.0%, estimated from 1 in 17 iterations; 0 timed spans"),
             "{table}"
         );
     }
@@ -182,7 +181,7 @@ mod tests {
         let rows = phase_rows(&synthetic_report());
         assert!(rows
             .iter()
-            .any(|(n, t, c)| *n == "icnt_tick" && *t == 400_000 && *c == 2));
+            .any(|(n, t, c)| *n == "icnt_tick" && *t == 200_000 && *c == 2));
         assert!(rows.iter().all(|(n, _, _)| *n != "ff_jump"));
     }
 

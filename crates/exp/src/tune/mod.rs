@@ -1,4 +1,4 @@
-//! # gmh-tune — deterministic design-space autotuner
+//! The design-space autotuner: `gmh-exp tune` and the daemon's `"tune"` job.
 //!
 //! Turns the paper's Table III from a transcription into a search: a typed
 //! knob space over [`gmh_core::GpuConfig`] (crossbar request/reply flit
@@ -10,7 +10,7 @@
 //! under 2% area overhead"*.
 //!
 //! Every candidate is evaluated through the shared content-addressed result
-//! cache ([`gmh_exp::cache`]) via the common [`gmh_exp::candidate`] layer,
+//! cache ([`crate::cache`]) via the common [`crate::candidate`] layer,
 //! so repeated and resumed searches are nearly free, and a search shares
 //! entries with any grid sweep that visited the same point.
 //!
@@ -39,7 +39,6 @@
     clippy::unwrap_used,
     clippy::expect_used
 )]
-#![warn(missing_docs)]
 
 pub mod pareto;
 pub mod report;

@@ -1,14 +1,14 @@
 //! Frontier reports: deterministic single-line JSON and CSV.
 //!
-//! The JSON report is the tuner's contract with its callers (the `tune`
-//! binary, the serve `"tune"` job, tests): it is newline-free (one report
+//! The JSON report is the tuner's contract with its callers (`gmh-exp
+//! tune`, the serve `"tune"` job, tests): it is newline-free (one report
 //! fits one line of the serve protocol) and a pure function of
 //! `(params, outcome)` — it deliberately excludes the fresh-sim /
 //! cache-hit split, which differs between a cold and a warm run of the
 //! same search.
 
-use crate::pareto::FrontierPoint;
-use crate::search::{TuneOutcome, TuneParams};
+use super::pareto::FrontierPoint;
+use super::search::{TuneOutcome, TuneParams};
 use gmh_types::telemetry::{json_escape, json_num};
 
 fn point_json(p: &FrontierPoint) -> String {
@@ -32,11 +32,6 @@ fn point_json(p: &FrontierPoint) -> String {
 /// Two runs of the same search (any cache state, any thread width)
 /// produce byte-identical output.
 pub fn frontier_json(p: &TuneParams, out: &TuneOutcome) -> String {
-    let workloads: Vec<String> = p
-        .workloads
-        .iter()
-        .map(|w| format!("\"{}\"", json_escape(w)))
-        .collect();
     let stages: Vec<String> = out
         .stages
         .iter()
@@ -56,20 +51,9 @@ pub fn frontier_json(p: &TuneParams, out: &TuneOutcome) -> String {
         None => "null".to_string(),
     };
     format!(
-        "{{\"tune\":{{\"workloads\":[{}],\"seed\":{},\"budget\":{},\"pool\":{},\"survivors\":{},\
-         \"screen_cycles\":{},\"full_cycles\":{},\"refine\":{},\"max_area_pct\":{},\"shrink\":{}}},\
-         \"space_size\":{},\"stages\":[{}],\"evals\":{},\"complete\":{},\
+        "{{\"tune\":{},\"space_size\":{},\"stages\":[{}],\"evals\":{},\"complete\":{},\
          \"frontier\":[{}],\"best\":{}}}",
-        workloads.join(","),
-        p.seed,
-        p.budget,
-        p.pool,
-        p.survivors,
-        p.screen_cycles,
-        p.full_cycles,
-        p.refine,
-        json_num(p.max_area_pct),
-        p.shrink,
+        p.to_json(),
         out.space_size,
         stages.join(","),
         out.evals,
@@ -106,7 +90,7 @@ pub fn frontier_csv(p: &TuneParams, out: &TuneOutcome) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::StageSummary;
+    use crate::tune::StageSummary;
 
     fn outcome() -> (TuneParams, TuneOutcome) {
         let p = TuneParams::smoke();

@@ -5,25 +5,30 @@
 //! a 4× longer budget, and repeats until candidates run at full length.
 //! An optional evolutionary refinement stage then perturbs the full-length
 //! leaders one knob at a time. Every evaluation goes through
-//! [`gmh_exp::Evaluator`] and therefore the shared result cache.
+//! [`crate::Evaluator`] and therefore the shared result cache.
 //!
 //! The token that makes a warm rerun byte-identical to a cold one: the
 //! budget counts evaluations *attempted*, cache hits included, so the
 //! trajectory never depends on what happens to be cached.
 
-use crate::pareto::{best_under, pareto_frontier, FrontierPoint};
-use crate::space::{Genome, KnobSpace, N_AXES};
+use super::pareto::{best_under, pareto_frontier, FrontierPoint};
+use super::space::{Genome, KnobSpace, N_AXES};
+use crate::cache::DiskCache;
+use crate::{Candidate, Evaluator};
 use gmh_core::{area, GpuConfig};
-use gmh_exp::cache::DiskCache;
-use gmh_exp::{Candidate, Evaluator};
+use gmh_types::json::Json;
 use gmh_types::rng::Xoshiro256;
+use gmh_types::telemetry::{json_escape, json_num};
 use gmh_workloads::{catalog, WorkloadSpec};
 use std::collections::BTreeSet;
 use std::io;
 
+/// Why [`TuneParams::validate`] refuses a non-finite `max_area_pct`.
+pub const AREA_NOT_FINITE: &str = "max_area_pct must be finite";
+
 /// Search parameters. A search is a pure function of these plus the knob
-/// space; see the crate docs for the determinism argument.
-#[derive(Clone, Debug)]
+/// space; see [`crate::tune`] for the determinism argument.
+#[derive(Clone, Debug, PartialEq)]
 pub struct TuneParams {
     /// Workload mix (catalog names); scores are geometric means across it.
     pub workloads: Vec<String>,
@@ -106,9 +111,106 @@ impl TuneParams {
             return Err("need 0 < screen_cycles <= full_cycles".into());
         }
         if !self.max_area_pct.is_finite() {
-            return Err("max_area_pct must be finite".into());
+            return Err(AREA_NOT_FINITE.into());
         }
         Ok(())
+    }
+
+    /// Reads a search spec — the object `gmh-exp tune` takes and the daemon's
+    /// `{"tune":{..}}` carries: an optional `"preset"` (`"smoke"`, the
+    /// default, or `"paper"`) whose fields any of the ten others override.
+    /// Refuses an unknown or mistyped field; does not [`validate`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first field it refuses.
+    ///
+    /// [`validate`]: TuneParams::validate
+    pub fn from_json(spec: &Json) -> Result<Self, String> {
+        const FIELDS: [&str; 11] = [
+            "preset",
+            "workloads",
+            "seed",
+            "budget",
+            "pool",
+            "survivors",
+            "screen_cycles",
+            "full_cycles",
+            "refine",
+            "max_area_pct",
+            "shrink",
+        ];
+        let obj = spec.as_obj().ok_or("\"tune\" must be a JSON object")?;
+        if let Some(key) = obj.keys().find(|k| !FIELDS.contains(&k.as_str())) {
+            return Err(format!("unknown tune field {key:?}"));
+        }
+        let mut p = match obj.get("preset").map(Json::as_str) {
+            None | Some(Some("smoke")) => TuneParams::smoke(),
+            Some(Some("paper")) => TuneParams::paper(),
+            Some(_) => return Err("\"preset\" must be \"smoke\" or \"paper\"".to_string()),
+        };
+        if let Some(v) = obj.get("workloads") {
+            let names = match v {
+                Json::Arr(items) => items
+                    .iter()
+                    .map(|i| i.as_str().map(str::to_string))
+                    .collect(),
+                _ => None,
+            };
+            p.workloads = names.ok_or("\"workloads\" must be an array of strings")?;
+        }
+        let int = |key: &str| -> Result<Option<u64>, String> {
+            let not_int = || format!("{key:?} must be a non-negative integer");
+            obj.get(key)
+                .map(|v| v.as_u64().ok_or_else(not_int))
+                .transpose()
+        };
+        let count = |key: &str| -> Result<Option<usize>, String> {
+            let out_of_range = |n| format!("{key:?}={n} is out of range");
+            int(key)?
+                .map(|n| usize::try_from(n).map_err(|_| out_of_range(n)))
+                .transpose()
+        };
+        p.seed = int("seed")?.unwrap_or(p.seed);
+        p.budget = count("budget")?.unwrap_or(p.budget);
+        p.pool = count("pool")?.unwrap_or(p.pool);
+        p.survivors = count("survivors")?.unwrap_or(p.survivors);
+        p.screen_cycles = int("screen_cycles")?.unwrap_or(p.screen_cycles);
+        p.full_cycles = int("full_cycles")?.unwrap_or(p.full_cycles);
+        p.refine = count("refine")?.unwrap_or(p.refine);
+        if let Some(v) = obj.get("max_area_pct") {
+            p.max_area_pct = v.as_f64().ok_or("\"max_area_pct\" must be a number")?;
+        }
+        if let Some(v) = obj.get("shrink") {
+            p.shrink = v.as_bool().ok_or("\"shrink\" must be a boolean")?;
+        }
+        Ok(p)
+    }
+
+    /// Writes every field as the object [`TuneParams::from_json`] reads back
+    /// (no `"preset"`), the `"tune"` member of the frontier report.
+    #[must_use]
+    pub fn to_json(&self) -> String {
+        let workloads: Vec<String> = self
+            .workloads
+            .iter()
+            .map(|w| format!("\"{}\"", json_escape(w)))
+            .collect();
+        format!(
+            "{{\"workloads\":[{}],\"seed\":{},\"budget\":{},\"pool\":{},\"survivors\":{},\
+             \"screen_cycles\":{},\"full_cycles\":{},\"refine\":{},\"max_area_pct\":{},\
+             \"shrink\":{}}}",
+            workloads.join(","),
+            self.seed,
+            self.budget,
+            self.pool,
+            self.survivors,
+            self.screen_cycles,
+            self.full_cycles,
+            self.refine,
+            json_num(self.max_area_pct),
+            self.shrink
+        )
     }
 
     /// The workload mix, shrunk when `shrink` is set.
@@ -203,8 +305,8 @@ fn shuffle(items: &mut [Genome], rng: &mut Xoshiro256) {
     }
 }
 
-/// The search engine. See the module docs for the schedule and the crate
-/// docs for the determinism argument.
+/// The search engine. See the module docs for the schedule and
+/// [`crate::tune`]'s for the determinism argument.
 ///
 /// # Errors
 ///
@@ -444,7 +546,7 @@ mod tests {
     use super::*;
 
     fn tmp_cache(tag: &str) -> DiskCache {
-        let dir = std::env::temp_dir().join(format!("gmh_tune_test_{tag}_{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("gmh_exp_tune_{tag}_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         DiskCache::open(dir).unwrap()
     }
@@ -462,6 +564,36 @@ mod tests {
         assert!(p.validate().is_err());
         assert!(TuneParams::smoke().validate().is_ok());
         assert!(TuneParams::paper().validate().is_ok());
+    }
+
+    #[test]
+    fn from_json_reads_back_what_to_json_writes() {
+        let back = |p: &TuneParams| {
+            let spec = gmh_types::json::parse(&p.to_json()).unwrap();
+            TuneParams::from_json(&spec).unwrap()
+        };
+        for p in [TuneParams::smoke(), TuneParams::paper()] {
+            assert_eq!(back(&p), p);
+        }
+        let names = catalog::names();
+        gmh_types::rng::cases("tune_params_round_trip", 256, |rng| {
+            let p = TuneParams {
+                workloads: (0..rng.range(0..4))
+                    .map(|_| names[rng.range(0..names.len())].to_string())
+                    .collect(),
+                seed: rng.next_u64(),
+                budget: rng.range(0..1 << 20),
+                pool: rng.range(0..1 << 20),
+                survivors: rng.range(0..1 << 20),
+                screen_cycles: rng.next_u64(),
+                full_cycles: rng.next_u64(),
+                refine: rng.range(0..1 << 20),
+                // json_num writes six decimals: a whole number of millionths.
+                max_area_pct: (rng.below(2_000_000_000) as f64 - 1e9) / 1e6,
+                shrink: rng.chance(0.5),
+            };
+            assert_eq!(back(&p), p, "{}", p.to_json());
+        });
     }
 
     #[test]

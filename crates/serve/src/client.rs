@@ -6,6 +6,7 @@
 //! `gmh-benchmark`'s `serve` workload.
 
 use crate::protocol::{job_line, tune_line, Reply};
+use gmh_exp::tune::search::AREA_NOT_FINITE;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
@@ -96,7 +97,9 @@ impl Client {
     }
 
     /// Submits a design-space search, blocking until its terminal reply.
-    /// The `OK` payload is the tuner's frontier JSON.
+    /// The `OK` payload is the tuner's frontier JSON. A non-finite
+    /// `max_area_pct`, which JSON cannot carry, draws the daemon's `ERR`
+    /// here, without a request.
     ///
     /// # Errors
     ///
@@ -109,6 +112,9 @@ impl Client {
         max_area_pct: Option<f64>,
         ints: &[(String, u64)],
     ) -> io::Result<Reply> {
+        if max_area_pct.is_some_and(|a| !a.is_finite()) {
+            return Ok(Reply::Err(AREA_NOT_FINITE.to_string()));
+        }
         self.request_reply(&tune_line(preset, workloads, max_area_pct, ints))
     }
 

@@ -235,8 +235,9 @@ impl Metrics {
         out.push_str(&format!(
             "# HELP gmh_host_phase_ns_total Host-scheduler wall nanoseconds \
              per run-loop phase, accumulated over completed fresh runs; an \
-             estimate: 1 in {TIMED_STRIDE} run-loop iterations is timed and scaled by \
-             the exact span count.\n\
+             estimate: 1 in {TIMED_STRIDE} run-loop iterations is timed, and a phase \
+             gets its share of their wall times the loop's, so one run's phases never \
+             add up past its wall.\n\
              # TYPE gmh_host_phase_ns_total counter\n",
         ));
         for phase in HostPhase::ALL {

@@ -32,7 +32,7 @@
 use crate::json::{self, Json};
 use gmh_core::GpuConfig;
 use gmh_exp::experiments::{fig10_configs, fig12_configs};
-use gmh_tune::TuneParams;
+use gmh_exp::tune::TuneParams;
 use gmh_types::telemetry::json_escape;
 use gmh_workloads::{catalog, WorkloadSpec};
 
@@ -298,96 +298,10 @@ pub struct TuneCaps {
     pub workloads: usize,
 }
 
-/// Parses and validates the `"tune"` payload: strict fields, preset base,
+/// Parses and validates the `"tune"` payload: [`TuneParams::from_json`],
 /// caps applied, then [`TuneParams::validate`].
 fn parse_tune(spec: &Json) -> Result<TuneParams, String> {
-    let obj = spec.as_obj().ok_or("\"tune\" must be a JSON object")?;
-    for key in obj.keys() {
-        if !matches!(
-            key.as_str(),
-            "preset"
-                | "workloads"
-                | "seed"
-                | "budget"
-                | "pool"
-                | "survivors"
-                | "screen_cycles"
-                | "full_cycles"
-                | "refine"
-                | "max_area_pct"
-                | "shrink"
-        ) {
-            return Err(format!("unknown tune field {key:?}"));
-        }
-    }
-    let mut p = match obj.get("preset") {
-        None => TuneParams::smoke(),
-        Some(v) => match v.as_str() {
-            Some("smoke") => TuneParams::smoke(),
-            Some("paper") => TuneParams::paper(),
-            _ => return Err("\"preset\" must be \"smoke\" or \"paper\"".to_string()),
-        },
-    };
-    if let Some(v) = obj.get("workloads") {
-        let Json::Arr(items) = v else {
-            return Err("\"workloads\" must be an array of strings".to_string());
-        };
-        let mut names = Vec::new();
-        for item in items {
-            names.push(
-                item.as_str()
-                    .ok_or("\"workloads\" must be an array of strings")?
-                    .to_string(),
-            );
-        }
-        p.workloads = names;
-    }
-    let count = |key: &str| -> Result<Option<usize>, String> {
-        match obj.get(key) {
-            None => Ok(None),
-            Some(v) => {
-                let n = v
-                    .as_u64()
-                    .ok_or_else(|| format!("{key:?} must be a non-negative integer"))?;
-                usize::try_from(n)
-                    .map(Some)
-                    .map_err(|_| format!("{key:?}={n} is out of range"))
-            }
-        }
-    };
-    if let Some(v) = obj.get("seed") {
-        p.seed = v
-            .as_u64()
-            .ok_or("\"seed\" must be a non-negative integer")?;
-    }
-    if let Some(v) = count("budget")? {
-        p.budget = v;
-    }
-    if let Some(v) = count("pool")? {
-        p.pool = v;
-    }
-    if let Some(v) = count("survivors")? {
-        p.survivors = v;
-    }
-    if let Some(v) = obj.get("screen_cycles") {
-        p.screen_cycles = v
-            .as_u64()
-            .ok_or("\"screen_cycles\" must be a non-negative integer")?;
-    }
-    if let Some(v) = obj.get("full_cycles") {
-        p.full_cycles = v
-            .as_u64()
-            .ok_or("\"full_cycles\" must be a non-negative integer")?;
-    }
-    if let Some(v) = count("refine")? {
-        p.refine = v;
-    }
-    if let Some(v) = obj.get("max_area_pct") {
-        p.max_area_pct = v.as_f64().ok_or("\"max_area_pct\" must be a number")?;
-    }
-    if let Some(v) = obj.get("shrink") {
-        p.shrink = v.as_bool().ok_or("\"shrink\" must be a boolean")?;
-    }
+    let p = TuneParams::from_json(spec)?;
     let caps = TUNE_CAPS;
     if p.budget > caps.budget {
         return Err(format!(
@@ -733,6 +647,22 @@ mod tests {
         assert_eq!(p.seed, 42);
         assert_eq!(p.budget, 12);
         assert!((p.max_area_pct - 1.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_non_finite_area_is_refused_by_the_client_as_the_daemon_refuses_it() {
+        use std::io::Read;
+        let daemon = parse_request(r#"{"tune":{"max_area_pct":1e999}}"#).unwrap_err();
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = crate::Client::connect(listener.local_addr().unwrap()).unwrap();
+        for area in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let reply = client.tune(Some("smoke"), &[], Some(area), &[]).unwrap();
+            assert_eq!(reply, Reply::Err(daemon.clone()), "{area}");
+        }
+        drop(client);
+        let mut sent = Vec::new();
+        listener.accept().unwrap().0.read_to_end(&mut sent).unwrap();
+        assert!(sent.is_empty(), "{}", String::from_utf8_lossy(&sent));
     }
 
     #[test]

@@ -30,8 +30,8 @@ use crate::metrics::{render_build_info, render_histograms, Gauges, Metrics};
 use crate::protocol::{parse_request, JobRequest, Reply, Request, MAX_LINE_BYTES};
 use gmh_core::GpuSim;
 use gmh_exp::cache::{job_key, DiskCache};
+use gmh_exp::tune::{frontier_json, run_search, TuneParams};
 use gmh_exp::{chrome_trace_json, report_json};
-use gmh_tune::{frontier_json, run_search, TuneParams};
 use gmh_types::{BoundedQueue, Level, LevelLatency};
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Write};

@@ -4,8 +4,10 @@
 //! shutdown drains in-flight work, and the metrics ledger reconciles
 //! (`accepted = completed + shed + errored + timed_out`).
 
+use gmh_exp::cache::DiskCache;
+use gmh_exp::tune::{frontier_json, run_search, TuneParams};
 use gmh_serve::metrics::sample;
-use gmh_serve::protocol::Reply;
+use gmh_serve::protocol::{tune_line, Reply};
 use gmh_serve::server::{spawn, ServerConfig, ServerHandle};
 use gmh_serve::Client;
 use std::path::PathBuf;
@@ -400,6 +402,33 @@ fn slow_job_draws_timeout() {
     );
     assert!(matches!(c.shutdown().expect("shutdown"), Reply::Ok(_)));
     handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One spec, two front doors: the daemon's `"tune"` job writes the frontier
+/// the library search writes for SPEC, as `gmh-exp tune SPEC` does (that
+/// half is in `tests/exp_cli.rs`); over the daemon's cache directory the
+/// library replays the daemon's entries.
+#[test]
+fn the_daemon_and_the_cli_answer_one_tune_spec_identically() {
+    const SPEC: &str = r#"{"preset":"smoke","seed":5}"#;
+    let (handle, dir) = boot("doors", 1, 2, 120_000);
+    let mut c = Client::connect(handle.addr).expect("connect");
+    let seed = [("seed".to_string(), 5)];
+    let line = tune_line(Some("smoke"), &[], None, &seed);
+    assert_eq!(line, format!("{{\"tune\":{SPEC}}}"));
+    let Reply::Ok(served) = c.tune(Some("smoke"), &[], None, &seed).expect("reply") else {
+        panic!("the daemon's search must complete");
+    };
+    assert!(matches!(c.shutdown().expect("shutdown"), Reply::Ok(_)));
+    handle.join();
+
+    let spec = gmh_serve::json::parse(SPEC).expect("SPEC is JSON");
+    let params = TuneParams::from_json(&spec).expect("SPEC is a search spec");
+    let cache = DiskCache::open(&dir).expect("the daemon's cache opens");
+    let run = run_search(&cache, &params).expect("the search runs");
+    assert_eq!(run.fresh_sims, 0, "a replay of the daemon's entries");
+    assert_eq!(frontier_json(&params, &run), served);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

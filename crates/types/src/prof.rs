@@ -23,23 +23,19 @@
 //! A clock read costs as much as a cheap tick, so the profiler does not
 //! time every span: the run loop announces each of its iterations
 //! ([`HostProfiler::begin_iteration`]) and every [`TIMED_STRIDE`]-th one is
-//! timed — all of its spans, so nesting and chaining hold within it. The
-//! others only *count* their spans ([`HostProfiler::count`]). Counts are
-//! therefore exact and a function of the simulation alone; a phase's total
-//! is an estimate, `timed ns × count / timed count`
-//! ([`HostReport::totals_ns`]); the per-span event list holds the timed
-//! spans, bounded by a cap (overflow is counted in `dropped`, never
-//! silently).
+//! timed — as a whole, and all of its spans, so nesting and chaining hold
+//! within it. The others only *count* their spans
+//! ([`HostProfiler::count`]). Counts are therefore exact and a function of
+//! the simulation alone; the per-span event list holds the timed spans,
+//! bounded by a cap (overflow is counted in `dropped`, never silently).
 //!
-//! A timed span carries about one clock read of its own, and an untimed
-//! iteration carries none, so an estimate answers "what would this phase
-//! cost if every span of it were timed" — what the profiler reported when
-//! it did time every span. Against the wall of a run that mostly was *not*
-//! timed, the estimates of cheap phases run high and their sum can pass
-//! 100 % (about 107 % on the saturated trio, 120–135 % on two-core jobs
-//! whose whole iteration costs a few clock reads). Shares between phases
-//! of similar span cost, and one phase across runs, compare fairly; the
-//! raw timed sums are in the report for anything else.
+//! A phase's total is an estimate ([`HostReport::phase_total_ns`]): its
+//! share of the timed iterations' wall, times the wall of the whole loop.
+//! A timed iteration's clock reads sit in its spans and in its wall alike,
+//! so a phase of many cheap spans still reads high beside one of few
+//! costly spans; but top-level phases do not overlap, so their shares add
+//! up to at most one and the attributed total cannot pass the wall. Spans
+//! outside the loop (the end-of-run flush) count at their measured time.
 //!
 //! Timing uses [`Instant`], which is monotonic — spans cannot go negative
 //! under NTP slew. Wall-clock types are banned in model crates
@@ -161,8 +157,8 @@ pub const TIMED_STRIDE: u64 = 17;
 
 /// The host profiler: a span recorder owned by the thread that owns
 /// `GpuSim`. Recording is plain (non-atomic); a timed iteration costs two
-/// monotonic clock reads per span at most — one when chaining — and an
-/// untimed one an increment per span.
+/// monotonic clock reads per span at most — one when chaining — plus one
+/// at each end of the iteration, and an untimed one an increment per span.
 #[derive(Debug)]
 pub struct HostProfiler {
     #[expect(
@@ -173,17 +169,15 @@ pub struct HostProfiler {
             tests/host_prof.rs byte-identity"
     )]
     epoch: Instant,
-    /// Run-loop iterations announced so far, and whether the current one
-    /// is timed.
-    iterations: u64,
+    /// Whether the current iteration is timed.
     timed: bool,
-    timed_iterations: u64,
-    counts: [u64; N_HOST_PHASES],
-    timed_counts: [u64; N_HOST_PHASES],
-    timed_ns: [u64; N_HOST_PHASES],
-    events: Vec<SpanEvent>,
+    /// Nanoseconds since the epoch when the first iteration began and when
+    /// the open timed iteration began (`None` outside one).
+    loop_start: Option<u64>,
+    iteration_start: Option<u64>,
     cap: usize,
-    dropped: u64,
+    /// What [`HostProfiler::finish`] hands over, accumulated in place.
+    report: HostReport,
 }
 
 #[expect(
@@ -200,32 +194,49 @@ impl HostProfiler {
     pub fn new() -> Self {
         HostProfiler {
             epoch: Instant::now(),
-            iterations: 0,
             timed: true,
-            timed_iterations: 0,
-            counts: [0; N_HOST_PHASES],
-            timed_counts: [0; N_HOST_PHASES],
-            timed_ns: [0; N_HOST_PHASES],
-            events: Vec::new(),
+            loop_start: None,
+            iteration_start: None,
             cap: DEFAULT_EVENT_CAP,
-            dropped: 0,
+            report: HostReport::default(),
         }
     }
 
     /// Opens the next run-loop iteration, a timed one if it is the first or
     /// every [`TIMED_STRIDE`]-th. The verdict holds (see
-    /// [`HostProfiler::is_timed`]) until the next call.
+    /// [`HostProfiler::is_timed`]) until the next call. Reads the clock
+    /// only to open or close a timed iteration.
     #[inline]
     pub fn begin_iteration(&mut self) {
-        self.timed = self.iterations.is_multiple_of(TIMED_STRIDE);
-        self.iterations += 1;
-        self.timed_iterations += u64::from(self.timed);
+        let r = &mut self.report;
+        self.timed = r.iterations.is_multiple_of(TIMED_STRIDE);
+        r.iterations += 1;
+        r.timed_iterations += u64::from(self.timed);
+        if self.timed || self.iteration_start.is_some() {
+            let now = self.now_ns();
+            self.close_iteration(now);
+            self.loop_start.get_or_insert(now);
+            self.iteration_start = self.timed.then_some(now);
+        }
     }
 
     /// Leaves the strided part of the run: what follows (the end-of-run
     /// flush, which happens once) is always timed.
     pub fn end_iterations(&mut self) {
+        let now = self.now_ns();
+        self.close_iteration(now);
+        self.report.loop_ns = self.loop_start.map_or(0, |start| now - start);
         self.timed = true;
+    }
+
+    fn close_iteration(&mut self, now: u64) {
+        if let Some(start) = self.iteration_start.take() {
+            self.report.timed_iteration_ns += now - start;
+        }
+    }
+
+    fn now_ns(&self) -> u64 {
+        saturating_ns(self.epoch.elapsed().as_nanos())
     }
 
     /// Whether spans are being timed right now. When not, the caller skips
@@ -239,7 +250,7 @@ impl HostProfiler {
     /// Counts one span of `phase` that was not timed.
     #[inline]
     pub fn count(&mut self, phase: HostPhase) {
-        self.counts[phase.index()] += 1;
+        self.report.counts[phase.index()] += 1;
     }
 
     /// The instant every span start is measured from.
@@ -266,45 +277,35 @@ impl HostProfiler {
     /// Records a closed, timed span from explicit timestamps (testable
     /// without sleeping: `Instant + Duration` fabricates offsets).
     pub fn record_span(&mut self, phase: HostPhase, start: Instant, end: Instant) {
-        let i = phase.index();
+        let (i, r) = (phase.index(), &mut self.report);
         let dur_ns = saturating_ns(end.saturating_duration_since(start).as_nanos());
-        self.timed_ns[i] += dur_ns;
-        self.timed_counts[i] += 1;
-        self.counts[i] += 1;
-        if self.events.len() < self.cap {
+        r.timed_ns[i] += dur_ns;
+        if self.iteration_start.is_none() {
+            r.outside_ns[i] += dur_ns;
+        }
+        r.timed_counts[i] += 1;
+        r.counts[i] += 1;
+        if r.events.len() < self.cap {
             let start_ns = saturating_ns(start.saturating_duration_since(self.epoch).as_nanos());
-            self.events.push(SpanEvent {
+            r.events.push(SpanEvent {
                 phase,
                 start_ns,
                 dur_ns,
             });
         } else {
-            self.dropped += 1;
+            r.dropped += 1;
         }
     }
 
-    /// Freezes everything into a [`HostReport`]. Wall time is epoch→now.
+    /// Freezes everything into a [`HostReport`], ending the loop if it is
+    /// still open. Wall time is epoch→now.
     #[must_use]
-    pub fn finish(self) -> HostReport {
-        // Each timed span stands for `counts / timed_counts` spans of its
-        // phase; a phase that was counted but never timed estimates to 0.
-        let mut totals_ns = [0; N_HOST_PHASES];
-        for (i, total) in totals_ns.iter_mut().enumerate() {
-            let scaled = u128::from(self.timed_ns[i]) * u128::from(self.counts[i])
-                / u128::from(self.timed_counts[i].max(1));
-            *total = saturating_ns(scaled);
+    pub fn finish(mut self) -> HostReport {
+        if self.loop_start.is_some() && self.report.loop_ns == 0 {
+            self.end_iterations();
         }
-        HostReport {
-            wall_ns: saturating_ns(self.epoch.elapsed().as_nanos()),
-            totals_ns,
-            counts: self.counts,
-            timed_counts: self.timed_counts,
-            timed_ns: self.timed_ns,
-            iterations: self.iterations,
-            timed_iterations: self.timed_iterations,
-            events: self.events,
-            dropped: self.dropped,
-        }
+        self.report.wall_ns = self.now_ns();
+        self.report
     }
 }
 
@@ -316,14 +317,15 @@ impl Default for HostProfiler {
 
 /// Frozen profile of one run: plain data, no clock handles, safe to ship
 /// across threads or serialize.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct HostReport {
     /// Wall nanoseconds from profiler creation to [`HostProfiler::finish`].
     pub wall_ns: u64,
-    /// *Estimated* nanoseconds per phase (indexed by [`HostPhase::index`]):
-    /// `timed_ns × counts / timed_counts`, 0 for a phase that was never
-    /// timed.
-    pub totals_ns: [u64; N_HOST_PHASES],
+    /// Wall nanoseconds of the run loop, from the first iteration to
+    /// [`HostProfiler::end_iterations`].
+    pub loop_ns: u64,
+    /// Summed wall nanoseconds of the timed iterations.
+    pub timed_iteration_ns: u64,
     /// Span counts per phase, timed or not: exact, and a function of the
     /// simulation alone.
     pub counts: [u64; N_HOST_PHASES],
@@ -331,6 +333,8 @@ pub struct HostReport {
     pub timed_counts: [u64; N_HOST_PHASES],
     /// Measured nanoseconds of the timed spans, per phase.
     pub timed_ns: [u64; N_HOST_PHASES],
+    /// The part of `timed_ns` measured outside the timed iterations.
+    pub outside_ns: [u64; N_HOST_PHASES],
     /// Run-loop iterations announced to the profiler.
     pub iterations: u64,
     /// How many of them were timed (one in [`TIMED_STRIDE`]).
@@ -342,10 +346,14 @@ pub struct HostReport {
 }
 
 impl HostReport {
-    /// Estimated nanoseconds for `phase`.
+    /// Estimated nanoseconds for `phase`: its share of the timed
+    /// iterations' wall times the loop's, plus its spans outside the loop.
     #[must_use]
     pub fn phase_total_ns(&self, phase: HostPhase) -> u64 {
-        self.totals_ns[phase.index()]
+        let i = phase.index();
+        let looped = u128::from(self.timed_ns[i] - self.outside_ns[i]) * u128::from(self.loop_ns)
+            / u128::from(self.timed_iteration_ns.max(1));
+        self.outside_ns[i] + saturating_ns(looped)
     }
 
     /// Span count for `phase` (exact).
@@ -448,8 +456,8 @@ mod tests {
         );
         assert_eq!(
             r.phase_total_ns(HostPhase::CoreTick),
-            10_000,
-            "totals ignore the cap"
+            5_000,
+            "totals ignore the cap; outside the loop they are what was timed"
         );
     }
 
@@ -474,41 +482,60 @@ mod tests {
     }
 
     #[test]
-    fn totals_scale_the_timed_sum_by_the_exact_count() {
-        // 51 iterations with one core tick each: iterations 0, 17 and 34
-        // are timed (20 + 30 + 50 = 100 ns), the other 48 only counted.
+    fn a_loop_phase_is_its_share_of_the_timed_iterations_times_the_loop() {
+        // 100 ns of core ticks in 400 ns of timed iterations, of a 6.8 µs
+        // loop; then a 50 ns flush after the loop.
+        let mut r = HostProfiler::new().finish();
+        (r.wall_ns, r.loop_ns, r.timed_iteration_ns) = (7_000, 6_800, 400);
+        r.timed_ns[HostPhase::CoreTick.index()] = 100;
+        r.timed_ns[HostPhase::SchedResched.index()] = 50;
+        r.outside_ns[HostPhase::SchedResched.index()] = 50;
+        assert_eq!(r.phase_total_ns(HostPhase::CoreTick), 1_700);
+        assert_eq!(r.phase_total_ns(HostPhase::SchedResched), 50);
+        assert_eq!(r.busy_ns(), 1_750);
+    }
+
+    #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "opens real spans the way the run loop does"
+    )]
+    fn attributed_time_cannot_pass_the_wall() {
         let mut p = HostProfiler::new();
-        let epoch = p.epoch();
-        let mut durs = [20u64, 30, 50].into_iter();
-        for k in 0..51u64 {
+        for _ in 0..1_000 {
             p.begin_iteration();
             if p.is_timed() {
-                let t0 = epoch + Duration::from_nanos(k * 1_000);
-                let dur = durs.next().expect("three timed iterations");
-                p.record_span(HostPhase::CoreTick, t0, t0 + Duration::from_nanos(dur));
+                let t1 = p.end_chain(HostPhase::CoreTick, Instant::now());
+                p.end_chain(HostPhase::DramTick, t1);
             } else {
                 p.count(HostPhase::CoreTick);
-                // A phase that only ever fires on untimed iterations.
-                p.count(HostPhase::SchedPop);
+                p.count(HostPhase::DramTick);
+                // A phase that only ever happens on untimed iterations.
+                p.count(HostPhase::FfJump);
             }
         }
+        p.end_iterations();
+        p.end_chain(HostPhase::SchedResched, Instant::now());
         let r = p.finish();
-        assert_eq!(r.phase_count(HostPhase::CoreTick), 51);
-        assert_eq!(r.timed_counts[HostPhase::CoreTick.index()], 3);
-        assert_eq!(r.timed_ns[HostPhase::CoreTick.index()], 100);
+        assert_eq!(r.timed_iterations, 59);
+        assert_eq!(r.phase_count(HostPhase::FfJump), 941);
         assert_eq!(
-            r.phase_total_ns(HostPhase::CoreTick),
-            1_700,
-            "100 ns x 51 / 3"
-        );
-        assert_eq!(r.phase_count(HostPhase::SchedPop), 48);
-        assert_eq!(r.timed_counts[HostPhase::SchedPop.index()], 0);
-        assert_eq!(
-            r.phase_total_ns(HostPhase::SchedPop),
+            r.phase_total_ns(HostPhase::FfJump),
             0,
-            "counted but never timed: no estimate"
+            "counted, never timed"
         );
-        assert_eq!(r.events.len(), 3, "the timeline holds the timed spans");
-        assert_eq!(r.busy_ns(), 1_700);
+        assert_eq!(
+            r.events.len() as u64,
+            r.timed_counts.iter().sum::<u64>(),
+            "the timeline holds exactly the timed spans"
+        );
+        assert!(r.timed_iteration_ns <= r.loop_ns);
+        let flush = HostPhase::SchedResched.index();
+        assert_eq!(
+            r.outside_ns[flush], r.timed_ns[flush],
+            "the flush is outside the loop"
+        );
+        assert_eq!(r.phase_total_ns(HostPhase::SchedResched), r.timed_ns[flush]);
+        assert!(r.busy_ns() <= r.wall_ns, "{} > {}", r.busy_ns(), r.wall_ns);
     }
 }

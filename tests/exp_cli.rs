@@ -8,7 +8,9 @@
 //! short `solo` workload.
 
 use gmh::core::{GpuConfig, GpuSim};
+use gmh::exp::cache::DiskCache;
 use gmh::exp::experiments::{self, ARTIFACTS};
+use gmh::exp::tune::{frontier_json, run_search, TuneParams};
 use gmh::exp::{cli, report_json};
 use gmh::types::json::{self, Json};
 use gmh::types::trace::Level;
@@ -64,6 +66,7 @@ fn list_names_every_artifact_and_diagnostic() {
         "latency",
         "profile",
         "sweep",
+        "tune",
         "calibrate",
         "trace",
         "record",
@@ -122,6 +125,14 @@ fn unparsable_arguments_are_refused_not_defaulted() {
     refused(&["table1", "--write-md", "x"]);
     refused(&["all", "--write-md"]);
     refused(&["probe", "mm", "dir", "extra"]);
+    // A search spec is the daemon's: whole JSON, known fields, valid values.
+    refused(&["tune", "{\"preset\":"]);
+    refused(&["tune", "{\"frobnicate\":3}"]);
+    refused(&["tune", "{\"pool\":0}"]);
+    // With no SPEC the search is the paper's; a SPEC names its preset, so
+    // it never falls back to the daemon's smoke without saying so.
+    let err = refused(&["tune", "{\"seed\":7}"]);
+    assert!(err.contains("\"preset\""), "{err}");
     refused(&[]);
 }
 
@@ -132,6 +143,24 @@ fn uncreatable_outputs_are_refused_before_any_work() {
     refused_to_create(&["probe", "solo"]);
     refused_to_create(&["latency", "solo"]);
     refused_to_create(&["profile", "solo"]);
+    refused_to_create(&["tune", "{\"preset\":\"smoke\"}"]);
+}
+
+/// The CLI half of one spec, two front doors (the daemon's half is in the
+/// serve crate's integration tests): `gmh-exp tune SPEC path` writes the
+/// frontier the library search writes for SPEC, over the default cache.
+#[test]
+fn tune_writes_the_frontier_the_library_search_writes() {
+    const SPEC: &str = r#"{"preset":"smoke","seed":5}"#;
+    let path = temp_path("frontier.json");
+    let (code, _, err) = gmh_exp(&["tune", SPEC, path.to_str().unwrap()]);
+    assert_eq!(code, 0, "{err}");
+    let params = TuneParams::from_json(&json::parse(SPEC).unwrap()).unwrap();
+    let run = run_search(&DiskCache::open(DiskCache::default_dir()).unwrap(), &params).unwrap();
+    assert_eq!(run.fresh_sims, 0, "the library replays the CLI's entries");
+    let written = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_file(path).unwrap();
+    assert_eq!(written, frontier_json(&params, &run));
 }
 
 #[test]

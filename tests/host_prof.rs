@@ -87,9 +87,8 @@ fn profiling_leaves_reports_and_traces_byte_identical() {
         assert!(r.phase_count(phase) > 0, "no {phase:?} spans recorded");
         assert!(table.contains(phase.name()), "{table}");
     }
-    // What was measured fits in the wall; `busy_ns()` is that scaled up by
-    // count / timed count per phase, an estimate that can pass it (a timed
-    // span carries a clock read the untimed ones did not pay).
+    // What was measured fits in the wall, and so does `busy_ns()`, the
+    // timed iterations' share scaled up to the whole loop.
     let timed_busy: u64 = HostPhase::ALL
         .iter()
         .filter(|p| p.is_top_level())
@@ -97,6 +96,27 @@ fn profiling_leaves_reports_and_traces_byte_identical() {
         .sum();
     assert!(timed_busy <= r.wall_ns, "measured time fits in the wall");
     assert!(r.busy_ns() >= timed_busy);
+    assert!(r.busy_ns() <= r.wall_ns, "{} > {}", r.busy_ns(), r.wall_ns);
+}
+
+/// The attributed total stays within the wall on the saturated workloads
+/// whose estimates used to pass it.
+#[test]
+fn attributed_time_stays_within_the_wall_on_mm_and_lbm() {
+    for name in ["mm", "lbm"] {
+        let mut cfg = GpuConfig::gtx480_baseline();
+        cfg.max_core_cycles = 20_000;
+        cfg.profile_host = true;
+        let wl = catalog::by_name(name).expect("catalog workload");
+        let mut sim = GpuSim::new(cfg, &wl);
+        sim.run();
+        let r = sim.take_host_report().expect("profile_host was on");
+        let (busy, wall) = (r.busy_ns(), r.wall_ns);
+        assert!(
+            busy <= wall,
+            "{name}: attributed {busy} ns > wall {wall} ns"
+        );
+    }
 }
 
 /// Which spans exist and which of them are timed is decided by the

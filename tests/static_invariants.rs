@@ -44,14 +44,13 @@ const MODEL_LIBS: &[&str] = &[
     "crates/dram/src/lib.rs",
     "crates/core/src/lib.rs",
     "crates/serve/src/lib.rs",
-    "crates/tune/src/lib.rs",
+    "crates/exp/src/tune/mod.rs",
 ];
 
 /// The model crates' binary roots.
 const MODEL_BINS: &[&str] = &[
     "crates/serve/src/main.rs",
     "crates/serve/src/bin/gmh_client.rs",
-    "crates/tune/src/bin/tune.rs",
 ];
 
 const WARN_LINE: &str = "#![warn(clippy::disallowed_types,clippy::disallowed_methods,\

@@ -8,14 +8,14 @@
 //!   2. The CSV rendering is equally stable.
 
 use gmh::exp::cache::DiskCache;
-use gmh_tune::{frontier_csv, frontier_json, run_search, TuneParams};
+use gmh::exp::tune::{frontier_csv, frontier_json, run_search, TuneParams};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn temp_cache_dir(tag: &str) -> PathBuf {
     static N: AtomicUsize = AtomicUsize::new(0);
     std::env::temp_dir().join(format!(
-        "gmh-tune-test-{}-{tag}-{}",
+        "gmh-exp-tune-test-{}-{tag}-{}",
         std::process::id(),
         N.fetch_add(1, Ordering::Relaxed)
     ))
