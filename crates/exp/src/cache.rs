@@ -153,18 +153,21 @@ impl DiskCache {
     /// Merges the entries stored through this handle into `index.tsv` (one
     /// `key \t workload \t label \t seed` row per entry, ascending by key):
     /// the rows already on disk — other processes share the directory — are
-    /// kept, except malformed ones. Called by the daemon on graceful
-    /// shutdown.
+    /// kept, except malformed ones. A row is read on its own, so one that is
+    /// not UTF-8 drops alone. Called by the daemon on graceful shutdown.
     ///
     /// # Errors
     ///
     /// Propagates the filesystem error from writing the index.
     pub fn flush_index(&self) -> io::Result<()> {
         let path = self.dir.join("index.tsv");
-        let mut rows: BTreeMap<u64, String> = std::fs::read_to_string(&path)
+        let mut rows: BTreeMap<u64, String> = std::fs::read(&path)
             .unwrap_or_default()
-            .lines()
-            .filter_map(|row| Some((parse_index_row(row)?, row.to_string())))
+            .split(|&b| b == b'\n')
+            .filter_map(|row| {
+                let row = std::str::from_utf8(row).ok()?;
+                Some((parse_index_row(row)?, row.to_string()))
+            })
             .collect();
         // INVARIANT: see `put` — the ledger mutex cannot be poisoned.
         rows.extend(self.ledger.lock().expect("ledger lock").iter().cloned());
@@ -410,6 +413,57 @@ mod tests {
             assert!(row.starts_with(&format!("{key:016x}\tnn\t")), "{idx}");
         }
         std::fs::remove_dir_all(first.dir()).ok();
+    }
+
+    #[test]
+    fn index_flush_keeps_exactly_the_well_formed_rows() {
+        // Index files a crashed or foreign writer could leave: real rows
+        // mixed with truncated, bit-flipped and extra-tab ones. The flush
+        // keeps what `parse_index_row` accepts (a later row of one key
+        // wins), adds this handle's ledger, and sorts by key under the
+        // header.
+        let dir = tmp_cache("index_fuzz").dir().to_path_buf();
+        let index = dir.join("index.tsv");
+        let (_, wl) = tiny();
+        gmh_types::rng::cases("index_rows", 256, |rng| {
+            let mut lines = vec![b"key\tworkload\tlabel\tseed".to_vec()];
+            for _ in 0..rng.range(0..12) {
+                let (key, seed) = (rng.next_u64(), rng.next_u64());
+                let mut row = format!("{key:016x}\tnn\tbase\t{seed:#x}").into_bytes();
+                let at = rng.range(0..row.len());
+                match rng.range(0..4) {
+                    0 => row.truncate(at),
+                    1 => row[at] ^= 1 << rng.range(0..8),
+                    2 => row.insert(at, b'\t'),
+                    _ => {}
+                }
+                lines.push(row);
+            }
+            std::fs::write(&index, lines.join(&b'\n')).unwrap();
+            let mut want = BTreeMap::new();
+            for line in &lines {
+                if let Ok(row) = std::str::from_utf8(line) {
+                    if let Some(key) = parse_index_row(row) {
+                        want.insert(key, row.to_string());
+                    }
+                }
+            }
+            let cache = DiskCache::open(&dir).unwrap();
+            for _ in 0..rng.range(0..3) {
+                let key = rng.next_u64();
+                cache.put(key, &wl, "l2x4", "{}").unwrap();
+                let row = format!("{key:016x}\tnn\tl2x4\t{:#x}", wl.seed);
+                want.insert(key, row);
+            }
+            cache.flush_index().unwrap();
+            let got = std::fs::read_to_string(&index).unwrap();
+            let mut rows = got.lines();
+            assert_eq!(rows.next(), Some("key\tworkload\tlabel\tseed"));
+            let keys: Vec<u64> = rows.clone().map(|r| parse_index_row(r).unwrap()).collect();
+            assert!(keys.windows(2).all(|w| w[0] < w[1]), "{got}");
+            assert!(rows.eq(want.values().map(String::as_str)), "{got}");
+        });
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! ```text
 //! gmh-client --addr HOST:PORT submit WORKLOAD [--label L] [--seed N] [--set KEY=N]...
 //! gmh-client --addr HOST:PORT trace  WORKLOAD [--label L] [--seed N] [--set KEY=N]...
-//! gmh-client --addr HOST:PORT tune   [--preset smoke|paper] [--workloads A,B,C]
-//!                                    [--max-area PCT] [--set KEY=N]...
+//! gmh-client --addr HOST:PORT tune   SPEC
 //! gmh-client --addr HOST:PORT metrics
 //! gmh-client --addr HOST:PORT ping
 //! gmh-client --addr HOST:PORT shutdown
@@ -14,10 +13,11 @@
 //! Exit codes mirror the terminal reply: `0` OK, `2` BUSY, `3` ERR,
 //! `4` TIMEOUT. `trace` submits the job with per-fetch lifecycle sampling
 //! and prints the Chrome-trace JSON payload bare (redirect it to a file and
-//! load it in Perfetto / `chrome://tracing`). `tune` submits a design-space
-//! search and prints the frontier JSON payload bare; `--set` accepts the
-//! integer search knobs (`seed`, `budget`, `pool`, `survivors`,
-//! `screen_cycles`, `full_cycles`, `refine`). `ping` prints the daemon's
+//! load it in Perfetto / `chrome://tracing`). `tune` submits the
+//! design-space search SPEC — the JSON object `gmh-exp tune` takes, naming
+//! its `"preset"`, e.g. `'{"preset":"smoke","seed":7}'` — and prints the
+//! frontier JSON payload bare; a SPEC that is not such an object is refused
+//! before anything is sent. `ping` prints the daemon's
 //! version and git revision. `smoke` runs the end-to-end self-check CI
 //! uses: a tiny job twice (second must hit the cache byte-identically),
 //! then verifies the metrics reconcile.
@@ -36,8 +36,7 @@ use std::process::ExitCode;
 
 fn usage() -> &'static str {
     "usage: gmh-client --addr HOST:PORT <submit|trace WORKLOAD [--label L] [--seed N] \
-     [--set KEY=N]... | tune [--preset smoke|paper] [--workloads A,B,C] [--max-area PCT] \
-     [--set KEY=N]... | metrics | ping | shutdown | smoke>"
+     [--set KEY=N]... | tune SPEC | metrics | ping | shutdown | smoke>"
 }
 
 fn reply_exit(reply: &Reply) -> ExitCode {
@@ -201,46 +200,18 @@ fn run() -> Result<ExitCode, String> {
             Ok(reply_exit(&reply))
         }
         Some("tune") => {
-            let mut preset = None;
-            let mut workloads = Vec::new();
-            let mut max_area = None;
-            let mut ints = Vec::new();
-            let mut i = 1;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--preset" => {
-                        preset = Some(rest.get(i + 1).ok_or("--preset needs a value")?.clone());
-                        i += 2;
-                    }
-                    "--workloads" => {
-                        let list = rest.get(i + 1).ok_or("--workloads needs A,B,C")?;
-                        workloads = list.split(',').map(str::to_string).collect();
-                        i += 2;
-                    }
-                    "--max-area" => {
-                        max_area = Some(
-                            rest.get(i + 1)
-                                .ok_or("--max-area needs a percentage")?
-                                .parse()
-                                .map_err(|_| "--max-area needs a number")?,
-                        );
-                        i += 2;
-                    }
-                    "--set" => {
-                        let kv = rest.get(i + 1).ok_or("--set needs KEY=N")?;
-                        let (k, v) = kv.split_once('=').ok_or("--set needs KEY=N")?;
-                        ints.push((
-                            k.to_string(),
-                            v.parse().map_err(|_| format!("--set {k}: bad integer"))?,
-                        ));
-                        i += 2;
-                    }
-                    other => return Err(format!("unknown tune flag {other:?}\n{}", usage())),
-                }
+            let [_, spec] = &rest[..] else {
+                return Err(usage().to_string());
+            };
+            let doc = gmh_serve::json::parse(spec)
+                .map_err(|e| format!("cannot parse the search spec {spec:?}: {e}"))?;
+            if doc.get("preset").is_none() {
+                return Err("a search spec is a JSON object naming its \"preset\"".to_string());
             }
-            let reply = client
-                .tune(preset.as_deref(), &workloads, max_area, &ints)
-                .map_err(io)?;
+            // Re-encoded, the spec is one line: a newline inside SPEC
+            // cannot smuggle in a second request.
+            let line = format!("{{\"tune\":{}}}", doc.encode());
+            let reply = client.submit_raw(&line).map_err(io)?;
             // Like `trace`: print the frontier payload bare so the output
             // is a loadable JSON document.
             if let Reply::Ok(json) = &reply {

@@ -4,9 +4,11 @@
 //! [`gmh_core::GpuSim`] runs on behalf of clients, with the three
 //! disciplines a shared simulator needs:
 //!
-//! * **Bounded admission** — jobs wait in a [`gmh_types::BoundedQueue`];
-//!   when it fills the server sheds load with an explicit
-//!   `BUSY{retry_after_ms}` instead of buffering unboundedly. This is the
+//! * **Bounded admission** — a job runs on the connection thread that read
+//!   it, at most [`ServerConfig::workers`] at once, and waits its turn in a
+//!   [`gmh_types::BoundedQueue`]; when the queue fills the server sheds
+//!   load with an explicit `BUSY{retry_after_ms}` instead of buffering
+//!   unboundedly. This is the
 //!   paper's own lesson (back-pressure from bounded queues governs
 //!   sustained throughput — Dublish et al., ISPASS 2017) applied to the
 //!   service layer.

@@ -9,7 +9,7 @@
 //! `accepted` counts every job request *received* (including ones later
 //! refused); each such request gets exactly one terminal reply, and that
 //! reply increments exactly one of the four outcome counters. While a job
-//! sits in the admission queue or on a worker the identity is short by the
+//! waits in the admission queue or runs, the identity is short by the
 //! in-flight amount — the `gmh_jobs_inflight`/`gmh_queue_depth` gauges make
 //! that visible.
 
@@ -50,6 +50,10 @@ pub struct Metrics {
     pub tune_fresh_sims: AtomicU64,
     /// Search evaluations served from the result cache.
     pub tune_cache_hits: AtomicU64,
+    /// Searches answered `OK` (a subset of `completed`; not rendered). The
+    /// `BUSY` retry hint leaves them out of its average, as it leaves out
+    /// cache hits: neither adds to `sim_wall_ms`.
+    pub tune_completed: AtomicU64,
     /// EWMA of simulated cycles per wall second over completed fresh runs
     /// (f64 bits; 0 until the first completion). Updated via
     /// [`Metrics::record_job_rate`].
@@ -88,7 +92,7 @@ pub struct Gauges {
     pub queue_depth: usize,
     /// Admission-queue capacity.
     pub queue_capacity: usize,
-    /// Jobs currently executing on workers.
+    /// Jobs currently running (at most `ServerConfig::workers`).
     pub in_flight: usize,
 }
 
@@ -145,12 +149,16 @@ impl Metrics {
         }
     }
 
-    /// Mean wall time of a completed fresh run, for the `BUSY` retry hint.
-    /// Zero completed fresh runs (a cold daemon shedding its first burst)
-    /// yields [`DEFAULT_RETRY_AFTER_MS`] — never 0, never a division by
-    /// zero; real averages are clamped to [`RETRY_AFTER_CLAMP_MS`].
+    /// Mean wall time of a completed fresh run, for the `BUSY` retry hint:
+    /// `sim_wall_ms` over the completions that added to it, which are
+    /// neither cache hits nor searches. Zero completed fresh runs (a cold
+    /// daemon shedding its first burst) yields [`DEFAULT_RETRY_AFTER_MS`] —
+    /// never 0, never a division by zero; real averages are clamped to
+    /// [`RETRY_AFTER_CLAMP_MS`].
     pub fn avg_job_ms(&self) -> u64 {
-        let done = Self::get(&self.completed).saturating_sub(Self::get(&self.cache_hits));
+        let done = Self::get(&self.completed)
+            .saturating_sub(Self::get(&self.cache_hits))
+            .saturating_sub(Self::get(&self.tune_completed));
         match Self::get(&self.sim_wall_ms).checked_div(done) {
             None => DEFAULT_RETRY_AFTER_MS,
             Some(avg) => avg.clamp(RETRY_AFTER_CLAMP_MS.0, RETRY_AFTER_CLAMP_MS.1),
@@ -264,7 +272,7 @@ impl Metrics {
         );
         gauge(
             "gmh_jobs_inflight",
-            "Jobs currently executing on workers.",
+            "Jobs currently running (at most --workers at once).",
             g.in_flight,
         );
         out.push_str(&format!(
@@ -510,5 +518,19 @@ mod tests {
         Metrics::add(&m.cache_hits, 8);
         Metrics::add(&m.sim_wall_ms, 400);
         assert_eq!(m.avg_job_ms(), 200);
+    }
+
+    #[test]
+    fn searches_excluded_from_average() {
+        // A search completes without adding to `sim_wall_ms`; counted as a
+        // fresh run of 0 ms, it would pull the hint to the clamp floor.
+        let m = Metrics::default();
+        Metrics::inc(&m.completed);
+        Metrics::inc(&m.tune_completed);
+        assert_eq!(m.avg_job_ms(), DEFAULT_RETRY_AFTER_MS);
+        // One 300 ms fresh run beside it: the average is that run's.
+        Metrics::inc(&m.completed);
+        Metrics::add(&m.sim_wall_ms, 300);
+        assert_eq!(m.avg_job_ms(), 300);
     }
 }

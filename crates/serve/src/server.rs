@@ -1,18 +1,27 @@
-//! The daemon: bounded admission, worker pool, cache, graceful shutdown.
+//! The daemon: bounded admission, cache, graceful shutdown.
 //!
 //! ## Request path
 //!
 //! ```text
 //! conn thread:  read line → parse/validate → cache lookup
 //!                 hit  → OK (byte-identical stored report)
-//!                 miss → try_push(admission queue)
-//!                          full → BUSY{retry_after_ms}     (load shed)
-//!                          ok   → block on reply channel
-//! worker:       pop → simulate on a helper thread → recv_timeout
-//!                 done    → report_json → cache.put → OK
-//!                 expired → TIMEOUT (helper is abandoned; the cycle cap
-//!                           bounds how long it lingers)
+//!                 miss → admit: push the job's id on the admission queue
+//!                          draining → ERR
+//!                          full     → BUSY{retry_after_ms}   (load shed)
+//!                          ok       → wait until first in line with a
+//!                                     free slot, then pop
+//!               run:  simulate on a helper thread → recv_timeout
+//!                          done    → report_json → cache.put → OK
+//!                          expired → TIMEOUT (helper is abandoned; the
+//!                                    cycle cap bounds how long it lingers)
+//!               free the slot → wake the line
 //! ```
+//!
+//! The connection thread that read a job runs it, so a job crosses one
+//! thread hand-off, to its helper. [`ServerConfig::workers`] slots bound
+//! how many jobs run at once; a job that finds a free slot and nobody in
+//! line pops in the critical section it pushed in, so it never holds a
+//! queue slot.
 //!
 //! The admission queue is a [`gmh_types::BoundedQueue`] — the same
 //! back-pressure primitive the simulator itself is built on. When it fills,
@@ -39,7 +48,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, MutexGuard};
 use std::time::Duration;
 
 /// Server tunables.
@@ -47,7 +56,8 @@ use std::time::Duration;
 pub struct ServerConfig {
     /// Bind address; port 0 asks the OS for a free port (tests).
     pub addr: String,
-    /// Worker threads executing simulations.
+    /// Jobs that may simulate at once; an admitted job past this many
+    /// waits its turn in the admission queue.
     pub workers: usize,
     /// Admission-queue capacity; a full queue sheds with `BUSY`.
     pub queue_capacity: usize,
@@ -71,41 +81,11 @@ impl Default for ServerConfig {
     }
 }
 
-/// The unit of work a worker executes.
-enum Work {
-    /// One simulation job (already past the cache fast path).
-    Sim { job: Box<JobRequest>, key: u64 },
-    /// One design-space search; its candidate evaluations fan out through
-    /// the result cache (`run_search` reads and writes the same entries
-    /// the sim path serves).
-    Tune(Box<TuneParams>),
-}
-
-/// One admitted job waiting for a worker.
-struct QueuedJob {
-    id: u64,
-    #[expect(
-        clippy::disallowed_types,
-        reason = "per-job wall-clock timeout and gmh_sim_wall_ms_total metric are service-layer \
-            time, orthogonal to the simulation clock; results remain a pure function of (config, \
-            seed)"
-    )]
-    enqueued_at: std::time::Instant,
-    work: Work,
-    #[expect(
-        clippy::disallowed_types,
-        reason = "the per-connection reply channel carries exactly one terminal reply by protocol \
-            (every accepted request gets one reply, then the channel is dropped); occupancy is \
-            bounded at 1 by construction"
-    )]
-    reply_tx: mpsc::Sender<Reply>,
-}
-
 /// The per-job structured log line: one JSON object, written to stderr at
 /// every terminal outcome so operators can grep/parse the job history
 /// without scraping METRICS. `queue_wait_ms` is admission-queue residency
 /// (0 for jobs that never queue: cache hits, sheds, refusals); `run_ms` is
-/// worker wall time (0 for the same). `dropped` is what the always-on
+/// run wall time (0 for the same). `dropped` is what the always-on
 /// observers lost of a fresh run — `(trace events past trace_event_cap,
 /// timed host spans past the timeline cap)`, `(0, 0)` wherever nothing was
 /// observed — so a run whose live histograms cover only its head says so
@@ -132,11 +112,58 @@ fn millis(d: Duration) -> u64 {
     u64::try_from(d.as_millis()).unwrap_or(u64::MAX)
 }
 
-/// Admission state guarded by one mutex.
+/// Why [`Admission::admit`] turned a job away.
+#[derive(Debug, PartialEq)]
+enum Refused {
+    /// The server is draining for shutdown: `ERR`.
+    Draining,
+    /// The line is full: `BUSY`.
+    Full,
+}
+
+/// Admission state guarded by one mutex: the ids of the jobs waiting their
+/// turn, in arrival order, and how many run. A job starts when it is first
+/// in line and fewer than `slots` run.
 struct Admission {
-    queue: BoundedQueue<QueuedJob>,
+    queue: BoundedQueue<u64>,
     in_flight: usize,
+    slots: usize,
     draining: bool,
+}
+
+impl Admission {
+    fn new(slots: usize, capacity: usize) -> Admission {
+        Admission {
+            queue: BoundedQueue::new(capacity.max(1)),
+            in_flight: 0,
+            slots: slots.max(1),
+            draining: false,
+        }
+    }
+
+    /// Puts job `id` at the back of the line.
+    fn admit(&mut self, id: u64) -> Result<(), Refused> {
+        if self.draining {
+            return Err(Refused::Draining);
+        }
+        self.queue.push(id).map_err(|_| Refused::Full)
+    }
+
+    /// Starts job `id` — pops it and counts it running — when it is first
+    /// in line and a slot is free; otherwise changes nothing.
+    fn try_start(&mut self, id: u64) -> bool {
+        let start = self.queue.front() == Some(&id) && self.in_flight < self.slots;
+        if start {
+            self.queue.pop();
+            self.in_flight += 1;
+        }
+        start
+    }
+
+    /// Frees the slot of a job that has finished.
+    fn finish(&mut self) {
+        self.in_flight -= 1;
+    }
 }
 
 struct Shared {
@@ -147,7 +174,7 @@ struct Shared {
     #[expect(
         clippy::disallowed_types,
         reason = "the admission queue and in-flight count are service-layer shared state (which \
-            jobs run, never how a job simulates); each job's GpuSim lives entirely on one worker \
+            jobs run, never how a job simulates); each job's GpuSim lives entirely on one helper \
             thread, so simulation results stay a pure function of (config, seed)"
     )]
     state: std::sync::Mutex<Admission>,
@@ -161,34 +188,29 @@ struct Shared {
             pure function of (config, seed)"
     )]
     latency: std::sync::Mutex<BTreeMap<Level, LevelLatency>>,
+    /// Signalled whenever a job starts or finishes: the jobs in line wait
+    /// on it for their turn, and a shutdown for the drain.
     #[expect(
         clippy::disallowed_types,
-        reason = "work_ready/drained signal service-layer scheduling (worker wake-up, graceful \
+        reason = "the admission condvar signals service-layer scheduling (a job's turn, graceful \
             drain); no model state is shared across the wait"
     )]
-    work_ready: std::sync::Condvar,
-    #[expect(
-        clippy::disallowed_types,
-        reason = "work_ready/drained signal service-layer scheduling (worker wake-up, graceful \
-            drain); no model state is shared across the wait"
-    )]
-    drained: std::sync::Condvar,
+    turn: std::sync::Condvar,
     stop_accept: AtomicBool,
 }
 
-/// A running server: its bound address plus the thread handles to join.
+/// A running server: its bound address plus the accept thread to join.
 pub struct ServerHandle {
     /// The actual bound address (resolves port 0).
     pub addr: SocketAddr,
     shared: Arc<Shared>,
     accept: std::thread::JoinHandle<()>,
-    workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl ServerHandle {
-    /// Blocks until the server has fully shut down (accept loop and all
-    /// workers exited). Threads never panic in normal operation; a panic
-    /// there is a bug we surface.
+    /// Blocks until the server has shut down: the accept loop exits once a
+    /// `SHUTDOWN` has drained every admitted job. The accept thread never
+    /// panics in normal operation; a panic there is a bug we surface.
     pub fn join(self) {
         #[expect(
             clippy::expect_used,
@@ -196,14 +218,6 @@ impl ServerHandle {
                 simulator bug and must fail loudly."
         )]
         self.accept.join().expect("accept thread panicked");
-        for w in self.workers {
-            #[expect(
-                clippy::expect_used,
-                reason = "INVARIANT: a worker panics only on a simulator bug, which must fail \
-                    loudly."
-            )]
-            w.join().expect("worker thread panicked");
-        }
     }
 
     /// Snapshot of the metrics exposition (used by the bench harness).
@@ -212,7 +226,7 @@ impl ServerHandle {
     }
 }
 
-/// Binds, spawns the worker pool and accept loop, and returns immediately.
+/// Binds, spawns the accept loop, and returns immediately.
 ///
 /// # Errors
 ///
@@ -226,13 +240,9 @@ pub fn spawn(cfg: ServerConfig) -> io::Result<ServerHandle> {
             clippy::disallowed_types,
             reason = "the admission queue and in-flight count are service-layer shared state \
                 (which jobs run, never how a job simulates); each job's GpuSim lives entirely on \
-                one worker thread, so simulation results stay a pure function of (config, seed)"
+                one helper thread, so simulation results stay a pure function of (config, seed)"
         )]
-        state: std::sync::Mutex::new(Admission {
-            queue: BoundedQueue::new(cfg.queue_capacity.max(1)),
-            in_flight: 0,
-            draining: false,
-        }),
+        state: std::sync::Mutex::new(Admission::new(cfg.workers, cfg.queue_capacity)),
         metrics: Metrics::default(),
         cache,
         addr,
@@ -246,28 +256,13 @@ pub fn spawn(cfg: ServerConfig) -> io::Result<ServerHandle> {
         latency: std::sync::Mutex::new(Level::ALL.map(|l| (l, LevelLatency::default())).into()),
         #[expect(
             clippy::disallowed_types,
-            reason = "work_ready/drained signal service-layer scheduling (worker wake-up, \
+            reason = "the admission condvar signals service-layer scheduling (a job's turn, \
                 graceful drain); no model state is shared across the wait"
         )]
-        work_ready: std::sync::Condvar::new(),
-        #[expect(
-            clippy::disallowed_types,
-            reason = "work_ready/drained signal service-layer scheduling (worker wake-up, \
-                graceful drain); no model state is shared across the wait"
-        )]
-        drained: std::sync::Condvar::new(),
+        turn: std::sync::Condvar::new(),
         stop_accept: AtomicBool::new(false),
     });
 
-    let mut workers = Vec::new();
-    for i in 0..shared.cfg.workers.max(1) {
-        let sh = Arc::clone(&shared);
-        workers.push(
-            std::thread::Builder::new()
-                .name(format!("gmh-worker-{i}"))
-                .spawn(move || worker_loop(&sh))?,
-        );
-    }
     let sh = Arc::clone(&shared);
     let accept = std::thread::Builder::new()
         .name("gmh-accept".to_string())
@@ -277,7 +272,6 @@ pub fn spawn(cfg: ServerConfig) -> io::Result<ServerHandle> {
         addr,
         shared,
         accept,
-        workers,
     })
 }
 
@@ -433,8 +427,8 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) -> io::Result<()> 
     }
 }
 
-/// Admits (or refuses/sheds) one validated job and waits for its terminal
-/// reply.
+/// Answers one validated job: from the cache, or by running it through
+/// admission.
 fn submit_job(shared: &Arc<Shared>, job: Box<JobRequest>) -> Reply {
     Metrics::inc(&shared.metrics.accepted);
     let id = shared.metrics.next_job_id();
@@ -453,128 +447,76 @@ fn submit_job(shared: &Arc<Shared>, job: Box<JobRequest>) -> Reply {
         }
         Metrics::inc(&shared.metrics.cache_misses);
     }
-    enqueue(shared, id, "sim", cache, Work::Sim { job, key })
+    admit_and_run(shared, id, "sim", cache, |wait_ms| {
+        execute_job(shared, *job, key, id, wait_ms)
+    })
 }
 
-/// Admits (or refuses/sheds) one validated tune search. Searches go
-/// through the same bounded admission queue as simulation jobs: one search
-/// occupies one worker slot, and its internal fan-out is budget-limited by
-/// the protocol caps.
+/// Runs one validated tune search through admission. One search holds one
+/// slot, and its internal fan-out is budget-limited by the protocol caps.
 fn submit_tune(shared: &Arc<Shared>, params: Box<TuneParams>) -> Reply {
     Metrics::inc(&shared.metrics.accepted);
     Metrics::inc(&shared.metrics.tune_requests);
     let id = shared.metrics.next_job_id();
-    enqueue(shared, id, "tune", "none", Work::Tune(params))
+    admit_and_run(shared, id, "tune", "none", |wait_ms| {
+        execute_tune(shared, *params, id, wait_ms)
+    })
 }
 
-/// Pushes one unit of work through bounded admission and waits for its
-/// terminal reply. `kind`/`cache` only feed the structured log
-/// line (refusals and sheds log here; admitted work logs from the worker).
-fn enqueue(shared: &Arc<Shared>, id: u64, kind: &str, cache: &str, work: Work) -> Reply {
+/// Puts job `id` in line (or refuses or sheds it), waits for its turn,
+/// runs `run(queue_wait_ms)` on this thread, and frees the slot.
+/// `kind`/`cache` only feed the log line of a refusal or shed; `run` logs
+/// the rest.
+fn admit_and_run(
+    shared: &Shared,
+    id: u64,
+    kind: &str,
+    cache: &str,
+    run: impl FnOnce(u64) -> Reply,
+) -> Reply {
     #[expect(
-        clippy::disallowed_methods,
-        reason = "the per-connection reply channel carries exactly one terminal reply by protocol \
-            (every accepted request gets one reply, then the channel is dropped); occupancy is \
-            bounded at 1 by construction"
+        clippy::disallowed_types,
+        reason = "per-job wall-clock timeout and gmh_sim_wall_ms_total metric are service-layer \
+            time, orthogonal to the simulation clock; results remain a pure function of (config, \
+            seed)"
     )]
-    let (reply_tx, reply_rx) = mpsc::channel();
+    let enqueued_at = std::time::Instant::now();
     {
+        let mut st = shared.admission();
+        if let Err(refused) = st.admit(id) {
+            let (outcome, reply) = match refused {
+                Refused::Draining => {
+                    Metrics::inc(&shared.metrics.errored);
+                    ("err", Reply::Err("server is shutting down".to_string()))
+                }
+                Refused::Full => {
+                    // Back-pressure: shed explicitly instead of buffering.
+                    Metrics::inc(&shared.metrics.shed);
+                    let retry_after_ms = shared.metrics.avg_job_ms();
+                    ("busy", Reply::Busy { retry_after_ms })
+                }
+            };
+            eprintln!("{}", job_log_line(id, kind, outcome, cache, 0, 0, (0, 0)));
+            return reply;
+        }
         #[expect(
             clippy::expect_used,
-            reason = "INVARIANT: admission-lock holders never panic, so the mutex is never \
-                poisoned."
+            reason = "INVARIANT: wait_while() fails only on a poisoned admission mutex, and its \
+                holders never panic."
         )]
-        let mut st = shared.state.lock().expect("admission lock");
-        if st.draining {
-            Metrics::inc(&shared.metrics.errored);
-            eprintln!("{}", job_log_line(id, kind, "err", cache, 0, 0, (0, 0)));
-            return Reply::Err("server is shutting down".to_string());
-        }
-        let queued = QueuedJob {
-            id,
-            #[expect(
-                clippy::disallowed_types,
-                reason = "per-job wall-clock timeout and gmh_sim_wall_ms_total metric are \
-                    service-layer time, orthogonal to the simulation clock; results remain a pure \
-                    function of (config, seed)"
-            )]
-            enqueued_at: std::time::Instant::now(),
-            work,
-            reply_tx,
-        };
-        if st.queue.push(queued).is_err() {
-            // Back-pressure: shed explicitly instead of buffering.
-            Metrics::inc(&shared.metrics.shed);
-            eprintln!("{}", job_log_line(id, kind, "busy", cache, 0, 0, (0, 0)));
-            return Reply::Busy {
-                retry_after_ms: shared.metrics.avg_job_ms(),
-            };
+        let st = shared
+            .turn
+            .wait_while(st, |st| !st.try_start(id))
+            .expect("admission lock");
+        // The pop moved the line up: its new head may fit a free slot too.
+        if !st.queue.is_empty() && st.in_flight < st.slots {
+            shared.turn.notify_all();
         }
     }
-    shared.work_ready.notify_one();
-    // The worker always sends exactly one terminal reply; a closed channel
-    // means the server is tearing down mid-job.
-    reply_rx
-        .recv()
-        .unwrap_or_else(|_| Reply::Err("server dropped the job (shutdown?)".to_string()))
-}
-
-fn worker_loop(shared: &Arc<Shared>) {
-    loop {
-        let next = {
-            #[expect(
-                clippy::expect_used,
-                reason = "INVARIANT: admission-lock holders never panic, so the mutex is never \
-                    poisoned."
-            )]
-            let st = shared.state.lock().expect("admission lock");
-            #[expect(
-                clippy::expect_used,
-                reason = "INVARIANT: wait_while() fails only on a poisoned admission mutex, and \
-                    its holders never panic."
-            )]
-            let mut st = shared
-                .work_ready
-                .wait_while(st, |st| st.queue.is_empty() && !st.draining)
-                .expect("admission lock");
-            // Woken with work queued, or draining with none left.
-            let next = st.queue.pop();
-            if next.is_some() {
-                st.in_flight += 1;
-            }
-            next
-        };
-        let Some(QueuedJob {
-            id,
-            enqueued_at,
-            work,
-            reply_tx,
-        }) = next
-        else {
-            // Draining and the queue is dry: this worker is done. Wake any
-            // drain waiter in case we were the last.
-            shared.drained.notify_all();
-            return;
-        };
-        let queue_wait_ms = millis(enqueued_at.elapsed());
-        let reply = match work {
-            Work::Sim { job, key } => execute_job(shared, *job, key, id, queue_wait_ms),
-            Work::Tune(params) => execute_tune(shared, *params, id, queue_wait_ms),
-        };
-        reply_tx.send(reply).ok(); // client may have disconnected
-        {
-            #[expect(
-                clippy::expect_used,
-                reason = "INVARIANT: admission-lock holders never panic, so the mutex is never \
-                    poisoned."
-            )]
-            let mut st = shared.state.lock().expect("admission lock");
-            st.in_flight -= 1;
-            if st.queue.is_empty() && st.in_flight == 0 {
-                shared.drained.notify_all();
-            }
-        }
-    }
+    let reply = run(millis(enqueued_at.elapsed()));
+    shared.admission().finish();
+    shared.turn.notify_all();
+    reply
 }
 
 /// Runs `f` on a helper thread named `gmh-{kind}` under the per-job
@@ -616,7 +558,7 @@ fn run_budgeted<T: Send + 'static>(
         // The helper is abandoned, not killed: the simulator's cycle cap
         // (`max_core_cycles`) or the search's evaluation budget bounds how
         // long it can linger, and its eventual result is discarded. The
-        // worker moves on immediately.
+        // job's slot is freed at once.
         Metrics::inc(&shared.metrics.timed_out);
         log("timeout", millis(started.elapsed()));
         Reply::Timeout {
@@ -700,11 +642,10 @@ fn execute_job(
 
 /// Runs one design-space search under the wall-clock budget.
 ///
-/// The helper thread opens its own handle on the server's cache directory:
-/// `DiskCache::get` reads entry files straight from disk, so every
+/// The helper thread searches through the server's own cache, so every
 /// simulation the search triggers lands in (and is served from) the same
 /// store the plain job path uses — a warm repeat of a search is pure cache
-/// hits.
+/// hits — and is listed in the index the shutdown flushes.
 fn execute_tune(shared: &Arc<Shared>, params: TuneParams, id: u64, queue_wait_ms: u64) -> Reply {
     #[expect(
         clippy::disallowed_types,
@@ -719,11 +660,9 @@ fn execute_tune(shared: &Arc<Shared>, params: TuneParams, id: u64, queue_wait_ms
             job_log_line(id, "tune", outcome, "none", queue_wait_ms, run_ms, (0, 0))
         );
     };
-    let cache_dir = shared.cfg.cache_dir.clone();
+    let sh = Arc::clone(shared);
     let p = params.clone();
-    let run = run_budgeted(shared, "tune", log, move || {
-        DiskCache::open(cache_dir).and_then(|cache| run_search(&cache, &p))
-    });
+    let run = run_budgeted(shared, "tune", log, move || run_search(&sh.cache, &p));
     match run {
         Ok(Ok(out)) => {
             // Searches are charged to their own counters, not to
@@ -741,6 +680,7 @@ fn execute_tune(shared: &Arc<Shared>, params: TuneParams, id: u64, queue_wait_ms
                 &shared.metrics.tune_cache_hits,
                 u64::try_from(out.cache_hits).unwrap_or(u64::MAX),
             );
+            Metrics::inc(&shared.metrics.tune_completed);
             Metrics::inc(&shared.metrics.completed);
             log("ok", millis(started.elapsed()));
             Reply::Ok(frontier_json(&params, &out))
@@ -755,13 +695,17 @@ fn execute_tune(shared: &Arc<Shared>, params: TuneParams, id: u64, queue_wait_ms
 }
 
 impl Shared {
-    fn metrics_text(&self) -> String {
+    fn admission(&self) -> MutexGuard<'_, Admission> {
         #[expect(
             clippy::expect_used,
             reason = "INVARIANT: admission-lock holders never panic, so the mutex is never \
                 poisoned."
         )]
-        let st = self.state.lock().expect("admission lock");
+        self.state.lock().expect("admission lock")
+    }
+
+    fn metrics_text(&self) -> String {
+        let st = self.admission();
         let gauges = Gauges {
             queue_depth: st.queue.len(),
             queue_capacity: st.queue.capacity(),
@@ -806,21 +750,15 @@ impl Shared {
     /// sends the shutdown reply, then calls [`Shared::stop_accepting`].
     fn begin_shutdown(&self) {
         {
-            #[expect(
-                clippy::expect_used,
-                reason = "INVARIANT: admission-lock holders never panic, so the mutex is never \
-                    poisoned."
-            )]
-            let mut st = self.state.lock().expect("admission lock");
+            let mut st = self.admission();
             st.draining = true;
-            self.work_ready.notify_all();
             #[expect(
                 clippy::expect_used,
                 reason = "INVARIANT: wait_while() fails only on a poisoned admission mutex, and \
                     its holders never panic."
             )]
             let _drained = self
-                .drained
+                .turn
                 .wait_while(st, |st| !(st.queue.is_empty() && st.in_flight == 0))
                 .expect("admission lock");
         }
@@ -907,6 +845,28 @@ mod tests {
         // Lines for work that was never observed carry explicit zeros.
         let shed = job_log_line(43, "sim", "busy", "miss", 0, 0, (0, 0));
         assert!(shed.ends_with("\"events_dropped\":0,\"spans_dropped\":0}"));
+    }
+
+    #[test]
+    fn admission_starts_jobs_in_arrival_order() {
+        let mut line = Admission::new(1, 2);
+        assert_eq!(line.admit(1), Ok(()));
+        assert!(line.try_start(1), "a free slot and an empty line: 1 starts");
+        for id in [2, 3] {
+            assert_eq!(line.admit(id), Ok(()));
+            assert!(!line.try_start(id), "{id} waits for the one slot");
+        }
+        assert_eq!(
+            line.admit(4),
+            Err(Refused::Full),
+            "1 never held a queue slot"
+        );
+        line.finish();
+        assert!(!line.try_start(3), "3 is behind 2");
+        assert!(line.try_start(2));
+        assert!(!line.try_start(3), "2 holds the slot");
+        line.draining = true;
+        assert_eq!(line.admit(5), Err(Refused::Draining));
     }
 
     #[test]
