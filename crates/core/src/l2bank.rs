@@ -159,15 +159,14 @@ impl L2Bank {
     }
 
     /// Delivers a DRAM fill: the reserved line becomes valid, the port is
-    /// occupied by the fill, and the traveling fetch plus all merged
-    /// waiters are queued as responses.
+    /// occupied by the fill, and all merged waiters plus the traveling
+    /// fetch are queued as responses.
     ///
-    /// The caller must have verified `response_free() > waiter count`
-    /// before popping the DRAM response (otherwise back-pressure holds it
-    /// in the channel).
+    /// The caller must have verified `response_free() >=
+    /// fill_response_needs(line)` before popping the DRAM response
+    /// (otherwise back-pressure holds it in the channel).
     pub fn deliver_fill(&mut self, mut fetch: MemFetch, now_ps: impl Into<Picos>) {
         let now_ps = now_ps.into();
-        fetch.serviced_by = gmh_types::fetch::ServicedBy::Dram;
         fetch.time.dram_done = now_ps;
         let waiters = self.cache.fill(fetch.line, now_ps);
         // The fill transfer occupies the data port (best effort: if the
@@ -175,28 +174,18 @@ impl L2Bank {
         // not re-queued).
         let _ = self.port.try_occupy(gmh_types::LINE_SIZE, self.now);
         let ready = self.now + 1;
-        for mut w in waiters {
+        for mut w in waiters.into_iter().chain([fetch]) {
             w.serviced_by = gmh_types::fetch::ServicedBy::Dram;
             if w.kind.wants_response() {
                 #[expect(
                     clippy::expect_used,
-                    reason = "INVARIANT: fill() is only called with response space reserved for \
-                        every waiter (see Sim::drain_dram)."
+                    reason = "INVARIANT: the caller reserved response space for every merged \
+                        waiter and the filling fetch itself (fill_response_needs)."
                 )]
                 self.response_queue
                     .push((ready, w))
                     .expect("caller reserved response space");
             }
-        }
-        if fetch.kind.wants_response() {
-            #[expect(
-                clippy::expect_used,
-                reason = "INVARIANT: the caller reserved response space for the filling fetch \
-                    itself before invoking fill()."
-            )]
-            self.response_queue
-                .push((ready, fetch))
-                .expect("caller reserved response space");
         }
     }
 

@@ -40,6 +40,7 @@
 
 pub mod area;
 pub mod config;
+mod ideal;
 pub mod l2bank;
 mod machine;
 mod sched;

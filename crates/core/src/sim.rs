@@ -1,11 +1,11 @@
 //! The full-GPU simulator: topology, clock domains and the run loop.
 
-use crate::config::{GpuConfig, MemoryModel};
+use crate::config::GpuConfig;
+use crate::ideal::IdealMemory;
 use crate::l2bank::L2Bank;
 use crate::machine::{Machine, REP, REQ};
 use crate::sched::{Class, Sched};
 use crate::stats::SimStats;
-use gmh_cache::TagArray;
 use gmh_dram::DramChannel;
 use gmh_icnt::Crossbar;
 use gmh_simt::SimtCore;
@@ -104,16 +104,6 @@ enum HostSpan {
     Timed(std::time::Instant),
 }
 
-/// An ideal-memory in-flight FIFO: unbounded, unlike every other buffer in
-/// the model.
-#[expect(
-    clippy::disallowed_types,
-    reason = "the ideal-memory reference models (Sec. 6 'ideal' configs) have infinite buffering \
-        by construction — no back-pressure exists to model, and their occupancy is exported via \
-        the ideal.in_flight telemetry series instead"
-)]
-type IdealFifo<T> = std::collections::VecDeque<T>;
-
 /// The simulated GPU: cores, crossbar, L2 banks and DRAM channels advanced
 /// under three clock domains.
 ///
@@ -123,16 +113,8 @@ pub struct GpuSim {
     clocks: ClockDomains,
     /// Every ticking component plus the event scheduler over them.
     m: Machine,
-    /// Ideal-memory in-flight queues; each holds `(ready_core_cycle,
-    /// fetch)` in FIFO order (constant latency per queue).
-    ideal_fast: IdealFifo<(u64, MemFetch)>,
-    ideal_slow: IdealFifo<(u64, MemFetch)>,
-    /// Ideal-DRAM pipe for [`MemoryModel::InfiniteDram`]: one `(ready_ps,
-    /// fetch)` FIFO per L2 bank so a bank with a full response queue never
-    /// blocks fills destined for other banks (infinite bandwidth).
-    ideal_dram: Vec<IdealFifo<(Picos, MemFetch)>>,
-    /// Functional whole-L2 tag array for [`MemoryModel::InfiniteBw`].
-    functional_l2: Option<TagArray>,
+    /// The memory model's ideal memory, if it has one.
+    ideal: IdealMemory,
     telemetry: Telemetry,
     audit: FetchAudit,
     /// Sampled per-fetch lifecycle tracer (disabled when
@@ -147,11 +129,6 @@ pub struct GpuSim {
     prev_l2_queues: [usize; 3],
     /// Last-sampled DRAM scheduler and response queue totals.
     prev_dram_queues: [usize; 2],
-    /// Per-core blocked flags reused by [`GpuSim::deliver_ideal`] every core
-    /// cycle (hoisted out of the hot loop so it allocates nothing).
-    ideal_blocked: Vec<bool>,
-    /// Reusable holding deque for the ideal-delivery compaction pass.
-    ideal_scratch: IdealFifo<(u64, MemFetch)>,
     /// Observational fast-forward engagement counters.
     ff_stats: FastForwardStats,
     /// Bit `c` set while core `c`'s L1 miss queues hold fetches: the cores
@@ -226,14 +203,7 @@ impl GpuSim {
             .collect();
         let (req_net, rep_net) =
             Crossbar::new(cfg.icnt.clone(), cfg.n_cores, cfg.n_l2_banks).into_parts();
-        let functional_l2 = match cfg.memory_model {
-            MemoryModel::InfiniteBw { .. } => {
-                // One functional tag array covering the whole shared L2.
-                let total = cfg.l2_bank.size_bytes * cfg.n_l2_banks as u64;
-                Some(TagArray::new(total, cfg.l2_bank.assoc))
-            }
-            _ => None,
-        };
+        let ideal = IdealMemory::new(&cfg);
         let trace_seed = stable_hash_str(name) ^ TRACE_SEED_SALT;
         let trace = TraceSink::new(
             cfg.trace_sample,
@@ -244,11 +214,8 @@ impl GpuSim {
         // Classes a memory model never ticks are born parked; the event
         // core then never probes, wakes or flushes them — mirroring the
         // naive loop, which never touches them either.
-        let hier = matches!(
-            cfg.memory_model,
-            MemoryModel::Full | MemoryModel::InfiniteDram { .. }
-        );
-        let full = matches!(cfg.memory_model, MemoryModel::Full);
+        let hier = ideal.l1.is_none();
+        let full = hier && ideal.dram.is_none();
         let sched = Sched::new(
             !cfg.force_naive_loop,
             [cores.len(), banks.len(), channels.len(), 2],
@@ -264,10 +231,7 @@ impl GpuSim {
                 nets: [req_net, rep_net],
                 sched,
             },
-            ideal_fast: IdealFifo::new(),
-            ideal_slow: IdealFifo::new(),
-            ideal_dram: vec![IdealFifo::new(); cfg.n_l2_banks],
-            functional_l2,
+            ideal,
             telemetry: Telemetry::new(cfg.telemetry_window, &SERIES),
             audit: FetchAudit::default(),
             trace,
@@ -276,8 +240,6 @@ impl GpuSim {
             prev_l2_stalls: [0; 5],
             prev_l2_queues: [0; 3],
             prev_dram_queues: [0; 2],
-            ideal_blocked: vec![false; cfg.n_cores],
-            ideal_scratch: IdealFifo::new(),
             ff_stats: FastForwardStats::default(),
             has_out: 0,
             host_prof: cfg.profile_host.then(HostProfiler::new),
@@ -319,35 +281,19 @@ impl GpuSim {
         self.host_prof.take().map(HostProfiler::finish)
     }
 
+    /// Whether L1 misses cross the crossbar (no ideal memory answers them).
     fn uses_hierarchy(&self) -> bool {
-        matches!(
-            self.cfg.memory_model,
-            MemoryModel::Full | MemoryModel::InfiniteDram { .. }
-        )
+        self.ideal.l1.is_none()
     }
 
     fn done(&self) -> bool {
-        if !self.m.cores.iter().all(|c| c.done()) {
-            return false;
-        }
-        if !self.ideal_fast.is_empty()
-            || !self.ideal_slow.is_empty()
-            || self.ideal_dram.iter().any(|q| !q.is_empty())
-        {
-            return false;
-        }
-        if self.uses_hierarchy() {
-            if !self.m.nets[REQ].is_idle() || !self.m.nets[REP].is_idle() {
-                return false;
-            }
-            if !self.m.banks.iter().all(|b| b.is_idle()) {
-                return false;
-            }
-            if !self.m.channels.iter().all(|c| c.is_idle()) {
-                return false;
-            }
-        }
-        true
+        let m = &self.m;
+        m.cores.iter().all(|c| c.done())
+            && self.ideal.in_flight() == 0
+            && (!self.uses_hierarchy()
+                || m.nets.iter().all(|n| n.is_idle())
+                    && m.banks.iter().all(|b| b.is_idle())
+                    && m.channels.iter().all(|c| c.is_idle()))
     }
 
     /// Runs to completion (or the cycle cap) and returns the statistics.
@@ -427,7 +373,7 @@ impl GpuSim {
                 self.icnt_tick(now_ps);
                 span = self.host_span_end(HostPhase::IcntTick, span);
             }
-            self.sample_telemetry();
+            self.sample_telemetry(1);
             span = self.host_span_end(HostPhase::Telemetry, span);
         }
         if fired.dram {
@@ -510,7 +456,7 @@ impl GpuSim {
             // The ticks jumped over count as swept: every sleeper owes them.
             self.m.sched.swept = Self::per_class(&self.clocks, |d| d.cycles());
             if counts.icnt > 0 {
-                self.sample_telemetry_repeated(counts.icnt);
+                self.sample_telemetry(counts.icnt);
             }
         }
         let phase = if jumped {
@@ -523,10 +469,10 @@ impl GpuSim {
     }
 
     /// The exclusive picosecond bound for an all-asleep jump: the earliest
-    /// scheduled component wake, the earliest ideal-queue ready time, or
+    /// scheduled component wake, the earliest ideal-pipe ready time, or
     /// the cycle cap — whichever comes first. A domain tick with index N
-    /// fires at `(N-1)*period`; the ideal queues are FIFO by ready time,
-    /// so each front is that queue's earliest event (a due-but-blocked
+    /// fires at `(N-1)*period`; the ideal pipes are FIFO by ready time,
+    /// so each front is that pipe's earliest event (a due-but-blocked
     /// front pins the bound into the past and the jump fires nothing).
     fn jump_target(&self) -> Picos {
         let core = self.clocks.domain(DomainId::Core);
@@ -534,18 +480,8 @@ impl GpuSim {
         // instant after core tick max_core_cycles (`validate` keeps one
         // picosecond past that instant representable).
         let cap = core.tick_instant(self.cfg.max_core_cycles) + Picos(1);
-        let mut t = cap.min(self.m.sched.next_wake);
-        for q in [&self.ideal_fast, &self.ideal_slow] {
-            if let Some((ready_cycle, _)) = q.front() {
-                t = t.min(core.tick_instant(*ready_cycle));
-            }
-        }
-        for q in &self.ideal_dram {
-            if let Some((ready_ps, _)) = q.front() {
-                t = t.min(*ready_ps);
-            }
-        }
-        t
+        let t = cap.min(self.m.sched.next_wake);
+        self.ideal.next_ready().map_or(t, |ready| t.min(ready))
     }
 
     /// Wakes every component whose scheduled time has arrived at this
@@ -641,10 +577,7 @@ impl GpuSim {
         );
         let [sched, dresp] = self.prev_dram_queues;
 
-        let ideal: usize = self.ideal_fast.len()
-            + self.ideal_slow.len()
-            + self.ideal_dram.iter().map(|q| q.len()).sum::<usize>();
-
+        let ideal = self.ideal.in_flight();
         let [access_q, miss_q, resp_q] = l2_queues;
         [
             l1_miss as f64,
@@ -669,19 +602,12 @@ impl GpuSim {
         ]
     }
 
-    /// Samples every observed queue/counter into the telemetry sink; runs
-    /// once per interconnect cycle.
-    fn sample_telemetry(&mut self) {
-        let values = self.telemetry_values();
-        self.telemetry.record(&values);
-    }
-
-    /// Replays `k` identical telemetry samples at once (the fast-forward
-    /// counterpart of [`GpuSim::sample_telemetry`]): the sampled values are
-    /// frozen across a quiescent window, so each skipped interconnect cycle
-    /// records the same sample, and [`Telemetry::record_n`] flushes at the
-    /// boundaries the per-cycle path would hit.
-    fn sample_telemetry_repeated(&mut self, k: u64) {
+    /// Samples every observed queue/counter into the telemetry sink for `k`
+    /// interconnect cycles: once per cycle, or all the cycles of a jump at
+    /// once (the sampled values are frozen across a quiescent window, and
+    /// [`Telemetry::record_n`] flushes at the boundaries the per-cycle path
+    /// would hit).
+    fn sample_telemetry(&mut self, k: u64) {
         let values = self.telemetry_values();
         self.telemetry.record_n(&values, k);
     }
@@ -694,14 +620,10 @@ impl GpuSim {
         let swept = self.m.sched.awake[Class::Core.idx()];
         self.m.sweep(Class::Core, &mut Tick { now_ps, cyc, trace });
         self.refresh_has_out(swept);
-        // An ideal memory answers an L1 miss after a fixed latency: `hit`
-        // from the L2, `miss` from DRAM. The fixed-latency model has no L2
-        // tags, so every miss takes `hit`.
-        let (hit, miss) = match self.cfg.memory_model {
-            MemoryModel::Full | MemoryModel::InfiniteDram { .. } => return,
-            MemoryModel::FixedL1MissLatency(lat) => (lat, lat),
-            MemoryModel::InfiniteBw { l2_hit, dram } => (l2_hit, dram),
+        let Some(l1) = self.ideal.l1.as_mut() else {
+            return;
         };
+        let core = self.clocks.domain(DomainId::Core);
         // The pops change the core's L1s (a refused head may now be
         // admitted), so a core parked by its sweep wakes first.
         let out = self.has_out;
@@ -711,24 +633,32 @@ impl GpuSim {
                 self.audit.emitted(&f);
                 self.trace
                     .record_fetch(&f, now_ps, TraceEventKind::DequeuedAt(Level::L1));
-                let l2_miss = self
-                    .functional_l2
-                    .as_mut()
-                    .is_some_and(|t| !t.access_functional(f.line, f.kind.is_write()));
-                if !f.kind.wants_response() {
-                    // Stores are absorbed by the ideal memory.
-                    self.audit.absorbed(&f);
+                if let Some(store) = l1.take(f, core, cyc) {
+                    self.audit.absorbed(&store);
                     self.trace
-                        .record_fetch(&f, now_ps, TraceEventKind::Absorbed);
-                } else if l2_miss {
-                    self.ideal_slow.push_back((cyc + miss, f));
-                } else {
-                    self.ideal_fast.push_back((cyc + hit, f));
+                        .record_fetch(&store, now_ps, TraceEventKind::Absorbed);
                 }
             }
         }
+        // A core with a full response FIFO holds back only its own fetches.
+        let (m, audit, trace) = (&mut self.m, &mut self.audit, &mut self.trace);
+        let mut offer = |mut f: MemFetch| {
+            let c = f.core_id;
+            if !m.cores[c].can_accept_response() {
+                return Err(f);
+            }
+            f.serviced_by = gmh_types::fetch::ServicedBy::Ideal;
+            f.time.returned = now_ps;
+            audit.returned(&f, now_ps);
+            trace.record_fetch(&f, now_ps, TraceEventKind::Returned);
+            m.wake(Class::Core, c);
+            m.cores[c].push_response(f)
+        };
+        // The hit pipe delivers first, then the miss pipe.
+        for pipe in &mut l1.pipes {
+            pipe.deliver(now_ps, self.cfg.n_cores, |f| f.core_id, &mut offer);
+        }
         self.refresh_has_out(out);
-        self.deliver_ideal(cyc, now_ps);
     }
 
     /// Re-reads `cores`' bits of `has_out` from their miss queues; debug
@@ -746,63 +676,6 @@ impl GpuSim {
                 .all(|(c, core)| bits::contains(self.has_out, c) == (core.miss_queue_len() != 0)),
             "has_out out of sync with the cores' miss queues"
         );
-    }
-
-    fn deliver_ideal(&mut self, cyc: u64, now_ps: Picos) {
-        // Each queue is FIFO by ready time (constant latency per queue),
-        // but the queues are shared across cores: one core's full response
-        // FIFO must not hold back other cores' ready responses behind it.
-        // Scan past entries for blocked cores, preserving per-core order.
-        // The scan compacts survivors into a reusable scratch deque (a
-        // single O(n) pass instead of O(n) `VecDeque::remove` per
-        // delivery), and both the scratch and the per-core blocked flags
-        // live on the sim, so the per-cycle path allocates nothing.
-        for which in 0..2 {
-            let src = if which == 0 {
-                &mut self.ideal_fast
-            } else {
-                &mut self.ideal_slow
-            };
-            if !matches!(src.front(), Some((ready, _)) if *ready <= cyc) {
-                continue; // nothing due: the common (and hot) case
-            }
-            let mut q = std::mem::take(src);
-            let mut kept = std::mem::take(&mut self.ideal_scratch);
-            debug_assert!(kept.is_empty());
-            self.ideal_blocked.fill(false);
-            while let Some((ready, f)) = q.pop_front() {
-                if ready > cyc {
-                    // Ready times are non-decreasing: keep the tail as is.
-                    kept.push_back((ready, f));
-                    break;
-                }
-                let core = f.core_id;
-                if self.ideal_blocked[core] || !self.m.cores[core].can_accept_response() {
-                    self.ideal_blocked[core] = true;
-                    kept.push_back((ready, f));
-                    continue;
-                }
-                let mut f = f;
-                f.serviced_by = gmh_types::fetch::ServicedBy::Ideal;
-                f.time.returned = now_ps;
-                self.audit.returned(&f, now_ps);
-                self.trace
-                    .record_fetch(&f, now_ps, TraceEventKind::Returned);
-                self.m.wake(Class::Core, core);
-                #[expect(
-                    clippy::expect_used,
-                    reason = "INVARIANT: can_accept_response() held just above."
-                )]
-                self.m.cores[core].push_response(f).expect("space checked");
-            }
-            kept.append(&mut q);
-            *if which == 0 {
-                &mut self.ideal_fast
-            } else {
-                &mut self.ideal_slow
-            } = kept;
-            self.ideal_scratch = q; // drained, but keeps its capacity
-        }
     }
 
     // ---- interconnect / L2 domain -------------------------------------------
@@ -918,116 +791,83 @@ impl GpuSim {
         // this icnt span by time containment.
         self.host_span_end(HostPhase::L2Tick, l2_t0);
 
-        // 5. L2 miss queues drain toward DRAM (or the ideal-DRAM pipe).
+        // 5. L2 miss queues drain toward DRAM (or the ideal-DRAM pipes).
         let dram_cyc = self.clocks.domain(DomainId::Dram).cycles();
-        let ideal_dram_lat = match self.cfg.memory_model {
-            MemoryModel::InfiniteDram { latency } => Some(latency),
-            _ => None,
-        };
         // A sleeping bank has an empty miss queue.
         for b in bits::iter(self.m.sched.awake[Class::Bank.idx()]) {
             let Some(head) = self.m.banks[b].miss_queue_front() else {
                 continue;
             };
             let ch = head.line.interleave(self.cfg.n_channels);
-            match ideal_dram_lat {
-                Some(lat) => {
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "INVARIANT: miss_queue_front() returned Some above."
-                    )]
-                    let mut f = self.m.banks[b].pop_miss().expect("peeked");
-                    f.time.dram_arrive = now_ps;
-                    self.trace
-                        .record_fetch(&f, now_ps, TraceEventKind::DequeuedAt(Level::Dram));
-                    if f.kind.wants_response() {
-                        let ready_ps = now_ps + self.clocks.domain(DomainId::Core).span(lat);
-                        self.ideal_dram[b].push_back((ready_ps, f));
-                    }
-                    // Write-backs are absorbed instantly by the ideal DRAM.
-                }
-                None => {
-                    if self.m.channels[ch].can_accept() {
-                        self.m.wake(Class::Chan, ch);
-                        #[expect(
-                            clippy::expect_used,
-                            reason = "INVARIANT: miss_queue_front() returned Some above."
-                        )]
-                        let mut f = self.m.banks[b].pop_miss().expect("peeked");
-                        f.time.dram_arrive = now_ps;
-                        #[expect(
-                            clippy::expect_used,
-                            reason = "INVARIANT: can_accept() held just above."
-                        )]
-                        self.m.channels[ch]
-                            .push(f, dram_cyc)
-                            .expect("can_accept checked");
-                    }
-                }
+            let ideal = self.ideal.dram.as_mut();
+            if ideal.is_none() && !self.m.channels[ch].can_accept() {
+                continue;
+            }
+            #[expect(
+                clippy::expect_used,
+                reason = "INVARIANT: miss_queue_front() returned Some above."
+            )]
+            let mut f = self.m.banks[b].pop_miss().expect("peeked");
+            f.time.dram_arrive = now_ps;
+            let Some(dram) = ideal else {
+                self.m.wake(Class::Chan, ch);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "INVARIANT: can_accept() held just above."
+                )]
+                self.m.channels[ch]
+                    .push(f, dram_cyc)
+                    .expect("can_accept checked");
+                continue;
+            };
+            self.trace
+                .record_fetch(&f, now_ps, TraceEventKind::DequeuedAt(Level::Dram));
+            // Write-backs are absorbed instantly by the ideal DRAM.
+            if f.kind.wants_response() {
+                let ready = now_ps + self.clocks.domain(DomainId::Core).span(dram.latency);
+                dram.banks[b].push(ready, f);
             }
         }
 
-        // 6. DRAM (or ideal-DRAM) responses fill the L2.
-        match ideal_dram_lat {
-            Some(_) => {
-                for bank in 0..self.cfg.n_l2_banks {
-                    while let Some((ready, f)) = self.ideal_dram[bank].front() {
-                        if *ready > now_ps {
-                            break;
-                        }
-                        let line = f.line;
-                        if self.m.banks[bank].response_free()
-                            < self.m.banks[bank].fill_response_needs(line)
-                        {
-                            break;
-                        }
-                        #[expect(
-                            clippy::expect_used,
-                            reason = "INVARIANT: front() returned Some in the loop guard."
-                        )]
-                        let (_, f) = self.ideal_dram[bank].pop_front().expect("front exists");
-                        self.trace.record_fetch(
-                            &f,
-                            now_ps,
-                            TraceEventKind::ServicedAt(Level::Dram),
-                        );
-                        self.m.wake(Class::Bank, bank);
-                        self.m.banks[bank].deliver_fill(f, now_ps);
-                    }
+        // 6. DRAM (or ideal-DRAM) responses fill the L2; a bank whose
+        //    response queue cannot take a fill holds back only its own.
+        if let Some(dram) = self.ideal.dram.as_mut() {
+            let (m, trace) = (&mut self.m, &mut self.trace);
+            let mut fill = |b: usize, f: MemFetch| {
+                if m.banks[b].response_free() < m.banks[b].fill_response_needs(f.line) {
+                    return Err(f);
                 }
+                trace.record_fetch(&f, now_ps, TraceEventKind::ServicedAt(Level::Dram));
+                m.wake(Class::Bank, b);
+                m.banks[b].deliver_fill(f, now_ps);
+                Ok(())
+            };
+            for (b, pipe) in dram.banks.iter_mut().enumerate() {
+                pipe.deliver(now_ps, 1, |_| 0, |f| fill(b, f));
             }
-            None => {
-                let dram = self.clocks.domain(DomainId::Dram);
-                for ch in 0..self.cfg.n_channels {
-                    while let Some(f) = self.m.channels[ch].peek_response() {
-                        let bank = f.line.interleave(self.cfg.n_l2_banks);
-                        let line = f.line;
-                        if self.m.banks[bank].response_free()
-                            < self.m.banks[bank].fill_response_needs(line)
-                        {
-                            break;
-                        }
-                        #[expect(
-                            clippy::expect_used,
-                            reason = "INVARIANT: peek_response() returned Some in the loop guard."
-                        )]
-                        let (cas, f) = self.m.channels[ch].pop_response_cas().expect("peeked");
-                        // The clamp keeps the event stream monotone even
-                        // for degenerate clock configurations.
-                        let cas_ps = dram.tick_instant(cas).min(now_ps);
-                        self.trace.record_fetch(
-                            &f,
-                            cas_ps,
-                            TraceEventKind::DequeuedAt(Level::Dram),
-                        );
-                        self.trace.record_fetch(
-                            &f,
-                            now_ps,
-                            TraceEventKind::ServicedAt(Level::Dram),
-                        );
-                        self.m.wake(Class::Bank, bank);
-                        self.m.banks[bank].deliver_fill(f, now_ps);
+        } else {
+            let dram = self.clocks.domain(DomainId::Dram);
+            for ch in 0..self.cfg.n_channels {
+                while let Some(f) = self.m.channels[ch].peek_response() {
+                    let (bank, line) = (f.line.interleave(self.cfg.n_l2_banks), f.line);
+                    let b = &self.m.banks[bank];
+                    if b.response_free() < b.fill_response_needs(line) {
+                        break;
                     }
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "INVARIANT: peek_response() returned Some in the loop guard."
+                    )]
+                    let (cas, f) = self.m.channels[ch].pop_response_cas().expect("peeked");
+                    // The clamp keeps the event stream monotone even for
+                    // degenerate clock configurations.
+                    let cas_ps = dram.tick_instant(cas).min(now_ps);
+                    self.trace
+                        .record_fetch(&f, cas_ps, TraceEventKind::DequeuedAt(Level::Dram));
+                    self.trace
+                        .record_fetch(&f, now_ps, TraceEventKind::ServicedAt(Level::Dram));
+                    self.m.wake(Class::Bank, bank);
+                    self.m.banks[bank].deliver_fill(f, now_ps);
                 }
             }
         }
@@ -1132,31 +972,15 @@ impl GpuSim {
             l1_reads += c.l1d().stats().reads;
             l1_hits += c.l1d().stats().read_hits;
         }
-        stats.ipc = if stats.core_cycles == 0 {
-            0.0
-        } else {
-            stats.insts as f64 / stats.core_cycles as f64
-        };
+        stats.ipc = ratio(stats.insts as f64, stats.core_cycles);
         let cycles = |ps: f64| self.clocks.ps_to_core_cycles(ps);
-        stats.aml_core_cycles = if aml_n == 0 {
-            0.0
-        } else {
-            cycles(aml_sum / aml_n as f64)
-        };
+        stats.aml_core_cycles = cycles(ratio(aml_sum, aml_n));
         stats.aml_p50 = cycles(aml_hist.quantile(0.5));
         stats.aml_p90 = cycles(aml_hist.quantile(0.9));
         stats.aml_p99 = cycles(aml_hist.quantile(0.99));
-        stats.l2_ahl_core_cycles = if ahl_n == 0 {
-            0.0
-        } else {
-            cycles(ahl_sum / ahl_n as f64)
-        };
+        stats.l2_ahl_core_cycles = cycles(ratio(ahl_sum, ahl_n));
         stats.stall_fraction = stats.issue.stall_fraction();
-        stats.l1_miss_rate = if l1_reads == 0 {
-            0.0
-        } else {
-            1.0 - l1_hits as f64 / l1_reads as f64
-        };
+        stats.l1_miss_rate = miss_rate(l1_hits, l1_reads);
 
         let mut l2_reads = 0u64;
         let mut l2_hits = 0u64;
@@ -1166,11 +990,7 @@ impl GpuSim {
             l2_reads += b.cache().stats().reads;
             l2_hits += b.cache().stats().read_hits;
         }
-        stats.l2_miss_rate = if l2_reads == 0 {
-            0.0
-        } else {
-            1.0 - l2_hits as f64 / l2_reads as f64
-        };
+        stats.l2_miss_rate = miss_rate(l2_hits, l2_reads);
 
         let mut eff_num = 0u64;
         let mut eff_den = 0u64;
@@ -1179,17 +999,31 @@ impl GpuSim {
             eff_num += ch.stats().efficiency.numerator();
             eff_den += ch.stats().efficiency.denominator();
         }
-        stats.dram_efficiency = if eff_den == 0 {
-            0.0
-        } else {
-            eff_num as f64 / eff_den as f64
-        };
+        stats.dram_efficiency = ratio(eff_num as f64, eff_den);
 
         stats.telemetry = self.telemetry.snapshot();
         stats.audit = self.audit.summary();
         // The sink is taken, not copied: a run is collected once.
         stats.trace = std::mem::replace(&mut self.trace, TraceSink::disabled()).into_data();
         stats
+    }
+}
+
+/// `num / den`, 0 over an empty denominator.
+fn ratio(num: f64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num / den as f64
+    }
+}
+
+/// The share of `reads` that missed, 0 with no reads.
+fn miss_rate(hits: u64, reads: u64) -> f64 {
+    if reads == 0 {
+        0.0
+    } else {
+        1.0 - hits as f64 / reads as f64
     }
 }
 
@@ -1218,6 +1052,7 @@ fn channel_sums(channels: &[DramChannel]) -> [usize; 2] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MemoryModel;
     use gmh_workloads::catalog;
     use gmh_workloads::spec::{AddressMix, PhaseSpec, Suite, WorkloadSpec};
 
@@ -1367,43 +1202,6 @@ mod tests {
         assert!(stats.l2_access_occupancy.lifetime() > 0);
         assert!(stats.dram_queue_occupancy.lifetime() > 0);
         assert!(stats.dram_efficiency > 0.0 && stats.dram_efficiency <= 1.0);
-    }
-
-    #[test]
-    fn ideal_delivery_skips_blocked_cores() {
-        use gmh_types::{AccessKind, LineAddr};
-        let wl = tiny_workload();
-        let mut cfg = small_cfg();
-        cfg.memory_model = MemoryModel::FixedL1MissLatency(10);
-        let mut sim = GpuSim::new(cfg, &wl);
-        // Saturate core 0's response FIFO.
-        let mut id = 1000;
-        while sim.m.cores[0].can_accept_response() {
-            let f = MemFetch::new(id, 0, 0, AccessKind::Load, LineAddr::new(id), 0);
-            sim.m.cores[0].push_response(f).unwrap();
-            id += 1;
-        }
-        // Ready responses in the shared queue: two for saturated core 0
-        // ahead of two for idle core 1.
-        for (id, core) in [(1, 0), (2, 0), (3, 1), (4, 1)] {
-            let f = MemFetch::new(id, core, 0, AccessKind::Load, LineAddr::new(id), 0);
-            sim.audit.emitted(&f);
-            sim.ideal_fast.push_back((0, f));
-        }
-        sim.deliver_ideal(0, Picos::ZERO);
-        assert_eq!(
-            sim.m.cores[1].response_fifo_len(),
-            2,
-            "idle core's ready responses must not be blocked behind a \
-             saturated core's"
-        );
-        assert_eq!(sim.ideal_fast.len(), 2, "blocked core's responses stay");
-        assert!(sim.ideal_fast.iter().all(|(_, f)| f.core_id == 0));
-        assert_eq!(
-            (sim.ideal_fast[0].1.id, sim.ideal_fast[1].1.id),
-            (1, 2),
-            "per-core order preserved"
-        );
     }
 
     #[test]

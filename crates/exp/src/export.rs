@@ -6,8 +6,11 @@
 //! CSV. No external serialization crate is used; the format is stable and
 //! documented in `EXPERIMENTS.md`.
 
+use gmh_cache::{L1StallKind, L2StallKind};
 use gmh_core::SimStats;
+use gmh_types::tally::Kind;
 use gmh_types::telemetry::{json_escape, json_num};
+use gmh_types::trace::StallCause;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -63,9 +66,12 @@ pub fn report_json(config_name: &str, workload: &str, stats: &SimStats) -> Strin
         ["data_mem", "data_alu", "str_mem", "str_alu", "fetch"],
         stats.issue.distribution(),
     );
-    let l1 = shares(["cache", "mshr", "bp_l2"], stats.l1_stalls.fractions());
+    let l1 = shares(
+        L1StallKind::ALL.map(|k| StallCause::from(k).name()),
+        stats.l1_stalls.fractions(),
+    );
     let l2 = shares(
-        ["bp_icnt", "port", "cache", "mshr", "bp_dram"],
+        L2StallKind::ALL.map(|k| StallCause::from(k).name()),
         stats.l2_stalls.fractions(),
     );
     let occupancy = obj(&[

@@ -21,6 +21,7 @@
 
 pub mod cache;
 pub mod candidate;
+mod chrome;
 pub mod cli;
 pub mod experiments;
 pub mod export;

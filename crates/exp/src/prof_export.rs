@@ -15,13 +15,14 @@
 //! timeline shows those iterations only and the table's totals are
 //! estimates scaled from them; both exports say so.
 
+use crate::chrome::{quoted, ChromeTrace};
 use gmh_types::prof::{HostPhase, HostReport, TIMED_STRIDE};
-use gmh_types::telemetry::{json_escape, json_num};
+use gmh_types::telemetry::json_num;
 
 /// Nanoseconds to the microsecond `ts`/`dur` fields of the Chrome trace
 /// format (1 ns = 1e-3 µs, so three decimal places are exact).
-fn micros(ns: u64) -> String {
-    json_num(ns as f64 / 1e3)
+fn micros(ns: u64) -> f64 {
+    ns as f64 / 1e3
 }
 
 /// Serializes a host profile as single-line Chrome `trace_event` JSON.
@@ -33,36 +34,31 @@ fn micros(ns: u64) -> String {
 /// nested phases (e.g. `l2_tick` inside `icnt_tick`) nest by time
 /// containment, which Perfetto renders as stacked slices.
 pub fn host_trace_json(label: &str, report: &HostReport) -> String {
-    let mut events: Vec<String> = Vec::new();
-    events.push(format!(
-        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
-         \"args\":{{\"name\":\"gmh host: {}\"}}}}",
-        json_escape(label)
-    ));
-    events.push(format!(
-        "{{\"name\":\"process_labels\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
-         \"args\":{{\"labels\":\"1 in {TIMED_STRIDE} run-loop iterations timed \
-         ({} of {}); {} timed spans beyond the timeline cap\"}}}}",
-        report.timed_iterations, report.iterations, report.dropped
-    ));
-    events.push(
-        "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":1,\
-         \"args\":{\"name\":\"run loop\"}}"
-            .to_string(),
+    let mut out = ChromeTrace::new();
+    out.metadata(
+        "process_name",
+        0,
+        "name",
+        &quoted(&format!("gmh host: {label}")),
     );
+    let labels = format!(
+        "1 in {TIMED_STRIDE} run-loop iterations timed ({} of {}); {} timed spans beyond the \
+         timeline cap",
+        report.timed_iterations, report.iterations, report.dropped
+    );
+    out.metadata("process_labels", 0, "labels", &quoted(&labels));
+    out.metadata("thread_name", 1, "name", &quoted("run loop"));
     for e in &report.events {
-        events.push(format!(
-            "{{\"name\":\"{}\",\"cat\":\"host\",\"ph\":\"X\",\"pid\":0,\
-             \"tid\":1,\"ts\":{},\"dur\":{}}}",
+        out.complete(
             e.phase.name(),
+            "host",
+            1,
             micros(e.start_ns),
             micros(e.dur_ns),
-        ));
+            "",
+        );
     }
-    format!(
-        "{{\"displayTimeUnit\":\"ns\",\"traceEvents\":[{}]}}",
-        events.join(",")
-    )
+    out.finish()
 }
 
 /// Renders the attribution table: a header with the wall time, the share
@@ -153,6 +149,21 @@ mod tests {
         );
         assert_eq!(json.matches("\"ph\":\"X\"").count(), 3);
         gmh_types::json::parse(&json).expect("well-formed JSON");
+    }
+
+    #[test]
+    fn trace_json_is_exactly_the_chrome_layout() {
+        let expected = concat!(
+            r#"{"displayTimeUnit":"ns","traceEvents":["#,
+            r#"{"name":"process_name","ph":"M","pid":0,"tid":0,"args":{"name":"gmh host: mm"}},"#,
+            r#"{"name":"process_labels","ph":"M","pid":0,"tid":0,"args":{"labels":"#,
+            r#""1 in 17 run-loop iterations timed (0 of 0); 0 timed spans beyond the timeline cap"}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":0,"tid":1,"args":{"name":"run loop"}},"#,
+            r#"{"name":"icnt_tick","cat":"host","ph":"X","pid":0,"tid":1,"ts":0,"dur":200},"#,
+            r#"{"name":"l2_tick","cat":"host","ph":"X","pid":0,"tid":1,"ts":50,"dur":100},"#,
+            r#"{"name":"core_tick","cat":"host","ph":"X","pid":0,"tid":1,"ts":200,"dur":150}]}"#,
+        );
+        assert_eq!(host_trace_json("mm", &synthetic_report()), expected);
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! Both are deterministic functions of the trace: same `(config, seed)`
 //! run, byte-identical export (ordered maps only, as in the model crates).
 
-use gmh_types::telemetry::{json_escape, json_num};
+use crate::chrome::{quoted, ChromeTrace};
+use gmh_types::telemetry::json_num;
 use gmh_types::trace::{Level, TraceData, TraceEventKind};
 use gmh_types::{AccessKind, Picos};
 
@@ -39,8 +40,8 @@ fn kind_label(kind: AccessKind) -> &'static str {
 
 /// Picoseconds to the microsecond `ts`/`dur` fields of the Chrome trace
 /// format (1 ps = 1e-6 µs, so six decimal places are exact).
-fn micros(ps: Picos) -> String {
-    json_num(ps.as_u64() as f64 / 1e6)
+fn micros(ps: Picos) -> f64 {
+    ps.as_u64() as f64 / 1e6
 }
 
 /// Serializes a trace as single-line Chrome `trace_event` JSON
@@ -53,23 +54,12 @@ fn micros(ps: Picos) -> String {
 /// line address, warp and access kind in `args`; every `StalledAt` event
 /// becomes a thread-scoped instant named `"stall:<cause>"`.
 pub fn chrome_trace_json(workload: &str, trace: &TraceData) -> String {
-    let mut events: Vec<String> = Vec::new();
-    events.push(format!(
-        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
-         \"args\":{{\"name\":\"{}\"}}}}",
-        json_escape(workload)
-    ));
+    let mut out = ChromeTrace::new();
+    out.metadata("process_name", 0, "name", &quoted(workload));
     for level in Level::ALL {
         let tid = tid_of(level);
-        events.push(format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            json_escape(level.name())
-        ));
-        events.push(format!(
-            "{{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":0,\
-             \"tid\":{tid},\"args\":{{\"sort_index\":{tid}}}}}"
-        ));
+        out.metadata("thread_name", tid, "name", &quoted(level.name()));
+        out.metadata("thread_sort_index", tid, "sort_index", &tid.to_string());
     }
     for s in trace.spans() {
         let component = if s.is_queue { "queue" } else { "service" };
@@ -82,34 +72,27 @@ pub fn chrome_trace_json(workload: &str, trace: &TraceData) -> String {
                 kind_label(info.kind)
             ));
         }
-        events.push(format!(
-            "{{\"name\":\"{} {component}\",\"cat\":\"{component}\",\
-             \"ph\":\"X\",\"pid\":0,\"tid\":{},\"ts\":{},\"dur\":{},\
-             \"args\":{{{args}}}}}",
-            s.level.name(),
+        out.complete(
+            &format!("{} {component}", s.level.name()),
+            component,
             tid_of(s.level),
             micros(s.start_ps),
             micros(s.end_ps.saturating_sub(s.start_ps)),
-        ));
+            &args,
+        );
     }
     for e in &trace.events {
         if let TraceEventKind::StalledAt(level, cause) = e.kind {
-            events.push(format!(
-                "{{\"name\":\"stall:{}\",\"cat\":\"stall\",\"ph\":\"i\",\
-                 \"s\":\"t\",\"pid\":0,\"tid\":{},\"ts\":{},\
-                 \"args\":{{\"core\":{},\"fetch\":{}}}}}",
-                cause.name(),
+            out.instant(
+                &format!("stall:{}", cause.name()),
+                "stall",
                 tid_of(level),
                 micros(e.at_ps),
-                e.core,
-                e.fetch,
-            ));
+                &format!("\"core\":{},\"fetch\":{}", e.core, e.fetch),
+            );
         }
     }
-    format!(
-        "{{\"displayTimeUnit\":\"ns\",\"traceEvents\":[{}]}}",
-        events.join(",")
-    )
+    out.finish()
 }
 
 /// Renders the per-level queueing-vs-service decomposition as a

@@ -8,7 +8,8 @@
 //! report cancel) must stay below the crossbar ticks in those 60k cycles,
 //! i.e. under 0.5 per core cycle. That is the smallest rate at which a
 //! component ticking at or above the crossbar clock can allocate on every
-//! tick.
+//! tick. The ideal memories (Fig. 3, Table II) are held to the same budget:
+//! their pipes deliver on every core cycle.
 //!
 //! The instruction generator allocates on its own account (one address
 //! list per memory instruction), so every warp's stream is generated
@@ -17,7 +18,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use gmh::core::{GpuConfig, GpuSim, SimStats};
+use gmh::core::{GpuConfig, GpuSim, MemoryModel, SimStats};
 use gmh::exp::report_json;
 use gmh::simt::inst::{Inst, InstSource};
 use gmh::workloads::{catalog, WorkloadSpec};
@@ -108,19 +109,20 @@ impl InstSource for Pregenerated {
     }
 }
 
-fn baseline(max_core_cycles: u64) -> GpuConfig {
+fn baseline(model: &MemoryModel, max_core_cycles: u64) -> GpuConfig {
     GpuConfig {
         max_core_cycles,
+        memory_model: model.clone(),
         ..GpuConfig::gtx480_baseline()
     }
 }
 
-/// Runs `wl` on the baseline GPU from pregenerated streams for at most
-/// `max_core_cycles`; returns the stats and the allocations `run` made.
-fn counted_run(wl: &WorkloadSpec, max_core_cycles: u64) -> (SimStats, u64) {
-    let mut sim = GpuSim::from_sources(baseline(max_core_cycles), wl.name, |c| {
-        Box::new(Pregenerated::new(wl, c))
-    });
+/// Runs `wl` on the baseline GPU under `model` from pregenerated streams
+/// for at most `max_core_cycles`; returns the stats and the allocations
+/// `run` made.
+fn counted_run(wl: &WorkloadSpec, model: &MemoryModel, max_core_cycles: u64) -> (SimStats, u64) {
+    let cfg = baseline(model, max_core_cycles);
+    let mut sim = GpuSim::from_sources(cfg, wl.name, |c| Box::new(Pregenerated::new(wl, c)));
     ALLOCS.set(Some(0));
     let stats = sim.run();
     let allocs = ALLOCS.replace(None).expect("counting was on");
@@ -130,20 +132,20 @@ fn counted_run(wl: &WorkloadSpec, max_core_cycles: u64) -> (SimStats, u64) {
 const SHORT: u64 = 20_000;
 const LONG: u64 = 80_000;
 
-fn assert_steady_state_allocates_below_one_per_icnt_tick(name: &str) {
+fn assert_steady_state_allocates_below_one_per_icnt_tick(name: &str, model: MemoryModel) {
     let wl = catalog::by_name(name).expect("catalog workload");
-    let (short, at_short) = counted_run(&wl, SHORT);
-    let (long, at_long) = counted_run(&wl, LONG);
+    let (short, at_short) = counted_run(&wl, &model, SHORT);
+    let (long, at_long) = counted_run(&wl, &model, LONG);
     assert!(
         short.hit_cycle_cap && long.hit_cycle_cap,
-        "{name} must still be running at {SHORT} core cycles"
+        "{name} under {model:?} must still be running at {LONG} core cycles"
     );
-    let cfg = baseline(LONG);
+    let cfg = baseline(&model, LONG);
     let icnt_ticks = (LONG - SHORT) * u64::from(cfg.icnt_mhz) / u64::from(cfg.core_mhz);
     let extra = at_long.saturating_sub(at_short);
     assert!(
         extra < icnt_ticks,
-        "{name}: run() made {extra} allocations in {} core cycles ({:.3} per cycle), \
+        "{name} under {model:?}: run() made {extra} allocations in {} core cycles ({:.3} per cycle), \
          budget {icnt_ticks} (one per crossbar tick); {at_short} by {SHORT} cycles, \
          {at_long} by {LONG}",
         LONG - SHORT,
@@ -153,17 +155,32 @@ fn assert_steady_state_allocates_below_one_per_icnt_tick(name: &str) {
 
 #[test]
 fn mm_run_loop_stays_under_the_allocation_budget() {
-    assert_steady_state_allocates_below_one_per_icnt_tick("mm");
+    assert_steady_state_allocates_below_one_per_icnt_tick("mm", MemoryModel::Full);
 }
 
 #[test]
 fn sc_run_loop_stays_under_the_allocation_budget() {
-    assert_steady_state_allocates_below_one_per_icnt_tick("sc");
+    assert_steady_state_allocates_below_one_per_icnt_tick("sc", MemoryModel::Full);
 }
 
 #[test]
 fn lbm_run_loop_stays_under_the_allocation_budget() {
-    assert_steady_state_allocates_below_one_per_icnt_tick("lbm");
+    assert_steady_state_allocates_below_one_per_icnt_tick("lbm", MemoryModel::Full);
+}
+
+#[test]
+fn mm_run_loop_stays_under_the_allocation_budget_on_the_ideal_memories() {
+    // The golden digests' three ideal models.
+    for model in [
+        MemoryModel::FixedL1MissLatency(120),
+        MemoryModel::InfiniteBw {
+            l2_hit: 120,
+            dram: 220,
+        },
+        MemoryModel::InfiniteDram { latency: 100 },
+    ] {
+        assert_steady_state_allocates_below_one_per_icnt_tick("mm", model);
+    }
 }
 
 #[test]
@@ -172,8 +189,8 @@ fn pregenerated_streams_replay_the_generator_exactly() {
     // ahead of time must not change the run.
     let wl = catalog::by_name("mm").expect("catalog workload");
     assert!(!wl.coherent_stream);
-    let (replayed, _) = counted_run(&wl, SHORT);
-    let live = GpuSim::new(baseline(SHORT), &wl).run();
+    let (replayed, _) = counted_run(&wl, &MemoryModel::Full, SHORT);
+    let live = GpuSim::new(baseline(&MemoryModel::Full, SHORT), &wl).run();
     assert_eq!(
         report_json("gtx480_baseline", wl.name, &replayed),
         report_json("gtx480_baseline", wl.name, &live)
