@@ -9,9 +9,10 @@
 //! default.
 
 use crate::cache::{CachedRun, DiskCache};
-use crate::experiments::{self, fig10_configs, fig12_configs, Artifact, Render, ARTIFACTS};
+use crate::experiments::{fig10_configs, fig12_configs, Artifact, Render, ARTIFACTS};
 use crate::prof_export::{host_trace_json, utilization_table};
 use crate::runner::Baselines;
+use crate::scorecard;
 use crate::trace_export::{chrome_trace_json, latency_table};
 use crate::tune::{frontier_csv, frontier_json, run_search, TuneParams};
 use crate::{write_report, Candidate, Evaluator};
@@ -55,7 +56,7 @@ const COMMANDS: [Command; 11] = [
     Command("profile", "[workload] [trace-out.json]", 2, "one baseline run's host time per run-loop phase (default mm); with a path, also its timeline as Chrome trace JSON", profile),
     Command("sweep", "[workload]", 1, "one workload under the baseline and the Fig. 10 + 12 configs, through the result cache", sweep),
     Command("tune", "[SPEC] [frontier.json] [frontier.csv]", 3, "a seeded search of Table III's design space through the result cache; SPEC is the daemon's tune object naming its preset (default {\"preset\":\"paper\"}); the frontier as JSON (stdout or the path) and CSV", tune),
-    Command("calibrate", "", 0, "Table II speedups beside the baseline statistics of all 19 workloads", calibrate),
+    Command("scorecard", "", 0, "every number of the paper beside this model's, its error and band, then the 19 baselines' statistics", scorecard),
     Command("trace", "[workload] [warp] [count]", 3, "the first instructions one warp's synthetic stream emits", trace),
     Command("record", "[workload] [out.trace] [cores]", 3, "write a workload's instruction stream as a gmh-trace v1 file", record),
     Command("replay", "<file.trace>", 1, "run a gmh-trace v1 file on the baseline and print its statistics", replay),
@@ -113,6 +114,7 @@ fn report(artifacts: &[Artifact], err: &mut dyn Write) -> Result<String, Refusal
         sections.push(match a.render {
             Render::Static(render) => render(),
             Render::Baseline(render) => render(baselines.get_or_insert_with(Baselines::collect)),
+            Render::Table(table) => table(baselines.get_or_insert_with(Baselines::collect)).text,
         });
     }
     Ok(sections.join("\n"))
@@ -378,8 +380,8 @@ fn tune(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Outcome {
     Ok(())
 }
 
-fn calibrate(_: &[String], out: &mut dyn Write, _: &mut dyn Write) -> Outcome {
-    write!(out, "{}", experiments::calibrate(&Baselines::collect()))?;
+fn scorecard(_: &[String], out: &mut dyn Write, _: &mut dyn Write) -> Outcome {
+    write!(out, "{}", scorecard::report(&Baselines::collect()))?;
     Ok(())
 }
 
@@ -418,12 +420,20 @@ fn trace(args: &[String], out: &mut dyn Write, _: &mut dyn Write) -> Outcome {
     Ok(())
 }
 
+/// Refuses a core count `replay` would refuse before recording: the
+/// recording holds every core's whole stream in memory.
 fn record(args: &[String], _: &mut dyn Write, err: &mut dyn Write) -> Outcome {
     let wl = workload(args, "mm")?;
     let path = args.get(1).map_or("workload.trace", String::as_str);
-    let cores = count(args, 2, "cores", 15)?;
-    let bundle = TraceBundle::record(&wl, cores);
+    let n_cores = GpuConfig::gtx480_baseline().n_cores;
+    let cores = count(args, 2, "cores", n_cores)?;
+    if !(1..=n_cores).contains(&cores) {
+        return Err(Refusal(format!(
+            "cores {cores} is not in 1..={n_cores}: the baseline machine has {n_cores} cores"
+        )));
+    }
     let file = File::create(path).map_err(cannot(format_args!("create {path}")))?;
+    let bundle = TraceBundle::record(&wl, cores);
     let written = bundle.write(BufWriter::new(file));
     written.map_err(cannot(format_args!("write {path}")))?;
     let insts = bundle.total_insts();

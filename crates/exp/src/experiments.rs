@@ -1,12 +1,13 @@
 //! Report generators, one per table/figure of the paper.
 //!
 //! Every function returns a plain-text report whose rows mirror the paper's
-//! artifact, annotated with the paper's reference numbers where Table II or
-//! the text provides them. [`ARTIFACTS`] lists them in report order; the
-//! `gmh-exp` CLI ([`crate::cli`]) prints any subset, or all of them as a
-//! full evaluation report.
+//! artifact, annotated with the paper's numbers where it gives them; those
+//! numbers are read from [`crate::scorecard`]. [`ARTIFACTS`] lists them in
+//! report order; the `gmh-exp` CLI ([`crate::cli`]) prints any subset, or
+//! all of them as a full evaluation report.
 
 use crate::runner::{par_map, Baselines};
+use crate::scorecard;
 use gmh_core::{area, GpuConfig, GpuSim, SimStats};
 use gmh_workloads::{catalog, WorkloadSpec};
 use std::fmt::Write as _;
@@ -18,6 +19,9 @@ pub enum Render {
     Static(fn() -> String),
     /// Reads the 19 baseline runs, which are collected once and shared.
     Baseline(fn(&Baselines) -> String),
+    /// A per-workload [`Table`] of the baseline runs' benchmarks, whose
+    /// column means the scorecard scores.
+    Table(fn(&Baselines) -> Table),
 }
 
 /// One table or figure of the paper's evaluation.
@@ -42,21 +46,21 @@ const fn row(name: &'static str, about: &'static str, render: Render) -> Artifac
 /// Every artifact, in the order of the full report.
 #[rustfmt::skip]
 pub const ARTIFACTS: [Artifact; 16] = {
-    use Render::{Baseline, Static};
+    use Render::{Baseline, Static, Table};
     [
         row("table1", "Table I: Baseline architecture parameters", Static(table1)),
-        row("fig1", "Fig. 1: Issue stalls, L2-AHL and AML (baseline)", Baseline(fig1)),
+        row("fig1", "Fig. 1: Issue stalls, L2-AHL and AML (baseline)", Table(fig1)),
         row("table2", "Table II: P∞ and P_DRAM speedups", Baseline(table2)),
         row("fig3", "Fig. 3: IPC vs fixed L1 miss latency (normalized to baseline)", Baseline(fig3)),
-        row("fig4", "Fig. 4: L2 access queue occupancy (usage lifetime)", Baseline(fig4)),
-        row("fig5", "Fig. 5: DRAM access queue occupancy (usage lifetime)", Baseline(fig5)),
+        row("fig4", "Fig. 4: L2 access queue occupancy (usage lifetime)", Table(fig4)),
+        row("fig5", "Fig. 5: DRAM access queue occupancy (usage lifetime)", Table(fig5)),
         row("fig6", "Fig. 6: Structural hazard illustration", Static(fig6)),
-        row("fig7", "Fig. 7: Issue-stall distribution", Baseline(fig7)),
-        row("fig8", "Fig. 8: L2 stall distribution", Baseline(fig8)),
-        row("fig9", "Fig. 9: L1 stall distribution", Baseline(fig9)),
-        row("fig10", "Fig. 10: IPC with 4x bandwidth scaling (normalized to baseline)", Baseline(fig10)),
+        row("fig7", "Fig. 7: Issue-stall distribution", Table(fig7)),
+        row("fig8", "Fig. 8: L2 stall distribution", Table(fig8)),
+        row("fig9", "Fig. 9: L1 stall distribution", Table(fig9)),
+        row("fig10", "Fig. 10: IPC with 4x bandwidth scaling (normalized to baseline)", Table(fig10)),
         row("fig11", "Fig. 11: Performance vs core frequency (wall-clock, normalized to 1.4 GHz)", Static(fig11)),
-        row("fig12", "Fig. 12: Cost-effective configurations (normalized to baseline)", Baseline(fig12)),
+        row("fig12", "Fig. 12: Cost-effective configurations (normalized to baseline)", Table(fig12)),
         row("table3", "Table III: Consolidated design space", Static(table3)),
         row("overhead", "Overhead (paper §VII-C)", Static(overhead)),
         row("ablation", "Ablation: single-knob scaling (speedup over baseline)", Baseline(ablation)),
@@ -135,62 +139,75 @@ fn speedups<L>(baselines: &Baselines, names: &[&str], configs: &[(L, GpuConfig)]
 
 /// How a column of a per-workload table prints its values.
 #[derive(Clone, Copy)]
-enum Unit {
+enum Format {
     /// `100 × value` to one decimal with a trailing `%` (inside the width).
     Percent,
     /// The value to this many decimals.
     Fixed(usize),
 }
-use Unit::{Fixed, Percent};
+use Format::{Fixed, Percent};
 
-/// A column of a per-workload table: heading, width, unit.
+/// A column of a per-workload table: heading, width, format.
 #[derive(Clone, Copy)]
-struct Col(&'static str, usize, Unit);
+struct Col(&'static str, usize, Format);
 
 impl Col {
-    /// Appends `sum / over` (a row passes its value over 1).
-    fn cell(&self, s: &mut String, sum: f64, over: f64) {
+    /// Appends `v` in this column's width and format.
+    fn cell(&self, s: &mut String, v: f64) {
         let w = self.1;
         match self.2 {
-            Percent => write!(s, " {:>w$.1}%", 100.0 * sum / over, w = w - 1),
-            Fixed(d) => write!(s, " {:>w$.d$}", sum / over),
+            Percent => write!(s, " {:>w$.1}%", 100.0 * v, w = w - 1),
+            Fixed(d) => write!(s, " {:>w$.d$}", v),
         }
         .unwrap();
     }
 }
 
-/// The one per-workload table: a row of `values(row index, baseline stats)`
-/// per benchmark of [`FIG_ORDER`], then the column means beside the paper's.
-fn baseline_table(
-    baselines: &Baselines,
-    title: &str,
-    columns: &[Col],
-    paper_footer: &str,
-    values: impl Fn(usize, &SimStats) -> Vec<f64>,
-) -> String {
-    let mut s = String::new();
-    writeln!(s, "== {title} ==").unwrap();
-    write!(s, "{:<11}", "bench").unwrap();
+/// A per-workload table, rendered.
+pub struct Table {
+    /// The text.
+    pub text: String,
+    /// Each column's heading, its mean over the benchmarks (the AVG row)
+    /// and what its values print times: 100 for a percentage, else 1.
+    pub means: Vec<(String, f64, f64)>,
+}
+
+/// The one per-workload table of artifact `name`: a row of values per
+/// benchmark of [`FIG_ORDER`], then the column means beside the paper's,
+/// printed through `footer` (see [`scorecard::footer`]).
+fn table(name: &str, footer: &str, columns: &[Col], rows: Vec<Vec<f64>>) -> Table {
+    let artifact = ARTIFACTS.iter().find(|a| a.name == name);
+    let title = artifact.expect("a table is an artifact").about;
+    let mut s = format!("== {title} ==\n{:<11}", "bench");
     for c in columns {
         write!(s, " {:>w$}", c.0, w = c.1).unwrap();
     }
     writeln!(s).unwrap();
-    let mut sums = vec![0.0; columns.len()];
-    for (i, name) in FIG_ORDER.iter().enumerate() {
-        write!(s, "{name:<11}").unwrap();
-        let row = values(i, base(baselines, name));
-        for ((c, sum), v) in columns.iter().zip(&mut sums).zip(row) {
-            c.cell(&mut s, v, 1.0);
-            *sum += v;
+    for (bench, row) in FIG_ORDER.iter().zip(&rows) {
+        write!(s, "{bench:<11}").unwrap();
+        for (c, v) in columns.iter().zip(row) {
+            c.cell(&mut s, *v);
         }
         writeln!(s).unwrap();
     }
     write!(s, "{:<11}", "AVG").unwrap();
-    for (c, sum) in columns.iter().zip(&sums) {
-        c.cell(&mut s, *sum, FIG_ORDER.len() as f64);
+    let mut means = Vec::new();
+    for (i, c) in columns.iter().enumerate() {
+        let mean = rows.iter().map(|row| row[i]).sum::<f64>() / rows.len() as f64;
+        c.cell(&mut s, mean);
+        let scale = if matches!(c.2, Percent) { 100.0 } else { 1.0 };
+        means.push((c.0.to_string(), mean, scale));
     }
-    writeln!(s, "   {paper_footer}").unwrap();
-    s
+    writeln!(s, "   {}", scorecard::footer(name, footer)).unwrap();
+    Table { text: s, means }
+}
+
+/// `values(baseline stats)` per benchmark of [`FIG_ORDER`].
+fn per_benchmark(baselines: &Baselines, values: impl Fn(&SimStats) -> Vec<f64>) -> Vec<Vec<f64>> {
+    FIG_ORDER
+        .iter()
+        .map(|n| values(base(baselines, n)))
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -273,120 +290,59 @@ pub fn table1() -> String {
 // ---------------------------------------------------------------------------
 
 /// Fig. 1: issue-stall %, L2-AHL and AML per benchmark.
-///
-/// Paper averages: 62% stall, 303-cycle L2-AHL, 452-cycle AML.
-pub fn fig1(baselines: &Baselines) -> String {
-    baseline_table(
-        baselines,
-        "Fig. 1: Issue stalls, L2-AHL and AML (baseline)",
-        &[
-            Col("stall%", 8, Percent),
-            Col("L2-AHL", 8, Fixed(0)),
-            Col("AML", 8, Fixed(0)),
-        ],
-        "(paper AVG: 62%, 303, 452)",
-        |_, b| vec![b.stall_fraction, b.l2_ahl_core_cycles, b.aml_core_cycles],
-    )
+pub fn fig1(baselines: &Baselines) -> Table {
+    let columns = [
+        Col("stall%", 8, Percent),
+        Col("L2-AHL", 8, Fixed(0)),
+        Col("AML", 8, Fixed(0)),
+    ];
+    let rows = per_benchmark(baselines, |b| {
+        vec![b.stall_fraction, b.l2_ahl_core_cycles, b.aml_core_cycles]
+    });
+    table("fig1", "(paper AVG: {}%, {}, {})", &columns, rows)
 }
 
 // ---------------------------------------------------------------------------
 // Table II
 // ---------------------------------------------------------------------------
 
-/// Every catalog workload (Table II order) with `[P∞, paper's, P_DRAM,
-/// paper's]`, the measured two as speedups over the baseline.
-fn ideal_memory_speedups(baselines: &Baselines) -> Vec<(&'static str, [f64; 4])> {
+/// Every catalog workload (Table II order) with its P∞ and P_DRAM speedups
+/// over the baseline.
+pub(crate) fn ideal_memory_speedups(baselines: &Baselines) -> Vec<(&'static str, [f64; 2])> {
     let names = catalog::names();
     let ideal = [
         ("pinf", GpuConfig::infinite_bw()),
         ("pdram", GpuConfig::infinite_dram()),
     ];
     let rows = names.iter().zip(speedups(baselines, &names, &ideal));
-    rows.map(|(name, sp)| {
-        let (ri, rd) = catalog::paper_reference(name).expect("reference exists");
-        (*name, [sp[0], ri, sp[1], rd])
-    })
-    .collect()
+    rows.map(|(name, sp)| (*name, [sp[0], sp[1]])).collect()
 }
 
-/// Table II: P∞ and P_DRAM speedups, measured vs. paper.
+/// Table II: P∞ and P_DRAM speedups, measured vs. paper, and the averages
+/// of all four columns.
 pub fn table2(baselines: &Baselines) -> String {
-    let rows = ideal_memory_speedups(baselines);
-    let mut s = String::new();
-    writeln!(s, "== Table II: P∞ and P_DRAM speedups ==").unwrap();
-    writeln!(
-        s,
-        "{:<4} {:<11} {:>6} {:>6} | {:>6} {:>6}",
-        "#", "bench", "P∞", "paper", "P_DRAM", "paper"
-    )
-    .unwrap();
-    let mut sums = [0.0; 4];
-    for (i, (name, row)) in rows.iter().enumerate() {
-        writeln!(
-            s,
-            "{:<4} {:<11} {:>6.2} {:>6.2} | {:>6.2} {:>6.2}",
-            i + 1,
-            name,
-            row[0],
-            row[1],
-            row[2],
-            row[3]
-        )
-        .unwrap();
-        for (sum, v) in sums.iter_mut().zip(row) {
-            *sum += v;
-        }
+    let papers: Vec<f64> = scorecard::rows("table2")
+        .map(scorecard::Row::value)
+        .collect();
+    let speedups = ideal_memory_speedups(baselines)
+        .into_iter()
+        .zip(papers.chunks(2));
+    let rows: Vec<(&str, [f64; 4])> = speedups
+        .map(|((n, [pinf, pdram]), paper)| (n, [pinf, paper[0], pdram, paper[1]]))
+        .collect();
+    let avg = |c: usize| rows.iter().map(|(_, row)| row[c]).sum::<f64>() / rows.len() as f64;
+    let average = ("Average", [0, 1, 2, 3].map(avg));
+    let mut s = "== Table II: P∞ and P_DRAM speedups ==\n".to_string();
+    s += "#    bench           P∞  paper | P_DRAM  paper\n";
+    for (i, (name, [pinf, ri, pdram, rd])) in rows.iter().chain([&average]).enumerate() {
+        let i = if i < rows.len() {
+            (i + 1).to_string()
+        } else {
+            String::new()
+        };
+        let speedups = format!("{pinf:>6.2} {ri:>6.2} | {pdram:>6.2} {rd:>6.2}");
+        writeln!(s, "{i:<4} {name:<11} {speedups}").unwrap();
     }
-    let avg = sums.map(|sum| sum / rows.len() as f64);
-    writeln!(
-        s,
-        "{:<4} {:<11} {:>6.2} {:>6.2} | {:>6.2} {:>6.2}",
-        "", "Average", avg[0], avg[1], avg[2], avg[3]
-    )
-    .unwrap();
-    s
-}
-
-/// Calibration scorecard: Table II's two speedups beside the baseline
-/// statistics the workload models were tuned against.
-pub fn calibrate(baselines: &Baselines) -> String {
-    let rows = ideal_memory_speedups(baselines);
-    let mut s = String::new();
-    writeln!(
-        s,
-        "{:<11} {:>5} {:>5} | {:>5} {:>5} | {:>5} {:>5} {:>5} {:>5} {:>5} {:>4}",
-        "name", "Pinf", "ref", "Pdrm", "ref", "stall", "aml", "ahl", "l1mr", "l2mr", "eff"
-    )
-    .unwrap();
-    let (mut si, mut sd) = (0.0, 0.0);
-    for (name, [pinf, ri, pdram, rd]) in &rows {
-        let b = base(baselines, name);
-        writeln!(
-            s,
-            "{:<11} {:>5.2} {:>5.2} | {:>5.2} {:>5.2} | {:>4.0}% {:>5.0} {:>5.0} {:>5.2} {:>5.2} {:>4.2}",
-            name,
-            pinf,
-            ri,
-            pdram,
-            rd,
-            b.stall_fraction * 100.0,
-            b.aml_core_cycles,
-            b.l2_ahl_core_cycles,
-            b.l1_miss_rate,
-            b.l2_miss_rate,
-            b.dram_efficiency
-        )
-        .unwrap();
-        si += pinf;
-        sd += pdram;
-    }
-    writeln!(
-        s,
-        "AVG Pinf={:.2} (paper 2.37)  Pdram={:.2} (paper 1.15)",
-        si / rows.len() as f64,
-        sd / rows.len() as f64
-    )
-    .unwrap();
     s
 }
 
@@ -463,27 +419,16 @@ fn occupancy_bins() -> [Col; 5] {
 }
 
 /// Fig. 4: occupancy of the L2 access queues over their usage lifetime.
-/// Paper: full 46% of usage lifetime on average.
-pub fn fig4(baselines: &Baselines) -> String {
-    baseline_table(
-        baselines,
-        "Fig. 4: L2 access queue occupancy (usage lifetime)",
-        &occupancy_bins(),
-        "(paper AVG full: 0.46)",
-        |_, b| b.l2_access_occupancy.fractions().to_vec(),
-    )
+pub fn fig4(baselines: &Baselines) -> Table {
+    let rows = per_benchmark(baselines, |b| b.l2_access_occupancy.fractions().to_vec());
+    table("fig4", "(paper AVG full: {})", &occupancy_bins(), rows)
 }
 
 /// Fig. 5: occupancy of the DRAM scheduler queues over their usage
-/// lifetime. Paper: full 39% of usage lifetime on average.
-pub fn fig5(baselines: &Baselines) -> String {
-    baseline_table(
-        baselines,
-        "Fig. 5: DRAM access queue occupancy (usage lifetime)",
-        &occupancy_bins(),
-        "(paper AVG full: 0.39)",
-        |_, b| b.dram_queue_occupancy.fractions().to_vec(),
-    )
+/// lifetime.
+pub fn fig5(baselines: &Baselines) -> Table {
+    let rows = per_benchmark(baselines, |b| b.dram_queue_occupancy.fractions().to_vec());
+    table("fig5", "(paper AVG full: {})", &occupancy_bins(), rows)
 }
 
 // ---------------------------------------------------------------------------
@@ -588,40 +533,35 @@ pub fn fig6() -> String {
 // ---------------------------------------------------------------------------
 
 /// Fig. 7: issue-stall cycle distribution.
-/// Paper averages: str-MEM 71%, data-MEM 15%, fetch 8%, data-ALU 5.5%,
-/// str-ALU 0.5%.
-pub fn fig7(baselines: &Baselines) -> String {
-    baseline_table(
-        baselines,
-        "Fig. 7: Issue-stall distribution",
-        &["data-MEM", "data-ALU", "str-MEM", "str-ALU", "fetch"].map(|h| Col(h, 9, Percent)),
-        "(paper AVG: 15 / 5.5 / 71 / 0.5 / 8)",
-        |_, b| b.issue.distribution().to_vec(),
+pub fn fig7(baselines: &Baselines) -> Table {
+    let columns =
+        ["data-MEM", "data-ALU", "str-MEM", "str-ALU", "fetch"].map(|h| Col(h, 9, Percent));
+    let rows = per_benchmark(baselines, |b| b.issue.distribution().to_vec());
+    table(
+        "fig7",
+        "(paper AVG: {} / {} / {} / {} / {})",
+        &columns,
+        rows,
     )
 }
 
 /// Fig. 8: L2 stall distribution.
-/// Paper averages: bp-ICNT 42%, port 12%, cache 8%, MSHR 3%, bp-DRAM 35%.
-pub fn fig8(baselines: &Baselines) -> String {
-    baseline_table(
-        baselines,
-        "Fig. 8: L2 stall distribution",
-        &["bp-ICNT", "port", "cache", "mshr", "bp-DRAM"].map(|h| Col(h, 9, Percent)),
-        "(paper AVG: 42 / 12 / 8 / 3 / 35)",
-        |_, b| b.l2_stalls.fractions().to_vec(),
+pub fn fig8(baselines: &Baselines) -> Table {
+    let columns = ["bp-ICNT", "port", "cache", "mshr", "bp-DRAM"].map(|h| Col(h, 9, Percent));
+    let rows = per_benchmark(baselines, |b| b.l2_stalls.fractions().to_vec());
+    table(
+        "fig8",
+        "(paper AVG: {} / {} / {} / {} / {})",
+        &columns,
+        rows,
     )
 }
 
 /// Fig. 9: L1 stall distribution.
-/// Paper averages: cache 11%, MSHR 41%, bp-L2 48%.
-pub fn fig9(baselines: &Baselines) -> String {
-    baseline_table(
-        baselines,
-        "Fig. 9: L1 stall distribution",
-        &["cache", "mshr", "bp-L2"].map(|h| Col(h, 9, Percent)),
-        "(paper AVG: 11 / 41 / 48)",
-        |_, b| b.l1_stalls.fractions().to_vec(),
-    )
+pub fn fig9(baselines: &Baselines) -> Table {
+    let columns = ["cache", "mshr", "bp-L2"].map(|h| Col(h, 9, Percent));
+    let rows = per_benchmark(baselines, |b| b.l1_stalls.fractions().to_vec());
+    table("fig9", "(paper AVG: {} / {} / {})", &columns, rows)
 }
 
 // ---------------------------------------------------------------------------
@@ -643,35 +583,32 @@ pub fn fig10_configs() -> Vec<(&'static str, GpuConfig)> {
 
 /// Fig. 10: IPC (normalized to baseline) under 4× scaling of L1 / L2 /
 /// DRAM and their combinations.
-///
-/// Paper averages: L1 +4%, L2 +59%, DRAM +11%, L1+L2 +69%, L2+DRAM +76%,
-/// All +90%.
-pub fn fig10(baselines: &Baselines) -> String {
+pub fn fig10(baselines: &Baselines) -> Table {
+    let configs = fig10_configs();
+    let rows = speedups(baselines, &FIG_ORDER, &configs);
     speedup_table(
-        baselines,
-        "Fig. 10: IPC with 4x bandwidth scaling (normalized to baseline)",
-        &fig10_configs(),
-        "(paper AVG: 1.04 / 1.59 / 1.11 / 1.69 / 1.76 / 1.90)",
+        "fig10",
+        "(paper AVG: {} / {} / {} / {} / {} / {})",
+        &configs,
+        rows,
     )
 }
 
-/// A Fig. 10/12-style table: every workload simulated afresh under every
-/// config, as speedups over `baselines`. Never read from the result cache —
-/// its key covers label, config and workload but not the model.
-fn speedup_table(
-    baselines: &Baselines,
-    title: &str,
+/// A Fig. 10/12-style table: `rows[w][c]` is benchmark `w` of
+/// [`FIG_ORDER`] under config `c`, as a speedup over its baseline. The
+/// figures simulate every cell afresh, never reading the result cache: its
+/// key covers label, config and workload but not the model.
+pub(crate) fn speedup_table(
+    name: &str,
+    footer: &str,
     configs: &[(&'static str, GpuConfig)],
-    paper_footer: &str,
-) -> String {
-    let out = speedups(baselines, &FIG_ORDER, configs);
+    rows: Vec<Vec<f64>>,
+) -> Table {
     let columns: Vec<Col> = configs
         .iter()
         .map(|(label, _)| Col(label, 8, Fixed(2)))
         .collect();
-    baseline_table(baselines, title, &columns, paper_footer, |wi, _| {
-        out[wi].clone()
-    })
+    table(name, footer, &columns, rows)
 }
 
 // ---------------------------------------------------------------------------
@@ -728,15 +665,10 @@ pub fn fig12_configs() -> Vec<(&'static str, GpuConfig)> {
 }
 
 /// Fig. 12: the cost-effective configurations vs. HBM.
-///
-/// Paper averages: 16+48 +23.4%, 16+68 +29%, 32+52 +25.7%, HBM +11%.
-pub fn fig12(baselines: &Baselines) -> String {
-    speedup_table(
-        baselines,
-        "Fig. 12: Cost-effective configurations (normalized to baseline)",
-        &fig12_configs(),
-        "(paper AVG: 1.234 / 1.29 / 1.257 / 1.11)",
-    )
+pub fn fig12(baselines: &Baselines) -> Table {
+    let configs = fig12_configs();
+    let rows = speedups(baselines, &FIG_ORDER, &configs);
+    speedup_table("fig12", "(paper AVG: {} / {} / {} / {})", &configs, rows)
 }
 
 /// Table III: baseline, 4×-scaled and cost-effective parameter values,
@@ -796,12 +728,9 @@ pub fn overhead() -> String {
         )
         .unwrap();
     }
-    writeln!(
-        s,
-        "(paper: ~94 KB storage = 7.48 mm2 ~= 1.1% for 16+48; +3.62 mm2 wires\n\
-         ~= 1.6% total for 16+68 / 32+52; HBM overhead not modeled on-die)"
-    )
-    .unwrap();
+    let footer = "(paper: ~{} KB storage = {} mm2 ~= {}% for 16+48; +{} mm2 wires\n\
+                  ~= {}% total for 16+68 / 32+52; HBM overhead not modeled on-die)";
+    writeln!(s, "{}", scorecard::footer("overhead", footer)).unwrap();
     s
 }
 
@@ -1009,7 +938,7 @@ mod tests {
 }
 
 #[cfg(test)]
-mod report_tests {
+pub(crate) mod report_tests {
     //! Formatting tests of the per-figure report generators, driven by
     //! synthetic statistics so they run in microseconds.
 
@@ -1018,7 +947,7 @@ mod report_tests {
     use gmh_simt::IssueStallKind;
 
     /// Fabricates a Baselines cache with distinctive, valid statistics.
-    fn synthetic_baselines() -> Baselines {
+    pub(crate) fn synthetic_baselines() -> Baselines {
         let entries = catalog::all()
             .into_iter()
             .enumerate()
@@ -1055,46 +984,15 @@ mod report_tests {
     // Re-exported path shim: the stall types live in gmh-cache.
     use gmh_cache as gmh_cache_stall;
 
+    /// Figs. 1, 4, 5, 7, 8 and 9 on the synthetic baselines, byte for
+    /// byte: the tables, their AVG rows and the paper's numbers in their
+    /// footers.
     #[test]
-    fn fig1_lists_every_benchmark_and_average() {
-        let r = fig1(&synthetic_baselines());
-        for name in FIG_ORDER {
-            assert!(r.contains(name), "fig1 missing {name}");
-        }
-        assert!(r.contains("AVG"));
-        assert!(r.contains("paper AVG: 62%"));
-    }
-
-    #[test]
-    fn fig4_and_fig5_report_full_fractions() {
+    fn baseline_figures_render_byte_for_byte() {
         let b = synthetic_baselines();
-        let f4 = fig4(&b);
-        let f5 = fig5(&b);
-        assert!(f4.contains("L2 access queue"));
-        assert!(f5.contains("DRAM access queue"));
-        // The synthetic data has half its L2 samples at 100%.
-        assert!(f4.contains("0.50"), "unexpected full fraction:\n{f4}");
-        // All DRAM samples are at 100%.
-        assert!(f5.contains("1.00"));
-    }
-
-    #[test]
-    fn fig7_distribution_rows_sum_to_100() {
-        let r = fig7(&synthetic_baselines());
-        // Three equal stall kinds -> 33.3% each.
-        assert!(r.contains("33.3%"), "distribution missing:\n{r}");
-        assert!(r.contains("str-MEM"));
-    }
-
-    #[test]
-    fn fig8_and_fig9_name_the_paper_categories() {
-        let b = synthetic_baselines();
-        let f8 = fig8(&b);
-        assert!(f8.contains("bp-ICNT") && f8.contains("bp-DRAM"));
-        assert!(f8.contains("50.0%"), "two equal L2 stall kinds:\n{f8}");
-        let f9 = fig9(&b);
-        assert!(f9.contains("bp-L2") && f9.contains("mshr"));
-        assert!(f9.contains("50.0%"));
+        let figs = [fig1, fig4, fig5, fig7, fig8, fig9].map(|fig| fig(&b).text);
+        let expected = include_str!("../testdata/synthetic_figures.txt");
+        assert_eq!(figs.join("\n"), expected);
     }
 
     #[test]

@@ -6,11 +6,13 @@
 //!
 //! Each artifact is a row of [`experiments::ARTIFACTS`]; the one binary
 //! prints any of them (`cargo run --release -p gmh-exp -- fig8 fig9`) as
-//! the rows/series the paper reports, with the paper's reference values
-//! alongside where available. `gmh-exp all` is the complete
+//! the rows/series the paper reports, with the paper's numbers alongside
+//! where it gives them. Those numbers live in one table,
+//! [`scorecard::ROWS`]; `gmh-exp scorecard` prints each beside the measured
+//! value and its error. `gmh-exp all` is the complete
 //! EXPERIMENTS.md-style report, `gmh-exp list` names the artifacts and the
 //! diagnostics (`probe`, `latency`, `profile`, `sweep`, `tune`,
-//! `calibrate`, `trace`, `record`, `replay`); [`tune`] is the design-space
+//! `scorecard`, `trace`, `record`, `replay`); [`tune`] is the design-space
 //! autotuner behind `tune` and the daemon's `"tune"` job.
 //!
 //! Heavy sweeps run jobs in parallel across `GMH_THREADS` threads
@@ -27,6 +29,7 @@ pub mod experiments;
 pub mod export;
 pub mod prof_export;
 pub mod runner;
+pub mod scorecard;
 pub mod trace_export;
 pub mod tune;
 

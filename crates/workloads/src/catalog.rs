@@ -8,36 +8,6 @@
 
 use crate::spec::{AddressMix, PhaseSpec, Suite, WorkloadSpec};
 
-/// Paper-reported reference speedups from Table II: `(P∞, P_DRAM)`.
-///
-/// `P∞` is the speedup with an infinite-bandwidth memory system; `P_DRAM`
-/// is the speedup with the baseline cache hierarchy and infinite-bandwidth
-/// DRAM. Used by EXPERIMENTS.md to print paper-vs-measured.
-pub fn paper_reference(name: &str) -> Option<(f64, f64)> {
-    Some(match name {
-        "mm" => (4.90, 1.01),
-        "lbm" => (3.40, 1.87),
-        "ss" => (3.23, 1.00),
-        "nn" => (3.11, 1.84),
-        "hybridsort" => (3.10, 1.24),
-        "cfd" => (3.08, 1.06),
-        "pvr" => (2.89, 1.01),
-        "bfs" => (2.84, 1.00),
-        "lavaMD" => (2.70, 1.00),
-        "sc" => (2.70, 1.13),
-        "bfs'" => (2.10, 1.00),
-        "ii" => (1.98, 1.00),
-        "sradv1" => (1.51, 1.19),
-        "sradv2" => (1.49, 1.08),
-        "nw" => (1.43, 1.09),
-        "stencil" => (1.23, 1.20),
-        "dwt2d" => (1.20, 1.14),
-        "sad" => (1.16, 1.09),
-        "leukocyte" => (1.08, 1.00),
-        _ => return None,
-    })
-}
-
 /// All 19 workloads in Table II order (sorted by paper P∞, descending).
 pub fn all() -> Vec<WorkloadSpec> {
     vec![
@@ -594,25 +564,6 @@ mod tests {
     }
 
     #[test]
-    fn every_workload_has_paper_reference() {
-        for w in all() {
-            assert!(paper_reference(w.name).is_some(), "{} missing", w.name);
-        }
-        assert!(paper_reference("nonesuch").is_none());
-    }
-
-    #[test]
-    fn table2_order_is_descending_p_inf() {
-        let refs: Vec<f64> = all()
-            .iter()
-            .map(|w| paper_reference(w.name).unwrap().0)
-            .collect();
-        for pair in refs.windows(2) {
-            assert!(pair[0] >= pair[1], "catalog must follow Table II order");
-        }
-    }
-
-    #[test]
     fn by_name_round_trips() {
         for name in names() {
             assert_eq!(by_name(name).unwrap().name, name);
@@ -685,11 +636,6 @@ mod tests {
         for w in extras() {
             w.validate().unwrap_or_else(|e| panic!("{e}"));
             assert_eq!(by_name(w.name).unwrap().name, w.name);
-            assert!(
-                paper_reference(w.name).is_none(),
-                "{}: extras are not Table II entries",
-                w.name
-            );
         }
         assert_eq!(extras().len(), 3);
         assert!(!names().contains(&"burst"), "extras stay out of Table II");

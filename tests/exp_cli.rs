@@ -67,7 +67,7 @@ fn list_names_every_artifact_and_diagnostic() {
         "profile",
         "sweep",
         "tune",
-        "calibrate",
+        "scorecard",
         "trace",
         "record",
         "replay",
@@ -125,6 +125,7 @@ fn unparsable_arguments_are_refused_not_defaulted() {
     refused(&["table1", "--write-md", "x"]);
     refused(&["all", "--write-md"]);
     refused(&["probe", "mm", "dir", "extra"]);
+    refused(&["scorecard", "extra"]);
     // A search spec is the daemon's: whole JSON, known fields, valid values.
     refused(&["tune", "{\"preset\":"]);
     refused(&["tune", "{\"frobnicate\":3}"]);
@@ -144,6 +145,19 @@ fn uncreatable_outputs_are_refused_before_any_work() {
     refused_to_create(&["latency", "solo"]);
     refused_to_create(&["profile", "solo"]);
     refused_to_create(&["tune", "{\"preset\":\"smoke\"}"]);
+    refused_to_create(&["record", "solo"]);
+}
+
+/// `record` refuses a core count `replay` would refuse, before it records
+/// every core's stream in memory and before it creates the file.
+#[test]
+fn core_counts_replay_would_refuse_are_refused_before_recording() {
+    for cores in ["0", "16"] {
+        let trace = temp_path(&format!("{cores}-cores.trace"));
+        let err = refused(&["record", "solo", trace.to_str().unwrap(), cores]);
+        assert!(err.contains("15 cores"), "{err}");
+        assert!(!trace.exists(), "a refused record still wrote {trace:?}");
+    }
 }
 
 /// The CLI half of one spec, two front doors (the daemon's half is in the
