@@ -107,6 +107,13 @@ pub struct GpuConfig {
 }
 
 impl GpuConfig {
+    /// The longest queue [`GpuConfig::validate`] admits, for each queue
+    /// length it checks. The simulator allocates every queue whole when it
+    /// is built, and a failed allocation aborts the process, so a length
+    /// read from a job line or a flag is bounded here. It is 32× the
+    /// longest any preset, figure, ablation or tuner axis uses (128).
+    pub const MAX_QUEUE_LEN: usize = 4096;
+
     /// The baseline simulated GTX 480 (Table I).
     pub fn gtx480_baseline() -> Self {
         GpuConfig {
@@ -169,9 +176,14 @@ impl GpuConfig {
             ("core.mem_pipeline_width", self.core.mem_pipeline_width),
             ("core.ibuffer_size", self.core.ibuffer_size),
             ("core.response_fifo", self.core.response_fifo),
+            ("l2_access_queue", self.l2_access_queue),
+            ("l2_response_queue", self.l2_response_queue),
         ] {
-            if slots == 0 {
-                return Err(format!("{field} = 0: the queue needs at least one slot"));
+            if !(1..=Self::MAX_QUEUE_LEN).contains(&slots) {
+                return Err(format!(
+                    "{field} = {slots}: a queue holds 1 to {} slots",
+                    Self::MAX_QUEUE_LEN
+                ));
             }
         }
         if self.dram.n_channels != self.n_channels {
@@ -556,28 +568,34 @@ mod tests {
     }
 
     #[test]
-    fn validation_rejects_core_shapes_the_core_cannot_build() {
-        type Set = fn(&mut CoreConfig, usize);
-        let table: [(&str, Set, usize, usize); 5] = [
-            ("core.max_warps = 0", |c, v| c.max_warps = v, 0, 1),
-            ("core.max_warps = 65", |c, v| c.max_warps = v, 65, 64),
-            (
-                "core.mem_pipeline_width = 0",
-                |c, v| c.mem_pipeline_width = v,
-                0,
-                1,
-            ),
-            ("core.ibuffer_size = 0", |c, v| c.ibuffer_size = v, 0, 1),
-            ("core.response_fifo = 0", |c, v| c.response_fifo = v, 0, 1),
+    fn validation_rejects_shapes_the_simulator_cannot_build() {
+        type Set = fn(&mut GpuConfig, usize);
+        let max = GpuConfig::MAX_QUEUE_LEN;
+        #[rustfmt::skip]
+        let table: [(&str, Set, usize, usize); 12] = [
+            ("core.max_warps = 0", |c, v| c.core.max_warps = v, 0, 1),
+            ("core.max_warps = 65", |c, v| c.core.max_warps = v, 65, 64),
+            ("core.mem_pipeline_width = 0", |c, v| c.core.mem_pipeline_width = v, 0, 1),
+            ("core.ibuffer_size = 0", |c, v| c.core.ibuffer_size = v, 0, 1),
+            ("core.response_fifo = 0", |c, v| c.core.response_fifo = v, 0, 1),
+            ("l2_access_queue = 0", |c, v| c.l2_access_queue = v, 0, 1),
+            ("l2_response_queue = 0", |c, v| c.l2_response_queue = v, 0, 1),
+            // A queue is allocated whole: a length past the bound never
+            // reaches the allocator.
+            ("core.mem_pipeline_width = 4097", |c, v| c.core.mem_pipeline_width = v, max + 1, max),
+            ("core.ibuffer_size = 4097", |c, v| c.core.ibuffer_size = v, max + 1, max),
+            ("core.response_fifo = 4097", |c, v| c.core.response_fifo = v, max + 1, max),
+            ("l2_access_queue = 4097", |c, v| c.l2_access_queue = v, max + 1, max),
+            ("l2_response_queue = 4097", |c, v| c.l2_response_queue = v, max + 1, max),
         ];
         for (want, set, bad, edge) in table {
             let mut c = GpuConfig::gtx480_baseline();
-            set(&mut c.core, edge);
+            set(&mut c, edge);
             assert!(
                 c.validate().is_ok(),
                 "{want}: the edge value {edge} is valid"
             );
-            set(&mut c.core, bad);
+            set(&mut c, bad);
             let err = c.validate().expect_err(want);
             assert!(err.contains(want), "{err}");
         }

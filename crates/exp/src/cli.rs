@@ -9,9 +9,9 @@
 //! default.
 
 use crate::cache::{CachedRun, DiskCache};
-use crate::experiments::{fig10_configs, fig12_configs, Artifact, Render, ARTIFACTS};
+use crate::experiments::{config_labels, Artifact, ARTIFACTS};
 use crate::prof_export::{host_trace_json, utilization_table};
-use crate::runner::Baselines;
+use crate::runner::Runs;
 use crate::scorecard;
 use crate::trace_export::{chrome_trace_json, latency_table};
 use crate::tune::{frontier_csv, frontier_json, run_search, TuneParams};
@@ -89,7 +89,7 @@ fn dispatch(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Outcom
         return run(rest, out, err);
     }
     let named: Vec<Artifact> = args.iter().map(|a| artifact(a)).collect::<Result<_, _>>()?;
-    write!(out, "{}", report(&named, err)?)?;
+    write!(out, "{}", report(&named, &mut Runs::default(), err)?)?;
     Ok(())
 }
 
@@ -104,18 +104,13 @@ fn artifact(name: &str) -> Result<Artifact, Refusal> {
     })
 }
 
-/// Renders `artifacts` in order, a blank line between sections; the 19
-/// baselines are collected when the first artifact that reads them comes up.
-fn report(artifacts: &[Artifact], err: &mut dyn Write) -> Result<String, Refusal> {
-    let mut baselines = None;
+/// Renders `artifacts` in order, a blank line between sections, each from
+/// the runs in `runs` and the ones it adds there.
+fn report(artifacts: &[Artifact], runs: &mut Runs, err: &mut dyn Write) -> Result<String, Refusal> {
     let mut sections = Vec::new();
     for (i, a) in artifacts.iter().enumerate() {
         writeln!(err, "[{}/{}] {}...", i + 1, artifacts.len(), a.name)?;
-        sections.push(match a.render {
-            Render::Static(render) => render(),
-            Render::Baseline(render) => render(baselines.get_or_insert_with(Baselines::collect)),
-            Render::Table(table) => table(baselines.get_or_insert_with(Baselines::collect)).text,
-        });
+        sections.push((a.render)(runs).text);
     }
     Ok(sections.join("\n"))
 }
@@ -127,11 +122,13 @@ fn all(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Outcome {
         _ => return Err(Refusal("usage: gmh-exp all [--write-md PATH]".into())),
     };
     let t0 = Instant::now();
-    let report = report(&ARTIFACTS, err)?;
+    let mut runs = Runs::default();
+    let report = report(&ARTIFACTS, &mut runs, err)?;
     // Stdout ends with a blank line, the file does not: the bytes the
     // committed `experiments_report.txt` and its readers were made with.
     writeln!(out, "{report}")?;
-    writeln!(err, "total wall time: {:.1}s", t0.elapsed().as_secs_f64())?;
+    let (wall, sims) = (t0.elapsed().as_secs_f64(), runs.sims());
+    writeln!(err, "total wall time: {wall:.1}s, {sims} simulations")?;
     if let Some(path) = path {
         write_file(path, &report)?;
         writeln!(err, "wrote {path}")?;
@@ -284,9 +281,8 @@ fn sweep(args: &[String], out: &mut dyn Write, _: &mut dyn Write) -> Outcome {
     let wl = workload(args, "mm")?;
     let cache = DiskCache::open(DiskCache::default_dir()).map_err(cannot("open result cache"))?;
     let ev = Evaluator::new(&cache);
-    let cands: Vec<Candidate> = std::iter::once(("base", GpuConfig::gtx480_baseline()))
-        .chain(fig10_configs())
-        .chain(fig12_configs())
+    let cands: Vec<Candidate> = config_labels()
+        .into_iter()
         .map(|(label, cfg)| Candidate::new(label, cfg))
         .collect();
     let jobs: Vec<(&Candidate, &WorkloadSpec)> = cands.iter().map(|c| (c, &wl)).collect();
@@ -380,8 +376,10 @@ fn tune(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Outcome {
     Ok(())
 }
 
-fn scorecard(_: &[String], out: &mut dyn Write, _: &mut dyn Write) -> Outcome {
-    write!(out, "{}", scorecard::report(&Baselines::collect()))?;
+fn scorecard(_: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Outcome {
+    let mut runs = Runs::default();
+    write!(out, "{}", scorecard::report(&mut runs))?;
+    writeln!(err, "scorecard: {} simulations", runs.sims())?;
     Ok(())
 }
 

@@ -1,27 +1,37 @@
 //! Report generators, one per table/figure of the paper.
 //!
-//! Every function returns a plain-text report whose rows mirror the paper's
-//! artifact, annotated with the paper's numbers where it gives them; those
-//! numbers are read from [`crate::scorecard`]. [`ARTIFACTS`] lists them in
-//! report order; the `gmh-exp` CLI ([`crate::cli`]) prints any subset, or
-//! all of them as a full evaluation report.
+//! Every generator renders a [`Section`]: a plain-text report whose rows
+//! mirror the paper's artifact, annotated with the paper's numbers where it
+//! gives them (read from [`crate::scorecard`]), and the measured numbers the
+//! scorecard scores. Generators that simulate take their runs from one
+//! [`Runs`] store, so a run is made once per process. [`ARTIFACTS`] lists
+//! them in report order; the `gmh-exp` CLI ([`crate::cli`]) prints any
+//! subset, or all of them as a full evaluation report.
 
-use crate::runner::{par_map, Baselines};
+use crate::runner::Runs;
 use crate::scorecard;
-use gmh_core::{area, GpuConfig, GpuSim, SimStats};
+use gmh_core::{area, GpuConfig, SimStats};
 use gmh_workloads::{catalog, WorkloadSpec};
 use std::fmt::Write as _;
 
-/// How an [`Artifact`] is regenerated.
-#[derive(Clone, Copy, Debug)]
-pub enum Render {
-    /// Needs no baseline runs (it may still simulate, as Fig. 11 does).
-    Static(fn() -> String),
-    /// Reads the 19 baseline runs, which are collected once and shared.
-    Baseline(fn(&Baselines) -> String),
-    /// A per-workload [`Table`] of the baseline runs' benchmarks, whose
-    /// column means the scorecard scores.
-    Table(fn(&Baselines) -> Table),
+/// One rendered artifact: its text, and the numbers in it that the
+/// scorecard scores.
+pub struct Section {
+    /// The text.
+    pub text: String,
+    /// Each measured number: its label (a column heading, Table II's
+    /// `<bench> P∞`, §VII-C's `<config> <quantity>`), its value, and what
+    /// the text prints it times: 100 for a percentage, else 1.
+    pub measured: Vec<(String, f64, f64)>,
+}
+
+impl From<String> for Section {
+    fn from(text: String) -> Self {
+        Section {
+            text,
+            measured: Vec::new(),
+        }
+    }
 }
 
 /// One table or figure of the paper's evaluation.
@@ -35,6 +45,10 @@ pub struct Artifact {
     pub render: Render,
 }
 
+/// How an [`Artifact`] is rendered: from the runs of the process's store,
+/// adding those it lacks; the simulation-free artifacts ignore the store.
+pub type Render = fn(&mut Runs) -> Section;
+
 const fn row(name: &'static str, about: &'static str, render: Render) -> Artifact {
     Artifact {
         name,
@@ -45,27 +59,24 @@ const fn row(name: &'static str, about: &'static str, render: Render) -> Artifac
 
 /// Every artifact, in the order of the full report.
 #[rustfmt::skip]
-pub const ARTIFACTS: [Artifact; 16] = {
-    use Render::{Baseline, Static, Table};
-    [
-        row("table1", "Table I: Baseline architecture parameters", Static(table1)),
-        row("fig1", "Fig. 1: Issue stalls, L2-AHL and AML (baseline)", Table(fig1)),
-        row("table2", "Table II: P∞ and P_DRAM speedups", Baseline(table2)),
-        row("fig3", "Fig. 3: IPC vs fixed L1 miss latency (normalized to baseline)", Baseline(fig3)),
-        row("fig4", "Fig. 4: L2 access queue occupancy (usage lifetime)", Table(fig4)),
-        row("fig5", "Fig. 5: DRAM access queue occupancy (usage lifetime)", Table(fig5)),
-        row("fig6", "Fig. 6: Structural hazard illustration", Static(fig6)),
-        row("fig7", "Fig. 7: Issue-stall distribution", Table(fig7)),
-        row("fig8", "Fig. 8: L2 stall distribution", Table(fig8)),
-        row("fig9", "Fig. 9: L1 stall distribution", Table(fig9)),
-        row("fig10", "Fig. 10: IPC with 4x bandwidth scaling (normalized to baseline)", Table(fig10)),
-        row("fig11", "Fig. 11: Performance vs core frequency (wall-clock, normalized to 1.4 GHz)", Static(fig11)),
-        row("fig12", "Fig. 12: Cost-effective configurations (normalized to baseline)", Table(fig12)),
-        row("table3", "Table III: Consolidated design space", Static(table3)),
-        row("overhead", "Overhead (paper §VII-C)", Static(overhead)),
-        row("ablation", "Ablation: single-knob scaling (speedup over baseline)", Baseline(ablation)),
-    ]
-};
+pub const ARTIFACTS: [Artifact; 16] = [
+    row("table1", "Table I: Baseline architecture parameters", |_| table1().into()),
+    row("fig1", "Fig. 1: Issue stalls, L2-AHL and AML (baseline)", fig1),
+    row("table2", "Table II: P∞ and P_DRAM speedups", table2),
+    row("fig3", "Fig. 3: IPC vs fixed L1 miss latency (normalized to baseline)", fig3),
+    row("fig4", "Fig. 4: L2 access queue occupancy (usage lifetime)", fig4),
+    row("fig5", "Fig. 5: DRAM access queue occupancy (usage lifetime)", fig5),
+    row("fig6", "Fig. 6: Structural hazard illustration", |_| fig6().into()),
+    row("fig7", "Fig. 7: Issue-stall distribution", fig7),
+    row("fig8", "Fig. 8: L2 stall distribution", fig8),
+    row("fig9", "Fig. 9: L1 stall distribution", fig9),
+    row("fig10", "Fig. 10: IPC with 4x bandwidth scaling (normalized to baseline)", fig10),
+    row("fig11", "Fig. 11: Performance vs core frequency (wall-clock, normalized to 1.4 GHz)", fig11),
+    row("fig12", "Fig. 12: Cost-effective configurations (normalized to baseline)", fig12),
+    row("table3", "Table III: Consolidated design space", |_| table3().into()),
+    row("overhead", "Overhead (paper §VII-C)", |_| overhead()),
+    row("ablation", "Ablation: single-knob scaling (speedup over baseline)", ablation),
+];
 
 /// Benchmarks in the paper's Fig. 1/4/5/7/8/9 x-axis order.
 pub const FIG_ORDER: [&str; 19] = [
@@ -109,32 +120,21 @@ fn specs(names: &[&str]) -> Vec<WorkloadSpec> {
     names.iter().map(spec).collect()
 }
 
-fn base<'a>(baselines: &'a Baselines, name: &str) -> &'a SimStats {
-    baselines.get(name).expect("baseline ran")
+/// The baseline run of each named workload.
+fn baselines<'a>(runs: &'a mut Runs, names: &[&str]) -> Vec<&'a SimStats> {
+    let rows = runs.grid(&specs(names), &[GpuConfig::gtx480_baseline()]);
+    rows.into_iter().map(|row| row[0]).collect()
 }
 
-/// Simulates every workload under every labelled config; `grid[w][c]` is
-/// workload `w` under config `c`. Jobs run workload-major.
-fn grid<L>(workloads: &[WorkloadSpec], configs: &[(L, GpuConfig)]) -> Vec<Vec<SimStats>> {
-    let jobs = workloads
-        .iter()
-        .flat_map(|w| configs.iter().map(move |(_, cfg)| (cfg, w)))
-        .collect();
-    let mut stats = par_map(jobs, |(cfg, w)| GpuSim::new(cfg.clone(), w).run()).into_iter();
-    workloads
-        .iter()
-        .map(|_| stats.by_ref().take(configs.len()).collect())
-        .collect()
-}
-
-/// [`grid`] over the named workloads, as speedups over their baseline runs.
-fn speedups<L>(baselines: &Baselines, names: &[&str], configs: &[(L, GpuConfig)]) -> Vec<Vec<f64>> {
-    let rows = names.iter().zip(grid(&specs(names), configs));
-    rows.map(|(name, row)| {
-        let b = base(baselines, name);
-        row.iter().map(|st| st.speedup_over(b)).collect()
-    })
-    .collect()
+/// Each named workload under each labelled config, as a speedup over its
+/// baseline run; `speedups[w][c]` is workload `w` under config `c`.
+fn speedups<L>(runs: &mut Runs, names: &[&str], configs: &[(L, GpuConfig)]) -> Vec<Vec<f64>> {
+    let base = std::iter::once(GpuConfig::gtx480_baseline());
+    let configs: Vec<GpuConfig> = base.chain(configs.iter().map(|(_, c)| c.clone())).collect();
+    let rows = runs.grid(&specs(names), &configs);
+    let over_base =
+        |row: &Vec<&SimStats>| row[1..].iter().map(|st| st.speedup_over(row[0])).collect();
+    rows.iter().map(over_base).collect()
 }
 
 /// How a column of a per-workload table prints its values.
@@ -163,19 +163,11 @@ impl Col {
     }
 }
 
-/// A per-workload table, rendered.
-pub struct Table {
-    /// The text.
-    pub text: String,
-    /// Each column's heading, its mean over the benchmarks (the AVG row)
-    /// and what its values print times: 100 for a percentage, else 1.
-    pub means: Vec<(String, f64, f64)>,
-}
-
 /// The one per-workload table of artifact `name`: a row of values per
 /// benchmark of [`FIG_ORDER`], then the column means beside the paper's,
-/// printed through `footer` (see [`scorecard::footer`]).
-fn table(name: &str, footer: &str, columns: &[Col], rows: Vec<Vec<f64>>) -> Table {
+/// printed through `footer` (see [`scorecard::footer`]). The means, under
+/// their column headings, are what the section measures.
+fn table(name: &str, footer: &str, columns: &[Col], rows: Vec<Vec<f64>>) -> Section {
     let artifact = ARTIFACTS.iter().find(|a| a.name == name);
     let title = artifact.expect("a table is an artifact").about;
     let mut s = format!("== {title} ==\n{:<11}", "bench");
@@ -199,15 +191,16 @@ fn table(name: &str, footer: &str, columns: &[Col], rows: Vec<Vec<f64>>) -> Tabl
         means.push((c.0.to_string(), mean, scale));
     }
     writeln!(s, "   {}", scorecard::footer(name, footer)).unwrap();
-    Table { text: s, means }
+    Section {
+        text: s,
+        measured: means,
+    }
 }
 
 /// `values(baseline stats)` per benchmark of [`FIG_ORDER`].
-fn per_benchmark(baselines: &Baselines, values: impl Fn(&SimStats) -> Vec<f64>) -> Vec<Vec<f64>> {
-    FIG_ORDER
-        .iter()
-        .map(|n| values(base(baselines, n)))
-        .collect()
+fn per_benchmark(runs: &mut Runs, values: impl Fn(&SimStats) -> Vec<f64>) -> Vec<Vec<f64>> {
+    let stats = baselines(runs, &FIG_ORDER);
+    stats.into_iter().map(values).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -290,13 +283,13 @@ pub fn table1() -> String {
 // ---------------------------------------------------------------------------
 
 /// Fig. 1: issue-stall %, L2-AHL and AML per benchmark.
-pub fn fig1(baselines: &Baselines) -> Table {
+pub fn fig1(runs: &mut Runs) -> Section {
     let columns = [
         Col("stall%", 8, Percent),
         Col("L2-AHL", 8, Fixed(0)),
         Col("AML", 8, Fixed(0)),
     ];
-    let rows = per_benchmark(baselines, |b| {
+    let rows = per_benchmark(runs, |b| {
         vec![b.stall_fraction, b.l2_ahl_core_cycles, b.aml_core_cycles]
     });
     table("fig1", "(paper AVG: {}%, {}, {})", &columns, rows)
@@ -306,29 +299,27 @@ pub fn fig1(baselines: &Baselines) -> Table {
 // Table II
 // ---------------------------------------------------------------------------
 
-/// Every catalog workload (Table II order) with its P∞ and P_DRAM speedups
-/// over the baseline.
-pub(crate) fn ideal_memory_speedups(baselines: &Baselines) -> Vec<(&'static str, [f64; 2])> {
+/// Table II: every catalog workload's P∞ and P_DRAM speedups over the
+/// baseline, measured vs. paper, and the averages of all four columns. It
+/// measures the 38 speedups.
+pub fn table2(runs: &mut Runs) -> Section {
     let names = catalog::names();
     let ideal = [
-        ("pinf", GpuConfig::infinite_bw()),
-        ("pdram", GpuConfig::infinite_dram()),
+        ("P∞", GpuConfig::infinite_bw()),
+        ("P_DRAM", GpuConfig::infinite_dram()),
     ];
-    let rows = names.iter().zip(speedups(baselines, &names, &ideal));
-    rows.map(|(name, sp)| (*name, [sp[0], sp[1]])).collect()
-}
-
-/// Table II: P∞ and P_DRAM speedups, measured vs. paper, and the averages
-/// of all four columns.
-pub fn table2(baselines: &Baselines) -> String {
-    let papers: Vec<f64> = scorecard::rows("table2")
-        .map(scorecard::Row::value)
+    // The one place the order of Table II's rows is relied on: a P∞ and a
+    // P_DRAM row per workload, in catalog order.
+    let speedups = speedups(runs, &names, &ideal).concat();
+    let cells: Vec<_> = scorecard::rows("table2").zip(speedups).collect();
+    let measured = cells
+        .iter()
+        .map(|(r, v)| (r.1.to_string(), *v, 1.0))
         .collect();
-    let speedups = ideal_memory_speedups(baselines)
-        .into_iter()
-        .zip(papers.chunks(2));
-    let rows: Vec<(&str, [f64; 4])> = speedups
-        .map(|((n, [pinf, pdram]), paper)| (n, [pinf, paper[0], pdram, paper[1]]))
+    let rows: Vec<(&str, [f64; 4])> = names
+        .iter()
+        .zip(cells.chunks(2))
+        .map(|(n, c)| (*n, [c[0].1, c[0].0.value(), c[1].1, c[1].0.value()]))
         .collect();
     let avg = |c: usize| rows.iter().map(|(_, row)| row[c]).sum::<f64>() / rows.len() as f64;
     let average = ("Average", [0, 1, 2, 3].map(avg));
@@ -343,7 +334,7 @@ pub fn table2(baselines: &Baselines) -> String {
         let speedups = format!("{pinf:>6.2} {ri:>6.2} | {pdram:>6.2} {rd:>6.2}");
         writeln!(s, "{i:<4} {name:<11} {speedups}").unwrap();
     }
-    s
+    Section { text: s, measured }
 }
 
 // ---------------------------------------------------------------------------
@@ -351,10 +342,10 @@ pub fn table2(baselines: &Baselines) -> String {
 // ---------------------------------------------------------------------------
 
 /// Fig. 3: IPC (normalized to baseline) vs. fixed L1 miss latency.
-pub fn fig3(baselines: &Baselines) -> String {
+pub fn fig3(runs: &mut Runs) -> Section {
     let sweep = FIG3_LATENCIES.map(|lat| (lat, GpuConfig::fixed_l1_miss_latency(lat)));
     // One normalized-IPC series per benchmark.
-    let series = speedups(baselines, &FIG3_BENCHMARKS, &sweep);
+    let series = speedups(runs, &FIG3_BENCHMARKS, &sweep);
     let mut s = String::new();
     writeln!(
         s,
@@ -384,8 +375,9 @@ pub fn fig3(baselines: &Baselines) -> String {
         "bench", "crossing", "AML"
     )
     .unwrap();
-    for (name, series) in FIG3_BENCHMARKS.iter().zip(&series) {
-        let aml = base(baselines, name).aml_core_cycles;
+    let bases = baselines(runs, &FIG3_BENCHMARKS);
+    for ((name, series), base) in FIG3_BENCHMARKS.iter().zip(&series).zip(bases) {
+        let aml = base.aml_core_cycles;
         let crossing = FIG3_LATENCIES
             .windows(2)
             .zip(series.windows(2))
@@ -407,7 +399,7 @@ pub fn fig3(baselines: &Baselines) -> String {
          uncongested floor locate the congestion the paper targets)"
     )
     .unwrap();
-    s
+    s.into()
 }
 
 // ---------------------------------------------------------------------------
@@ -419,15 +411,15 @@ fn occupancy_bins() -> [Col; 5] {
 }
 
 /// Fig. 4: occupancy of the L2 access queues over their usage lifetime.
-pub fn fig4(baselines: &Baselines) -> Table {
-    let rows = per_benchmark(baselines, |b| b.l2_access_occupancy.fractions().to_vec());
+pub fn fig4(runs: &mut Runs) -> Section {
+    let rows = per_benchmark(runs, |b| b.l2_access_occupancy.fractions().to_vec());
     table("fig4", "(paper AVG full: {})", &occupancy_bins(), rows)
 }
 
 /// Fig. 5: occupancy of the DRAM scheduler queues over their usage
 /// lifetime.
-pub fn fig5(baselines: &Baselines) -> Table {
-    let rows = per_benchmark(baselines, |b| b.dram_queue_occupancy.fractions().to_vec());
+pub fn fig5(runs: &mut Runs) -> Section {
+    let rows = per_benchmark(runs, |b| b.dram_queue_occupancy.fractions().to_vec());
     table("fig5", "(paper AVG full: {})", &occupancy_bins(), rows)
 }
 
@@ -533,10 +525,10 @@ pub fn fig6() -> String {
 // ---------------------------------------------------------------------------
 
 /// Fig. 7: issue-stall cycle distribution.
-pub fn fig7(baselines: &Baselines) -> Table {
+pub fn fig7(runs: &mut Runs) -> Section {
     let columns =
         ["data-MEM", "data-ALU", "str-MEM", "str-ALU", "fetch"].map(|h| Col(h, 9, Percent));
-    let rows = per_benchmark(baselines, |b| b.issue.distribution().to_vec());
+    let rows = per_benchmark(runs, |b| b.issue.distribution().to_vec());
     table(
         "fig7",
         "(paper AVG: {} / {} / {} / {} / {})",
@@ -546,9 +538,9 @@ pub fn fig7(baselines: &Baselines) -> Table {
 }
 
 /// Fig. 8: L2 stall distribution.
-pub fn fig8(baselines: &Baselines) -> Table {
+pub fn fig8(runs: &mut Runs) -> Section {
     let columns = ["bp-ICNT", "port", "cache", "mshr", "bp-DRAM"].map(|h| Col(h, 9, Percent));
-    let rows = per_benchmark(baselines, |b| b.l2_stalls.fractions().to_vec());
+    let rows = per_benchmark(runs, |b| b.l2_stalls.fractions().to_vec());
     table(
         "fig8",
         "(paper AVG: {} / {} / {} / {} / {})",
@@ -558,9 +550,9 @@ pub fn fig8(baselines: &Baselines) -> Table {
 }
 
 /// Fig. 9: L1 stall distribution.
-pub fn fig9(baselines: &Baselines) -> Table {
+pub fn fig9(runs: &mut Runs) -> Section {
     let columns = ["cache", "mshr", "bp-L2"].map(|h| Col(h, 9, Percent));
-    let rows = per_benchmark(baselines, |b| b.l1_stalls.fractions().to_vec());
+    let rows = per_benchmark(runs, |b| b.l1_stalls.fractions().to_vec());
     table("fig9", "(paper AVG: {} / {} / {})", &columns, rows)
 }
 
@@ -583,32 +575,26 @@ pub fn fig10_configs() -> Vec<(&'static str, GpuConfig)> {
 
 /// Fig. 10: IPC (normalized to baseline) under 4× scaling of L1 / L2 /
 /// DRAM and their combinations.
-pub fn fig10(baselines: &Baselines) -> Table {
-    let configs = fig10_configs();
-    let rows = speedups(baselines, &FIG_ORDER, &configs);
-    speedup_table(
-        "fig10",
-        "(paper AVG: {} / {} / {} / {} / {} / {})",
-        &configs,
-        rows,
-    )
+pub fn fig10(runs: &mut Runs) -> Section {
+    let footer = "(paper AVG: {} / {} / {} / {} / {} / {})";
+    speedup_table(runs, "fig10", footer, &fig10_configs())
 }
 
-/// A Fig. 10/12-style table: `rows[w][c]` is benchmark `w` of
-/// [`FIG_ORDER`] under config `c`, as a speedup over its baseline. The
-/// figures simulate every cell afresh, never reading the result cache: its
-/// key covers label, config and workload but not the model.
-pub(crate) fn speedup_table(
+/// A Fig. 10/12-style table: each benchmark of [`FIG_ORDER`] under each
+/// config, as a speedup over its baseline. The cells come from `runs`, so
+/// a run another figure made is not repeated, but never from the result
+/// cache: its key covers label, config and workload but not the model.
+fn speedup_table(
+    runs: &mut Runs,
     name: &str,
     footer: &str,
     configs: &[(&'static str, GpuConfig)],
-    rows: Vec<Vec<f64>>,
-) -> Table {
+) -> Section {
     let columns: Vec<Col> = configs
         .iter()
         .map(|(label, _)| Col(label, 8, Fixed(2)))
         .collect();
-    table(name, footer, &columns, rows)
+    table(name, footer, &columns, speedups(runs, &FIG_ORDER, configs))
 }
 
 // ---------------------------------------------------------------------------
@@ -617,9 +603,9 @@ pub(crate) fn speedup_table(
 
 /// Fig. 11: core-frequency sweep (the paper's real-GTX 480 verification of
 /// the "L1 request rate vs. L2 bandwidth" mismatch, here on the simulator).
-pub fn fig11() -> String {
-    let sweep = FIG11_FREQS.map(|mhz| (mhz, GpuConfig::gtx480_baseline().with_core_mhz(mhz)));
-    let out = grid(&specs(&FIG11_BENCHMARKS), &sweep);
+pub fn fig11(runs: &mut Runs) -> Section {
+    let sweep = FIG11_FREQS.map(|mhz| GpuConfig::gtx480_baseline().with_core_mhz(mhz));
+    let out = runs.grid(&specs(&FIG11_BENCHMARKS), &sweep);
     let mut s = String::new();
     writeln!(
         s,
@@ -647,7 +633,7 @@ pub fn fig11() -> String {
          that raising the L1 request rate without L2 bandwidth is futile)"
     )
     .unwrap();
-    s
+    s.into()
 }
 
 // ---------------------------------------------------------------------------
@@ -664,11 +650,18 @@ pub fn fig12_configs() -> Vec<(&'static str, GpuConfig)> {
     ]
 }
 
+/// Every configuration a label names: the baseline as `base`, then
+/// Fig. 10's and Fig. 12's. A `gmh-serve` job selects one by its label, and
+/// `gmh-exp sweep` runs them all.
+pub fn config_labels() -> Vec<(&'static str, GpuConfig)> {
+    let base = std::iter::once(("base", GpuConfig::gtx480_baseline()));
+    base.chain(fig10_configs()).chain(fig12_configs()).collect()
+}
+
 /// Fig. 12: the cost-effective configurations vs. HBM.
-pub fn fig12(baselines: &Baselines) -> Table {
-    let configs = fig12_configs();
-    let rows = speedups(baselines, &FIG_ORDER, &configs);
-    speedup_table("fig12", "(paper AVG: {} / {} / {} / {})", &configs, rows)
+pub fn fig12(runs: &mut Runs) -> Section {
+    let footer = "(paper AVG: {} / {} / {} / {})";
+    speedup_table(runs, "fig12", footer, &fig12_configs())
 }
 
 /// Table III: baseline, 4×-scaled and cost-effective parameter values,
@@ -704,7 +697,8 @@ pub fn table3() -> String {
 }
 
 /// §VII-C: the area-overhead analysis of the cost-effective configurations.
-pub fn overhead() -> String {
+/// It measures every number its rows print, labelled `<config> <column>`.
+pub fn overhead() -> Section {
     let b = GpuConfig::gtx480_baseline();
     let mut s = String::new();
     writeln!(s, "== Overhead (paper §VII-C) ==").unwrap();
@@ -714,24 +708,28 @@ pub fn overhead() -> String {
         "config", "storage KB", "storage mm2", "wire mm2", "total mm2", "% die"
     )
     .unwrap();
+    let mut measured = Vec::new();
     for (label, cfg) in fig12_configs() {
         let r = area::overhead(&b, &cfg);
+        let columns = [
+            ("storage KB", r.storage_kb),
+            ("storage mm2", r.storage_mm2),
+            ("wire mm2", r.wire_mm2),
+            ("total mm2", r.total_mm2()),
+            ("% die", r.percent_of_die()),
+        ];
+        let [kb, storage, wire, total, die] = columns.map(|(_, v)| v);
         writeln!(
             s,
-            "{:<8} {:>11.1} {:>12.2} {:>10.2} {:>10.2} {:>7.2}%",
-            label,
-            r.storage_kb,
-            r.storage_mm2,
-            r.wire_mm2,
-            r.total_mm2(),
-            r.percent_of_die()
+            "{label:<8} {kb:>11.1} {storage:>12.2} {wire:>10.2} {total:>10.2} {die:>7.2}%"
         )
         .unwrap();
+        measured.extend(columns.map(|(column, v)| (format!("{label} {column}"), v, 1.0)));
     }
     let footer = "(paper: ~{} KB storage = {} mm2 ~= {}% for 16+48; +{} mm2 wires\n\
                   ~= {}% total for 16+68 / 32+52; HBM overhead not modeled on-die)";
     writeln!(s, "{}", scorecard::footer("overhead", footer)).unwrap();
-    s
+    Section { text: s, measured }
 }
 
 // ---------------------------------------------------------------------------
@@ -787,10 +785,10 @@ pub fn ablation_configs() -> Vec<(&'static str, GpuConfig)> {
 /// This extends the paper's §V consolidation: the paper groups parameters
 /// into Type '=' (remove stalls) and Type '+' (raise peak throughput) and
 /// scales them together; the ablation shows each knob's standalone effect.
-pub fn ablation(baselines: &Baselines) -> String {
+pub fn ablation(runs: &mut Runs) -> Section {
     let workloads = ["mm", "lbm"];
     let configs = ablation_configs();
-    let out = speedups(baselines, &workloads, &configs);
+    let out = speedups(runs, &workloads, &configs);
     let mut s = String::new();
     writeln!(
         s,
@@ -811,7 +809,7 @@ pub fn ablation(baselines: &Baselines) -> String {
          paper's central argument for scaling the levels in tandem)"
     )
     .unwrap();
-    s
+    s.into()
 }
 
 #[cfg(test)]
@@ -833,39 +831,6 @@ mod tests {
     }
 
     #[test]
-    fn grid_is_rows_of_workloads_by_columns_of_configs() {
-        let small = |name: &str| {
-            let mut w = catalog::by_name(name).unwrap();
-            w.warps_per_core = 2;
-            w.insts_per_warp = 40;
-            w
-        };
-        let cores = |n: usize| {
-            let mut c = GpuConfig::gtx480_baseline();
-            c.n_cores = n;
-            (n, c)
-        };
-        let workloads = [small("leukocyte"), small("mm"), small("mm")];
-        let configs = [cores(1), cores(2)];
-        let out = grid(&workloads, &configs);
-        assert_eq!(out.len(), workloads.len());
-        let key = |st: &SimStats| (st.insts, st.core_cycles);
-        for (w, row) in workloads.iter().zip(&out) {
-            assert_eq!(row.len(), configs.len());
-            // Cell [w][c] is workload w under config c, whatever order ran.
-            for ((_, cfg), st) in configs.iter().zip(row) {
-                let direct = GpuSim::new(cfg.clone(), w).run();
-                assert_eq!(key(st), key(&direct), "{} on {} cores", w.name, cfg.n_cores);
-            }
-        }
-        // The cells differ along both axes, so a transposed or shifted grid
-        // would have failed above; identical jobs give identical stats.
-        assert_ne!(key(&out[0][0]), key(&out[0][1]));
-        assert_ne!(key(&out[0][0]), key(&out[1][0]));
-        assert_eq!(key(&out[1][1]), key(&out[2][1]));
-    }
-
-    #[test]
     fn table1_mentions_key_parameters() {
         let t = table1();
         assert!(t.contains("15 SMs"));
@@ -884,7 +849,7 @@ mod tests {
 
     #[test]
     fn overhead_report_is_complete() {
-        let o = overhead();
+        let o = overhead().text;
         for label in ["16+48", "16+68", "32+52", "HBM"] {
             assert!(o.contains(label), "missing {label}");
         }
@@ -943,42 +908,38 @@ pub(crate) mod report_tests {
     //! synthetic statistics so they run in microseconds.
 
     use super::*;
-    use crate::runner::Baselines;
     use gmh_simt::IssueStallKind;
 
-    /// Fabricates a Baselines cache with distinctive, valid statistics.
-    pub(crate) fn synthetic_baselines() -> Baselines {
-        let entries = catalog::all()
-            .into_iter()
-            .enumerate()
-            .map(|(i, w)| {
-                let mut s = SimStats {
-                    core_cycles: 1000 + i as u64,
-                    insts: 5000,
-                    ipc: 1.0 + i as f64 * 0.1,
-                    aml_core_cycles: 400.0 + i as f64,
-                    l2_ahl_core_cycles: 250.0 + i as f64,
-                    stall_fraction: 0.5,
-                    dram_efficiency: 0.4,
-                    l1_miss_rate: 0.8,
-                    l2_miss_rate: 0.5,
-                    ..SimStats::default()
-                };
-                s.issue.record(IssueStallKind::StrMem);
-                s.issue.record(IssueStallKind::DataMem);
-                s.issue.record(IssueStallKind::Fetch);
-                s.issue.issued_cycles.add(10);
-                s.l1_stalls.record(gmh_cache_stall::L1StallKind::Mshr);
-                s.l1_stalls.record(gmh_cache_stall::L1StallKind::BpL2);
-                s.l2_stalls.record(gmh_cache_stall::L2StallKind::BpIcnt);
-                s.l2_stalls.record(gmh_cache_stall::L2StallKind::BpDram);
-                s.l2_access_occupancy.record(8, 8);
-                s.l2_access_occupancy.record(2, 8);
-                s.dram_queue_occupancy.record(16, 16);
-                (w, s)
-            })
-            .collect();
-        Baselines::from_entries(entries)
+    /// Fabricates the 19 baseline runs with distinctive, valid statistics.
+    pub(crate) fn synthetic_runs() -> Runs {
+        let mut runs = Runs::default();
+        for (i, w) in catalog::all().iter().enumerate() {
+            let mut s = SimStats {
+                core_cycles: 1000 + i as u64,
+                insts: 5000,
+                ipc: 1.0 + i as f64 * 0.1,
+                aml_core_cycles: 400.0 + i as f64,
+                l2_ahl_core_cycles: 250.0 + i as f64,
+                stall_fraction: 0.5,
+                dram_efficiency: 0.4,
+                l1_miss_rate: 0.8,
+                l2_miss_rate: 0.5,
+                ..SimStats::default()
+            };
+            s.issue.record(IssueStallKind::StrMem);
+            s.issue.record(IssueStallKind::DataMem);
+            s.issue.record(IssueStallKind::Fetch);
+            s.issue.issued_cycles.add(10);
+            s.l1_stalls.record(gmh_cache_stall::L1StallKind::Mshr);
+            s.l1_stalls.record(gmh_cache_stall::L1StallKind::BpL2);
+            s.l2_stalls.record(gmh_cache_stall::L2StallKind::BpIcnt);
+            s.l2_stalls.record(gmh_cache_stall::L2StallKind::BpDram);
+            s.l2_access_occupancy.record(8, 8);
+            s.l2_access_occupancy.record(2, 8);
+            s.dram_queue_occupancy.record(16, 16);
+            runs.insert(&GpuConfig::gtx480_baseline(), w, s);
+        }
+        runs
     }
 
     // Re-exported path shim: the stall types live in gmh-cache.
@@ -989,19 +950,19 @@ pub(crate) mod report_tests {
     /// footers.
     #[test]
     fn baseline_figures_render_byte_for_byte() {
-        let b = synthetic_baselines();
-        let figs = [fig1, fig4, fig5, fig7, fig8, fig9].map(|fig| fig(&b).text);
+        let mut runs = synthetic_runs();
+        let figs = [fig1, fig4, fig5, fig7, fig8, fig9].map(|fig| fig(&mut runs).text);
         let expected = include_str!("../testdata/synthetic_figures.txt");
         assert_eq!(figs.join("\n"), expected);
+        assert_eq!(runs.sims(), 0, "the figures read the stored baselines");
     }
 
     #[test]
     fn synthetic_baselines_cover_all_names() {
-        let b = synthetic_baselines();
-        for name in catalog::names() {
-            assert!(b.get(name).is_some(), "{name} missing from baselines");
-        }
-        assert!(b.get("nonesuch").is_none());
-        assert_eq!(b.iter().count(), 19);
+        let mut runs = synthetic_runs();
+        let all = catalog::all();
+        let rows = runs.grid(&all, &[GpuConfig::gtx480_baseline()]);
+        assert_eq!(rows.len(), 19);
+        assert_eq!(runs.sims(), 0, "every catalog workload has a baseline");
     }
 }

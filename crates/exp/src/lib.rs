@@ -37,5 +37,5 @@ pub use cache::{job_key, run_cached, CachedRun, DiskCache};
 pub use candidate::{Candidate, Evaluator};
 pub use export::{report_json, write_report};
 pub use prof_export::{host_trace_json, phase_rows, utilization_table};
-pub use runner::Baselines;
+pub use runner::Runs;
 pub use trace_export::{chrome_trace_json, latency_table};

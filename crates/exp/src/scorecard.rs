@@ -6,9 +6,10 @@
 //! `gmh-exp scorecard` ([`report`]) prints each row beside the measured
 //! value, its error and whether that is inside its unit's band.
 
-use crate::experiments::{ideal_memory_speedups, Render, ARTIFACTS};
-use crate::runner::Baselines;
-use gmh_core::{area, GpuConfig};
+use crate::experiments::ARTIFACTS;
+use crate::runner::Runs;
+use gmh_core::GpuConfig;
+use gmh_workloads::catalog;
 use std::fmt::Write as _;
 
 /// What a row measures: the unit of its error, and its band.
@@ -135,40 +136,22 @@ pub fn footer(artifact: &str, template: &str) -> String {
 /// signed error in the row's unit, and whether it is inside the band.
 type Score = (&'static Row, f64, f64, bool);
 
-/// Each row of `artifact` that `measured` names. A measurement is a label,
-/// a value and what the artifact prints the value times (100 for a
-/// percentage), which is the scale the paper's text is in.
+/// Each row of `artifact`, in row order, scored on the measurement of its
+/// label. A measurement is a label, a value and what the artifact prints
+/// the value times (100 for a percentage), which is the scale the paper's
+/// text is in; measurements no row names are not scored.
+///
+/// # Panics
+///
+/// If a row of `artifact` has no measurement.
 fn scores(artifact: &str, measured: &[(String, f64, f64)]) -> Vec<Score> {
-    let score = |(label, value, scale): &(String, f64, f64)| {
-        let row = rows(artifact).find(|r| r.1 == label.as_str())?;
+    let score = |row: &'static Row| {
+        let found = measured.iter().find(|m| m.0 == row.1);
+        let (_, value, scale) = found.unwrap_or_else(|| panic!("{artifact} measures no {}", row.1));
         let (error, inside) = row.3.error(*value, row.value() / scale);
-        Some((row, value * scale, error, inside))
+        (row, value * scale, error, inside)
     };
-    measured.iter().filter_map(score).collect()
-}
-
-/// Table II's speedups (the ideal-memory runs) or §VII-C's area figures,
-/// in the order of their rows.
-fn values_in_row_order(artifact: &str, baselines: &Baselines) -> Vec<f64> {
-    let area = |cfg| area::overhead(&GpuConfig::gtx480_baseline(), &cfg);
-    match artifact {
-        "table2" => ideal_memory_speedups(baselines)
-            .into_iter()
-            .flat_map(|(_, sp)| sp)
-            .collect(),
-        "overhead" => {
-            let a = area(GpuConfig::cost_effective_16_48());
-            let b = area(GpuConfig::cost_effective_16_68());
-            vec![
-                a.storage_kb,
-                a.storage_mm2,
-                a.percent_of_die(),
-                b.wire_mm2,
-                b.percent_of_die(),
-            ]
-        }
-        _ => Vec::new(),
-    }
+    rows(artifact).map(score).collect()
 }
 
 /// The mean |error| of `scores`.
@@ -177,19 +160,14 @@ fn mean_abs_error<'a>(scores: impl Iterator<Item = &'a Score>) -> f64 {
     errors.iter().sum::<f64>() / errors.len() as f64
 }
 
-/// Every row scored, in report order; the Fig. 10 and 12 grids and Table
-/// II's ideal memories simulate, about 250 runs besides `baselines`.
-fn score_all(baselines: &Baselines) -> Vec<Score> {
+/// Every row scored, in report order, on what its artifact's section
+/// measured. Cold, that is 228 runs: the 19 baselines, Table II's 38 ideal
+/// memories and the Fig. 10 and 12 grids, whose DRAM 4× and HBM columns
+/// are one run.
+fn score_all(runs: &mut Runs) -> Vec<Score> {
     let mut all = Vec::new();
-    for a in &ARTIFACTS {
-        let measured = match a.render {
-            Render::Table(table) => table(baselines).means,
-            _ => rows(a.name)
-                .zip(values_in_row_order(a.name, baselines))
-                .map(|(r, v)| (r.1.to_string(), v, 1.0))
-                .collect(),
-        };
-        all.extend(scores(a.name, &measured));
+    for a in ARTIFACTS.iter().filter(|a| rows(a.name).next().is_some()) {
+        all.extend(scores(a.name, &(a.render)(runs).measured));
     }
     assert_eq!(all.len(), ROWS.len(), "every row is measured once");
     all
@@ -197,8 +175,8 @@ fn score_all(baselines: &Baselines) -> Vec<Score> {
 
 /// The scorecard: every row scored, the mean |errors|, then the baseline
 /// statistics the workload models are calibrated against.
-pub fn report(baselines: &Baselines) -> String {
-    let scores = score_all(baselines);
+pub fn report(runs: &mut Runs) -> String {
+    let scores = score_all(runs);
     let mut s = "artifact  row                 paper  measured     error  verdict\n".to_string();
     for &(&Row(artifact, label, paper, unit), m, error, inside) in &scores {
         // One decimal more than the paper prints.
@@ -222,7 +200,10 @@ pub fn report(baselines: &Baselines) -> String {
     let what = "the 7 rows of exp.paper_err_pp (Fig. 8 bp-ICNT, bp-DRAM, port; Fig. 12)";
     writeln!(s, "mean |error|, {what}: {seven:.6} pp\n").unwrap();
     s += "baseline    stall   aml   ahl  l1mr  l2mr  eff\n";
-    for (w, b) in baselines.iter() {
+    let workloads = catalog::all();
+    let baselines = runs.grid(&workloads, &[GpuConfig::gtx480_baseline()]);
+    for (w, row) in workloads.iter().zip(baselines) {
+        let b = row[0];
         let (name, stall) = (w.name, 100.0 * b.stall_fraction);
         let (aml, ahl) = (b.aml_core_cycles, b.l2_ahl_core_cycles);
         let (l1, l2, eff) = (b.l1_miss_rate, b.l2_miss_rate, b.dram_efficiency);
@@ -238,11 +219,10 @@ pub fn report(baselines: &Baselines) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::report_tests::synthetic_baselines;
-    use crate::experiments::{fig12_configs, fig8, speedup_table, FIG_ORDER};
+    use crate::experiments::report_tests::synthetic_runs;
+    use crate::experiments::{self, fig12_configs, fig8, overhead};
     use gmh_cache::L2StallKind;
-    use gmh_core::SimStats;
-    use gmh_workloads::catalog;
+    use gmh_core::{area, SimStats};
 
     #[test]
     fn every_paper_value_parses() {
@@ -314,8 +294,8 @@ mod tests {
     /// 16+48 and 16+68 configurations.
     #[test]
     fn overhead_rows_score_their_own_quantities() {
-        let values = values_in_row_order("overhead", &synthetic_baselines());
-        let labelled: Vec<(&str, f64)> = rows("overhead").map(|r| r.1).zip(values).collect();
+        let scored = scores("overhead", &overhead().measured);
+        let labelled: Vec<(&str, f64)> = scored.iter().map(|s| (s.0 .1, s.1)).collect();
         let base = GpuConfig::gtx480_baseline();
         let a = area::overhead(&base, &GpuConfig::cost_effective_16_48());
         let b = area::overhead(&base, &GpuConfig::cost_effective_16_68());
@@ -386,17 +366,19 @@ mod tests {
         let paper_err_pp = mean(&all);
         // --- end of the copy ---
 
-        let names = catalog::names();
-        let entries = catalog::all().into_iter().zip(&grid);
-        let baselines = Baselines::from_entries(entries.map(|(w, g)| (w, g[0].clone())).collect());
-        let fig12_rows = FIG_ORDER.iter().map(|n| {
-            let g = &grid[names.iter().position(|x| x == n).unwrap()];
-            (1..5).map(|c| g[c].speedup_over(&g[0])).collect()
-        });
-        let footer = "(paper AVG: {} / {} / {} / {})";
-        let fig12 = speedup_table("fig12", footer, &fig12_configs(), fig12_rows.collect());
-        let mut scored = scores("fig8", &fig8(&baselines).means);
-        scored.extend(scores("fig12", &fig12.means));
+        let mut runs = Runs::default();
+        let configs = [("base", GpuConfig::gtx480_baseline())]
+            .into_iter()
+            .chain(fig12_configs());
+        let configs: Vec<GpuConfig> = configs.map(|(_, cfg)| cfg).collect();
+        for (w, stats) in catalog::all().iter().zip(&grid) {
+            for (cfg, st) in configs.iter().zip(stats) {
+                runs.insert(cfg, w, st.clone());
+            }
+        }
+        let mut scored = scores("fig8", &fig8(&mut runs).measured);
+        scored.extend(scores("fig12", &experiments::fig12(&mut runs).measured));
+        assert_eq!(runs.sims(), 0, "the figures read the synthetic runs");
         let seven: Vec<&Score> = scored.iter().filter(|s| in_paper_err(s.0)).collect();
         assert_eq!(seven.len(), 7);
         let ours = mean_abs_error(seven.into_iter());
@@ -409,7 +391,7 @@ mod tests {
 
     #[test]
     fn scores_are_in_the_papers_units() {
-        let scored = scores("fig8", &fig8(&synthetic_baselines()).means);
+        let scored = scores("fig8", &fig8(&mut synthetic_runs()).measured);
         assert_eq!(scored.len(), 5, "Fig. 8's five rows, nothing else");
         let f8 = |label| *scored.iter().find(|s| s.0 .1 == label).unwrap();
         // Two equal L2 stall kinds: 50 % each against the paper's 42 and 35.

@@ -15,6 +15,7 @@
     clippy::expect_used
 )]
 
+use gmh_core::GpuConfig;
 use gmh_serve::server::{spawn, ServerConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -55,6 +56,16 @@ fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
     }
     if cfg.workers == 0 || cfg.queue_capacity == 0 || cfg.job_timeout_ms == 0 {
         return Err("--workers, --queue and --timeout-ms must be positive".to_string());
+    }
+    // The admission queue is allocated whole at start-up, like a
+    // simulator's queues, so it takes their bound; the default of twice the
+    // workers is held to it too.
+    if cfg.queue_capacity > GpuConfig::MAX_QUEUE_LEN {
+        return Err(format!(
+            "--queue {} is over the most a queue holds, {}",
+            cfg.queue_capacity,
+            GpuConfig::MAX_QUEUE_LEN
+        ));
     }
     Ok(cfg)
 }
@@ -126,5 +137,7 @@ mod tests {
         assert!(parse_args(&s(&["--workers"])).is_err());
         assert!(parse_args(&s(&["--workers", "zero"])).is_err());
         assert!(parse_args(&s(&["--workers", "0"])).is_err());
+        // A queue the daemon would try to allocate whole at start-up.
+        assert!(parse_args(&s(&["--queue", "1099511627776"])).is_err());
     }
 }

@@ -28,7 +28,8 @@ pub struct Metrics {
     pub shed: AtomicU64,
     /// Jobs answered with `OK` (fresh runs and cache hits).
     pub completed: AtomicU64,
-    /// Jobs refused with `ERR` (validation failures, draining server).
+    /// Jobs refused with `ERR` (validation failures, draining server, a run
+    /// that failed).
     pub errored: AtomicU64,
     /// Jobs abandoned with `TIMEOUT`.
     pub timed_out: AtomicU64,

@@ -31,7 +31,7 @@
 
 use crate::json::{self, Json};
 use gmh_core::GpuConfig;
-use gmh_exp::experiments::{fig10_configs, fig12_configs};
+use gmh_exp::experiments::config_labels;
 use gmh_exp::tune::TuneParams;
 use gmh_types::telemetry::json_escape;
 use gmh_workloads::{catalog, WorkloadSpec};
@@ -137,14 +137,6 @@ impl Reply {
         }
         Err(format!("unrecognized reply line: {line:?}"))
     }
-}
-
-/// The named configurations a request may select with `config_label`.
-pub fn config_labels() -> Vec<(&'static str, GpuConfig)> {
-    let mut out = vec![("base", GpuConfig::gtx480_baseline())];
-    out.extend(fig10_configs());
-    out.extend(fig12_configs());
-    out
 }
 
 fn config_by_label(label: &str) -> Option<GpuConfig> {
@@ -554,6 +546,13 @@ mod tests {
         )
         .unwrap_err();
         assert!(e.contains("max_core_cycles = 18446744073709551615"), "{e}");
+        // A queue length the simulator would try to allocate whole.
+        for key in ["l2_access_queue", "l2_response_queue"] {
+            let line =
+                format!(r#"{{"workload":"mm","config_overrides":{{"{key}":1099511627776}}}}"#);
+            let e = parse_request(&line).unwrap_err();
+            assert!(e.contains(&format!("{key} = 1099511627776")), "{e}");
+        }
         // warps_per_core > 48 fails WorkloadSpec::validate.
         let e = parse_request(r#"{"workload":"mm","config_overrides":{"warps_per_core":64}}"#)
             .unwrap_err();

@@ -74,7 +74,7 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:7700".to_string(),
             workers,
-            queue_capacity: 2 * workers,
+            queue_capacity: workers.saturating_mul(2),
             job_timeout_ms: 120_000,
             cache_dir: DiskCache::default_dir(),
         }
@@ -520,9 +520,10 @@ fn admit_and_run(
 }
 
 /// Runs `f` on a helper thread named `gmh-{kind}` under the per-job
-/// wall-clock budget. A failed spawn counts `errored`, logs `err` and
-/// answers `ERR`; an expired budget counts `timed_out`, logs `timeout` and
-/// answers `TIMEOUT`. `log(outcome, run_ms)` writes the job's log line.
+/// wall-clock budget. A failed spawn, or a helper that panics (its result
+/// sender drops unsent), counts `errored`, logs `err` and answers `ERR`; an
+/// expired budget counts `timed_out`, logs `timeout` and answers
+/// `TIMEOUT`. `log(outcome, run_ms)` writes the job's log line.
 fn run_budgeted<T: Send + 'static>(
     shared: &Shared,
     kind: &str,
@@ -547,22 +548,29 @@ fn run_budgeted<T: Send + 'static>(
         .spawn(move || {
             tx.send(f()).ok();
         });
+    let what = if kind == "sim" { "simulation" } else { kind };
     if helper.is_err() {
         Metrics::inc(&shared.metrics.errored);
         log("err", 0);
-        let what = if kind == "sim" { "simulation" } else { kind };
         return Err(Reply::Err(format!("cannot spawn {what} thread")));
     }
     let timeout = Duration::from_millis(shared.cfg.job_timeout_ms);
-    rx.recv_timeout(timeout).map_err(|_| {
-        // The helper is abandoned, not killed: the simulator's cycle cap
-        // (`max_core_cycles`) or the search's evaluation budget bounds how
-        // long it can linger, and its eventual result is discarded. The
-        // job's slot is freed at once.
-        Metrics::inc(&shared.metrics.timed_out);
-        log("timeout", millis(started.elapsed()));
-        Reply::Timeout {
-            after_ms: shared.cfg.job_timeout_ms,
+    rx.recv_timeout(timeout).map_err(|e| match e {
+        mpsc::RecvTimeoutError::Disconnected => {
+            Metrics::inc(&shared.metrics.errored);
+            log("err", millis(started.elapsed()));
+            Reply::Err(format!("{what} failed"))
+        }
+        mpsc::RecvTimeoutError::Timeout => {
+            // The helper is abandoned, not killed: the simulator's cycle cap
+            // (`max_core_cycles`) or the search's evaluation budget bounds
+            // how long it can linger, and its eventual result is discarded.
+            // The job's slot is freed at once.
+            Metrics::inc(&shared.metrics.timed_out);
+            log("timeout", millis(started.elapsed()));
+            Reply::Timeout {
+                after_ms: shared.cfg.job_timeout_ms,
+            }
         }
     })
 }
@@ -867,6 +875,33 @@ mod tests {
         assert!(!line.try_start(3), "2 holds the slot");
         line.draining = true;
         assert_eq!(line.admit(5), Err(Refused::Draining));
+    }
+
+    /// A helper that panics drops its result sender unsent: the job is
+    /// answered `ERR` at once and counted `errored`, not `timed_out`.
+    #[test]
+    fn a_panicking_job_is_answered_err_not_timeout() {
+        let dir = std::env::temp_dir().join(format!("gmh-serve-panic-{}", std::process::id()));
+        let handle = spawn(ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            queue_capacity: 1,
+            job_timeout_ms: 60_000,
+            cache_dir: dir.clone(),
+        })
+        .unwrap();
+        let shared = &handle.shared;
+        let logged = std::cell::RefCell::new(Vec::new());
+        let log = |outcome: &str, _| logged.borrow_mut().push(outcome.to_string());
+        let reply = run_budgeted(shared, "sim", log, || -> u64 { panic!("a model bug") });
+        assert_eq!(reply, Err(Reply::Err("simulation failed".into())));
+        assert_eq!(*logged.borrow(), ["err"]);
+        assert_eq!(shared.metrics.errored.load(Ordering::SeqCst), 1);
+        assert_eq!(shared.metrics.timed_out.load(Ordering::SeqCst), 0);
+        shared.begin_shutdown();
+        shared.stop_accepting();
+        handle.join();
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
