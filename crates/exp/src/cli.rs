@@ -8,7 +8,7 @@
 //! exit code 2, nothing panics. An absent optional argument takes its
 //! default.
 
-use crate::cache::{CachedRun, DiskCache};
+use crate::cache::{job_key, CachedRun, DiskCache};
 use crate::experiments::{config_labels, Artifact, ARTIFACTS};
 use crate::prof_export::{host_trace_json, utilization_table};
 use crate::runner::Runs;
@@ -49,7 +49,7 @@ struct Command(&'static str, &'static str, usize, &'static str, Run);
 
 #[rustfmt::skip]
 const COMMANDS: [Command; 11] = [
-    Command("all", "[--write-md PATH]", 2, "every artifact above as one report, optionally also to a file", all),
+    Command("all", "", 0, "every artifact above as one report, the bytes of experiments_report.txt", all),
     Command("list", "", 0, "this listing", list),
     Command("probe", "[workload] [report-dir]", 2, "every statistic of one baseline run (default nn); with a directory, also <workload>.json (the report) and <workload>.csv (its telemetry) in it", probe),
     Command("latency", "[workload] [trace-out.json]", 2, "one baseline run's per-fetch latency per level, queueing vs service, 1 fetch in 4 traced (default lbm); with a path, also those fetches as Chrome trace JSON", latency),
@@ -115,24 +115,12 @@ fn report(artifacts: &[Artifact], runs: &mut Runs, err: &mut dyn Write) -> Resul
     Ok(sections.join("\n"))
 }
 
-fn all(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Outcome {
-    let path = match args {
-        [] => None,
-        [flag, _] if flag == "--write-md" => output(args, 1, false)?,
-        _ => return Err(Refusal("usage: gmh-exp all [--write-md PATH]".into())),
-    };
+fn all(_: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Outcome {
     let t0 = Instant::now();
     let mut runs = Runs::default();
-    let report = report(&ARTIFACTS, &mut runs, err)?;
-    // Stdout ends with a blank line, the file does not: the bytes the
-    // committed `experiments_report.txt` and its readers were made with.
-    writeln!(out, "{report}")?;
+    write!(out, "{}", report(&ARTIFACTS, &mut runs, err)?)?;
     let (wall, sims) = (t0.elapsed().as_secs_f64(), runs.sims());
     writeln!(err, "total wall time: {wall:.1}s, {sims} simulations")?;
-    if let Some(path) = path {
-        write_file(path, &report)?;
-        writeln!(err, "wrote {path}")?;
-    }
     Ok(())
 }
 
@@ -277,15 +265,23 @@ fn profile(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Outcome
 /// Evaluates through the tuner's candidate/evaluator layer and the shared
 /// content-addressed result cache (the one `gmh-serve` and `tune`
 /// populate): a warm cache prints the whole table with zero simulations.
+/// Each machine runs once: a label whose machine an earlier label names
+/// (Fig. 12's HBM is Fig. 10's DRAM 4×) prints that label's run.
 fn sweep(args: &[String], out: &mut dyn Write, _: &mut dyn Write) -> Outcome {
     let wl = workload(args, "mm")?;
     let cache = DiskCache::open(DiskCache::default_dir()).map_err(cannot("open result cache"))?;
     let ev = Evaluator::new(&cache);
-    let cands: Vec<Candidate> = config_labels()
-        .into_iter()
-        .map(|(label, cfg)| Candidate::new(label, cfg))
-        .collect();
-    let jobs: Vec<(&Candidate, &WorkloadSpec)> = cands.iter().map(|c| (c, &wl)).collect();
+    let (mut machines, mut rows) = (Vec::<(u64, Candidate)>::new(), Vec::new());
+    for (label, cfg) in config_labels() {
+        let key = job_key("", &cfg, &wl);
+        let run = machines.iter().position(|(k, _)| *k == key);
+        let run = run.unwrap_or_else(|| {
+            machines.push((key, Candidate::new(label, cfg)));
+            machines.len() - 1
+        });
+        rows.push((label, run));
+    }
+    let jobs: Vec<(&Candidate, &WorkloadSpec)> = machines.iter().map(|(_, c)| (c, &wl)).collect();
     let runs = ev.eval_batch(&jobs).map_err(cannot("run the configs"))?;
     let metric = |run: &CachedRun, name: &str| {
         let missing = || Refusal(format!("a cached report carries no {name}"));
@@ -302,12 +298,12 @@ fn sweep(args: &[String], out: &mut dyn Write, _: &mut dyn Write) -> Outcome {
         "{:<8} {:>7} {:>8} {:>7} {:>6} {:>9}",
         "config", "IPC", "speedup", "stall%", "AML", "L2q-full%"
     )?;
-    for (cand, run) in cands.iter().zip(&runs) {
+    for (label, run) in rows {
+        let run = &runs[run];
         let ipc = metric(run, "ipc")?;
         writeln!(
             out,
-            "{:<8} {ipc:>7.3} {:>7.2}x {:>7.1} {:>6.0} {:>9.0}{}",
-            cand.label,
+            "{label:<8} {ipc:>7.3} {:>7.2}x {:>7.1} {:>6.0} {:>9.0}{}",
             ipc / base_ipc,
             100.0 * metric(run, "stall_fraction")?,
             metric(run, "aml_core_cycles")?,

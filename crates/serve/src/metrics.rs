@@ -6,12 +6,13 @@
 //! accepted = completed + shed + errored + timed_out   (+ in-flight, transiently)
 //! ```
 //!
-//! `accepted` counts every job request *received* (including ones later
-//! refused); each such request gets exactly one terminal reply, and that
-//! reply increments exactly one of the four outcome counters. While a job
-//! waits in the admission queue or runs, the identity is short by the
-//! in-flight amount — the `gmh_jobs_inflight`/`gmh_queue_depth` gauges make
-//! that visible.
+//! `accepted` counts every request that gets a terminal reply: jobs,
+//! searches, and lines refused before they named either. The daemon's one
+//! terminal path (`server::Shared::answer`) counts a request in `accepted`,
+//! then counts the one outcome counter its reply names, so the identity
+//! holds by construction. While a job waits in the admission queue or runs,
+//! the identity is short by the in-flight amount — the
+//! `gmh_jobs_inflight`/`gmh_queue_depth` gauges make that visible.
 
 use gmh_types::prof::{HostPhase, HostReport, N_HOST_PHASES, TIMED_STRIDE};
 use gmh_types::{Histogram, Level, LevelLatency};
@@ -169,76 +170,28 @@ impl Metrics {
     /// Renders the Prometheus-style text exposition.
     pub fn render(&self, g: Gauges) -> String {
         let mut out = String::new();
-        let mut counter = |name: &str, help: &str, v: u64| {
+        #[rustfmt::skip]
+        let counters = [
+            ("gmh_requests_accepted_total", "Job requests received (each gets exactly one terminal reply).", &self.accepted),
+            ("gmh_requests_completed_total", "Job requests answered OK (fresh runs and cache hits).", &self.completed),
+            ("gmh_requests_shed_total", "Job requests shed with BUSY at admission (queue full).", &self.shed),
+            ("gmh_requests_errored_total", "Job requests refused with ERR.", &self.errored),
+            ("gmh_requests_timeout_total", "Job requests abandoned with TIMEOUT.", &self.timed_out),
+            ("gmh_cache_hits_total", "Result-cache hits.", &self.cache_hits),
+            ("gmh_cache_misses_total", "Result-cache misses.", &self.cache_misses),
+            ("gmh_sim_cycles_total", "Simulated core cycles across completed fresh runs.", &self.sim_cycles),
+            ("gmh_sim_wall_ms_total", "Wall-clock milliseconds spent simulating fresh runs.", &self.sim_wall_ms),
+            ("gmh_tune_requests_total", "Design-space search requests received.", &self.tune_requests),
+            ("gmh_tune_evals_total", "Candidate evaluations attempted across completed searches.", &self.tune_evals),
+            ("gmh_tune_fresh_sims_total", "Fresh simulations run by searches.", &self.tune_fresh_sims),
+            ("gmh_tune_cache_hits_total", "Search evaluations served from the result cache.", &self.tune_cache_hits),
+        ];
+        for (name, help, counter) in counters {
+            let v = Self::get(counter);
             out.push_str(&format!(
                 "# HELP {name} {help}\n# TYPE {name} counter\n{name} {v}\n"
             ));
-        };
-        counter(
-            "gmh_requests_accepted_total",
-            "Job requests received (each gets exactly one terminal reply).",
-            Self::get(&self.accepted),
-        );
-        counter(
-            "gmh_requests_completed_total",
-            "Job requests answered OK (fresh runs and cache hits).",
-            Self::get(&self.completed),
-        );
-        counter(
-            "gmh_requests_shed_total",
-            "Job requests shed with BUSY at admission (queue full).",
-            Self::get(&self.shed),
-        );
-        counter(
-            "gmh_requests_errored_total",
-            "Job requests refused with ERR.",
-            Self::get(&self.errored),
-        );
-        counter(
-            "gmh_requests_timeout_total",
-            "Job requests abandoned with TIMEOUT.",
-            Self::get(&self.timed_out),
-        );
-        counter(
-            "gmh_cache_hits_total",
-            "Result-cache hits.",
-            Self::get(&self.cache_hits),
-        );
-        counter(
-            "gmh_cache_misses_total",
-            "Result-cache misses.",
-            Self::get(&self.cache_misses),
-        );
-        counter(
-            "gmh_sim_cycles_total",
-            "Simulated core cycles across completed fresh runs.",
-            Self::get(&self.sim_cycles),
-        );
-        counter(
-            "gmh_sim_wall_ms_total",
-            "Wall-clock milliseconds spent simulating fresh runs.",
-            Self::get(&self.sim_wall_ms),
-        );
-        counter(
-            "gmh_tune_requests_total",
-            "Design-space search requests received.",
-            Self::get(&self.tune_requests),
-        );
-        counter(
-            "gmh_tune_evals_total",
-            "Candidate evaluations attempted across completed searches.",
-            Self::get(&self.tune_evals),
-        );
-        counter(
-            "gmh_tune_fresh_sims_total",
-            "Fresh simulations run by searches.",
-            Self::get(&self.tune_fresh_sims),
-        );
-        counter(
-            "gmh_tune_cache_hits_total",
-            "Search evaluations served from the result cache.",
-            Self::get(&self.tune_cache_hits),
-        );
+        }
         // One TYPE for the family, one `phase`-labeled series per host
         // phase — zero or not, so the label set is stable.
         out.push_str(&format!(
@@ -393,6 +346,105 @@ mod tests {
         // Exposition hygiene: HELP/TYPE precede every series.
         assert_eq!(text.matches("# TYPE").count(), 18);
     }
+
+    /// The whole exposition for fixed counter values, byte for byte: every
+    /// family, its HELP text and its place in the order.
+    #[test]
+    fn render_is_pinned_byte_for_byte() {
+        let m = Metrics::default();
+        let counters = [
+            &m.accepted,
+            &m.completed,
+            &m.shed,
+            &m.errored,
+            &m.timed_out,
+            &m.cache_hits,
+            &m.cache_misses,
+            &m.sim_cycles,
+            &m.sim_wall_ms,
+            &m.tune_requests,
+            &m.tune_evals,
+            &m.tune_fresh_sims,
+            &m.tune_cache_hits,
+        ];
+        for (i, c) in (1..).zip(counters) {
+            Metrics::add(c, 101 * i);
+        }
+        for (i, c) in (1..).zip(&m.host_phase_ns) {
+            Metrics::add(c, 7 * i);
+        }
+        m.record_job_rate(1_234_567, 1_000);
+        let text = m.render(Gauges {
+            queue_depth: 3,
+            queue_capacity: 8,
+            in_flight: 2,
+        });
+        assert_eq!(text, EXPOSITION);
+    }
+
+    const EXPOSITION: &str = r#"# HELP gmh_requests_accepted_total Job requests received (each gets exactly one terminal reply).
+# TYPE gmh_requests_accepted_total counter
+gmh_requests_accepted_total 101
+# HELP gmh_requests_completed_total Job requests answered OK (fresh runs and cache hits).
+# TYPE gmh_requests_completed_total counter
+gmh_requests_completed_total 202
+# HELP gmh_requests_shed_total Job requests shed with BUSY at admission (queue full).
+# TYPE gmh_requests_shed_total counter
+gmh_requests_shed_total 303
+# HELP gmh_requests_errored_total Job requests refused with ERR.
+# TYPE gmh_requests_errored_total counter
+gmh_requests_errored_total 404
+# HELP gmh_requests_timeout_total Job requests abandoned with TIMEOUT.
+# TYPE gmh_requests_timeout_total counter
+gmh_requests_timeout_total 505
+# HELP gmh_cache_hits_total Result-cache hits.
+# TYPE gmh_cache_hits_total counter
+gmh_cache_hits_total 606
+# HELP gmh_cache_misses_total Result-cache misses.
+# TYPE gmh_cache_misses_total counter
+gmh_cache_misses_total 707
+# HELP gmh_sim_cycles_total Simulated core cycles across completed fresh runs.
+# TYPE gmh_sim_cycles_total counter
+gmh_sim_cycles_total 808
+# HELP gmh_sim_wall_ms_total Wall-clock milliseconds spent simulating fresh runs.
+# TYPE gmh_sim_wall_ms_total counter
+gmh_sim_wall_ms_total 909
+# HELP gmh_tune_requests_total Design-space search requests received.
+# TYPE gmh_tune_requests_total counter
+gmh_tune_requests_total 1010
+# HELP gmh_tune_evals_total Candidate evaluations attempted across completed searches.
+# TYPE gmh_tune_evals_total counter
+gmh_tune_evals_total 1111
+# HELP gmh_tune_fresh_sims_total Fresh simulations run by searches.
+# TYPE gmh_tune_fresh_sims_total counter
+gmh_tune_fresh_sims_total 1212
+# HELP gmh_tune_cache_hits_total Search evaluations served from the result cache.
+# TYPE gmh_tune_cache_hits_total counter
+gmh_tune_cache_hits_total 1313
+# HELP gmh_host_phase_ns_total Host-scheduler wall nanoseconds per run-loop phase, accumulated over completed fresh runs; an estimate: 1 in 17 run-loop iterations is timed, and a phase gets its share of their wall times the loop's, so one run's phases never add up past its wall.
+# TYPE gmh_host_phase_ns_total counter
+gmh_host_phase_ns_total{phase="core_tick"} 7
+gmh_host_phase_ns_total{phase="icnt_tick"} 14
+gmh_host_phase_ns_total{phase="l2_tick"} 21
+gmh_host_phase_ns_total{phase="dram_tick"} 28
+gmh_host_phase_ns_total{phase="ff_probe"} 35
+gmh_host_phase_ns_total{phase="ff_jump"} 42
+gmh_host_phase_ns_total{phase="telemetry"} 49
+gmh_host_phase_ns_total{phase="sched_pop"} 56
+gmh_host_phase_ns_total{phase="sched_resched"} 63
+# HELP gmh_queue_depth Jobs waiting in the admission queue.
+# TYPE gmh_queue_depth gauge
+gmh_queue_depth 3
+# HELP gmh_queue_capacity Admission-queue capacity.
+# TYPE gmh_queue_capacity gauge
+gmh_queue_capacity 8
+# HELP gmh_jobs_inflight Jobs currently running (at most --workers at once).
+# TYPE gmh_jobs_inflight gauge
+gmh_jobs_inflight 2
+# HELP gmh_sim_cycles_per_sec EWMA of simulated cycles per wall second over completed fresh runs.
+# TYPE gmh_sim_cycles_per_sec gauge
+gmh_sim_cycles_per_sec 1234567.0
+"#;
 
     #[test]
     fn host_profile_metrics_accumulate_and_render() {

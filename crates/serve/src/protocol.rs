@@ -24,7 +24,9 @@
 //! A job is validated *before* admission: the workload must exist in
 //! [`gmh_workloads::catalog`], the label must name a known configuration
 //! (baseline, the Fig. 10 scalings, or the Fig. 12 cost-effective points),
-//! every override key must be recognized, and the resulting
+//! every override key must be recognized, the run length and telemetry
+//! window must sit inside [`MAX_RUN_CYCLES`] and [`MIN_TELEMETRY_WINDOW`],
+//! and the resulting
 //! [`GpuConfig`]/[`WorkloadSpec`] pair must pass its own `validate()`.
 //! Anything else is refused with `ERR` — the simulator never sees an
 //! ill-formed job.
@@ -241,8 +243,26 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 .as_u64()
                 .filter(|&v| v > 0)
                 .ok_or_else(|| format!("override {key:?} must be a positive integer"))?;
-            apply_override(&mut config, &mut workload, key, v)?;
+            let (_, set) = OVERRIDES.iter().find(|(k, _)| k == key).ok_or_else(|| {
+                let known: Vec<&str> = OVERRIDES.iter().map(|(k, _)| *k).collect();
+                format!("unknown override {key:?}; known: {}", known.join(", "))
+            })?;
+            if !set(&mut config, &mut workload, v) {
+                return Err(format!("override {key:?}={v} is out of range"));
+            }
         }
+    }
+    if config.max_core_cycles > MAX_RUN_CYCLES {
+        return Err(format!(
+            "max_core_cycles = {} is over the service cap of {MAX_RUN_CYCLES}",
+            config.max_core_cycles
+        ));
+    }
+    if config.telemetry_window < MIN_TELEMETRY_WINDOW {
+        return Err(format!(
+            "telemetry_window = {} is under the service floor of {MIN_TELEMETRY_WINDOW}",
+            config.telemetry_window
+        ));
     }
 
     config
@@ -260,6 +280,16 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     })))
 }
 
+/// The most core cycles one job, or one full run of a search, may simulate:
+/// the baseline's own cap, so every named configuration runs unmodified.
+/// It bounds how long a helper abandoned on `TIMEOUT` keeps a CPU busy.
+pub const MAX_RUN_CYCLES: u64 = 3_000_000;
+
+/// The narrowest telemetry window a job may ask for, in interconnect
+/// cycles: a run of [`MAX_RUN_CYCLES`] on the baseline then records under
+/// 25,000 windows, which go into both the reply and the cache entry.
+pub const MIN_TELEMETRY_WINDOW: u64 = 64;
+
 /// Service-side caps on a `"tune"` request: a search fans out into many
 /// simulations, so the daemon bounds what one request may ask for. These
 /// are admission limits, not search parameters — a request over a cap is
@@ -269,7 +299,7 @@ pub const TUNE_CAPS: TuneCaps = TuneCaps {
     pool: 128,
     survivors: 32,
     refine: 8,
-    full_cycles: 3_000_000,
+    full_cycles: MAX_RUN_CYCLES,
     workloads: 8,
 };
 
@@ -361,44 +391,27 @@ pub fn tune_line(
     format!("{{\"tune\":{{{}}}}}", body.join(","))
 }
 
-/// The override keys `config_overrides` accepts (documented in DESIGN.md
-/// §8); ergonomic knobs for scaling a job down (tests, smoke runs) or
-/// resizing service-relevant queues.
-const OVERRIDE_KEYS: &[&str] = &[
-    "n_cores",
-    "max_core_cycles",
-    "telemetry_window",
-    "l2_access_queue",
-    "l2_response_queue",
-    "warps_per_core",
-    "insts_per_warp",
+/// The keys `config_overrides` accepts (documented in DESIGN.md §8), each
+/// with its setter, which says whether the value fits the field; ergonomic
+/// knobs for scaling a job down (tests, smoke runs) or resizing
+/// service-relevant queues.
+#[rustfmt::skip]
+const OVERRIDES: [(&str, SetOverride); 7] = [
+    ("n_cores", |c, _, v| set(&mut c.n_cores, v)),
+    ("max_core_cycles", |c, _, v| set(&mut c.max_core_cycles, v)),
+    ("telemetry_window", |c, _, v| set(&mut c.telemetry_window, v)),
+    ("l2_access_queue", |c, _, v| set(&mut c.l2_access_queue, v)),
+    ("l2_response_queue", |c, _, v| set(&mut c.l2_response_queue, v)),
+    ("warps_per_core", |_, w, v| set(&mut w.warps_per_core, v)),
+    ("insts_per_warp", |_, w, v| set(&mut w.insts_per_warp, v)),
 ];
 
-fn apply_override(
-    cfg: &mut GpuConfig,
-    wl: &mut WorkloadSpec,
-    key: &str,
-    v: u64,
-) -> Result<(), String> {
-    let as_count = |v: u64| -> Result<usize, String> {
-        usize::try_from(v).map_err(|_| format!("override {key:?}={v} is out of range"))
-    };
-    match key {
-        "n_cores" => cfg.n_cores = as_count(v)?,
-        "max_core_cycles" => cfg.max_core_cycles = v,
-        "telemetry_window" => cfg.telemetry_window = v,
-        "l2_access_queue" => cfg.l2_access_queue = as_count(v)?,
-        "l2_response_queue" => cfg.l2_response_queue = as_count(v)?,
-        "warps_per_core" => wl.warps_per_core = as_count(v)?,
-        "insts_per_warp" => wl.insts_per_warp = v,
-        _ => {
-            return Err(format!(
-                "unknown override {key:?}; known: {}",
-                OVERRIDE_KEYS.join(", ")
-            ))
-        }
-    }
-    Ok(())
+/// Stores an override's value when it fits its field.
+type SetOverride = fn(&mut GpuConfig, &mut WorkloadSpec, u64) -> bool;
+
+/// Stores `v` in `field` when it fits.
+fn set<T: TryFrom<u64>>(field: &mut T, v: u64) -> bool {
+    T::try_from(v).map(|v| *field = v).is_ok()
 }
 
 /// Builds the JSON request line for a job submission (the client side of
@@ -559,6 +572,36 @@ mod tests {
         assert!(e.contains("invalid workload"), "{e}");
     }
 
+    /// A job's run length and telemetry width are bounded like a search's:
+    /// each bound holds at its limit and refuses one past it, naming the
+    /// field.
+    #[test]
+    fn run_length_and_telemetry_window_are_bounded() {
+        let line = |key: &str, v: u64| job_line("mm", None, None, &[(key.into(), v)], false);
+        let cycles = line("max_core_cycles", MAX_RUN_CYCLES);
+        assert!(
+            matches!(parse_request(&cycles), Ok(Request::Job(_))),
+            "{cycles}"
+        );
+        let e = parse_request(&line("max_core_cycles", MAX_RUN_CYCLES + 1)).unwrap_err();
+        assert!(e.contains("max_core_cycles = 3000001"), "{e}");
+        let window = line("telemetry_window", MIN_TELEMETRY_WINDOW);
+        assert!(
+            matches!(parse_request(&window), Ok(Request::Job(_))),
+            "{window}"
+        );
+        let e = parse_request(&line("telemetry_window", MIN_TELEMETRY_WINDOW - 1)).unwrap_err();
+        assert!(e.contains("telemetry_window = 63"), "{e}");
+        // Every named configuration runs inside both bounds unmodified, and
+        // a search's full run takes the same cap.
+        for (label, cfg) in config_labels() {
+            assert!(cfg.max_core_cycles <= MAX_RUN_CYCLES, "{label}");
+            assert!(cfg.telemetry_window >= MIN_TELEMETRY_WINDOW, "{label}");
+        }
+        assert_eq!(GpuConfig::gtx480_baseline().max_core_cycles, MAX_RUN_CYCLES);
+        assert_eq!(TUNE_CAPS.full_cycles, MAX_RUN_CYCLES);
+    }
+
     #[test]
     fn malformed_json_refused() {
         assert!(parse_request(r#"{"workload":"#)
@@ -700,7 +743,7 @@ mod tests {
                         let key = if rng.chance(0.5) {
                             fields[rng.range(0..fields.len())].clone()
                         } else {
-                            OVERRIDE_KEYS[rng.range(0..OVERRIDE_KEYS.len())].to_string()
+                            OVERRIDES[rng.range(0..OVERRIDES.len())].0.to_string()
                         };
                         let bits = rng.range(1..64u32);
                         (key, rng.below(1 << bits))
@@ -781,7 +824,7 @@ mod tests {
             if rng.chance(0.3) {
                 // A known key with an arbitrary integer, spelled as text so
                 // values past u64::MAX reach the parser.
-                let key = OVERRIDE_KEYS[rng.range(0..OVERRIDE_KEYS.len())];
+                let key = OVERRIDES[rng.range(0..OVERRIDES.len())].0;
                 let value = if rng.chance(0.5) {
                     twenty_digits(rng)
                 } else {

@@ -3,7 +3,9 @@
 //! ## Request path
 //!
 //! ```text
-//! conn thread:  read line → parse/validate → cache lookup
+//! conn thread:  read line → parse/validate
+//!                 refused  → ERR   (oversized, malformed, over a cap)
+//!               cache lookup
 //!                 hit  → OK (byte-identical stored report)
 //!                 miss → admit: push the job's id on the admission queue
 //!                          draining → ERR
@@ -13,9 +15,16 @@
 //!               run:  simulate on a helper thread → recv_timeout
 //!                          done    → report_json → cache.put → OK
 //!                          expired → TIMEOUT (helper is abandoned; the
-//!                                    cycle cap bounds how long it lingers)
+//!                                    service's run-length cap bounds how
+//!                                    long it lingers)
 //!               free the slot → wake the line
+//!               the reply → its outcome counter + its one log line
 //! ```
+//!
+//! Every request counted in `accepted` ends in [`Shared::answer`], which
+//! counts the one outcome its reply names and writes its one log line, so
+//! `accepted = completed + shed + errored + timed_out` and one log line per
+//! counted request hold by construction.
 //!
 //! The connection thread that read a job runs it, so a job crosses one
 //! thread hand-off, to its helper. [`ServerConfig::workers`] slots bound
@@ -81,31 +90,46 @@ impl Default for ServerConfig {
     }
 }
 
-/// The per-job structured log line: one JSON object, written to stderr at
-/// every terminal outcome so operators can grep/parse the job history
-/// without scraping METRICS. `queue_wait_ms` is admission-queue residency
-/// (0 for jobs that never queue: cache hits, sheds, refusals); `run_ms` is
-/// run wall time (0 for the same). `dropped` is what the always-on
-/// observers lost of a fresh run — `(trace events past trace_event_cap,
-/// timed host spans past the timeline cap)`, `(0, 0)` wherever nothing was
-/// observed — so a run whose live histograms cover only its head says so
-/// somewhere an operator reads; the daemon renders neither table that
-/// prints these counts.
-fn job_log_line(
+/// What a counted request's structured log line says besides its outcome,
+/// filled in as the request moves; the line is one JSON object on stderr, so
+/// operators can grep/parse the job history without scraping METRICS.
+/// `queue_wait_ms` is admission-queue residency and `run_ms` run wall time,
+/// both 0 for a request that never queues or runs (cache hits, sheds,
+/// refusals). `dropped` is what the always-on observers lost of a fresh run —
+/// `(trace events past trace_event_cap, timed host spans past the timeline
+/// cap)`, `(0, 0)` wherever nothing was observed — so a run whose live
+/// histograms cover only its head says so somewhere an operator reads; the
+/// daemon renders neither table that prints these counts.
+#[derive(Debug)]
+struct JobLog {
     id: u64,
-    kind: &str,
-    outcome: &str,
-    cache: &str,
+    /// `sim`, `tune`, or `invalid` for a line refused before it named either.
+    kind: &'static str,
+    /// `hit`, `miss`, `bypass` (a traced job) or `none` (searches, refusals).
+    cache: &'static str,
     queue_wait_ms: u64,
     run_ms: u64,
-    (events_dropped, spans_dropped): (u64, u64),
-) -> String {
-    format!(
-        "{{\"gmh_job\":{id},\"kind\":\"{kind}\",\"outcome\":\"{outcome}\",\
-         \"cache\":\"{cache}\",\"queue_wait_ms\":{queue_wait_ms},\
-         \"run_ms\":{run_ms},\"events_dropped\":{events_dropped},\
-         \"spans_dropped\":{spans_dropped}}}"
-    )
+    dropped: (u64, u64),
+}
+
+impl JobLog {
+    /// The log line of a request that ended as `outcome`.
+    fn line(&self, outcome: &str) -> String {
+        let JobLog {
+            id,
+            kind,
+            cache,
+            queue_wait_ms,
+            run_ms,
+            dropped: (events_dropped, spans_dropped),
+        } = self;
+        format!(
+            "{{\"gmh_job\":{id},\"kind\":\"{kind}\",\"outcome\":\"{outcome}\",\
+             \"cache\":\"{cache}\",\"queue_wait_ms\":{queue_wait_ms},\
+             \"run_ms\":{run_ms},\"events_dropped\":{events_dropped},\
+             \"spans_dropped\":{spans_dropped}}}"
+        )
+    }
 }
 
 fn millis(d: Duration) -> u64 {
@@ -366,10 +390,9 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) -> io::Result<()> 
             LineRead::Eof => return Ok(()),
             LineRead::TooLong => {
                 // A terminal reply even for unparseable-by-size requests.
-                Metrics::inc(&shared.metrics.accepted);
-                Metrics::inc(&shared.metrics.errored);
                 let msg = format!("request line exceeds {MAX_LINE_BYTES} bytes");
-                write_reply(&mut writer, &Reply::Err(msg).render())?;
+                let reply = shared.answer("invalid", |_| Reply::Err(msg));
+                write_reply(&mut writer, &reply.render())?;
                 // Drain (bounded) what the client already sent before
                 // closing: closing with unread bytes in the receive buffer
                 // resets the connection and can destroy the ERR reply in
@@ -383,12 +406,8 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) -> io::Result<()> 
         if line.trim().is_empty() {
             continue;
         }
-        match parse_request(&line) {
-            Err(msg) => {
-                Metrics::inc(&shared.metrics.accepted);
-                Metrics::inc(&shared.metrics.errored);
-                write_reply(&mut writer, &Reply::Err(msg).render())?;
-            }
+        let reply = match parse_request(&line) {
+            Err(msg) => shared.answer("invalid", |_| Reply::Err(msg)),
             Ok(Request::Ping) => {
                 let line = format!(
                     "OK {{\"pong\":true,\"version\":\"{}\",\"git_sha\":\"{}\"}}",
@@ -396,12 +415,14 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) -> io::Result<()> 
                     env!("GMH_GIT_SHA"),
                 );
                 write_reply(&mut writer, &line)?;
+                continue;
             }
             Ok(Request::Metrics) => {
                 let text = shared.metrics_text();
                 writer.write_all(b"METRICS\n")?;
                 writer.write_all(text.as_bytes())?;
                 writer.write_all(b"END\n")?;
+                continue;
             }
             Ok(Request::Shutdown) => {
                 shared.begin_shutdown();
@@ -415,64 +436,45 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) -> io::Result<()> 
                 shared.stop_accepting();
                 return sent;
             }
-            Ok(Request::Job(job)) => {
-                let reply = submit_job(shared, job);
-                write_reply(&mut writer, &reply.render())?;
-            }
-            Ok(Request::Tune(params)) => {
-                let reply = submit_tune(shared, params);
-                write_reply(&mut writer, &reply.render())?;
-            }
-        }
+            Ok(Request::Job(job)) => shared.answer("sim", |log| submit_job(shared, *job, log)),
+            Ok(Request::Tune(params)) => shared.answer("tune", |log| {
+                // One search holds one slot, and its internal fan-out is
+                // budget-limited by the protocol caps.
+                Metrics::inc(&shared.metrics.tune_requests);
+                admit_and_run(shared, log, |_| execute_tune(shared, *params))
+            }),
+        };
+        write_reply(&mut writer, &reply.render())?;
     }
 }
 
 /// Answers one validated job: from the cache, or by running it through
 /// admission.
-fn submit_job(shared: &Arc<Shared>, job: Box<JobRequest>) -> Reply {
-    Metrics::inc(&shared.metrics.accepted);
-    let id = shared.metrics.next_job_id();
+fn submit_job(shared: &Shared, job: JobRequest, log: &mut JobLog) -> Reply {
     let key = job_key(&job.label, &job.config, &job.workload);
-
     // Cache first: a hit bypasses admission entirely — repeats are free and
     // byte-identical, even while the queue is saturated. Traced jobs skip
     // the cache both ways: it stores reports, not traces.
-    let cache = if job.trace { "bypass" } else { "miss" };
-    if !job.trace {
-        if let Some(json) = shared.cache.get(key) {
-            Metrics::inc(&shared.metrics.cache_hits);
-            Metrics::inc(&shared.metrics.completed);
-            eprintln!("{}", job_log_line(id, "sim", "ok", "hit", 0, 0, (0, 0)));
-            return Reply::Ok(json);
-        }
+    if job.trace {
+        log.cache = "bypass";
+    } else if let Some(json) = shared.cache.get(key) {
+        Metrics::inc(&shared.metrics.cache_hits);
+        log.cache = "hit";
+        return Reply::Ok(json);
+    } else {
         Metrics::inc(&shared.metrics.cache_misses);
+        log.cache = "miss";
     }
-    admit_and_run(shared, id, "sim", cache, |wait_ms| {
-        execute_job(shared, *job, key, id, wait_ms)
-    })
+    admit_and_run(shared, log, |log| execute_job(shared, job, key, log))
 }
 
-/// Runs one validated tune search through admission. One search holds one
-/// slot, and its internal fan-out is budget-limited by the protocol caps.
-fn submit_tune(shared: &Arc<Shared>, params: Box<TuneParams>) -> Reply {
-    Metrics::inc(&shared.metrics.accepted);
-    Metrics::inc(&shared.metrics.tune_requests);
-    let id = shared.metrics.next_job_id();
-    admit_and_run(shared, id, "tune", "none", |wait_ms| {
-        execute_tune(shared, *params, id, wait_ms)
-    })
-}
-
-/// Puts job `id` in line (or refuses or sheds it), waits for its turn,
-/// runs `run(queue_wait_ms)` on this thread, and frees the slot.
-/// `kind`/`cache` only feed the log line of a refusal or shed; `run` logs
-/// the rest.
+/// Puts the request in line (or refuses or sheds it), waits for its turn,
+/// runs `run` on this thread, and frees the slot; `log` takes the queue wait
+/// and the run time.
 fn admit_and_run(
     shared: &Shared,
-    id: u64,
-    kind: &str,
-    cache: &str,
-    run: impl FnOnce(u64) -> Reply,
+    log: &mut JobLog,
+    run: impl FnOnce(&mut JobLog) -> Reply,
 ) -> Reply {
     #[expect(
         clippy::disallowed_types,
@@ -483,21 +485,14 @@ fn admit_and_run(
     let enqueued_at = std::time::Instant::now();
     {
         let mut st = shared.admission();
-        if let Err(refused) = st.admit(id) {
-            let (outcome, reply) = match refused {
-                Refused::Draining => {
-                    Metrics::inc(&shared.metrics.errored);
-                    ("err", Reply::Err("server is shutting down".to_string()))
-                }
-                Refused::Full => {
-                    // Back-pressure: shed explicitly instead of buffering.
-                    Metrics::inc(&shared.metrics.shed);
-                    let retry_after_ms = shared.metrics.avg_job_ms();
-                    ("busy", Reply::Busy { retry_after_ms })
-                }
-            };
-            eprintln!("{}", job_log_line(id, kind, outcome, cache, 0, 0, (0, 0)));
-            return reply;
+        match st.admit(log.id) {
+            Ok(()) => {}
+            Err(Refused::Draining) => return Reply::Err("server is shutting down".to_string()),
+            // Back-pressure: shed explicitly instead of buffering.
+            Err(Refused::Full) => {
+                let retry_after_ms = shared.metrics.avg_job_ms();
+                return Reply::Busy { retry_after_ms };
+            }
         }
         #[expect(
             clippy::expect_used,
@@ -506,37 +501,31 @@ fn admit_and_run(
         )]
         let st = shared
             .turn
-            .wait_while(st, |st| !st.try_start(id))
+            .wait_while(st, |st| !st.try_start(log.id))
             .expect("admission lock");
         // The pop moved the line up: its new head may fit a free slot too.
         if !st.queue.is_empty() && st.in_flight < st.slots {
             shared.turn.notify_all();
         }
     }
-    let reply = run(millis(enqueued_at.elapsed()));
+    let waited = enqueued_at.elapsed();
+    log.queue_wait_ms = millis(waited);
+    let reply = run(log);
+    log.run_ms = millis(enqueued_at.elapsed() - waited);
     shared.admission().finish();
     shared.turn.notify_all();
     reply
 }
 
 /// Runs `f` on a helper thread named `gmh-{kind}` under the per-job
-/// wall-clock budget. A failed spawn, or a helper that panics (its result
-/// sender drops unsent), counts `errored`, logs `err` and answers `ERR`; an
-/// expired budget counts `timed_out`, logs `timeout` and answers
-/// `TIMEOUT`. `log(outcome, run_ms)` writes the job's log line.
+/// wall-clock budget: its result, or the reply that ends the request — `ERR`
+/// for a failed spawn or a helper that panicked (its result sender drops
+/// unsent), `TIMEOUT` for an expired budget.
 fn run_budgeted<T: Send + 'static>(
     shared: &Shared,
     kind: &str,
-    log: impl Fn(&str, u64),
     f: impl FnOnce() -> T + Send + 'static,
 ) -> Result<T, Reply> {
-    #[expect(
-        clippy::disallowed_types,
-        reason = "per-job wall-clock timeout and gmh_sim_wall_ms_total metric are service-layer \
-            time, orthogonal to the simulation clock; results remain a pure function of (config, \
-            seed)"
-    )]
-    let started = std::time::Instant::now();
     #[expect(
         clippy::disallowed_methods,
         reason = "the helper's result channel carries exactly one value, the job's result, and is \
@@ -550,39 +539,24 @@ fn run_budgeted<T: Send + 'static>(
         });
     let what = if kind == "sim" { "simulation" } else { kind };
     if helper.is_err() {
-        Metrics::inc(&shared.metrics.errored);
-        log("err", 0);
         return Err(Reply::Err(format!("cannot spawn {what} thread")));
     }
     let timeout = Duration::from_millis(shared.cfg.job_timeout_ms);
     rx.recv_timeout(timeout).map_err(|e| match e {
-        mpsc::RecvTimeoutError::Disconnected => {
-            Metrics::inc(&shared.metrics.errored);
-            log("err", millis(started.elapsed()));
-            Reply::Err(format!("{what} failed"))
-        }
-        mpsc::RecvTimeoutError::Timeout => {
-            // The helper is abandoned, not killed: the simulator's cycle cap
-            // (`max_core_cycles`) or the search's evaluation budget bounds
-            // how long it can linger, and its eventual result is discarded.
-            // The job's slot is freed at once.
-            Metrics::inc(&shared.metrics.timed_out);
-            log("timeout", millis(started.elapsed()));
-            Reply::Timeout {
-                after_ms: shared.cfg.job_timeout_ms,
-            }
-        }
+        mpsc::RecvTimeoutError::Disconnected => Reply::Err(format!("{what} failed")),
+        // The helper is abandoned, not killed: the service's cap on a job's
+        // run length (`protocol::MAX_RUN_CYCLES`) or a search's evaluation
+        // budget bounds how long it can linger, and its eventual result is
+        // discarded. The job's slot is freed at once.
+        mpsc::RecvTimeoutError::Timeout => Reply::Timeout {
+            after_ms: shared.cfg.job_timeout_ms,
+        },
     })
 }
 
-/// Runs one job under the wall-clock budget.
-fn execute_job(
-    shared: &Arc<Shared>,
-    job: JobRequest,
-    key: u64,
-    id: u64,
-    queue_wait_ms: u64,
-) -> Reply {
+/// Runs one job under the wall-clock budget; `log` takes what its
+/// observers dropped.
+fn execute_job(shared: &Shared, job: JobRequest, key: u64, log: &mut JobLog) -> Reply {
     #[expect(
         clippy::disallowed_types,
         reason = "per-job wall-clock timeout and gmh_sim_wall_ms_total metric are service-layer \
@@ -600,24 +574,12 @@ fn execute_job(
         config.trace_sample = 16;
     }
     config.profile_host = true;
-    let cache = if job.trace { "bypass" } else { "miss" };
-    let log = |outcome: &str, run_ms: u64, dropped: (u64, u64)| {
-        eprintln!(
-            "{}",
-            job_log_line(id, "sim", outcome, cache, queue_wait_ms, run_ms, dropped)
-        );
-    };
     let workload = job.workload.clone();
-    let run = run_budgeted(
-        shared,
-        "sim",
-        |outcome, run_ms| log(outcome, run_ms, (0, 0)),
-        move || {
-            let mut sim = GpuSim::new(config, &workload);
-            let stats = sim.run();
-            (stats, sim.take_host_report())
-        },
-    );
+    let run = run_budgeted(shared, "sim", move || {
+        let mut sim = GpuSim::new(config, &workload);
+        let stats = sim.run();
+        (stats, sim.take_host_report())
+    });
     let (stats, host_report) = match run {
         Ok(done) => done,
         Err(reply) => return reply,
@@ -626,7 +588,7 @@ fn execute_job(
     if let Some(hr) = &host_report {
         shared.metrics.record_host_profile(hr);
     }
-    let dropped = (
+    log.dropped = (
         stats.trace.dropped_events,
         host_report.as_ref().map_or(0, |hr| hr.dropped),
     );
@@ -643,8 +605,6 @@ fn execute_job(
     Metrics::add(&shared.metrics.sim_cycles, stats.core_cycles);
     Metrics::add(&shared.metrics.sim_wall_ms, wall_ms);
     shared.metrics.record_job_rate(stats.core_cycles, wall_ms);
-    Metrics::inc(&shared.metrics.completed);
-    log("ok", wall_ms, dropped);
     Reply::Ok(json)
 }
 
@@ -654,24 +614,10 @@ fn execute_job(
 /// simulation the search triggers lands in (and is served from) the same
 /// store the plain job path uses — a warm repeat of a search is pure cache
 /// hits — and is listed in the index the shutdown flushes.
-fn execute_tune(shared: &Arc<Shared>, params: TuneParams, id: u64, queue_wait_ms: u64) -> Reply {
-    #[expect(
-        clippy::disallowed_types,
-        reason = "per-job wall-clock timeout and gmh_sim_wall_ms_total metric are service-layer \
-            time, orthogonal to the simulation clock; results remain a pure function of (config, \
-            seed)"
-    )]
-    let started = std::time::Instant::now();
-    let log = |outcome: &str, run_ms: u64| {
-        eprintln!(
-            "{}",
-            job_log_line(id, "tune", outcome, "none", queue_wait_ms, run_ms, (0, 0))
-        );
-    };
+fn execute_tune(shared: &Arc<Shared>, params: TuneParams) -> Reply {
     let sh = Arc::clone(shared);
     let p = params.clone();
-    let run = run_budgeted(shared, "tune", log, move || run_search(&sh.cache, &p));
-    match run {
+    match run_budgeted(shared, "tune", move || run_search(&sh.cache, &p)) {
         Ok(Ok(out)) => {
             // Searches are charged to their own counters, not to
             // `sim_wall_ms`: the BUSY retry hint must stay an average over
@@ -689,20 +635,40 @@ fn execute_tune(shared: &Arc<Shared>, params: TuneParams, id: u64, queue_wait_ms
                 u64::try_from(out.cache_hits).unwrap_or(u64::MAX),
             );
             Metrics::inc(&shared.metrics.tune_completed);
-            Metrics::inc(&shared.metrics.completed);
-            log("ok", millis(started.elapsed()));
             Reply::Ok(frontier_json(&params, &out))
         }
-        Ok(Err(e)) => {
-            Metrics::inc(&shared.metrics.errored);
-            log("err", millis(started.elapsed()));
-            Reply::Err(format!("tune failed: {e}"))
-        }
+        Ok(Err(e)) => Reply::Err(format!("tune failed: {e}")),
         Err(reply) => reply,
     }
 }
 
 impl Shared {
+    /// The one terminal path of a request counted in `accepted`: counts it,
+    /// gives it a job id, lets `run` answer it (filling in its log facts),
+    /// then counts the one outcome the reply names and writes the request's
+    /// one log line with that outcome.
+    fn answer(&self, kind: &'static str, run: impl FnOnce(&mut JobLog) -> Reply) -> Reply {
+        Metrics::inc(&self.metrics.accepted);
+        let mut log = JobLog {
+            id: self.metrics.next_job_id(),
+            kind,
+            cache: "none",
+            queue_wait_ms: 0,
+            run_ms: 0,
+            dropped: (0, 0),
+        };
+        let reply = run(&mut log);
+        let (outcome, counter) = match &reply {
+            Reply::Ok(_) => ("ok", &self.metrics.completed),
+            Reply::Busy { .. } => ("busy", &self.metrics.shed),
+            Reply::Err(_) => ("err", &self.metrics.errored),
+            Reply::Timeout { .. } => ("timeout", &self.metrics.timed_out),
+        };
+        Metrics::inc(counter);
+        eprintln!("{}", log.line(outcome));
+        reply
+    }
+
     fn admission(&self) -> MutexGuard<'_, Admission> {
         #[expect(
             clippy::expect_used,
@@ -814,44 +780,33 @@ mod tests {
 
     #[test]
     fn job_log_line_is_one_parseable_json_object() {
-        let line = job_log_line(42, "sim", "ok", "miss", 3, 128, (7, 9));
+        let mut log = JobLog {
+            id: 42,
+            kind: "sim",
+            cache: "miss",
+            queue_wait_ms: 3,
+            run_ms: 128,
+            dropped: (7, 9),
+        };
+        let line = log.line("ok");
         assert!(!line.contains('\n'), "must stay a single stderr line");
         let doc = crate::json::parse(&line).expect("log line parses");
-        assert_eq!(
-            doc.get("gmh_job").and_then(crate::json::Json::as_u64),
-            Some(42)
-        );
-        assert_eq!(
-            doc.get("kind").and_then(crate::json::Json::as_str),
-            Some("sim")
-        );
-        assert_eq!(
-            doc.get("outcome").and_then(crate::json::Json::as_str),
-            Some("ok")
-        );
-        assert_eq!(
-            doc.get("cache").and_then(crate::json::Json::as_str),
-            Some("miss")
-        );
-        assert_eq!(
-            doc.get("queue_wait_ms").and_then(crate::json::Json::as_u64),
-            Some(3)
-        );
-        assert_eq!(
-            doc.get("run_ms").and_then(crate::json::Json::as_u64),
-            Some(128)
-        );
-        assert_eq!(
-            doc.get("events_dropped")
-                .and_then(crate::json::Json::as_u64),
-            Some(7)
-        );
-        assert_eq!(
-            doc.get("spans_dropped").and_then(crate::json::Json::as_u64),
-            Some(9)
-        );
+        let field = |k: &str| doc.get(k).expect(k).clone();
+        for (k, v) in [("kind", "sim"), ("outcome", "ok"), ("cache", "miss")] {
+            assert_eq!(field(k).as_str(), Some(v), "{k}");
+        }
+        for (k, v) in [
+            ("gmh_job", 42),
+            ("queue_wait_ms", 3),
+            ("run_ms", 128),
+            ("events_dropped", 7),
+            ("spans_dropped", 9),
+        ] {
+            assert_eq!(field(k).as_u64(), Some(v), "{k}");
+        }
         // Lines for work that was never observed carry explicit zeros.
-        let shed = job_log_line(43, "sim", "busy", "miss", 0, 0, (0, 0));
+        (log.run_ms, log.dropped) = (0, (0, 0));
+        let shed = log.line("busy");
         assert!(shed.ends_with("\"events_dropped\":0,\"spans_dropped\":0}"));
     }
 
@@ -891,11 +846,10 @@ mod tests {
         })
         .unwrap();
         let shared = &handle.shared;
-        let logged = std::cell::RefCell::new(Vec::new());
-        let log = |outcome: &str, _| logged.borrow_mut().push(outcome.to_string());
-        let reply = run_budgeted(shared, "sim", log, || -> u64 { panic!("a model bug") });
-        assert_eq!(reply, Err(Reply::Err("simulation failed".into())));
-        assert_eq!(*logged.borrow(), ["err"]);
+        let reply = shared.answer("sim", |_| {
+            run_budgeted(shared, "sim", || -> Reply { panic!("a model bug") }).unwrap_or_else(|r| r)
+        });
+        assert_eq!(reply, Reply::Err("simulation failed".into()));
         assert_eq!(shared.metrics.errored.load(Ordering::SeqCst), 1);
         assert_eq!(shared.metrics.timed_out.load(Ordering::SeqCst), 0);
         shared.begin_shutdown();

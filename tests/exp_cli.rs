@@ -121,7 +121,7 @@ fn unparsable_arguments_are_refused_not_defaulted() {
     assert!(!trace.exists(), "a refused record still wrote {trace:?}");
     refused(&["trace", "mm", "x"]);
     refused(&["trace", "mm", "0", "-4"]);
-    // `--write-md` belongs to `all` alone, and takes a path.
+    // `all` takes no arguments: its stdout is the report.
     refused(&["table1", "--write-md", "x"]);
     refused(&["all", "--write-md"]);
     refused(&["probe", "mm", "dir", "extra"]);
@@ -139,8 +139,6 @@ fn unparsable_arguments_are_refused_not_defaulted() {
 
 #[test]
 fn uncreatable_outputs_are_refused_before_any_work() {
-    // `all` would otherwise render all 16 artifacts before finding out.
-    refused_to_create(&["all", "--write-md"]);
     refused_to_create(&["probe", "solo"]);
     refused_to_create(&["latency", "solo"]);
     refused_to_create(&["profile", "solo"]);
@@ -303,11 +301,11 @@ fn probe_writes_the_report_and_its_telemetry() {
     assert_eq!(csv, stats.telemetry.to_csv());
 }
 
-/// `experiments_report.txt` is the committed output of `gmh-exp all
-/// --write-md`. This catches drift of its *format* and *order*: every
-/// simulation-free artifact, rendered live, appears in it verbatim, and its
-/// section titles are the artifact table's, in table order. Drift of the
-/// simulated *numbers* is what `tests/golden_digests.rs` is for.
+/// `experiments_report.txt` is the committed stdout of `gmh-exp all`. This
+/// catches drift of its *format* and *order*: every simulation-free
+/// artifact, rendered live, appears in it verbatim, and its section titles
+/// are the artifact table's, in table order. Drift of the simulated
+/// *numbers* is what `tests/golden_digests.rs` is for.
 #[test]
 fn committed_report_has_the_current_format_and_order() {
     let report = include_str!("../experiments_report.txt");
@@ -317,7 +315,7 @@ fn committed_report_has_the_current_format_and_order() {
         assert!(
             report.contains(&section),
             "{name} is stale in experiments_report.txt; regenerate it with \
-             `gmh-exp all --write-md experiments_report.txt`. Live:\n{section}"
+             `gmh-exp all > experiments_report.txt`. Live:\n{section}"
         );
     }
     let committed: Vec<&str> = report.lines().filter(|l| l.starts_with("== ")).collect();
