@@ -50,5 +50,5 @@ pub mod stats;
 pub use area::{AreaReport, A_STORAGE_MM2_PER_KB, BASELINE_DIE_MM2};
 pub use config::{GpuConfig, MemoryModel};
 pub use l2bank::L2Bank;
-pub use sim::{FastForwardStats, GpuSim};
+pub use sim::{FastForwardStats, GpuSim, Stopped};
 pub use stats::SimStats;

@@ -47,6 +47,19 @@ const SERIES: [&str; 19] = [
     "ideal.in_flight",
 ];
 
+/// Why [`GpuSim::run_until`] returned no statistics: its stop poll fired
+/// before the run finished.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Stopped;
+
+impl std::fmt::Display for Stopped {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("the run was stopped before it finished")
+    }
+}
+
+impl std::error::Error for Stopped {}
+
 /// Counters describing how often the fast-forward scheduler engaged
 /// (purely observational — never fed back into simulation).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -306,7 +319,25 @@ impl GpuSim {
     /// `cfg.force_naive_loop` disables them so equivalence tests can
     /// compare both paths.
     pub fn run(&mut self) -> SimStats {
+        match self.run_until(|| false) {
+            Ok(stats) => stats,
+            Err(Stopped) => unreachable!("a stop that never fires stopped the run"),
+        }
+    }
+
+    /// [`GpuSim::run`], polling `stop` once every 64 passes of the run
+    /// loop (a jump is one pass, however far it moves the clocks), and
+    /// ending the run with [`Stopped`] on the first poll that answers
+    /// `true`. A stopped run returns no statistics and skips the end-of-run
+    /// audit; the simulator is left mid-run, to be dropped. A run whose
+    /// `stop` never fires is byte-identical to [`GpuSim::run`].
+    ///
+    /// # Errors
+    ///
+    /// [`Stopped`] when `stop` fired before the run finished.
+    pub fn run_until(&mut self, mut stop: impl FnMut() -> bool) -> Result<SimStats, Stopped> {
         let mut hit_cap = false;
+        let mut passes = 0u32;
         loop {
             let core_cycles = self.clocks.domain(DomainId::Core).cycles();
             if core_cycles >= self.cfg.max_core_cycles {
@@ -319,6 +350,10 @@ impl GpuSim {
             // holds).
             if core_cycles.is_multiple_of(64) && self.done() {
                 break;
+            }
+            passes = passes.wrapping_add(1);
+            if passes.is_multiple_of(64) && stop() {
+                return Err(Stopped);
             }
             // One pass through this loop is one iteration to the host
             // profiler, which times some and only counts the rest.
@@ -358,7 +393,7 @@ impl GpuSim {
                 self.workload
             );
         }
-        stats
+        Ok(stats)
     }
 
     /// Runs every domain tick fired by one clock edge, each phase in a

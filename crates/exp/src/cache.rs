@@ -39,7 +39,7 @@
 //! daemon flushes it on graceful shutdown.
 
 use crate::export::report_json;
-use gmh_core::{GpuConfig, GpuSim, SimStats};
+use gmh_core::{GpuConfig, GpuSim, SimStats, Stopped};
 use gmh_types::hash::StableHasher;
 use gmh_workloads::WorkloadSpec;
 use std::collections::BTreeMap;
@@ -246,18 +246,21 @@ pub fn metric_in_json(json: &str, name: &str) -> Option<f64> {
 }
 
 /// Runs `(label, cfg, wl)` through `cache`: returns the stored report on a
-/// hit, otherwise simulates, stores, and returns the fresh report.
+/// hit, otherwise simulates, stores, and returns the fresh report. The
+/// simulation polls `stop` ([`GpuSim::run_until`]), and so does a miss
+/// before it builds the simulator; a stopped run stores nothing.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors from storing a fresh entry (an existing
 /// entry that is cut short or unreadable is treated as a miss, then
-/// overwritten).
+/// overwritten); a run `stop` ended is an error carrying [`Stopped`].
 pub fn run_cached(
     cache: &DiskCache,
     label: &str,
     cfg: &GpuConfig,
     wl: &WorkloadSpec,
+    mut stop: impl FnMut() -> bool,
 ) -> io::Result<CachedRun> {
     let key = job_key(label, cfg, wl);
     if let Some(json) = cache.get(key) {
@@ -267,7 +270,12 @@ pub fn run_cached(
             hit: true,
         });
     }
-    let stats = GpuSim::new(cfg.clone(), wl).run();
+    if stop() {
+        return Err(io::Error::other(Stopped));
+    }
+    let stats = GpuSim::new(cfg.clone(), wl)
+        .run_until(stop)
+        .map_err(io::Error::other)?;
     let json = report_json(label, wl.name, &stats);
     cache.put(key, wl, label, &json)?;
     Ok(CachedRun {
@@ -334,10 +342,10 @@ mod tests {
     fn miss_then_hit_is_byte_identical() {
         let cache = tmp_cache("roundtrip");
         let (cfg, wl) = tiny();
-        let cold = run_cached(&cache, "base", &cfg, &wl).unwrap();
+        let cold = run_cached(&cache, "base", &cfg, &wl, || false).unwrap();
         assert!(!cold.hit);
         assert!(cold.stats.is_some());
-        let warm = run_cached(&cache, "base", &cfg, &wl).unwrap();
+        let warm = run_cached(&cache, "base", &cfg, &wl, || false).unwrap();
         assert!(warm.hit);
         assert!(warm.stats.is_none());
         assert_eq!(cold.json, warm.json, "cache hit must be byte-identical");
@@ -348,7 +356,7 @@ mod tests {
     fn metric_extraction_matches_stats() {
         let cache = tmp_cache("metric");
         let (cfg, wl) = tiny();
-        let cold = run_cached(&cache, "base", &cfg, &wl).unwrap();
+        let cold = run_cached(&cache, "base", &cfg, &wl, || false).unwrap();
         let stats = cold.stats.as_ref().unwrap();
         // `json_num` renders 6 decimal places, so compare at that precision.
         let ipc = cold.metric("ipc").unwrap();
@@ -380,7 +388,7 @@ mod tests {
     fn index_flush_lists_entries() {
         let cache = tmp_cache("index");
         let (cfg, wl) = tiny();
-        run_cached(&cache, "base", &cfg, &wl).unwrap();
+        run_cached(&cache, "base", &cfg, &wl, || false).unwrap();
         cache.flush_index().unwrap();
         let idx = std::fs::read_to_string(cache.dir().join("index.tsv")).unwrap();
         assert!(idx.contains("nn\tbase"), "index:\n{idx}");
@@ -394,9 +402,9 @@ mod tests {
         let first = tmp_cache("index_merge");
         let second = DiskCache::open(first.dir()).unwrap();
         let (cfg, wl) = tiny();
-        run_cached(&first, "base", &cfg, &wl).unwrap();
+        run_cached(&first, "base", &cfg, &wl, || false).unwrap();
         first.flush_index().unwrap();
-        run_cached(&second, "l2x4", &cfg, &wl).unwrap();
+        run_cached(&second, "l2x4", &cfg, &wl, || false).unwrap();
         let index = first.dir().join("index.tsv");
         let torn = std::fs::read_to_string(&index).unwrap() + "not-a-key\tnn\tx\t0x1\ngarbage\n";
         std::fs::write(&index, torn).unwrap();
@@ -502,13 +510,15 @@ mod tests {
     fn cut_entries_are_misses_that_a_recompute_mends() {
         let cache = tmp_cache("torn");
         let (cfg, wl) = tiny();
-        let fresh = run_cached(&cache, "base", &cfg, &wl).unwrap().json;
+        let fresh = run_cached(&cache, "base", &cfg, &wl, || false)
+            .unwrap()
+            .json;
         let path = cache.entry_path(job_key("base", &cfg, &wl));
         let whole = std::fs::read(&path).unwrap();
         assert_eq!(whole, format!("{fresh}\n").into_bytes());
         gmh_types::rng::cases("cut_cache_entries", 64, |rng| {
             std::fs::write(&path, &whole[..rng.range(0..whole.len())]).unwrap();
-            let run = run_cached(&cache, "base", &cfg, &wl).unwrap();
+            let run = run_cached(&cache, "base", &cfg, &wl, || false).unwrap();
             assert!(!run.hit, "a cut entry was served");
             assert_eq!(run.json, fresh);
             assert_eq!(std::fs::read(&path).unwrap(), whole);

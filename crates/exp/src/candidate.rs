@@ -47,18 +47,27 @@ impl Candidate {
 /// evaluator; batch evaluation distributes jobs across `GMH_THREADS`
 /// workers but returns results in job order, so consumers stay
 /// deterministic regardless of thread count.
-#[derive(Debug)]
 pub struct Evaluator<'a> {
     cache: &'a DiskCache,
+    stop: &'a (dyn Fn() -> bool + Sync),
     sims: AtomicUsize,
     hits: AtomicUsize,
 }
 
 impl<'a> Evaluator<'a> {
-    /// Creates an evaluator over `cache`.
+    /// Creates an evaluator over `cache` whose evaluations always finish.
     pub fn new(cache: &'a DiskCache) -> Self {
+        Self::until(cache, &|| false)
+    }
+
+    /// Creates an evaluator over `cache` whose simulations poll `stop` (see
+    /// [`run_cached`]): once it answers `true`, every evaluation not yet
+    /// finished fails with an error carrying [`gmh_core::Stopped`] and
+    /// stores nothing.
+    pub fn until(cache: &'a DiskCache, stop: &'a (dyn Fn() -> bool + Sync)) -> Self {
         Evaluator {
             cache,
+            stop,
             sims: AtomicUsize::new(0),
             hits: AtomicUsize::new(0),
         }
@@ -91,9 +100,10 @@ impl<'a> Evaluator<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors from storing a fresh cache entry.
+    /// Propagates filesystem errors from storing a fresh cache entry, and
+    /// the [`gmh_core::Stopped`] error of a run the stop ended.
     pub fn eval(&self, cand: &Candidate, wl: &WorkloadSpec) -> io::Result<CachedRun> {
-        let run = run_cached(self.cache, &cand.label, &cand.config, wl)?;
+        let run = run_cached(self.cache, &cand.label, &cand.config, wl, self.stop)?;
         self.account(&run);
         Ok(run)
     }
@@ -149,6 +159,30 @@ mod tests {
         assert!(warm.hit);
         assert_eq!((ev.sims(), ev.hits()), (1, 1));
         assert_eq!(cold.json, warm.json);
+        std::fs::remove_dir_all(cache.dir()).ok();
+    }
+
+    #[test]
+    fn an_evaluation_stopped_mid_run_stores_nothing() {
+        let cache = tmp_cache("stopped");
+        let (cfg, wl) = tiny();
+        let cand = Candidate::new("base", cfg);
+        // Poll 1 is the check before the simulator is built; poll 2 is the
+        // run loop's first, 64 passes into the run.
+        let polls = AtomicUsize::new(0);
+        let stop = || polls.fetch_add(1, Ordering::Relaxed) >= 1;
+        let ev = Evaluator::until(&cache, &stop);
+        let err = ev.eval(&cand, &wl).unwrap_err();
+        assert!(
+            err.get_ref().is_some_and(|e| e.is::<gmh_core::Stopped>()),
+            "{err}"
+        );
+        assert_eq!(polls.load(Ordering::Relaxed), 2, "stopped by the run loop");
+        assert_eq!((ev.sims(), ev.hits()), (0, 0));
+        let key = crate::cache::job_key(&cand.label, &cand.config, &wl);
+        assert_eq!(cache.get(key), None, "a stopped run leaves no entry");
+        // The same evaluation, unstopped, is a fresh simulation.
+        assert!(!Evaluator::new(&cache).eval(&cand, &wl).unwrap().hit);
         std::fs::remove_dir_all(cache.dir()).ok();
     }
 

@@ -47,5 +47,5 @@ pub mod space;
 
 pub use pareto::{best_under, pareto_frontier, FrontierPoint};
 pub use report::{frontier_csv, frontier_json};
-pub use search::{run_search, StageSummary, TuneOutcome, TuneParams};
+pub use search::{run_search, run_search_until, StageSummary, TuneOutcome, TuneParams};
 pub use space::{Genome, KnobSpace, N_AXES};

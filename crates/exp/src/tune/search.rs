@@ -15,7 +15,7 @@ use super::pareto::{best_under, pareto_frontier, FrontierPoint};
 use super::space::{Genome, KnobSpace, N_AXES};
 use crate::cache::DiskCache;
 use crate::{Candidate, Evaluator};
-use gmh_core::{area, GpuConfig};
+use gmh_core::{area, GpuConfig, Stopped};
 use gmh_types::json::Json;
 use gmh_types::rng::Xoshiro256;
 use gmh_types::telemetry::{json_escape, json_num};
@@ -313,11 +313,37 @@ fn shuffle(items: &mut [Genome], rng: &mut Xoshiro256) {
 /// Propagates evaluation I/O errors (cache writes) and parameter
 /// validation failures as `io::ErrorKind::InvalidInput`.
 pub fn run_search(cache: &DiskCache, p: &TuneParams) -> io::Result<TuneOutcome> {
+    match run_search_until(cache, p, &|| false) {
+        Ok(searched) => searched,
+        Err(Stopped) => unreachable!("a stop that never fires stopped the search"),
+    }
+}
+
+/// [`run_search`], with every simulation it makes polling `stop` (see
+/// [`Evaluator::until`]). A search that `stop` ends reports [`Stopped`],
+/// never the frontier of the stages it finished: which stages those are
+/// depends on wall time, and the frontier must not. Evaluations that
+/// finished before the stop stay in the cache.
+///
+/// # Errors
+///
+/// [`Stopped`] when `stop` fired before the search finished.
+pub fn run_search_until(
+    cache: &DiskCache,
+    p: &TuneParams,
+    stop: &(dyn Fn() -> bool + Sync),
+) -> Result<io::Result<TuneOutcome>, Stopped> {
+    match search(&Evaluator::until(cache, stop), p) {
+        Err(e) if e.get_ref().is_some_and(|e| e.is::<Stopped>()) => Err(Stopped),
+        searched => Ok(searched),
+    }
+}
+
+fn search(ev: &Evaluator<'_>, p: &TuneParams) -> io::Result<TuneOutcome> {
     p.validate().map_err(io::Error::other)?;
     let space = KnobSpace::table3();
     let mix = p.mix();
     let baseline_geom = GpuConfig::gtx480_baseline();
-    let ev = Evaluator::new(cache);
     let mut rng = Xoshiro256::seeded(p.seed);
 
     // Seeded pool draw over the exhaustive valid enumeration.
@@ -527,7 +553,7 @@ pub fn run_search(cache: &DiskCache, p: &TuneParams) -> io::Result<TuneOutcome> 
     }
     let frontier = pareto_frontier(&points);
     let best = best_under(&frontier, p.max_area_pct).cloned();
-    cache.flush_index()?;
+    ev.cache().flush_index()?;
 
     Ok(TuneOutcome {
         space_size,

@@ -32,7 +32,7 @@ pub struct Metrics {
     /// Jobs refused with `ERR` (validation failures, draining server, a run
     /// that failed).
     pub errored: AtomicU64,
-    /// Jobs abandoned with `TIMEOUT`.
+    /// Jobs stopped at their wall-clock budget and answered `TIMEOUT`.
     pub timed_out: AtomicU64,
     /// Result-cache hits (served without simulating).
     pub cache_hits: AtomicU64,
@@ -176,7 +176,7 @@ impl Metrics {
             ("gmh_requests_completed_total", "Job requests answered OK (fresh runs and cache hits).", &self.completed),
             ("gmh_requests_shed_total", "Job requests shed with BUSY at admission (queue full).", &self.shed),
             ("gmh_requests_errored_total", "Job requests refused with ERR.", &self.errored),
-            ("gmh_requests_timeout_total", "Job requests abandoned with TIMEOUT.", &self.timed_out),
+            ("gmh_requests_timeout_total", "Job requests stopped with TIMEOUT.", &self.timed_out),
             ("gmh_cache_hits_total", "Result-cache hits.", &self.cache_hits),
             ("gmh_cache_misses_total", "Result-cache misses.", &self.cache_misses),
             ("gmh_sim_cycles_total", "Simulated core cycles across completed fresh runs.", &self.sim_cycles),
@@ -394,7 +394,7 @@ gmh_requests_shed_total 303
 # HELP gmh_requests_errored_total Job requests refused with ERR.
 # TYPE gmh_requests_errored_total counter
 gmh_requests_errored_total 404
-# HELP gmh_requests_timeout_total Job requests abandoned with TIMEOUT.
+# HELP gmh_requests_timeout_total Job requests stopped with TIMEOUT.
 # TYPE gmh_requests_timeout_total counter
 gmh_requests_timeout_total 505
 # HELP gmh_cache_hits_total Result-cache hits.

@@ -84,7 +84,8 @@ pub enum Reply {
     },
     /// Refused (validation failure, parse error, or draining server).
     Err(String),
-    /// The job exceeded the server's wall-clock budget and was abandoned.
+    /// The job exceeded the server's wall-clock budget: its run was
+    /// stopped, and nothing of it was kept.
     Timeout {
         /// The budget that was exceeded, in milliseconds.
         after_ms: u64,
@@ -282,7 +283,8 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 
 /// The most core cycles one job, or one full run of a search, may simulate:
 /// the baseline's own cap, so every named configuration runs unmodified.
-/// It bounds how long a helper abandoned on `TIMEOUT` keeps a CPU busy.
+/// It bounds how long a run can hold its slot inside the wall-clock budget,
+/// and how large its report can grow.
 pub const MAX_RUN_CYCLES: u64 = 3_000_000;
 
 /// The narrowest telemetry window a job may ask for, in interconnect

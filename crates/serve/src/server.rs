@@ -12,25 +12,25 @@
 //!                          full     → BUSY{retry_after_ms}   (load shed)
 //!                          ok       → wait until first in line with a
 //!                                     free slot, then pop
-//!               run:  simulate on a helper thread → recv_timeout
+//!               run:  simulate on this thread, polling the deadline
 //!                          done    → report_json → cache.put → OK
-//!                          expired → TIMEOUT (helper is abandoned; the
-//!                                    service's run-length cap bounds how
-//!                                    long it lingers)
-//!               free the slot → wake the line
+//!                          expired → the run stops → TIMEOUT
+//!                          panic   → ERR
+//!               free the slot (nothing is left simulating) → wake the line
 //!               the reply → its outcome counter + its one log line
 //! ```
 //!
-//! Every request counted in `accepted` ends in [`Shared::answer`], which
+//! Every request counted in `accepted` ends in `Shared::answer`, which
 //! counts the one outcome its reply names and writes its one log line, so
 //! `accepted = completed + shed + errored + timed_out` and one log line per
 //! counted request hold by construction.
 //!
-//! The connection thread that read a job runs it, so a job crosses one
-//! thread hand-off, to its helper. [`ServerConfig::workers`] slots bound
-//! how many jobs run at once; a job that finds a free slot and nobody in
-//! line pops in the critical section it pushed in, so it never holds a
-//! queue slot.
+//! The connection thread that read a job runs it, so a job crosses no
+//! thread hand-off. [`ServerConfig::workers`] slots bound how many jobs run
+//! at once, and a slot is freed only once its run has returned, so
+//! `gmh_jobs_inflight` counts every job that is simulating. A job that
+//! finds a free slot and nobody in line pops in the critical section it
+//! pushed in, so it never holds a queue slot.
 //!
 //! The admission queue is a [`gmh_types::BoundedQueue`] — the same
 //! back-pressure primitive the simulator itself is built on. When it fills,
@@ -38,25 +38,25 @@
 //! unboundedly: the paper's thesis (bounded queues + back-pressure decide
 //! sustained throughput) applied to the service layer.
 //!
-//! Wall-clock time (`Instant`), locks and channels are used here
-//! deliberately — job timeouts and service latency are *operational* time,
-//! not model time, and the shared state decides which jobs run, never how
-//! one simulates. `clippy.toml` bans all three in model crates; each use
-//! below carries an `#[expect]` giving its reason.
+//! Wall-clock time (`Instant`) and locks are used here deliberately — job
+//! timeouts and service latency are *operational* time, not model time, and
+//! the shared state decides which jobs run, never how one simulates.
+//! `clippy.toml` bans both in model crates; each use below carries an
+//! `#[expect]` giving its reason.
 
 use crate::metrics::{render_build_info, render_histograms, Gauges, Metrics};
 use crate::protocol::{parse_request, JobRequest, Reply, Request, MAX_LINE_BYTES};
-use gmh_core::GpuSim;
+use gmh_core::{GpuSim, Stopped};
 use gmh_exp::cache::{job_key, DiskCache};
-use gmh_exp::tune::{frontier_json, run_search, TuneParams};
+use gmh_exp::tune::{frontier_json, run_search_until, TuneParams};
 use gmh_exp::{chrome_trace_json, report_json};
 use gmh_types::{BoundedQueue, Level, LevelLatency};
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, MutexGuard};
 use std::time::Duration;
 
@@ -70,7 +70,7 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Admission-queue capacity; a full queue sheds with `BUSY`.
     pub queue_capacity: usize,
-    /// Per-job wall-clock budget before the run is abandoned with
+    /// Per-job wall-clock budget before the run is stopped and answered
     /// `TIMEOUT`.
     pub job_timeout_ms: u64,
     /// Result-cache directory.
@@ -198,8 +198,8 @@ struct Shared {
     #[expect(
         clippy::disallowed_types,
         reason = "the admission queue and in-flight count are service-layer shared state (which \
-            jobs run, never how a job simulates); each job's GpuSim lives entirely on one helper \
-            thread, so simulation results stay a pure function of (config, seed)"
+            jobs run, never how a job simulates); each job's GpuSim lives entirely on the connection \
+            thread that runs it, so simulation results stay a pure function of (config, seed)"
     )]
     state: std::sync::Mutex<Admission>,
     /// Per-level queueing/service histograms merged from the sampled
@@ -264,7 +264,8 @@ pub fn spawn(cfg: ServerConfig) -> io::Result<ServerHandle> {
             clippy::disallowed_types,
             reason = "the admission queue and in-flight count are service-layer shared state \
                 (which jobs run, never how a job simulates); each job's GpuSim lives entirely on \
-                one helper thread, so simulation results stay a pure function of (config, seed)"
+                the connection thread that runs it, so simulation results stay a pure function of \
+                (config, seed)"
         )]
         state: std::sync::Mutex::new(Admission::new(cfg.workers, cfg.queue_capacity)),
         metrics: Metrics::default(),
@@ -381,7 +382,7 @@ fn write_reply(stream: &mut TcpStream, line: &str) -> io::Result<()> {
     stream.write_all(b"\n")
 }
 
-fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) -> io::Result<()> {
+fn handle_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
     stream.set_nodelay(true).ok();
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
@@ -441,7 +442,9 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) -> io::Result<()> 
                 // One search holds one slot, and its internal fan-out is
                 // budget-limited by the protocol caps.
                 Metrics::inc(&shared.metrics.tune_requests);
-                admit_and_run(shared, log, |_| execute_tune(shared, *params))
+                admit_and_run(shared, log, "tune", |_, stop| {
+                    execute_tune(shared, &params, stop)
+                })
             }),
         };
         write_reply(&mut writer, &reply.render())?;
@@ -465,23 +468,29 @@ fn submit_job(shared: &Shared, job: JobRequest, log: &mut JobLog) -> Reply {
         Metrics::inc(&shared.metrics.cache_misses);
         log.cache = "miss";
     }
-    admit_and_run(shared, log, |log| execute_job(shared, job, key, log))
+    admit_and_run(shared, log, "simulation", |log, stop| {
+        execute_job(shared, job, key, log, stop)
+    })
 }
 
 /// Puts the request in line (or refuses or sheds it), waits for its turn,
-/// runs `run` on this thread, and frees the slot; `log` takes the queue wait
-/// and the run time.
+/// runs `run` on this thread and frees the slot once `run` has returned;
+/// `log` takes the queue wait and the run time. `run` polls `stop`, which
+/// fires once the per-job wall-clock budget has passed: a run it stopped
+/// answers `TIMEOUT` and one that panicked `ERR`, so a freed slot never
+/// leaves a simulation running.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the queue wait, the per-job wall-clock deadline and the run time are service-layer \
+        time, orthogonal to the simulation clock: the deadline only decides whether a run is \
+        stopped, so a finished run remains a pure function of (config, seed)"
+)]
 fn admit_and_run(
     shared: &Shared,
     log: &mut JobLog,
-    run: impl FnOnce(&mut JobLog) -> Reply,
+    what: &str,
+    run: impl FnOnce(&mut JobLog, &(dyn Fn() -> bool + Sync)) -> Result<Reply, Stopped>,
 ) -> Reply {
-    #[expect(
-        clippy::disallowed_types,
-        reason = "per-job wall-clock timeout and gmh_sim_wall_ms_total metric are service-layer \
-            time, orthogonal to the simulation clock; results remain a pure function of (config, \
-            seed)"
-    )]
     let enqueued_at = std::time::Instant::now();
     {
         let mut st = shared.admission();
@@ -510,61 +519,43 @@ fn admit_and_run(
     }
     let waited = enqueued_at.elapsed();
     log.queue_wait_ms = millis(waited);
-    let reply = run(log);
+    let budget_ms = shared.cfg.job_timeout_ms;
+    let deadline = (enqueued_at + waited).checked_add(Duration::from_millis(budget_ms));
+    let expired = || deadline.is_some_and(|d| std::time::Instant::now() >= d);
+    let reply = match catch_unwind(AssertUnwindSafe(|| run(log, &expired))) {
+        Ok(Ok(reply)) => reply,
+        Ok(Err(Stopped)) => Reply::Timeout {
+            after_ms: budget_ms,
+        },
+        Err(_) => Reply::Err(format!("{what} failed")),
+    };
     log.run_ms = millis(enqueued_at.elapsed() - waited);
     shared.admission().finish();
     shared.turn.notify_all();
     reply
 }
 
-/// Runs `f` on a helper thread named `gmh-{kind}` under the per-job
-/// wall-clock budget: its result, or the reply that ends the request — `ERR`
-/// for a failed spawn or a helper that panicked (its result sender drops
-/// unsent), `TIMEOUT` for an expired budget.
-fn run_budgeted<T: Send + 'static>(
-    shared: &Shared,
-    kind: &str,
-    f: impl FnOnce() -> T + Send + 'static,
-) -> Result<T, Reply> {
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the helper's result channel carries exactly one value, the job's result, and is \
-            then dropped; occupancy is bounded at 1 by construction"
-    )]
-    let (tx, rx) = mpsc::channel();
-    let helper = std::thread::Builder::new()
-        .name(format!("gmh-{kind}"))
-        .spawn(move || {
-            tx.send(f()).ok();
-        });
-    let what = if kind == "sim" { "simulation" } else { kind };
-    if helper.is_err() {
-        return Err(Reply::Err(format!("cannot spawn {what} thread")));
-    }
-    let timeout = Duration::from_millis(shared.cfg.job_timeout_ms);
-    rx.recv_timeout(timeout).map_err(|e| match e {
-        mpsc::RecvTimeoutError::Disconnected => Reply::Err(format!("{what} failed")),
-        // The helper is abandoned, not killed: the service's cap on a job's
-        // run length (`protocol::MAX_RUN_CYCLES`) or a search's evaluation
-        // budget bounds how long it can linger, and its eventual result is
-        // discarded. The job's slot is freed at once.
-        mpsc::RecvTimeoutError::Timeout => Reply::Timeout {
-            after_ms: shared.cfg.job_timeout_ms,
-        },
-    })
-}
-
-/// Runs one job under the wall-clock budget; `log` takes what its
+/// Runs one job until it finishes or `stop` fires; `log` takes what its
 /// observers dropped.
-fn execute_job(shared: &Shared, job: JobRequest, key: u64, log: &mut JobLog) -> Reply {
+fn execute_job(
+    shared: &Shared,
+    job: JobRequest,
+    key: u64,
+    log: &mut JobLog,
+    stop: &(dyn Fn() -> bool + Sync),
+) -> Result<Reply, Stopped> {
     #[expect(
         clippy::disallowed_types,
-        reason = "per-job wall-clock timeout and gmh_sim_wall_ms_total metric are service-layer \
-            time, orthogonal to the simulation clock; results remain a pure function of (config, \
-            seed)"
+        reason = "the gmh_sim_wall_ms_total metric is service-layer time, orthogonal to the \
+            simulation clock; results remain a pure function of (config, seed)"
     )]
     let started = std::time::Instant::now();
-    let mut config = job.config.clone();
+    let JobRequest {
+        workload,
+        label,
+        mut config,
+        trace,
+    } = job;
     // Every fresh run samples its fetch lifecycles so the METRICS
     // histograms stay live, and self-profiles the host scheduler so the
     // gmh_host_* series stay live; both are read-only observation (the
@@ -574,16 +565,9 @@ fn execute_job(shared: &Shared, job: JobRequest, key: u64, log: &mut JobLog) -> 
         config.trace_sample = 16;
     }
     config.profile_host = true;
-    let workload = job.workload.clone();
-    let run = run_budgeted(shared, "sim", move || {
-        let mut sim = GpuSim::new(config, &workload);
-        let stats = sim.run();
-        (stats, sim.take_host_report())
-    });
-    let (stats, host_report) = match run {
-        Ok(done) => done,
-        Err(reply) => return reply,
-    };
+    let mut sim = GpuSim::new(config, &workload);
+    let stats = sim.run_until(stop)?;
+    let host_report = sim.take_host_report();
     shared.merge_latency(&stats.trace.levels);
     if let Some(hr) = &host_report {
         shared.metrics.record_host_profile(hr);
@@ -592,11 +576,11 @@ fn execute_job(shared: &Shared, job: JobRequest, key: u64, log: &mut JobLog) -> 
         stats.trace.dropped_events,
         host_report.as_ref().map_or(0, |hr| hr.dropped),
     );
-    let json = if job.trace {
-        chrome_trace_json(job.workload.name, &stats.trace)
+    let json = if trace {
+        chrome_trace_json(workload.name, &stats.trace)
     } else {
-        let json = report_json(&job.label, job.workload.name, &stats);
-        if let Err(e) = shared.cache.put(key, &job.workload, &job.label, &json) {
+        let json = report_json(&label, workload.name, &stats);
+        if let Err(e) = shared.cache.put(key, &workload, &label, &json) {
             eprintln!("gmh-serve: cache write failed (serving anyway): {e}");
         }
         json
@@ -605,41 +589,36 @@ fn execute_job(shared: &Shared, job: JobRequest, key: u64, log: &mut JobLog) -> 
     Metrics::add(&shared.metrics.sim_cycles, stats.core_cycles);
     Metrics::add(&shared.metrics.sim_wall_ms, wall_ms);
     shared.metrics.record_job_rate(stats.core_cycles, wall_ms);
-    Reply::Ok(json)
+    Ok(Reply::Ok(json))
 }
 
-/// Runs one design-space search under the wall-clock budget.
+/// Runs one design-space search until it finishes or `stop` fires.
 ///
-/// The helper thread searches through the server's own cache, so every
-/// simulation the search triggers lands in (and is served from) the same
-/// store the plain job path uses — a warm repeat of a search is pure cache
-/// hits — and is listed in the index the shutdown flushes.
-fn execute_tune(shared: &Arc<Shared>, params: TuneParams) -> Reply {
-    let sh = Arc::clone(shared);
-    let p = params.clone();
-    match run_budgeted(shared, "tune", move || run_search(&sh.cache, &p)) {
-        Ok(Ok(out)) => {
-            // Searches are charged to their own counters, not to
-            // `sim_wall_ms`: the BUSY retry hint must stay an average over
-            // single simulation jobs.
-            Metrics::add(
-                &shared.metrics.tune_evals,
-                u64::try_from(out.evals).unwrap_or(u64::MAX),
-            );
-            Metrics::add(
-                &shared.metrics.tune_fresh_sims,
-                u64::try_from(out.fresh_sims).unwrap_or(u64::MAX),
-            );
-            Metrics::add(
-                &shared.metrics.tune_cache_hits,
-                u64::try_from(out.cache_hits).unwrap_or(u64::MAX),
-            );
-            Metrics::inc(&shared.metrics.tune_completed);
-            Reply::Ok(frontier_json(&params, &out))
-        }
-        Ok(Err(e)) => Reply::Err(format!("tune failed: {e}")),
-        Err(reply) => reply,
+/// The search runs through the server's own cache, so every simulation it
+/// triggers lands in (and is served from) the same store the plain job path
+/// uses — a warm repeat of a search is pure cache hits — and is listed in
+/// the index the shutdown flushes.
+fn execute_tune(
+    shared: &Shared,
+    params: &TuneParams,
+    stop: &(dyn Fn() -> bool + Sync),
+) -> Result<Reply, Stopped> {
+    let out = match run_search_until(&shared.cache, params, stop)? {
+        Ok(out) => out,
+        Err(e) => return Ok(Reply::Err(format!("tune failed: {e}"))),
+    };
+    // Searches are charged to their own counters, not to `sim_wall_ms`: the
+    // BUSY retry hint must stay an average over single simulation jobs.
+    let m = &shared.metrics;
+    for (counter, n) in [
+        (&m.tune_evals, out.evals),
+        (&m.tune_fresh_sims, out.fresh_sims),
+        (&m.tune_cache_hits, out.cache_hits),
+    ] {
+        Metrics::add(counter, u64::try_from(n).unwrap_or(u64::MAX));
     }
+    Metrics::inc(&m.tune_completed);
+    Ok(Reply::Ok(frontier_json(params, &out)))
 }
 
 impl Shared {
@@ -832,8 +811,9 @@ mod tests {
         assert_eq!(line.admit(5), Err(Refused::Draining));
     }
 
-    /// A helper that panics drops its result sender unsent: the job is
-    /// answered `ERR` at once and counted `errored`, not `timed_out`.
+    /// A run that panics is caught on the thread that ran it: the job is
+    /// answered `ERR` at once, counted `errored`, not `timed_out`, and its
+    /// slot is freed (the shutdown below drains).
     #[test]
     fn a_panicking_job_is_answered_err_not_timeout() {
         let dir = std::env::temp_dir().join(format!("gmh-serve-panic-{}", std::process::id()));
@@ -846,8 +826,8 @@ mod tests {
         })
         .unwrap();
         let shared = &handle.shared;
-        let reply = shared.answer("sim", |_| {
-            run_budgeted(shared, "sim", || -> Reply { panic!("a model bug") }).unwrap_or_else(|r| r)
+        let reply = shared.answer("sim", |log| {
+            admit_and_run(shared, log, "simulation", |_, _| panic!("a model bug"))
         });
         assert_eq!(reply, Reply::Err("simulation failed".into()));
         assert_eq!(shared.metrics.errored.load(Ordering::SeqCst), 1);

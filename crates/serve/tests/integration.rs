@@ -393,11 +393,22 @@ fn slow_job_draws_timeout() {
         panic!("a 25ms budget must expire: {r:?}");
     };
     assert_eq!(after_ms, 25);
+    // A search past its budget is stopped too: TIMEOUT, never ERR, and
+    // never the frontier of the stages it happened to finish.
+    let r = c
+        .tune(Some("paper"), &[], None, &[("seed".to_string(), 3)])
+        .expect("terminal reply");
+    assert_eq!(r, Reply::Timeout { after_ms: 25 }, "a stopped search");
     let text = c.metrics().expect("metrics");
-    assert_eq!(sample(&text, "gmh_requests_timeout_total"), Some(1));
+    assert_eq!(sample(&text, "gmh_requests_timeout_total"), Some(2));
+    assert_eq!(
+        sample(&text, "gmh_tune_evals_total"),
+        Some(0),
+        "no search completed"
+    );
     assert_eq!(
         sample(&text, "gmh_requests_accepted_total"),
-        Some(1),
+        Some(2),
         "timeout is a terminal outcome, accounted once"
     );
     assert!(matches!(c.shutdown().expect("shutdown"), Reply::Ok(_)));

@@ -1,7 +1,8 @@
 //! The daemon's ledger, end to end against the `gmh-serve` binary: every
 //! request counted in `gmh_requests_accepted_total` writes exactly one
 //! `{"gmh_job":…}` line on stderr, whatever its outcome, and each outcome's
-//! lines match its counter.
+//! lines match its counter. A `TIMEOUT` leaves nothing simulating: the
+//! daemon is idle once both timed-out jobs have been answered.
 
 use gmh_serve::json::{self, Json};
 use gmh_serve::metrics::sample;
@@ -29,6 +30,19 @@ fn tiny() -> Vec<(String, u64)> {
 /// release build, so it outlives the daemon's 2 s budget.
 fn slow() -> Vec<(String, u64)> {
     vec![("insts_per_warp".to_string(), 1_000_000)]
+}
+
+/// CPU seconds process `pid` has used so far (`utime + stime` of
+/// `/proc/<pid>/stat`, which counts in USER_HZ = 100 ticks per second).
+#[cfg(target_os = "linux")]
+fn cpu_seconds(pid: u32) -> f64 {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).expect("/proc/<pid>/stat");
+    // The fields after the parenthesised command name start at field 3.
+    let fields: Vec<&str> = stat[stat.rfind(')').expect("(comm)") + 1..]
+        .split_whitespace()
+        .collect();
+    let ticks = |i: usize| fields[i].parse::<u64>().expect("a tick count");
+    (ticks(14 - 3) + ticks(15 - 3)) as f64 / 100.0
 }
 
 /// Kills the daemon if the test fails before it shuts the daemon down.
@@ -121,8 +135,18 @@ fn every_counted_request_writes_one_log_line_and_the_ledger_balances() {
         let r = job.join().expect("client thread");
         assert!(matches!(r, Reply::Timeout { .. }), "{r:?}");
     }
+    // A TIMEOUT stopped its simulation: the idle daemon burns no CPU.
+    #[cfg(target_os = "linux")]
+    {
+        let pid = daemon.0.as_ref().expect("still running").id();
+        let before = cpu_seconds(pid);
+        std::thread::sleep(Duration::from_secs(1));
+        let used = cpu_seconds(pid) - before;
+        assert!(used < 0.2, "the daemon used {used:.2} CPU-s while idle");
+    }
 
     let text = c.metrics().expect("metrics");
+    assert_eq!(sample(&text, "gmh_jobs_inflight"), Some(0), "{text}");
     let counter = |name: &str| sample(&text, name).unwrap_or_else(|| panic!("{name}:\n{text}"));
     assert!(matches!(c.shutdown().expect("shutdown"), Reply::Ok(_)));
     let daemon = daemon.0.take().expect("still running");

@@ -80,10 +80,22 @@ fn bursty_workload() -> WorkloadSpec {
 
 /// Runs one configuration and exports every observable boundary, after
 /// checking that every core cycle — ticked, skipped or jumped over — was
-/// charged exactly once: an issue, a stall or idle time.
-fn observe(cfg: GpuConfig, wl: &WorkloadSpec) -> (String, String, (u64, u64, u64)) {
+/// charged exactly once: an issue, a stall or idle time. When `polled`, the
+/// run is `run_until` with a stop that counts its polls and never fires.
+fn observe(cfg: GpuConfig, wl: &WorkloadSpec, polled: bool) -> (String, String, (u64, u64, u64)) {
     let n_cores = cfg.n_cores as u64;
-    let stats = GpuSim::new(cfg, wl).run();
+    let mut sim = GpuSim::new(cfg, wl);
+    let stats = if polled {
+        let mut polls = 0u64;
+        let stats = sim.run_until(|| {
+            polls += 1;
+            false
+        });
+        assert!(polls > 0, "{}: the run never polled its stop", wl.name);
+        stats.expect("a stop that never fires never stops the run")
+    } else {
+        sim.run()
+    };
     let issue = &stats.issue;
     assert_eq!(
         issue.issued_cycles.get() + issue.total_stalls() + issue.idle.get(),
@@ -110,8 +122,8 @@ fn assert_matches_naive(cfg: GpuConfig, wl: &WorkloadSpec) {
     let model = cfg.memory_model.clone();
     let mhz = (cfg.core_mhz, cfg.icnt_mhz, cfg.dram_mhz);
     assert_eq!(
-        observe(cfg, wl),
-        observe(naive_cfg, wl),
+        observe(cfg, wl, false),
+        observe(naive_cfg, wl, false),
         "{} under {model:?} at {mhz:?} MHz: event core must match the naive loop",
         wl.name
     );
@@ -138,6 +150,24 @@ fn event_core_matches_both_oracles_on_all_models() {
             (cfg.core_mhz, cfg.icnt_mhz, cfg.dram_mhz) = (core_mhz, icnt_mhz, dram_mhz);
             cfg.memory_model = model;
             assert_matches_naive(cfg, &bursty_workload());
+        }
+    }
+    // Polling a stop that never fires is no model change either, under
+    // the event core and the naive loop alike.
+    for model in all_models() {
+        let mut cfg = small_gpu();
+        cfg.memory_model = model;
+        let mut naive_cfg = cfg.clone();
+        naive_cfg.force_naive_loop = true;
+        let wl = bursty_workload();
+        let run = observe(cfg.clone(), &wl, false);
+        for cfg in [cfg, naive_cfg] {
+            let (model, naive) = (cfg.memory_model.clone(), cfg.force_naive_loop);
+            assert_eq!(
+                observe(cfg, &wl, true),
+                run,
+                "{model:?}, naive loop {naive}: run_until must match run"
+            );
         }
     }
 }

@@ -2,8 +2,9 @@
 //! the equivalence property test (`proptest_sim.rs`) establishes that results
 //! never change; these tests establish the engagement behavior itself.
 
-use gmh::core::{GpuConfig, GpuSim, MemoryModel};
+use gmh::core::{GpuConfig, GpuSim, MemoryModel, Stopped};
 use gmh::exp::report_json;
+use gmh::workloads::catalog;
 use gmh::workloads::spec::{AddressMix, PhaseSpec, Suite, WorkloadSpec};
 
 fn small_gpu() -> GpuConfig {
@@ -132,4 +133,40 @@ fn refused_cores_sleep_through_a_saturated_slice() {
         report_json("gtx480", wl.name, &naive),
         "sleeping through refusals must not change the exported report"
     );
+}
+
+/// A stop that fires on its `k`-th poll ends the run at once, and the loop
+/// polls once every 64 passes, a jump counting as one pass however far it
+/// moves the clocks: the stopped run made more than `64 (k - 1)` and at most
+/// `64 k` passes (the host profiler counts them) — on `lull`, whose run
+/// jumps before the stop, and on saturated `mm`.
+#[test]
+fn a_stop_ends_the_run_within_64_passes_of_its_poll() {
+    for name in ["lull", "mm"] {
+        let mut cfg = GpuConfig::gtx480_baseline();
+        cfg.max_core_cycles = 20_000;
+        cfg.profile_host = true;
+        let wl = catalog::by_name(name).expect("catalog workload");
+        let mut whole = GpuSim::new(cfg.clone(), &wl);
+        whole.run();
+        let whole_passes = whole.take_host_report().expect("profiled").iterations;
+        let k = whole_passes / 64 / 2;
+        assert!(k > 1, "{name}: {whole_passes} passes");
+
+        let mut polls = 0;
+        let mut sim = GpuSim::new(cfg, &wl);
+        let stopped = sim.run_until(|| {
+            polls += 1;
+            polls == k
+        });
+        assert!(matches!(stopped, Err(Stopped)), "{name}: the run finished");
+        assert_eq!(polls, k, "{name}: polled past the stop");
+        let passes = sim.take_host_report().expect("profiled").iterations;
+        assert!(
+            64 * (k - 1) < passes && passes <= 64 * k,
+            "{name}: {passes} passes for a stop at poll {k}"
+        );
+        let ff = sim.ff_stats();
+        assert!(name == "mm" || ff.jumps > 0, "{name}: {ff:?}");
+    }
 }

@@ -18,9 +18,14 @@
 //! After a deliberate model fix, refresh by pasting: a mismatch prints the
 //! complete expected file.
 
+use gmh::cache::{CacheConfig, WritePolicy};
 use gmh::core::config::MemoryModel;
 use gmh::core::{GpuConfig, GpuSim};
+use gmh::dram::{DramConfig, DramTiming, SchedPolicy};
 use gmh::exp::{chrome_trace_json, report_json};
+use gmh::icnt::IcntConfig;
+use gmh::simt::scheduler::WarpSchedPolicy;
+use gmh::simt::CoreConfig;
 use gmh::types::hash::StableHasher;
 use gmh::types::trace::{decomposition_of, TraceData};
 use gmh::workloads::spec::{AddressMix, PhaseSpec, Suite, WorkloadSpec};
@@ -44,16 +49,88 @@ fn all_models() -> [(&'static str, MemoryModel); 4] {
 
 /// A 4-core, 4-bank, 2-channel machine: every component class has more
 /// than one instance while a run stays fast in a debug build.
+///
+/// Every field is spelled out rather than derived from a preset, so the
+/// digests move only when model code does: recalibrating the baseline
+/// preset leaves this machine, and so the golden file, unchanged.
 fn small_gpu() -> GpuConfig {
-    let mut c = GpuConfig::gtx480_baseline();
-    c.n_cores = 4;
-    c.n_l2_banks = 4;
-    c.n_channels = 2;
-    c.dram.n_channels = 2;
-    c.l2_bank.set_stride = 4;
-    c.l2_bank.size_bytes = 256 * 1024 / 4;
-    c.max_core_cycles = 200_000;
-    c
+    let l1 = |size_bytes, mshr_entries, miss_queue_len| CacheConfig {
+        size_bytes,
+        assoc: 4,
+        mshr_entries,
+        mshr_merge: 8,
+        miss_queue_len,
+        write_policy: WritePolicy::WriteEvict,
+        set_stride: 1,
+    };
+    GpuConfig {
+        n_cores: 4,
+        core_mhz: 1400,
+        icnt_mhz: 700,
+        dram_mhz: 924,
+        core: CoreConfig {
+            max_warps: 48,
+            mem_pipeline_width: 10,
+            ibuffer_size: 2,
+            response_fifo: 8,
+            l1d: l1(16 * 1024, 32, 8),
+            l1i: l1(8 * 1024, 8, 4),
+            sched_policy: WarpSchedPolicy::Gto,
+        },
+        icnt: IcntConfig {
+            req_flit_bytes: 32,
+            rep_flit_bytes: 32,
+            input_buffer_flits: 16,
+            output_buffer_packets: 8,
+            router_latency: 4,
+            output_speedup: 1,
+        },
+        n_l2_banks: 4,
+        l2_bank: CacheConfig {
+            size_bytes: 64 * 1024,
+            assoc: 8,
+            mshr_entries: 32,
+            mshr_merge: 8,
+            miss_queue_len: 8,
+            write_policy: WritePolicy::WriteBack,
+            set_stride: 4,
+        },
+        l2_access_queue: 8,
+        l2_response_queue: 8,
+        l2_data_port_bytes: 32,
+        l2_latency: 40,
+        n_channels: 2,
+        dram: DramConfig {
+            n_banks: 16,
+            lines_per_row: 32,
+            n_channels: 2,
+            sched_queue: 16,
+            response_queue: 8,
+            bus_bytes_per_cycle: 32,
+            fixed_latency: 30,
+            policy: SchedPolicy::FrFcfs,
+            timing: DramTiming {
+                ccd: 2,
+                rrd: 6,
+                rcd: 12,
+                ras: 28,
+                rp: 12,
+                rc: 40,
+                cl: 12,
+                wl: 4,
+                cdlr: 5,
+                wr: 12,
+            },
+        },
+        memory_model: MemoryModel::Full,
+        max_core_cycles: 200_000,
+        telemetry_window: 512,
+        trace_sample: 0,
+        trace_event_cap: 65_536,
+        force_naive_loop: false,
+        profile_host: false,
+        sim_threads: 0,
+    }
 }
 
 /// Steady mix exercising every address class (hot-line reuse, streaming,
